@@ -39,9 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a JSON experiment configuration")
         if verb != "validate":
             p.add_argument("--out", default="out", help="artifact directory")
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads (module internals are "
-                                "vectorized; kept for interface stability)")
     return parser
 
 

@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from .drivers import Driver, StructureParams, make_driver
-from .levy import LevyModel, make_model
+from .levy import LevyModel, UnknownPresetError, make_model
+from .scheme import Schedule
+from .solver import DYNAMICS
 
 EXPERIMENTS = ("solve", "scheme", "audit", "risk", "oracle")
-TERMINALS = ("linear", "abs_linear", "constant")
-DYNAMICS_CHOICES = ("brownian", "brownian_jumps", "jumps_only", "deterministic")
 
 
 class ConfigError(ValueError):
@@ -34,14 +34,32 @@ def _need(section: dict, key: str, path: str):
     return section[key]
 
 
-def _as_positive(value, path: str, strict: bool = True) -> float:
+def _as_positive(value, path: str) -> float:
     try:
         v = float(value)
     except (TypeError, ValueError):
         raise ConfigError(path, f"expected a number, got {value!r}") from None
-    if strict and v <= 0 or not strict and v < 0:
-        raise ConfigError(path, f"must be {'positive' if strict else 'nonnegative'}")
+    if v <= 0:
+        raise ConfigError(path, "must be positive")
     return v
+
+
+def _as_int(value, path: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"expected an integer, got {value!r}") from None
+
+
+def _check_build(section: str, build) -> None:
+    """Run a factory so that a bad preset name or parameter is reported as a
+    configuration error instead of a crash at run time."""
+    try:
+        build()
+    except UnknownPresetError as exc:
+        raise ConfigError(f"{section}.name", str(exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(section, str(exc)) from None
 
 
 @dataclass
@@ -74,11 +92,12 @@ class ExperimentConfig:
             float(self.structure.get("l", 0.0)),
             float(self.structure.get("c", 0.0)))
 
-    def build_driver(self, structure: StructureParams,
-                     quad_mass_hint: float | None = None) -> Driver:
+    def build_driver(self, structure: StructureParams) -> Driver:
         params = {k: v for k, v in self.driver.items() if k != "name"}
-        return make_driver(self.driver.get("name", "canonical"), structure,
-                           quad_mass_hint=quad_mass_hint, **params)
+        return make_driver(self.driver.get("name", "canonical"), structure, **params)
+
+    def build_schedule(self) -> Schedule:
+        return Schedule(self.schedule.get("triples", ()), self.seed)
 
     def terminal_fn(self):
         name = self.terminal.get("name", "linear")
@@ -91,7 +110,7 @@ class ExperimentConfig:
         if name == "constant":
             value = float(self.terminal.get("value", 1.0))
             return lambda x: np.full(np.asarray(x).shape, value)
-        raise ConfigError("terminal.name", f"unknown terminal '{name}'")
+        raise UnknownPresetError(f"unknown terminal '{name}'")
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, float(self.grid["t_end"]),
@@ -128,37 +147,32 @@ def validate_config(data: dict) -> ExperimentConfig:
     if "seed" not in ens:
         raise ConfigError("ensemble.seed", "missing required field "
                           "(no implicit randomness)")
-    try:
-        int(ens["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError("ensemble.seed", "must be an integer") from None
-    n_paths = int(_need(ens, "n_paths", "ensemble"))
-    if n_paths < 100:
+    _as_int(ens["seed"], "ensemble.seed")
+    if _as_int(_need(ens, "n_paths", "ensemble"), "ensemble.n_paths") < 100:
         raise ConfigError("ensemble.n_paths", "need at least 100 paths")
     dynamics = ens.get("dynamics", "brownian_jumps")
-    if dynamics not in DYNAMICS_CHOICES:
+    if dynamics not in DYNAMICS:
         raise ConfigError("ensemble.dynamics",
-                          f"unknown dynamics '{dynamics}'")
+                          f"unknown dynamics '{dynamics}'; choose from {DYNAMICS}")
     _as_positive(_need(cfg.grid, "t_end", "grid"), "grid.t_end")
-    k_steps = int(_need(cfg.grid, "k_steps", "grid"))
+    k_steps = _as_int(_need(cfg.grid, "k_steps", "grid"), "grid.k_steps")
     if k_steps < 2:
         raise ConfigError("grid.k_steps", "need at least 2 steps")
-    if cfg.model.get("name", "gamma") not in ("gamma", "stable", "normal", "null"):
-        raise ConfigError("model.name", f"unknown preset '{cfg.model.get('name')}'")
-    if cfg.driver.get("name", "canonical") not in ("canonical", "linear",
-                                                   "morlais", "zero"):
-        raise ConfigError("driver.name", f"unknown preset '{cfg.driver.get('name')}'")
+    _check_build("model", cfg.build_model)
+    _check_build("structure", cfg.build_structure)
+    _check_build("driver", lambda: cfg.build_driver(cfg.build_structure()))
+    _check_build("terminal", cfg.terminal_fn)
     kappa = _as_positive(cfg.quadrature.get("kappa", 8.0), "quadrature.kappa")
     if kappa < 1.0:
         raise ConfigError("quadrature.kappa", "must be at least 1")
     if experiment == "scheme":
-        triples = cfg.schedule.get("triples")
-        if not triples:
-            raise ConfigError("schedule.triples", "missing required field")
-        for i, t in enumerate(triples):
-            if len(t) != 3 or min(int(v) for v in t) < 1:
-                raise ConfigError(f"schedule.triples[{i}]",
-                                  "each triple needs three indices >= 1")
+        _check_build("schedule.triples", cfg.build_schedule)
+    if experiment == "risk":
+        times = cfg.risk.get("times", [0])
+        if (not isinstance(times, (list, tuple)) or 0 not in times
+                or not all(type(k) is int and 0 <= k <= k_steps for k in times)):
+            raise ConfigError("risk.times", "need a list of integer steps in "
+                              f"[0, {k_steps}] that includes 0")
     return cfg
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .levy import (ExponentOverflowError, EXP_CAP, MarkQuadrature,
-                   j_functional, _field_values)
+                   UnknownPresetError, j_functional, _field_values)
 
 
 @dataclass(frozen=True)
@@ -91,51 +91,28 @@ class Driver:
             z = z[..., None]
         return self.f_hat(t, y, z) + self.jump_part(t, u, quad, zeta)
 
-    def at_quadrature(self, quad: MarkQuadrature, zeta: np.ndarray | None = None,
-                      node_idx: np.ndarray | None = None) -> "DriverView":
-        return DriverView(self, quad, zeta, node_idx)
+    def at_quadrature(self, quad: MarkQuadrature,
+                      zeta: np.ndarray | None = None) -> "DriverView":
+        return DriverView(self, quad, zeta)
 
 
 @dataclass
 class DriverView:
-    """A driver bound to a quadrature (optionally a restricted node subset).
-
-    ``evaluate`` accepts jump fields on the *master* node set and slices the
-    subset itself, so solutions living on a fine grid can be fed to coarser
-    truncations unchanged.
-    """
+    """A driver bound to a quadrature and its intensity modulation."""
 
     driver: Driver
     quad: MarkQuadrature
     zeta: np.ndarray | None = None
-    node_idx: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.node_idx is not None:
-            self.sub_quad = MarkQuadrature(
-                self.quad.nodes[self.node_idx], self.quad.weights[self.node_idx],
-                self.quad.kappa, self.quad.cell_inner[self.node_idx])
-            self.sub_zeta = None if self.zeta is None else self.zeta[self.node_idx]
-        else:
-            self.sub_quad = self.quad
-            self.sub_zeta = self.zeta
 
     @property
     def lip_y(self) -> float:
         return self.driver.lip_y
 
-    def _slice(self, u) -> np.ndarray:
-        vals = _field_values(u)
-        if self.node_idx is not None:
-            vals = vals[..., self.node_idx]
-        return vals
-
     def evaluate(self, t: float, y, z, u) -> np.ndarray:
-        return self.driver.evaluate(t, y, z, self._slice(u), self.sub_quad, self.sub_zeta)
+        return self.driver.evaluate(t, y, z, u, self.quad, self.zeta)
 
 
-def make_driver(name: str, structure: StructureParams, quad_mass_hint: float | None = None,
-                **p) -> Driver:
+def make_driver(name: str, structure: StructureParams, **p) -> Driver:
     """Driver presets.
 
     canonical
@@ -174,7 +151,6 @@ def make_driver(name: str, structure: StructureParams, quad_mass_hint: float | N
         def g(t, v):
             return c_tilde * np.asarray(v, dtype=float)
 
-        mass = quad_mass_hint if quad_mass_hint is not None else 1.0
         return Driver(name, f_hat, g, structure, nonnegative=False,
                       depends_on_y=abs(a) > 0, lip_y=abs(a),
                       lip_yz=max(abs(a), abs(b)),
@@ -198,7 +174,7 @@ def make_driver(name: str, structure: StructureParams, quad_mass_hint: float | N
 
         return Driver(name, f_hat, g, structure, nonnegative=True,
                       depends_on_y=False, lip_y=0.0, lip_yz=0.0, g_lip_factor=0.0)
-    raise ValueError(f"unknown driver preset '{name}'")
+    raise UnknownPresetError(f"unknown driver preset '{name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +220,9 @@ def check_structure(driver: Driver, probes: Sequence, quad: MarkQuadrature,
     when ``f`` leaves ``[q_lower - tol, q_upper + tol]`` with
     ``tol = 1e-9 * (1 + |q_upper|)``.  Violations are data, not errors.
     """
-    bad, worst = [], 0.0
+    bad, worst, n_probes = [], 0.0, 0
     for t, y, z, u in probes:
+        n_probes += 1
         q_lo, q_hi = structure_bounds(t, y, z, u, driver.params, quad, zeta)
         val = float(driver.evaluate(t, y, z, u, quad, zeta))
         tol = 1e-9 * (1.0 + abs(float(q_hi)))
@@ -253,7 +230,7 @@ def check_structure(driver: Driver, probes: Sequence, quad: MarkQuadrature,
         if gap > tol:
             bad.append((t, float(y), val, float(q_lo), float(q_hi)))
             worst = max(worst, gap)
-    return StructureReport(len(list(probes)), len(bad), worst, bad)
+    return StructureReport(n_probes, len(bad), worst, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +308,10 @@ def _running_min_envelope(cand_vals: np.ndarray, cand_coord: np.ndarray,
     return out
 
 
-@dataclass
-class EnvelopeGrids:
-    """Immutable candidate grids used by the regularized evaluation."""
-
-    y: np.ndarray
-    z: np.ndarray
-    v: np.ndarray
-
-    @staticmethod
-    def default(y_range=(-10.0, 10.0), z_range=(-10.0, 10.0), v_range=(-4.0, 4.0),
-                n_yz: int = 2001, n_v: int = 161) -> "EnvelopeGrids":
-        return EnvelopeGrids(np.linspace(*y_range, n_yz),
-                             np.linspace(*z_range, n_yz),
-                             np.linspace(*v_range, n_v))
+# candidate grids of the regularized evaluation: y and z values, and the
+# constant mark values v
+YZ_GRID = np.linspace(-10.0, 10.0, 2001)
+V_GRID = np.linspace(-4.0, 4.0, 161)
 
 
 class NotRegularizableError(ValueError):
@@ -362,8 +329,9 @@ class RegularizedDriver:
     probe.  Three evaluation strategies are selected at build time:
 
     ``nonnegative``
-        the negative part is identically zero and the envelope separates into
-        a ``(y, z)`` part and a constant-field mark part (fast, used in solves);
+        the negative part is identically zero, ``f_hat`` ignores ``y``, and the
+        envelope separates into a ``z`` part and a constant-field mark part
+        (fast, used in solves);
     ``lipschitz_exact``
         the driver is globally Lipschitz with constant at most ``min(n, m)``,
         so both envelopes reproduce the parts exactly;
@@ -377,7 +345,6 @@ class RegularizedDriver:
     quad: MarkQuadrature          # master quadrature
     node_idx: np.ndarray          # truncation subset into the master nodes
     zeta: np.ndarray | None = None
-    grids: EnvelopeGrids = field(default_factory=EnvelopeGrids.default)
     strategy: str = "auto"
 
     def __post_init__(self):
@@ -391,8 +358,11 @@ class RegularizedDriver:
         self._wz = (self.sub_quad.weights if self.sub_zeta is None
                     else self.sub_quad.weights * self.sub_zeta)
         self._mass = float(self._wz.sum())
+        if self.strategy == "nonnegative" and self.base.depends_on_y:
+            raise NotRegularizableError("the separable envelope ignores y; "
+                                        "use the generic strategy")
         if self.strategy == "auto":
-            if self.base.nonnegative:
+            if self.base.nonnegative and not self.base.depends_on_y:
                 self.strategy = "nonnegative"
             elif (math.isfinite(self.base.lip_yz)
                   and min(self.n, self.m) >= self._lip_needed()):
@@ -412,7 +382,7 @@ class RegularizedDriver:
             return 0.0
         if self.strategy == "lipschitz_exact":
             return self.base.lip_y
-        return self.n + (0.0 if self.strategy == "nonnegative" else self.m)
+        return self.n + self.m
 
     def _slice_u(self, u) -> np.ndarray:
         vals = _field_values(u)
@@ -425,20 +395,8 @@ class RegularizedDriver:
         if z.shape[-1] != 1:
             raise NotRegularizableError("separable envelope needs a scalar noise "
                                         "dimension; use the generic strategy")
-        zflat = z[..., 0]
-        if self.base.depends_on_y:
-            yc, zc = np.meshgrid(self.grids.y[::8], self.grids.z[::8], indexing="ij")
-            cv = self.base.f_hat(t, yc.ravel(), zc.ravel()[:, None]).ravel()
-            out = np.full(query.shape, np.inf)
-            for start in range(0, cv.size, 512):
-                sl = slice(start, start + 512)
-                d = (np.abs(yc.ravel()[sl][None, :] - y[:, None])
-                     + np.abs(zc.ravel()[sl][None, :] - zflat[:, None]))
-                np.minimum(out, (cv[sl][None, :] + self.n * d).min(axis=1), out=out)
-        else:
-            cv = self.base.f_hat(t, np.zeros_like(self.grids.z), self.grids.z[:, None])
-            out = _running_min_envelope(cv, self.grids.z, zflat, self.n)
-        return np.minimum(out, query)
+        cv = self.base.f_hat(t, np.zeros_like(YZ_GRID), YZ_GRID[:, None])
+        return np.minimum(_running_min_envelope(cv, YZ_GRID, z[..., 0], self.n), query)
 
     def _jump_envelope(self, t: float, u_sub: np.ndarray, n: float) -> np.ndarray:
         """Constant-candidate envelope of the mark integral in the nu-norm."""
@@ -449,8 +407,8 @@ class RegularizedDriver:
         s1 = (u_sub * wz).sum(axis=-1)
         s2 = (u_sub * u_sub * wz).sum(axis=-1)
         out = np.full(query.shape, np.inf)
-        for start in range(0, self.grids.v.size, 32):
-            v = self.grids.v[start:start + 32][:, None]
+        for start in range(0, V_GRID.size, 32):
+            v = V_GRID[start:start + 32][:, None]
             gval = self.base.g(t, v[:, 0])[:, None] * self._mass
             dist = np.sqrt(np.clip(self._mass * v * v - 2.0 * v * s1[None, :]
                                    + s2[None, :], 0.0, None))
@@ -460,10 +418,9 @@ class RegularizedDriver:
     # -- generic joint envelope (probe scale) ------------------------------
 
     def _joint_candidates(self, t: float):
-        yg = self.grids.y[:: max(1, self.grids.y.size // 25)]
-        zg = self.grids.z[:: max(1, self.grids.z.size // 25)]
-        vg = self.grids.v[:: max(1, self.grids.v.size // 11)]
-        yy, zz, vv = np.meshgrid(yg, zg, vg, indexing="ij")
+        yzg = YZ_GRID[:: YZ_GRID.size // 25]
+        vg = V_GRID[:: V_GRID.size // 11]
+        yy, zz, vv = np.meshgrid(yzg, yzg, vg, indexing="ij")
         yy, zz, vv = yy.ravel(), zz.ravel(), vv.ravel()
         fv = (self.base.f_hat(t, yy, zz[:, None])
               + self.base.g(t, vv) * self._mass)
@@ -516,14 +473,13 @@ class RegularizedDriver:
 def regularize(base: Driver, n: float, m: float, quad: MarkQuadrature,
                node_idx: np.ndarray | None = None,
                zeta: np.ndarray | None = None,
-               grids: EnvelopeGrids | None = None,
                strategy: str = "auto") -> RegularizedDriver:
     """Build the Lipschitz approximation of ``base`` at indices ``(n, m)`` on
     the (optionally truncated) quadrature."""
     if node_idx is None:
         node_idx = np.arange(quad.n_nodes)
     return RegularizedDriver(base, float(n), float(m), quad, node_idx, zeta,
-                             grids or EnvelopeGrids.default(), strategy)
+                             strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ class DivergentMassError(ValueError):
     """Truncated measure has non-finite total mass (misconfigured density)."""
 
 
+class UnknownPresetError(ValueError):
+    """A preset name is not one of its factory's names."""
+
+
 class ExponentOverflowError(OverflowError):
     """An exponential jump functional would overflow the float range."""
 
@@ -177,7 +181,7 @@ _MODEL_FACTORIES = {
 
 def make_model(name: str, **params) -> LevyModel:
     if name not in _MODEL_FACTORIES:
-        raise ValueError(f"unknown jump-measure preset '{name}'; "
+        raise UnknownPresetError(f"unknown jump-measure preset '{name}'; "
                          f"choose from {sorted(_MODEL_FACTORIES)}")
     return _MODEL_FACTORIES[name](**params)
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 
 @dataclass
@@ -29,7 +30,7 @@ def entropic_gaussian_exact(sigma: float) -> float:
 def folded_gaussian_moment_exact(sigma: float, gamma: float = 1.0) -> float:
     """``E[exp(gamma |X|)]`` for ``X ~ N(0, sigma^2)``."""
     s = gamma * sigma
-    return 2.0 * math.exp(0.5 * s * s) * stats.norm.cdf(s)
+    return 2.0 * math.exp(0.5 * s * s) * NormalDist().cdf(s)
 
 
 def huber_envelope_exact(n: float, y: float) -> float:

@@ -93,16 +93,20 @@ def terminal_bound_payoff(xi: np.ndarray, params: StructureParams,
 
 @dataclass
 class AprioriReport:
+    """``bound`` is the applied upper bound on ``lhs`` at time zero: ``rhs``
+    plus the slack.  It is nan at interior times, where the verdict is the
+    fraction of paths within their own bound."""
+
     lhs: float
     rhs: float
     rhs_se: float
     fraction_ok: float
     ok: bool
+    bound: float
 
 
 def apriori_bound_check(solution: BsdejSolution, params: StructureParams,
-                        ensemble: PathEnsemble, k_time: int = 0,
-                        basis_degree: int = 3) -> AprioriReport:
+                        ensemble: PathEnsemble, k_time: int = 0) -> AprioriReport:
     """Check ``|Y_t| <= entropic upper value of the discounted terminal
     magnitude plus running costs``.
 
@@ -113,18 +117,18 @@ def apriori_bound_check(solution: BsdejSolution, params: StructureParams,
     solution.check_ensemble(ensemble)
     payoff = terminal_bound_payoff(solution.terminal, params,
                                    ensemble.time_grid, k_time)
-    est = entropic(ensemble, payoff, k_time, "upper", basis_degree)
+    est = entropic(ensemble, payoff, k_time, "upper")
     if k_time == 0:
-        slack = 3.0 * math.hypot(est.stderr, solution.regression_se(0))
+        bound = est.value + 3.0 * math.hypot(est.stderr, solution.regression_se(0))
         lhs = abs(float(solution.y[:, 0].mean()))
-        ok = lhs <= est.value + slack
+        ok = lhs <= bound
         return AprioriReport(lhs, est.value, est.stderr,
-                             1.0 if ok else 0.0, ok)
+                             1.0 if ok else 0.0, ok, bound)
     lhs_paths = np.abs(solution.y[:, k_time])
     slack = 3.0 * np.hypot(est.per_path_se, solution.regression_se(k_time))
     frac = float((lhs_paths <= est.per_path + slack).mean())
     return AprioriReport(float(lhs_paths.mean()), est.value, est.stderr,
-                         frac, frac >= 0.99)
+                         frac, frac >= 0.99, math.nan)
 
 
 @dataclass

@@ -21,10 +21,9 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .levy import build_quadrature, truncated_mass_reference
 from .oracles import evaluate_oracle
-from .risk import apriori_bound_check, entropic, exponential_moment_check
-from .scheme import Schedule, run_triple_scheme
-from .semimartingale import (check_q_structure, exponential_transform,
-                             martingale_regression_test, submartingale_test)
+from .risk import entropic, exponential_moment_check
+from .scheme import audit_solution, run_triple_scheme
+from .semimartingale import martingale_regression_test
 from .solver import decompose, simulate_forward, solve_lipschitz
 
 FLOAT_FMT = "%.17g"
@@ -86,14 +85,35 @@ def _build_setting(cfg: ExperimentConfig):
     kappa = float(cfg.quadrature.get("kappa", 8.0))
     q_nodes = int(cfg.quadrature.get("q_nodes", 12))
     quad = build_quadrature(model, kappa, q_nodes)
-    driver = cfg.build_driver(structure, quad_mass_hint=quad.total_mass)
     ensemble = simulate_forward(
         model, quad, cfg.ensemble.get("dynamics", "brownian_jumps"),
         cfg.time_grid(), int(cfg.ensemble["n_paths"]), cfg.seed,
         x0=float(cfg.ensemble.get("x0", 0.0)),
         jump_impact=cfg.ensemble.get("jump_impact", "unit"),
         d=int(cfg.ensemble.get("d", 1)))
-    return model, structure, quad, driver, ensemble
+    return structure, quad, ensemble
+
+
+def _solve(cfg: ExperimentConfig):
+    """Simulate the configured ensemble, solve the BSDE on it with the
+    ``solver`` settings, and decompose the solution."""
+    structure, quad, ensemble = _build_setting(cfg)
+    view = cfg.build_driver(structure).at_quadrature(
+        quad, quad.zeta_at(ensemble.model, 0.0))
+    solution = solve_lipschitz(view, cfg.terminal_fn(), ensemble,
+                               basis_degree=int(cfg.solver.get("basis_degree", 3)),
+                               picard_max=int(cfg.solver.get("picard_max", 50)),
+                               picard_tol=float(cfg.solver.get("picard_tol", 1e-10)))
+    return structure, quad, ensemble, solution, decompose(solution, ensemble)
+
+
+def _audit_checks(suffix: str, corridor, apriori, submart) -> list[CheckResult]:
+    return [CheckResult(f"corridor{suffix}", corridor.ok,
+                        corridor.violation_fraction, 0.01),
+            CheckResult(f"apriori{suffix}", apriori.ok, apriori.lhs,
+                        apriori.bound),
+            CheckResult(f"submartingale{suffix}", submart.verdict,
+                        submart.fraction_below, 0.01)]
 
 
 def _solution_rows(solution, ensemble, max_paths: int):
@@ -123,23 +143,13 @@ def _jump_rows(ensemble):
 
 
 def run_solve(cfg: ExperimentConfig, out_dir: Path):
-    model, structure, quad, driver, ensemble = _build_setting(cfg)
-    zeta0 = quad.zeta_at(model, 0.0)
-    view = driver.at_quadrature(quad, zeta0)
-    solution = solve_lipschitz(view, cfg.terminal_fn(), ensemble,
-                               basis_degree=int(cfg.solver.get("basis_degree", 3)),
-                               picard_max=int(cfg.solver.get("picard_max", 50)),
-                               picard_tol=float(cfg.solver.get("picard_tol", 1e-10)))
-    dec = decompose(solution, ensemble)
+    _, quad, ensemble, solution, dec = _solve(cfg)
+    recon = float(np.max(np.abs(solution.y - (solution.y[:, :1]
+                                              - dec.v + dec.m_total))))
     checks = [CheckResult("terminal_match",
                           bool(np.array_equal(solution.y[:, -1], solution.terminal)),
                           0.0, 0.0),
-              CheckResult("reconstruction_identity",
-                          float(np.max(np.abs(solution.y - (solution.y[:, :1]
-                                                            - dec.v + dec.m_total)))) <= 1e-10,
-                          float(np.max(np.abs(solution.y - (solution.y[:, :1]
-                                                            - dec.v + dec.m_total)))),
-                          1e-10)]
+              CheckResult("reconstruction_identity", recon <= 1e-10, recon, 1e-10)]
     mart = martingale_regression_test(np.diff(dec.m_c + dec.m_d, axis=1), ensemble)
     checks.append(CheckResult("martingale_coefficients", mart <= 4.0, mart, 4.0))
     summary_rows = [dict(y0=solution.y0, y0_se=solution.y0_se,
@@ -148,7 +158,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path):
                          max_picard=int(solution.picard_iterations.max()),
                          jump_mass=quad.total_mass,
                          jump_mass_reference=truncated_mass_reference(
-                             model, quad.kappa))]
+                             ensemble.model, quad.kappa))]
     write_csv(out_dir / "solution_summary.csv", summary_rows)
     export_paths = int(cfg.solver.get("export_paths", 50))
     write_csv(out_dir / "solution_paths.csv",
@@ -163,7 +173,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path):
 def run_scheme(cfg: ExperimentConfig, out_dir: Path):
     model = cfg.build_model()
     structure = cfg.build_structure()
-    schedule = Schedule(tuple(tuple(t) for t in cfg.schedule["triples"]), cfg.seed)
+    schedule = cfg.build_schedule()
     driver = cfg.build_driver(structure)
     result = run_triple_scheme(
         driver, cfg.terminal_fn(), model, schedule,
@@ -190,49 +200,29 @@ def run_scheme(cfg: ExperimentConfig, out_dir: Path):
             checks.append(CheckResult(f"triple_{tag}", False, math.nan, 0.0,
                                       rec.error))
             continue
-        checks.append(CheckResult(f"corridor_{tag}", rec.corridor.ok,
-                                  rec.corridor.violation_fraction, 0.01))
-        checks.append(CheckResult(f"apriori_{tag}", rec.apriori.ok,
-                                  rec.apriori.lhs, rec.apriori.rhs))
-        checks.append(CheckResult(f"submartingale_{tag}",
-                                  rec.submartingale.verdict,
-                                  rec.submartingale.fraction_below, 0.01))
+        checks += _audit_checks(f"_{tag}", rec.corridor, rec.apriori,
+                                rec.submartingale)
+        cheb_tol = rec.chebyshev_bound + 0.01
         checks.append(CheckResult(f"chebyshev_{tag}",
-                                  rec.region_fraction <= rec.chebyshev_bound + 0.01,
-                                  rec.region_fraction, rec.chebyshev_bound))
+                                  rec.region_fraction <= cheb_tol,
+                                  rec.region_fraction, cheb_tol))
     return checks, ["convergence_report.csv"]
 
 
 def run_audit(cfg: ExperimentConfig, out_dir: Path):
-    model, structure, quad, driver, ensemble = _build_setting(cfg)
-    zeta0 = quad.zeta_at(model, 0.0)
-    view = driver.at_quadrature(quad, zeta0)
-    solution = solve_lipschitz(view, cfg.terminal_fn(), ensemble,
-                               basis_degree=int(cfg.solver.get("basis_degree", 3)))
-    dec = decompose(solution, ensemble)
-    k_steps = solution.n_steps
-    tol = np.array([3.0 * solution.regression_se(k) for k in range(k_steps)])
-    corridor = check_q_structure(dec, solution, ensemble, structure, quad,
-                                 tol=tol[None, :])
-    x_bar = exponential_transform(solution.y, structure, ensemble.time_grid)
-    submart = submartingale_test(x_bar, ensemble, k_steps // 4, k_steps // 2)
-    apriori = apriori_bound_check(solution, structure, ensemble, 0)
+    structure, quad, ensemble, solution, dec = _solve(cfg)
+    corridor, apriori, submart = audit_solution(solution, dec, ensemble,
+                                                structure, quad)
     rows = [dict(corridor_violation=corridor.violation_fraction,
                  submartingale_fraction=submart.fraction_below,
                  apriori_lhs=apriori.lhs, apriori_rhs=apriori.rhs,
                  y0=solution.y0, y0_se=solution.y0_se)]
     write_csv(out_dir / "audit_report.csv", rows)
-    checks = [CheckResult("corridor", corridor.ok,
-                          corridor.violation_fraction, 0.01),
-              CheckResult("submartingale", submart.verdict,
-                          submart.fraction_below, 0.01),
-              CheckResult("apriori_bound", apriori.ok, apriori.lhs,
-                          apriori.rhs)]
-    return checks, ["audit_report.csv"]
+    return _audit_checks("", corridor, apriori, submart), ["audit_report.csv"]
 
 
 def run_risk(cfg: ExperimentConfig, out_dir: Path):
-    model, structure, quad, driver, ensemble = _build_setting(cfg)
+    structure, _, ensemble = _build_setting(cfg)
     xi = cfg.terminal_fn()(ensemble.state[:, -1])
     times = cfg.risk.get("times", [0])
     rows = []

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drivers import Driver, EnvelopeGrids, StructureParams, regularize
+from .drivers import Driver, StructureParams, regularize
 from .levy import LevyModel, MarkQuadrature, build_quadrature, nu_norm
 from .risk import AprioriReport, apriori_bound_check
 from .semimartingale import (QStructureReport, SubmartingaleReport,
@@ -222,8 +222,7 @@ class DriverGapReport:
 
 def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
                   ensemble: PathEnsemble, quad: MarkQuadrature,
-                  c_split: float, stop_index: np.ndarray | None = None,
-                  zeta_fn=None) -> DriverGapReport:
+                  c_split: float, stop_index: np.ndarray | None = None) -> DriverGapReport:
     """Bounded/unbounded split of the time-integrated generator gap.
 
     ``a1`` integrates ``|f_triple - f_proxy|`` where ``|Z| + |U|_nu`` stays
@@ -279,14 +278,30 @@ def default_c_split(sol: BsdejSolution, ensemble: PathEnsemble,
     return 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
 
 
+def audit_solution(sol: BsdejSolution, dec: Decomposition, ensemble: PathEnsemble,
+                   params: StructureParams, quad: MarkQuadrature
+                   ) -> tuple[QStructureReport, AprioriReport, SubmartingaleReport]:
+    """Corridor, a-priori bound and submartingale audits of one solve.
+
+    The corridor allows three regression standard errors per step, the bound
+    is checked at time zero, and the submartingale test compares a quarter
+    and a half of the horizon.
+    """
+    k_steps = sol.n_steps
+    tol = np.array([3.0 * sol.regression_se(k) for k in range(k_steps)])
+    corridor = check_q_structure(dec, sol, ensemble, params, quad,
+                                 tol=tol[None, :])
+    apriori = apriori_bound_check(sol, params, ensemble, 0)
+    x_bar = exponential_transform(sol.y, params, ensemble.time_grid)
+    submart = submartingale_test(x_bar, ensemble, k_steps // 4, k_steps // 2)
+    return corridor, apriori, submart
+
+
 def run_triple_scheme(base: Driver, terminal_fn: Callable, model: LevyModel,
                       schedule: Schedule, t_end: float = 1.0, k_steps: int = 40,
                       n_paths: int = 20000, q_nodes: int = 12,
                       dynamics: str = "brownian_jumps", x0: float = 0.0,
-                      jump_impact: str = "unit", basis_degree: int = 3,
-                      grids: EnvelopeGrids | None = None,
-                      tau_level: float | None = None,
-                      run_checks: bool = True) -> SchemeResult:
+                      jump_impact: str = "unit", basis_degree: int = 3) -> SchemeResult:
     """Run the full approximation ladder on shared randomness.
 
     The master quadrature is built at the finest scheduled truncation with
@@ -313,8 +328,7 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable, model: LevyModel,
         record = TripleRecord(n_idx, m_idx, float(kappa), math.nan, math.nan,
                               float((quad.weights * zeta0)[node_idx].sum()))
         try:
-            reg = regularize(base, n_idx, m_idx, quad, node_idx, zeta0,
-                             grids=grids)
+            reg = regularize(base, n_idx, m_idx, quad, node_idx, zeta0)
             sol = solve_lipschitz(reg, terminal_fn, ensemble,
                                   basis_degree=basis_degree)
             dec = decompose(sol, ensemble)
@@ -329,33 +343,20 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable, model: LevyModel,
         record.s2_norm = sol.s2_norm()
         solutions.append(sol)
         decs.append(dec)
-        if run_checks:
-            tol = np.array([3.0 * sol.regression_se(k) for k in range(k_steps)])
-            record.corridor = check_q_structure(dec, sol, ensemble, params,
-                                                quad, tol=tol[None, :])
-            record.apriori = apriori_bound_check(sol, params, ensemble, 0,
-                                                 basis_degree)
-            record.sq_bound = record.apriori.rhs
-            x_bar = exponential_transform(sol.y, params, time_grid)
-            record.submartingale = submartingale_test(
-                x_bar, ensemble, k_steps // 4, k_steps // 2)
+        record.corridor, record.apriori, record.submartingale = audit_solution(
+            sol, dec, ensemble, params, quad)
+        record.sq_bound = record.apriori.rhs
         records.append(record)
 
     solved = [s for s in solutions if s is not None]
     solved_decs = [d for d in decs if d is not None]
     if solved:
         proxy = solved[-1]
-        xi = proxy.terminal
-        if tau_level is None:
-            tau_idx = None
-        else:
-            tau_idx = tau_l_localization(ensemble, params, xi, tau_level,
-                                         basis_degree)
         c_split = default_c_split(proxy, ensemble, quad)
         solved_records = [r for r, s in zip(records, solutions) if s is not None]
         gaps = []
         for rec, sol in zip(solved_records, solved):
-            gap = driver_l1_gap(sol, proxy, ensemble, quad, c_split, tau_idx)
+            gap = driver_l1_gap(sol, proxy, ensemble, quad, c_split)
             rec.a1, rec.a2 = gap.a1, gap.a2
             rec.chebyshev_bound = gap.chebyshev_bound
             rec.region_fraction = gap.region_fraction

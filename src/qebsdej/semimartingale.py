@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
-from .drivers import StructureParams
-from .levy import MarkQuadrature, j_functional
+from .drivers import StructureParams, structure_bounds
+from .levy import MarkQuadrature
 from .solver import (BsdejSolution, Decomposition, EnsembleMismatchError,
                      FeatureMap, PathEnsemble, _ols)
 
@@ -37,34 +37,26 @@ class QStructureReport:
 
 def check_q_structure(dec: Decomposition, solution: BsdejSolution,
                       ensemble: PathEnsemble, params: StructureParams,
-                      quad: MarkQuadrature, tol=0.0,
-                      delta_divided: bool = False) -> QStructureReport:
-    """Test every ``dV`` increment against the exponential-quadratic corridor.
+                      quad: MarkQuadrature, tol=0.0) -> QStructureReport:
+    """Test every ``dV`` increment against the exponential-quadratic corridor
+    of :func:`qebsdej.drivers.structure_bounds` times ``dt``.
 
     ``tol`` is an absolute slack (scalar or per-step array), typically a
-    multiple of the regression standard error.  ``delta_divided`` switches the
-    jump corridor term from ``j(delta u)`` to ``j(delta u) / delta``.
+    multiple of the regression standard error.
     """
-    if dec.ensemble_fingerprint != ensemble.fingerprint():
+    if dec.ensemble_fingerprint is not ensemble.identity:
         raise EnsembleMismatchError("decomposition and ensemble do not match")
-    d = params.delta
     dt = ensemble.dt
-    n, k_steps = solution.n_paths, solution.n_steps
     dv = dec.dv()
     lower = np.empty_like(dv)
     upper = np.empty_like(dv)
-    for k in range(k_steps):
+    for k in range(solution.n_steps):
         t_k = float(ensemble.time_grid[k])
-        zeta = quad.zeta_at(ensemble.model, t_k)
-        u_now = solution.u_values(ensemble, k)
-        j_up = j_functional(u_now, d, quad, zeta)
-        j_dn = j_functional(-u_now, d, quad, zeta)
-        if delta_divided:
-            j_up, j_dn = j_up / d, j_dn / d
-        zz = 0.5 * d * (solution.z[:, k, :] ** 2).sum(axis=1) * dt
-        base = (params.l(t_k) + params.c(t_k) * np.abs(solution.y[:, k])) * dt
-        upper[:, k] = zz + base + j_up * dt
-        lower[:, k] = -(zz + base + j_dn * dt)
+        q_lo, q_hi = structure_bounds(t_k, solution.y[:, k], solution.z[:, k, :],
+                                      solution.u_values(ensemble, k), params,
+                                      quad, quad.zeta_at(ensemble.model, t_k))
+        lower[:, k] = q_lo * dt
+        upper[:, k] = q_hi * dt
     tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
     up_slack = upper - dv
     lo_slack = dv - lower
@@ -96,12 +88,12 @@ class SubmartingaleReport:
 
 
 def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
-                       k_tau: int, n_bins: int | None = None) -> SubmartingaleReport:
+                       k_tau: int) -> SubmartingaleReport:
     """Conditional-mean test that ``exp(X)`` does not decrease in expectation.
 
     The conditional expectation of the increment ``exp(X_tau) - exp(X_sigma)``
     given the time-``sigma`` state is estimated by a piecewise-constant
-    regression on ``n_bins`` equal-count state bins; a bin whose mean
+    regression on equal-count state bins; a bin whose mean
     increment is significantly negative flags all its paths.  Smooth-basis
     fits are avoided on purpose: a polynomial fitted through the kinked
     increment profile of a magnitude transform oscillates below zero where
@@ -122,17 +114,16 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
     heavy = float(top.sum()) > 0.5 * float(level_tau.sum())
     increment = level_tau - np.exp(x_bar[:, k_sigma])
     state = ensemble.state[:, k_sigma]
-    if n_bins is None:
-        # keep bins large enough for their means to be near-Gaussian
-        n_bins = max(2, min(20, n // 1500))
-    if float(state.std()) <= 1e-12 or n_bins < 2:
+    # keep bins large enough for their means to be near-Gaussian
+    n_bins = max(2, min(20, n // 1500))
+    if float(state.std()) <= 1e-12:
         bin_ids = np.zeros(n, dtype=int)
         n_bins = 1
     else:
         edges = np.quantile(state, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
         bin_ids = np.searchsorted(edges, state)
-    family_alpha = float(stats.norm.sf(3.0))
-    z_bin = float(stats.norm.isf(family_alpha / max(n_bins, 1)))
+    family_alpha = NormalDist().cdf(-3.0)
+    z_bin = -NormalDist().inv_cdf(family_alpha / n_bins)
     flagged = 0
     mean_gap = 0.0
     for b in range(n_bins):

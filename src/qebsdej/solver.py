@@ -34,21 +34,26 @@ class EnsembleMismatchError(ValueError):
 
 
 DYNAMICS = ("brownian", "brownian_jumps", "jumps_only", "deterministic")
+CLIP_SIGMAS = 4.0            # see FeatureMap
+MIN_EXPECTED_JUMPS = 20.0    # see solve_lipschitz
 
 
 @dataclass
 class PathEnsemble:
-    """Seeded Monte Carlo paths of the driving noise and forward state."""
+    """Seeded Monte Carlo paths of the driving noise and forward state.
+
+    ``identity`` is a token made once per simulation; solutions and
+    decompositions record it, so arrays from different ensembles are never
+    combined, whatever inputs the ensembles share.
+    """
 
     time_grid: np.ndarray            # (K+1,)
     dw: np.ndarray                   # (n_paths, K, d)
     jumps: JumpTable
     state: np.ndarray                # (n_paths, K+1)
-    seed: int
-    dynamics: str
-    jump_impact: str
     model: LevyModel
     quad: MarkQuadrature
+    identity: object
 
     @property
     def n_paths(self) -> int:
@@ -69,10 +74,6 @@ class PathEnsemble:
     def node_intensity(self, k: int) -> np.ndarray:
         """Per-node jump intensity ``w_i zeta(t_k, e_i)`` on interval ``k``."""
         return self.quad.weights * self.quad.zeta_at(self.model, float(self.time_grid[k]))
-
-    def fingerprint(self) -> tuple:
-        return (self.seed, self.n_paths, self.n_steps, self.dynamics,
-                self.quad.n_nodes, float(self.time_grid[-1]))
 
 
 def _impact_values(quad: MarkQuadrature, jump_impact: str) -> np.ndarray:
@@ -127,8 +128,7 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
             wz = quad.weights * quad.zeta_at(model, float(time_grid[k]))
             inc -= float((wz * impact).sum()) * dts[k]
         state[:, k + 1] = state[:, k] + inc
-    return PathEnsemble(time_grid, dw, jumps, state, seed, dynamics,
-                        jump_impact, model, quad)
+    return PathEnsemble(time_grid, dw, jumps, state, model, quad, object())
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
 class FeatureMap:
     """Scaled polynomial features of the forward state at one time step.
 
-    The state is standardized and winsorized at ``clip_sigmas`` standard
+    The state is standardized and winsorized at ``CLIP_SIGMAS`` standard
     deviations before powers are taken, so the fitted conditional
     expectations extrapolate flat instead of polynomially in the far tails
     (cubic tails otherwise feed the exponential nonlinearities and blow the
@@ -151,21 +151,20 @@ class FeatureMap:
     center: float
     scale: float
     keep: np.ndarray
-    clip_sigmas: float = 4.0
 
     @staticmethod
-    def fit(x: np.ndarray, degree: int, clip_sigmas: float = 4.0) -> "FeatureMap":
+    def fit(x: np.ndarray, degree: int) -> "FeatureMap":
         center = float(x.mean())
         spread = float(x.std())
         scale = spread if spread > 1e-12 else 1.0
         keep = np.ones(degree + 1, dtype=bool)
         if spread <= 1e-12:
             keep[1:] = False
-        return FeatureMap(degree, center, scale, keep, clip_sigmas)
+        return FeatureMap(degree, center, scale, keep)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         t = (x - self.center) / self.scale
-        t = np.clip(t, -self.clip_sigmas, self.clip_sigmas)
+        t = np.clip(t, -CLIP_SIGMAS, CLIP_SIGMAS)
         cols = [np.ones_like(t)]
         for p in range(1, self.degree + 1):
             cols.append(t ** p)
@@ -209,7 +208,7 @@ class BsdejSolution:
     resid_var: np.ndarray
     cond_numbers: np.ndarray
     basis_degree: int
-    ensemble_fingerprint: tuple
+    ensemble_fingerprint: object
     picard_iterations: np.ndarray
     u_clip: np.ndarray | None = None
 
@@ -251,19 +250,18 @@ class BsdejSolution:
         return float((np.abs(self.y).max(axis=1) ** 2).mean())
 
     def check_ensemble(self, ensemble: PathEnsemble) -> None:
-        if ensemble.fingerprint() != self.ensemble_fingerprint:
+        if ensemble.identity is not self.ensemble_fingerprint:
             raise EnsembleMismatchError("solution was produced on a different ensemble")
 
 
 def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
                     basis_degree: int = 3, picard_max: int = 50,
-                    picard_tol: float = 1e-10,
-                    min_expected_jumps: float = 20.0) -> BsdejSolution:
+                    picard_tol: float = 1e-10) -> BsdejSolution:
     """Backward regression solve for a generator with a Lipschitz ``y`` bound.
 
     ``driver`` exposes ``evaluate(t, y, z, u_values) -> array`` over paths and
     a ``lip_y`` attribute used for the contraction guard.  Jump loadings are
-    only regressed on nodes expected to see at least ``min_expected_jumps``
+    only regressed on nodes expected to see at least ``MIN_EXPECTED_JUMPS``
     jumps across the ensemble in one step; the loading of a statistically
     dead node is pinned at zero (its intensity-weighted contribution to the
     generator is below the Monte Carlo resolution anyway).
@@ -298,7 +296,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
 
         lam = ensemble.node_intensity(k)
         counts = ensemble.jumps.counts_for_interval(k)
-        live = lam * dt * n >= max(min_expected_jumps, 1e-300)
+        live = lam * dt * n >= MIN_EXPECTED_JUMPS
 
         _, fit_y, conds[k] = _ols(design, y_next[:, None])
         ey_raw = fit_y[:, 0]
@@ -354,7 +352,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
         y[:, k] = y_cur
 
     return BsdejSolution(y, z, u_coeffs, fmaps, xi, fvals, resid_var, conds,
-                         basis_degree, ensemble.fingerprint(), picard_counts,
+                         basis_degree, ensemble.identity, picard_counts,
                          u_clip)
 
 
@@ -376,7 +374,7 @@ class Decomposition:
     m_total: np.ndarray
     m_c: np.ndarray
     m_d: np.ndarray
-    ensemble_fingerprint: tuple
+    ensemble_fingerprint: object
 
     @property
     def m_resid(self) -> np.ndarray:
@@ -407,4 +405,4 @@ def decompose(solution: BsdejSolution, ensemble: PathEnsemble) -> Decomposition:
             np.add.at(dm_d[:, k], paths, u_now[paths, marks])
         dm_d[:, k] -= (u_now * ensemble.node_intensity(k)).sum(axis=1) * dt
     m_d = np.concatenate([np.zeros((n, 1)), np.cumsum(dm_d, axis=1)], axis=1)
-    return Decomposition(v, m_total, m_c, m_d, ensemble.fingerprint())
+    return Decomposition(v, m_total, m_c, m_d, ensemble.identity)

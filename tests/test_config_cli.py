@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qebsdej
 from qebsdej.cli import main
 from qebsdej.config import ConfigError, load_config, validate_config
 from qebsdej.runner import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK)
@@ -26,6 +30,17 @@ def solve_payload(**overrides):
         "terminal": {"name": "linear", "scale": 1.0},
     }
     payload.update(overrides)
+    return payload
+
+
+def scheme_payload(seed=8):
+    payload = solve_payload(experiment="scheme")
+    payload["driver"] = {"name": "canonical"}
+    payload["schedule"] = {"triples": [[2, 2, 2], [4, 4, 4]]}
+    payload["ensemble"] = {"n_paths": 3000, "seed": seed,
+                           "dynamics": "brownian_jumps"}
+    payload["grid"] = {"t_end": 1.0, "k_steps": 12}
+    payload["terminal"] = {"name": "abs_linear", "scale": 0.25}
     return payload
 
 
@@ -112,6 +127,27 @@ def test_run_is_bit_deterministic(tmp_path):
     assert main(["run", cfg, "--out", str(out2)]) == EXIT_OK
     for name in ("solution_summary.csv", "solution_paths.csv", "summary.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _risk(times):
+    return dict(experiment="risk", risk={"times": times, "gammas": [1.0]})
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(ensemble={"n_paths": "many", "seed": 1, "dynamics": "brownian"}),
+    dict(model={"name": "gamma", "thetaa": 1.0}),
+    dict(structure={"delta": 0.0}),
+    _risk([4]),
+    _risk([0, 9]),
+    _risk([0, 2.5]),
+], ids=["n_paths_not_a_number", "misspelled_model_parameter", "zero_delta",
+        "risk_without_time_zero", "risk_time_beyond_grid",
+        "risk_time_not_a_step"])
+def test_bad_config_exits_2(tmp_path, overrides):
+    cfg = write_config(tmp_path, "bad.json", solve_payload(**overrides))
+    out = tmp_path / "nothing"
+    assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
 
 
 def test_config_error_exit_code(tmp_path):
@@ -209,19 +245,78 @@ def test_run_audit_experiment(tmp_path):
 
 
 def test_run_scheme_experiment(tmp_path):
-    payload = solve_payload(experiment="scheme")
-    payload["driver"] = {"name": "canonical"}
-    payload["schedule"] = {"triples": [[2, 2, 2], [4, 4, 4]]}
-    payload["ensemble"] = {"n_paths": 3000, "seed": 8,
-                           "dynamics": "brownian_jumps"}
-    payload["grid"] = {"t_end": 1.0, "k_steps": 12}
-    payload["terminal"] = {"name": "abs_linear", "scale": 0.25}
-    cfg = write_config(tmp_path, "scheme.json", payload)
+    cfg = write_config(tmp_path, "scheme.json", scheme_payload())
     out = tmp_path / "scheme_out"
     assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
     report = (out / "convergence_report.csv").read_text().splitlines()
     assert len(report) == 3  # header plus one row per triple
     assert report[0].startswith("n,m,kappa,y0")
+
+
+def test_summary_states_applied_tolerance(tmp_path):
+    # at this seed the last triple's |Y_0| exceeds the a-priori rhs but not
+    # rhs plus its three-standard-error slack
+    payload = scheme_payload(seed=23)
+    payload["schedule"]["triples"] = [[2, 2, 2], [8, 8, 8]]
+    cfg = write_config(tmp_path, "tol.json", payload)
+    out = tmp_path / "tol_out"
+    main(["run", cfg, "--out", str(out)])
+    lines = [line.split() for line in
+             (out / "summary.txt").read_text().splitlines()[:-1]]
+    audited = [w for w in lines if w[1].startswith(("apriori_", "chebyshev_"))]
+    assert len(audited) == 4
+    for status, name, value, tol in audited:
+        value, tol = float(value[len("value="):]), float(tol[len("tol="):])
+        assert (status == "PASS") == (value <= tol), name
+
+
+def test_failed_triple_is_recorded(tmp_path, monkeypatch):
+    import qebsdej.scheme as scheme
+
+    real_solve = scheme.solve_lipschitz
+    calls = []
+
+    def first_solve_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise FloatingPointError("injected")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "solve_lipschitz", first_solve_fails)
+    payload = scheme_payload()
+    payload["schedule"]["triples"].append([8, 8, 8])
+    cfg = write_config(tmp_path, "fail3.json", payload)
+    out = tmp_path / "fail3_out"
+    assert main(["run", cfg, "--out", str(out)]) == EXIT_CHECK_FAILURE
+    assert len(calls) == 3
+    summary = (out / "summary.txt").read_text()
+    assert "FAIL triple_2_2_2 value=nan tol=0 FloatingPointError: injected" in summary
+    assert "PASS corridor_8_8_8" in summary
+    header, *rows = (out / "convergence_report.csv").read_text().splitlines()
+    errors = [row.split(",")[-1] for row in rows]
+    assert errors == ["FloatingPointError: injected", "", ""]
+
+
+def test_audit_honours_picard_settings(tmp_path):
+    payload = solve_payload(experiment="audit")
+    payload["driver"] = {"name": "linear", "a": 0.5}
+    reports = []
+    for tol in (1e-10, 1.0):
+        payload["solver"] = {"picard_tol": tol}
+        cfg = write_config(tmp_path, f"picard{tol}.json", payload)
+        out = tmp_path / f"picard{tol}"
+        main(["run", cfg, "--out", str(out)])
+        reports.append((out / "audit_report.csv").read_text())
+    assert reports[0] != reports[1]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(qebsdej.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qebsdej.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_check_failure_exit_code(tmp_path, monkeypatch):

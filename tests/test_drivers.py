@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import qebsdej as q
-from qebsdej.drivers import (Driver, StructureParams, inf_convolve,
-                             lipschitz_estimate, regularize,
+from qebsdej.drivers import (Driver, NotRegularizableError, StructureParams,
+                             inf_convolve, lipschitz_estimate, regularize,
                              structure_bounds, sup_convolve)
 from qebsdej.oracles import huber_envelope_exact, huber_envelope_grid
 
@@ -91,6 +91,12 @@ def test_check_structure_constructed_violation(gamma_quad, probes):
     pts = [(0.0, ys[i], zs[i], us[i]) for i in range(ys.size)]
     report = q.check_structure(shifted, pts, gamma_quad)
     assert report.n_violations == report.n_probes
+
+
+def test_check_structure_counts_generator_probes(canonical, gamma_quad, probes):
+    ys, zs, us = probes
+    pts = ((0.0, ys[i], zs[i], us[i]) for i in range(ys.size))
+    assert q.check_structure(canonical, pts, gamma_quad).n_probes == ys.size
 
 
 def test_check_structure_morlais(gamma_quad, probes):
@@ -199,7 +205,7 @@ def test_nonnegative_base_has_null_negative_part(canonical, gamma_quad, probes):
 
 def test_linear_driver_reproduced_exactly(gamma_quad):
     p = StructureParams.from_constants(1.0, 0.5, 1.0)
-    lin = q.make_driver("linear", p, quad_mass_hint=gamma_quad.total_mass, a=1.0)
+    lin = q.make_driver("linear", p, a=1.0)
     rng = np.random.default_rng(3)
     ys = rng.uniform(-3, 3, 30)
     reg = regularize(lin, 1, 1, gamma_quad)
@@ -212,8 +218,7 @@ def test_generic_strategy_exact_for_lipschitz_base(gamma_quad):
     # with the query point in the candidate set, the envelope of an
     # L-Lipschitz function at indices >= L is the function itself, on any grid
     p = StructureParams.from_constants(1.0, 0.5, 1.0)
-    lin = q.make_driver("linear", p, quad_mass_hint=gamma_quad.total_mass,
-                        a=0.8, b=0.5)
+    lin = q.make_driver("linear", p, a=0.8, b=0.5)
     rng = np.random.default_rng(4)
     ys = rng.uniform(-2, 2, 20)
     zs = rng.uniform(-2, 2, (20, 1))
@@ -266,6 +271,22 @@ def test_antitone_in_m(gamma_quad):
         if prev is not None:
             assert np.all(vals <= prev + 1e-12)
         prev = vals
+
+
+def test_y_dependent_nonnegative_driver_is_regularized_jointly(gamma_quad):
+    # the separable envelope drops y, so a nonnegative generator that reads y
+    # goes to the joint (y, z, v) envelope
+    p = StructureParams.from_constants(1.0)
+    base = q.make_driver("canonical", p)
+
+    def f_hat(t, y, z):
+        return base.f_hat(t, y, z) + np.abs(np.asarray(y, dtype=float))
+
+    drv = Driver("abs_y", f_hat, base.g, p, nonnegative=True,
+                 depends_on_y=True, lip_y=1.0)
+    assert regularize(drv, 4, 4, gamma_quad).strategy == "generic"
+    with pytest.raises(NotRegularizableError):
+        regularize(drv, 4, 4, gamma_quad, strategy="nonnegative")
 
 
 def test_sandwich_thousand_probes(canonical, gamma_quad):

@@ -151,8 +151,7 @@ def test_apriori_trivial_zero(small_ensemble, gamma_quad):
 def test_apriori_linear_driver_strict(small_ensemble, gamma_quad):
     # running cost l = 1 adds a horizon-length term to the bound
     p = q.StructureParams.from_constants(1.0, 1.0, 0.0)
-    drv = q.make_driver("linear", p, quad_mass_hint=gamma_quad.total_mass,
-                        b=0.2)
+    drv = q.make_driver("linear", p, b=0.2)
     view = drv.at_quadrature(gamma_quad,
                              gamma_quad.zeta_at(small_ensemble.model, 0.0))
     sol = q.solve_lipschitz(view, lambda x: 0.2 * x, small_ensemble)

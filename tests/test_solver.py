@@ -121,8 +121,7 @@ def test_linear_ode_closed_form(gamma_model, gamma_quad):
     ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
                              2000, seed=21)
     p = q.StructureParams.from_constants(1.0, 0.5, 1.0)
-    drv = q.make_driver("linear", p, quad_mass_hint=gamma_quad.total_mass,
-                        a=0.5)
+    drv = q.make_driver("linear", p, a=0.5)
     sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad),
                             lambda x: np.ones_like(x), ens)
     assert abs(sol.y0 - math.exp(0.5)) <= 0.01
@@ -130,8 +129,7 @@ def test_linear_ode_closed_form(gamma_model, gamma_quad):
 
 def test_grid_refinement_first_order(gamma_model, gamma_quad):
     p = q.StructureParams.from_constants(1.0, 0.5, 1.0)
-    drv = q.make_driver("linear", p, quad_mass_hint=gamma_quad.total_mass,
-                        a=0.5)
+    drv = q.make_driver("linear", p, a=0.5)
     y0 = {}
     for k_steps in (25, 50, 100):
         tg = np.linspace(0.0, 1.0, k_steps + 1)
@@ -150,8 +148,7 @@ def test_girsanov_tilt_oracle(gamma_model):
     ens = q.simulate_forward(gamma_model, quad, "brownian_jumps", tg, 40000,
                              seed=23)
     p = q.StructureParams.from_constants(1.0, 1.0, 0.0)
-    drv = q.make_driver("linear", p, quad_mass_hint=quad.total_mass, b=0.3,
-                        c_tilde=0.4)
+    drv = q.make_driver("linear", p, b=0.3, c_tilde=0.4)
     sol = q.solve_lipschitz(drv.at_quadrature(quad), lambda x: x, ens)
     oracle = girsanov_tilt_mc(0.3, 0.4, quad.total_mass, 1.0,
                               n_samples=400000, seed=24)
@@ -167,6 +164,14 @@ def test_non_contraction_guard(brownian_ensemble, null_quad):
     with pytest.raises(NonContractionError):
         q.solve_lipschitz(drv.at_quadrature(null_quad), lambda x: x,
                           brownian_ensemble)
+
+
+def test_picard_non_convergence_raises(brownian_ensemble, null_quad):
+    p = q.StructureParams.from_constants(1.0, 0.0, 0.5)
+    drv = q.make_driver("linear", p, a=0.5)
+    with pytest.raises(RuntimeError, match="Picard"):
+        q.solve_lipschitz(drv.at_quadrature(null_quad), lambda x: x,
+                          brownian_ensemble, picard_max=1)
 
 
 def test_two_dimensional_noise(gamma_model, gamma_quad):
@@ -208,8 +213,7 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
     ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
                              5000, seed=26)
     p = q.StructureParams.from_constants(1.0, 0.5, 1.0)
-    drv = q.make_driver("linear", p, quad_mass_hint=gamma_quad.total_mass,
-                        a=0.5)
+    drv = q.make_driver("linear", p, a=0.5)
     sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad),
                             lambda x: np.ones_like(x), ens)
     dec = q.decompose(sol, ens)
@@ -239,5 +243,21 @@ def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
     sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
     other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
                                small_ensemble.time_grid, 20000, seed=999)
+    with pytest.raises(EnsembleMismatchError):
+        q.decompose(sol, other)
+
+
+@pytest.mark.parametrize("change", [dict(x0=5.0), dict(jump_impact="mark"),
+                                    dict(d=2)])
+def test_same_seed_other_inputs_rejected(gamma_model, gamma_quad, change):
+    # same seed, paths, steps, dynamics and node count: only the token tells
+    # the two ensembles apart
+    tg = np.linspace(0.0, 1.0, 11)
+    ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+                             1000, seed=5)
+    other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+                               1000, seed=5, **change)
+    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
+    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad), lambda x: x, ens)
     with pytest.raises(EnsembleMismatchError):
         q.decompose(sol, other)
