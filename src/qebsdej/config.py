@@ -7,6 +7,7 @@ mandatory, so no experiment carries implicit randomness.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 from .drivers import Driver, StructureParams, make_driver
 from .levy import LevyModel, UnknownPresetError, make_model
 from .scheme import Schedule
-from .solver import DYNAMICS
+from .solver import DYNAMICS, JUMP_IMPACTS
 
 EXPERIMENTS = ("solve", "scheme", "audit", "risk", "oracle")
 
@@ -34,11 +35,15 @@ def _need(section: dict, key: str, path: str):
     return section[key]
 
 
-def _as_positive(value, path: str) -> float:
+def _as_float(value, path: str) -> float:
     try:
-        v = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(path, f"expected a number, got {value!r}") from None
+
+
+def _as_positive(value, path: str) -> float:
+    v = _as_float(value, path)
     if v <= 0:
         raise ConfigError(path, "must be positive")
     return v
@@ -154,6 +159,21 @@ def validate_config(data: dict) -> ExperimentConfig:
     if dynamics not in DYNAMICS:
         raise ConfigError("ensemble.dynamics",
                           f"unknown dynamics '{dynamics}'; choose from {DYNAMICS}")
+    if "jump_impact" in ens and ens["jump_impact"] not in JUMP_IMPACTS:
+        raise ConfigError("ensemble.jump_impact", f"unknown jump_impact "
+                          f"'{ens['jump_impact']}'; choose from {JUMP_IMPACTS}")
+    # optional numeric settings are read at run time; check the ones present
+    for path, parse, least in (("ensemble.x0", _as_float, -math.inf),
+                               ("ensemble.d", _as_int, 1),
+                               ("quadrature.q_nodes", _as_int, 2),
+                               ("solver.basis_degree", _as_int, 0),
+                               ("solver.picard_max", _as_int, 1),
+                               ("solver.picard_tol", _as_float, 0.0),
+                               ("solver.export_paths", _as_int, -math.inf)):
+        section, key = path.split(".")
+        values = getattr(cfg, section)
+        if key in values and parse(values[key], path) < least:
+            raise ConfigError(path, f"must be at least {least}")
     _as_positive(_need(cfg.grid, "t_end", "grid"), "grid.t_end")
     k_steps = _as_int(_need(cfg.grid, "k_steps", "grid"), "grid.k_steps")
     if k_steps < 2:
@@ -173,6 +193,11 @@ def validate_config(data: dict) -> ExperimentConfig:
                 or not all(type(k) is int and 0 <= k <= k_steps for k in times)):
             raise ConfigError("risk.times", "need a list of integer steps in "
                               f"[0, {k_steps}] that includes 0")
+        gammas = cfg.risk.get("gammas", [])
+        if not isinstance(gammas, list):
+            raise ConfigError("risk.gammas", "need a list of positive numbers")
+        for gamma in gammas:
+            _as_positive(gamma, "risk.gammas")
     return cfg
 
 

@@ -11,13 +11,13 @@ in the regularization indices, and still inside the corridor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .levy import (ExponentOverflowError, EXP_CAP, MarkQuadrature,
-                   UnknownPresetError, j_functional, _field_values)
+                   UnknownPresetError, j_functional)
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,11 @@ class Driver:
     lip_y: float = math.inf
     lip_yz: float = math.inf
     g_lip_factor: float = math.inf  # sup |g'| over the working mark-value range
-    meta: dict = field(default_factory=dict)
 
     def jump_part(self, t: float, u, quad: MarkQuadrature,
                   zeta: np.ndarray | None = None) -> np.ndarray:
-        vals = _field_values(u)
         wz = quad.weights if zeta is None else quad.weights * zeta
-        gv = self.g(t, vals)
+        gv = self.g(t, np.asarray(u, dtype=float))
         if not np.all(np.isfinite(gv)):
             raise ExponentOverflowError("jump integrand overflowed; reduce the field")
         out = (gv * wz).sum(axis=-1)
@@ -154,8 +152,7 @@ def make_driver(name: str, structure: StructureParams, **p) -> Driver:
         return Driver(name, f_hat, g, structure, nonnegative=False,
                       depends_on_y=abs(a) > 0, lip_y=abs(a),
                       lip_yz=max(abs(a), abs(b)),
-                      g_lip_factor=abs(c_tilde),
-                      meta=dict(a=a, b=b, c_tilde=c_tilde))
+                      g_lip_factor=abs(c_tilde))
     if name == "morlais":
         beta = float(p.get("beta", 0.0))
         base = make_driver("canonical", structure)
@@ -164,7 +161,7 @@ def make_driver(name: str, structure: StructureParams, **p) -> Driver:
             return base.f_hat(t, y, z) - beta * np.abs(np.asarray(y, dtype=float))
 
         return Driver(name, f_hat, base.g, structure, nonnegative=False,
-                      depends_on_y=beta > 0, lip_y=beta, meta=dict(beta=beta))
+                      depends_on_y=beta > 0, lip_y=beta)
     if name == "zero":
         def f_hat(t, y, z):
             return np.zeros(np.broadcast(np.asarray(y), np.asarray(z).sum(axis=-1)).shape)
@@ -196,7 +193,7 @@ def structure_bounds(t: float, y, z, u, params: StructureParams,
     zz = 0.5 * d * (z ** 2).sum(axis=-1)
     base = params.l(t) + params.c(t) * np.abs(y)
     j_up = j_functional(u, d, quad, zeta) / d
-    j_dn = j_functional(-_field_values(u), d, quad, zeta) / d
+    j_dn = j_functional(-np.asarray(u, dtype=float), d, quad, zeta) / d
     return -(j_dn + zz + base), (j_up + zz + base)
 
 
@@ -204,8 +201,6 @@ def structure_bounds(t: float, y, z, u, params: StructureParams,
 class StructureReport:
     n_probes: int
     n_violations: int
-    worst_gap: float
-    violations: list
 
     @property
     def ok(self) -> bool:
@@ -220,17 +215,15 @@ def check_structure(driver: Driver, probes: Sequence, quad: MarkQuadrature,
     when ``f`` leaves ``[q_lower - tol, q_upper + tol]`` with
     ``tol = 1e-9 * (1 + |q_upper|)``.  Violations are data, not errors.
     """
-    bad, worst, n_probes = [], 0.0, 0
+    n_probes = n_violations = 0
     for t, y, z, u in probes:
         n_probes += 1
         q_lo, q_hi = structure_bounds(t, y, z, u, driver.params, quad, zeta)
         val = float(driver.evaluate(t, y, z, u, quad, zeta))
         tol = 1e-9 * (1.0 + abs(float(q_hi)))
-        gap = max(float(q_lo) - val, val - float(q_hi))
-        if gap > tol:
-            bad.append((t, float(y), val, float(q_lo), float(q_hi)))
-            worst = max(worst, gap)
-    return StructureReport(n_probes, len(bad), worst, bad)
+        if max(float(q_lo) - val, val - float(q_hi)) > tol:
+            n_violations += 1
+    return StructureReport(n_probes, n_violations)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +274,7 @@ def sup_convolve(phi: Callable, m: float, point, candidate_grid,
     """Upper envelope ``max_c [phi(c) - m * dist(c, point)]``, at least
     ``phi(point)``.  Mirror of :func:`inf_convolve` with a subtracted
     penalty (an added penalty inside a supremum would be unbounded)."""
-    cands = _as_candidate_matrix(candidate_grid)
-    if cands.size == 0:
-        raise ValueError("candidate grid is empty")
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    vals = np.asarray([float(phi(c if c.size > 1 else float(c[0]))) for c in cands])
-    dist = _coordinate_distance(cands, pt, nu_weights)
-    grid_max = float(np.max(vals - m * dist))
-    return max(grid_max, float(phi(pt if pt.size > 1 else float(pt[0]))))
+    return -inf_convolve(lambda c: -phi(c), m, point, candidate_grid, nu_weights)
 
 
 def _running_min_envelope(cand_vals: np.ndarray, cand_coord: np.ndarray,
@@ -385,8 +371,7 @@ class RegularizedDriver:
         return self.n + self.m
 
     def _slice_u(self, u) -> np.ndarray:
-        vals = _field_values(u)
-        return vals[..., self.node_idx]
+        return np.asarray(u, dtype=float)[..., self.node_idx]
 
     # -- separable pieces (nonnegative strategy) ---------------------------
 
@@ -503,8 +488,8 @@ def check_a_gamma(driver: Driver, t: float, y: float, z, u, u_bar,
     to ``(-1 + 1e-9, gamma_cap)`` and must dominate the actual increment:
     ``f(u) - f(u_bar) <= sum_i w_i zeta_i slope_i (u_i - u_bar_i) + 1e-9``.
     """
-    u = _field_values(u)
-    ub = _field_values(u_bar)
+    u = np.asarray(u, dtype=float)
+    ub = np.asarray(u_bar, dtype=float)
     wz = quad.weights if zeta is None else quad.weights * zeta
     gu, gub = driver.g(t, u), driver.g(t, ub)
     lhs = float(((gu - gub) * wz).sum())

@@ -230,31 +230,9 @@ class MarkQuadrature:
                               self.cell_inner[idx])
 
 
-@dataclass
-class JumpField:
-    """Jump integrand evaluated at the quadrature marks."""
-
-    values: np.ndarray
-    quad: MarkQuadrature
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[-1] != self.quad.n_nodes:
-            raise ValueError("field values are not aligned with the quadrature")
-
-    def nu_norm(self, zeta: np.ndarray | None = None) -> float:
-        return float(nu_norm(self.values, self.quad, zeta))
-
-
-def _field_values(u) -> np.ndarray:
-    if isinstance(u, JumpField):
-        return u.values
-    return np.asarray(u, dtype=float)
-
-
 def nu_norm(u, quad: MarkQuadrature, zeta: np.ndarray | None = None) -> np.ndarray:
     """Weighted L2 norm ``sqrt(sum_i w_i zeta_i u_i^2)``; vectorized over rows."""
-    vals = _field_values(u)
+    vals = np.asarray(u, dtype=float)
     wz = quad.weights if zeta is None else quad.weights * np.asarray(zeta, dtype=float)
     return np.sqrt(np.clip((vals * vals * wz).sum(axis=-1), 0.0, None))
 
@@ -269,8 +247,7 @@ def j_functional(u, delta: float, quad: MarkQuadrature,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    vals = _field_values(u)
-    scaled = delta * vals
+    scaled = delta * np.asarray(u, dtype=float)
     if scaled.size and float(np.max(scaled)) > EXP_CAP:
         raise ExponentOverflowError(
             f"exponent {float(np.max(scaled)):.3g} exceeds cap {EXP_CAP:g}")
@@ -407,18 +384,6 @@ class JumpTable:
         paths, marks = self.rows_for_interval(k)
         np.add.at(out, (paths, marks), 1.0)
         return out
-
-    def thin(self, keep_nodes: np.ndarray) -> "JumpTable":
-        """Drop jumps whose mark index is not in ``keep_nodes`` (mark indices
-        are re-labelled to the restricted node set)."""
-        keep_nodes = np.asarray(keep_nodes)
-        relabel = -np.ones(self.n_nodes, dtype=int)
-        relabel[keep_nodes] = np.arange(keep_nodes.size)
-        new_marks = relabel[self.mark_index]
-        mask = new_marks >= 0
-        return JumpTable(self.path_index[mask], self.interval_index[mask],
-                         self.time[mask], new_marks[mask],
-                         self.n_paths, self.n_intervals, keep_nodes.size)
 
 
 def sample_jump_paths(model: LevyModel, quad: MarkQuadrature,

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import StructureParams
-from .solver import BsdejSolution, FeatureMap, PathEnsemble, _ols
+from .solver import BsdejSolution, PathEnsemble, Regression
 
 
 @dataclass
 class RiskEstimate:
     value: float
     stderr: float
-    direction: str
     per_path: np.ndarray | None = None
     per_path_se: np.ndarray | None = None
     heavy_tail_warning: bool = False
@@ -56,23 +55,19 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
     if k_time == 0:
         mean = float(expo.mean())
         se_mean = float(expo.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return RiskEstimate(sign * math.log(mean), se_mean / mean, direction,
+        return RiskEstimate(sign * math.log(mean), se_mean / mean,
                             None, None, heavy)
-    fmap = FeatureMap.fit(ensemble.state[:, k_time], basis_degree)
-    design = fmap.matrix(ensemble.state[:, k_time])
-    _, fitted, _ = _ols(design, expo[:, None])
+    reg = Regression(ensemble.state[:, k_time], basis_degree)
+    _, fitted = reg.fit(expo)
     # a conditional mean stays inside the target's range; clipping keeps the
     # log finite where the polynomial fit undershoots a positive target
-    pred = np.clip(fitted[:, 0], float(expo.min()), float(expo.max()))
+    pred = np.clip(fitted, float(expo.min()), float(expo.max()))
     per_path = sign * np.log(pred)
-    resid = expo - fitted[:, 0]
-    sigma2 = float(resid @ resid) / max(n - fmap.n_basis, 1)
-    hat = np.einsum("ij,jk,ik->i", design,
-                    np.linalg.pinv(design.T @ design), design)
-    per_path_se = np.sqrt(np.clip(sigma2 * hat, 0.0, None)) / pred
-    se = math.sqrt(sigma2 * fmap.n_basis / n) / float(pred.mean())
-    return RiskEstimate(float(per_path.mean()), se, direction, per_path,
-                        per_path_se, heavy)
+    resid = expo - fitted
+    sigma2 = float(resid @ resid) / max(n - reg.n_basis, 1)
+    per_path_se = np.sqrt(np.clip(sigma2 * reg.leverages, 0.0, None)) / pred
+    se = math.sqrt(sigma2 * reg.n_basis / n) / float(pred.mean())
+    return RiskEstimate(float(per_path.mean()), se, per_path, per_path_se, heavy)
 
 
 def terminal_bound_payoff(xi: np.ndarray, params: StructureParams,

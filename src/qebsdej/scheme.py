@@ -23,9 +23,8 @@ from .semimartingale import (QStructureReport, SubmartingaleReport,
                              check_q_structure, exponential_transform,
                              pairwise_gap, stability_diagnostics,
                              submartingale_test)
-from .solver import (BsdejSolution, Decomposition, FeatureMap,
-                     PathEnsemble, _ols, decompose, simulate_forward,
-                     solve_lipschitz)
+from .solver import (BsdejSolution, Decomposition, PathEnsemble, Regression,
+                     decompose, simulate_forward, solve_lipschitz)
 
 
 class UnlinkedComparisonError(ValueError):
@@ -134,11 +133,9 @@ class ConvergenceReport:
 
 @dataclass
 class SchemeResult:
-    schedule: Schedule
     ensemble: PathEnsemble
     quad: MarkQuadrature
     solutions: list[BsdejSolution]
-    decompositions: list[Decomposition]
     report: ConvergenceReport
 
 
@@ -164,10 +161,7 @@ def tau_l_localization(ensemble: PathEnsemble, params: StructureParams,
         if k == 0:
             estimate = np.full(n, float(target.mean()))
         else:
-            fmap = FeatureMap.fit(ensemble.state[:, k], basis_degree)
-            design = fmap.matrix(ensemble.state[:, k])
-            _, fitted, _ = _ols(design, target[:, None])
-            estimate = fitted[:, 0]
+            _, estimate = Regression(ensemble.state[:, k], basis_degree).fit(target)
         hit = (~done) & (estimate > level)
         stop[hit] = k
         done |= hit
@@ -217,7 +211,6 @@ class DriverGapReport:
     a2: float
     chebyshev_bound: float
     region_fraction: float
-    c_split: float
 
 
 def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
@@ -264,7 +257,7 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
     horizon = float(ensemble.time_grid[-1])
     cheb = 2.0 / c_split ** 2 * float(norm2_sum.mean()) / horizon
     region_fraction = region_hits / max(cells, 1.0)
-    return DriverGapReport(a1, a2, cheb, region_fraction, c_split)
+    return DriverGapReport(a1, a2, cheb, region_fraction)
 
 
 def default_c_split(sol: BsdejSolution, ensemble: PathEnsemble,
@@ -392,4 +385,4 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable, model: LevyModel,
         monotone_y0 = gaps_decreasing = stability_decreasing = False
     report = ConvergenceReport(records, monotone_y0, comparison, gaps,
                                gaps_decreasing, stability_decreasing)
-    return SchemeResult(schedule, ensemble, quad, solutions, solved_decs, report)
+    return SchemeResult(ensemble, quad, solutions, report)

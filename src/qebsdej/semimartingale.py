@@ -19,14 +19,14 @@ import numpy as np
 from .drivers import StructureParams, structure_bounds
 from .levy import MarkQuadrature
 from .solver import (BsdejSolution, Decomposition, EnsembleMismatchError,
-                     FeatureMap, PathEnsemble, _ols)
+                     PathEnsemble, Regression)
 
 
 @dataclass
 class QStructureReport:
-    """Per-cell corridor slacks; positive slack means strictly inside."""
+    """Per-cell slack below the upper corridor edge (positive means strictly
+    inside) and the fraction of cells outside either edge."""
 
-    lower_slack: np.ndarray
     upper_slack: np.ndarray
     violation_fraction: float
 
@@ -59,9 +59,8 @@ def check_q_structure(dec: Decomposition, solution: BsdejSolution,
         upper[:, k] = q_hi * dt
     tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
     up_slack = upper - dv
-    lo_slack = dv - lower
-    violations = (up_slack < -tol) | (lo_slack < -tol)
-    return QStructureReport(lo_slack, up_slack, float(violations.mean()))
+    violations = (up_slack < -tol) | (dv - lower < -tol)
+    return QStructureReport(up_slack, float(violations.mean()))
 
 
 def exponential_transform(y: np.ndarray, params: StructureParams,
@@ -84,7 +83,6 @@ class SubmartingaleReport:
     fraction_below: float
     verdict: bool
     heavy_tail_warning: bool
-    mean_gap: float
 
 
 def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
@@ -125,7 +123,6 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
     family_alpha = NormalDist().cdf(-3.0)
     z_bin = -NormalDist().inv_cdf(family_alpha / n_bins)
     flagged = 0
-    mean_gap = 0.0
     for b in range(n_bins):
         members = bin_ids == b
         count = int(members.sum())
@@ -134,11 +131,10 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
         vals = increment[members]
         mean = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        mean_gap += mean * count / n
         if mean < -z_bin * se:
             flagged += count
     frac = flagged / n
-    return SubmartingaleReport(frac, frac < 0.01, heavy, mean_gap)
+    return SubmartingaleReport(frac, frac < 0.01, heavy)
 
 
 def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
@@ -148,14 +144,12 @@ def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
     worst = 0.0
     n = increments.shape[0]
     for k in range(increments.shape[1]):
-        fmap = FeatureMap.fit(ensemble.state[:, k], basis_degree)
-        design = fmap.matrix(ensemble.state[:, k])
-        coeffs, fitted, _ = _ols(design, increments[:, k][:, None])
-        resid = increments[:, k] - fitted[:, 0]
-        sigma2 = float(resid @ resid) / max(n - fmap.n_basis, 1)
-        cov = sigma2 * np.linalg.pinv(design.T @ design)
-        se = np.sqrt(np.clip(np.diag(cov), 1e-300, None))
-        worst = max(worst, float(np.max(np.abs(coeffs[:, 0]) / se)))
+        reg = Regression(ensemble.state[:, k], basis_degree)
+        coeffs, fitted = reg.fit(increments[:, k])
+        resid = increments[:, k] - fitted
+        sigma2 = float(resid @ resid) / max(n - reg.n_basis, 1)
+        se = np.sqrt(np.clip(sigma2 * reg.gram_inverse_diag, 1e-300, None))
+        worst = max(worst, float(np.max(np.abs(coeffs) / se)))
     return worst
 
 
@@ -219,16 +213,13 @@ def doleans_check(r_paths: np.ndarray, direction: str = "upper"):
 
 @dataclass
 class StabilityRecord:
-    index: int
-    total_variation: float
-    m_running_max: float
     h1_gap_prev: float      # vs previous decomposition, nan for the first
     vstar_gap_prev: float
 
 
 def stability_diagnostics(decs: Sequence[Decomposition]) -> list[StabilityRecord]:
-    """Total-variation and running-max means per decomposition plus pairwise
-    gaps between consecutive entries (all on a shared ensemble)."""
+    """Pairwise gaps between consecutive decompositions (all on a shared
+    ensemble)."""
     if not decs:
         return []
     fp = decs[0].ensemble_fingerprint
@@ -236,15 +227,13 @@ def stability_diagnostics(decs: Sequence[Decomposition]) -> list[StabilityRecord
     for i, dec in enumerate(decs):
         if dec.ensemble_fingerprint != fp:
             raise EnsembleMismatchError("stability inputs live on different ensembles")
-        tv = float(np.abs(dec.dv()).sum(axis=1).mean())
-        mstar = float(np.abs(dec.m_total).max(axis=1).mean())
         if i == 0:
             h1, vstar = math.nan, math.nan
         else:
             dm = np.diff(dec.m_total - decs[i - 1].m_total, axis=1)
             h1 = float(np.sqrt((dm ** 2).sum(axis=1)).mean())
             vstar = float(np.abs(dec.v - decs[i - 1].v).max(axis=1).mean())
-        records.append(StabilityRecord(i, tv, mstar, h1, vstar))
+        records.append(StabilityRecord(h1, vstar))
     return records
 
 

@@ -17,7 +17,7 @@ is below one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,6 +34,7 @@ class EnsembleMismatchError(ValueError):
 
 
 DYNAMICS = ("brownian", "brownian_jumps", "jumps_only", "deterministic")
+JUMP_IMPACTS = ("unit", "mark")
 CLIP_SIGMAS = 4.0            # see FeatureMap
 MIN_EXPECTED_JUMPS = 20.0    # see solve_lipschitz
 
@@ -76,14 +77,6 @@ class PathEnsemble:
         return self.quad.weights * self.quad.zeta_at(self.model, float(self.time_grid[k]))
 
 
-def _impact_values(quad: MarkQuadrature, jump_impact: str) -> np.ndarray:
-    if jump_impact == "unit":
-        return np.ones(quad.n_nodes)
-    if jump_impact == "mark":
-        return quad.nodes.copy()
-    raise ValueError("jump_impact must be 'unit' or 'mark'")
-
-
 def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
                      time_grid, n_paths: int, seed: int, x0: float = 0.0,
                      jump_impact: str = "unit", d: int = 1) -> PathEnsemble:
@@ -96,6 +89,8 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
     """
     if dynamics not in DYNAMICS:
         raise ValueError(f"unknown dynamics '{dynamics}'; choose from {DYNAMICS}")
+    if jump_impact not in JUMP_IMPACTS:
+        raise ValueError(f"unknown jump_impact '{jump_impact}'; choose from {JUMP_IMPACTS}")
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid.ndim != 1 or time_grid.size < 2 or np.any(np.diff(time_grid) <= 0):
         raise ValueError("time grid must be strictly increasing with >= 2 points")
@@ -112,7 +107,7 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
 
     state = np.empty((n_paths, k_steps + 1))
     state[:, 0] = x0
-    impact = _impact_values(quad, jump_impact)
+    impact = quad.nodes if jump_impact == "mark" else np.ones(quad.n_nodes)
     use_w = dynamics in ("brownian", "brownian_jumps")
     use_j = dynamics in ("brownian_jumps", "jumps_only")
     for k in range(k_steps):
@@ -175,12 +170,44 @@ class FeatureMap:
         return int(self.keep.sum())
 
 
-def _ols(design: np.ndarray, targets: np.ndarray):
-    """Least squares with shared design; returns (coeffs, fitted, cond)."""
-    gram = design.T @ design
-    cond = float(np.linalg.cond(gram))
-    coeffs, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    return coeffs, design @ coeffs, cond
+class Regression:
+    """Least squares on the features of one time step's state.
+
+    The design is factorized once by a thin SVD and serves every target
+    regressed on that state.  Singular values at or below ``lstsq``'s default
+    cut (``eps * max(n, p) * s_max``) are dropped, so a rank-deficient design
+    gets the minimum-norm fit.
+    """
+
+    def __init__(self, x: np.ndarray, degree: int):
+        self.feature_map = FeatureMap.fit(x, degree)
+        self.design = self.feature_map.matrix(x)
+        u, s, vt = np.linalg.svd(self.design, full_matrices=False)
+        # condition number of the Gram matrix design.T @ design
+        self.gram_condition = float(s[0] / s[-1]) ** 2
+        keep = s > np.finfo(float).eps * max(self.design.shape) * s[0]
+        self._u = u[:, keep]
+        self._v_scaled = vt[keep].T / s[keep]     # V S^-1, shape (p, rank)
+
+    @property
+    def n_basis(self) -> int:
+        return self.design.shape[1]
+
+    def fit(self, targets: np.ndarray):
+        """Coefficients and fitted values for a target vector or matrix."""
+        coeffs = self._v_scaled @ (self._u.T @ targets)
+        return coeffs, self.design @ coeffs
+
+    @property
+    def gram_inverse_diag(self) -> np.ndarray:
+        """Diagonal of the Gram pseudo-inverse: coefficient variances per
+        unit residual variance."""
+        return (self._v_scaled ** 2).sum(axis=1)
+
+    @property
+    def leverages(self) -> np.ndarray:
+        """Diagonal of the hat matrix, one entry per path."""
+        return (self._u ** 2).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +234,6 @@ class BsdejSolution:
     driver_values: np.ndarray
     resid_var: np.ndarray
     cond_numbers: np.ndarray
-    basis_degree: int
     ensemble_fingerprint: object
     picard_iterations: np.ndarray
     u_clip: np.ndarray | None = None
@@ -290,16 +316,15 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
 
     for k in range(k_steps - 1, -1, -1):
         t_k = float(ensemble.time_grid[k])
-        fmap = FeatureMap.fit(ensemble.state[:, k], basis_degree)
-        design = fmap.matrix(ensemble.state[:, k])
+        reg = Regression(ensemble.state[:, k], basis_degree)
+        conds[k] = reg.gram_condition
         y_next = y[:, k + 1]
 
         lam = ensemble.node_intensity(k)
         counts = ensemble.jumps.counts_for_interval(k)
         live = lam * dt * n >= MIN_EXPECTED_JUMPS
 
-        _, fit_y, conds[k] = _ols(design, y_next[:, None])
-        ey_raw = fit_y[:, 0]
+        _, ey_raw = reg.fit(y_next)
         # center the covariation targets with the fitted conditional mean: a
         # time-t_k measurable control variate that leaves the estimands
         # unchanged but shrinks the target variance from the scale of Y^2 to
@@ -309,7 +334,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
         if live.any():
             targets.append(centered[:, None]
                            * (counts[:, live] / (lam[live] * dt) - 1.0))
-        coeffs, fitted, _ = _ols(design, np.column_stack(targets))
+        coeffs, fitted = reg.fit(np.column_stack(targets))
 
         # a conditional expectation stays inside its target's range, and a
         # jump loading cannot exceed the oscillation of the next-step value;
@@ -320,11 +345,11 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
         ey = np.clip(ey_raw, y_lo, y_hi)
         z[:, k, :] = fitted[:, :d]
         u_now = np.zeros((n, q_nodes))
-        uc = np.zeros((fmap.n_basis, q_nodes))
+        uc = np.zeros((reg.n_basis, q_nodes))
         if live.any():
             u_now[:, live] = np.clip(fitted[:, d:], -osc, osc)
             uc[:, live] = coeffs[:, d:]
-        u_coeffs[k], fmaps[k] = uc, fmap
+        u_coeffs[k], fmaps[k] = uc, reg.feature_map
         u_clip[k] = osc
         resid_var[k] = float(np.mean((y_next - ey) ** 2))
 
@@ -352,8 +377,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
         y[:, k] = y_cur
 
     return BsdejSolution(y, z, u_coeffs, fmaps, xi, fvals, resid_var, conds,
-                         basis_degree, ensemble.identity, picard_counts,
-                         u_clip)
+                         ensemble.identity, picard_counts, u_clip)
 
 
 # ---------------------------------------------------------------------------

@@ -133,16 +133,35 @@ def _risk(times):
     return dict(experiment="risk", risk={"times": times, "gammas": [1.0]})
 
 
+def _ensemble(**fields):
+    return dict(ensemble={"n_paths": 2000, "seed": 1, "dynamics": "brownian",
+                          **fields})
+
+
 @pytest.mark.parametrize("overrides", [
-    dict(ensemble={"n_paths": "many", "seed": 1, "dynamics": "brownian"}),
+    _ensemble(n_paths="many"),
     dict(model={"name": "gamma", "thetaa": 1.0}),
     dict(structure={"delta": 0.0}),
     _risk([4]),
     _risk([0, 9]),
     _risk([0, 2.5]),
+    _ensemble(x0="abc"),
+    _ensemble(d="two"),
+    _ensemble(jump_impact="size"),
+    _ensemble(d=0),
+    dict(quadrature={"kappa": 4.0, "q_nodes": "many"}),
+    dict(quadrature={"kappa": 4.0, "q_nodes": 1}),
+    dict(solver={"basis_degree": "three"}),
+    dict(solver={"picard_max": "lots"}),
+    dict(solver={"export_paths": "all"}),
+    dict(experiment="risk", risk={"times": [0], "gammas": ["one"]}),
 ], ids=["n_paths_not_a_number", "misspelled_model_parameter", "zero_delta",
         "risk_without_time_zero", "risk_time_beyond_grid",
-        "risk_time_not_a_step"])
+        "risk_time_not_a_step", "x0_not_a_number", "d_not_a_number",
+        "unknown_jump_impact", "no_brownian_dimension",
+        "q_nodes_not_a_number", "one_quadrature_cell",
+        "basis_degree_not_a_number", "picard_max_not_a_number",
+        "export_paths_not_a_number", "gamma_not_a_number"])
 def test_bad_config_exits_2(tmp_path, overrides):
     cfg = write_config(tmp_path, "bad.json", solve_payload(**overrides))
     out = tmp_path / "nothing"

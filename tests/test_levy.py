@@ -182,13 +182,6 @@ def test_j_monotone_in_truncation(gamma_model):
     assert vals[0] <= vals[1] <= vals[2]
 
 
-def test_jump_field_alignment(two_node_quad):
-    with pytest.raises(ValueError, match="aligned"):
-        q.JumpField(np.ones(3), two_node_quad)
-    field = q.JumpField(np.ones(2), two_node_quad)
-    assert field.nu_norm() == pytest.approx(math.sqrt(2.0))
-
-
 # ---------------------------------------------------------------------------
 # small-jump residual
 # ---------------------------------------------------------------------------
@@ -250,19 +243,6 @@ def test_jump_table_reproducible(gamma_model, gamma_quad):
     assert np.array_equal(a.time, b.time)
     assert np.array_equal(a.mark_index, b.mark_index)
     assert np.array_equal(a.path_index, b.path_index)
-
-
-def test_jump_table_thinning(gamma_model):
-    quad = q.build_quadrature(gamma_model, 8.0, 10, cut_levels=[0.25])
-    tg = np.linspace(0, 1, 5)
-    table = q.sample_jump_paths(gamma_model, quad, tg, 3000, seed=13)
-    keep = quad.restrict_indices(4.0)
-    thinned = table.thin(keep)
-    assert thinned.n_jumps == int(np.isin(table.mark_index, keep).sum())
-    assert thinned.n_nodes == keep.size
-    counts_full = table.counts_for_interval(1)
-    counts_thin = thinned.counts_for_interval(1)
-    assert np.array_equal(counts_full[:, keep], counts_thin)
 
 
 def test_invalid_grid_rejected(gamma_model, gamma_quad):

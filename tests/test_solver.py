@@ -7,7 +7,7 @@ import qebsdej as q
 from qebsdej.oracles import girsanov_tilt_exact, girsanov_tilt_mc
 from qebsdej.semimartingale import martingale_regression_test
 from qebsdej.solver import (EnsembleMismatchError, FeatureMap,
-                            NonContractionError)
+                            NonContractionError, Regression)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,40 @@ def test_feature_map_deterministic_state_reduces_to_intercept():
     fmap = FeatureMap.fit(np.full(100, 3.0), 3)
     assert fmap.n_basis == 1
     assert np.allclose(fmap.matrix(np.full(100, 3.0)), 1.0)
+
+
+def _assert_rel(actual, expected, rtol=1e-12):
+    np.testing.assert_allclose(actual, expected, rtol=rtol,
+                               atol=rtol * np.max(np.abs(expected)))
+
+
+def test_regression_matches_reference_linear_algebra():
+    rng = np.random.default_rng(5)
+    reg = Regression(rng.standard_normal(400), 3)
+    x = reg.design
+    gram = x.T @ x
+    targets = rng.standard_normal((400, 3))
+    coeffs, fitted = reg.fit(targets)
+    ref, *_ = np.linalg.lstsq(x, targets, rcond=None)
+    _assert_rel(coeffs, ref)
+    _assert_rel(fitted, x @ ref)
+    _assert_rel(reg.gram_condition, np.linalg.cond(gram))
+    _assert_rel(reg.gram_inverse_diag, np.diag(np.linalg.pinv(gram)))
+    _assert_rel(reg.leverages,
+                np.einsum("ij,jk,ik->i", x, np.linalg.pinv(gram), x))
+
+
+def test_regression_rank_deficient_design_gets_minimum_norm_fit():
+    # two distinct states: the cubic design has rank 2
+    reg = Regression(np.repeat([0.0, 1.0], 50), 3)
+    assert reg.n_basis == 4
+    assert np.linalg.matrix_rank(reg.design) == 2
+    targets = np.random.default_rng(6).standard_normal(100)
+    coeffs, fitted = reg.fit(targets)
+    ref, *_ = np.linalg.lstsq(reg.design, targets, rcond=None)
+    _assert_rel(coeffs, ref)
+    _assert_rel(fitted, reg.design @ ref)
+    assert np.allclose(fitted[:50], targets[:50].mean(), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
