@@ -14,7 +14,7 @@ from .semimartingale import (canonical_paths, check_q_structure, doleans_check,
                              exponential_transform, garsia_neveu_probe,
                              stability_diagnostics, submartingale_test)
 from .risk import apriori_bound_check, entropic, exponential_moment_check
-from .scheme import (Schedule, driver_l1_gap, monotonicity_check,
-                     run_triple_scheme, tau_l_localization)
+from .scheme import (Schedule, driver_l1_gap, ladder_quadrature,
+                     monotonicity_check, run_triple_scheme, tau_l_localization)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

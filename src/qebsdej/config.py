@@ -1,15 +1,19 @@
 """Experiment configuration: JSON schema, parsing, and validation.
 
 Every run is fully determined by its configuration; in particular a seed is
-mandatory, so no experiment carries implicit randomness.
+mandatory, so no experiment carries implicit randomness.  :data:`SETTINGS`
+lists every run setting with its parser, default and lower bound; model and
+driver parameters are checked by their factories.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,6 +24,13 @@ from .solver import DYNAMICS, JUMP_IMPACTS
 
 EXPERIMENTS = ("solve", "scheme", "audit", "risk", "oracle")
 
+TERMINALS = {
+    "linear": lambda x, scale, shift, value: scale * np.asarray(x, dtype=float) + shift,
+    "abs_linear": lambda x, scale, shift, value:
+        np.abs(scale * np.asarray(x, dtype=float)) + shift,
+    "constant": lambda x, scale, shift, value: np.full(np.asarray(x).shape, value),
+}
+
 
 class ConfigError(ValueError):
     """Configuration failed to parse or validate; carries the field path."""
@@ -29,31 +40,130 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{fieldpath}': {message}")
 
 
-def _need(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return section[key]
+def _number(cast: Callable, noun: str) -> Callable:
+    def parse(value):
+        try:
+            number = cast(value)
+            if math.isfinite(number):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ValueError(f"expected {noun}, got {value!r}")
+    return parse
 
 
-def _as_float(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected a number, got {value!r}") from None
+def _accept(test: Callable, noun: str) -> Callable:
+    def parse(value):
+        if not test(value):
+            raise ValueError(f"expected {noun}, got {value!r}")
+        return value
+    return parse
 
 
-def _as_positive(value, path: str) -> float:
-    v = _as_float(value, path)
-    if v <= 0:
-        raise ConfigError(path, "must be positive")
-    return v
+def _choice(names) -> Callable:
+    names = tuple(names)
+    return _accept(lambda value: value in names, f"one of {names}")
 
 
-def _as_int(value, path: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected an integer, got {value!r}") from None
+def _list(item: Callable) -> Callable:
+    def parse(value):
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return [item(v) for v in value]
+    return parse
+
+
+_int, _float = _number(int, "an integer"), _number(float, "a finite number")
+_flag = _accept(lambda value: type(value) is bool, "true or false")
+_step = _accept(lambda value: type(value) is int, "an integer step")
+
+
+REQUIRED = object()
+
+
+class Setting(NamedTuple):
+    """One configuration key.  ``parse`` reads the raw value and raises
+    ``ValueError`` or ``TypeError`` on a bad one; a parsed number, or each
+    item of a parsed list, must be at least ``least`` (above it when
+    ``strict``); ``default`` fills an absent key."""
+
+    parse: Callable
+    default: object = REQUIRED
+    least: float | None = None
+    strict: bool = False
+
+
+SETTINGS = {
+    "ensemble": {
+        "seed": Setting(_int, least=0),
+        "n_paths": Setting(_int, least=100),
+        "dynamics": Setting(_choice(DYNAMICS), "brownian_jumps"),
+        "jump_impact": Setting(_choice(JUMP_IMPACTS), "unit"),
+        "x0": Setting(_float, 0.0),
+        "d": Setting(_int, 1, least=1),
+    },
+    "grid": {
+        "t_end": Setting(_float, least=0.0, strict=True),
+        "k_steps": Setting(_int, least=2),
+    },
+    "quadrature": {
+        "kappa": Setting(_float, 8.0, least=1.0),
+        "q_nodes": Setting(_int, 12, least=2),
+    },
+    "solver": {
+        "basis_degree": Setting(_int, 3, least=0),
+        "picard_max": Setting(_int, 50, least=1),
+        "picard_tol": Setting(_float, 1e-10, least=0.0, strict=True),
+        "export_paths": Setting(_int, 50),
+        "export_jumps": Setting(_flag, False),
+    },
+    # required by scheme runs only
+    "schedule": {"triples": Setting(lambda v: Schedule(_list(_list(_int))(v)), None)},
+    "risk": {
+        "times": Setting(_list(_step), [0], least=0),
+        "gammas": Setting(_list(_float), [1.0, 2.0], least=0.0, strict=True),
+    },
+    "structure": {
+        "delta": Setting(_float, 1.0, least=0.0, strict=True),
+        "l": Setting(_float, 0.0, least=0.0),
+        "c": Setting(_float, 0.0, least=0.0),
+    },
+    "terminal": {
+        "name": Setting(_choice(TERMINALS), "linear"),
+        "scale": Setting(_float, 1.0),
+        "shift": Setting(_float, 0.0),
+        "value": Setting(_float, 1.0),
+    },
+}
+
+TOP_LEVEL_KEYS = ("experiment", "model", "driver", "oracle", *SETTINGS)
+
+
+def _read_section(name: str, raw) -> dict:
+    """Parse one section against its table, filling in defaults."""
+    table = SETTINGS[name]
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"{name}.{key}", f"unknown key; choose from {sorted(table)}")
+    out = {}
+    for key, setting in table.items():
+        path = f"{name}.{key}"
+        if key not in raw:
+            if setting.default is REQUIRED:
+                raise ConfigError(path, "missing required field")
+            out[key] = setting.default
+            continue
+        try:
+            value = setting.parse(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(path, str(exc)) from None
+        if setting.least is not None:
+            for item in value if isinstance(value, list) else [value]:
+                if item < setting.least or (setting.strict and item == setting.least):
+                    raise ConfigError(path, f"must be {'>' if setting.strict else '>='} "
+                                      f"{setting.least:g}")
+        out[key] = value
+    return out
 
 
 def _check_build(section: str, build) -> None:
@@ -69,6 +179,9 @@ def _check_build(section: str, build) -> None:
 
 @dataclass
 class ExperimentConfig:
+    """A validated configuration.  ``raw`` is the input exactly as written;
+    the table sections are parsed copies with every default filled in."""
+
     experiment: str
     raw: dict
     model: dict = field(default_factory=dict)
@@ -83,121 +196,60 @@ class ExperimentConfig:
     risk: dict = field(default_factory=dict)
     oracle: dict = field(default_factory=dict)
 
-    @property
-    def seed(self) -> int:
-        return int(self.ensemble["seed"])
-
     def build_model(self) -> LevyModel:
         params = {k: v for k, v in self.model.items() if k != "name"}
         return make_model(self.model.get("name", "gamma"), **params)
 
     def build_structure(self) -> StructureParams:
-        return StructureParams.from_constants(
-            float(self.structure.get("delta", 1.0)),
-            float(self.structure.get("l", 0.0)),
-            float(self.structure.get("c", 0.0)))
+        s = self.structure
+        return StructureParams.from_constants(s["delta"], s["l"], s["c"])
 
     def build_driver(self, structure: StructureParams) -> Driver:
         params = {k: v for k, v in self.driver.items() if k != "name"}
         return make_driver(self.driver.get("name", "canonical"), structure, **params)
 
-    def build_schedule(self) -> Schedule:
-        return Schedule(self.schedule.get("triples", ()), self.seed)
-
     def terminal_fn(self):
-        name = self.terminal.get("name", "linear")
-        scale = float(self.terminal.get("scale", 1.0))
-        shift = float(self.terminal.get("shift", 0.0))
-        if name == "linear":
-            return lambda x: scale * np.asarray(x, dtype=float) + shift
-        if name == "abs_linear":
-            return lambda x: np.abs(scale * np.asarray(x, dtype=float)) + shift
-        if name == "constant":
-            value = float(self.terminal.get("value", 1.0))
-            return lambda x: np.full(np.asarray(x).shape, value)
-        raise UnknownPresetError(f"unknown terminal '{name}'")
+        t = self.terminal
+        return functools.partial(TERMINALS[t["name"]], scale=t["scale"],
+                                 shift=t["shift"], value=t["value"])
 
     def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, float(self.grid["t_end"]),
-                           int(self.grid["k_steps"]) + 1)
+        return np.linspace(0.0, self.grid["t_end"], self.grid["k_steps"] + 1)
 
 
 def validate_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("<root>", "top level must be a JSON object")
-    experiment = _need(data, "experiment", "<root>")
+    if "experiment" not in data:
+        raise ConfigError("<root>.experiment", "missing required field")
+    experiment = data["experiment"]
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment",
                           f"unknown experiment '{experiment}'; choose from {EXPERIMENTS}")
-    cfg = ExperimentConfig(
-        experiment=experiment, raw=data,
-        model=data.get("model", {"name": "gamma"}),
-        driver=data.get("driver", {"name": "canonical"}),
-        structure=data.get("structure", {}),
-        grid=data.get("grid", {}),
-        ensemble=data.get("ensemble", {}),
-        quadrature=data.get("quadrature", {}),
-        terminal=data.get("terminal", {}),
-        solver=data.get("solver", {}),
-        schedule=data.get("schedule", {}),
-        risk=data.get("risk", {}),
-        oracle=data.get("oracle", {}),
-    )
+    for name in data:
+        if name not in TOP_LEVEL_KEYS:
+            raise ConfigError(name, f"unknown key; choose from {TOP_LEVEL_KEYS}")
+        if name != "experiment" and not isinstance(data[name], dict):
+            raise ConfigError(name, "expected an object")
+    cfg = ExperimentConfig(experiment=experiment, raw=data,
+                           model=data.get("model", {}),
+                           driver=data.get("driver", {}),
+                           oracle=data.get("oracle", {}))
     if experiment == "oracle":
         if "name" not in cfg.oracle:
             raise ConfigError("oracle.name", "missing required field")
         return cfg
-
-    ens = cfg.ensemble
-    if "seed" not in ens:
-        raise ConfigError("ensemble.seed", "missing required field "
-                          "(no implicit randomness)")
-    _as_int(ens["seed"], "ensemble.seed")
-    if _as_int(_need(ens, "n_paths", "ensemble"), "ensemble.n_paths") < 100:
-        raise ConfigError("ensemble.n_paths", "need at least 100 paths")
-    dynamics = ens.get("dynamics", "brownian_jumps")
-    if dynamics not in DYNAMICS:
-        raise ConfigError("ensemble.dynamics",
-                          f"unknown dynamics '{dynamics}'; choose from {DYNAMICS}")
-    if "jump_impact" in ens and ens["jump_impact"] not in JUMP_IMPACTS:
-        raise ConfigError("ensemble.jump_impact", f"unknown jump_impact "
-                          f"'{ens['jump_impact']}'; choose from {JUMP_IMPACTS}")
-    # optional numeric settings are read at run time; check the ones present
-    for path, parse, least in (("ensemble.x0", _as_float, -math.inf),
-                               ("ensemble.d", _as_int, 1),
-                               ("quadrature.q_nodes", _as_int, 2),
-                               ("solver.basis_degree", _as_int, 0),
-                               ("solver.picard_max", _as_int, 1),
-                               ("solver.picard_tol", _as_float, 0.0),
-                               ("solver.export_paths", _as_int, -math.inf)):
-        section, key = path.split(".")
-        values = getattr(cfg, section)
-        if key in values and parse(values[key], path) < least:
-            raise ConfigError(path, f"must be at least {least}")
-    _as_positive(_need(cfg.grid, "t_end", "grid"), "grid.t_end")
-    k_steps = _as_int(_need(cfg.grid, "k_steps", "grid"), "grid.k_steps")
-    if k_steps < 2:
-        raise ConfigError("grid.k_steps", "need at least 2 steps")
+    for name in SETTINGS:
+        setattr(cfg, name, _read_section(name, data.get(name, {})))
+    if experiment == "scheme" and cfg.schedule["triples"] is None:
+        raise ConfigError("schedule.triples", "missing required field")
+    k_steps = cfg.grid["k_steps"]
+    if experiment == "risk" and (0 not in cfg.risk["times"]
+                                 or max(cfg.risk["times"]) > k_steps):
+        raise ConfigError("risk.times", "need a list of integer steps in "
+                          f"[0, {k_steps}] that includes 0")
     _check_build("model", cfg.build_model)
-    _check_build("structure", cfg.build_structure)
     _check_build("driver", lambda: cfg.build_driver(cfg.build_structure()))
-    _check_build("terminal", cfg.terminal_fn)
-    kappa = _as_positive(cfg.quadrature.get("kappa", 8.0), "quadrature.kappa")
-    if kappa < 1.0:
-        raise ConfigError("quadrature.kappa", "must be at least 1")
-    if experiment == "scheme":
-        _check_build("schedule.triples", cfg.build_schedule)
-    if experiment == "risk":
-        times = cfg.risk.get("times", [0])
-        if (not isinstance(times, (list, tuple)) or 0 not in times
-                or not all(type(k) is int and 0 <= k <= k_steps for k in times)):
-            raise ConfigError("risk.times", "need a list of integer steps in "
-                              f"[0, {k_steps}] that includes 0")
-        gammas = cfg.risk.get("gammas", [])
-        if not isinstance(gammas, list):
-            raise ConfigError("risk.gammas", "need a list of positive numbers")
-        for gamma in gammas:
-            _as_positive(gamma, "risk.gammas")
     return cfg
 
 

@@ -58,8 +58,9 @@ class Driver:
     ``f_hat(t, y, z)`` takes ``y`` of shape (...,) and ``z`` of shape (..., d);
     ``g(t, v)`` applies pointwise to mark values.  ``nonnegative`` marks
     generators known to satisfy ``f >= 0`` everywhere (their negative part is
-    identically zero), which unlocks a fast separable envelope.  ``lip_yz``
-    is a declared Lipschitz constant of ``f_hat`` in ``(y, z)`` when finite.
+    identically zero), which unlocks a fast separable envelope.  ``lip_y``
+    is a declared Lipschitz constant of ``f`` in ``y``, zero when ``f``
+    ignores ``y``; ``lip_yz`` is one of ``f_hat`` in ``(y, z)`` when finite.
     """
 
     name: str
@@ -67,10 +68,13 @@ class Driver:
     g: Callable
     params: StructureParams
     nonnegative: bool = False
-    depends_on_y: bool = False
     lip_y: float = math.inf
     lip_yz: float = math.inf
     g_lip_factor: float = math.inf  # sup |g'| over the working mark-value range
+
+    @property
+    def depends_on_y(self) -> bool:
+        return self.lip_y > 0
 
     def jump_part(self, t: float, u, quad: MarkQuadrature,
                   zeta: np.ndarray | None = None) -> np.ndarray:
@@ -78,8 +82,7 @@ class Driver:
         gv = self.g(t, np.asarray(u, dtype=float))
         if not np.all(np.isfinite(gv)):
             raise ExponentOverflowError("jump integrand overflowed; reduce the field")
-        out = (gv * wz).sum(axis=-1)
-        return out
+        return (gv * wz).sum(axis=-1)
 
     def evaluate(self, t: float, y, z, u, quad: MarkQuadrature,
                  zeta: np.ndarray | None = None) -> np.ndarray:
@@ -134,8 +137,7 @@ def make_driver(name: str, structure: StructureParams, **p) -> Driver:
                 raise ExponentOverflowError("exponent cap exceeded in jump integrand")
             return (np.expm1(dv) - dv) / delta
 
-        return Driver(name, f_hat, g, structure, nonnegative=True,
-                      depends_on_y=False, lip_y=0.0, g_lip_factor=math.inf)
+        return Driver(name, f_hat, g, structure, nonnegative=True, lip_y=0.0)
     if name == "linear":
         a = float(p.get("a", 0.0))
         b = float(p.get("b", 0.0))
@@ -149,8 +151,7 @@ def make_driver(name: str, structure: StructureParams, **p) -> Driver:
         def g(t, v):
             return c_tilde * np.asarray(v, dtype=float)
 
-        return Driver(name, f_hat, g, structure, nonnegative=False,
-                      depends_on_y=abs(a) > 0, lip_y=abs(a),
+        return Driver(name, f_hat, g, structure, nonnegative=False, lip_y=abs(a),
                       lip_yz=max(abs(a), abs(b)),
                       g_lip_factor=abs(c_tilde))
     if name == "morlais":
@@ -161,7 +162,7 @@ def make_driver(name: str, structure: StructureParams, **p) -> Driver:
             return base.f_hat(t, y, z) - beta * np.abs(np.asarray(y, dtype=float))
 
         return Driver(name, f_hat, base.g, structure, nonnegative=False,
-                      depends_on_y=beta > 0, lip_y=beta)
+                      lip_y=beta)
     if name == "zero":
         def f_hat(t, y, z):
             return np.zeros(np.broadcast(np.asarray(y), np.asarray(z).sum(axis=-1)).shape)
@@ -169,8 +170,8 @@ def make_driver(name: str, structure: StructureParams, **p) -> Driver:
         def g(t, v):
             return np.zeros_like(np.asarray(v, dtype=float))
 
-        return Driver(name, f_hat, g, structure, nonnegative=True,
-                      depends_on_y=False, lip_y=0.0, lip_yz=0.0, g_lip_factor=0.0)
+        return Driver(name, f_hat, g, structure, nonnegative=True, lip_y=0.0,
+                      lip_yz=0.0, g_lip_factor=0.0)
     raise UnknownPresetError(f"unknown driver preset '{name}'")
 
 
@@ -337,12 +338,9 @@ class RegularizedDriver:
         if self.n < 1 or self.m < 1:
             raise ValueError("regularization indices must be >= 1")
         self.node_idx = np.asarray(self.node_idx, dtype=int)
-        self.sub_quad = MarkQuadrature(
-            self.quad.nodes[self.node_idx], self.quad.weights[self.node_idx],
-            self.quad.kappa, self.quad.cell_inner[self.node_idx])
-        self.sub_zeta = None if self.zeta is None else np.asarray(self.zeta)[self.node_idx]
-        self._wz = (self.sub_quad.weights if self.sub_zeta is None
-                    else self.sub_quad.weights * self.sub_zeta)
+        wz = (self.quad.weights if self.zeta is None
+              else self.quad.weights * np.asarray(self.zeta))
+        self._wz = wz[self.node_idx]
         self._mass = float(self._wz.sum())
         if self.strategy == "nonnegative" and self.base.depends_on_y:
             raise NotRegularizableError("the separable envelope ignores y; "
@@ -369,9 +367,6 @@ class RegularizedDriver:
         if self.strategy == "lipschitz_exact":
             return self.base.lip_y
         return self.n + self.m
-
-    def _slice_u(self, u) -> np.ndarray:
-        return np.asarray(u, dtype=float)[..., self.node_idx]
 
     # -- separable pieces (nonnegative strategy) ---------------------------
 
@@ -447,7 +442,7 @@ class RegularizedDriver:
         z = np.asarray(z, dtype=float)
         if z.ndim <= y.ndim:
             z = np.atleast_1d(z)[..., None] if z.ndim == y.ndim else z.reshape(y.shape + (1,))
-        u_sub = np.atleast_2d(self._slice_u(u))
+        u_sub = np.atleast_2d(np.asarray(u, dtype=float)[..., self.node_idx])
         if self.strategy == "lipschitz_exact":
             return self.base.f_hat(t, y, z) + (self.base.g(t, u_sub) * self._wz).sum(axis=-1)
         if self.strategy == "nonnegative":

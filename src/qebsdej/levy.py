@@ -88,10 +88,6 @@ class LevyModel:
     infinite_activity: bool
     params: dict = field(default_factory=dict)
 
-    def density_at(self, e) -> np.ndarray:
-        e = np.asarray(e, dtype=float)
-        return np.asarray(self.density(np.abs(e)), dtype=float)
-
     def zeta_at(self, t: float, e) -> np.ndarray:
         z = np.asarray(self.zeta(t, np.asarray(e, dtype=float)), dtype=float)
         if z.size and (z.min() < -1e-12 or z.max() > self.c_nu + 1e-12):

@@ -130,7 +130,9 @@ def null_measure_oracle() -> OracleValue:
 
 
 ORACLES = {
-    "entropic_gaussian": lambda cfg: _entropic_from_cfg(cfg),
+    "entropic_gaussian": lambda cfg: entropic_gaussian_mc(
+        float(cfg.get("sigma", 1.0)), cfg.get("direction", "upper"),
+        int(cfg.get("n_samples", 200000)), int(cfg.get("seed", 0))),
     "huber_envelope": lambda cfg: OracleValue(
         "huber_envelope",
         huber_envelope_exact(float(cfg.get("n", 2.0)), float(cfg.get("y", 3.0))),
@@ -149,15 +151,6 @@ ORACLES = {
         int(cfg.get("seed", 0))),
     "null_measure": lambda cfg: null_measure_oracle(),
 }
-
-
-def _entropic_from_cfg(cfg) -> OracleValue:
-    sigma = float(cfg.get("sigma", 1.0))
-    direction = cfg.get("direction", "upper")
-    val = entropic_gaussian_mc(sigma, direction,
-                               int(cfg.get("n_samples", 200000)),
-                               int(cfg.get("seed", 0)))
-    return OracleValue(val.name, val.value, val.stderr)
 
 
 def evaluate_oracle(name: str, cfg: dict) -> OracleValue:

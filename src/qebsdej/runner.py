@@ -22,7 +22,7 @@ from .config import ConfigError, ExperimentConfig
 from .levy import build_quadrature, truncated_mass_reference
 from .oracles import evaluate_oracle
 from .risk import entropic, exponential_moment_check
-from .scheme import audit_solution, run_triple_scheme
+from .scheme import audit_solution, ladder_quadrature, run_triple_scheme
 from .semimartingale import martingale_regression_test
 from .solver import decompose, simulate_forward, solve_lipschitz
 
@@ -80,31 +80,33 @@ def write_summary(out_dir: Path, checks: list[CheckResult]) -> bool:
 
 
 def _build_setting(cfg: ExperimentConfig):
+    """The structure and the seeded ensemble of every experiment.  A scheme
+    run takes its quadrature from the schedule, the others from the
+    ``quadrature`` settings."""
     model = cfg.build_model()
     structure = cfg.build_structure()
-    kappa = float(cfg.quadrature.get("kappa", 8.0))
-    q_nodes = int(cfg.quadrature.get("q_nodes", 12))
-    quad = build_quadrature(model, kappa, q_nodes)
-    ensemble = simulate_forward(
-        model, quad, cfg.ensemble.get("dynamics", "brownian_jumps"),
-        cfg.time_grid(), int(cfg.ensemble["n_paths"]), cfg.seed,
-        x0=float(cfg.ensemble.get("x0", 0.0)),
-        jump_impact=cfg.ensemble.get("jump_impact", "unit"),
-        d=int(cfg.ensemble.get("d", 1)))
-    return structure, quad, ensemble
+    q_nodes = cfg.quadrature["q_nodes"]
+    quad = (ladder_quadrature(model, cfg.schedule["triples"], q_nodes)
+            if cfg.experiment == "scheme"
+            else build_quadrature(model, cfg.quadrature["kappa"], q_nodes))
+    ens = cfg.ensemble
+    ensemble = simulate_forward(model, quad, ens["dynamics"], cfg.time_grid(),
+                                ens["n_paths"], ens["seed"], x0=ens["x0"],
+                                jump_impact=ens["jump_impact"], d=ens["d"])
+    return structure, ensemble
 
 
 def _solve(cfg: ExperimentConfig):
     """Simulate the configured ensemble, solve the BSDE on it with the
     ``solver`` settings, and decompose the solution."""
-    structure, quad, ensemble = _build_setting(cfg)
+    structure, ensemble = _build_setting(cfg)
+    quad = ensemble.quad
     view = cfg.build_driver(structure).at_quadrature(
         quad, quad.zeta_at(ensemble.model, 0.0))
     solution = solve_lipschitz(view, cfg.terminal_fn(), ensemble,
-                               basis_degree=int(cfg.solver.get("basis_degree", 3)),
-                               picard_max=int(cfg.solver.get("picard_max", 50)),
-                               picard_tol=float(cfg.solver.get("picard_tol", 1e-10)))
-    return structure, quad, ensemble, solution, decompose(solution, ensemble)
+                               cfg.solver["basis_degree"],
+                               cfg.solver["picard_max"], cfg.solver["picard_tol"])
+    return structure, ensemble, solution, decompose(solution, ensemble)
 
 
 def _audit_checks(suffix: str, corridor, apriori, submart) -> list[CheckResult]:
@@ -143,7 +145,7 @@ def _jump_rows(ensemble):
 
 
 def run_solve(cfg: ExperimentConfig, out_dir: Path):
-    _, quad, ensemble, solution, dec = _solve(cfg)
+    _, ensemble, solution, dec = _solve(cfg)
     recon = float(np.max(np.abs(solution.y - (solution.y[:, :1]
                                               - dec.v + dec.m_total))))
     checks = [CheckResult("terminal_match",
@@ -156,34 +158,25 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path):
                          s2_norm=solution.s2_norm(),
                          max_condition=float(solution.cond_numbers.max()),
                          max_picard=int(solution.picard_iterations.max()),
-                         jump_mass=quad.total_mass,
+                         jump_mass=ensemble.quad.total_mass,
                          jump_mass_reference=truncated_mass_reference(
-                             ensemble.model, quad.kappa))]
+                             ensemble.model, ensemble.quad.kappa))]
     write_csv(out_dir / "solution_summary.csv", summary_rows)
-    export_paths = int(cfg.solver.get("export_paths", 50))
     write_csv(out_dir / "solution_paths.csv",
-              _solution_rows(solution, ensemble, export_paths))
+              _solution_rows(solution, ensemble, cfg.solver["export_paths"]))
     artifacts = ["solution_summary.csv", "solution_paths.csv"]
-    if cfg.solver.get("export_jumps", False):
+    if cfg.solver["export_jumps"]:
         write_csv(out_dir / "jump_table.csv", _jump_rows(ensemble))
         artifacts.append("jump_table.csv")
     return checks, artifacts
 
 
 def run_scheme(cfg: ExperimentConfig, out_dir: Path):
-    model = cfg.build_model()
-    structure = cfg.build_structure()
-    schedule = cfg.build_schedule()
-    driver = cfg.build_driver(structure)
+    structure, ensemble = _build_setting(cfg)
     result = run_triple_scheme(
-        driver, cfg.terminal_fn(), model, schedule,
-        t_end=float(cfg.grid["t_end"]), k_steps=int(cfg.grid["k_steps"]),
-        n_paths=int(cfg.ensemble["n_paths"]),
-        q_nodes=int(cfg.quadrature.get("q_nodes", 12)),
-        dynamics=cfg.ensemble.get("dynamics", "brownian_jumps"),
-        x0=float(cfg.ensemble.get("x0", 0.0)),
-        jump_impact=cfg.ensemble.get("jump_impact", "unit"),
-        basis_degree=int(cfg.solver.get("basis_degree", 3)))
+        cfg.build_driver(structure), cfg.terminal_fn(), ensemble,
+        cfg.schedule["triples"], cfg.solver["basis_degree"],
+        cfg.solver["picard_max"], cfg.solver["picard_tol"])
     rep = result.report
     write_csv(out_dir / "convergence_report.csv", rep.rows())
     checks = [CheckResult("y0_monotone", rep.monotone_y0,
@@ -210,9 +203,9 @@ def run_scheme(cfg: ExperimentConfig, out_dir: Path):
 
 
 def run_audit(cfg: ExperimentConfig, out_dir: Path):
-    structure, quad, ensemble, solution, dec = _solve(cfg)
+    structure, ensemble, solution, dec = _solve(cfg)
     corridor, apriori, submart = audit_solution(solution, dec, ensemble,
-                                                structure, quad)
+                                                structure, ensemble.quad)
     rows = [dict(corridor_violation=corridor.violation_fraction,
                  submartingale_fraction=submart.fraction_below,
                  apriori_lhs=apriori.lhs, apriori_rhs=apriori.rhs,
@@ -222,22 +215,19 @@ def run_audit(cfg: ExperimentConfig, out_dir: Path):
 
 
 def run_risk(cfg: ExperimentConfig, out_dir: Path):
-    structure, _, ensemble = _build_setting(cfg)
+    structure, ensemble = _build_setting(cfg)
     xi = cfg.terminal_fn()(ensemble.state[:, -1])
-    times = cfg.risk.get("times", [0])
     rows = []
-    for k in times:
+    for k in cfg.risk["times"]:
         for direction in ("upper", "lower"):
-            est = entropic(ensemble, xi, int(k), direction,
-                           int(cfg.solver.get("basis_degree", 3)))
-            rows.append(dict(t=float(ensemble.time_grid[int(k)]),
+            est = entropic(ensemble, xi, k, direction, cfg.solver["basis_degree"])
+            rows.append(dict(t=float(ensemble.time_grid[k]),
                              direction=direction, value=est.value,
                              stderr=est.stderr,
                              heavy_tail=int(est.heavy_tail_warning)))
     write_csv(out_dir / "risk_table.csv", rows)
-    gammas = [float(g) for g in cfg.risk.get("gammas", [1.0, 2.0])]
     moment_rows = exponential_moment_check(xi, structure, ensemble.time_grid,
-                                           gammas)
+                                           cfg.risk["gammas"])
     write_csv(out_dir / "moment_table.csv",
               [dict(gamma=r.gamma, mean=r.mean, half_mean=r.half_mean,
                     stable=int(r.stable)) for r in moment_rows])

@@ -1,7 +1,8 @@
 """Triple-indexed approximation ladder with shared randomness.
 
-One master ensemble is simulated at the finest truncation level in the
-schedule; every triple ``(n, m, kappa)`` is then solved on that ensemble with
+One master ensemble is simulated on the quadrature of
+:func:`ladder_quadrature`, at the finest truncation level in the schedule;
+every triple ``(n, m, kappa)`` is then solved on that ensemble with
 the generator regularized at ``(n, m)`` and its jump integral restricted to
 marks ``|e| >= 1/kappa``.  Keeping the noise, the filtration, and the terminal
 payoff fixed across triples makes the comparison-theorem ordering a pathwise
@@ -18,13 +19,13 @@ import numpy as np
 
 from .drivers import Driver, StructureParams, regularize
 from .levy import LevyModel, MarkQuadrature, build_quadrature, nu_norm
-from .risk import AprioriReport, apriori_bound_check
+from .risk import AprioriReport, apriori_bound_check, terminal_bound_payoff
 from .semimartingale import (QStructureReport, SubmartingaleReport,
                              check_q_structure, exponential_transform,
                              pairwise_gap, stability_diagnostics,
                              submartingale_test)
 from .solver import (BsdejSolution, Decomposition, PathEnsemble, Regression,
-                     decompose, simulate_forward, solve_lipschitz)
+                     decompose, solve_lipschitz)
 
 
 class UnlinkedComparisonError(ValueError):
@@ -48,7 +49,6 @@ class Schedule:
     """Ordered regularization triples with component-wise monotone indices."""
 
     triples: tuple
-    shared_seed: int
 
     def __post_init__(self):
         triples = tuple(tuple(int(v) for v in t) for t in self.triples)
@@ -133,10 +133,18 @@ class ConvergenceReport:
 
 @dataclass
 class SchemeResult:
-    ensemble: PathEnsemble
-    quad: MarkQuadrature
-    solutions: list[BsdejSolution]
+    solutions: list[BsdejSolution | None]
     report: ConvergenceReport
+
+
+def ladder_quadrature(model: LevyModel, schedule: Schedule,
+                      q_nodes: int) -> MarkQuadrature:
+    """Master quadrature of a ladder: truncated at the schedule's largest
+    ``kappa``, with every scheduled cut ``1/kappa`` forced into the cell
+    edges so that each triple's truncation restricts exactly."""
+    kappas = sorted({float(t[2]) for t in schedule.triples})
+    return build_quadrature(model, schedule.kappa_max, q_nodes,
+                            cut_levels=[1.0 / k for k in kappas])
 
 
 def tau_l_localization(ensemble: PathEnsemble, params: StructureParams,
@@ -147,13 +155,7 @@ def tau_l_localization(ensemble: PathEnsemble, params: StructureParams,
 
     Nondecreasing in ``level`` pathwise.
     """
-    time_grid = ensemble.time_grid
-    t_end = float(time_grid[-1])
-    run = sum(math.exp(params.C(float(time_grid[j]))) * params.l(float(time_grid[j]))
-              * float(time_grid[j + 1] - time_grid[j])
-              for j in range(time_grid.size - 1))
-    target = np.exp(math.exp(params.c_between(0.0, t_end))
-                    * np.abs(np.asarray(xi, dtype=float)) + run)
+    target = np.exp(terminal_bound_payoff(xi, params, ensemble.time_grid, 0))
     n = target.size
     stop = np.full(n, ensemble.n_steps, dtype=int)
     done = np.zeros(n, dtype=bool)
@@ -290,46 +292,38 @@ def audit_solution(sol: BsdejSolution, dec: Decomposition, ensemble: PathEnsembl
     return corridor, apriori, submart
 
 
-def run_triple_scheme(base: Driver, terminal_fn: Callable, model: LevyModel,
-                      schedule: Schedule, t_end: float = 1.0, k_steps: int = 40,
-                      n_paths: int = 20000, q_nodes: int = 12,
-                      dynamics: str = "brownian_jumps", x0: float = 0.0,
-                      jump_impact: str = "unit", basis_degree: int = 3) -> SchemeResult:
-    """Run the full approximation ladder on shared randomness.
+def run_triple_scheme(base: Driver, terminal_fn: Callable,
+                      ensemble: PathEnsemble, schedule: Schedule,
+                      basis_degree: int, picard_max: int,
+                      picard_tol: float) -> SchemeResult:
+    """Run the full approximation ladder on one shared ensemble.
 
-    The master quadrature is built at the finest scheduled truncation with
-    cell edges aligned to every coarser cut, the ensemble is simulated once,
-    and each triple is regularized, solved, decomposed, and audited.  A
-    failing triple is recorded with its error message rather than aborting
-    the ladder.
+    The ensemble's quadrature must come from :func:`ladder_quadrature` for
+    ``schedule``.  Each triple is regularized, solved with the given solver
+    settings, decomposed, and audited.  A failing triple is recorded with
+    its error message rather than aborting the ladder.
     """
-    kappas = sorted({float(t[2]) for t in schedule.triples})
-    quad = build_quadrature(model, schedule.kappa_max, q_nodes,
-                            cut_levels=[1.0 / k for k in kappas])
-    time_grid = np.linspace(0.0, t_end, k_steps + 1)
-    ensemble = simulate_forward(model, quad, dynamics, time_grid, n_paths,
-                                schedule.shared_seed, x0=x0,
-                                jump_impact=jump_impact)
+    quad = ensemble.quad
     params = base.params
+    zeta0 = quad.zeta_at(ensemble.model, 0.0)
 
     solutions: list[BsdejSolution | None] = []
     decs: list[Decomposition | None] = []
     records: list[TripleRecord] = []
     for (n_idx, m_idx, kappa) in schedule.triples:
-        zeta0 = quad.zeta_at(model, 0.0)
         node_idx = quad.restrict_indices(float(kappa))
         record = TripleRecord(n_idx, m_idx, float(kappa), math.nan, math.nan,
                               float((quad.weights * zeta0)[node_idx].sum()))
+        records.append(record)
         try:
             reg = regularize(base, n_idx, m_idx, quad, node_idx, zeta0)
-            sol = solve_lipschitz(reg, terminal_fn, ensemble,
-                                  basis_degree=basis_degree)
+            sol = solve_lipschitz(reg, terminal_fn, ensemble, basis_degree,
+                                  picard_max, picard_tol)
             dec = decompose(sol, ensemble)
         except Exception as exc:  # a failed triple is data, not a crash
             record.error = f"{type(exc).__name__}: {exc}"
             solutions.append(None)
             decs.append(None)
-            records.append(record)
             continue
         record.y0 = sol.y0
         record.y0_se = sol.y0_se
@@ -339,7 +333,6 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable, model: LevyModel,
         record.corridor, record.apriori, record.submartingale = audit_solution(
             sol, dec, ensemble, params, quad)
         record.sq_bound = record.apriori.rhs
-        records.append(record)
 
     solved = [s for s in solutions if s is not None]
     solved_decs = [d for d in decs if d is not None]
@@ -370,19 +363,17 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable, model: LevyModel,
         monotone_y0 = all(b >= a - 3.0 * math.hypot(x.y0_se, y.y0_se)
                           for (a, b), (x, y) in zip(zip(y0s, y0s[1:]),
                                                     zip(solved, solved[1:])))
-        strict = [g for g in gaps[:-1]]
-        gaps_decreasing = all(strict[i] > strict[i + 1]
-                              for i in range(len(strict) - 1)) if len(strict) > 1 else True
+        # the proxy's own gap is zero by construction and stays out
+        gaps_decreasing = all(a > b for a, b in zip(gaps[:-2], gaps[1:-1]))
         # stability measured against the limit proxy (the H1 distance to the
         # last triple shrinks along the ladder; consecutive increments need
         # not, since truncation mass increments can grow with kappa)
         h1s = [r.h1_gap_proxy for r in solved_records[:-1]
                if not math.isnan(r.h1_gap_proxy)]
-        stability_decreasing = all(h1s[i] > h1s[i + 1]
-                                   for i in range(len(h1s) - 1)) if len(h1s) > 1 else True
+        stability_decreasing = all(a > b for a, b in zip(h1s, h1s[1:]))
     else:
         comparison, gaps = [], []
         monotone_y0 = gaps_decreasing = stability_decreasing = False
     report = ConvergenceReport(records, monotone_y0, comparison, gaps,
                                gaps_decreasing, stability_decreasing)
-    return SchemeResult(ensemble, quad, solutions, report)
+    return SchemeResult(solutions, report)

@@ -220,20 +220,9 @@ class StabilityRecord:
 def stability_diagnostics(decs: Sequence[Decomposition]) -> list[StabilityRecord]:
     """Pairwise gaps between consecutive decompositions (all on a shared
     ensemble)."""
-    if not decs:
-        return []
-    fp = decs[0].ensemble_fingerprint
-    records = []
-    for i, dec in enumerate(decs):
-        if dec.ensemble_fingerprint != fp:
-            raise EnsembleMismatchError("stability inputs live on different ensembles")
-        if i == 0:
-            h1, vstar = math.nan, math.nan
-        else:
-            dm = np.diff(dec.m_total - decs[i - 1].m_total, axis=1)
-            h1 = float(np.sqrt((dm ** 2).sum(axis=1)).mean())
-            vstar = float(np.abs(dec.v - decs[i - 1].v).max(axis=1).mean())
-        records.append(StabilityRecord(h1, vstar))
+    records = [StabilityRecord(math.nan, math.nan)] if decs else []
+    for prev, dec in zip(decs, decs[1:]):
+        records.append(StabilityRecord(*pairwise_gap(dec, prev)))
     return records
 
 

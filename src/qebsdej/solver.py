@@ -236,7 +236,7 @@ class BsdejSolution:
     cond_numbers: np.ndarray
     ensemble_fingerprint: object
     picard_iterations: np.ndarray
-    u_clip: np.ndarray | None = None
+    u_clip: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -254,10 +254,7 @@ class BsdejSolution:
         """Jump loading field at step ``k``, shape (n_paths, Q)."""
         self.check_ensemble(ensemble)
         design = self.feature_maps[k].matrix(ensemble.state[:, k])
-        vals = design @ self.u_coeffs[k]
-        if self.u_clip is not None:
-            vals = np.clip(vals, -self.u_clip[k], self.u_clip[k])
-        return vals
+        return np.clip(design @ self.u_coeffs[k], -self.u_clip[k], self.u_clip[k])
 
     def regression_se(self, k: int) -> float:
         """Propagated regression standard error of the time-``t_k`` values:
@@ -391,7 +388,7 @@ class Decomposition:
     ``m_total`` makes the identity exact by construction; ``m_c`` (Brownian
     loading sums) and ``m_d`` (compensated jump sums) are its estimated
     components and differ from ``m_total`` by the regression residual
-    martingale ``m_resid``.
+    martingale.
     """
 
     v: np.ndarray
@@ -399,10 +396,6 @@ class Decomposition:
     m_c: np.ndarray
     m_d: np.ndarray
     ensemble_fingerprint: object
-
-    @property
-    def m_resid(self) -> np.ndarray:
-        return self.m_total - self.m_c - self.m_d
 
     def dv(self) -> np.ndarray:
         return np.diff(self.v, axis=1)

@@ -18,7 +18,7 @@ from qebsdej.drivers import (Driver, inf_convolve, lipschitz_estimate,
                              regularize, structure_bounds, sup_convolve)
 from qebsdej.oracles import huber_envelope_exact
 from qebsdej.risk import apriori_bound_check, entropic, exponential_moment_check
-from qebsdej.scheme import Schedule, run_triple_scheme
+from qebsdej.scheme import Schedule, ladder_quadrature, run_triple_scheme
 from qebsdej.semimartingale import (canonical_paths, doleans_check,
                                     exponential_transform, garsia_neveu_probe,
                                     submartingale_test)
@@ -82,12 +82,14 @@ def canonical_ladder(gamma_setting):
     t0 = time.time()
     params = q.StructureParams.from_constants(1.0)
     base = q.make_driver("canonical", params)
-    schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)), shared_seed=2024)
-    result = run_triple_scheme(base, lambda x: np.abs(0.25 * x), model,
-                               schedule, t_end=1.0, k_steps=40,
-                               n_paths=30000, q_nodes=12)
+    schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
+    ens = simulate_forward(model, ladder_quadrature(model, schedule, 12),
+                           "brownian_jumps", np.linspace(0.0, 1.0, 41), 30000,
+                           seed=2024)
+    result = run_triple_scheme(base, lambda x: np.abs(0.25 * x), ens, schedule,
+                               basis_degree=3, picard_max=50, picard_tol=1e-10)
     _record("canonical_ladder", time.time() - t0)
-    return result
+    return ens, result
 
 
 def test_criterion_01_martingale_representation():
@@ -159,7 +161,7 @@ def test_criterion_04_doleans_means(gamma_setting):
 
 
 def test_criterion_05_structure_corridor(canonical_ladder):
-    records = canonical_ladder.report.records
+    records = canonical_ladder[1].report.records
     fracs = [r.corridor.violation_fraction for r in records]
     ok = all(f < 0.01 for f in fracs)
     _report(5, ok, "corridor violation fractions "
@@ -167,7 +169,7 @@ def test_criterion_05_structure_corridor(canonical_ladder):
 
 
 def test_criterion_06_comparison_monotonicity(canonical_ladder):
-    fracs = canonical_ladder.report.comparison_violations
+    fracs = canonical_ladder[1].report.comparison_violations
     ok = len(fracs) == 2 and all(f < 0.01 for f in fracs)
     _report(6, ok, "link violation fractions "
                    + ", ".join(f"{f:.4f}" for f in fracs) + " (tol 0.01)")
@@ -181,7 +183,7 @@ def test_criterion_07_apriori_bound(canonical_signed, canonical_magnitude,
     rep_tight = apriori_bound_check(sol_m, params_m, ens_m, 0)
     gap = abs(rep_tight.rhs - rep_tight.lhs)
     tight_tol = 3.0 * math.hypot(rep_tight.rhs_se, sol_m.y0_se)
-    ladder_ok = all(r.apriori.ok for r in canonical_ladder.report.records)
+    ladder_ok = all(r.apriori.ok for r in canonical_ladder[1].report.records)
     ok = rep_signed.ok and rep_tight.ok and gap <= tight_tol and ladder_ok
     _report(7, ok, f"signed ok={rep_signed.ok}, ladder ok={ladder_ok}, "
                    f"tight gap {gap:.5f} (tol {tight_tol:.5f})")
@@ -273,12 +275,12 @@ def test_criterion_08_regularization_suite(gamma_setting):
 
 
 def test_criterion_09_truncation_convergence(canonical_ladder):
-    rep = canonical_ladder.report
+    ens, result = canonical_ladder
+    rep = result.report
     gaps = rep.gaps_to_proxy
     stab = [r.h1_gap_proxy for r in rep.records]
     cheb_ok = True
-    n_cells = (canonical_ladder.ensemble.n_paths
-               * canonical_ladder.ensemble.n_steps)
+    n_cells = ens.n_paths * ens.n_steps
     for r in rep.records:
         se = math.sqrt(max(r.region_fraction * (1 - r.region_fraction), 0.0)
                        / n_cells)
@@ -301,7 +303,7 @@ def test_criterion_10_submartingale_property(canonical_signed,
                                  ens.n_steps // 2)
         verdicts.append(rep.verdict)
     verdicts += [r.submartingale.verdict
-                 for r in canonical_ladder.report.records]
+                 for r in canonical_ladder[1].report.records]
     # the test of the test: a strictly shrinking deterministic path must fail
     params, ens, _ = canonical_signed
     y_dec = np.tile(np.linspace(2.0, 1.0, ens.n_steps + 1), (ens.n_paths, 1))

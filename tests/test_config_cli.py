@@ -5,11 +5,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qebsdej
 from qebsdej.cli import main
-from qebsdej.config import ConfigError, load_config, validate_config
+from qebsdej.config import (SETTINGS, TERMINALS, TOP_LEVEL_KEYS, ConfigError,
+                            load_config, validate_config)
 from qebsdej.runner import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK)
+from qebsdej.solver import DYNAMICS, JUMP_IMPACTS
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
 
 
 def write_config(tmp_path: Path, name: str, payload: dict) -> str:
@@ -98,6 +104,55 @@ def test_grid_validation():
         validate_config(payload)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+TABLE_KEYS = [(section, key) for section, table in SETTINGS.items()
+              for key in table]
+NOT_A_NUMBER = st.text().filter(
+    lambda s: not _is_number(s) and s not in {*DYNAMICS, *JUMP_IMPACTS, *TERMINALS})
+
+
+@pytest.mark.parametrize("section,key", TABLE_KEYS,
+                         ids=[f"{s}.{k}" for s, k in TABLE_KEYS])
+@settings(max_examples=25, deadline=None)
+@given(text=NOT_A_NUMBER, offset=st.integers(min_value=1, max_value=10**6))
+def test_bad_setting_is_refused(section, key, text, offset):
+    # a non-numeric string, and a value below the key's bound, for every key
+    setting = SETTINGS[section][key]
+    bad = [text]
+    if setting.least is not None:
+        below = setting.least - offset + (1 if setting.strict else 0)
+        bad.append([below] if isinstance(setting.default, list) else below)
+    for value in bad:
+        payload = solve_payload()
+        payload.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            validate_config(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(section=st.sampled_from([None, *SETTINGS]), key=st.text())
+def test_extra_key_is_refused(section, key):
+    payload = solve_payload()
+    target = payload if section is None else payload.setdefault(section, {})
+    if key in (TOP_LEVEL_KEYS if section is None else SETTINGS[section]):
+        return
+    target[key] = 1.0
+    with pytest.raises(ConfigError, match="unknown key"):
+        validate_config(payload)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_config_validates(path):
+    assert main(["validate", str(path)]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # CLI verbs and exit codes
 # ---------------------------------------------------------------------------
@@ -155,13 +210,17 @@ def _ensemble(**fields):
     dict(solver={"picard_max": "lots"}),
     dict(solver={"export_paths": "all"}),
     dict(experiment="risk", risk={"times": [0], "gammas": ["one"]}),
+    dict(comment="a key nothing reads"),
+    _ensemble(paths=2000),
+    dict(solver={"picard_tolerance": 1e-8}),
 ], ids=["n_paths_not_a_number", "misspelled_model_parameter", "zero_delta",
         "risk_without_time_zero", "risk_time_beyond_grid",
         "risk_time_not_a_step", "x0_not_a_number", "d_not_a_number",
         "unknown_jump_impact", "no_brownian_dimension",
         "q_nodes_not_a_number", "one_quadrature_cell",
         "basis_degree_not_a_number", "picard_max_not_a_number",
-        "export_paths_not_a_number", "gamma_not_a_number"])
+        "export_paths_not_a_number", "gamma_not_a_number",
+        "unknown_top_level_key", "unknown_ensemble_key", "unknown_solver_key"])
 def test_bad_config_exits_2(tmp_path, overrides):
     cfg = write_config(tmp_path, "bad.json", solve_payload(**overrides))
     out = tmp_path / "nothing"
@@ -326,6 +385,29 @@ def test_audit_honours_picard_settings(tmp_path):
         out = tmp_path / f"picard{tol}"
         main(["run", cfg, "--out", str(out)])
         reports.append((out / "audit_report.csv").read_text())
+    assert reports[0] != reports[1]
+
+
+def _linear_scheme_report(tmp_path, tag, solver=(), d=1):
+    payload = scheme_payload()
+    payload["driver"] = {"name": "linear", "a": 0.5}
+    payload["ensemble"]["d"] = d
+    payload["solver"] = dict(solver)
+    cfg = write_config(tmp_path, f"{tag}.json", payload)
+    out = tmp_path / tag
+    main(["run", cfg, "--out", str(out)])
+    return (out / "convergence_report.csv").read_text()
+
+
+def test_scheme_honours_picard_settings(tmp_path):
+    reports = [_linear_scheme_report(tmp_path, f"picard{tol}",
+                                     solver={"picard_tol": tol})
+               for tol in (1e-10, 1.0)]
+    assert reports[0] != reports[1]
+
+
+def test_scheme_honours_brownian_dimension(tmp_path):
+    reports = [_linear_scheme_report(tmp_path, f"d{d}", d=d) for d in (1, 2)]
     assert reports[0] != reports[1]
 
 

@@ -282,8 +282,7 @@ def test_y_dependent_nonnegative_driver_is_regularized_jointly(gamma_quad):
     def f_hat(t, y, z):
         return base.f_hat(t, y, z) + np.abs(np.asarray(y, dtype=float))
 
-    drv = Driver("abs_y", f_hat, base.g, p, nonnegative=True,
-                 depends_on_y=True, lip_y=1.0)
+    drv = Driver("abs_y", f_hat, base.g, p, nonnegative=True, lip_y=1.0)
     assert regularize(drv, 4, 4, gamma_quad).strategy == "generic"
     with pytest.raises(NotRegularizableError):
         regularize(drv, 4, 4, gamma_quad, strategy="nonnegative")

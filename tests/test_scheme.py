@@ -3,19 +3,31 @@ import pytest
 
 import qebsdej as q
 from qebsdej.scheme import (Schedule, UnlinkedComparisonError, default_c_split,
-                            driver_l1_gap, monotonicity_check,
+                            driver_l1_gap, ladder_quadrature, monotonicity_check,
                             run_triple_scheme, tau_l_localization)
 from qebsdej.solver import decompose, simulate_forward, solve_lipschitz
+
+
+def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
+               q_nodes, jump_impact="unit"):
+    """The ladder on a fresh ensemble over [0, 1]: the ensemble and the
+    scheme result."""
+    quad = ladder_quadrature(model, schedule, q_nodes)
+    ens = simulate_forward(model, quad, "brownian_jumps",
+                           np.linspace(0.0, 1.0, k_steps + 1), n_paths, seed,
+                           jump_impact=jump_impact)
+    return ens, run_triple_scheme(base, terminal_fn, ens, schedule,
+                                  basis_degree=3, picard_max=50,
+                                  picard_tol=1e-10)
 
 
 @pytest.fixture(scope="module")
 def mini_scheme(gamma_model):
     params = q.StructureParams.from_constants(1.0)
     base = q.make_driver("canonical", params)
-    schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)), shared_seed=314)
-    return run_triple_scheme(base, lambda x: np.abs(0.25 * x), gamma_model,
-                             schedule, t_end=1.0, k_steps=25, n_paths=8000,
-                             q_nodes=10)
+    schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
+    return run_ladder(base, lambda x: np.abs(0.25 * x), gamma_model, schedule,
+                      seed=314, k_steps=25, n_paths=8000, q_nodes=10)
 
 
 # ---------------------------------------------------------------------------
@@ -24,12 +36,12 @@ def mini_scheme(gamma_model):
 
 def test_schedule_validation():
     with pytest.raises(ValueError, match="at least one"):
-        Schedule((), shared_seed=1)
+        Schedule(())
     with pytest.raises(ValueError, match="nondecreasing"):
-        Schedule(((2, 2, 2), (1, 2, 2)), shared_seed=1)
+        Schedule(((2, 2, 2), (1, 2, 2)))
     with pytest.raises(ValueError, match="three indices"):
-        Schedule(((2, 2), (2, 2)), shared_seed=1)
-    sched = Schedule(((1, 1, 2), (2, 1, 2), (2, 2, 4)), shared_seed=1)
+        Schedule(((2, 2), (2, 2)))
+    sched = Schedule(((1, 1, 2), (2, 1, 2), (2, 2, 4)))
     links = sched.links()
     assert links[0]["changed"] == ("n",)
     assert links[1]["changed"] == ("m", "kappa")
@@ -41,12 +53,11 @@ def test_degenerate_single_triple_equals_plain_solve(gamma_model):
     # the one-triple ladder reproduces a direct solve on the same ensemble
     params = q.StructureParams.from_constants(1.0, 1.0, 1.0)
     base = q.make_driver("linear", params, a=0.4, b=0.2)
-    schedule = Schedule(((4, 4, 4),), shared_seed=55)
-    result = run_triple_scheme(base, lambda x: x, gamma_model, schedule,
-                               t_end=1.0, k_steps=10, n_paths=2000, q_nodes=8)
-    view = base.at_quadrature(result.quad,
-                              result.quad.zeta_at(gamma_model, 0.0))
-    direct = solve_lipschitz(view, lambda x: x, result.ensemble)
+    schedule = Schedule(((4, 4, 4),))
+    ens, result = run_ladder(base, lambda x: x, gamma_model, schedule,
+                             seed=55, k_steps=10, n_paths=2000, q_nodes=8)
+    view = base.at_quadrature(ens.quad, ens.quad.zeta_at(gamma_model, 0.0))
+    direct = solve_lipschitz(view, lambda x: x, ens)
     assert result.solutions[0].y0 == pytest.approx(direct.y0, abs=1e-12)
     assert np.allclose(result.solutions[0].y, direct.y, atol=1e-12)
 
@@ -61,18 +72,18 @@ def test_lipschitz_driver_ladder_matches_closed_form(gamma_model):
     from qebsdej.oracles import girsanov_tilt_exact
     params = q.StructureParams.from_constants(1.0, 1.0, 0.0)
     base = q.make_driver("linear", params, a=0.0, b=0.3)
-    schedule = Schedule(((1, 1, 2), (2, 2, 4), (4, 4, 8)), shared_seed=66)
-    res = run_triple_scheme(base, lambda x: x, gamma_model, schedule,
-                            t_end=1.0, k_steps=20, n_paths=20000, q_nodes=8)
+    schedule = Schedule(((1, 1, 2), (2, 2, 4), (4, 4, 8)))
+    ens, res = run_ladder(base, lambda x: x, gamma_model, schedule, seed=66,
+                          k_steps=20, n_paths=20000, q_nodes=8)
     y0s = [s.y0 for s in res.solutions]
     assert y0s[0] == pytest.approx(y0s[1], abs=1e-12)
     assert y0s[1] == pytest.approx(y0s[2], abs=1e-12)
-    exact = girsanov_tilt_exact(0.3, 0.0, res.quad.total_mass, 1.0)
+    exact = girsanov_tilt_exact(0.3, 0.0, ens.quad.total_mass, 1.0)
     assert abs(y0s[0] - exact) <= 3.0 * res.solutions[0].y0_se
 
 
 def test_ladder_monotone_and_clean(mini_scheme):
-    rep = mini_scheme.report
+    rep = mini_scheme[1].report
     y0s = [r.y0 for r in rep.records]
     assert y0s[0] < y0s[1] < y0s[2]
     assert rep.monotone_y0
@@ -83,7 +94,7 @@ def test_ladder_monotone_and_clean(mini_scheme):
 
 
 def test_ladder_gaps_decrease(mini_scheme):
-    rep = mini_scheme.report
+    rep = mini_scheme[1].report
     gaps = rep.gaps_to_proxy
     assert gaps[0] > gaps[1] > gaps[2] == 0.0
     assert rep.gaps_decreasing
@@ -93,12 +104,12 @@ def test_ladder_gaps_decrease(mini_scheme):
 
 
 def test_ladder_chebyshev_region_mass(mini_scheme):
-    for rec in mini_scheme.report.records:
+    for rec in mini_scheme[1].report.records:
         assert rec.region_fraction <= rec.chebyshev_bound + 0.01
 
 
 def test_report_rows_roundtrip(mini_scheme):
-    rows = mini_scheme.report.rows()
+    rows = mini_scheme[1].report.rows()
     assert len(rows) == 3
     assert rows[0]["kappa"] == 2.0
     assert all(not row["error"] for row in rows)
@@ -164,9 +175,8 @@ def test_tau_interior_and_monotone(small_ensemble):
 
 
 def test_localized_statistics_approach_full_horizon(mini_scheme):
-    sol = mini_scheme.solutions[0]
-    proxy = mini_scheme.solutions[-1]
-    ens, quad = mini_scheme.ensemble, mini_scheme.quad
+    ens, result = mini_scheme
+    sol, proxy, quad = result.solutions[0], result.solutions[-1], ens.quad
     params = q.StructureParams.from_constants(1.0)
     c_split = default_c_split(proxy, ens, quad)
     full = driver_l1_gap(sol, proxy, ens, quad, c_split)
@@ -186,16 +196,17 @@ def test_localized_statistics_approach_full_horizon(mini_scheme):
 # ---------------------------------------------------------------------------
 
 def test_identical_solutions_zero_gap(mini_scheme):
-    proxy = mini_scheme.solutions[-1]
-    rep = driver_l1_gap(proxy, proxy, mini_scheme.ensemble, mini_scheme.quad,
-                        c_split=5.0)
+    ens, result = mini_scheme
+    proxy = result.solutions[-1]
+    rep = driver_l1_gap(proxy, proxy, ens, ens.quad, c_split=5.0)
     assert rep.a1 == 0.0 and rep.a2 == 0.0
 
 
 def test_gap_split_validation(mini_scheme):
+    ens, result = mini_scheme
     with pytest.raises(ValueError, match="positive"):
-        driver_l1_gap(mini_scheme.solutions[0], mini_scheme.solutions[-1],
-                      mini_scheme.ensemble, mini_scheme.quad, c_split=0.0)
+        driver_l1_gap(result.solutions[0], result.solutions[-1], ens,
+                      ens.quad, c_split=0.0)
 
 
 def test_uniform_gap_shrinks_along_ladder(gamma_model):
@@ -203,10 +214,10 @@ def test_uniform_gap_shrinks_along_ladder(gamma_model):
     # small marks, so consecutive ladder gaps shrink uniformly in time
     params = q.StructureParams.from_constants(1.0)
     base = q.make_driver("canonical", params)
-    schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)), shared_seed=99)
-    res = run_triple_scheme(base, lambda x: np.abs(0.4 * x), gamma_model,
-                            schedule, t_end=1.0, k_steps=20, n_paths=6000,
-                            q_nodes=10, jump_impact="mark")
+    schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
+    _, res = run_ladder(base, lambda x: np.abs(0.4 * x), gamma_model, schedule,
+                        seed=99, k_steps=20, n_paths=6000, q_nodes=10,
+                        jump_impact="mark")
     sols = res.solutions
     gaps = []
     for a, b in zip(sols, sols[1:]):
