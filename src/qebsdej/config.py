@@ -1,9 +1,9 @@
 """Experiment configuration: JSON schema, parsing, and validation.
 
 Every run is fully determined by its configuration; in particular a seed is
-mandatory, so no experiment carries implicit randomness.  :data:`SETTINGS`
-lists every run setting with its parser, default and lower bound; model and
-driver parameters are checked by their factories.
+mandatory, so no experiment carries implicit randomness.  :data:`SETTINGS` and
+:data:`ORACLES` give each setting its parser, default and lower bound; model
+and driver parameters are checked by their factories.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import oracles
 from .drivers import Driver, StructureParams, make_driver
 from .levy import LevyModel, UnknownPresetError, make_model
 from .scheme import Schedule
@@ -73,7 +74,13 @@ def _list(item: Callable) -> Callable:
     return parse
 
 
-_int, _float = _number(int, "an integer"), _number(float, "a finite number")
+def _integral(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("fractional part")
+    return int(value)
+
+
+_int, _float = _number(_integral, "an integer"), _number(float, "a finite number")
 _flag = _accept(lambda value: type(value) is bool, "true or false")
 _step = _accept(lambda value: type(value) is int, "an integer step")
 
@@ -136,12 +143,33 @@ SETTINGS = {
     },
 }
 
+_SAMPLING = {"n_samples": Setting(_int, 200000, least=2),
+             "seed": Setting(_int, 0, least=0)}
+_HORIZON = {"t_end": Setting(_float, 1.0, least=0.0)}
+
+# oracle name -> (estimator in qebsdej.oracles, table of its parameters)
+ORACLES = {
+    "entropic_gaussian": (oracles.entropic_gaussian_mc, {
+        "sigma": Setting(_float, 1.0, least=0.0),
+        "direction": Setting(_choice(("upper", "lower")), "upper"), **_SAMPLING}),
+    "huber_envelope": (oracles.huber_envelope_value,
+                       {"n": Setting(_float, 2.0), "y": Setting(_float, 3.0)}),
+    "girsanov_tilt": (oracles.girsanov_tilt_mc, {
+        "b": Setting(_float, 0.0), "c_tilde": Setting(_float, 0.0, least=-1.0),
+        "mass": Setting(_float, 1.0, least=0.0), "x0": Setting(_float, 0.0),
+        "impact": Setting(_float, 1.0), **_HORIZON, **_SAMPLING}),
+    "brownian_doleans": (oracles.brownian_doleans_mc, {**_HORIZON, **_SAMPLING}),
+    "compound_poisson_doleans": (oracles.compound_poisson_doleans_mc, {
+        "u": Setting(_float, 0.3), "mass": Setting(_float, 2.0, least=0.0),
+        **_HORIZON, **_SAMPLING}),
+    "null_measure": (oracles.null_measure_oracle, {}),
+}
+
 TOP_LEVEL_KEYS = ("experiment", "model", "driver", "oracle", *SETTINGS)
 
 
-def _read_section(name: str, raw) -> dict:
-    """Parse one section against its table, filling in defaults."""
-    table = SETTINGS[name]
+def _read_section(name: str, table: dict, raw) -> dict:
+    """Parse section ``name`` against its table, filling in defaults."""
     for key in raw:
         if key not in table:
             raise ConfigError(f"{name}.{key}", f"unknown key; choose from {sorted(table)}")
@@ -236,11 +264,15 @@ def validate_config(data: dict) -> ExperimentConfig:
                            driver=data.get("driver", {}),
                            oracle=data.get("oracle", {}))
     if experiment == "oracle":
-        if "name" not in cfg.oracle:
-            raise ConfigError("oracle.name", "missing required field")
+        params = dict(cfg.oracle)
+        name = params.pop("name", None)
+        if not isinstance(name, str) or name not in ORACLES:
+            raise ConfigError("oracle.name", f"expected one of {sorted(ORACLES)}, "
+                              f"got {name!r}")
+        cfg.oracle = dict(name=name, **_read_section("oracle", ORACLES[name][1], params))
         return cfg
-    for name in SETTINGS:
-        setattr(cfg, name, _read_section(name, data.get(name, {})))
+    for name, table in SETTINGS.items():
+        setattr(cfg, name, _read_section(name, table, data.get(name, {})))
     if experiment == "scheme" and cfg.schedule["triples"] is None:
         raise ConfigError("schedule.triples", "missing required field")
     k_steps = cfg.grid["k_steps"]

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .levy import (ExponentOverflowError, EXP_CAP, MarkQuadrature,
+from .levy import (ExponentOverflowError, EXP_CAP, LevyModel, MarkQuadrature,
                    UnknownPresetError, j_functional)
 
 
@@ -76,103 +76,107 @@ class Driver:
     def depends_on_y(self) -> bool:
         return self.lip_y > 0
 
-    def jump_part(self, t: float, u, quad: MarkQuadrature,
-                  zeta: np.ndarray | None = None) -> np.ndarray:
-        wz = quad.weights if zeta is None else quad.weights * zeta
+    def jump_part(self, t: float, u, wz: np.ndarray) -> np.ndarray:
+        """``sum_i wz_i g(t, u_i)`` for the node intensity ``wz`` at ``t``."""
         gv = self.g(t, np.asarray(u, dtype=float))
         if not np.all(np.isfinite(gv)):
             raise ExponentOverflowError("jump integrand overflowed; reduce the field")
         return (gv * wz).sum(axis=-1)
 
-    def evaluate(self, t: float, y, z, u, quad: MarkQuadrature,
-                 zeta: np.ndarray | None = None) -> np.ndarray:
+    def evaluate(self, t: float, y, z, u, wz: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if z.ndim == y.ndim:
             z = z[..., None]
-        return self.f_hat(t, y, z) + self.jump_part(t, u, quad, zeta)
+        return self.f_hat(t, y, z) + self.jump_part(t, u, wz)
 
-    def at_quadrature(self, quad: MarkQuadrature,
-                      zeta: np.ndarray | None = None) -> "DriverView":
-        return DriverView(self, quad, zeta)
+    def at_quadrature(self, quad: MarkQuadrature, model: LevyModel) -> "DriverView":
+        return DriverView(self, quad, model)
 
 
 @dataclass
 class DriverView:
-    """A driver bound to a quadrature and its intensity modulation."""
+    """A driver bound to a quadrature and the jump measure that weighs its nodes."""
 
     driver: Driver
     quad: MarkQuadrature
-    zeta: np.ndarray | None = None
+    model: LevyModel
 
     @property
     def lip_y(self) -> float:
         return self.driver.lip_y
 
     def evaluate(self, t: float, y, z, u) -> np.ndarray:
-        return self.driver.evaluate(t, y, z, u, self.quad, self.zeta)
+        return self.driver.evaluate(t, y, z, u, self.quad.intensity(self.model, t))
 
 
-def make_driver(name: str, structure: StructureParams, **p) -> Driver:
-    """Driver presets.
-
-    canonical
-        ``(delta/2)|z|^2 + (1/delta) * j(delta u)``; nonnegative, no y term.
-    linear
-        ``a*y + b.z + c_tilde * int u dnu``; globally Lipschitz.
-    morlais
-        canonical minus ``beta * |y|``.
-    zero
-        the null generator.
-    """
+def _canonical(structure: StructureParams) -> Driver:
+    """``(delta/2)|z|^2 + (1/delta) * j(delta u)``; nonnegative, no y term."""
     delta = structure.delta
-    if name == "canonical":
-        def f_hat(t, y, z):
-            return 0.5 * delta * (np.asarray(z) ** 2).sum(axis=-1)
 
-        def g(t, v):
-            v = np.asarray(v, dtype=float)
-            dv = delta * v
-            if dv.size and float(np.max(dv)) > EXP_CAP:
-                raise ExponentOverflowError("exponent cap exceeded in jump integrand")
-            return (np.expm1(dv) - dv) / delta
+    def f_hat(t, y, z):
+        return 0.5 * delta * (np.asarray(z) ** 2).sum(axis=-1)
 
-        return Driver(name, f_hat, g, structure, nonnegative=True, lip_y=0.0)
-    if name == "linear":
-        a = float(p.get("a", 0.0))
-        b = float(p.get("b", 0.0))
-        c_tilde = float(p.get("c_tilde", 0.0))
-        if abs(c_tilde) >= 1.0:
-            raise ValueError("linear jump loading must satisfy |c_tilde| < 1")
+    def g(t, v):
+        v = np.asarray(v, dtype=float)
+        dv = delta * v
+        if dv.size and float(np.max(dv)) > EXP_CAP:
+            raise ExponentOverflowError("exponent cap exceeded in jump integrand")
+        return (np.expm1(dv) - dv) / delta
 
-        def f_hat(t, y, z):
-            return a * np.asarray(y, dtype=float) + b * np.asarray(z).sum(axis=-1)
+    return Driver("canonical", f_hat, g, structure, nonnegative=True, lip_y=0.0)
 
-        def g(t, v):
-            return c_tilde * np.asarray(v, dtype=float)
 
-        return Driver(name, f_hat, g, structure, nonnegative=False, lip_y=abs(a),
-                      lip_yz=max(abs(a), abs(b)),
-                      g_lip_factor=abs(c_tilde))
-    if name == "morlais":
-        beta = float(p.get("beta", 0.0))
-        base = make_driver("canonical", structure)
+def _linear(structure: StructureParams, a: float = 0.0, b: float = 0.0,
+            c_tilde: float = 0.0) -> Driver:
+    """``a*y + b.z + c_tilde * int u dnu``; globally Lipschitz."""
+    a, b, c_tilde = float(a), float(b), float(c_tilde)
+    if abs(c_tilde) >= 1.0:
+        raise ValueError("linear jump loading must satisfy |c_tilde| < 1")
 
-        def f_hat(t, y, z):
-            return base.f_hat(t, y, z) - beta * np.abs(np.asarray(y, dtype=float))
+    def f_hat(t, y, z):
+        return a * np.asarray(y, dtype=float) + b * np.asarray(z).sum(axis=-1)
 
-        return Driver(name, f_hat, base.g, structure, nonnegative=False,
-                      lip_y=beta)
-    if name == "zero":
-        def f_hat(t, y, z):
-            return np.zeros(np.broadcast(np.asarray(y), np.asarray(z).sum(axis=-1)).shape)
+    def g(t, v):
+        return c_tilde * np.asarray(v, dtype=float)
 
-        def g(t, v):
-            return np.zeros_like(np.asarray(v, dtype=float))
+    return Driver("linear", f_hat, g, structure, nonnegative=False, lip_y=abs(a),
+                  lip_yz=max(abs(a), abs(b)), g_lip_factor=abs(c_tilde))
 
-        return Driver(name, f_hat, g, structure, nonnegative=True, lip_y=0.0,
-                      lip_yz=0.0, g_lip_factor=0.0)
-    raise UnknownPresetError(f"unknown driver preset '{name}'")
+
+def _morlais(structure: StructureParams, beta: float = 0.0) -> Driver:
+    """The canonical generator minus ``beta * |y|``."""
+    beta = float(beta)
+    base = _canonical(structure)
+
+    def f_hat(t, y, z):
+        return base.f_hat(t, y, z) - beta * np.abs(np.asarray(y, dtype=float))
+
+    return Driver("morlais", f_hat, base.g, structure, nonnegative=False, lip_y=beta)
+
+
+def _zero(structure: StructureParams) -> Driver:
+    """The null generator."""
+    def f_hat(t, y, z):
+        return np.zeros(np.broadcast(np.asarray(y), np.asarray(z).sum(axis=-1)).shape)
+
+    def g(t, v):
+        return np.zeros_like(np.asarray(v, dtype=float))
+
+    return Driver("zero", f_hat, g, structure, nonnegative=True, lip_y=0.0,
+                  lip_yz=0.0, g_lip_factor=0.0)
+
+
+_DRIVER_FACTORIES = dict(canonical=_canonical, linear=_linear, morlais=_morlais, zero=_zero)
+
+
+def make_driver(name: str, structure: StructureParams, **params) -> Driver:
+    """Driver preset ``name`` with its keyword parameters; an unknown
+    parameter raises ``TypeError``."""
+    if name not in _DRIVER_FACTORIES:
+        raise UnknownPresetError(f"unknown driver preset '{name}'; "
+                                 f"choose from {sorted(_DRIVER_FACTORIES)}")
+    return _DRIVER_FACTORIES[name](structure, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +184,8 @@ def make_driver(name: str, structure: StructureParams, **p) -> Driver:
 # ---------------------------------------------------------------------------
 
 def structure_bounds(t: float, y, z, u, params: StructureParams,
-                     quad: MarkQuadrature, zeta: np.ndarray | None = None):
-    """Two-sided corridor ``(q_lower, q_upper)`` at a point.
+                     wz: np.ndarray):
+    """Two-sided corridor ``(q_lower, q_upper)`` at a point and intensity ``wz``.
 
     ``q_upper = (1/delta) j(delta u) + (delta/2)|z|^2 + l_t + c_t |y|`` and
     ``q_lower`` is its mirror with ``j(-delta u)``.
@@ -193,8 +197,8 @@ def structure_bounds(t: float, y, z, u, params: StructureParams,
         z = z[..., None]
     zz = 0.5 * d * (z ** 2).sum(axis=-1)
     base = params.l(t) + params.c(t) * np.abs(y)
-    j_up = j_functional(u, d, quad, zeta) / d
-    j_dn = j_functional(-np.asarray(u, dtype=float), d, quad, zeta) / d
+    j_up = j_functional(u, d, wz) / d
+    j_dn = j_functional(-np.asarray(u, dtype=float), d, wz) / d
     return -(j_dn + zz + base), (j_up + zz + base)
 
 
@@ -208,19 +212,20 @@ class StructureReport:
         return self.n_violations == 0
 
 
-def check_structure(driver: Driver, probes: Sequence, quad: MarkQuadrature,
-                    zeta: np.ndarray | None = None) -> StructureReport:
-    """Probe the corridor membership of a driver.
+def check_structure(view: DriverView, probes: Sequence) -> StructureReport:
+    """Probe the corridor membership of a bound driver.
 
-    ``probes`` is a sequence of ``(t, y, z, u_values)`` tuples.  A probe fails
+    ``probes`` is a sequence of ``(t, y, z, u_values)`` tuples; each probe
+    weighs the nodes by the intensity at its own ``t``.  A probe fails
     when ``f`` leaves ``[q_lower - tol, q_upper + tol]`` with
     ``tol = 1e-9 * (1 + |q_upper|)``.  Violations are data, not errors.
     """
     n_probes = n_violations = 0
     for t, y, z, u in probes:
         n_probes += 1
-        q_lo, q_hi = structure_bounds(t, y, z, u, driver.params, quad, zeta)
-        val = float(driver.evaluate(t, y, z, u, quad, zeta))
+        wz = view.quad.intensity(view.model, t)
+        q_lo, q_hi = structure_bounds(t, y, z, u, view.driver.params, wz)
+        val = float(view.driver.evaluate(t, y, z, u, wz))
         tol = 1e-9 * (1.0 + abs(float(q_hi)))
         if max(float(q_lo) - val, val - float(q_hi)) > tol:
             n_violations += 1
@@ -326,96 +331,92 @@ class RegularizedDriver:
         joint minimization over a ``(y, z, v)`` product grid (probe scale).
     """
 
-    base: Driver
+    view: DriverView              # base driver on the master quadrature
     n: float
     m: float
-    quad: MarkQuadrature          # master quadrature
     node_idx: np.ndarray          # truncation subset into the master nodes
-    zeta: np.ndarray | None = None
     strategy: str = "auto"
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("regularization indices must be >= 1")
         self.node_idx = np.asarray(self.node_idx, dtype=int)
-        wz = (self.quad.weights if self.zeta is None
-              else self.quad.weights * np.asarray(self.zeta))
-        self._wz = wz[self.node_idx]
-        self._mass = float(self._wz.sum())
-        if self.strategy == "nonnegative" and self.base.depends_on_y:
+        if self.strategy == "nonnegative" and self.view.driver.depends_on_y:
             raise NotRegularizableError("the separable envelope ignores y; "
                                         "use the generic strategy")
         if self.strategy == "auto":
-            if self.base.nonnegative and not self.base.depends_on_y:
+            if self.view.driver.nonnegative and not self.view.driver.depends_on_y:
                 self.strategy = "nonnegative"
-            elif (math.isfinite(self.base.lip_yz)
+            elif (math.isfinite(self.view.driver.lip_yz)
                   and min(self.n, self.m) >= self._lip_needed()):
                 self.strategy = "lipschitz_exact"
             else:
                 self.strategy = "generic"
 
     def _lip_needed(self) -> float:
-        # mark part measured in the weighted-L2 norm via Cauchy-Schwarz
-        g_lip = self.base.g_lip_factor
-        u_lip = g_lip * math.sqrt(self._mass) if math.isfinite(g_lip) else math.inf
-        return max(self.base.lip_yz, u_lip)
+        # mark part measured in the weighted-L2 norm via Cauchy-Schwarz, with
+        # the intensity mass on the kept nodes bounded at every t by c_nu
+        mass = self.view.model.c_nu * float(self.view.quad.weights[self.node_idx].sum())
+        g_lip = self.view.driver.g_lip_factor
+        u_lip = g_lip * math.sqrt(mass) if math.isfinite(g_lip) else math.inf
+        return max(self.view.driver.lip_yz, u_lip)
 
     @property
     def lip_y(self) -> float:
-        if not self.base.depends_on_y:
+        if not self.view.driver.depends_on_y:
             return 0.0
         if self.strategy == "lipschitz_exact":
-            return self.base.lip_y
+            return self.view.driver.lip_y
         return self.n + self.m
 
     # -- separable pieces (nonnegative strategy) ---------------------------
 
     def _fhat_envelope(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        query = self.base.f_hat(t, y, z)
+        query = self.view.driver.f_hat(t, y, z)
         if z.shape[-1] != 1:
             raise NotRegularizableError("separable envelope needs a scalar noise "
                                         "dimension; use the generic strategy")
-        cv = self.base.f_hat(t, np.zeros_like(YZ_GRID), YZ_GRID[:, None])
+        cv = self.view.driver.f_hat(t, np.zeros_like(YZ_GRID), YZ_GRID[:, None])
         return np.minimum(_running_min_envelope(cv, YZ_GRID, z[..., 0], self.n), query)
 
-    def _jump_envelope(self, t: float, u_sub: np.ndarray, n: float) -> np.ndarray:
+    def _jump_envelope(self, t: float, u_sub: np.ndarray, wz: np.ndarray) -> np.ndarray:
         """Constant-candidate envelope of the mark integral in the nu-norm."""
-        wz = self._wz
-        query = (self.base.g(t, u_sub) * wz).sum(axis=-1)
-        if self._mass <= 0:
+        query = (self.view.driver.g(t, u_sub) * wz).sum(axis=-1)
+        mass = float(wz.sum())
+        if mass <= 0:
             return query
         s1 = (u_sub * wz).sum(axis=-1)
         s2 = (u_sub * u_sub * wz).sum(axis=-1)
         out = np.full(query.shape, np.inf)
         for start in range(0, V_GRID.size, 32):
             v = V_GRID[start:start + 32][:, None]
-            gval = self.base.g(t, v[:, 0])[:, None] * self._mass
-            dist = np.sqrt(np.clip(self._mass * v * v - 2.0 * v * s1[None, :]
+            gval = self.view.driver.g(t, v[:, 0])[:, None] * mass
+            dist = np.sqrt(np.clip(mass * v * v - 2.0 * v * s1[None, :]
                                    + s2[None, :], 0.0, None))
-            np.minimum(out, (gval + n * dist).min(axis=0), out=out)
+            np.minimum(out, (gval + self.n * dist).min(axis=0), out=out)
         return np.minimum(out, query)
 
     # -- generic joint envelope (probe scale) ------------------------------
 
-    def _joint_candidates(self, t: float):
+    def _joint_candidates(self, t: float, mass: float):
         yzg = YZ_GRID[:: YZ_GRID.size // 25]
         vg = V_GRID[:: V_GRID.size // 11]
         yy, zz, vv = np.meshgrid(yzg, yzg, vg, indexing="ij")
         yy, zz, vv = yy.ravel(), zz.ravel(), vv.ravel()
-        fv = (self.base.f_hat(t, yy, zz[:, None])
-              + self.base.g(t, vv) * self._mass)
+        fv = (self.view.driver.f_hat(t, yy, zz[:, None])
+              + self.view.driver.g(t, vv) * mass)
         return yy, zz, vv, fv
 
     def _generic_eval(self, t: float, y: np.ndarray, z: np.ndarray,
-                      u_sub: np.ndarray) -> np.ndarray:
+                      u_sub: np.ndarray, wz: np.ndarray) -> np.ndarray:
         if z.shape[-1] != 1:
             raise NotRegularizableError("generic envelope supports d = 1 only")
-        yy, zz, vv, fv = self._joint_candidates(t)
+        mass = float(wz.sum())
+        yy, zz, vv, fv = self._joint_candidates(t, mass)
         fp_c, fm_c = np.maximum(fv, 0.0), np.maximum(-fv, 0.0)
-        wz = self._wz
         s1 = (u_sub * wz).sum(axis=-1)
         s2 = (u_sub * u_sub * wz).sum(axis=-1)
-        fq = self.base.f_hat(t, y, z) + (self.base.g(t, u_sub) * wz).sum(axis=-1)
+        fq = self.view.driver.evaluate(t, y, z, u_sub, wz)
         env_p = np.maximum(fq, 0.0)
         env_m = np.maximum(-fq, 0.0)
         zflat = z[..., 0]
@@ -423,7 +424,7 @@ class RegularizedDriver:
             sl = slice(start, start + 512)
             d_yz = (np.abs(yy[sl][None, :] - y[:, None])
                     + np.abs(zz[sl][None, :] - zflat[:, None]))
-            d_u = np.sqrt(np.clip(self._mass * vv[sl][None, :] ** 2
+            d_u = np.sqrt(np.clip(mass * vv[sl][None, :] ** 2
                                   - 2.0 * vv[sl][None, :] * s1[:, None]
                                   + s2[:, None], 0.0, None))
             dist = d_yz + d_u
@@ -443,23 +444,22 @@ class RegularizedDriver:
         if z.ndim <= y.ndim:
             z = np.atleast_1d(z)[..., None] if z.ndim == y.ndim else z.reshape(y.shape + (1,))
         u_sub = np.atleast_2d(np.asarray(u, dtype=float)[..., self.node_idx])
+        wz = self.view.quad.intensity(self.view.model, t)[self.node_idx]
         if self.strategy == "lipschitz_exact":
-            return self.base.f_hat(t, y, z) + (self.base.g(t, u_sub) * self._wz).sum(axis=-1)
+            return self.view.driver.evaluate(t, y, z, u_sub, wz)
         if self.strategy == "nonnegative":
-            return self._fhat_envelope(t, y, z) + self._jump_envelope(t, u_sub, self.n)
-        return self._generic_eval(t, y, z, u_sub)
+            return self._fhat_envelope(t, y, z) + self._jump_envelope(t, u_sub, wz)
+        return self._generic_eval(t, y, z, u_sub, wz)
 
 
-def regularize(base: Driver, n: float, m: float, quad: MarkQuadrature,
+def regularize(view: DriverView, n: float, m: float,
                node_idx: np.ndarray | None = None,
-               zeta: np.ndarray | None = None,
                strategy: str = "auto") -> RegularizedDriver:
-    """Build the Lipschitz approximation of ``base`` at indices ``(n, m)`` on
-    the (optionally truncated) quadrature."""
+    """Build the Lipschitz approximation of the bound driver ``view`` at
+    indices ``(n, m)`` on its quadrature, truncated to ``node_idx``."""
     if node_idx is None:
-        node_idx = np.arange(quad.n_nodes)
-    return RegularizedDriver(base, float(n), float(m), quad, node_idx, zeta,
-                             strategy)
+        node_idx = np.arange(view.quad.n_nodes)
+    return RegularizedDriver(view, float(n), float(m), node_idx, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +475,16 @@ class GammaSlopeReport:
 
 
 def check_a_gamma(driver: Driver, t: float, y: float, z, u, u_bar,
-                  quad: MarkQuadrature, zeta: np.ndarray | None = None,
-                  gamma_cap: float = math.inf) -> GammaSlopeReport:
+                  wz: np.ndarray, gamma_cap: float = math.inf) -> GammaSlopeReport:
     """One-sided slope certificate for the jump dependence.
 
     The per-node slope ``(g(u_i) - g(u_bar_i)) / (u_i - u_bar_i)`` is clamped
     to ``(-1 + 1e-9, gamma_cap)`` and must dominate the actual increment:
-    ``f(u) - f(u_bar) <= sum_i w_i zeta_i slope_i (u_i - u_bar_i) + 1e-9``.
+    ``f(u) - f(u_bar) <= sum_i wz_i slope_i (u_i - u_bar_i) + 1e-9`` for the
+    node intensity ``wz`` at time ``t``.
     """
     u = np.asarray(u, dtype=float)
     ub = np.asarray(u_bar, dtype=float)
-    wz = quad.weights if zeta is None else quad.weights * zeta
     gu, gub = driver.g(t, u), driver.g(t, ub)
     lhs = float(((gu - gub) * wz).sum())
     diff = u - ub

@@ -211,8 +211,9 @@ class MarkQuadrature:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def zeta_at(self, model: LevyModel, t: float) -> np.ndarray:
-        return model.zeta_at(t, self.nodes)
+    def intensity(self, model: LevyModel, t: float) -> np.ndarray:
+        """Per-node jump intensity ``w_i zeta(t, e_i)`` at time ``t``."""
+        return self.weights * model.zeta_at(t, self.nodes)
 
     def restrict_indices(self, kappa_sub: float) -> np.ndarray:
         """Indices of nodes whose whole cell lies in ``|e| >= 1/kappa_sub``."""
@@ -226,16 +227,14 @@ class MarkQuadrature:
                               self.cell_inner[idx])
 
 
-def nu_norm(u, quad: MarkQuadrature, zeta: np.ndarray | None = None) -> np.ndarray:
-    """Weighted L2 norm ``sqrt(sum_i w_i zeta_i u_i^2)``; vectorized over rows."""
+def nu_norm(u, wz: np.ndarray) -> np.ndarray:
+    """Weighted L2 norm ``sqrt(sum_i wz_i u_i^2)``; vectorized over rows."""
     vals = np.asarray(u, dtype=float)
-    wz = quad.weights if zeta is None else quad.weights * np.asarray(zeta, dtype=float)
     return np.sqrt(np.clip((vals * vals * wz).sum(axis=-1), 0.0, None))
 
 
-def j_functional(u, delta: float, quad: MarkQuadrature,
-                 zeta: np.ndarray | None = None) -> np.ndarray | float:
-    """Exponential jump penalty ``sum_i w_i zeta_i (exp(delta u_i) - delta u_i - 1)``.
+def j_functional(u, delta: float, wz: np.ndarray) -> np.ndarray | float:
+    """Exponential jump penalty ``sum_i wz_i (exp(delta u_i) - delta u_i - 1)``.
 
     Nonnegative for every field.  Raises :class:`ExponentOverflowError` when
     ``delta * max(u)`` exceeds the configured exponent cap instead of silently
@@ -247,7 +246,6 @@ def j_functional(u, delta: float, quad: MarkQuadrature,
     if scaled.size and float(np.max(scaled)) > EXP_CAP:
         raise ExponentOverflowError(
             f"exponent {float(np.max(scaled)):.3g} exceeds cap {EXP_CAP:g}")
-    wz = quad.weights if zeta is None else quad.weights * np.asarray(zeta, dtype=float)
     integrand = np.expm1(scaled) - scaled
     out = (integrand * wz).sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
@@ -398,7 +396,7 @@ def sample_jump_paths(model: LevyModel, quad: MarkQuadrature,
     paths, intervals, times, marks = [], [], [], []
     for k in range(n_int):
         t0, t1 = time_grid[k], time_grid[k + 1]
-        wz = quad.weights * quad.zeta_at(model, t0)
+        wz = quad.intensity(model, t0)
         lam = float(wz.sum())
         if lam <= 0.0:
             continue

@@ -41,6 +41,11 @@ def huber_envelope_exact(n: float, y: float) -> float:
     return n * abs(y) - 0.25 * n * n
 
 
+def huber_envelope_value(n: float, y: float) -> OracleValue:
+    """:func:`huber_envelope_exact` as an oracle value, without sampling error."""
+    return OracleValue("huber_envelope", huber_envelope_exact(n, y), 0.0)
+
+
 def huber_envelope_grid(n: float, y: float, lo: float = -5.0, hi: float = 5.0,
                         n_points: int = 10001) -> float:
     """Brute-force grid minimization cross-check of the square's envelope."""
@@ -100,13 +105,13 @@ def brownian_doleans_mc(t_end: float = 1.0, n_samples: int = 200000,
                        float(vals.std(ddof=1) / math.sqrt(n_samples)))
 
 
-def compound_poisson_doleans_mc(u_value: float, mass: float, t_end: float = 1.0,
+def compound_poisson_doleans_mc(u: float, mass: float, t_end: float = 1.0,
                                 n_samples: int = 200000, seed: int = 0) -> OracleValue:
     """Sample mean of ``exp(u N_T - mass T (e^u - 1))`` for a Poisson count
     ``N_T`` with mean ``mass T``; exactly one in expectation."""
     rng = np.random.default_rng(seed)
     n_term = rng.poisson(mass * t_end, n_samples)
-    vals = np.exp(u_value * n_term - mass * t_end * math.expm1(u_value))
+    vals = np.exp(u * n_term - mass * t_end * math.expm1(u))
     return OracleValue("compound_poisson_doleans", float(vals.mean()),
                        float(vals.std(ddof=1) / math.sqrt(n_samples)))
 
@@ -127,33 +132,3 @@ def entropic_gaussian_mc(sigma: float, direction: str = "upper",
 def null_measure_oracle() -> OracleValue:
     """Every jump functional of the zero density vanishes."""
     return OracleValue("null_measure", 0.0, 0.0)
-
-
-ORACLES = {
-    "entropic_gaussian": lambda cfg: entropic_gaussian_mc(
-        float(cfg.get("sigma", 1.0)), cfg.get("direction", "upper"),
-        int(cfg.get("n_samples", 200000)), int(cfg.get("seed", 0))),
-    "huber_envelope": lambda cfg: OracleValue(
-        "huber_envelope",
-        huber_envelope_exact(float(cfg.get("n", 2.0)), float(cfg.get("y", 3.0))),
-        0.0),
-    "girsanov_tilt": lambda cfg: girsanov_tilt_mc(
-        float(cfg.get("b", 0.0)), float(cfg.get("c_tilde", 0.0)),
-        float(cfg.get("mass", 1.0)), float(cfg.get("t_end", 1.0)),
-        float(cfg.get("x0", 0.0)), float(cfg.get("impact", 1.0)),
-        int(cfg.get("n_samples", 200000)), int(cfg.get("seed", 0))),
-    "brownian_doleans": lambda cfg: brownian_doleans_mc(
-        float(cfg.get("t_end", 1.0)), int(cfg.get("n_samples", 200000)),
-        int(cfg.get("seed", 0))),
-    "compound_poisson_doleans": lambda cfg: compound_poisson_doleans_mc(
-        float(cfg.get("u", 0.3)), float(cfg.get("mass", 2.0)),
-        float(cfg.get("t_end", 1.0)), int(cfg.get("n_samples", 200000)),
-        int(cfg.get("seed", 0))),
-    "null_measure": lambda cfg: null_measure_oracle(),
-}
-
-
-def evaluate_oracle(name: str, cfg: dict) -> OracleValue:
-    if name not in ORACLES:
-        raise KeyError(f"unknown oracle '{name}'; choose from {sorted(ORACLES)}")
-    return ORACLES[name](cfg)

@@ -122,6 +122,7 @@ class TripleRecord:
 class ConvergenceReport:
     records: list[TripleRecord]
     monotone_y0: bool
+    y0_max_drop: float      # largest y0 drop between solved neighbours, in SEs
     comparison_violations: list[float]
     gaps_to_proxy: list[float]
     gaps_decreasing: bool
@@ -216,8 +217,8 @@ class DriverGapReport:
 
 
 def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
-                  ensemble: PathEnsemble, quad: MarkQuadrature,
-                  c_split: float, stop_index: np.ndarray | None = None) -> DriverGapReport:
+                  ensemble: PathEnsemble, c_split: float,
+                  stop_index: np.ndarray | None = None) -> DriverGapReport:
     """Bounded/unbounded split of the time-integrated generator gap.
 
     ``a1`` integrates ``|f_triple - f_proxy|`` where ``|Z| + |U|_nu`` stays
@@ -242,10 +243,10 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
         active = stop > k
         if not active.any():
             break
-        zeta = quad.zeta_at(ensemble.model, float(ensemble.time_grid[k]))
+        wz = ensemble.node_intensity(k)
         u_now = sol.u_values(ensemble, k)
         size = (np.abs(sol.z[:, k, :]).sum(axis=1)
-                + nu_norm(u_now, quad, zeta))
+                + nu_norm(u_now, wz))
         gap = np.abs(sol.driver_values[:, k] - sol_proxy.driver_values[:, k])
         inside = size <= c_split
         a1 += float((gap * inside * active).sum()) * dt
@@ -253,7 +254,7 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
         region_hits += float(((~inside) & active).sum())
         cells += float(active.sum())
         norm2_sum += ((sol.z[:, k, :] ** 2).sum(axis=1)
-                      + nu_norm(u_now, quad, zeta) ** 2) * dt
+                      + nu_norm(u_now, wz) ** 2) * dt
     a1 /= n
     a2 /= n
     horizon = float(ensemble.time_grid[-1])
@@ -262,19 +263,18 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
     return DriverGapReport(a1, a2, cheb, region_fraction)
 
 
-def default_c_split(sol: BsdejSolution, ensemble: PathEnsemble,
-                    quad: MarkQuadrature) -> float:
+def default_c_split(sol: BsdejSolution, ensemble: PathEnsemble) -> float:
     """Five times the sample 90th percentile of ``|Z| + |U|_nu``."""
     sizes = []
     for k in range(sol.n_steps):
-        zeta = quad.zeta_at(ensemble.model, float(ensemble.time_grid[k]))
         u_now = sol.u_values(ensemble, k)
-        sizes.append(np.abs(sol.z[:, k, :]).sum(axis=1) + nu_norm(u_now, quad, zeta))
+        sizes.append(np.abs(sol.z[:, k, :]).sum(axis=1)
+                     + nu_norm(u_now, ensemble.node_intensity(k)))
     return 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
 
 
 def audit_solution(sol: BsdejSolution, dec: Decomposition, ensemble: PathEnsemble,
-                   params: StructureParams, quad: MarkQuadrature
+                   params: StructureParams
                    ) -> tuple[QStructureReport, AprioriReport, SubmartingaleReport]:
     """Corridor, a-priori bound and submartingale audits of one solve.
 
@@ -284,8 +284,7 @@ def audit_solution(sol: BsdejSolution, dec: Decomposition, ensemble: PathEnsembl
     """
     k_steps = sol.n_steps
     tol = np.array([3.0 * sol.regression_se(k) for k in range(k_steps)])
-    corridor = check_q_structure(dec, sol, ensemble, params, quad,
-                                 tol=tol[None, :])
+    corridor = check_q_structure(dec, sol, ensemble, params, tol=tol[None, :])
     apriori = apriori_bound_check(sol, params, ensemble, 0)
     x_bar = exponential_transform(sol.y, params, ensemble.time_grid)
     submart = submartingale_test(x_bar, ensemble, k_steps // 4, k_steps // 2)
@@ -305,7 +304,7 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
     """
     quad = ensemble.quad
     params = base.params
-    zeta0 = quad.zeta_at(ensemble.model, 0.0)
+    view = base.at_quadrature(quad, ensemble.model)
 
     solutions: list[BsdejSolution | None] = []
     decs: list[Decomposition | None] = []
@@ -313,10 +312,10 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
     for (n_idx, m_idx, kappa) in schedule.triples:
         node_idx = quad.restrict_indices(float(kappa))
         record = TripleRecord(n_idx, m_idx, float(kappa), math.nan, math.nan,
-                              float((quad.weights * zeta0)[node_idx].sum()))
+                              float(quad.weights[node_idx].sum()))
         records.append(record)
         try:
-            reg = regularize(base, n_idx, m_idx, quad, node_idx, zeta0)
+            reg = regularize(view, n_idx, m_idx, node_idx)
             sol = solve_lipschitz(reg, terminal_fn, ensemble, basis_degree,
                                   picard_max, picard_tol)
             dec = decompose(sol, ensemble)
@@ -331,18 +330,18 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
         solutions.append(sol)
         decs.append(dec)
         record.corridor, record.apriori, record.submartingale = audit_solution(
-            sol, dec, ensemble, params, quad)
+            sol, dec, ensemble, params)
         record.sq_bound = record.apriori.rhs
 
     solved = [s for s in solutions if s is not None]
     solved_decs = [d for d in decs if d is not None]
     if solved:
         proxy = solved[-1]
-        c_split = default_c_split(proxy, ensemble, quad)
+        c_split = default_c_split(proxy, ensemble)
         solved_records = [r for r, s in zip(records, solutions) if s is not None]
         gaps = []
         for rec, sol in zip(solved_records, solved):
-            gap = driver_l1_gap(sol, proxy, ensemble, quad, c_split)
+            gap = driver_l1_gap(sol, proxy, ensemble, c_split)
             rec.a1, rec.a2 = gap.a1, gap.a2
             rec.chebyshev_bound = gap.chebyshev_bound
             rec.region_fraction = gap.region_fraction
@@ -359,10 +358,13 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
                  and link_direction(l["changed"], base.nonnegative) is not None]
         comparison = monotonicity_check(solutions, links,
                                         nonnegative_base=base.nonnegative) if links else []
-        y0s = [s.y0 for s in solved]
-        monotone_y0 = all(b >= a - 3.0 * math.hypot(x.y0_se, y.y0_se)
-                          for (a, b), (x, y) in zip(zip(y0s, y0s[1:]),
-                                                    zip(solved, solved[1:])))
+        y0s = np.array([s.y0 for s in solved])
+        ses = np.array([s.y0_se for s in solved])
+        monotone_y0 = all(b >= a - 3.0 * math.hypot(x, y) for a, b, x, y
+                          in zip(y0s, y0s[1:], ses, ses[1:]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drops = (y0s[:-1] - y0s[1:]) / np.hypot(ses[:-1], ses[1:])
+        y0_max_drop = float(drops.max()) if drops.size else -math.inf
         # the proxy's own gap is zero by construction and stays out
         gaps_decreasing = all(a > b for a, b in zip(gaps[:-2], gaps[1:-1]))
         # stability measured against the limit proxy (the H1 distance to the
@@ -374,6 +376,7 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
     else:
         comparison, gaps = [], []
         monotone_y0 = gaps_decreasing = stability_decreasing = False
-    report = ConvergenceReport(records, monotone_y0, comparison, gaps,
-                               gaps_decreasing, stability_decreasing)
+        y0_max_drop = math.nan
+    report = ConvergenceReport(records, monotone_y0, y0_max_drop, comparison,
+                               gaps, gaps_decreasing, stability_decreasing)
     return SchemeResult(solutions, report)

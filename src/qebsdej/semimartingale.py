@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .drivers import StructureParams, structure_bounds
-from .levy import MarkQuadrature
 from .solver import (BsdejSolution, Decomposition, EnsembleMismatchError,
                      PathEnsemble, Regression)
 
@@ -37,7 +36,7 @@ class QStructureReport:
 
 def check_q_structure(dec: Decomposition, solution: BsdejSolution,
                       ensemble: PathEnsemble, params: StructureParams,
-                      quad: MarkQuadrature, tol=0.0) -> QStructureReport:
+                      tol=0.0) -> QStructureReport:
     """Test every ``dV`` increment against the exponential-quadratic corridor
     of :func:`qebsdej.drivers.structure_bounds` times ``dt``.
 
@@ -51,10 +50,10 @@ def check_q_structure(dec: Decomposition, solution: BsdejSolution,
     lower = np.empty_like(dv)
     upper = np.empty_like(dv)
     for k in range(solution.n_steps):
-        t_k = float(ensemble.time_grid[k])
-        q_lo, q_hi = structure_bounds(t_k, solution.y[:, k], solution.z[:, k, :],
+        q_lo, q_hi = structure_bounds(float(ensemble.time_grid[k]),
+                                      solution.y[:, k], solution.z[:, k, :],
                                       solution.u_values(ensemble, k), params,
-                                      quad, quad.zeta_at(ensemble.model, t_k))
+                                      ensemble.node_intensity(k))
         lower[:, k] = q_lo * dt
         upper[:, k] = q_hi * dt
     tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
@@ -159,24 +158,23 @@ def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
 
 def canonical_paths(m_c_increments: np.ndarray, bracket_increments: np.ndarray,
                     u_fields: np.ndarray, jump_counts: Sequence[np.ndarray],
-                    quad: MarkQuadrature, dt: float, direction: str,
-                    r0: float = 0.0, zeta: np.ndarray | None = None) -> np.ndarray:
+                    wz: np.ndarray, dt: float, direction: str,
+                    r0: float = 0.0) -> np.ndarray:
     """Canonical exponential-quadratic paths driven by given martingale parts.
 
     ``m_c_increments`` has shape (n_paths, K) and ``bracket_increments`` holds
     the matching predictable brackets (``|Z|^2 dt`` per path and step, scalar
     rows broadcast).  ``u_fields`` holds one field per step, shape (K, Q),
     broadcast over paths; ``jump_counts[k]`` is the dense per-node count
-    matrix of interval ``k``.  The upper direction subtracts half the bracket
-    and the ``exp(u) - u - 1`` compensator; the lower direction adds half the
-    bracket and the ``exp(-u) + u - 1`` compensator.
+    matrix of interval ``k``; ``wz`` is the node intensity.  The upper
+    direction subtracts half the bracket and the ``exp(u) - u - 1`` compensator,
+    the lower one adds half the bracket and the ``exp(-u) + u - 1`` compensator.
     """
     if direction not in ("upper", "lower"):
         raise ValueError("direction must be 'upper' or 'lower'")
     n, k_steps = m_c_increments.shape
     bracket = np.broadcast_to(np.asarray(bracket_increments, dtype=float),
                               m_c_increments.shape)
-    wz = quad.weights if zeta is None else quad.weights * zeta
     r = np.empty((n, k_steps + 1))
     r[:, 0] = r0
     for k in range(k_steps):

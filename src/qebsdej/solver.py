@@ -73,8 +73,8 @@ class PathEnsemble:
         return float(self.time_grid[1] - self.time_grid[0])
 
     def node_intensity(self, k: int) -> np.ndarray:
-        """Per-node jump intensity ``w_i zeta(t_k, e_i)`` on interval ``k``."""
-        return self.quad.weights * self.quad.zeta_at(self.model, float(self.time_grid[k]))
+        """Per-node jump intensity on interval ``k``, read at ``t_k``."""
+        return self.quad.intensity(self.model, float(self.time_grid[k]))
 
 
 def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
@@ -120,7 +120,7 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
             paths, marks = jumps.rows_for_interval(k)
             if paths.size:
                 np.add.at(inc, paths, impact[marks])
-            wz = quad.weights * quad.zeta_at(model, float(time_grid[k]))
+            wz = quad.intensity(model, float(time_grid[k]))
             inc -= float((wz * impact).sum()) * dts[k]
         state[:, k + 1] = state[:, k] + inc
     return PathEnsemble(time_grid, dw, jumps, state, model, quad, object())

@@ -53,7 +53,7 @@ def canonical_signed(gamma_setting):
     ens = simulate_forward(model, quad, "brownian_jumps", tg, 100000, seed=42)
     params = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("canonical", params)
-    view = drv.at_quadrature(quad, quad.zeta_at(model, 0.0))
+    view = drv.at_quadrature(quad, model)
     sol = solve_lipschitz(view, lambda x: 0.25 * x, ens)
     _record("canonical_signed", time.time() - t0)
     return params, ens, sol
@@ -68,7 +68,7 @@ def canonical_magnitude(gamma_setting):
     ens = simulate_forward(model, quad, "brownian_jumps", tg, 100000, seed=43)
     params = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("canonical", params)
-    view = drv.at_quadrature(quad, quad.zeta_at(model, 0.0))
+    view = drv.at_quadrature(quad, model)
     sol = solve_lipschitz(view, lambda x: np.abs(0.25 * x), ens)
     _record("canonical_magnitude", time.time() - t0)
     return params, ens, sol
@@ -99,7 +99,7 @@ def test_criterion_01_martingale_representation():
     ens = simulate_forward(q.make_model("null"), quad, "brownian", tg, 100000,
                            seed=7)
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = solve_lipschitz(drv.at_quadrature(quad), lambda x: x, ens)
+    sol = solve_lipschitz(drv.at_quadrature(quad, ens.model), lambda x: x, ens)
     elapsed = time.time() - t0
     err = float(np.abs(sol.y - ens.state).mean(axis=0).max())
     ok = err <= 0.02 and elapsed <= 60.0
@@ -112,9 +112,8 @@ def test_criterion_02_linear_driver_closed_form(gamma_setting):
     tg = np.linspace(0.0, 1.0, 101)
     ens = simulate_forward(model, quad, "brownian_jumps", tg, 2000, seed=8)
     params = q.StructureParams.from_constants(1.0, 0.5, 1.0)
-    drv = q.make_driver("linear", params, quad_mass_hint=quad.total_mass,
-                        a=0.5)
-    sol = solve_lipschitz(drv.at_quadrature(quad, quad.zeta_at(model, 0.0)),
+    drv = q.make_driver("linear", params, a=0.5)
+    sol = solve_lipschitz(drv.at_quadrature(quad, model),
                           lambda x: np.ones_like(x), ens)
     err = abs(sol.y0 - math.exp(0.5))
     _report(2, err <= 0.01, f"|Y0 - e^0.5| = {err:.5f} (tol 0.01)")
@@ -153,7 +152,8 @@ def test_criterion_04_doleans_means(gamma_setting):
     u_fields = np.full((k_steps, quad.n_nodes), 0.3)
     details, ok = [], True
     for direction in ("upper", "lower"):
-        r = canonical_paths(mc, dt, u_fields, counts, quad, dt, direction)
+        r = canonical_paths(mc, dt, u_fields, counts, quad.weights, dt,
+                            direction)
         mean, se = doleans_check(r, direction)
         ok &= abs(mean - 1.0) <= 3.0 * se
         details.append(f"{direction}: {mean:.4f} +- {se:.4f}")
@@ -213,7 +213,7 @@ def test_criterion_08_regularization_suite(gamma_setting):
     # Lipschitz cap on the regularized generator
     params = q.StructureParams.from_constants(1.0)
     base = q.make_driver("canonical", params)
-    reg5 = regularize(base, 5, 2, quad)
+    reg5 = regularize(base.at_quadrature(quad, model), 5, 2)
     u0 = np.zeros((1, quad.n_nodes))
     est = lipschitz_estimate(
         lambda row: float(reg5.evaluate(0.0, np.array([row[0]]),
@@ -229,13 +229,14 @@ def test_criterion_08_regularization_suite(gamma_setting):
     us = rng.uniform(-1.2, 1.2, (50, quad_cut.n_nodes))
     prev = None
     for n_idx in (1, 2, 4):
-        vals = regularize(base, n_idx, 2, quad_cut).evaluate(0.0, ys, zs, us)
+        vals = regularize(base.at_quadrature(quad_cut, model), n_idx,
+                          2).evaluate(0.0, ys, zs, us)
         if prev is not None and np.any(vals < prev - 1e-12):
             failures.append("n table")
         prev = vals
     prev = None
     for kappa in (2.0, 4.0, 8.0):
-        reg = regularize(base, 4, 2, quad_cut,
+        reg = regularize(base.at_quadrature(quad_cut, model), 4, 2,
                          node_idx=quad_cut.restrict_indices(kappa))
         vals = reg.evaluate(0.0, ys, zs, us)
         if prev is not None and np.any(vals < prev - 1e-12):
@@ -247,7 +248,8 @@ def test_criterion_08_regularization_suite(gamma_setting):
                      nonnegative=False, lip_y=0.0)
     prev = None
     for m_idx in (1, 2, 4, 8):
-        vals = regularize(shifted, 4, m_idx, quad_cut).evaluate(0.0, ys, zs, us)
+        vals = regularize(shifted.at_quadrature(quad_cut, model), 4,
+                          m_idx).evaluate(0.0, ys, zs, us)
         if prev is not None and np.any(vals > prev + 1e-12):
             failures.append("m table")
         prev = vals
@@ -257,11 +259,11 @@ def test_criterion_08_regularization_suite(gamma_setting):
     ys = rng.uniform(-4, 4, n_probe)
     zs = rng.uniform(-4, 4, (n_probe, 1))
     us = rng.uniform(-1.5, 1.5, (n_probe, quad.n_nodes))
-    reg = regularize(base, 4, 4, quad)
+    reg = regularize(base.at_quadrature(quad, model), 4, 4)
     vals = reg.evaluate(0.0, ys, zs, us)
     violations = 0
     for i in range(n_probe):
-        lo, hi = structure_bounds(0.0, ys[i], zs[i], us[i], params, quad)
+        lo, hi = structure_bounds(0.0, ys[i], zs[i], us[i], params, quad.weights)
         tol = 1e-9 * (1.0 + abs(float(hi)))
         if not (float(lo) - tol <= vals[i] <= float(hi) + tol):
             violations += 1

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import qebsdej
 from qebsdej.cli import main
-from qebsdej.config import (SETTINGS, TERMINALS, TOP_LEVEL_KEYS, ConfigError,
-                            load_config, validate_config)
+from qebsdej.config import (ORACLES, SETTINGS, TERMINALS, TOP_LEVEL_KEYS,
+                            ConfigError, _int, load_config, validate_config)
 from qebsdej.runner import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK)
 from qebsdej.solver import DYNAMICS, JUMP_IMPACTS
 
@@ -148,6 +148,45 @@ def test_extra_key_is_refused(section, key):
         validate_config(payload)
 
 
+INTEGER_KEYS = [(section, key) for section, key in TABLE_KEYS
+                if SETTINGS[section][key].parse is _int]
+DRIVER_PARAMETERS = {"a", "b", "c_tilde", "beta"}
+
+
+@st.composite
+def invalid_configs(draw):
+    """A config with an unknown driver parameter, a non-integral value of an
+    integer key, or an unknown or unparsable oracle parameter."""
+    kind = draw(st.sampled_from(["driver", "integer", "oracle"]))
+    payload = solve_payload()
+    if kind == "driver":
+        key = draw(st.text().filter(lambda k: k not in {"name", *DRIVER_PARAMETERS}))
+        name = draw(st.sampled_from(["canonical", "linear", "morlais", "zero"]))
+        payload["driver"] = {"name": name, key: 0.5}
+    elif kind == "integer":
+        section, key = draw(st.sampled_from(INTEGER_KEYS))
+        whole = int(SETTINGS[section][key].least or 0) + draw(st.integers(0, 1000))
+        payload.setdefault(section, {})[key] = whole + draw(st.floats(0.01, 0.99))
+    else:
+        name = draw(st.sampled_from(sorted(ORACLES)))
+        table = ORACLES[name][1]
+        if table and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(table)))
+            value = draw(NOT_A_NUMBER.filter(lambda s: s not in ("upper", "lower")))
+        else:
+            key = draw(st.text().filter(lambda k: k not in {"name", *table}))
+            value = 1.0
+        payload = {"experiment": "oracle", "oracle": {"name": name, key: value}}
+    return payload
+
+
+@settings(max_examples=40, deadline=None)
+@given(payload=invalid_configs())
+def test_validate_verb_refuses_invalid_config(tmp_path_factory, payload):
+    path = write_config(tmp_path_factory.mktemp("fuzz"), "cfg.json", payload)
+    assert main(["validate", path]) == EXIT_CONFIG_ERROR
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_shipped_config_validates(path):
     assert main(["validate", str(path)]) == EXIT_OK
@@ -213,6 +252,8 @@ def _ensemble(**fields):
     dict(comment="a key nothing reads"),
     _ensemble(paths=2000),
     dict(solver={"picard_tolerance": 1e-8}),
+    dict(grid={"t_end": 1.0, "k_steps": 2.7}),
+    dict(driver={"name": "linear", "aa": 0.5}),
 ], ids=["n_paths_not_a_number", "misspelled_model_parameter", "zero_delta",
         "risk_without_time_zero", "risk_time_beyond_grid",
         "risk_time_not_a_step", "x0_not_a_number", "d_not_a_number",
@@ -220,7 +261,8 @@ def _ensemble(**fields):
         "q_nodes_not_a_number", "one_quadrature_cell",
         "basis_degree_not_a_number", "picard_max_not_a_number",
         "export_paths_not_a_number", "gamma_not_a_number",
-        "unknown_top_level_key", "unknown_ensemble_key", "unknown_solver_key"])
+        "unknown_top_level_key", "unknown_ensemble_key", "unknown_solver_key",
+        "k_steps_not_integral", "misspelled_driver_parameter"])
 def test_bad_config_exits_2(tmp_path, overrides):
     cfg = write_config(tmp_path, "bad.json", solve_payload(**overrides))
     out = tmp_path / "nothing"
@@ -254,6 +296,22 @@ def test_unknown_oracle_rejected(tmp_path):
         "experiment": "oracle", "oracle": {"name": "prophecy"},
     })
     assert main(["oracle", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("oracle", [
+    {"name": "huber_envelope", "n": "abc"},
+    {"name": "huber_envelope", "m": 2.0},
+    {"name": "entropic_gaussian", "n_samples": 1000.5},
+    {"name": "entropic_gaussian", "direction": "sideways"},
+    {"name": "girsanov_tilt", "seed": -1},
+], ids=["n_not_a_number", "unknown_parameter", "n_samples_not_integral",
+        "unknown_direction", "negative_seed"])
+def test_bad_oracle_parameter_exits_2(tmp_path, oracle):
+    cfg = write_config(tmp_path, "bad_oracle.json",
+                       {"experiment": "oracle", "oracle": oracle})
+    out = tmp_path / "nothing"
+    assert main(["oracle", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
 
 
 def test_oracle_verb_requires_oracle_experiment(tmp_path):
@@ -341,8 +399,9 @@ def test_summary_states_applied_tolerance(tmp_path):
     main(["run", cfg, "--out", str(out)])
     lines = [line.split() for line in
              (out / "summary.txt").read_text().splitlines()[:-1]]
-    audited = [w for w in lines if w[1].startswith(("apriori_", "chebyshev_"))]
-    assert len(audited) == 4
+    audited = [w for w in lines
+               if w[1].startswith(("apriori_", "chebyshev_", "y0_monotone"))]
+    assert len(audited) == 5
     for status, name, value, tol in audited:
         value, tol = float(value[len("value="):]), float(tol[len("tol="):])
         assert (status == "PASS") == (value <= tol), name

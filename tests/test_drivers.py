@@ -7,6 +7,7 @@ import qebsdej as q
 from qebsdej.drivers import (Driver, NotRegularizableError, StructureParams,
                              inf_convolve, lipschitz_estimate, regularize,
                              structure_bounds, sup_convolve)
+from qebsdej.levy import gamma_model
 from qebsdej.oracles import huber_envelope_exact, huber_envelope_grid
 
 DENSE = np.linspace(-5.0, 5.0, 10001)
@@ -52,14 +53,14 @@ def test_structure_params_validation():
 def test_bounds_vanish_at_origin(two_node_quad):
     p = StructureParams.from_constants(1.0)
     lo, hi = structure_bounds(0.0, 0.0, np.array([0.0]), np.zeros(2), p,
-                              two_node_quad)
+                              two_node_quad.weights)
     assert lo == 0.0 and hi == 0.0
 
 
 def test_bounds_direct_evaluation(two_node_quad):
     p = StructureParams.from_constants(1.0, 0.5, 1.0)
     lo, hi = structure_bounds(0.0, 1.0, np.array([2.0]), np.zeros(2), p,
-                              two_node_quad)
+                              two_node_quad.weights)
     assert hi == pytest.approx(3.5)
     assert lo == pytest.approx(-3.5)
 
@@ -67,19 +68,21 @@ def test_bounds_direct_evaluation(two_node_quad):
 def test_bounds_constant_field_closed_forms(two_node_quad):
     p = StructureParams.from_constants(1.0)
     lo, hi = structure_bounds(0.0, 0.0, np.array([0.0]), np.ones(2), p,
-                              two_node_quad)
+                              two_node_quad.weights)
     assert hi == pytest.approx(2.0 * (math.e - 2.0), rel=1e-12)
     assert lo == pytest.approx(-2.0 / math.e, rel=1e-12)
 
 
-def test_check_structure_canonical_zero_violations(canonical, gamma_quad, probes):
+def test_check_structure_canonical_zero_violations(canonical, gamma_quad, probes,
+                                                   gamma_model):
     ys, zs, us = probes
     pts = [(0.0, ys[i], zs[i], us[i]) for i in range(ys.size)]
-    report = q.check_structure(canonical, pts, gamma_quad)
+    view = canonical.at_quadrature(gamma_quad, gamma_model)
+    report = q.check_structure(view, pts)
     assert report.ok
 
 
-def test_check_structure_constructed_violation(gamma_quad, probes):
+def test_check_structure_constructed_violation(gamma_quad, probes, gamma_model):
     p = StructureParams.from_constants(1.0)
     base = q.make_driver("canonical", p)
 
@@ -89,35 +92,37 @@ def test_check_structure_constructed_violation(gamma_quad, probes):
     shifted = Driver("above", f_hat, base.g, p, nonnegative=True, lip_y=0.0)
     ys, zs, us = probes
     pts = [(0.0, ys[i], zs[i], us[i]) for i in range(ys.size)]
-    report = q.check_structure(shifted, pts, gamma_quad)
+    view = shifted.at_quadrature(gamma_quad, gamma_model)
+    report = q.check_structure(view, pts)
     assert report.n_violations == report.n_probes
 
 
-def test_check_structure_counts_generator_probes(canonical, gamma_quad, probes):
+def test_check_structure_counts_generator_probes(canonical, gamma_quad, probes,
+                                                 gamma_model):
     ys, zs, us = probes
     pts = ((0.0, ys[i], zs[i], us[i]) for i in range(ys.size))
-    assert q.check_structure(canonical, pts, gamma_quad).n_probes == ys.size
+    view = canonical.at_quadrature(gamma_quad, gamma_model)
+    assert q.check_structure(view, pts).n_probes == ys.size
 
 
-def test_check_structure_morlais(gamma_quad, probes):
+def test_check_structure_morlais(gamma_quad, probes, gamma_model):
     p = StructureParams.from_constants(1.0, 0.0, 0.6)
     drv = q.make_driver("morlais", p, beta=0.5)  # beta <= c keeps the corridor
     ys, zs, us = probes
     pts = [(0.0, ys[i], zs[i], us[i]) for i in range(ys.size)]
-    assert q.check_structure(drv, pts, gamma_quad).ok
+    assert q.check_structure(drv.at_quadrature(gamma_quad, gamma_model), pts).ok
 
 
 def test_driver_continuity(canonical, gamma_quad):
     rng = np.random.default_rng(5)
-    zeta = np.ones(gamma_quad.n_nodes)
+    wz = gamma_quad.weights
     for _ in range(100):
         y = rng.uniform(-2, 2)
         z = rng.uniform(-2, 2, (1,))
         u = rng.uniform(-1, 1, gamma_quad.n_nodes)
-        base = canonical.evaluate(0.0, y, z, u, gamma_quad, zeta)
+        base = canonical.evaluate(0.0, y, z, u, wz)
         for h in (1e-4, 1e-6):
-            bumped = canonical.evaluate(0.0, y + h, z + h, u + h,
-                                        gamma_quad, zeta)
+            bumped = canonical.evaluate(0.0, y + h, z + h, u + h, wz)
             assert abs(float(bumped - base)) < 50 * h + 1e-12
 
 
@@ -196,25 +201,27 @@ def test_mixed_norm_distance_candidates():
 # regularized drivers
 # ---------------------------------------------------------------------------
 
-def test_nonnegative_base_has_null_negative_part(canonical, gamma_quad, probes):
+def test_nonnegative_base_has_null_negative_part(canonical, gamma_quad, probes,
+                                                 gamma_model):
     ys, zs, us = probes
-    vals_m1 = regularize(canonical, 3, 1, gamma_quad).evaluate(0.0, ys, zs, us)
-    vals_m8 = regularize(canonical, 3, 8, gamma_quad).evaluate(0.0, ys, zs, us)
+    view = canonical.at_quadrature(gamma_quad, gamma_model)
+    vals_m1 = regularize(view, 3, 1).evaluate(0.0, ys, zs, us)
+    vals_m8 = regularize(view, 3, 8).evaluate(0.0, ys, zs, us)
     assert np.array_equal(vals_m1, vals_m8)  # m is inert when f >= 0
 
 
-def test_linear_driver_reproduced_exactly(gamma_quad):
+def test_linear_driver_reproduced_exactly(gamma_quad, gamma_model):
     p = StructureParams.from_constants(1.0, 0.5, 1.0)
     lin = q.make_driver("linear", p, a=1.0)
     rng = np.random.default_rng(3)
     ys = rng.uniform(-3, 3, 30)
-    reg = regularize(lin, 1, 1, gamma_quad)
+    reg = regularize(lin.at_quadrature(gamma_quad, gamma_model), 1, 1)
     assert reg.strategy == "lipschitz_exact"
     vals = reg.evaluate(0.0, ys, np.zeros((30, 1)), np.zeros((30, gamma_quad.n_nodes)))
     assert np.allclose(vals, ys, atol=1e-14)
 
 
-def test_generic_strategy_exact_for_lipschitz_base(gamma_quad):
+def test_generic_strategy_exact_for_lipschitz_base(gamma_quad, gamma_model):
     # with the query point in the candidate set, the envelope of an
     # L-Lipschitz function at indices >= L is the function itself, on any grid
     p = StructureParams.from_constants(1.0, 0.5, 1.0)
@@ -223,7 +230,8 @@ def test_generic_strategy_exact_for_lipschitz_base(gamma_quad):
     ys = rng.uniform(-2, 2, 20)
     zs = rng.uniform(-2, 2, (20, 1))
     us = np.zeros((20, gamma_quad.n_nodes))
-    reg = regularize(lin, 4, 4, gamma_quad, strategy="generic")
+    reg = regularize(lin.at_quadrature(gamma_quad, gamma_model), 4, 4,
+                     strategy="generic")
     direct = lin.f_hat(0.0, ys, zs)
     assert np.allclose(reg.evaluate(0.0, ys, zs, us), direct, atol=1e-12)
 
@@ -236,13 +244,14 @@ def test_monotone_in_n_and_kappa(canonical, gamma_model, probes):
     us = rng.uniform(-1.2, 1.2, (50, quad.n_nodes))
     prev = None
     for n in (1, 2, 4):
-        vals = regularize(canonical, n, 2, quad).evaluate(0.0, ys, zs, us)
+        vals = regularize(canonical.at_quadrature(quad, gamma_model), n,
+                          2).evaluate(0.0, ys, zs, us)
         if prev is not None:
             assert np.all(vals >= prev - 1e-12)
         prev = vals
     prev = None
     for kappa in (2.0, 4.0, 8.0):
-        reg = regularize(canonical, 4, 2, quad,
+        reg = regularize(canonical.at_quadrature(quad, gamma_model), 4, 2,
                          node_idx=quad.restrict_indices(kappa))
         vals = reg.evaluate(0.0, ys, zs, us)
         if prev is not None:
@@ -250,7 +259,7 @@ def test_monotone_in_n_and_kappa(canonical, gamma_model, probes):
         prev = vals
 
 
-def test_antitone_in_m(gamma_quad):
+def test_antitone_in_m(gamma_quad, gamma_model):
     # a shifted canonical driver has a genuine negative part
     p = StructureParams.from_constants(1.0, 1.0, 0.0)
     base = q.make_driver("canonical", StructureParams.from_constants(1.0))
@@ -265,7 +274,7 @@ def test_antitone_in_m(gamma_quad):
     us = rng.uniform(-1, 1, (50, gamma_quad.n_nodes))
     prev = None
     for m in (1, 2, 4, 8):
-        reg = regularize(shifted, 4, m, gamma_quad)
+        reg = regularize(shifted.at_quadrature(gamma_quad, gamma_model), 4, m)
         assert reg.strategy == "generic"
         vals = reg.evaluate(0.0, ys, zs, us)
         if prev is not None:
@@ -273,7 +282,7 @@ def test_antitone_in_m(gamma_quad):
         prev = vals
 
 
-def test_y_dependent_nonnegative_driver_is_regularized_jointly(gamma_quad):
+def test_y_dependent_nonnegative_driver_is_regularized_jointly(gamma_quad, gamma_model):
     # the separable envelope drops y, so a nonnegative generator that reads y
     # goes to the joint (y, z, v) envelope
     p = StructureParams.from_constants(1.0)
@@ -283,40 +292,41 @@ def test_y_dependent_nonnegative_driver_is_regularized_jointly(gamma_quad):
         return base.f_hat(t, y, z) + np.abs(np.asarray(y, dtype=float))
 
     drv = Driver("abs_y", f_hat, base.g, p, nonnegative=True, lip_y=1.0)
-    assert regularize(drv, 4, 4, gamma_quad).strategy == "generic"
+    view = drv.at_quadrature(gamma_quad, gamma_model)
+    assert regularize(view, 4, 4).strategy == "generic"
     with pytest.raises(NotRegularizableError):
-        regularize(drv, 4, 4, gamma_quad, strategy="nonnegative")
+        regularize(view, 4, 4, strategy="nonnegative")
 
 
-def test_sandwich_thousand_probes(canonical, gamma_quad):
+def test_sandwich_thousand_probes(canonical, gamma_quad, gamma_model):
     rng = np.random.default_rng(8)
     n = 1000
     ys = rng.uniform(-4, 4, n)
     zs = rng.uniform(-4, 4, (n, 1))
     us = rng.uniform(-1.5, 1.5, (n, gamma_quad.n_nodes))
-    reg = regularize(canonical, 4, 4, gamma_quad)
+    reg = regularize(canonical.at_quadrature(gamma_quad, gamma_model), 4, 4)
     vals = reg.evaluate(0.0, ys, zs, us)
     violations = 0
     for i in range(n):
         lo, hi = structure_bounds(0.0, ys[i], zs[i], us[i], canonical.params,
-                                  gamma_quad)
+                                  gamma_quad.weights)
         tol = 1e-9 * (1.0 + abs(float(hi)))
         if not (float(lo) - tol <= vals[i] <= float(hi) + tol):
             violations += 1
     assert violations == 0
 
 
-def test_regularized_never_exceeds_positive_part(canonical, gamma_quad, probes):
+def test_regularized_never_exceeds_positive_part(canonical, gamma_quad, probes,
+                                                 gamma_model):
     ys, zs, us = probes
-    reg = regularize(canonical, 3, 3, gamma_quad)
+    reg = regularize(canonical.at_quadrature(gamma_quad, gamma_model), 3, 3)
     vals = reg.evaluate(0.0, ys, zs, us)
-    zeta = np.ones(gamma_quad.n_nodes)
-    direct = canonical.evaluate(0.0, ys, zs, us, gamma_quad, zeta)
+    direct = canonical.evaluate(0.0, ys, zs, us, gamma_quad.weights)
     assert np.all(vals <= direct + 1e-12)
 
 
-def test_empirical_lipschitz_cap(canonical, gamma_quad):
-    reg = regularize(canonical, 5, 2, gamma_quad)
+def test_empirical_lipschitz_cap(canonical, gamma_quad, gamma_model):
+    reg = regularize(canonical.at_quadrature(gamma_quad, gamma_model), 5, 2)
     u0 = np.zeros((1, gamma_quad.n_nodes))
 
     def fyz(row):
@@ -327,20 +337,20 @@ def test_empirical_lipschitz_cap(canonical, gamma_quad):
     assert est <= 5.0 * (1.0 + 1e-6)
 
 
-def test_mark_part_local_lipschitz_bound(canonical, gamma_quad):
+def test_mark_part_local_lipschitz_bound(canonical, gamma_quad, gamma_model):
     # |G_n(u) - G_n(u')| <= n (|u| + |u'|) |u - u'| in the nu-norm, for
     # fields within the unit band and n past the local slope of the integrand
     rng = np.random.default_rng(10)
     n_idx = 4
-    reg = regularize(canonical, n_idx, 2, gamma_quad)
+    reg = regularize(canonical.at_quadrature(gamma_quad, gamma_model), n_idx, 2)
     for _ in range(100):
         u = rng.uniform(-1, 1, (1, gamma_quad.n_nodes))
         ub = rng.uniform(-1, 1, (1, gamma_quad.n_nodes))
-        gu = float(reg._jump_envelope(0.0, u, n_idx)[0])
-        gub = float(reg._jump_envelope(0.0, ub, n_idx)[0])
-        nu = float(q.nu_norm(u, gamma_quad)[0])
-        nub = float(q.nu_norm(ub, gamma_quad)[0])
-        ndiff = float(q.nu_norm(u - ub, gamma_quad)[0])
+        gu = float(reg._jump_envelope(0.0, u, gamma_quad.weights)[0])
+        gub = float(reg._jump_envelope(0.0, ub, gamma_quad.weights)[0])
+        nu = float(q.nu_norm(u, gamma_quad.weights)[0])
+        nub = float(q.nu_norm(ub, gamma_quad.weights)[0])
+        ndiff = float(q.nu_norm(u - ub, gamma_quad.weights)[0])
         assert abs(gu - gub) <= n_idx * (nu + nub) * ndiff + 1e-9
 
 
@@ -354,7 +364,7 @@ def test_truncation_convergence(canonical, gamma_model):
     us = rng.uniform(-1, 1, (50, quad.n_nodes))
     vals = {}
     for kappa in (2.0, 8.0, 32.0):
-        reg = regularize(canonical, 4, 4, quad,
+        reg = regularize(canonical.at_quadrature(quad, gamma_model), 4, 4,
                          node_idx=quad.restrict_indices(kappa))
         vals[kappa] = reg.evaluate(0.0, ys, zs, us)
     gap_coarse = np.abs(vals[8.0] - vals[2.0]).max()
@@ -362,9 +372,28 @@ def test_truncation_convergence(canonical, gamma_model):
     assert gap_fine < gap_coarse
 
 
-def test_regularize_index_validation(canonical, gamma_quad):
+def test_regularized_driver_weighs_nodes_at_its_time():
+    # zeta fades in time: a regularized generator at t > 0 weighs its kept
+    # nodes by their intensity at t, not at time zero
+    model = gamma_model(zeta=lambda t, e: np.full_like(e, 1.0 - t / 2.0))
+    quad = q.build_quadrature(model, 8.0, 10, cut_levels=[0.25])
+    lin = q.make_driver("linear", StructureParams.from_constants(1.0),
+                        a=0.5, b=0.3, c_tilde=0.4)
+    idx = quad.restrict_indices(4.0)
+    reg = regularize(lin.at_quadrature(quad, model), 2, 2, idx)
+    assert reg.strategy == "lipschitz_exact"
+    rng = np.random.default_rng(13)
+    ys = rng.uniform(-2, 2, 40)
+    zs = rng.uniform(-2, 2, (40, 1))
+    us = rng.uniform(-1, 1, (40, quad.n_nodes))
+    t_k = 0.75
+    direct = lin.evaluate(t_k, ys, zs, us[:, idx], quad.intensity(model, t_k)[idx])
+    np.testing.assert_allclose(reg.evaluate(t_k, ys, zs, us), direct, rtol=1e-12)
+
+
+def test_regularize_index_validation(canonical, gamma_quad, gamma_model):
     with pytest.raises(ValueError):
-        regularize(canonical, 0.5, 1, gamma_quad)
+        regularize(canonical.at_quadrature(gamma_quad, gamma_model), 0.5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +402,8 @@ def test_regularize_index_validation(canonical, gamma_quad):
 
 def test_a_gamma_equal_fields(canonical, gamma_quad):
     u = np.full(gamma_quad.n_nodes, 0.3)
-    rep = q.check_a_gamma(canonical, 0.0, 0.0, np.array([0.0]), u, u, gamma_quad)
+    rep = q.check_a_gamma(canonical, 0.0, 0.0, np.array([0.0]), u, u,
+                          gamma_quad.weights)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.ok
 
 
@@ -382,7 +412,8 @@ def test_a_gamma_single_node_slope(canonical):
                             np.array([1.0]))
     u = np.array([1.0])
     ub = np.array([0.0])
-    rep = q.check_a_gamma(canonical, 0.0, 0.0, np.array([0.0]), u, ub, quad)
+    rep = q.check_a_gamma(canonical, 0.0, 0.0, np.array([0.0]), u, ub,
+                          quad.weights)
     assert rep.lhs == pytest.approx(math.e - 2.0, rel=1e-12)
     assert rep.rhs == pytest.approx(rep.lhs, rel=1e-12)
     assert -1.0 < rep.slopes[0] and rep.ok
@@ -394,7 +425,7 @@ def test_a_gamma_random_pairs(canonical, gamma_quad):
         u = rng.uniform(-1.5, 1.5, gamma_quad.n_nodes)
         ub = rng.uniform(-1.5, 1.5, gamma_quad.n_nodes)
         rep = q.check_a_gamma(canonical, 0.0, 0.0, np.array([0.0]), u, ub,
-                              gamma_quad)
+                              gamma_quad.weights)
         assert rep.ok
 
 

@@ -81,7 +81,7 @@ def test_nodes_outside_truncation(gamma_model, stable_model):
 def test_null_density_zero_weights():
     quad = q.build_quadrature(q.make_model("null"), 2.0, 8)
     assert quad.total_mass == 0.0
-    assert q.j_functional(np.ones(quad.n_nodes), 1.0, quad) == 0.0
+    assert q.j_functional(np.ones(quad.n_nodes), 1.0, quad.weights) == 0.0
 
 
 def test_divergent_tail_raises():
@@ -118,25 +118,25 @@ def test_restriction_is_exact_on_aligned_cells(gamma_model):
 # ---------------------------------------------------------------------------
 
 def test_j_zero_field(two_node_quad):
-    assert q.j_functional(np.zeros(2), 1.0, two_node_quad) == 0.0
+    assert q.j_functional(np.zeros(2), 1.0, two_node_quad.weights) == 0.0
 
 
 def test_j_constant_field_closed_form(two_node_quad):
     # mass 2: j(1) = 2 (e - 2)
-    val = q.j_functional(np.ones(2), 1.0, two_node_quad)
+    val = q.j_functional(np.ones(2), 1.0, two_node_quad.weights)
     assert val == pytest.approx(2.0 * (math.e - 2.0), rel=1e-12)
 
 
 def test_j_small_field_taylor(two_node_quad):
-    val = q.j_functional(np.full(2, 1e-3), 1.0, two_node_quad)
+    val = q.j_functional(np.full(2, 1e-3), 1.0, two_node_quad.weights)
     assert val == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_j_overflow_guard(two_node_quad):
     with pytest.raises(ExponentOverflowError):
-        q.j_functional(np.full(2, 800.0), 1.0, two_node_quad)
+        q.j_functional(np.full(2, 800.0), 1.0, two_node_quad.weights)
     with pytest.raises(ValueError):
-        q.j_functional(np.ones(2), -1.0, two_node_quad)
+        q.j_functional(np.ones(2), -1.0, two_node_quad.weights)
 
 
 @settings(max_examples=50, deadline=None)
@@ -145,7 +145,7 @@ def test_j_overflow_guard(two_node_quad):
 def test_j_nonnegative(values, delta):
     quad = q.MarkQuadrature(np.array([1.0, 2.0]), np.array([1.5, 0.5]), 1.0,
                             np.array([1.0, 2.0]))
-    assert q.j_functional(np.asarray(values), delta, quad) >= 0.0
+    assert q.j_functional(np.asarray(values), delta, quad.weights) >= 0.0
 
 
 def test_j_convexity_probes(gamma_quad):
@@ -154,9 +154,9 @@ def test_j_convexity_probes(gamma_quad):
         u = rng.uniform(-2, 2, gamma_quad.n_nodes)
         v = rng.uniform(-2, 2, gamma_quad.n_nodes)
         lam = rng.random()
-        lhs = q.j_functional(lam * u + (1 - lam) * v, 1.0, gamma_quad)
-        rhs = (lam * q.j_functional(u, 1.0, gamma_quad)
-               + (1 - lam) * q.j_functional(v, 1.0, gamma_quad))
+        lhs = q.j_functional(lam * u + (1 - lam) * v, 1.0, gamma_quad.weights)
+        rhs = (lam * q.j_functional(u, 1.0, gamma_quad.weights)
+               + (1 - lam) * q.j_functional(v, 1.0, gamma_quad.weights))
         assert lhs <= rhs + 1e-12
 
 
@@ -168,7 +168,7 @@ def test_j_lower_bound_per_node(gamma_quad):
         u = rng.uniform(-2, 2, gamma_quad.n_nodes)
         lower = 0.5 * delta ** 2 * (gamma_quad.weights * u * u
                                     * np.exp(-delta * np.abs(u))).sum()
-        assert q.j_functional(u, delta, gamma_quad) >= lower - 1e-12
+        assert q.j_functional(u, delta, gamma_quad.weights) >= lower - 1e-12
 
 
 def test_j_monotone_in_truncation(gamma_model):
@@ -178,7 +178,7 @@ def test_j_monotone_in_truncation(gamma_model):
     vals = []
     for kappa in (2.0, 4.0, 8.0):
         idx = quad.restrict_indices(kappa)
-        vals.append(q.j_functional(u_master[idx], 1.0, quad.restrict(kappa)))
+        vals.append(q.j_functional(u_master[idx], 1.0, quad.restrict(kappa).weights))
     assert vals[0] <= vals[1] <= vals[2]
 
 

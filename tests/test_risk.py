@@ -140,7 +140,7 @@ def test_terminal_bound_payoff_discounting():
 def test_apriori_trivial_zero(small_ensemble, gamma_quad):
     p = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("zero", p)
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad),
+    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, small_ensemble.model),
                             lambda x: np.zeros_like(x), small_ensemble)
     rep = apriori_bound_check(sol, p, small_ensemble, 0)
     assert rep.ok
@@ -152,8 +152,7 @@ def test_apriori_linear_driver_strict(small_ensemble, gamma_quad):
     # running cost l = 1 adds a horizon-length term to the bound
     p = q.StructureParams.from_constants(1.0, 1.0, 0.0)
     drv = q.make_driver("linear", p, b=0.2)
-    view = drv.at_quadrature(gamma_quad,
-                             gamma_quad.zeta_at(small_ensemble.model, 0.0))
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: 0.2 * x, small_ensemble)
     rep = apriori_bound_check(sol, p, small_ensemble, 0)
     assert rep.ok
@@ -166,8 +165,7 @@ def test_apriori_canonical_tight(small_ensemble, gamma_quad):
     # the scheme and sampling error
     p = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad,
-                             gamma_quad.zeta_at(small_ensemble.model, 0.0))
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: np.abs(0.25 * x), small_ensemble)
     rep = apriori_bound_check(sol, p, small_ensemble, 0)
     assert rep.ok
@@ -180,8 +178,7 @@ def test_apriori_interior_time(small_ensemble, gamma_quad):
     # magnitude bound, so the pathwise check has genuine slack
     p = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad,
-                             gamma_quad.zeta_at(small_ensemble.model, 0.0))
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
     rep = apriori_bound_check(sol, p, small_ensemble, 8)
     assert rep.fraction_ok >= 0.99

@@ -56,7 +56,7 @@ def test_degenerate_single_triple_equals_plain_solve(gamma_model):
     schedule = Schedule(((4, 4, 4),))
     ens, result = run_ladder(base, lambda x: x, gamma_model, schedule,
                              seed=55, k_steps=10, n_paths=2000, q_nodes=8)
-    view = base.at_quadrature(ens.quad, ens.quad.zeta_at(gamma_model, 0.0))
+    view = base.at_quadrature(ens.quad, gamma_model)
     direct = solve_lipschitz(view, lambda x: x, ens)
     assert result.solutions[0].y0 == pytest.approx(direct.y0, abs=1e-12)
     assert np.allclose(result.solutions[0].y, direct.y, atol=1e-12)
@@ -126,7 +126,7 @@ def test_unlinked_comparison_refused(gamma_model, gamma_quad):
     for seed in (1, 2):
         ens = simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
                                1000, seed=seed)
-        sols.append(solve_lipschitz(drv.at_quadrature(gamma_quad),
+        sols.append(solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                                     lambda x: x, ens))
     with pytest.raises(UnlinkedComparisonError):
         monotonicity_check(sols, [dict(lo=0, hi=1, changed=("kappa",))])
@@ -134,7 +134,8 @@ def test_unlinked_comparison_refused(gamma_model, gamma_quad):
 
 def test_identical_solves_zero_violations(small_ensemble, gamma_quad):
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = solve_lipschitz(drv.at_quadrature(gamma_quad), lambda x: x,
+    sol = solve_lipschitz(drv.at_quadrature(gamma_quad, small_ensemble.model),
+                          lambda x: x,
                           small_ensemble)
     fracs = monotonicity_check([sol, sol], [dict(lo=0, hi=1, changed=())])
     assert fracs == [0.0]
@@ -142,7 +143,8 @@ def test_identical_solves_zero_violations(small_ensemble, gamma_quad):
 
 def test_mixed_link_without_direction_refused(small_ensemble, gamma_quad):
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = solve_lipschitz(drv.at_quadrature(gamma_quad), lambda x: x,
+    sol = solve_lipschitz(drv.at_quadrature(gamma_quad, small_ensemble.model),
+                          lambda x: x,
                           small_ensemble)
     with pytest.raises(UnlinkedComparisonError, match="direction"):
         monotonicity_check([sol, sol], [dict(lo=0, hi=1, changed=("n", "m"))],
@@ -176,16 +178,16 @@ def test_tau_interior_and_monotone(small_ensemble):
 
 def test_localized_statistics_approach_full_horizon(mini_scheme):
     ens, result = mini_scheme
-    sol, proxy, quad = result.solutions[0], result.solutions[-1], ens.quad
+    sol, proxy = result.solutions[0], result.solutions[-1]
     params = q.StructureParams.from_constants(1.0)
-    c_split = default_c_split(proxy, ens, quad)
-    full = driver_l1_gap(sol, proxy, ens, quad, c_split)
+    c_split = default_c_split(proxy, ens)
+    full = driver_l1_gap(sol, proxy, ens, c_split)
     base_level = float(np.exp(np.abs(proxy.terminal)).mean())
     gaps = []
     for mult in (1.05, 2.0, 1e9):
         stop = tau_l_localization(ens, params, proxy.terminal,
                                   level=mult * base_level)
-        rep = driver_l1_gap(sol, proxy, ens, quad, c_split, stop_index=stop)
+        rep = driver_l1_gap(sol, proxy, ens, c_split, stop_index=stop)
         gaps.append(rep.a1 + rep.a2)
     assert gaps[0] <= gaps[1] <= gaps[2]
     assert gaps[2] == pytest.approx(full.a1 + full.a2, rel=1e-12)
@@ -198,7 +200,7 @@ def test_localized_statistics_approach_full_horizon(mini_scheme):
 def test_identical_solutions_zero_gap(mini_scheme):
     ens, result = mini_scheme
     proxy = result.solutions[-1]
-    rep = driver_l1_gap(proxy, proxy, ens, ens.quad, c_split=5.0)
+    rep = driver_l1_gap(proxy, proxy, ens, c_split=5.0)
     assert rep.a1 == 0.0 and rep.a2 == 0.0
 
 
@@ -206,7 +208,7 @@ def test_gap_split_validation(mini_scheme):
     ens, result = mini_scheme
     with pytest.raises(ValueError, match="positive"):
         driver_l1_gap(result.solutions[0], result.solutions[-1], ens,
-                      ens.quad, c_split=0.0)
+                      c_split=0.0)
 
 
 def test_uniform_gap_shrinks_along_ladder(gamma_model):

@@ -15,8 +15,7 @@ from qebsdej.solver import EnsembleMismatchError, decompose
 def canonical_solution(small_ensemble, gamma_quad):
     params = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("canonical", params)
-    view = drv.at_quadrature(gamma_quad,
-                             gamma_quad.zeta_at(small_ensemble.model, 0.0))
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: np.abs(0.25 * x), small_ensemble)
     return params, sol, decompose(sol, small_ensemble)
 
@@ -28,31 +27,29 @@ def canonical_solution(small_ensemble, gamma_quad):
 def test_corridor_trivial_zero_solution(small_ensemble, gamma_quad):
     params = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("zero", params)
-    view = drv.at_quadrature(gamma_quad)
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: np.zeros_like(x), small_ensemble)
     dec = decompose(sol, small_ensemble)
-    report = check_q_structure(dec, sol, small_ensemble, params, gamma_quad)
+    report = check_q_structure(dec, sol, small_ensemble, params)
     assert report.violation_fraction == 0.0
 
 
 def test_corridor_canonical_sits_on_upper_boundary(canonical_solution,
-                                                   small_ensemble, gamma_quad):
+                                                   small_ensemble):
     params, sol, dec = canonical_solution
-    report = check_q_structure(dec, sol, small_ensemble, params, gamma_quad,
-                               tol=1e-9)
+    report = check_q_structure(dec, sol, small_ensemble, params, tol=1e-9)
     assert report.violation_fraction == 0.0
     # with l = c = 0 and unit delta the finite-variation increment equals the
     # upper corridor term exactly
     assert np.max(np.abs(report.upper_slack)) <= 1e-9
 
 
-def test_corridor_adversarial_violation(canonical_solution, small_ensemble,
-                                        gamma_quad):
+def test_corridor_adversarial_violation(canonical_solution, small_ensemble):
     params, sol, dec = canonical_solution
     bumped = q.Decomposition(dec.v + 0.1 * np.arange(dec.v.shape[1])[None, :],
                              dec.m_total, dec.m_c, dec.m_d,
                              dec.ensemble_fingerprint)
-    report = check_q_structure(bumped, sol, small_ensemble, params, gamma_quad)
+    report = check_q_structure(bumped, sol, small_ensemble, params)
     assert report.violation_fraction == 1.0
 
 
@@ -61,12 +58,10 @@ def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
     # the upper corridor at every delta, not only at delta = 1
     params = q.StructureParams.from_constants(0.5)
     drv = q.make_driver("canonical", params)
-    view = drv.at_quadrature(gamma_quad,
-                             gamma_quad.zeta_at(small_ensemble.model, 0.0))
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: np.abs(0.25 * x), small_ensemble)
     dec = decompose(sol, small_ensemble)
-    report = check_q_structure(dec, sol, small_ensemble, params, gamma_quad,
-                               tol=1e-9)
+    report = check_q_structure(dec, sol, small_ensemble, params, tol=1e-9)
     assert report.violation_fraction == 0.0
     assert np.max(np.abs(report.upper_slack)) <= 1e-9
 
@@ -77,7 +72,7 @@ def test_corridor_mismatched_ensemble(canonical_solution, small_ensemble,
     other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
                                small_ensemble.time_grid, 20000, seed=999)
     with pytest.raises(EnsembleMismatchError):
-        check_q_structure(dec, sol, other, params, gamma_quad)
+        check_q_structure(dec, sol, other, params)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +131,8 @@ def test_submartingale_index_validation(small_ensemble):
 
 def test_canonical_flat_martingale(two_node_quad):
     r = canonical_paths(np.zeros((100, 5)), 0.0, np.zeros((5, 2)),
-                        [np.zeros((100, 2))] * 5, two_node_quad, 0.2, "upper",
+                        [np.zeros((100, 2))] * 5, two_node_quad.weights, 0.2,
+                        "upper",
                         r0=1.5)
     assert np.all(r == 1.5)
     mean, se = doleans_check(r)
@@ -149,7 +145,7 @@ def test_canonical_brownian_direction(small_ensemble, gamma_quad):
     mc = small_ensemble.dw[:, :, 0]
     counts = [small_ensemble.jumps.counts_for_interval(j) for j in range(k)]
     u0 = np.zeros((k, gamma_quad.n_nodes))
-    r = canonical_paths(mc, dt, u0, counts, gamma_quad, dt, "upper")
+    r = canonical_paths(mc, dt, u0, counts, gamma_quad.weights, dt, "upper")
     # r_T = W_T - T/2 for a unit Brownian loading
     assert np.allclose(r[:, -1], small_ensemble.dw[:, :, 0].sum(axis=1) - 0.5,
                        atol=1e-12)
@@ -164,7 +160,8 @@ def test_canonical_jump_directions(small_ensemble, gamma_quad):
     counts = [small_ensemble.jumps.counts_for_interval(j) for j in range(k)]
     u_const = np.full((k, gamma_quad.n_nodes), 0.3)
     for direction in ("upper", "lower"):
-        r = canonical_paths(mc, dt, u_const, counts, gamma_quad, dt, direction)
+        r = canonical_paths(mc, dt, u_const, counts, gamma_quad.weights, dt,
+                            direction)
         mean, se = doleans_check(r, direction)
         assert abs(mean - 1.0) <= 3.0 * se, (direction, mean, se)
         # the stochastic exponential itself is positive pathwise
@@ -175,7 +172,8 @@ def test_canonical_jump_directions(small_ensemble, gamma_quad):
 def test_canonical_direction_validation(two_node_quad):
     with pytest.raises(ValueError):
         canonical_paths(np.zeros((10, 2)), 0.0, np.zeros((2, 2)),
-                        [np.zeros((10, 2))] * 2, two_node_quad, 0.5, "sideways")
+                        [np.zeros((10, 2))] * 2, two_node_quad.weights, 0.5,
+                        "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
         tg = np.linspace(0.0, 1.0, k_steps + 1)
         ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
                                  tg, 500, seed=31)
-        sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad),
+        sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                                 lambda x: np.ones_like(x), ens)
         v_terminal[k_steps] = float(decompose(sol, ens).v[0, -1])
     gap_coarse = abs(v_terminal[25] - v_terminal[50])
@@ -217,7 +215,7 @@ def test_stability_requires_shared_ensemble(canonical_solution, small_ensemble,
     other_ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
                                    small_ensemble.time_grid, 20000, seed=999)
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    other_sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad),
+    other_sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                                   lambda x: np.zeros_like(x), other_ens)
     other_dec = decompose(other_sol, other_ens)
     with pytest.raises(EnsembleMismatchError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qebsdej as q
+from qebsdej.levy import gamma_model
 from qebsdej.oracles import girsanov_tilt_exact, girsanov_tilt_mc
 from qebsdej.semimartingale import martingale_regression_test
 from qebsdej.solver import (EnsembleMismatchError, FeatureMap,
@@ -134,8 +135,8 @@ def test_regression_rank_deficient_design_gets_minimum_norm_fit():
 
 def test_zero_driver_martingale(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(null_quad), lambda x: x,
-                            brownian_ensemble)
+    sol = q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
+                            lambda x: x, brownian_ensemble)
     err = np.abs(sol.y - brownian_ensemble.state).mean(axis=0).max()
     assert err <= 0.02
     z_mid = sol.z[:, 12, 0]
@@ -145,8 +146,8 @@ def test_zero_driver_martingale(brownian_ensemble, null_quad):
 
 def test_zero_mass_measure_gives_null_jump_loading(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(null_quad), lambda x: x,
-                            brownian_ensemble)
+    sol = q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
+                            lambda x: x, brownian_ensemble)
     assert np.all(sol.u_values(brownian_ensemble, 10) == 0.0)
 
 
@@ -156,7 +157,7 @@ def test_linear_ode_closed_form(gamma_model, gamma_quad):
                              2000, seed=21)
     p = q.StructureParams.from_constants(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad),
+    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                             lambda x: np.ones_like(x), ens)
     assert abs(sol.y0 - math.exp(0.5)) <= 0.01
 
@@ -169,7 +170,7 @@ def test_grid_refinement_first_order(gamma_model, gamma_quad):
         tg = np.linspace(0.0, 1.0, k_steps + 1)
         ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
                                  500, seed=22)
-        y0[k_steps] = q.solve_lipschitz(drv.at_quadrature(gamma_quad),
+        y0[k_steps] = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                                         lambda x: np.ones_like(x), ens).y0
     gap_coarse = abs(y0[25] - y0[50])
     gap_fine = abs(y0[50] - y0[100])
@@ -183,7 +184,7 @@ def test_girsanov_tilt_oracle(gamma_model):
                              seed=23)
     p = q.StructureParams.from_constants(1.0, 1.0, 0.0)
     drv = q.make_driver("linear", p, b=0.3, c_tilde=0.4)
-    sol = q.solve_lipschitz(drv.at_quadrature(quad), lambda x: x, ens)
+    sol = q.solve_lipschitz(drv.at_quadrature(quad, gamma_model), lambda x: x, ens)
     oracle = girsanov_tilt_mc(0.3, 0.4, quad.total_mass, 1.0,
                               n_samples=400000, seed=24)
     cse = math.hypot(sol.y0_se, oracle.stderr)
@@ -196,16 +197,16 @@ def test_non_contraction_guard(brownian_ensemble, null_quad):
     p = q.StructureParams.from_constants(1.0, 0.0, 30.0)
     drv = q.make_driver("linear", p, a=30.0)  # dt = 0.04, dt * 30 > 1
     with pytest.raises(NonContractionError):
-        q.solve_lipschitz(drv.at_quadrature(null_quad), lambda x: x,
-                          brownian_ensemble)
+        q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
+                          lambda x: x, brownian_ensemble)
 
 
 def test_picard_non_convergence_raises(brownian_ensemble, null_quad):
     p = q.StructureParams.from_constants(1.0, 0.0, 0.5)
     drv = q.make_driver("linear", p, a=0.5)
     with pytest.raises(RuntimeError, match="Picard"):
-        q.solve_lipschitz(drv.at_quadrature(null_quad), lambda x: x,
-                          brownian_ensemble, picard_max=1)
+        q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
+                          lambda x: x, brownian_ensemble, picard_max=1)
 
 
 def test_two_dimensional_noise(gamma_model, gamma_quad):
@@ -214,7 +215,8 @@ def test_two_dimensional_noise(gamma_model, gamma_quad):
                              seed=25, d=2)
     assert ens.dw.shape == (20000, 20, 2)
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad), lambda x: x, ens)
+    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
+                            lambda x: x, ens)
     err = np.abs(sol.y - ens.state).mean(axis=0).max()
     assert err <= 0.03
 
@@ -226,18 +228,36 @@ def test_two_dimensional_noise(gamma_model, gamma_quad):
 def test_reconstruction_identity(small_ensemble, gamma_quad):
     p = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad,
-                             gamma_quad.zeta_at(small_ensemble.model, 0.0))
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
     dec = q.decompose(sol, small_ensemble)
     recon = sol.y[:, :1] - dec.v + dec.m_total
     assert np.max(np.abs(sol.y - recon)) <= 1e-10
 
 
+def test_solve_weighs_each_step_by_its_own_intensity():
+    # with l = c = 0 the canonical generator is the upper corridor edge, so
+    # each stored generator value must equal that edge at the intensity of
+    # its own step when the modulation zeta fades in time
+    model = gamma_model(zeta=lambda t, e: np.full_like(e, 1.0 - t / 2.0))
+    quad = q.build_quadrature(model, 4.0, 10)
+    ens = q.simulate_forward(model, quad, "brownian_jumps",
+                             np.linspace(0.0, 1.0, 21), 4000, seed=3)
+    p = q.StructureParams.from_constants(1.0)
+    drv = q.make_driver("canonical", p)
+    sol = q.solve_lipschitz(drv.at_quadrature(quad, model),
+                            lambda x: np.abs(0.25 * x), ens)
+    for k in range(ens.n_steps):
+        _, upper = q.structure_bounds(float(ens.time_grid[k]), sol.y[:, k],
+                                      sol.z[:, k, :], sol.u_values(ens, k), p,
+                                      ens.node_intensity(k))
+        np.testing.assert_allclose(sol.driver_values[:, k], upper, rtol=1e-12)
+
+
 def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(null_quad), lambda x: x,
-                            brownian_ensemble)
+    sol = q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
+                            lambda x: x, brownian_ensemble)
     dec = q.decompose(sol, brownian_ensemble)
     assert np.all(dec.v == 0.0)
 
@@ -248,7 +268,7 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
                              5000, seed=26)
     p = q.StructureParams.from_constants(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad),
+    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                             lambda x: np.ones_like(x), ens)
     dec = q.decompose(sol, ens)
     assert np.max(np.abs(dec.m_c)) <= 1e-8
@@ -260,8 +280,7 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
 def test_martingale_component_regression(small_ensemble, gamma_quad):
     p = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad,
-                             gamma_quad.zeta_at(small_ensemble.model, 0.0))
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
     dec = q.decompose(sol, small_ensemble)
     dm = np.diff(dec.m_c + dec.m_d, axis=1)
@@ -272,8 +291,7 @@ def test_martingale_component_regression(small_ensemble, gamma_quad):
 def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
     p = q.StructureParams.from_constants(1.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad,
-                             gamma_quad.zeta_at(small_ensemble.model, 0.0))
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
     other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
                                small_ensemble.time_grid, 20000, seed=999)
@@ -292,6 +310,7 @@ def test_same_seed_other_inputs_rejected(gamma_model, gamma_quad, change):
     other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
                                1000, seed=5, **change)
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad), lambda x: x, ens)
+    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
+                            lambda x: x, ens)
     with pytest.raises(EnsembleMismatchError):
         q.decompose(sol, other)
