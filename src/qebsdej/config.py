@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracles
 from .drivers import Driver, StructureParams, make_driver
-from .levy import LevyModel, UnknownPresetError, make_model
+from .levy import EXP_CAP, LevyModel, UnknownPresetError, make_model
 from .scheme import Schedule
 from .solver import DYNAMICS, JUMP_IMPACTS
 
@@ -41,11 +41,11 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{fieldpath}': {message}")
 
 
-def _number(cast: Callable, noun: str) -> Callable:
+def _number(cast: Callable, noun: str, most: float = math.inf) -> Callable:
     def parse(value):
         try:
             number = cast(value)
-            if math.isfinite(number):
+            if math.isfinite(number) and number <= most:
                 return number
         except (TypeError, ValueError, OverflowError):
             pass
@@ -160,7 +160,8 @@ ORACLES = {
         "impact": Setting(_float, 1.0), **_HORIZON, **_SAMPLING}),
     "brownian_doleans": (oracles.brownian_doleans_mc, {**_HORIZON, **_SAMPLING}),
     "compound_poisson_doleans": (oracles.compound_poisson_doleans_mc, {
-        "u": Setting(_float, 0.3), "mass": Setting(_float, 2.0, least=0.0),
+        "u": Setting(_number(float, f"a number <= {EXP_CAP:g}", EXP_CAP), 0.3),
+        "mass": Setting(_float, 2.0, least=0.0),
         **_HORIZON, **_SAMPLING}),
     "null_measure": (oracles.null_measure_oracle, {}),
 }

@@ -82,8 +82,7 @@ def girsanov_tilt_exact(b: float, c_tilde: float, mass: float, t_end: float,
 
 
 def girsanov_tilt_mc(b: float, c_tilde: float, mass: float, t_end: float,
-                     x0: float = 0.0, impact: float = 1.0,
-                     n_samples: int = 200000, seed: int = 0) -> OracleValue:
+                     x0: float, impact: float, n_samples: int, seed: int) -> OracleValue:
     """Fresh simulation under the tilted dynamics: Brownian drift ``b`` and
     jump intensity scaled by ``1 + c_tilde``; the payoff is the terminal
     state compensated at the original intensity."""
@@ -96,8 +95,7 @@ def girsanov_tilt_mc(b: float, c_tilde: float, mass: float, t_end: float,
                        float(xi.std(ddof=1) / math.sqrt(n_samples)))
 
 
-def brownian_doleans_mc(t_end: float = 1.0, n_samples: int = 200000,
-                        seed: int = 0) -> OracleValue:
+def brownian_doleans_mc(t_end: float, n_samples: int, seed: int) -> OracleValue:
     """Sample mean of ``exp(W_T - T/2)``; the lognormal mean is one."""
     rng = np.random.default_rng(seed)
     vals = np.exp(rng.normal(0.0, math.sqrt(t_end), n_samples) - 0.5 * t_end)
@@ -105,8 +103,8 @@ def brownian_doleans_mc(t_end: float = 1.0, n_samples: int = 200000,
                        float(vals.std(ddof=1) / math.sqrt(n_samples)))
 
 
-def compound_poisson_doleans_mc(u: float, mass: float, t_end: float = 1.0,
-                                n_samples: int = 200000, seed: int = 0) -> OracleValue:
+def compound_poisson_doleans_mc(u: float, mass: float, t_end: float,
+                                n_samples: int, seed: int) -> OracleValue:
     """Sample mean of ``exp(u N_T - mass T (e^u - 1))`` for a Poisson count
     ``N_T`` with mean ``mass T``; exactly one in expectation."""
     rng = np.random.default_rng(seed)
@@ -116,8 +114,8 @@ def compound_poisson_doleans_mc(u: float, mass: float, t_end: float = 1.0,
                        float(vals.std(ddof=1) / math.sqrt(n_samples)))
 
 
-def entropic_gaussian_mc(sigma: float, direction: str = "upper",
-                         n_samples: int = 200000, seed: int = 0) -> OracleValue:
+def entropic_gaussian_mc(sigma: float, direction: str, n_samples: int,
+                         seed: int) -> OracleValue:
     """Monte Carlo entropic value of a centered Gaussian payoff."""
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, sigma, n_samples)

@@ -27,7 +27,8 @@ class RiskEstimate:
     heavy_tail_warning: bool = False
 
 
-def _heavy_tail(weights: np.ndarray) -> bool:
+def heavy_tail(weights: np.ndarray) -> bool:
+    """Whether the top 0.1% of the positive ``weights`` carry most of the sum."""
     n = weights.size
     top = np.sort(weights)[-max(1, n // 1000):]
     return float(top.sum()) > 0.5 * float(weights.sum())
@@ -50,7 +51,7 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
         expo = np.exp(sign * psi)
     if not np.all(np.isfinite(expo)):
         raise OverflowError("exponential moment overflowed; payoff too heavy")
-    heavy = _heavy_tail(expo)
+    heavy = heavy_tail(expo)
     n = expo.size
     if k_time == 0:
         mean = float(expo.mean())
@@ -101,7 +102,7 @@ class AprioriReport:
 
 
 def apriori_bound_check(solution: BsdejSolution, params: StructureParams,
-                        ensemble: PathEnsemble, k_time: int = 0) -> AprioriReport:
+                        k_time: int = 0) -> AprioriReport:
     """Check ``|Y_t| <= entropic upper value of the discounted terminal
     magnitude plus running costs``.
 
@@ -109,10 +110,9 @@ def apriori_bound_check(solution: BsdejSolution, params: StructureParams,
     three-standard-error slack at the regression level; at time zero the
     scalar comparison uses the combined standard error of both sides.
     """
-    solution.check_ensemble(ensemble)
     payoff = terminal_bound_payoff(solution.terminal, params,
-                                   ensemble.time_grid, k_time)
-    est = entropic(ensemble, payoff, k_time, "upper")
+                                   solution.ensemble.time_grid, k_time)
+    est = entropic(solution.ensemble, payoff, k_time, "upper")
     if k_time == 0:
         bound = est.value + 3.0 * math.hypot(est.stderr, solution.regression_se(0))
         lhs = abs(float(solution.y[:, 0].mean()))

@@ -103,7 +103,7 @@ def _solve(cfg: ExperimentConfig):
     solution = solve_lipschitz(view, cfg.terminal_fn(), ensemble,
                                cfg.solver["basis_degree"],
                                cfg.solver["picard_max"], cfg.solver["picard_tol"])
-    return structure, ensemble, solution, decompose(solution, ensemble)
+    return structure, decompose(solution)
 
 
 def _audit_checks(suffix: str, corridor, apriori, submart) -> list[CheckResult]:
@@ -115,12 +115,13 @@ def _audit_checks(suffix: str, corridor, apriori, submart) -> list[CheckResult]:
                         submart.fraction_below, 0.01)]
 
 
-def _solution_rows(solution, ensemble, max_paths: int):
+def _solution_rows(solution, max_paths: int):
+    ensemble = solution.ensemble
     rows = []
     n_show = (solution.n_paths if max_paths <= 0
               else min(solution.n_paths, max_paths))
     for k in range(solution.n_steps + 1):
-        u_now = (solution.u_values(ensemble, k) if k < solution.n_steps
+        u_now = (solution.u_values(k) if k < solution.n_steps
                  else np.zeros((solution.n_paths, ensemble.quad.n_nodes)))
         for p in range(n_show):
             row = dict(path_id=p, t=float(ensemble.time_grid[k]),
@@ -142,14 +143,16 @@ def _jump_rows(ensemble):
 
 
 def run_solve(cfg: ExperimentConfig, out_dir: Path):
-    _, ensemble, solution, dec = _solve(cfg)
+    _, dec = _solve(cfg)
+    solution, ensemble = dec.solution, dec.solution.ensemble
     recon = float(np.max(np.abs(solution.y - (solution.y[:, :1]
                                               - dec.v + dec.m_total))))
     checks = [CheckResult("terminal_match",
                           bool(np.array_equal(solution.y[:, -1], solution.terminal)),
                           0.0, 0.0),
               CheckResult("reconstruction_identity", recon <= 1e-10, recon, 1e-10)]
-    mart = martingale_regression_test(np.diff(dec.m_c + dec.m_d, axis=1), ensemble)
+    mart = martingale_regression_test(np.diff(dec.m_c + dec.m_d, axis=1), ensemble,
+                                      cfg.solver["basis_degree"])
     checks.append(CheckResult("martingale_coefficients", mart <= 4.0, mart, 4.0))
     summary_rows = [dict(y0=solution.y0, y0_se=solution.y0_se,
                          s2_norm=solution.s2_norm(),
@@ -160,7 +163,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path):
                              ensemble.model, ensemble.quad.kappa))]
     write_csv(out_dir / "solution_summary.csv", summary_rows)
     write_csv(out_dir / "solution_paths.csv",
-              _solution_rows(solution, ensemble, cfg.solver["export_paths"]))
+              _solution_rows(solution, cfg.solver["export_paths"]))
     artifacts = ["solution_summary.csv", "solution_paths.csv"]
     if cfg.solver["export_jumps"]:
         write_csv(out_dir / "jump_table.csv", _jump_rows(ensemble))
@@ -178,9 +181,9 @@ def run_scheme(cfg: ExperimentConfig, out_dir: Path):
     write_csv(out_dir / "convergence_report.csv", rep.rows())
     checks = [CheckResult("y0_monotone", rep.monotone_y0, rep.y0_max_drop, 3.0),
               CheckResult("gaps_decreasing", rep.gaps_decreasing,
-                          float(rep.gaps_decreasing), 0.0),
+                          rep.gaps_max_rise, 0.0),
               CheckResult("stability_decreasing", rep.stability_decreasing,
-                          float(rep.stability_decreasing), 0.0)]
+                          rep.stability_max_rise, 0.0)]
     for i, frac in enumerate(rep.comparison_violations):
         checks.append(CheckResult(f"comparison_link_{i}", frac < 0.01, frac, 0.01))
     for rec in rep.records:
@@ -199,12 +202,12 @@ def run_scheme(cfg: ExperimentConfig, out_dir: Path):
 
 
 def run_audit(cfg: ExperimentConfig, out_dir: Path):
-    structure, ensemble, solution, dec = _solve(cfg)
-    corridor, apriori, submart = audit_solution(solution, dec, ensemble, structure)
+    structure, dec = _solve(cfg)
+    corridor, apriori, submart = audit_solution(dec, structure)
     rows = [dict(corridor_violation=corridor.violation_fraction,
                  submartingale_fraction=submart.fraction_below,
                  apriori_lhs=apriori.lhs, apriori_rhs=apriori.rhs,
-                 y0=solution.y0, y0_se=solution.y0_se)]
+                 y0=dec.solution.y0, y0_se=dec.solution.y0_se)]
     write_csv(out_dir / "audit_report.csv", rows)
     return _audit_checks("", corridor, apriori, submart), ["audit_report.csv"]
 

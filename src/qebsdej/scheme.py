@@ -25,11 +25,11 @@ from .semimartingale import (QStructureReport, SubmartingaleReport,
                              pairwise_gap, stability_diagnostics,
                              submartingale_test)
 from .solver import (BsdejSolution, Decomposition, PathEnsemble, Regression,
-                     decompose, solve_lipschitz)
+                     decompose, same_ensemble, solve_lipschitz)
 
 
 class UnlinkedComparisonError(ValueError):
-    """Solves compared without shared randomness."""
+    """A link whose index moves leave the comparison without a direction."""
 
 
 def link_direction(changed, nonnegative_base: bool) -> int | None:
@@ -125,8 +125,16 @@ class ConvergenceReport:
     y0_max_drop: float      # largest y0 drop between solved neighbours, in SEs
     comparison_violations: list[float]
     gaps_to_proxy: list[float]
-    gaps_decreasing: bool
-    stability_decreasing: bool
+    gaps_max_rise: float        # largest rise between compared proxy gaps
+    stability_max_rise: float   # largest rise of the H1 distance to the proxy
+
+    @property
+    def gaps_decreasing(self) -> bool:
+        return self.gaps_max_rise < 0.0
+
+    @property
+    def stability_decreasing(self) -> bool:
+        return self.stability_max_rise < 0.0
 
     def rows(self) -> list[dict]:
         return [r.row() for r in self.records]
@@ -136,6 +144,12 @@ class ConvergenceReport:
 class SchemeResult:
     solutions: list[BsdejSolution | None]
     report: ConvergenceReport
+
+
+def _max_rise(values) -> float:
+    """Largest increase between consecutive values; -inf without a pair."""
+    rises = np.diff(np.asarray(values, dtype=float))
+    return float(rises.max()) if rises.size else -math.inf
 
 
 def ladder_quadrature(model: LevyModel, schedule: Schedule,
@@ -187,9 +201,7 @@ def monotonicity_check(solutions: Sequence[BsdejSolution],
     out = []
     for link in links:
         lo, hi = solutions[link["lo"]], solutions[link["hi"]]
-        if lo.ensemble_fingerprint != hi.ensemble_fingerprint:
-            raise UnlinkedComparisonError(
-                "linked solves must share one ensemble (common random numbers)")
+        same_ensemble(lo, hi)
         direction = link_direction(link["changed"], nonnegative_base)
         if direction is None:
             raise UnlinkedComparisonError(
@@ -216,8 +228,7 @@ class DriverGapReport:
     region_fraction: float
 
 
-def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
-                  ensemble: PathEnsemble, c_split: float,
+def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution, c_split: float,
                   stop_index: np.ndarray | None = None) -> DriverGapReport:
     """Bounded/unbounded split of the time-integrated generator gap.
 
@@ -227,8 +238,7 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
     carries the Chebyshev bound ``(2 / c^2) E[|Z|^2 + |U|^2]`` for the
     unbounded region's mass.
     """
-    sol.check_ensemble(ensemble)
-    sol_proxy.check_ensemble(ensemble)
+    ensemble = same_ensemble(sol, sol_proxy)
     if c_split <= 0:
         raise ValueError("region split must be positive")
     n, k_steps = sol.n_paths, sol.n_steps
@@ -244,7 +254,7 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
         if not active.any():
             break
         wz = ensemble.node_intensity(k)
-        u_now = sol.u_values(ensemble, k)
+        u_now = sol.u_values(k)
         size = (np.abs(sol.z[:, k, :]).sum(axis=1)
                 + nu_norm(u_now, wz))
         gap = np.abs(sol.driver_values[:, k] - sol_proxy.driver_values[:, k])
@@ -263,18 +273,17 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
     return DriverGapReport(a1, a2, cheb, region_fraction)
 
 
-def default_c_split(sol: BsdejSolution, ensemble: PathEnsemble) -> float:
+def default_c_split(sol: BsdejSolution) -> float:
     """Five times the sample 90th percentile of ``|Z| + |U|_nu``."""
     sizes = []
     for k in range(sol.n_steps):
-        u_now = sol.u_values(ensemble, k)
+        u_now = sol.u_values(k)
         sizes.append(np.abs(sol.z[:, k, :]).sum(axis=1)
-                     + nu_norm(u_now, ensemble.node_intensity(k)))
+                     + nu_norm(u_now, sol.ensemble.node_intensity(k)))
     return 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
 
 
-def audit_solution(sol: BsdejSolution, dec: Decomposition, ensemble: PathEnsemble,
-                   params: StructureParams
+def audit_solution(dec: Decomposition, params: StructureParams
                    ) -> tuple[QStructureReport, AprioriReport, SubmartingaleReport]:
     """Corridor, a-priori bound and submartingale audits of one solve.
 
@@ -282,10 +291,11 @@ def audit_solution(sol: BsdejSolution, dec: Decomposition, ensemble: PathEnsembl
     is checked at time zero, and the submartingale test compares a quarter
     and a half of the horizon.
     """
+    sol, ensemble = dec.solution, dec.solution.ensemble
     k_steps = sol.n_steps
     tol = np.array([3.0 * sol.regression_se(k) for k in range(k_steps)])
-    corridor = check_q_structure(dec, sol, ensemble, params, tol=tol[None, :])
-    apriori = apriori_bound_check(sol, params, ensemble, 0)
+    corridor = check_q_structure(dec, params, tol=tol[None, :])
+    apriori = apriori_bound_check(sol, params, 0)
     x_bar = exponential_transform(sol.y, params, ensemble.time_grid)
     submart = submartingale_test(x_bar, ensemble, k_steps // 4, k_steps // 2)
     return corridor, apriori, submart
@@ -306,8 +316,7 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
     params = base.params
     view = base.at_quadrature(quad, ensemble.model)
 
-    solutions: list[BsdejSolution | None] = []
-    decs: list[Decomposition | None] = []
+    decs: list[Decomposition | None] = []     # aligned with records
     records: list[TripleRecord] = []
     for (n_idx, m_idx, kappa) in schedule.triples:
         node_idx = quad.restrict_indices(float(kappa))
@@ -316,32 +325,29 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
         records.append(record)
         try:
             reg = regularize(view, n_idx, m_idx, node_idx)
-            sol = solve_lipschitz(reg, terminal_fn, ensemble, basis_degree,
-                                  picard_max, picard_tol)
-            dec = decompose(sol, ensemble)
+            dec = decompose(solve_lipschitz(reg, terminal_fn, ensemble, basis_degree,
+                                            picard_max, picard_tol))
         except Exception as exc:  # a failed triple is data, not a crash
             record.error = f"{type(exc).__name__}: {exc}"
-            solutions.append(None)
             decs.append(None)
             continue
-        record.y0 = sol.y0
-        record.y0_se = sol.y0_se
-        record.s2_norm = sol.s2_norm()
-        solutions.append(sol)
         decs.append(dec)
+        sol = dec.solution
+        record.y0, record.y0_se, record.s2_norm = sol.y0, sol.y0_se, sol.s2_norm()
         record.corridor, record.apriori, record.submartingale = audit_solution(
-            sol, dec, ensemble, params)
+            dec, params)
         record.sq_bound = record.apriori.rhs
 
-    solved = [s for s in solutions if s is not None]
+    solutions = [None if d is None else d.solution for d in decs]
     solved_decs = [d for d in decs if d is not None]
-    if solved:
+    if solved_decs:
+        solved_records = [r for r, d in zip(records, decs) if d is not None]
+        solved = [d.solution for d in solved_decs]
         proxy = solved[-1]
-        c_split = default_c_split(proxy, ensemble)
-        solved_records = [r for r, s in zip(records, solutions) if s is not None]
+        c_split = default_c_split(proxy)
         gaps = []
         for rec, sol in zip(solved_records, solved):
-            gap = driver_l1_gap(sol, proxy, ensemble, c_split)
+            gap = driver_l1_gap(sol, proxy, c_split)
             rec.a1, rec.a2 = gap.a1, gap.a2
             rec.chebyshev_bound = gap.chebyshev_bound
             rec.region_fraction = gap.region_fraction
@@ -353,8 +359,7 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
             rec.vstar_gap_prev = stab.vstar_gap_prev
             rec.h1_gap_proxy, rec.vstar_gap_proxy = pairwise_gap(dec, proxy_dec)
         links = [l for l in schedule.links()
-                 if solutions[l["lo"]] is not None
-                 and solutions[l["hi"]] is not None
+                 if decs[l["lo"]] is not None and decs[l["hi"]] is not None
                  and link_direction(l["changed"], base.nonnegative) is not None]
         comparison = monotonicity_check(solutions, links,
                                         nonnegative_base=base.nonnegative) if links else []
@@ -366,17 +371,15 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
             drops = (y0s[:-1] - y0s[1:]) / np.hypot(ses[:-1], ses[1:])
         y0_max_drop = float(drops.max()) if drops.size else -math.inf
         # the proxy's own gap is zero by construction and stays out
-        gaps_decreasing = all(a > b for a, b in zip(gaps[:-2], gaps[1:-1]))
+        gaps_max_rise = _max_rise(gaps[:-1])
         # stability measured against the limit proxy (the H1 distance to the
         # last triple shrinks along the ladder; consecutive increments need
         # not, since truncation mass increments can grow with kappa)
-        h1s = [r.h1_gap_proxy for r in solved_records[:-1]
-               if not math.isnan(r.h1_gap_proxy)]
-        stability_decreasing = all(a > b for a, b in zip(h1s, h1s[1:]))
+        stability_max_rise = _max_rise([r.h1_gap_proxy for r in solved_records[:-1]
+                                        if not math.isnan(r.h1_gap_proxy)])
     else:
-        comparison, gaps = [], []
-        monotone_y0 = gaps_decreasing = stability_decreasing = False
-        y0_max_drop = math.nan
+        comparison, gaps, monotone_y0 = [], [], False
+        y0_max_drop = gaps_max_rise = stability_max_rise = math.nan
     report = ConvergenceReport(records, monotone_y0, y0_max_drop, comparison,
-                               gaps, gaps_decreasing, stability_decreasing)
+                               gaps, gaps_max_rise, stability_max_rise)
     return SchemeResult(solutions, report)

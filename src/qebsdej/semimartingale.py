@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .drivers import StructureParams, structure_bounds
-from .solver import (BsdejSolution, Decomposition, EnsembleMismatchError,
-                     PathEnsemble, Regression)
+from .risk import heavy_tail
+from .solver import Decomposition, PathEnsemble, Regression, same_ensemble
 
 
 @dataclass
@@ -34,8 +34,7 @@ class QStructureReport:
         return self.violation_fraction < 0.01
 
 
-def check_q_structure(dec: Decomposition, solution: BsdejSolution,
-                      ensemble: PathEnsemble, params: StructureParams,
+def check_q_structure(dec: Decomposition, params: StructureParams,
                       tol=0.0) -> QStructureReport:
     """Test every ``dV`` increment against the exponential-quadratic corridor
     of :func:`qebsdej.drivers.structure_bounds` times ``dt``.
@@ -43,16 +42,15 @@ def check_q_structure(dec: Decomposition, solution: BsdejSolution,
     ``tol`` is an absolute slack (scalar or per-step array), typically a
     multiple of the regression standard error.
     """
-    if dec.ensemble_fingerprint is not ensemble.identity:
-        raise EnsembleMismatchError("decomposition and ensemble do not match")
+    solution, ensemble = dec.solution, dec.solution.ensemble
     dt = ensemble.dt
-    dv = dec.dv()
+    dv = np.diff(dec.v, axis=1)
     lower = np.empty_like(dv)
     upper = np.empty_like(dv)
     for k in range(solution.n_steps):
         q_lo, q_hi = structure_bounds(float(ensemble.time_grid[k]),
                                       solution.y[:, k], solution.z[:, k, :],
-                                      solution.u_values(ensemble, k), params,
+                                      solution.u_values(k), params,
                                       ensemble.node_intensity(k))
         lower[:, k] = q_lo * dt
         upper[:, k] = q_hi * dt
@@ -107,8 +105,6 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
         raise ValueError("need grid indices with sigma < tau")
     level_tau = np.exp(x_bar[:, k_tau])
     n = level_tau.size
-    top = np.sort(level_tau)[-max(1, n // 1000):]
-    heavy = float(top.sum()) > 0.5 * float(level_tau.sum())
     increment = level_tau - np.exp(x_bar[:, k_sigma])
     state = ensemble.state[:, k_sigma]
     # keep bins large enough for their means to be near-Gaussian
@@ -133,7 +129,7 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
         if mean < -z_bin * se:
             flagged += count
     frac = flagged / n
-    return SubmartingaleReport(frac, frac < 0.01, heavy)
+    return SubmartingaleReport(frac, frac < 0.01, heavy_tail(level_tau))
 
 
 def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
@@ -227,8 +223,7 @@ def stability_diagnostics(decs: Sequence[Decomposition]) -> list[StabilityRecord
 def pairwise_gap(dec_a: Decomposition, dec_b: Decomposition) -> tuple[float, float]:
     """(H1-style martingale gap, running-max variation gap) between two
     decompositions on a shared ensemble."""
-    if dec_a.ensemble_fingerprint != dec_b.ensemble_fingerprint:
-        raise EnsembleMismatchError("decompositions live on different ensembles")
+    same_ensemble(dec_a.solution, dec_b.solution)
     dm = np.diff(dec_a.m_total - dec_b.m_total, axis=1)
     h1 = float(np.sqrt((dm ** 2).sum(axis=1)).mean())
     vstar = float(np.abs(dec_a.v - dec_b.v).max(axis=1).mean())

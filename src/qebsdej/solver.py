@@ -43,9 +43,9 @@ MIN_EXPECTED_JUMPS = 20.0    # see solve_lipschitz
 class PathEnsemble:
     """Seeded Monte Carlo paths of the driving noise and forward state.
 
-    ``identity`` is a token made once per simulation; solutions and
-    decompositions record it, so arrays from different ensembles are never
-    combined, whatever inputs the ensembles share.
+    The object is its own identity: solutions hold the ensemble they were
+    regressed on, and :func:`same_ensemble` refuses to combine results from
+    different ensembles, whatever inputs the ensembles share.
     """
 
     time_grid: np.ndarray            # (K+1,)
@@ -54,7 +54,6 @@ class PathEnsemble:
     state: np.ndarray                # (n_paths, K+1)
     model: LevyModel
     quad: MarkQuadrature
-    identity: object
 
     @property
     def n_paths(self) -> int:
@@ -123,7 +122,7 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
             wz = quad.intensity(model, float(time_grid[k]))
             inc -= float((wz * impact).sum()) * dts[k]
         state[:, k + 1] = state[:, k] + inc
-    return PathEnsemble(time_grid, dw, jumps, state, model, quad, object())
+    return PathEnsemble(time_grid, dw, jumps, state, model, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,7 @@ class BsdejSolution:
     loadings are stored as regression coefficients per step and node and
     re-evaluated on demand through :meth:`u_values`.  ``driver_values`` are
     the generator values actually used by the backward step, so downstream
-    decompositions reproduce the recursion identically.
+    decompositions reproduce the recursion identically on ``ensemble``.
     """
 
     y: np.ndarray
@@ -234,7 +233,7 @@ class BsdejSolution:
     driver_values: np.ndarray
     resid_var: np.ndarray
     cond_numbers: np.ndarray
-    ensemble_fingerprint: object
+    ensemble: PathEnsemble
     picard_iterations: np.ndarray
     u_clip: np.ndarray
 
@@ -250,10 +249,9 @@ class BsdejSolution:
     def y0(self) -> float:
         return float(self.y[:, 0].mean())
 
-    def u_values(self, ensemble: PathEnsemble, k: int) -> np.ndarray:
+    def u_values(self, k: int) -> np.ndarray:
         """Jump loading field at step ``k``, shape (n_paths, Q)."""
-        self.check_ensemble(ensemble)
-        design = self.feature_maps[k].matrix(ensemble.state[:, k])
+        design = self.feature_maps[k].matrix(self.ensemble.state[:, k])
         return np.clip(design @ self.u_coeffs[k], -self.u_clip[k], self.u_clip[k])
 
     def regression_se(self, k: int) -> float:
@@ -272,9 +270,13 @@ class BsdejSolution:
         """Monte Carlo estimate of ``E[sup_t |Y_t|^2]``."""
         return float((np.abs(self.y).max(axis=1) ** 2).mean())
 
-    def check_ensemble(self, ensemble: PathEnsemble) -> None:
-        if ensemble.identity is not self.ensemble_fingerprint:
-            raise EnsembleMismatchError("solution was produced on a different ensemble")
+
+def same_ensemble(*solutions: BsdejSolution) -> PathEnsemble:
+    """The ensemble every solution was computed on; a mix is refused."""
+    ensemble = solutions[0].ensemble
+    if any(s.ensemble is not ensemble for s in solutions):
+        raise EnsembleMismatchError("solutions were computed on different ensembles")
+    return ensemble
 
 
 def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
@@ -374,7 +376,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
         y[:, k] = y_cur
 
     return BsdejSolution(y, z, u_coeffs, fmaps, xi, fvals, resid_var, conds,
-                         ensemble.identity, picard_counts, u_clip)
+                         ensemble, picard_counts, u_clip)
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +390,19 @@ class Decomposition:
     ``m_total`` makes the identity exact by construction; ``m_c`` (Brownian
     loading sums) and ``m_d`` (compensated jump sums) are its estimated
     components and differ from ``m_total`` by the regression residual
-    martingale.
+    martingale.  ``solution`` is the solve it decomposes.
     """
 
     v: np.ndarray
     m_total: np.ndarray
     m_c: np.ndarray
     m_d: np.ndarray
-    ensemble_fingerprint: object
-
-    def dv(self) -> np.ndarray:
-        return np.diff(self.v, axis=1)
+    solution: BsdejSolution
 
 
-def decompose(solution: BsdejSolution, ensemble: PathEnsemble) -> Decomposition:
+def decompose(solution: BsdejSolution) -> Decomposition:
     """Assemble the finite-variation and martingale components of a solve."""
-    solution.check_ensemble(ensemble)
+    ensemble = solution.ensemble
     n, k_steps = solution.n_paths, solution.n_steps
     dt = ensemble.dt
     dv = solution.driver_values * dt
@@ -416,10 +415,10 @@ def decompose(solution: BsdejSolution, ensemble: PathEnsemble) -> Decomposition:
 
     dm_d = np.zeros((n, k_steps))
     for k in range(k_steps):
-        u_now = solution.u_values(ensemble, k)
+        u_now = solution.u_values(k)
         paths, marks = ensemble.jumps.rows_for_interval(k)
         if paths.size:
             np.add.at(dm_d[:, k], paths, u_now[paths, marks])
         dm_d[:, k] -= (u_now * ensemble.node_intensity(k)).sum(axis=1) * dt
     m_d = np.concatenate([np.zeros((n, 1)), np.cumsum(dm_d, axis=1)], axis=1)
-    return Decomposition(v, m_total, m_c, m_d, ensemble.identity)
+    return Decomposition(v, m_total, m_c, m_d, solution)

@@ -178,9 +178,9 @@ def test_criterion_06_comparison_monotonicity(canonical_ladder):
 def test_criterion_07_apriori_bound(canonical_signed, canonical_magnitude,
                                     canonical_ladder):
     params, ens_s, sol_s = canonical_signed
-    rep_signed = apriori_bound_check(sol_s, params, ens_s, 0)
+    rep_signed = apriori_bound_check(sol_s, params, 0)
     params_m, ens_m, sol_m = canonical_magnitude
-    rep_tight = apriori_bound_check(sol_m, params_m, ens_m, 0)
+    rep_tight = apriori_bound_check(sol_m, params_m, 0)
     gap = abs(rep_tight.rhs - rep_tight.lhs)
     tight_tol = 3.0 * math.hypot(rep_tight.rhs_se, sol_m.y0_se)
     ladder_ok = all(r.apriori.ok for r in canonical_ladder[1].report.records)

@@ -214,6 +214,24 @@ def test_run_solve_and_artifacts(tmp_path):
     assert (out / "solution_paths.csv").exists()
 
 
+def test_martingale_check_regresses_at_solver_degree(tmp_path, monkeypatch):
+    from qebsdej import runner
+
+    real_test = runner.martingale_regression_test
+    degrees = []
+
+    def spy(increments, ensemble, basis_degree=3):
+        degrees.append(basis_degree)
+        return real_test(increments, ensemble, basis_degree)
+
+    monkeypatch.setattr(runner, "martingale_regression_test", spy)
+    cfg = write_config(tmp_path, "deg1.json",
+                       solve_payload(solver={"basis_degree": 1}))
+    assert main(["run", cfg, "--out", str(tmp_path / "deg1")]) in (
+        EXIT_OK, EXIT_CHECK_FAILURE)
+    assert degrees == [1]
+
+
 def test_run_is_bit_deterministic(tmp_path):
     cfg = write_config(tmp_path, "det.json", solve_payload())
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -304,8 +322,9 @@ def test_unknown_oracle_rejected(tmp_path):
     {"name": "entropic_gaussian", "n_samples": 1000.5},
     {"name": "entropic_gaussian", "direction": "sideways"},
     {"name": "girsanov_tilt", "seed": -1},
+    {"name": "compound_poisson_doleans", "u": 1000},
 ], ids=["n_not_a_number", "unknown_parameter", "n_samples_not_integral",
-        "unknown_direction", "negative_seed"])
+        "unknown_direction", "negative_seed", "exponent_overflows"])
 def test_bad_oracle_parameter_exits_2(tmp_path, oracle):
     cfg = write_config(tmp_path, "bad_oracle.json",
                        {"experiment": "oracle", "oracle": oracle})
@@ -405,6 +424,13 @@ def test_summary_states_applied_tolerance(tmp_path):
     for status, name, value, tol in audited:
         value, tol = float(value[len("value="):]), float(tol[len("tol="):])
         assert (status == "PASS") == (value <= tol), name
+    # the ladder checks print their largest rise and pass strictly below tol
+    strict = [w for w in lines
+              if w[1] in ("gaps_decreasing", "stability_decreasing")]
+    assert len(strict) == 2
+    for status, name, value, tol in strict:
+        value, tol = float(value[len("value="):]), float(tol[len("tol="):])
+        assert tol == 0.0 and (status == "PASS") == (value < tol), name
 
 
 def test_failed_triple_is_recorded(tmp_path, monkeypatch):

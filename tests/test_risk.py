@@ -142,7 +142,7 @@ def test_apriori_trivial_zero(small_ensemble, gamma_quad):
     drv = q.make_driver("zero", p)
     sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, small_ensemble.model),
                             lambda x: np.zeros_like(x), small_ensemble)
-    rep = apriori_bound_check(sol, p, small_ensemble, 0)
+    rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs >= 0.0
@@ -154,7 +154,7 @@ def test_apriori_linear_driver_strict(small_ensemble, gamma_quad):
     drv = q.make_driver("linear", p, b=0.2)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: 0.2 * x, small_ensemble)
-    rep = apriori_bound_check(sol, p, small_ensemble, 0)
+    rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
     assert rep.rhs > abs(rep.lhs) + 0.5  # strict slack from the cost integral
 
@@ -167,7 +167,7 @@ def test_apriori_canonical_tight(small_ensemble, gamma_quad):
     drv = q.make_driver("canonical", p)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: np.abs(0.25 * x), small_ensemble)
-    rep = apriori_bound_check(sol, p, small_ensemble, 0)
+    rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
     gap = abs(rep.rhs - rep.lhs)
     assert gap <= 3.0 * math.hypot(rep.rhs_se, sol.y0_se)
@@ -180,5 +180,5 @@ def test_apriori_interior_time(small_ensemble, gamma_quad):
     drv = q.make_driver("canonical", p)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
-    rep = apriori_bound_check(sol, p, small_ensemble, 8)
+    rep = apriori_bound_check(sol, p, 8)
     assert rep.fraction_ok >= 0.99

@@ -5,7 +5,7 @@ import qebsdej as q
 from qebsdej.scheme import (Schedule, UnlinkedComparisonError, default_c_split,
                             driver_l1_gap, ladder_quadrature, monotonicity_check,
                             run_triple_scheme, tau_l_localization)
-from qebsdej.solver import decompose, simulate_forward, solve_lipschitz
+from qebsdej.solver import EnsembleMismatchError, simulate_forward, solve_lipschitz
 
 
 def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
@@ -101,6 +101,9 @@ def test_ladder_gaps_decrease(mini_scheme):
     assert rep.stability_decreasing
     proxies = [r.h1_gap_proxy for r in rep.records]
     assert proxies[0] > proxies[1] > proxies[2] == 0.0
+    # the summary prints the largest rise between the compared values
+    assert rep.gaps_max_rise == gaps[1] - gaps[0]
+    assert rep.stability_max_rise == proxies[1] - proxies[0]
 
 
 def test_ladder_chebyshev_region_mass(mini_scheme):
@@ -128,7 +131,7 @@ def test_unlinked_comparison_refused(gamma_model, gamma_quad):
                                1000, seed=seed)
         sols.append(solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                                     lambda x: x, ens))
-    with pytest.raises(UnlinkedComparisonError):
+    with pytest.raises(EnsembleMismatchError):
         monotonicity_check(sols, [dict(lo=0, hi=1, changed=("kappa",))])
 
 
@@ -180,14 +183,14 @@ def test_localized_statistics_approach_full_horizon(mini_scheme):
     ens, result = mini_scheme
     sol, proxy = result.solutions[0], result.solutions[-1]
     params = q.StructureParams.from_constants(1.0)
-    c_split = default_c_split(proxy, ens)
-    full = driver_l1_gap(sol, proxy, ens, c_split)
+    c_split = default_c_split(proxy)
+    full = driver_l1_gap(sol, proxy, c_split)
     base_level = float(np.exp(np.abs(proxy.terminal)).mean())
     gaps = []
     for mult in (1.05, 2.0, 1e9):
         stop = tau_l_localization(ens, params, proxy.terminal,
                                   level=mult * base_level)
-        rep = driver_l1_gap(sol, proxy, ens, c_split, stop_index=stop)
+        rep = driver_l1_gap(sol, proxy, c_split, stop_index=stop)
         gaps.append(rep.a1 + rep.a2)
     assert gaps[0] <= gaps[1] <= gaps[2]
     assert gaps[2] == pytest.approx(full.a1 + full.a2, rel=1e-12)
@@ -198,17 +201,16 @@ def test_localized_statistics_approach_full_horizon(mini_scheme):
 # ---------------------------------------------------------------------------
 
 def test_identical_solutions_zero_gap(mini_scheme):
-    ens, result = mini_scheme
+    _, result = mini_scheme
     proxy = result.solutions[-1]
-    rep = driver_l1_gap(proxy, proxy, ens, c_split=5.0)
+    rep = driver_l1_gap(proxy, proxy, c_split=5.0)
     assert rep.a1 == 0.0 and rep.a2 == 0.0
 
 
 def test_gap_split_validation(mini_scheme):
-    ens, result = mini_scheme
+    _, result = mini_scheme
     with pytest.raises(ValueError, match="positive"):
-        driver_l1_gap(result.solutions[0], result.solutions[-1], ens,
-                      c_split=0.0)
+        driver_l1_gap(result.solutions[0], result.solutions[-1], c_split=0.0)
 
 
 def test_uniform_gap_shrinks_along_ladder(gamma_model):

@@ -17,7 +17,7 @@ def canonical_solution(small_ensemble, gamma_quad):
     drv = q.make_driver("canonical", params)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: np.abs(0.25 * x), small_ensemble)
-    return params, sol, decompose(sol, small_ensemble)
+    return params, sol, decompose(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -29,27 +29,25 @@ def test_corridor_trivial_zero_solution(small_ensemble, gamma_quad):
     drv = q.make_driver("zero", params)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: np.zeros_like(x), small_ensemble)
-    dec = decompose(sol, small_ensemble)
-    report = check_q_structure(dec, sol, small_ensemble, params)
+    dec = decompose(sol)
+    report = check_q_structure(dec, params)
     assert report.violation_fraction == 0.0
 
 
-def test_corridor_canonical_sits_on_upper_boundary(canonical_solution,
-                                                   small_ensemble):
-    params, sol, dec = canonical_solution
-    report = check_q_structure(dec, sol, small_ensemble, params, tol=1e-9)
+def test_corridor_canonical_sits_on_upper_boundary(canonical_solution):
+    params, _, dec = canonical_solution
+    report = check_q_structure(dec, params, tol=1e-9)
     assert report.violation_fraction == 0.0
     # with l = c = 0 and unit delta the finite-variation increment equals the
     # upper corridor term exactly
     assert np.max(np.abs(report.upper_slack)) <= 1e-9
 
 
-def test_corridor_adversarial_violation(canonical_solution, small_ensemble):
-    params, sol, dec = canonical_solution
+def test_corridor_adversarial_violation(canonical_solution):
+    params, _, dec = canonical_solution
     bumped = q.Decomposition(dec.v + 0.1 * np.arange(dec.v.shape[1])[None, :],
-                             dec.m_total, dec.m_c, dec.m_d,
-                             dec.ensemble_fingerprint)
-    report = check_q_structure(bumped, sol, small_ensemble, params)
+                             dec.m_total, dec.m_c, dec.m_d, dec.solution)
+    report = check_q_structure(bumped, params)
     assert report.violation_fraction == 1.0
 
 
@@ -60,19 +58,10 @@ def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
     drv = q.make_driver("canonical", params)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: np.abs(0.25 * x), small_ensemble)
-    dec = decompose(sol, small_ensemble)
-    report = check_q_structure(dec, sol, small_ensemble, params, tol=1e-9)
+    dec = decompose(sol)
+    report = check_q_structure(dec, params, tol=1e-9)
     assert report.violation_fraction == 0.0
     assert np.max(np.abs(report.upper_slack)) <= 1e-9
-
-
-def test_corridor_mismatched_ensemble(canonical_solution, small_ensemble,
-                                      gamma_quad, gamma_model):
-    params, sol, dec = canonical_solution
-    other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
-                               small_ensemble.time_grid, 20000, seed=999)
-    with pytest.raises(EnsembleMismatchError):
-        check_q_structure(dec, sol, other, params)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +192,7 @@ def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
                                  tg, 500, seed=31)
         sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                                 lambda x: np.ones_like(x), ens)
-        v_terminal[k_steps] = float(decompose(sol, ens).v[0, -1])
+        v_terminal[k_steps] = float(decompose(sol).v[0, -1])
     gap_coarse = abs(v_terminal[25] - v_terminal[50])
     gap_fine = abs(v_terminal[50] - v_terminal[100])
     assert gap_coarse > gap_fine
@@ -217,7 +206,7 @@ def test_stability_requires_shared_ensemble(canonical_solution, small_ensemble,
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
     other_sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                                   lambda x: np.zeros_like(x), other_ens)
-    other_dec = decompose(other_sol, other_ens)
+    other_dec = decompose(other_sol)
     with pytest.raises(EnsembleMismatchError):
         stability_diagnostics([dec, other_dec])
 

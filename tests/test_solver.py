@@ -7,8 +7,10 @@ import qebsdej as q
 from qebsdej.levy import gamma_model
 from qebsdej.oracles import girsanov_tilt_exact, girsanov_tilt_mc
 from qebsdej.semimartingale import martingale_regression_test
+from qebsdej.scheme import driver_l1_gap, monotonicity_check
+from qebsdej.semimartingale import pairwise_gap
 from qebsdej.solver import (EnsembleMismatchError, FeatureMap,
-                            NonContractionError, Regression)
+                            NonContractionError, Regression, same_ensemble)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +150,7 @@ def test_zero_mass_measure_gives_null_jump_loading(brownian_ensemble, null_quad)
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
     sol = q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
                             lambda x: x, brownian_ensemble)
-    assert np.all(sol.u_values(brownian_ensemble, 10) == 0.0)
+    assert np.all(sol.u_values(10) == 0.0)
 
 
 def test_linear_ode_closed_form(gamma_model, gamma_quad):
@@ -185,7 +187,7 @@ def test_girsanov_tilt_oracle(gamma_model):
     p = q.StructureParams.from_constants(1.0, 1.0, 0.0)
     drv = q.make_driver("linear", p, b=0.3, c_tilde=0.4)
     sol = q.solve_lipschitz(drv.at_quadrature(quad, gamma_model), lambda x: x, ens)
-    oracle = girsanov_tilt_mc(0.3, 0.4, quad.total_mass, 1.0,
+    oracle = girsanov_tilt_mc(0.3, 0.4, quad.total_mass, 1.0, x0=0.0, impact=1.0,
                               n_samples=400000, seed=24)
     cse = math.hypot(sol.y0_se, oracle.stderr)
     assert abs(sol.y0 - oracle.value) <= 3.0 * cse
@@ -230,7 +232,7 @@ def test_reconstruction_identity(small_ensemble, gamma_quad):
     drv = q.make_driver("canonical", p)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
-    dec = q.decompose(sol, small_ensemble)
+    dec = q.decompose(sol)
     recon = sol.y[:, :1] - dec.v + dec.m_total
     assert np.max(np.abs(sol.y - recon)) <= 1e-10
 
@@ -249,7 +251,7 @@ def test_solve_weighs_each_step_by_its_own_intensity():
                             lambda x: np.abs(0.25 * x), ens)
     for k in range(ens.n_steps):
         _, upper = q.structure_bounds(float(ens.time_grid[k]), sol.y[:, k],
-                                      sol.z[:, k, :], sol.u_values(ens, k), p,
+                                      sol.z[:, k, :], sol.u_values(k), p,
                                       ens.node_intensity(k))
         np.testing.assert_allclose(sol.driver_values[:, k], upper, rtol=1e-12)
 
@@ -258,7 +260,7 @@ def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
     sol = q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
                             lambda x: x, brownian_ensemble)
-    dec = q.decompose(sol, brownian_ensemble)
+    dec = q.decompose(sol)
     assert np.all(dec.v == 0.0)
 
 
@@ -270,7 +272,7 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
     drv = q.make_driver("linear", p, a=0.5)
     sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
                             lambda x: np.ones_like(x), ens)
-    dec = q.decompose(sol, ens)
+    dec = q.decompose(sol)
     assert np.max(np.abs(dec.m_c)) <= 1e-8
     assert np.max(np.abs(dec.m_d)) <= 1e-8
     assert np.allclose(np.diff(dec.v, axis=1), sol.driver_values * ens.dt,
@@ -282,7 +284,7 @@ def test_martingale_component_regression(small_ensemble, gamma_quad):
     drv = q.make_driver("canonical", p)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
-    dec = q.decompose(sol, small_ensemble)
+    dec = q.decompose(sol)
     dm = np.diff(dec.m_c + dec.m_d, axis=1)
     stat = martingale_regression_test(dm[:, ::4], small_ensemble)
     assert stat <= 4.0
@@ -295,22 +297,29 @@ def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
     sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
     other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
                                small_ensemble.time_grid, 20000, seed=999)
+    other_sol = q.solve_lipschitz(view, lambda x: 0.25 * x, other)
+    assert same_ensemble(sol, q.decompose(sol).solution) is small_ensemble
     with pytest.raises(EnsembleMismatchError):
-        q.decompose(sol, other)
+        same_ensemble(sol, other_sol)
 
 
 @pytest.mark.parametrize("change", [dict(x0=5.0), dict(jump_impact="mark"),
                                     dict(d=2)])
 def test_same_seed_other_inputs_rejected(gamma_model, gamma_quad, change):
-    # same seed, paths, steps, dynamics and node count: only the token tells
-    # the two ensembles apart
+    # same seed, paths, steps, dynamics and node count: only the ensemble
+    # objects tell the two apart, at every place where two results meet
     tg = np.linspace(0.0, 1.0, 11)
     ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
                              1000, seed=5)
     other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
                                1000, seed=5, **change)
     drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
-                            lambda x: x, ens)
+    view = drv.at_quadrature(gamma_quad, gamma_model)
+    sol = q.solve_lipschitz(view, lambda x: x, ens)
+    other_sol = q.solve_lipschitz(view, lambda x: x, other)
     with pytest.raises(EnsembleMismatchError):
-        q.decompose(sol, other)
+        monotonicity_check([sol, other_sol], [dict(lo=0, hi=1, changed=())])
+    with pytest.raises(EnsembleMismatchError):
+        pairwise_gap(q.decompose(sol), q.decompose(other_sol))
+    with pytest.raises(EnsembleMismatchError):
+        driver_l1_gap(sol, other_sol, c_split=1.0)
