@@ -166,6 +166,9 @@ ORACLES = {
     "null_measure": (oracles.null_measure_oracle, {}),
 }
 
+# numpy.random.Generator.poisson refuses larger means
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
 TOP_LEVEL_KEYS = ("experiment", "model", "driver", "oracle", *SETTINGS)
 
 
@@ -270,7 +273,11 @@ def validate_config(data: dict) -> ExperimentConfig:
         if not isinstance(name, str) or name not in ORACLES:
             raise ConfigError("oracle.name", f"expected one of {sorted(ORACLES)}, "
                               f"got {name!r}")
-        cfg.oracle = dict(name=name, **_read_section("oracle", ORACLES[name][1], params))
+        p = cfg.oracle = dict(name=name, **_read_section("oracle", ORACLES[name][1], params))
+        # the jump oracles draw Poisson counts of mean (1 + c_tilde) mass t_end
+        if "mass" in p and ((1.0 + p.get("c_tilde", 0.0)) * p["mass"] * p["t_end"]
+                            > POISSON_MEAN_MAX):
+            raise ConfigError("oracle.mass", f"Poisson mean above {POISSON_MEAN_MAX:g}")
         return cfg
     for name, table in SETTINGS.items():
         setattr(cfg, name, _read_section(name, table, data.get(name, {})))

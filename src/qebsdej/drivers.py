@@ -11,7 +11,7 @@ in the regularization indices, and still inside the corridor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -307,7 +307,7 @@ V_GRID = np.linspace(-4.0, 4.0, 161)
 
 
 class NotRegularizableError(ValueError):
-    """Requested regularization strategy cannot handle the driver shape."""
+    """The selected regularization strategy cannot handle the driver shape."""
 
 
 @dataclass
@@ -335,23 +335,19 @@ class RegularizedDriver:
     n: float
     m: float
     node_idx: np.ndarray          # truncation subset into the master nodes
-    strategy: str = "auto"
+    strategy: str = field(init=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("regularization indices must be >= 1")
         self.node_idx = np.asarray(self.node_idx, dtype=int)
-        if self.strategy == "nonnegative" and self.view.driver.depends_on_y:
-            raise NotRegularizableError("the separable envelope ignores y; "
-                                        "use the generic strategy")
-        if self.strategy == "auto":
-            if self.view.driver.nonnegative and not self.view.driver.depends_on_y:
-                self.strategy = "nonnegative"
-            elif (math.isfinite(self.view.driver.lip_yz)
-                  and min(self.n, self.m) >= self._lip_needed()):
-                self.strategy = "lipschitz_exact"
-            else:
-                self.strategy = "generic"
+        if self.view.driver.nonnegative and not self.view.driver.depends_on_y:
+            self.strategy = "nonnegative"
+        elif (math.isfinite(self.view.driver.lip_yz)
+              and min(self.n, self.m) >= self._lip_needed()):
+            self.strategy = "lipschitz_exact"
+        else:
+            self.strategy = "generic"
 
     def _lip_needed(self) -> float:
         # mark part measured in the weighted-L2 norm via Cauchy-Schwarz, with
@@ -453,13 +449,12 @@ class RegularizedDriver:
 
 
 def regularize(view: DriverView, n: float, m: float,
-               node_idx: np.ndarray | None = None,
-               strategy: str = "auto") -> RegularizedDriver:
+               node_idx: np.ndarray | None = None) -> RegularizedDriver:
     """Build the Lipschitz approximation of the bound driver ``view`` at
     indices ``(n, m)`` on its quadrature, truncated to ``node_idx``."""
     if node_idx is None:
         node_idx = np.arange(view.quad.n_nodes)
-    return RegularizedDriver(view, float(n), float(m), node_idx, strategy)
+    return RegularizedDriver(view, float(n), float(m), node_idx)
 
 
 # ---------------------------------------------------------------------------

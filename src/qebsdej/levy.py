@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,20 +34,6 @@ class UnknownPresetError(ValueError):
 
 class ExponentOverflowError(OverflowError):
     """An exponential jump functional would overflow the float range."""
-
-
-def _tail_quad(f: Callable[[float], float], a: float) -> float:
-    """Adaptive integral of ``f`` over ``[a, inf)`` via the map ``x = a/s``,
-    which keeps slowly decaying tails accurate."""
-    if a <= 0:
-        raise ValueError("tail integrals need a positive inner edge")
-    with warnings.catch_warnings():
-        # divergent tails make quad complain before the doubling search
-        # raises DivergentMassError; the warning adds nothing
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(lambda s: f(a / s) * a / (s * s), 0.0, 1.0,
-                                **_QUAD_OPTS)
-    return val
 
 
 def constant_zeta(value: float = 1.0) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -72,8 +58,6 @@ class LevyModel:
         ``zeta(t, e)`` in ``[0, c_nu]``.
     c_nu : float
         Uniform bound on ``zeta``.
-    family_tag : str
-        Preset name ("gamma", "stable", "normal", "null").
     support : str
         "positive" or "symmetric".
     infinite_activity : bool
@@ -83,10 +67,8 @@ class LevyModel:
     density: Callable[[np.ndarray], np.ndarray]
     zeta: Callable[[float, np.ndarray], np.ndarray]
     c_nu: float
-    family_tag: str
     support: str
     infinite_activity: bool
-    params: dict = field(default_factory=dict)
 
     def zeta_at(self, t: float, e) -> np.ndarray:
         z = np.asarray(self.zeta(t, np.asarray(e, dtype=float)), dtype=float)
@@ -94,16 +76,26 @@ class LevyModel:
             raise ValueError("zeta left the band [0, c_nu]")
         return z
 
-    def mass_between(self, a: float, b: float) -> float:
-        """Density mass of one side of the mark space over ``[a, b]``."""
-        if a >= b:
-            return 0.0
-        val, _ = integrate.quad(lambda x: float(self.density(np.array(x))), a, b, **_QUAD_OPTS)
-        return val
+    def moment(self, p: int, a: float, b: float = math.inf) -> float:
+        """Adaptive integral of ``e^p ell(e)`` over ``[a, b]`` on one side of
+        the mark space.  An infinite ``b`` is reached by the map ``e = a/s``,
+        which keeps slowly decaying tails accurate."""
+        def f(x):  # x * x rather than pow, which can differ in the last bit
+            return math.prod([x] * p) * float(self.density(np.array(x)))
+        if math.isfinite(b):
+            return integrate.quad(f, a, b, **_QUAD_OPTS)[0] if a < b else 0.0
+        if a <= 0:
+            raise ValueError("tail integrals need a positive inner edge")
+        with warnings.catch_warnings():
+            # divergent tails make quad complain before the doubling search
+            # raises DivergentMassError; the warning adds nothing
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return integrate.quad(lambda s: f(a / s) * a / (s * s), 0.0, 1.0,
+                                  **_QUAD_OPTS)[0]
 
     def tail_mass(self, a: float) -> float:
         """One-sided mass of ``{e >= a}``; infinite tails raise."""
-        val = _tail_quad(lambda x: float(self.density(np.array(x))), a)
+        val = self.moment(0, a)
         if not math.isfinite(val):
             raise DivergentMassError(f"tail mass beyond {a} is not finite")
         return val
@@ -124,8 +116,7 @@ def gamma_model(theta: float = 1.0, beta: float = 1.0, c_nu: float = 1.0,
         out[pos] = theta * np.exp(-beta * e[pos]) / e[pos]
         return out
 
-    return LevyModel(density, zeta or constant_zeta(), c_nu, "gamma", "positive",
-                     True, dict(theta=theta, beta=beta))
+    return LevyModel(density, zeta or constant_zeta(), c_nu, "positive", True)
 
 
 def stable_model(theta: float = 1.0, alpha: float = 0.5, c_nu: float = 1.0,
@@ -141,8 +132,7 @@ def stable_model(theta: float = 1.0, alpha: float = 0.5, c_nu: float = 1.0,
         out[pos] = theta * e[pos] ** (-1.0 - alpha)
         return out
 
-    return LevyModel(density, zeta or constant_zeta(), c_nu, "stable", "symmetric",
-                     True, dict(theta=theta, alpha=alpha))
+    return LevyModel(density, zeta or constant_zeta(), c_nu, "symmetric", True)
 
 
 def normal_model(rate: float = 2.0, loc: float = 1.0, scale: float = 0.25,
@@ -154,8 +144,7 @@ def normal_model(rate: float = 2.0, loc: float = 1.0, scale: float = 0.25,
         z = (e - loc) / scale
         return rate * np.exp(-0.5 * z * z) / (scale * math.sqrt(2.0 * math.pi))
 
-    return LevyModel(density, zeta or constant_zeta(), c_nu, "normal", "positive",
-                     False, dict(rate=rate, loc=loc, scale=scale))
+    return LevyModel(density, zeta or constant_zeta(), c_nu, "positive", False)
 
 
 def null_model(c_nu: float = 1.0) -> LevyModel:
@@ -164,7 +153,7 @@ def null_model(c_nu: float = 1.0) -> LevyModel:
     def density(e):
         return np.zeros_like(np.asarray(e, dtype=float))
 
-    return LevyModel(density, constant_zeta(), c_nu, "null", "positive", False, {})
+    return LevyModel(density, constant_zeta(), c_nu, "positive", False)
 
 
 _MODEL_FACTORIES = {
@@ -280,11 +269,9 @@ def _side_cells(model: LevyModel, edges: np.ndarray):
     """Per-cell mass and centroid node; final cell integrates to infinity."""
     nodes, weights, inner = [], [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        w = model.mass_between(a, b)
+        w = model.moment(0, a, b)
         if w > 0:
-            m1, _ = integrate.quad(lambda x: x * float(model.density(np.array(x))),
-                                   a, b, **_QUAD_OPTS)
-            node = min(max(m1 / w, a), b)
+            node = min(max(model.moment(1, a, b) / w, a), b)
         else:
             node = 0.5 * (a + b)
         nodes.append(node)
@@ -334,9 +321,7 @@ def small_jump_residual(model: LevyModel, kappa: float) -> float:
     """Second-moment mass of the dropped small jumps, ``int_{|e|<1/kappa} e^2 ell``."""
     if kappa < 1.0:
         raise ValueError("truncation level must satisfy kappa >= 1")
-    val, _ = integrate.quad(lambda x: x * x * float(model.density(np.array(x))),
-                            0.0, 1.0 / kappa, **_QUAD_OPTS)
-    return model.n_sides * max(val, 0.0)
+    return model.n_sides * max(model.moment(2, 0.0, 1.0 / kappa), 0.0)
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Experiment execution and artifact emission.
 
-Each experiment writes CSV artifacts (17 significant digits, bit-identical
-across identical runs), a JSON manifest echoing the configuration with its
-hash and the package version, and a plain-text pass/fail summary of every
-enabled check.
+Each experiment returns its checks and its tables by file name.  The runner
+writes them as CSV artifacts (17 significant digits, bit-identical across
+identical runs), a JSON manifest echoing the configuration with its hash and
+the package version, and a plain-text pass/fail summary of every check.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -142,14 +142,13 @@ def _jump_rows(ensemble):
             for i in range(jumps.n_jumps)]
 
 
-def run_solve(cfg: ExperimentConfig, out_dir: Path):
+def run_solve(cfg: ExperimentConfig):
     _, dec = _solve(cfg)
     solution, ensemble = dec.solution, dec.solution.ensemble
     recon = float(np.max(np.abs(solution.y - (solution.y[:, :1]
                                               - dec.v + dec.m_total))))
-    checks = [CheckResult("terminal_match",
-                          bool(np.array_equal(solution.y[:, -1], solution.terminal)),
-                          0.0, 0.0),
+    mismatch = float(np.max(np.abs(solution.y[:, -1] - solution.terminal)))
+    checks = [CheckResult("terminal_match", mismatch == 0.0, mismatch, 0.0),
               CheckResult("reconstruction_identity", recon <= 1e-10, recon, 1e-10)]
     mart = martingale_regression_test(np.diff(dec.m_c + dec.m_d, axis=1), ensemble,
                                       cfg.solver["basis_degree"])
@@ -161,24 +160,20 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path):
                          jump_mass=ensemble.quad.total_mass,
                          jump_mass_reference=truncated_mass_reference(
                              ensemble.model, ensemble.quad.kappa))]
-    write_csv(out_dir / "solution_summary.csv", summary_rows)
-    write_csv(out_dir / "solution_paths.csv",
-              _solution_rows(solution, cfg.solver["export_paths"]))
-    artifacts = ["solution_summary.csv", "solution_paths.csv"]
+    tables = {"solution_summary.csv": summary_rows,
+              "solution_paths.csv": _solution_rows(solution, cfg.solver["export_paths"])}
     if cfg.solver["export_jumps"]:
-        write_csv(out_dir / "jump_table.csv", _jump_rows(ensemble))
-        artifacts.append("jump_table.csv")
-    return checks, artifacts
+        tables["jump_table.csv"] = _jump_rows(ensemble)
+    return checks, tables
 
 
-def run_scheme(cfg: ExperimentConfig, out_dir: Path):
+def run_scheme(cfg: ExperimentConfig):
     structure, ensemble = _build_setting(cfg)
     result = run_triple_scheme(
         cfg.build_driver(structure), cfg.terminal_fn(), ensemble,
         cfg.schedule["triples"], cfg.solver["basis_degree"],
         cfg.solver["picard_max"], cfg.solver["picard_tol"])
     rep = result.report
-    write_csv(out_dir / "convergence_report.csv", rep.rows())
     checks = [CheckResult("y0_monotone", rep.monotone_y0, rep.y0_max_drop, 3.0),
               CheckResult("gaps_decreasing", rep.gaps_decreasing,
                           rep.gaps_max_rise, 0.0),
@@ -198,21 +193,20 @@ def run_scheme(cfg: ExperimentConfig, out_dir: Path):
         checks.append(CheckResult(f"chebyshev_{tag}",
                                   rec.region_fraction <= cheb_tol,
                                   rec.region_fraction, cheb_tol))
-    return checks, ["convergence_report.csv"]
+    return checks, {"convergence_report.csv": rep.rows()}
 
 
-def run_audit(cfg: ExperimentConfig, out_dir: Path):
+def run_audit(cfg: ExperimentConfig):
     structure, dec = _solve(cfg)
     corridor, apriori, submart = audit_solution(dec, structure)
     rows = [dict(corridor_violation=corridor.violation_fraction,
                  submartingale_fraction=submart.fraction_below,
                  apriori_lhs=apriori.lhs, apriori_rhs=apriori.rhs,
                  y0=dec.solution.y0, y0_se=dec.solution.y0_se)]
-    write_csv(out_dir / "audit_report.csv", rows)
-    return _audit_checks("", corridor, apriori, submart), ["audit_report.csv"]
+    return _audit_checks("", corridor, apriori, submart), {"audit_report.csv": rows}
 
 
-def run_risk(cfg: ExperimentConfig, out_dir: Path):
+def run_risk(cfg: ExperimentConfig):
     structure, ensemble = _build_setting(cfg)
     xi = cfg.terminal_fn()(ensemble.state[:, -1])
     rows = []
@@ -223,30 +217,24 @@ def run_risk(cfg: ExperimentConfig, out_dir: Path):
                              direction=direction, value=est.value,
                              stderr=est.stderr,
                              heavy_tail=int(est.heavy_tail_warning)))
-    write_csv(out_dir / "risk_table.csv", rows)
     moment_rows = exponential_moment_check(xi, structure, ensemble.time_grid,
                                            cfg.risk["gammas"])
-    write_csv(out_dir / "moment_table.csv",
-              [dict(gamma=r.gamma, mean=r.mean, half_mean=r.half_mean,
-                    stable=int(r.stable)) for r in moment_rows])
     checks = [CheckResult(f"moment_stable_gamma_{r.gamma:g}", r.stable,
-                          r.mean, 0.10) for r in moment_rows]
+                          r.drift, r.drift_tol) for r in moment_rows]
     upper = next(r for r in rows if r["direction"] == "upper" and r["t"] == 0.0)
     lower = next(r for r in rows if r["direction"] == "lower" and r["t"] == 0.0)
-    spread = 3.0 * math.hypot(upper["stderr"], lower["stderr"])
-    checks.append(CheckResult("jensen_order",
-                              lower["value"] <= upper["value"] + spread,
-                              upper["value"] - lower["value"], spread))
-    return checks, ["risk_table.csv", "moment_table.csv"]
+    ceiling = upper["value"] + 3.0 * math.hypot(upper["stderr"], lower["stderr"])
+    checks.append(CheckResult("jensen_order", lower["value"] <= ceiling,
+                              lower["value"], ceiling))
+    return checks, {"risk_table.csv": rows,
+                    "moment_table.csv": [{**asdict(r), "stable": int(r.stable)}
+                                         for r in moment_rows]}
 
 
-def run_oracle(cfg: ExperimentConfig, out_dir: Path):
+def run_oracle(cfg: ExperimentConfig):
     params = dict(cfg.oracle)
     estimator, _ = ORACLES[params.pop("name")]
-    value = estimator(**params)
-    write_csv(out_dir / "oracle_values.csv",
-              [dict(name=value.name, value=value.value, stderr=value.stderr)])
-    return [], ["oracle_values.csv"]
+    return [], {"oracle_values.csv": [asdict(estimator(**params))]}
 
 
 _RUNNERS = dict(solve=run_solve, scheme=run_scheme, audit=run_audit,
@@ -261,7 +249,9 @@ EXIT_CRASH = 70
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checks, artifacts = _RUNNERS[cfg.experiment](cfg, out_dir)
+    checks, tables = _RUNNERS[cfg.experiment](cfg)
+    for name, rows in tables.items():
+        write_csv(out_dir / name, rows)
     all_ok = write_summary(out_dir, checks)
-    write_manifest(out_dir, cfg, artifacts + ["summary.txt"])
+    write_manifest(out_dir, cfg, [*tables, "summary.txt"])
     return EXIT_OK if all_ok else EXIT_CHECK_FAILURE

@@ -79,7 +79,8 @@ class Schedule:
 
 @dataclass
 class TripleRecord:
-    """Per-triple ladder diagnostics; one row of the convergence report."""
+    """Per-triple ladder diagnostics; one row of the convergence report.
+    ``dec`` is the triple's decomposition, None when the triple failed."""
 
     n: int
     m: int
@@ -87,6 +88,7 @@ class TripleRecord:
     y0: float
     y0_se: float
     jump_mass: float
+    dec: Decomposition | None = None
     corridor: QStructureReport | None = None
     apriori: AprioriReport | None = None
     submartingale: SubmartingaleReport | None = None
@@ -99,34 +101,41 @@ class TripleRecord:
     h1_gap_proxy: float = math.nan
     vstar_gap_proxy: float = math.nan
     s2_norm: float = math.nan
-    sq_bound: float = math.nan
     error: str = ""
 
+    @property
+    def solution(self) -> BsdejSolution | None:
+        return None if self.dec is None else self.dec.solution
+
     def row(self) -> dict:
+        rhs = self.apriori.rhs if self.apriori else math.nan
         return dict(
             n=self.n, m=self.m, kappa=self.kappa, y0=self.y0, y0_se=self.y0_se,
             jump_mass=self.jump_mass,
             corridor_violation=self.corridor.violation_fraction if self.corridor else math.nan,
             apriori_lhs=self.apriori.lhs if self.apriori else math.nan,
-            apriori_rhs=self.apriori.rhs if self.apriori else math.nan,
+            apriori_rhs=rhs,
             apriori_ok=int(self.apriori.ok) if self.apriori else 0,
             submartingale_ok=int(self.submartingale.verdict) if self.submartingale else 0,
             a1=self.a1, a2=self.a2, chebyshev_bound=self.chebyshev_bound,
             region_fraction=self.region_fraction,
             h1_gap_prev=self.h1_gap_prev, vstar_gap_prev=self.vstar_gap_prev,
             h1_gap_proxy=self.h1_gap_proxy, vstar_gap_proxy=self.vstar_gap_proxy,
-            s2_norm=self.s2_norm, sq_bound=self.sq_bound, error=self.error)
+            s2_norm=self.s2_norm, sq_bound=rhs, error=self.error)
 
 
 @dataclass
 class ConvergenceReport:
     records: list[TripleRecord]
-    monotone_y0: bool
     y0_max_drop: float      # largest y0 drop between solved neighbours, in SEs
     comparison_violations: list[float]
     gaps_to_proxy: list[float]
     gaps_max_rise: float        # largest rise between compared proxy gaps
     stability_max_rise: float   # largest rise of the H1 distance to the proxy
+
+    @property
+    def monotone_y0(self) -> bool:
+        return self.y0_max_drop <= 3.0
 
     @property
     def gaps_decreasing(self) -> bool:
@@ -142,8 +151,12 @@ class ConvergenceReport:
 
 @dataclass
 class SchemeResult:
-    solutions: list[BsdejSolution | None]
     report: ConvergenceReport
+
+    @property
+    def solutions(self) -> list[BsdejSolution | None]:
+        """Each triple's solve, None where the triple failed."""
+        return [r.solution for r in self.report.records]
 
 
 def _max_rise(values) -> float:
@@ -313,10 +326,8 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
     its error message rather than aborting the ladder.
     """
     quad = ensemble.quad
-    params = base.params
     view = base.at_quadrature(quad, ensemble.model)
 
-    decs: list[Decomposition | None] = []     # aligned with records
     records: list[TripleRecord] = []
     for (n_idx, m_idx, kappa) in schedule.triples:
         node_idx = quad.restrict_indices(float(kappa))
@@ -325,61 +336,51 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
         records.append(record)
         try:
             reg = regularize(view, n_idx, m_idx, node_idx)
-            dec = decompose(solve_lipschitz(reg, terminal_fn, ensemble, basis_degree,
-                                            picard_max, picard_tol))
+            record.dec = decompose(solve_lipschitz(reg, terminal_fn, ensemble, basis_degree,
+                                                   picard_max, picard_tol))
         except Exception as exc:  # a failed triple is data, not a crash
             record.error = f"{type(exc).__name__}: {exc}"
-            decs.append(None)
             continue
-        decs.append(dec)
-        sol = dec.solution
+        sol = record.solution
         record.y0, record.y0_se, record.s2_norm = sol.y0, sol.y0_se, sol.s2_norm()
         record.corridor, record.apriori, record.submartingale = audit_solution(
-            dec, params)
-        record.sq_bound = record.apriori.rhs
+            record.dec, base.params)
 
-    solutions = [None if d is None else d.solution for d in decs]
-    solved_decs = [d for d in decs if d is not None]
-    if solved_decs:
-        solved_records = [r for r, d in zip(records, decs) if d is not None]
-        solved = [d.solution for d in solved_decs]
-        proxy = solved[-1]
-        c_split = default_c_split(proxy)
-        gaps = []
-        for rec, sol in zip(solved_records, solved):
-            gap = driver_l1_gap(sol, proxy, c_split)
+    solved = [r for r in records if r.dec is not None]
+    if solved:
+        proxy = solved[-1].dec
+        c_split = default_c_split(proxy.solution)
+        for rec in solved:
+            gap = driver_l1_gap(rec.solution, proxy.solution, c_split)
             rec.a1, rec.a2 = gap.a1, gap.a2
             rec.chebyshev_bound = gap.chebyshev_bound
             rec.region_fraction = gap.region_fraction
-            gaps.append(gap.a1 + gap.a2)
-        proxy_dec = solved_decs[-1]
-        for rec, stab, dec in zip(solved_records,
-                                  stability_diagnostics(solved_decs), solved_decs):
-            rec.h1_gap_prev = stab.h1_gap_prev
-            rec.vstar_gap_prev = stab.vstar_gap_prev
-            rec.h1_gap_proxy, rec.vstar_gap_proxy = pairwise_gap(dec, proxy_dec)
+        gaps = [r.a1 + r.a2 for r in solved]
+        for rec, stab in zip(solved, stability_diagnostics([r.dec for r in solved])):
+            rec.h1_gap_prev, rec.vstar_gap_prev = stab.h1_gap_prev, stab.vstar_gap_prev
+            rec.h1_gap_proxy, rec.vstar_gap_proxy = pairwise_gap(rec.dec, proxy)
         links = [l for l in schedule.links()
-                 if decs[l["lo"]] is not None and decs[l["hi"]] is not None
+                 if records[l["lo"]].dec is not None and records[l["hi"]].dec is not None
                  and link_direction(l["changed"], base.nonnegative) is not None]
-        comparison = monotonicity_check(solutions, links,
+        comparison = monotonicity_check([r.solution for r in records], links,
                                         nonnegative_base=base.nonnegative) if links else []
-        y0s = np.array([s.y0 for s in solved])
-        ses = np.array([s.y0_se for s in solved])
-        monotone_y0 = all(b >= a - 3.0 * math.hypot(x, y) for a, b, x, y
-                          in zip(y0s, y0s[1:], ses, ses[1:]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drops = (y0s[:-1] - y0s[1:]) / np.hypot(ses[:-1], ses[1:])
+        y0s = np.array([r.y0 for r in solved])
+        ses = np.array([r.y0_se for r in solved])
+        # an exact tie is a drop of zero standard errors, even at zero SE
+        with np.errstate(divide="ignore"):
+            drops = np.divide(y0s[:-1] - y0s[1:], np.hypot(ses[:-1], ses[1:]),
+                              out=np.zeros(y0s.size - 1), where=y0s[:-1] != y0s[1:])
         y0_max_drop = float(drops.max()) if drops.size else -math.inf
         # the proxy's own gap is zero by construction and stays out
         gaps_max_rise = _max_rise(gaps[:-1])
         # stability measured against the limit proxy (the H1 distance to the
         # last triple shrinks along the ladder; consecutive increments need
         # not, since truncation mass increments can grow with kappa)
-        stability_max_rise = _max_rise([r.h1_gap_proxy for r in solved_records[:-1]
+        stability_max_rise = _max_rise([r.h1_gap_proxy for r in solved[:-1]
                                         if not math.isnan(r.h1_gap_proxy)])
     else:
-        comparison, gaps, monotone_y0 = [], [], False
+        comparison, gaps = [], []
         y0_max_drop = gaps_max_rise = stability_max_rise = math.nan
-    report = ConvergenceReport(records, monotone_y0, y0_max_drop, comparison,
+    report = ConvergenceReport(records, y0_max_drop, comparison,
                                gaps, gaps_max_rise, stability_max_rise)
-    return SchemeResult(solutions, report)
+    return SchemeResult(report)

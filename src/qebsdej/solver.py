@@ -353,25 +353,17 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
         resid_var[k] = float(np.mean((y_next - ey) ** 2))
 
         y_cur = ey.copy()
-        if lip_y == 0.0:
-            # the generator ignores y: the implicit step closes in one pass
+        for it in range(picard_max):
             f_now = np.asarray(driver.evaluate(t_k, y_cur, z[:, k, :], u_now),
                                dtype=float)
-            y_cur = ey + f_now * dt
-            picard_counts[k] = 1
+            y_prev, y_cur = y_cur, ey + f_now * dt
+            picard_counts[k] = it + 1
+            # a generator that ignores y closes the implicit step in one pass
+            if lip_y == 0.0 or float(np.max(np.abs(y_cur - y_prev))) < picard_tol:
+                break
         else:
-            for it in range(picard_max):
-                f_now = np.asarray(driver.evaluate(t_k, y_cur, z[:, k, :], u_now),
-                                   dtype=float)
-                y_new = ey + f_now * dt
-                picard_counts[k] = it + 1
-                if float(np.max(np.abs(y_new - y_cur))) < picard_tol:
-                    y_cur = y_new
-                    break
-                y_cur = y_new
-            else:
-                raise RuntimeError(f"Picard iteration did not reach {picard_tol:g} "
-                                   f"in {picard_max} steps at t = {t_k:.4g}")
+            raise RuntimeError(f"Picard iteration did not reach {picard_tol:g} "
+                               f"in {picard_max} steps at t = {t_k:.4g}")
         fvals[:, k] = f_now
         y[:, k] = y_cur
 

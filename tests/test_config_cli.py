@@ -323,8 +323,11 @@ def test_unknown_oracle_rejected(tmp_path):
     {"name": "entropic_gaussian", "direction": "sideways"},
     {"name": "girsanov_tilt", "seed": -1},
     {"name": "compound_poisson_doleans", "u": 1000},
+    {"name": "girsanov_tilt", "mass": 1e20},
+    {"name": "compound_poisson_doleans", "mass": 1e20},
 ], ids=["n_not_a_number", "unknown_parameter", "n_samples_not_integral",
-        "unknown_direction", "negative_seed", "exponent_overflows"])
+        "unknown_direction", "negative_seed", "exponent_overflows",
+        "tilt_poisson_mean_too_large", "doleans_poisson_mean_too_large"])
 def test_bad_oracle_parameter_exits_2(tmp_path, oracle):
     cfg = write_config(tmp_path, "bad_oracle.json",
                        {"experiment": "oracle", "oracle": oracle})
@@ -408,29 +411,52 @@ def test_run_scheme_experiment(tmp_path):
     assert report[0].startswith("n,m,kappa,y0")
 
 
+def _summary_lines(tmp_path, tag, payload):
+    """``(status, name, value, tol)`` of every check line a run prints."""
+    cfg = write_config(tmp_path, f"{tag}.json", payload)
+    out = tmp_path / f"{tag}_out"
+    main(["run", cfg, "--out", str(out)])
+    lines = [line.split() for line in
+             (out / "summary.txt").read_text().splitlines()[:-1]]
+    return [(status, name, float(value[len("value="):]), float(tol[len("tol="):]))
+            for status, name, value, tol in lines]
+
+
 def test_summary_states_applied_tolerance(tmp_path):
     # at this seed the last triple's |Y_0| exceeds the a-priori rhs but not
     # rhs plus its three-standard-error slack
     payload = scheme_payload(seed=23)
     payload["schedule"]["triples"] = [[2, 2, 2], [8, 8, 8]]
-    cfg = write_config(tmp_path, "tol.json", payload)
-    out = tmp_path / "tol_out"
-    main(["run", cfg, "--out", str(out)])
-    lines = [line.split() for line in
-             (out / "summary.txt").read_text().splitlines()[:-1]]
-    audited = [w for w in lines
-               if w[1].startswith(("apriori_", "chebyshev_", "y0_monotone"))]
-    assert len(audited) == 5
+    lines = _summary_lines(tmp_path, "tol", payload)
+    # a constant terminal with neither driver nor jumps ties every y0 at zero
+    # standard error, which is a drop of zero
+    tie = scheme_payload()
+    tie.update(model={"name": "null"}, driver={"name": "zero"},
+               terminal={"name": "constant"}, grid={"t_end": 1.0, "k_steps": 4})
+    tie["ensemble"]["n_paths"] = 500
+    tie_lines = _summary_lines(tmp_path, "tie", tie)
+    risk = solve_payload(experiment="risk")
+    risk["risk"] = {"times": [0, 4], "gammas": [1.0, 2.0]}
+    risk["terminal"] = {"name": "linear", "scale": 0.5}
+    other = (tie_lines + _summary_lines(tmp_path, "risk", risk)
+             + _summary_lines(tmp_path, "solve", solve_payload()))
+    audited = [w for w in lines + other
+               if w[1].startswith(("apriori_", "chebyshev_", "y0_monotone",
+                                   "jensen_order", "terminal_match"))]
+    assert len(audited) == 12
+    assert ("PASS", "y0_monotone", 0.0, 3.0) in tie_lines
     for status, name, value, tol in audited:
-        value, tol = float(value[len("value="):]), float(tol[len("tol="):])
         assert (status == "PASS") == (value <= tol), name
-    # the ladder checks print their largest rise and pass strictly below tol
-    strict = [w for w in lines
-              if w[1] in ("gaps_decreasing", "stability_decreasing")]
-    assert len(strict) == 2
+    # the ladder checks print their largest rise and the moment checks their
+    # half-sample drift; both pass strictly below tol
+    strict = [w for w in lines + other
+              if w[1] in ("gaps_decreasing", "stability_decreasing")
+              or w[1].startswith("moment_stable_")]
+    assert len(strict) == 6
     for status, name, value, tol in strict:
-        value, tol = float(value[len("value="):]), float(tol[len("tol="):])
-        assert tol == 0.0 and (status == "PASS") == (value < tol), name
+        assert (status == "PASS") == (value < tol), name
+    assert all(tol == 0.0 for _, name, _, tol in strict
+               if name.endswith("decreasing"))
 
 
 def test_failed_triple_is_recorded(tmp_path, monkeypatch):
@@ -509,8 +535,8 @@ def test_check_failure_exit_code(tmp_path, monkeypatch):
     # force a failing check by auditing a generator outside its corridor
     import qebsdej.runner as runner
 
-    def failing_checks(cfg, out_dir):
-        return [runner.CheckResult("designed_to_fail", False, 1.0, 0.0)], []
+    def failing_checks(cfg):
+        return [runner.CheckResult("designed_to_fail", False, 1.0, 0.0)], {}
 
     monkeypatch.setitem(runner._RUNNERS, "solve", failing_checks)
     cfg = write_config(tmp_path, "fail.json", solve_payload())

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import qebsdej as q
-from qebsdej.drivers import (Driver, NotRegularizableError, StructureParams,
-                             inf_convolve, lipschitz_estimate, regularize,
-                             structure_bounds, sup_convolve)
+from qebsdej.drivers import (Driver, StructureParams, inf_convolve,
+                             lipschitz_estimate, regularize, structure_bounds,
+                             sup_convolve)
 from qebsdej.levy import gamma_model
 from qebsdej.oracles import huber_envelope_exact, huber_envelope_grid
 
@@ -230,8 +231,10 @@ def test_generic_strategy_exact_for_lipschitz_base(gamma_quad, gamma_model):
     ys = rng.uniform(-2, 2, 20)
     zs = rng.uniform(-2, 2, (20, 1))
     us = np.zeros((20, gamma_quad.n_nodes))
-    reg = regularize(lin.at_quadrature(gamma_quad, gamma_model), 4, 4,
-                     strategy="generic")
+    # without a declared (y, z) Lipschitz constant the envelope is generic
+    undeclared = dataclasses.replace(lin, lip_yz=math.inf)
+    reg = regularize(undeclared.at_quadrature(gamma_quad, gamma_model), 4, 4)
+    assert reg.strategy == "generic"
     direct = lin.f_hat(0.0, ys, zs)
     assert np.allclose(reg.evaluate(0.0, ys, zs, us), direct, atol=1e-12)
 
@@ -294,8 +297,6 @@ def test_y_dependent_nonnegative_driver_is_regularized_jointly(gamma_quad, gamma
     drv = Driver("abs_y", f_hat, base.g, p, nonnegative=True, lip_y=1.0)
     view = drv.at_quadrature(gamma_quad, gamma_model)
     assert regularize(view, 4, 4).strategy == "generic"
-    with pytest.raises(NotRegularizableError):
-        regularize(view, 4, 4, strategy="nonnegative")
 
 
 def test_sandwich_thousand_probes(canonical, gamma_quad, gamma_model):

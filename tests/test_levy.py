@@ -25,7 +25,7 @@ def test_square_integrability_near_origin(gamma_model, stable_model):
 def test_infinite_activity_divergence(gamma_model, stable_model):
     # mass over [eps, 1] grows without bound as eps shrinks
     for model in (gamma_model, stable_model):
-        masses = [model.mass_between(eps, 1.0) for eps in (1e-2, 1e-4, 1e-6)]
+        masses = [model.moment(0, eps, 1.0) for eps in (1e-2, 1e-4, 1e-6)]
         assert masses[0] < masses[1] < masses[2]
         assert masses[2] > 2.0 * masses[0]
 
@@ -37,7 +37,7 @@ def test_finite_activity_presets():
 
 def test_zeta_band_guard(gamma_model):
     bad = LevyModel(gamma_model.density, lambda t, e: 2.0 * np.ones_like(e),
-                    1.0, "gamma", "positive", True)
+                    1.0, "positive", True)
     with pytest.raises(ValueError, match="band"):
         bad.zeta_at(0.0, np.array([1.0, 2.0]))
 
@@ -91,7 +91,7 @@ def test_divergent_tail_raises():
         out[e > 0] = 1.0 / e[e > 0]
         return out
 
-    bad = LevyModel(density, constant_zeta(), 1.0, "harmonic", "positive", True)
+    bad = LevyModel(density, constant_zeta(), 1.0, "positive", True)
     with pytest.raises(DivergentMassError):
         q.build_quadrature(bad, 2.0, 8)
 
