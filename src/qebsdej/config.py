@@ -143,7 +143,9 @@ SETTINGS = {
     },
 }
 
-_SAMPLING = {"n_samples": Setting(_int, 200000, least=2),
+# a smaller sample gives no usable standard error: two Poisson(10) counts
+# agree about 9% of the time, and the Doleans estimate then reads v +- 0
+_SAMPLING = {"n_samples": Setting(_int, 200000, least=20),
              "seed": Setting(_int, 0, least=0)}
 _HORIZON = {"t_end": Setting(_float, 1.0, least=0.0)}
 
@@ -168,6 +170,20 @@ ORACLES = {
 
 # numpy.random.Generator.poisson refuses larger means
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+# The oracles that average an exponential have relative sample variance
+# expm1(s) for the spread s below.  Past s = ln(n_samples) the relative
+# standard error of their mean exceeds about 1, and far past it every sample
+# underflows (the estimate reads 0 +- 0) or one overflows.
+LOG_SPREAD = {
+    "entropic_gaussian": lambda p: p["sigma"] * p["sigma"],
+    "brownian_doleans": lambda p: p["t_end"],
+    "compound_poisson_doleans": lambda p: (p["mass"] * p["t_end"] * math.expm1(p["u"])
+                                          * math.expm1(p["u"])),
+}
+# a Doleans sample expecting fewer jumps than this mostly sees none, so its
+# samples are all equal and its standard error reads 0
+DOLEANS_JUMPS_MIN = 20.0
 
 TOP_LEVEL_KEYS = ("experiment", "model", "driver", "oracle", *SETTINGS)
 
@@ -278,6 +294,14 @@ def validate_config(data: dict) -> ExperimentConfig:
         if "mass" in p and ((1.0 + p.get("c_tilde", 0.0)) * p["mass"] * p["t_end"]
                             > POISSON_MEAN_MAX):
             raise ConfigError("oracle.mass", f"Poisson mean above {POISSON_MEAN_MAX:g}")
+        if name in LOG_SPREAD and LOG_SPREAD[name](p) > math.log(p["n_samples"]):
+            raise ConfigError("oracle", "the sample cannot resolve the mean: log(1 + "
+                              f"relative variance) = {LOG_SPREAD[name](p):g} is above "
+                              f"ln(n_samples) = {math.log(p['n_samples']):g}")
+        if (name == "compound_poisson_doleans"
+                and p["mass"] * p["t_end"] * p["n_samples"] < DOLEANS_JUMPS_MIN):
+            raise ConfigError("oracle", "the sample cannot resolve the mean: it expects "
+                              f"mass * t_end * n_samples < {DOLEANS_JUMPS_MIN:g} jumps")
         return cfg
     for name, table in SETTINGS.items():
         setattr(cfg, name, _read_section(name, table, data.get(name, {})))

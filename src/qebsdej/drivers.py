@@ -58,9 +58,11 @@ class Driver:
     ``f_hat(t, y, z)`` takes ``y`` of shape (...,) and ``z`` of shape (..., d);
     ``g(t, v)`` applies pointwise to mark values.  ``nonnegative`` marks
     generators known to satisfy ``f >= 0`` everywhere (their negative part is
-    identically zero), which unlocks a fast separable envelope.  ``lip_y``
-    is a declared Lipschitz constant of ``f`` in ``y``, zero when ``f``
-    ignores ``y``; ``lip_yz`` is one of ``f_hat`` in ``(y, z)`` when finite.
+    identically zero), which unlocks a fast separable envelope; that envelope
+    also needs ``g(t, .)`` convex, as it is for every preset that sets the
+    flag (``canonical`` and ``zero``).  ``lip_y`` is a declared Lipschitz
+    constant of ``f`` in ``y``, zero when ``f`` ignores ``y``; ``lip_yz`` is
+    one of ``f_hat`` in ``(y, z)`` when finite.
     """
 
     name: str
@@ -323,7 +325,8 @@ class RegularizedDriver:
     ``nonnegative``
         the negative part is identically zero, ``f_hat`` ignores ``y``, and the
         envelope separates into a ``z`` part and a constant-field mark part
-        (fast, used in solves);
+        (fast, used in solves); ``g`` must be convex, because the mark part
+        finds its minimum over ``V_GRID`` by bisection;
     ``lipschitz_exact``
         the driver is globally Lipschitz with constant at most ``min(n, m)``,
         so both envelopes reproduce the parts exactly;
@@ -376,21 +379,42 @@ class RegularizedDriver:
         return np.minimum(_running_min_envelope(cv, YZ_GRID, z[..., 0], self.n), query)
 
     def _jump_envelope(self, t: float, u_sub: np.ndarray, wz: np.ndarray) -> np.ndarray:
-        """Constant-candidate envelope of the mark integral in the nu-norm."""
+        """Constant-candidate envelope of the mark integral in the nu-norm:
+        per row, ``min_v [mass g(v) + n |u - v|_nu]`` over ``V_GRID``, at
+        most the value at ``u`` itself.
+
+        With ``g`` convex the objective is convex in ``v``, so on the grid its
+        forward difference is nondecreasing.  A bisection for the first grid
+        index where it turns nonnegative takes ``ceil(log2 161) = 8`` rounds;
+        the minimum is then read off that index and its two neighbours, 19
+        grid probes per row in all.
+        """
         query = (self.view.driver.g(t, u_sub) * wz).sum(axis=-1)
         mass = float(wz.sum())
         if mass <= 0:
             return query
         s1 = (u_sub * wz).sum(axis=-1)
         s2 = (u_sub * u_sub * wz).sum(axis=-1)
-        out = np.full(query.shape, np.inf)
-        for start in range(0, V_GRID.size, 32):
-            v = V_GRID[start:start + 32][:, None]
-            gval = self.view.driver.g(t, v[:, 0])[:, None] * mass
-            dist = np.sqrt(np.clip(mass * v * v - 2.0 * v * s1[None, :]
-                                   + s2[None, :], 0.0, None))
-            np.minimum(out, (gval + self.n * dist).min(axis=0), out=out)
-        return np.minimum(out, query)
+        g_mass = self.view.driver.g(t, V_GRID) * mass
+
+        def objective(k: np.ndarray) -> np.ndarray:
+            v = V_GRID[k]
+            return g_mass[k] + self.n * np.sqrt(np.clip(mass * v * v - 2.0 * v * s1
+                                                        + s2, 0.0, None))
+
+        last = V_GRID.size - 1
+        lo = np.zeros(query.shape, dtype=np.intp)
+        hi = np.full(query.shape, last)
+        for _ in range(last.bit_length()):
+            # a finished row (lo == hi) keeps its index whatever it probes
+            mid = (lo + hi) // 2
+            rising = objective(np.minimum(mid + 1, last)) >= objective(mid)
+            hi = np.where(rising, mid, hi)
+            lo = np.where(rising, lo, np.minimum(mid + 1, hi))
+        best = objective(lo)
+        np.minimum(best, objective(np.maximum(lo - 1, 0)), out=best)
+        np.minimum(best, objective(np.minimum(lo + 1, last)), out=best)
+        return np.minimum(best, query)
 
     # -- generic joint envelope (probe scale) ------------------------------
 

@@ -234,7 +234,11 @@ def run_risk(cfg: ExperimentConfig):
 def run_oracle(cfg: ExperimentConfig):
     params = dict(cfg.oracle)
     estimator, _ = ORACLES[params.pop("name")]
-    return [], {"oracle_values.csv": [asdict(estimator(**params))]}
+    est = estimator(**params)
+    finite = math.isfinite(est.value) and math.isfinite(est.stderr)
+    checks = [CheckResult("estimate_finite", finite, est.value, math.inf,
+                          f"stderr={_fmt(est.stderr)}")]
+    return checks, {"oracle_values.csv": [asdict(est)]}
 
 
 _RUNNERS = dict(solve=run_solve, scheme=run_scheme, audit=run_audit,

@@ -12,6 +12,7 @@ import qebsdej
 from qebsdej.cli import main
 from qebsdej.config import (ORACLES, SETTINGS, TERMINALS, TOP_LEVEL_KEYS,
                             ConfigError, _int, load_config, validate_config)
+from qebsdej.oracles import girsanov_tilt_exact
 from qebsdej.runner import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK)
 from qebsdej.solver import DYNAMICS, JUMP_IMPACTS
 
@@ -241,6 +242,33 @@ def test_run_is_bit_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_profile_dump_leaves_artifacts_unchanged(tmp_path):
+    import pstats
+
+    cfg = write_config(tmp_path, "prof.json", solve_payload())
+    plain, profiled = tmp_path / "plain", tmp_path / "profiled"
+    stats = tmp_path / "run.prof"
+    assert main(["run", cfg, "--out", str(plain)]) == EXIT_OK
+    assert main(["run", cfg, "--out", str(profiled), "--profile", str(stats)]) == EXIT_OK
+    functions = {name for _, _, name in pstats.Stats(str(stats)).stats}
+    assert "run_experiment" in functions
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in profiled.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (profiled / name).read_bytes()
+    manifest = json.loads((profiled / "manifest.json").read_text())
+    assert "run.prof" not in json.dumps(manifest)
+
+
+def test_plain_run_does_not_import_cprofile(tmp_path):
+    cfg = write_config(tmp_path, "noprof.json", solve_payload())
+    code = ("import sys; from qebsdej.cli import main; "
+            f"main(['run', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]); "
+            "sys.exit('cProfile' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(qebsdej.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def _risk(times):
     return dict(experiment="risk", risk={"times": times, "gammas": [1.0]})
 
@@ -325,15 +353,108 @@ def test_unknown_oracle_rejected(tmp_path):
     {"name": "compound_poisson_doleans", "u": 1000},
     {"name": "girsanov_tilt", "mass": 1e20},
     {"name": "compound_poisson_doleans", "mass": 1e20},
+    {"name": "compound_poisson_doleans", "mass": 1e6, "n_samples": 2000},
+    {"name": "compound_poisson_doleans", "mass": 1e3},
+    {"name": "compound_poisson_doleans", "u": 40.0, "mass": 1.0},
+    {"name": "compound_poisson_doleans", "mass": 1e-5},
+    {"name": "brownian_doleans", "t_end": 2000.0},
+    {"name": "entropic_gaussian", "sigma": 40.0},
+    {"name": "compound_poisson_doleans", "mass": 10.0, "u": 0.2, "n_samples": 2},
 ], ids=["n_not_a_number", "unknown_parameter", "n_samples_not_integral",
         "unknown_direction", "negative_seed", "exponent_overflows",
-        "tilt_poisson_mean_too_large", "doleans_poisson_mean_too_large"])
+        "tilt_poisson_mean_too_large", "doleans_poisson_mean_too_large",
+        "doleans_sample_underflows", "doleans_relative_se_above_one",
+        "doleans_large_jump_exponent", "doleans_too_few_jumps",
+        "brownian_doleans_underflows", "entropic_gaussian_overflows",
+        "sample_too_small_for_a_standard_error"])
 def test_bad_oracle_parameter_exits_2(tmp_path, oracle):
     cfg = write_config(tmp_path, "bad_oracle.json",
                        {"experiment": "oracle", "oracle": oracle})
     out = tmp_path / "nothing"
     assert main(["oracle", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert not out.exists()
+
+
+def _oracle_row(out: Path):
+    _, row = (out / "oracle_values.csv").read_text().splitlines()
+    _, value, stderr = row.split(",")
+    return float(value), float(stderr)
+
+
+def test_default_doleans_oracle_has_mean_one(tmp_path):
+    cfg = write_config(tmp_path, "doleans.json", {
+        "experiment": "oracle", "oracle": {"name": "compound_poisson_doleans"}})
+    out = tmp_path / "dout"
+    assert main(["oracle", cfg, "--out", str(out)]) == EXIT_OK
+    value, stderr = _oracle_row(out)
+    assert 0.0 < stderr < 0.01
+    assert abs(value - 1.0) <= 3.0 * stderr
+
+
+@pytest.mark.parametrize("oracle", [
+    {"name": "girsanov_tilt", "x0": 1e308, "b": 1e308, "n_samples": 50},
+    {"name": "girsanov_tilt", "impact": 1e307, "mass": 30.0, "n_samples": 50},
+    {"name": "huber_envelope", "n": 1e300, "y": 1e300},
+], ids=["tilt_drift_overflows", "tilt_jumps_overflow", "huber_overflows"])
+def test_overflowing_oracle_fails_its_check(tmp_path, oracle):
+    cfg = write_config(tmp_path, "big.json", {"experiment": "oracle", "oracle": oracle})
+    out = tmp_path / "bout"
+    assert main(["oracle", cfg, "--out", str(out)]) == EXIT_CHECK_FAILURE
+    assert (out / "summary.txt").read_text().startswith("FAIL estimate_finite")
+
+
+# the expectation each Monte Carlo oracle (one that takes n_samples) estimates
+MC_EXACT = {
+    "entropic_gaussian": lambda p: ((0.5 if p["direction"] == "upper" else -0.5)
+                                    * p["sigma"] * p["sigma"]),
+    "girsanov_tilt": lambda p: girsanov_tilt_exact(p["b"], p["c_tilde"], p["mass"],
+                                                   p["t_end"], p["x0"], p["impact"]),
+    "brownian_doleans": lambda p: 1.0,
+    "compound_poisson_doleans": lambda p: 1.0,
+}
+
+
+@st.composite
+def oracle_configs(draw):
+    """An oracle config with any subset of its parameters set, each to a value
+    of any magnitude or sign; sampling oracles always get a small sample."""
+    name = draw(st.sampled_from(sorted(ORACLES)))
+    params = {"name": name}
+    for key in ORACLES[name][1]:
+        if key == "n_samples":
+            params[key] = draw(st.integers(2, 200))
+        elif not draw(st.booleans()):
+            continue
+        elif key == "seed":
+            params[key] = draw(st.integers(0, 2**32))
+        elif key == "direction":
+            params[key] = draw(st.sampled_from(["upper", "lower"]))
+        else:
+            params[key] = draw(st.one_of(
+                st.floats(-10.0, 10.0),
+                st.floats(allow_nan=False, allow_infinity=False)))
+    return {"experiment": "oracle", "oracle": params}
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=oracle_configs())
+def test_oracle_verb_never_crashes(tmp_path_factory, payload):
+    # a config the validator accepts runs to a verdict; a sampling oracle that
+    # reports a finite estimate gives it a positive standard error, unless its
+    # law is degenerate and the estimate is exact
+    tmp = tmp_path_factory.mktemp("oracle")
+    path, out = write_config(tmp, "cfg.json", payload), tmp / "out"
+    try:
+        params = validate_config(payload).oracle
+    except ConfigError:
+        assert main(["oracle", path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        return
+    code = main(["oracle", path, "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILURE)
+    if code == EXIT_OK and "n_samples" in params:
+        value, stderr = _oracle_row(out)
+        exact = MC_EXACT[params["name"]](params)
+        assert stderr > 0.0 or abs(value - exact) <= 1e-9 * (1.0 + abs(exact))
 
 
 def test_oracle_verb_requires_oracle_experiment(tmp_path):

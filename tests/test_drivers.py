@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import qebsdej as q
-from qebsdej.drivers import (Driver, StructureParams, inf_convolve,
+from qebsdej import drivers
+from qebsdej.drivers import (V_GRID, Driver, StructureParams, inf_convolve,
                              lipschitz_estimate, regularize, structure_bounds,
                              sup_convolve)
 from qebsdej.levy import gamma_model
@@ -395,6 +396,70 @@ def test_regularized_driver_weighs_nodes_at_its_time():
 def test_regularize_index_validation(canonical, gamma_quad, gamma_model):
     with pytest.raises(ValueError):
         regularize(canonical.at_quadrature(gamma_quad, gamma_model), 0.5, 1)
+
+
+def _dense_scan(reg, t, u_sub, wz):
+    """The mark envelope by a scan of all of ``V_GRID``, in blocks of 32:
+    the reference that the bisection must reproduce bit for bit."""
+    query = (reg.view.driver.g(t, u_sub) * wz).sum(axis=-1)
+    mass = float(wz.sum())
+    if mass <= 0:
+        return query
+    s1 = (u_sub * wz).sum(axis=-1)
+    s2 = (u_sub * u_sub * wz).sum(axis=-1)
+    out = np.full(query.shape, np.inf)
+    for start in range(0, V_GRID.size, 32):
+        v = V_GRID[start:start + 32][:, None]
+        gval = reg.view.driver.g(t, v[:, 0])[:, None] * mass
+        dist = np.sqrt(np.clip(mass * v * v - 2.0 * v * s1[None, :]
+                               + s2[None, :], 0.0, None))
+        np.minimum(out, (gval + reg.n * dist).min(axis=0), out=out)
+    return np.minimum(out, query)
+
+
+def _envelope_fields(rng, n_nodes):
+    rows = 300
+    constant = np.concatenate([rng.uniform(-6.0, 6.0, rows),
+                               rng.choice(V_GRID, rows), [-4.0, 4.0, 0.0]])
+    return {
+        "small_normal": rng.normal(0.0, 0.05, (rows, n_nodes)),
+        "large_normal": rng.normal(0.0, 2.5, (rows, n_nodes)),
+        "row_constant": np.repeat(constant[:, None], n_nodes, axis=1),
+        "all_zero": np.zeros((rows, n_nodes)),
+        "mixed_scale": (rng.normal(0.0, 1.0, (rows, n_nodes))
+                        * rng.choice([0.0, 1e-3, 1.0, 3.0], (rows, 1))
+                        * rng.choice([1e-2, 1.0], (rows, n_nodes))),
+    }
+
+
+@pytest.mark.parametrize("name,delta", [("canonical", 0.5), ("canonical", 1.0),
+                                        ("canonical", 2.0), ("zero", 1.0)])
+def test_jump_envelope_matches_dense_scan(gamma_quad, gamma_model, name, delta):
+    drv = q.make_driver(name, StructureParams.from_constants(delta))
+    fields = _envelope_fields(np.random.default_rng(14), gamma_quad.n_nodes)
+    wz = gamma_quad.intensity(gamma_model, 0.0)
+    for n in (1, 2, 8, 64):
+        reg = regularize(drv.at_quadrature(gamma_quad, gamma_model), n, 1)
+        assert reg.strategy == "nonnegative"
+        for label, u in fields.items():
+            for scale in (1e-3, 1.0, 50.0):
+                fast = reg._jump_envelope(0.0, u, scale * wz)
+                np.testing.assert_array_equal(
+                    fast, _dense_scan(reg, 0.0, u, scale * wz),
+                    err_msg=f"{name} delta={delta} n={n} {label} mass x{scale}")
+        # no jump mass: the envelope is the query value itself
+        u = fields["large_normal"]
+        np.testing.assert_array_equal(reg._jump_envelope(0.0, u, 0.0 * wz),
+                                      drv.jump_part(0.0, u, 0.0 * wz))
+
+
+@pytest.mark.parametrize("name", sorted(drivers._DRIVER_FACTORIES))
+def test_nonnegative_presets_have_convex_jump_integrand(name):
+    # the bisection of the nonnegative strategy needs g convex on V_GRID
+    for delta in (0.5, 1.0, 2.0):
+        drv = q.make_driver(name, StructureParams.from_constants(delta))
+        if drv.nonnegative:
+            assert np.all(np.diff(drv.g(0.0, V_GRID), 2) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
