@@ -294,10 +294,12 @@ def validate_config(data: dict) -> ExperimentConfig:
         if "mass" in p and ((1.0 + p.get("c_tilde", 0.0)) * p["mass"] * p["t_end"]
                             > POISSON_MEAN_MAX):
             raise ConfigError("oracle.mass", f"Poisson mean above {POISSON_MEAN_MAX:g}")
-        if name in LOG_SPREAD and LOG_SPREAD[name](p) > math.log(p["n_samples"]):
-            raise ConfigError("oracle", "the sample cannot resolve the mean: log(1 + "
-                              f"relative variance) = {LOG_SPREAD[name](p):g} is above "
-                              f"ln(n_samples) = {math.log(p['n_samples']):g}")
+        if name in LOG_SPREAD:
+            spread, most = LOG_SPREAD[name](p), math.log(p["n_samples"])
+            if spread > most:
+                raise ConfigError("oracle", "the sample cannot resolve the mean: log(1 + "
+                                  f"relative variance) = {spread:g} is above "
+                                  f"ln(n_samples) = {most:g}")
         if (name == "compound_poisson_doleans"
                 and p["mass"] * p["t_end"] * p["n_samples"] < DOLEANS_JUMPS_MIN):
             raise ConfigError("oracle", "the sample cannot resolve the mean: it expects "

@@ -470,9 +470,8 @@ def test_run_gaussian_entropic_oracle(tmp_path):
     })
     out = tmp_path / "gout"
     assert main(["oracle", cfg, "--out", str(out)]) == EXIT_OK
-    _, row = (out / "oracle_values.csv").read_text().splitlines()
-    _, value, stderr = row.split(",")
-    assert abs(float(value) - 0.5) <= 3.0 * float(stderr)
+    value, stderr = _oracle_row(out)
+    assert abs(value - 0.5) <= 3.0 * stderr
 
 
 def test_null_measure_oracle(tmp_path):
