@@ -2,11 +2,9 @@
 
 Verbs
 -----
-run <config.json> [--profile PATH]
+run <config.json>
     Execute the configured experiment and write artifacts plus a pass/fail
-    summary; exit status 0 iff every enabled check passes.  ``--profile``
-    also dumps cProfile statistics of the run to ``PATH`` (read them with
-    :mod:`pstats`); the artifacts are the same with or without it.
+    summary; exit status 0 iff every enabled check passes.
 validate <config.json>
     Parse and validate the configuration without running anything.
 oracle <config.json>
@@ -41,21 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a JSON experiment configuration")
         if verb != "validate":
             p.add_argument("--out", default="out", help="artifact directory")
-        if verb == "run":
-            p.add_argument("--profile", metavar="PATH",
-                           help="dump cProfile statistics of the run to PATH")
     return parser
-
-
-def _run(cfg, args) -> int:
-    if getattr(args, "profile", None) is None:
-        return run_experiment(cfg, args.out)
-    import cProfile  # here only, so that a plain run does not import it
-    profiler = cProfile.Profile()
-    try:
-        return profiler.runcall(run_experiment, cfg, args.out)
-    finally:
-        profiler.dump_stats(args.profile)
 
 
 def main(argv=None) -> int:
@@ -76,7 +60,7 @@ def main(argv=None) -> int:
                   "oracle experiment")
         return EXIT_CONFIG_ERROR
     try:
-        return _run(cfg, args)
+        return run_experiment(cfg, args.out)
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG_ERROR

@@ -181,8 +181,9 @@ LOG_SPREAD = {
     "compound_poisson_doleans": lambda p: (p["mass"] * p["t_end"] * math.expm1(p["u"])
                                           * math.expm1(p["u"])),
 }
-# a Doleans sample expecting fewer jumps than this mostly sees none, so its
-# samples are all equal and its standard error reads 0
+# a Doleans sample expecting fewer jumps than this, but some, mostly sees
+# none, so its samples are all equal and its standard error reads 0; one
+# expecting none has the exact mean 1 at standard error 0
 DOLEANS_JUMPS_MIN = 20.0
 
 TOP_LEVEL_KEYS = ("experiment", "model", "driver", "oracle", *SETTINGS)
@@ -301,7 +302,7 @@ def validate_config(data: dict) -> ExperimentConfig:
                                   f"relative variance) = {spread:g} is above "
                                   f"ln(n_samples) = {most:g}")
         if (name == "compound_poisson_doleans"
-                and p["mass"] * p["t_end"] * p["n_samples"] < DOLEANS_JUMPS_MIN):
+                and 0.0 < p["mass"] * p["t_end"] * p["n_samples"] < DOLEANS_JUMPS_MIN):
             raise ConfigError("oracle", "the sample cannot resolve the mean: it expects "
                               f"mass * t_end * n_samples < {DOLEANS_JUMPS_MIN:g} jumps")
         return cfg

@@ -60,7 +60,7 @@ class Driver:
     generators known to satisfy ``f >= 0`` everywhere (their negative part is
     identically zero), which unlocks a fast separable envelope; that envelope
     also needs ``g(t, .)`` convex, as it is for every preset that sets the
-    flag (``canonical`` and ``zero``).  ``lip_y`` is a declared Lipschitz
+    flag (``canonical`` and ``zero``), and refuses a ``g`` that is not.  ``lip_y`` is a declared Lipschitz
     constant of ``f`` in ``y``, zero when ``f`` ignores ``y``; ``lip_yz`` is
     one of ``f_hat`` in ``(y, z)`` when finite.
     """
@@ -312,6 +312,13 @@ class NotRegularizableError(ValueError):
     """The selected regularization strategy cannot handle the driver shape."""
 
 
+def _convex_on_grid(values: np.ndarray) -> bool:
+    """Whether the second differences of ``values`` are nonnegative up to
+    the rounding of the three values each one is taken from."""
+    slack = 4.0 * np.finfo(float).eps * np.convolve(np.abs(values), [1.0, 2.0, 1.0], "valid")
+    return bool(np.all(np.diff(values, 2) >= -slack))
+
+
 @dataclass
 class RegularizedDriver:
     """Lipschitz approximation ``f_+ envelope(n) - f_- envelope(m)`` on a
@@ -326,7 +333,8 @@ class RegularizedDriver:
         the negative part is identically zero, ``f_hat`` ignores ``y``, and the
         envelope separates into a ``z`` part and a constant-field mark part
         (fast, used in solves); ``g`` must be convex, because the mark part
-        finds its minimum over ``V_GRID`` by bisection;
+        finds its minimum over ``V_GRID`` by bisection, and an evaluation with
+        jump mass refuses a ``g`` whose grid values are not;
     ``lipschitz_exact``
         the driver is globally Lipschitz with constant at most ``min(n, m)``,
         so both envelopes reproduce the parts exactly;
@@ -395,7 +403,12 @@ class RegularizedDriver:
             return query
         s1 = (u_sub * wz).sum(axis=-1)
         s2 = (u_sub * u_sub * wz).sum(axis=-1)
-        g_mass = self.view.driver.g(t, V_GRID) * mass
+        g_grid = self.view.driver.g(t, V_GRID)
+        if not _convex_on_grid(g_grid):
+            raise NotRegularizableError(f"driver {self.view.driver.name!r} has a jump "
+                                        "integrand g that is not convex on V_GRID; the "
+                                        "nonnegative strategy's bisection needs it convex")
+        g_mass = g_grid * mass
 
         def objective(k: np.ndarray) -> np.ndarray:
             v = V_GRID[k]

@@ -242,33 +242,6 @@ def test_run_is_bit_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_profile_dump_leaves_artifacts_unchanged(tmp_path):
-    import pstats
-
-    cfg = write_config(tmp_path, "prof.json", solve_payload())
-    plain, profiled = tmp_path / "plain", tmp_path / "profiled"
-    stats = tmp_path / "run.prof"
-    assert main(["run", cfg, "--out", str(plain)]) == EXIT_OK
-    assert main(["run", cfg, "--out", str(profiled), "--profile", str(stats)]) == EXIT_OK
-    functions = {name for _, _, name in pstats.Stats(str(stats)).stats}
-    assert "run_experiment" in functions
-    names = sorted(p.name for p in plain.iterdir())
-    assert names == sorted(p.name for p in profiled.iterdir())
-    for name in names:
-        assert (plain / name).read_bytes() == (profiled / name).read_bytes()
-    manifest = json.loads((profiled / "manifest.json").read_text())
-    assert "run.prof" not in json.dumps(manifest)
-
-
-def test_plain_run_does_not_import_cprofile(tmp_path):
-    cfg = write_config(tmp_path, "noprof.json", solve_payload())
-    code = ("import sys; from qebsdej.cli import main; "
-            f"main(['run', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]); "
-            "sys.exit('cProfile' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(Path(qebsdej.__file__).parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
 def _risk(times):
     return dict(experiment="risk", risk={"times": times, "gammas": [1.0]})
 
@@ -379,6 +352,16 @@ def _oracle_row(out: Path):
     _, row = (out / "oracle_values.csv").read_text().splitlines()
     _, value, stderr = row.split(",")
     return float(value), float(stderr)
+
+
+@pytest.mark.parametrize("zero", ["mass", "t_end"])
+def test_doleans_oracle_without_jumps_is_exact(tmp_path, zero):
+    # a sample that expects no jump at all is degenerate, not too small
+    cfg = write_config(tmp_path, "nojump.json", {
+        "experiment": "oracle", "oracle": {"name": "compound_poisson_doleans", zero: 0.0}})
+    out = tmp_path / "nout"
+    assert main(["oracle", cfg, "--out", str(out)]) == EXIT_OK
+    assert _oracle_row(out) == (1.0, 0.0)
 
 
 def test_default_doleans_oracle_has_mean_one(tmp_path):

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import qebsdej as q
-from qebsdej import drivers
-from qebsdej.drivers import (V_GRID, Driver, StructureParams, inf_convolve,
-                             lipschitz_estimate, regularize, structure_bounds,
-                             sup_convolve)
+from qebsdej.drivers import (V_GRID, Driver, NotRegularizableError, StructureParams,
+                             inf_convolve, lipschitz_estimate, regularize,
+                             structure_bounds, sup_convolve)
 from qebsdej.levy import gamma_model
 from qebsdej.oracles import huber_envelope_exact, huber_envelope_grid
 
@@ -432,8 +431,11 @@ def _envelope_fields(rng, n_nodes):
     }
 
 
+# at delta 10 the far-left grid values of g are affine, and their second
+# differences round to slightly below zero
 @pytest.mark.parametrize("name,delta", [("canonical", 0.5), ("canonical", 1.0),
-                                        ("canonical", 2.0), ("zero", 1.0)])
+                                        ("canonical", 2.0), ("canonical", 10.0),
+                                        ("zero", 1.0)])
 def test_jump_envelope_matches_dense_scan(gamma_quad, gamma_model, name, delta):
     drv = q.make_driver(name, StructureParams.from_constants(delta))
     fields = _envelope_fields(np.random.default_rng(14), gamma_quad.n_nodes)
@@ -453,13 +455,17 @@ def test_jump_envelope_matches_dense_scan(gamma_quad, gamma_model, name, delta):
                                       drv.jump_part(0.0, u, 0.0 * wz))
 
 
-@pytest.mark.parametrize("name", sorted(drivers._DRIVER_FACTORIES))
-def test_nonnegative_presets_have_convex_jump_integrand(name):
-    # the bisection of the nonnegative strategy needs g convex on V_GRID
-    for delta in (0.5, 1.0, 2.0):
-        drv = q.make_driver(name, StructureParams.from_constants(delta))
-        if drv.nonnegative:
-            assert np.all(np.diff(drv.g(0.0, V_GRID), 2) >= 0.0)
+def test_nonconvex_jump_integrand_is_refused(gamma_quad, gamma_model):
+    # 1 - cos(v) is nonnegative but not convex, so the bisection could stop at
+    # a local minimum of the mark objective
+    drv = Driver("bumpy", lambda t, y, z: np.zeros(np.shape(y)),
+                 lambda t, v: 1.0 - np.cos(np.asarray(v, dtype=float)),
+                 StructureParams.from_constants(1.0), nonnegative=True, lip_y=0.0)
+    reg = regularize(drv.at_quadrature(gamma_quad, gamma_model), 2, 1)
+    assert reg.strategy == "nonnegative"
+    u = np.zeros((3, gamma_quad.n_nodes))
+    with pytest.raises(NotRegularizableError, match="not convex"):
+        reg.evaluate(0.0, np.zeros(3), np.zeros(3), u)
 
 
 # ---------------------------------------------------------------------------
