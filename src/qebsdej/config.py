@@ -19,7 +19,8 @@ import numpy as np
 
 from . import oracles
 from .drivers import Driver, StructureParams, make_driver
-from .levy import EXP_CAP, LevyModel, UnknownPresetError, make_model
+from .levy import EXP_CAP, KAPPA_MAX, LevyModel, UnknownPresetError, make_model
+from .risk import DIRECTIONS
 from .scheme import Schedule
 from .solver import DYNAMICS, JUMP_IMPACTS
 
@@ -46,7 +47,7 @@ def _number(cast: Callable, noun: str, most: float = math.inf) -> Callable:
         try:
             number = cast(value)
             if math.isfinite(number) and number <= most:
-                return number
+                return number + 0  # -0.0 passes a ">= 0" bound; read it as 0.0
         except (TypeError, ValueError, OverflowError):
             pass
         raise ValueError(f"expected {noun}, got {value!r}")
@@ -114,7 +115,8 @@ SETTINGS = {
         "k_steps": Setting(_int, least=2),
     },
     "quadrature": {
-        "kappa": Setting(_float, 8.0, least=1.0),
+        "kappa": Setting(_number(float, f"a number <= {KAPPA_MAX:g}", KAPPA_MAX), 8.0,
+                         least=1.0),
         "q_nodes": Setting(_int, 12, least=2),
     },
     "solver": {
@@ -153,7 +155,7 @@ _HORIZON = {"t_end": Setting(_float, 1.0, least=0.0)}
 ORACLES = {
     "entropic_gaussian": (oracles.entropic_gaussian_mc, {
         "sigma": Setting(_float, 1.0, least=0.0),
-        "direction": Setting(_choice(("upper", "lower")), "upper"), **_SAMPLING}),
+        "direction": Setting(_choice(DIRECTIONS), "upper"), **_SAMPLING}),
     "huber_envelope": (oracles.huber_envelope_value,
                        {"n": Setting(_float, 2.0), "y": Setting(_float, 3.0)}),
     "girsanov_tilt": (oracles.girsanov_tilt_mc, {
@@ -250,8 +252,7 @@ class ExperimentConfig:
         return make_model(self.model.get("name", "gamma"), **params)
 
     def build_structure(self) -> StructureParams:
-        s = self.structure
-        return StructureParams.from_constants(s["delta"], s["l"], s["c"])
+        return StructureParams(**self.structure)
 
     def build_driver(self, structure: StructureParams) -> Driver:
         params = {k: v for k, v in self.driver.items() if k != "name"}

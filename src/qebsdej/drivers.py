@@ -16,39 +16,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .levy import (ExponentOverflowError, EXP_CAP, LevyModel, MarkQuadrature,
-                   UnknownPresetError, j_functional)
+from .levy import (ExponentOverflowError, LevyModel, MarkQuadrature,
+                   UnknownPresetError, exp_excess, j_functional)
 
 
 @dataclass(frozen=True)
 class StructureParams:
-    """Corridor coefficients: quadratic scale and running cost integrals.
-
-    ``l`` and ``c`` are deterministic nonnegative functions of time;
-    ``Lambda(t) = int_0^t l`` and ``C(t) = int_0^t c`` are their primitives.
-    """
+    """Corridor coefficients: quadratic scale ``delta > 0``, running costs ``l, c >= 0``."""
 
     delta: float
-    l: Callable[[float], float]
-    c: Callable[[float], float]
-    Lambda: Callable[[float], float]
-    C: Callable[[float], float]
+    l: float
+    c: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-
-    def c_between(self, s: float, t: float) -> float:
-        if t < s:
-            raise ValueError("need s <= t")
-        return self.C(t) - self.C(s)
-
-    @staticmethod
-    def from_constants(delta: float, l0: float = 0.0, c0: float = 0.0) -> "StructureParams":
-        if l0 < 0 or c0 < 0:
-            raise ValueError("running costs must be nonnegative")
-        return StructureParams(delta, lambda t: l0, lambda t: c0,
-                               lambda t: l0 * t, lambda t: c0 * t)
+        if not (self.delta > 0 and self.l >= 0 and self.c >= 0):
+            raise ValueError("need delta > 0 and running costs l, c >= 0")
 
 
 @dataclass(frozen=True)
@@ -120,11 +102,7 @@ def _canonical(structure: StructureParams) -> Driver:
         return 0.5 * delta * (np.asarray(z) ** 2).sum(axis=-1)
 
     def g(t, v):
-        v = np.asarray(v, dtype=float)
-        dv = delta * v
-        if dv.size and float(np.max(dv)) > EXP_CAP:
-            raise ExponentOverflowError("exponent cap exceeded in jump integrand")
-        return (np.expm1(dv) - dv) / delta
+        return exp_excess(delta * np.asarray(v, dtype=float)) / delta
 
     return Driver("canonical", f_hat, g, structure, nonnegative=True, lip_y=0.0)
 
@@ -189,7 +167,7 @@ def structure_bounds(t: float, y, z, u, params: StructureParams,
                      wz: np.ndarray):
     """Two-sided corridor ``(q_lower, q_upper)`` at a point and intensity ``wz``.
 
-    ``q_upper = (1/delta) j(delta u) + (delta/2)|z|^2 + l_t + c_t |y|`` and
+    ``q_upper = (1/delta) j(delta u) + (delta/2)|z|^2 + l + c |y|`` and
     ``q_lower`` is its mirror with ``j(-delta u)``.
     """
     d = params.delta
@@ -198,7 +176,7 @@ def structure_bounds(t: float, y, z, u, params: StructureParams,
     if z.ndim == y.ndim:
         z = z[..., None]
     zz = 0.5 * d * (z ** 2).sum(axis=-1)
-    base = params.l(t) + params.c(t) * np.abs(y)
+    base = params.l + params.c * np.abs(y)
     j_up = j_functional(u, d, wz) / d
     j_dn = j_functional(-np.asarray(u, dtype=float), d, wz) / d
     return -(j_dn + zz + base), (j_up + zz + base)

@@ -11,6 +11,7 @@ simulated as a marked Poisson stream and integrated on a fixed node grid.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -105,9 +106,34 @@ class LevyModel:
         return 2 if self.support == "symmetric" else 1
 
 
+# Outside these ranges the quadrature's outer-edge search stops short of the
+# tail, or the truncated mass overflows, at some kappa up to KAPPA_MAX.
+PARAM_MIN, PARAM_MAX = 1e-6, 1e6
+STABLE_ALPHA_MIN = 0.1
+KAPPA_MAX = 1e6
+
+
+def _param(name: str, value, least=-PARAM_MAX, most=PARAM_MAX) -> float:
+    """``value`` as a float; anything but a real number in ``[least, most]`` is refused."""
+    if not isinstance(value, numbers.Real) or not least <= value <= most:
+        raise ValueError(f"{name} must be a number in [{least:g}, {most:g}], got {value!r}")
+    return float(value)
+
+
+def _modulation(zeta: Callable | None, c_nu) -> tuple[Callable, float]:
+    """The modulation factor and its bound.  The default factor is 1
+    everywhere, so it needs ``c_nu >= 1``; a given one must be a function."""
+    if zeta is None:
+        return constant_zeta(), _param("c_nu", c_nu, 1.0)
+    if not callable(zeta):
+        raise TypeError(f"zeta must be a function of (t, e), got {zeta!r}")
+    return zeta, _param("c_nu", c_nu, PARAM_MIN)
+
+
 def gamma_model(theta: float = 1.0, beta: float = 1.0, c_nu: float = 1.0,
                 zeta: Callable | None = None) -> LevyModel:
     """One-sided gamma-type density ``theta * exp(-beta e) / e`` on ``e > 0``."""
+    theta, beta = _param("theta", theta, 0.0), _param("beta", beta, PARAM_MIN)
 
     def density(e):
         e = np.asarray(e, dtype=float)
@@ -116,14 +142,15 @@ def gamma_model(theta: float = 1.0, beta: float = 1.0, c_nu: float = 1.0,
         out[pos] = theta * np.exp(-beta * e[pos]) / e[pos]
         return out
 
-    return LevyModel(density, zeta or constant_zeta(), c_nu, "positive", True)
+    return LevyModel(density, *_modulation(zeta, c_nu), "positive", True)
 
 
 def stable_model(theta: float = 1.0, alpha: float = 0.5, c_nu: float = 1.0,
                  zeta: Callable | None = None) -> LevyModel:
-    """Symmetric stable-type density ``theta |e|^(-1-alpha)``, ``0 < alpha < 2``."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("stable exponent must lie in (0, 2)")
+    """Symmetric stable-type density ``theta |e|^(-1-alpha)``."""
+    theta = _param("theta", theta, 0.0)
+    if not STABLE_ALPHA_MIN <= _param("alpha", alpha) < 2.0:
+        raise ValueError(f"stable exponent must lie in [{STABLE_ALPHA_MIN:g}, 2)")
 
     def density(e):
         e = np.asarray(e, dtype=float)
@@ -132,19 +159,21 @@ def stable_model(theta: float = 1.0, alpha: float = 0.5, c_nu: float = 1.0,
         out[pos] = theta * e[pos] ** (-1.0 - alpha)
         return out
 
-    return LevyModel(density, zeta or constant_zeta(), c_nu, "symmetric", True)
+    return LevyModel(density, *_modulation(zeta, c_nu), "symmetric", True)
 
 
 def normal_model(rate: float = 2.0, loc: float = 1.0, scale: float = 0.25,
                  c_nu: float = 1.0, zeta: Callable | None = None) -> LevyModel:
     """Finite-activity density: ``rate`` times a folded normal mark profile."""
+    rate, loc = _param("rate", rate, 0.0), _param("loc", loc)
+    scale = _param("scale", scale, PARAM_MIN)
 
     def density(e):
         e = np.asarray(e, dtype=float)
         z = (e - loc) / scale
         return rate * np.exp(-0.5 * z * z) / (scale * math.sqrt(2.0 * math.pi))
 
-    return LevyModel(density, zeta or constant_zeta(), c_nu, "positive", False)
+    return LevyModel(density, *_modulation(zeta, c_nu), "positive", False)
 
 
 def null_model(c_nu: float = 1.0) -> LevyModel:
@@ -153,7 +182,7 @@ def null_model(c_nu: float = 1.0) -> LevyModel:
     def density(e):
         return np.zeros_like(np.asarray(e, dtype=float))
 
-    return LevyModel(density, constant_zeta(), c_nu, "positive", False)
+    return LevyModel(density, *_modulation(None, c_nu), "positive", False)
 
 
 _MODEL_FACTORIES = {
@@ -222,21 +251,21 @@ def nu_norm(u, wz: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip((vals * vals * wz).sum(axis=-1), 0.0, None))
 
 
-def j_functional(u, delta: float, wz: np.ndarray) -> np.ndarray | float:
-    """Exponential jump penalty ``sum_i wz_i (exp(delta u_i) - delta u_i - 1)``.
+def exp_excess(x) -> np.ndarray:
+    """The jump integrand ``exp(x) - x - 1``, elementwise; raises
+    :class:`ExponentOverflowError` above ``EXP_CAP`` instead of returning inf."""
+    x = np.asarray(x, dtype=float)
+    if x.size and x.max() > EXP_CAP:
+        raise ExponentOverflowError(f"exponent {x.max():.3g} exceeds cap {EXP_CAP:g}")
+    return np.expm1(x) - x
 
-    Nonnegative for every field.  Raises :class:`ExponentOverflowError` when
-    ``delta * max(u)`` exceeds the configured exponent cap instead of silently
-    returning infinity.
-    """
+
+def j_functional(u, delta: float, wz: np.ndarray) -> np.ndarray | float:
+    """Exponential jump penalty ``sum_i wz_i (exp(delta u_i) - delta u_i - 1)``,
+    capped as in :func:`exp_excess`."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    scaled = delta * np.asarray(u, dtype=float)
-    if scaled.size and float(np.max(scaled)) > EXP_CAP:
-        raise ExponentOverflowError(
-            f"exponent {float(np.max(scaled)):.3g} exceeds cap {EXP_CAP:g}")
-    integrand = np.expm1(scaled) - scaled
-    out = (integrand * wz).sum(axis=-1)
+    out = (exp_excess(delta * np.asarray(u, dtype=float)) * wz).sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -295,8 +324,8 @@ def build_quadrature(model: LevyModel, kappa: float, q_nodes: int,
     forces additional cell boundaries (used to align cells with coarser
     truncation levels so restriction is exact).
     """
-    if kappa < 1.0:
-        raise ValueError("truncation level must satisfy kappa >= 1")
+    if not 1.0 <= kappa <= KAPPA_MAX:
+        raise ValueError(f"truncation level must satisfy 1 <= kappa <= {KAPPA_MAX:g}")
     if q_nodes < 2:
         raise ValueError("need at least two quadrature cells")
     lo = 1.0 / kappa

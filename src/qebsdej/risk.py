@@ -17,6 +17,9 @@ import numpy as np
 from .drivers import StructureParams
 from .solver import BsdejSolution, PathEnsemble, Regression
 
+# the two entropic values: ln E[exp(psi)] and -ln E[exp(-psi)]
+DIRECTIONS = ("upper", "lower")
+
 
 @dataclass
 class RiskEstimate:
@@ -43,8 +46,8 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
     scalar log sample mean; later times return per-path regression values
     with the cross-sectional mean reported as ``value``.
     """
-    if direction not in ("upper", "lower"):
-        raise ValueError("direction must be 'upper' or 'lower'")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}")
     psi = np.asarray(payoff, dtype=float)
     sign = 1.0 if direction == "upper" else -1.0
     with np.errstate(over="ignore"):
@@ -74,17 +77,11 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
 def terminal_bound_payoff(xi: np.ndarray, params: StructureParams,
                           time_grid: np.ndarray, k_time: int) -> np.ndarray:
     """Discounted terminal magnitude plus running cost integral from ``t_k``:
-    ``exp(C(t_k, T)) |xi| + sum_{j >= k} exp(C(t_k, t_j)) l(t_j) dt``."""
-    time_grid = np.asarray(time_grid, dtype=float)
-    t_k = float(time_grid[k_time])
-    t_end = float(time_grid[-1])
-    disc = math.exp(params.c_between(t_k, t_end))
-    run = 0.0
-    for j in range(k_time, time_grid.size - 1):
-        run += (math.exp(params.c_between(t_k, float(time_grid[j])))
-                * params.l(float(time_grid[j]))
-                * float(time_grid[j + 1] - time_grid[j]))
-    return disc * np.abs(np.asarray(xi, dtype=float)) + run
+    ``exp(c (T - t_k)) |xi| + sum_{j >= k} exp(c (t_j - t_k)) l dt_j``."""
+    times = np.asarray(time_grid, dtype=float)[k_time:]
+    c_dt = params.c * times - params.c * times[0]
+    run = float((np.exp(c_dt[:-1]) * params.l * np.diff(times)).sum())
+    return math.exp(c_dt[-1]) * np.abs(np.asarray(xi, dtype=float)) + run
 
 
 @dataclass

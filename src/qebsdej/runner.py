@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import ORACLES, ExperimentConfig
 from .levy import build_quadrature, truncated_mass_reference
-from .risk import entropic, exponential_moment_check
+from .risk import DIRECTIONS, entropic, exponential_moment_check
 from .scheme import audit_solution, ladder_quadrature, run_triple_scheme
 from .semimartingale import martingale_regression_test
 from .solver import decompose, simulate_forward, solve_lipschitz
@@ -116,30 +116,26 @@ def _audit_checks(suffix: str, corridor, apriori, submart) -> list[CheckResult]:
 
 
 def _solution_rows(solution, max_paths: int):
-    ensemble = solution.ensemble
+    ensemble, n_steps = solution.ensemble, solution.n_steps
+    n_show = solution.n_paths if max_paths <= 0 else min(solution.n_paths, max_paths)
     rows = []
-    n_show = (solution.n_paths if max_paths <= 0
-              else min(solution.n_paths, max_paths))
-    for k in range(solution.n_steps + 1):
-        u_now = (solution.u_values(k) if k < solution.n_steps
+    for k in range(n_steps + 1):
+        u_now = (solution.u_values(k) if k < n_steps
                  else np.zeros((solution.n_paths, ensemble.quad.n_nodes)))
-        for p in range(n_show):
-            row = dict(path_id=p, t=float(ensemble.time_grid[k]),
-                       y=float(solution.y[p, k]),
-                       z=float(solution.z[p, min(k, solution.n_steps - 1), 0]))
-            for i in range(ensemble.quad.n_nodes):
-                row[f"u_node_{i + 1}"] = float(u_now[p, i])
-            rows.append(row)
+        t, z_k = float(ensemble.time_grid[k]), solution.z[:n_show, min(k, n_steps - 1), 0]
+        columns = zip(solution.y[:n_show, k].tolist(), z_k.tolist(), u_now[:n_show].tolist())
+        for p, (y, z, u) in enumerate(columns):
+            rows.append(dict(path_id=p, t=t, y=y, z=z,
+                             **{f"u_node_{i + 1}": v for i, v in enumerate(u)}))
     return rows
 
 
 def _jump_rows(ensemble):
     jumps = ensemble.jumps
-    return [dict(path_id=int(jumps.path_index[i]),
-                 interval_index=int(jumps.interval_index[i]),
-                 jump_time=float(jumps.time[i]),
-                 mark_index=int(jumps.mark_index[i]))
-            for i in range(jumps.n_jumps)]
+    columns = zip(jumps.path_index.tolist(), jumps.interval_index.tolist(),
+                  jumps.time.tolist(), jumps.mark_index.tolist())
+    return [dict(path_id=p, interval_index=k, jump_time=t, mark_index=m)
+            for p, k, t, m in columns]
 
 
 def run_solve(cfg: ExperimentConfig):
@@ -148,7 +144,8 @@ def run_solve(cfg: ExperimentConfig):
     recon = float(np.max(np.abs(solution.y - (solution.y[:, :1]
                                               - dec.v + dec.m_total))))
     mismatch = float(np.max(np.abs(solution.y[:, -1] - solution.terminal)))
-    checks = [CheckResult("terminal_match", mismatch == 0.0, mismatch, 0.0),
+    checks = [CheckResult("terminal_match", mismatch == 0.0, mismatch, 0.0,
+                          "vacuous: the solve sets y_T = xi"),
               CheckResult("reconstruction_identity", recon <= 1e-10, recon, 1e-10)]
     mart = martingale_regression_test(np.diff(dec.m_c + dec.m_d, axis=1), ensemble,
                                       cfg.solver["basis_degree"])
@@ -211,7 +208,7 @@ def run_risk(cfg: ExperimentConfig):
     xi = cfg.terminal_fn()(ensemble.state[:, -1])
     rows = []
     for k in cfg.risk["times"]:
-        for direction in ("upper", "lower"):
+        for direction in DIRECTIONS:
             est = entropic(ensemble, xi, k, direction, cfg.solver["basis_degree"])
             rows.append(dict(t=float(ensemble.time_grid[k]),
                              direction=direction, value=est.value,
@@ -221,8 +218,8 @@ def run_risk(cfg: ExperimentConfig):
                                            cfg.risk["gammas"])
     checks = [CheckResult(f"moment_stable_gamma_{r.gamma:g}", r.stable,
                           r.drift, r.drift_tol) for r in moment_rows]
-    upper = next(r for r in rows if r["direction"] == "upper" and r["t"] == 0.0)
-    lower = next(r for r in rows if r["direction"] == "lower" and r["t"] == 0.0)
+    upper, lower = (next(r for r in rows if r["direction"] == d and r["t"] == 0.0)
+                    for d in DIRECTIONS)
     ceiling = upper["value"] + 3.0 * math.hypot(upper["stderr"], lower["stderr"])
     checks.append(CheckResult("jensen_order", lower["value"] <= ceiling,
                               lower["value"], ceiling))

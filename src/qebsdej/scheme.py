@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .drivers import Driver, StructureParams, regularize
-from .levy import LevyModel, MarkQuadrature, build_quadrature, nu_norm
+from .levy import KAPPA_MAX, LevyModel, MarkQuadrature, build_quadrature, nu_norm
 from .risk import AprioriReport, apriori_bound_check, terminal_bound_payoff
 from .semimartingale import (QStructureReport, SubmartingaleReport,
                              check_q_structure, exponential_transform,
@@ -56,8 +56,9 @@ class Schedule:
         if not triples:
             raise ValueError("schedule must contain at least one triple")
         for t in triples:
-            if len(t) != 3 or min(t) < 1:
-                raise ValueError("each triple must be three indices >= 1")
+            if len(t) != 3 or min(t) < 1 or t[2] > KAPPA_MAX:
+                raise ValueError("each triple must be three indices >= 1, "
+                                 f"with kappa <= {KAPPA_MAX:g}")
         arr = np.asarray(triples)
         if np.any(np.diff(arr, axis=0) < 0):
             raise ValueError("schedule indices must be nondecreasing")

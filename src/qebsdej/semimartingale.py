@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .drivers import StructureParams, structure_bounds
-from .risk import heavy_tail
+from .levy import exp_excess
+from .risk import DIRECTIONS, heavy_tail
 from .solver import Decomposition, PathEnsemble, Regression, same_ensemble
 
 
@@ -64,14 +65,12 @@ def exponential_transform(y: np.ndarray, params: StructureParams,
                           time_grid: np.ndarray) -> np.ndarray:
     """Discounted-absolute-value transform with left-endpoint running cost.
 
-    ``X_k = exp(C(t_k)) |Y_k| + sum_{j<k} exp(C(t_j)) l(t_j) dt_j``.
+    ``X_k = exp(c t_k) |Y_k| + sum_{j<k} exp(c t_j) l dt_j``.
     """
     time_grid = np.asarray(time_grid, dtype=float)
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    expc = np.exp([params.C(t) for t in time_grid])
-    lvals = np.array([params.l(t) for t in time_grid])
-    dts = np.diff(time_grid)
-    running = np.concatenate([[0.0], np.cumsum(expc[:-1] * lvals[:-1] * dts)])
+    expc = np.exp(params.c * time_grid)
+    running = np.concatenate([[0.0], np.cumsum(expc[:-1] * params.l * np.diff(time_grid))])
     return expc[None, :] * np.abs(y) + running[None, :]
 
 
@@ -166,8 +165,9 @@ def canonical_paths(m_c_increments: np.ndarray, bracket_increments: np.ndarray,
     direction subtracts half the bracket and the ``exp(u) - u - 1`` compensator,
     the lower one adds half the bracket and the ``exp(-u) + u - 1`` compensator.
     """
-    if direction not in ("upper", "lower"):
-        raise ValueError("direction must be 'upper' or 'lower'")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}")
+    sign = 1.0 if direction == "upper" else -1.0
     n, k_steps = m_c_increments.shape
     bracket = np.broadcast_to(np.asarray(bracket_increments, dtype=float),
                               m_c_increments.shape)
@@ -178,12 +178,8 @@ def canonical_paths(m_c_increments: np.ndarray, bracket_increments: np.ndarray,
         counts = jump_counts[k]
         jump_sum = counts @ u_k
         dm = m_c_increments[:, k] + jump_sum - (wz * u_k).sum() * dt
-        if direction == "upper":
-            comp = (wz * (np.expm1(u_k) - u_k)).sum()
-            r[:, k + 1] = r[:, k] + dm - 0.5 * bracket[:, k] - comp * dt
-        else:
-            comp = (wz * (np.expm1(-u_k) + u_k)).sum()
-            r[:, k + 1] = r[:, k] + dm + 0.5 * bracket[:, k] + comp * dt
+        comp = (wz * exp_excess(sign * u_k)).sum()
+        r[:, k + 1] = r[:, k] + dm - sign * (0.5 * bracket[:, k] + comp * dt)
     return r
 
 

@@ -77,8 +77,8 @@ class PathEnsemble:
 
 
 def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
-                     time_grid, n_paths: int, seed: int, x0: float = 0.0,
-                     jump_impact: str = "unit", d: int = 1) -> PathEnsemble:
+                     time_grid, n_paths: int, seed: int, x0: float,
+                     jump_impact: str, d: int) -> PathEnsemble:
     """Simulate Brownian increments, the jump stream, and the forward state.
 
     The default state is the Brownian path plus compensated jump impacts.
@@ -280,19 +280,18 @@ def same_ensemble(*solutions: BsdejSolution) -> PathEnsemble:
 
 
 def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
-                    basis_degree: int = 3, picard_max: int = 50,
-                    picard_tol: float = 1e-10) -> BsdejSolution:
+                    basis_degree: int, picard_max: int, picard_tol: float) -> BsdejSolution:
     """Backward regression solve for a generator with a Lipschitz ``y`` bound.
 
-    ``driver`` exposes ``evaluate(t, y, z, u_values) -> array`` over paths and
-    a ``lip_y`` attribute used for the contraction guard.  Jump loadings are
-    only regressed on nodes expected to see at least ``MIN_EXPECTED_JUMPS``
-    jumps across the ensemble in one step; the loading of a statistically
-    dead node is pinned at zero (its intensity-weighted contribution to the
-    generator is below the Monte Carlo resolution anyway).
+    ``driver`` is a bound or regularized driver: its ``evaluate(t, y, z,
+    u_values)`` runs over paths and its ``lip_y`` sets the contraction guard.
+    Jump loadings are only regressed on nodes expected to see at least
+    ``MIN_EXPECTED_JUMPS`` jumps across the ensemble in one step; the loading
+    of a statistically dead node is pinned at zero (its intensity-weighted
+    contribution to the generator is below the Monte Carlo resolution anyway).
     """
     dt = ensemble.dt
-    lip_y = getattr(driver, "lip_y", math.inf)
+    lip_y = driver.lip_y
     if dt * lip_y >= 1.0:
         raise NonContractionError(
             f"dt * Lipschitz(y) = {dt * lip_y:.3g} >= 1; refine the grid")

@@ -2,6 +2,27 @@ import numpy as np
 import pytest
 
 import qebsdej as q
+from qebsdej.config import SETTINGS
+
+
+def _defaults(section, *keys):
+    return {key: SETTINGS[section][key].default for key in keys}
+
+
+def forward(model, quad, dynamics, time_grid, n_paths, seed, **settings):
+    """``simulate_forward`` with ``x0``, ``jump_impact`` and ``d`` at their
+    configuration defaults unless ``settings`` sets them."""
+    return q.simulate_forward(model, quad, dynamics, time_grid, n_paths, seed,
+                              **{**_defaults("ensemble", "x0", "jump_impact", "d"),
+                                 **settings})
+
+
+def solve(driver, terminal_fn, ensemble, **settings):
+    """``solve_lipschitz`` with the solver settings at their configuration
+    defaults unless ``settings`` sets them."""
+    return q.solve_lipschitz(driver, terminal_fn, ensemble,
+                             **{**_defaults("solver", "basis_degree", "picard_max",
+                                            "picard_tol"), **settings})
 
 
 @pytest.fixture(scope="session")
@@ -29,8 +50,7 @@ def two_node_quad():
 @pytest.fixture(scope="session")
 def small_ensemble(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 21)
-    return q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
-                              20000, seed=101)
+    return forward(gamma_model, gamma_quad, "brownian_jumps", tg, 20000, seed=101)
 
 
 def probe_fields(rng, quad, n, spread=1.0):

@@ -22,7 +22,8 @@ from qebsdej.scheme import Schedule, ladder_quadrature, run_triple_scheme
 from qebsdej.semimartingale import (canonical_paths, doleans_check,
                                     exponential_transform, garsia_neveu_probe,
                                     submartingale_test)
-from qebsdej.solver import simulate_forward, solve_lipschitz
+
+from conftest import forward, solve
 
 TIMER: dict = {}
 
@@ -50,11 +51,11 @@ def canonical_signed(gamma_setting):
     model, quad = gamma_setting
     t0 = time.time()
     tg = np.linspace(0.0, 1.0, 51)
-    ens = simulate_forward(model, quad, "brownian_jumps", tg, 100000, seed=42)
-    params = q.StructureParams.from_constants(1.0)
+    ens = forward(model, quad, "brownian_jumps", tg, 100000, seed=42)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     view = drv.at_quadrature(quad, model)
-    sol = solve_lipschitz(view, lambda x: 0.25 * x, ens)
+    sol = solve(view, lambda x: 0.25 * x, ens)
     _record("canonical_signed", time.time() - t0)
     return params, ens, sol
 
@@ -65,11 +66,11 @@ def canonical_magnitude(gamma_setting):
     model, quad = gamma_setting
     t0 = time.time()
     tg = np.linspace(0.0, 1.0, 51)
-    ens = simulate_forward(model, quad, "brownian_jumps", tg, 100000, seed=43)
-    params = q.StructureParams.from_constants(1.0)
+    ens = forward(model, quad, "brownian_jumps", tg, 100000, seed=43)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     view = drv.at_quadrature(quad, model)
-    sol = solve_lipschitz(view, lambda x: np.abs(0.25 * x), ens)
+    sol = solve(view, lambda x: np.abs(0.25 * x), ens)
     _record("canonical_magnitude", time.time() - t0)
     return params, ens, sol
 
@@ -80,12 +81,12 @@ def canonical_ladder(gamma_setting):
     randomness."""
     model, _ = gamma_setting
     t0 = time.time()
-    params = q.StructureParams.from_constants(1.0)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", params)
     schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
-    ens = simulate_forward(model, ladder_quadrature(model, schedule, 12),
-                           "brownian_jumps", np.linspace(0.0, 1.0, 41), 30000,
-                           seed=2024)
+    ens = forward(model, ladder_quadrature(model, schedule, 12),
+                  "brownian_jumps", np.linspace(0.0, 1.0, 41), 30000,
+                  seed=2024)
     result = run_triple_scheme(base, lambda x: np.abs(0.25 * x), ens, schedule,
                                basis_degree=3, picard_max=50, picard_tol=1e-10)
     _record("canonical_ladder", time.time() - t0)
@@ -96,10 +97,10 @@ def test_criterion_01_martingale_representation():
     t0 = time.time()
     quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
     tg = np.linspace(0.0, 1.0, 51)
-    ens = simulate_forward(q.make_model("null"), quad, "brownian", tg, 100000,
-                           seed=7)
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = solve_lipschitz(drv.at_quadrature(quad, ens.model), lambda x: x, ens)
+    ens = forward(q.make_model("null"), quad, "brownian", tg, 100000,
+                  seed=7)
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(drv.at_quadrature(quad, ens.model), lambda x: x, ens)
     elapsed = time.time() - t0
     err = float(np.abs(sol.y - ens.state).mean(axis=0).max())
     ok = err <= 0.02 and elapsed <= 60.0
@@ -110,11 +111,11 @@ def test_criterion_01_martingale_representation():
 def test_criterion_02_linear_driver_closed_form(gamma_setting):
     model, quad = gamma_setting
     tg = np.linspace(0.0, 1.0, 101)
-    ens = simulate_forward(model, quad, "brownian_jumps", tg, 2000, seed=8)
-    params = q.StructureParams.from_constants(1.0, 0.5, 1.0)
+    ens = forward(model, quad, "brownian_jumps", tg, 2000, seed=8)
+    params = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", params, a=0.5)
-    sol = solve_lipschitz(drv.at_quadrature(quad, model),
-                          lambda x: np.ones_like(x), ens)
+    sol = solve(drv.at_quadrature(quad, model),
+                lambda x: np.ones_like(x), ens)
     err = abs(sol.y0 - math.exp(0.5))
     _report(2, err <= 0.01, f"|Y0 - e^0.5| = {err:.5f} (tol 0.01)")
 
@@ -145,7 +146,7 @@ def test_criterion_04_doleans_means(gamma_setting):
     model, _ = gamma_setting
     quad = q.build_quadrature(model, 4.0, 10)
     tg = np.linspace(0.0, 1.0, 21)
-    ens = simulate_forward(model, quad, "brownian_jumps", tg, 100000, seed=17)
+    ens = forward(model, quad, "brownian_jumps", tg, 100000, seed=17)
     k_steps, dt = ens.n_steps, ens.dt
     mc = ens.dw[:, :, 0]
     counts = [ens.jumps.counts_for_interval(k) for k in range(k_steps)]
@@ -211,7 +212,7 @@ def test_criterion_08_regularization_suite(gamma_setting):
         failures.append(f"huber {val}")
 
     # Lipschitz cap on the regularized generator
-    params = q.StructureParams.from_constants(1.0)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", params)
     reg5 = regularize(base.at_quadrature(quad, model), 5, 2)
     u0 = np.zeros((1, quad.n_nodes))
@@ -244,7 +245,7 @@ def test_criterion_08_regularization_suite(gamma_setting):
         prev = vals
     shifted = Driver("shifted",
                      lambda t, y, z: base.f_hat(t, y, z) - 1.0, base.g,
-                     q.StructureParams.from_constants(1.0, 1.0, 0.0),
+                     q.StructureParams(1.0, 1.0, 0.0),
                      nonnegative=False, lip_y=0.0)
     prev = None
     for m_idx in (1, 2, 4, 8):

@@ -1,17 +1,21 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qebsdej
+from qebsdej import levy
 from qebsdej.cli import main
 from qebsdej.config import (ORACLES, SETTINGS, TERMINALS, TOP_LEVEL_KEYS,
                             ConfigError, _int, load_config, validate_config)
+from qebsdej.levy import KAPPA_MAX, build_quadrature
 from qebsdej.oracles import girsanov_tilt_exact
 from qebsdej.runner import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK)
 from qebsdej.solver import DYNAMICS, JUMP_IMPACTS
@@ -208,6 +212,7 @@ def test_run_solve_and_artifacts(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
     summary = (out / "summary.txt").read_text()
     assert "OVERALL PASS" in summary
+    assert "PASS terminal_match value=0 tol=0 vacuous: the solve sets y_T = xi" in summary
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["package"] == "qebsdej"
     assert "config_sha256" in manifest
@@ -273,6 +278,12 @@ def _ensemble(**fields):
     dict(solver={"picard_tolerance": 1e-8}),
     dict(grid={"t_end": 1.0, "k_steps": 2.7}),
     dict(driver={"name": "linear", "aa": 0.5}),
+    dict(model={"name": "gamma", "zeta": 0.5}),
+    dict(model={"name": "gamma", "c_nu": 0.5}),
+    dict(model={"name": "gamma", "beta": 0}),
+    dict(model={"name": "normal", "scale": 0}),
+    dict(model={"name": "gamma", "theta": "abc"}),
+    dict(model={"name": "gamma", "theta": -1}),
 ], ids=["n_paths_not_a_number", "misspelled_model_parameter", "zero_delta",
         "risk_without_time_zero", "risk_time_beyond_grid",
         "risk_time_not_a_step", "x0_not_a_number", "d_not_a_number",
@@ -281,12 +292,43 @@ def _ensemble(**fields):
         "basis_degree_not_a_number", "picard_max_not_a_number",
         "export_paths_not_a_number", "gamma_not_a_number",
         "unknown_top_level_key", "unknown_ensemble_key", "unknown_solver_key",
-        "k_steps_not_integral", "misspelled_driver_parameter"])
+        "k_steps_not_integral", "misspelled_driver_parameter", "zeta_from_json",
+        "c_nu_below_default_zeta", "gamma_beta_zero", "normal_scale_zero",
+        "theta_not_a_number", "negative_theta"])
 def test_bad_config_exits_2(tmp_path, overrides):
     cfg = write_config(tmp_path, "bad.json", solve_payload(**overrides))
     out = tmp_path / "nothing"
     assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert not out.exists()
+
+
+MODEL_KEYS = {name: list(inspect.signature(factory).parameters)
+              for name, factory in levy._MODEL_FACTORIES.items()}
+
+
+@st.composite
+def model_sections(draw):
+    """A model section with any subset of its factory's parameters set, each
+    to a number of any magnitude or sign, or to a value of another type."""
+    name = draw(st.sampled_from(sorted(MODEL_KEYS)))
+    keys = draw(st.lists(st.sampled_from(MODEL_KEYS[name]), unique=True))
+    value = st.one_of(st.floats(-10.0, 10.0), st.floats(), st.integers(-3, 3),
+                      st.booleans(), st.none(), st.text(max_size=3))
+    return {"name": name, **{key: draw(value) for key in keys}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=model_sections(), kappa=st.floats(1.0, KAPPA_MAX),
+       q_nodes=st.integers(2, 24))
+def test_accepted_model_builds_its_quadrature(model, kappa, q_nodes):
+    try:
+        cfg = validate_config(solve_payload(
+            model=model, quadrature={"kappa": kappa, "q_nodes": q_nodes}))
+    except ConfigError:
+        return
+    quad = build_quadrature(cfg.build_model(), cfg.quadrature["kappa"],
+                            cfg.quadrature["q_nodes"])
+    assert np.all(np.isfinite(quad.weights)) and quad.weights.min() >= 0.0
 
 
 def test_config_error_exit_code(tmp_path):
@@ -360,6 +402,15 @@ def test_doleans_oracle_without_jumps_is_exact(tmp_path, zero):
     cfg = write_config(tmp_path, "nojump.json", {
         "experiment": "oracle", "oracle": {"name": "compound_poisson_doleans", zero: 0.0}})
     out = tmp_path / "nout"
+    assert main(["oracle", cfg, "--out", str(out)]) == EXIT_OK
+    assert _oracle_row(out) == (1.0, 0.0)
+
+
+def test_negative_zero_reads_as_zero(tmp_path):
+    # -0.0 passes the t_end >= 0 bound; as a sampling scale it crashed numpy
+    cfg = write_config(tmp_path, "negzero.json", {
+        "experiment": "oracle", "oracle": {"name": "brownian_doleans", "t_end": -0.0}})
+    out = tmp_path / "zout"
     assert main(["oracle", cfg, "--out", str(out)]) == EXIT_OK
     assert _oracle_row(out) == (1.0, 0.0)
 
@@ -515,14 +566,15 @@ def test_run_scheme_experiment(tmp_path):
 
 
 def _summary_lines(tmp_path, tag, payload):
-    """``(status, name, value, tol)`` of every check line a run prints."""
+    """``(status, name, value, tol)`` of every check line a run prints,
+    without its detail."""
     cfg = write_config(tmp_path, f"{tag}.json", payload)
     out = tmp_path / f"{tag}_out"
     main(["run", cfg, "--out", str(out)])
     lines = [line.split() for line in
              (out / "summary.txt").read_text().splitlines()[:-1]]
     return [(status, name, float(value[len("value="):]), float(tol[len("tol="):]))
-            for status, name, value, tol in lines]
+            for status, name, value, tol, *_ in lines]
 
 
 def test_summary_states_applied_tolerance(tmp_path):

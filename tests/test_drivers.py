@@ -24,7 +24,7 @@ def neg_square(r):
 
 @pytest.fixture(scope="module")
 def canonical():
-    return q.make_driver("canonical", StructureParams.from_constants(1.0))
+    return q.make_driver("canonical", StructureParams(1.0, 0.0, 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -40,26 +40,22 @@ def probes(gamma_quad):
 # ---------------------------------------------------------------------------
 
 def test_structure_params_validation():
-    with pytest.raises(ValueError):
-        StructureParams.from_constants(0.0)
-    with pytest.raises(ValueError):
-        StructureParams.from_constants(1.0, -0.1)
-    p = StructureParams.from_constants(2.0, 0.5, 1.5)
-    assert p.Lambda(2.0) == pytest.approx(1.0)
-    assert p.c_between(1.0, 3.0) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        p.c_between(3.0, 1.0)
+    for bad in [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (1.0, -0.1, 0.0), (1.0, 0.0, -0.1)]:
+        with pytest.raises(ValueError):
+            StructureParams(*bad)
+    p = StructureParams(2.0, 0.5, 1.5)
+    assert (p.delta, p.l, p.c) == (2.0, 0.5, 1.5)
 
 
 def test_bounds_vanish_at_origin(two_node_quad):
-    p = StructureParams.from_constants(1.0)
+    p = StructureParams(1.0, 0.0, 0.0)
     lo, hi = structure_bounds(0.0, 0.0, np.array([0.0]), np.zeros(2), p,
                               two_node_quad.weights)
     assert lo == 0.0 and hi == 0.0
 
 
 def test_bounds_direct_evaluation(two_node_quad):
-    p = StructureParams.from_constants(1.0, 0.5, 1.0)
+    p = StructureParams(1.0, 0.5, 1.0)
     lo, hi = structure_bounds(0.0, 1.0, np.array([2.0]), np.zeros(2), p,
                               two_node_quad.weights)
     assert hi == pytest.approx(3.5)
@@ -67,7 +63,7 @@ def test_bounds_direct_evaluation(two_node_quad):
 
 
 def test_bounds_constant_field_closed_forms(two_node_quad):
-    p = StructureParams.from_constants(1.0)
+    p = StructureParams(1.0, 0.0, 0.0)
     lo, hi = structure_bounds(0.0, 0.0, np.array([0.0]), np.ones(2), p,
                               two_node_quad.weights)
     assert hi == pytest.approx(2.0 * (math.e - 2.0), rel=1e-12)
@@ -84,7 +80,7 @@ def test_check_structure_canonical_zero_violations(canonical, gamma_quad, probes
 
 
 def test_check_structure_constructed_violation(gamma_quad, probes, gamma_model):
-    p = StructureParams.from_constants(1.0)
+    p = StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", p)
 
     def f_hat(t, y, z):
@@ -107,7 +103,7 @@ def test_check_structure_counts_generator_probes(canonical, gamma_quad, probes,
 
 
 def test_check_structure_morlais(gamma_quad, probes, gamma_model):
-    p = StructureParams.from_constants(1.0, 0.0, 0.6)
+    p = StructureParams(1.0, 0.0, 0.6)
     drv = q.make_driver("morlais", p, beta=0.5)  # beta <= c keeps the corridor
     ys, zs, us = probes
     pts = [(0.0, ys[i], zs[i], us[i]) for i in range(ys.size)]
@@ -212,7 +208,7 @@ def test_nonnegative_base_has_null_negative_part(canonical, gamma_quad, probes,
 
 
 def test_linear_driver_reproduced_exactly(gamma_quad, gamma_model):
-    p = StructureParams.from_constants(1.0, 0.5, 1.0)
+    p = StructureParams(1.0, 0.5, 1.0)
     lin = q.make_driver("linear", p, a=1.0)
     rng = np.random.default_rng(3)
     ys = rng.uniform(-3, 3, 30)
@@ -225,7 +221,7 @@ def test_linear_driver_reproduced_exactly(gamma_quad, gamma_model):
 def test_generic_strategy_exact_for_lipschitz_base(gamma_quad, gamma_model):
     # with the query point in the candidate set, the envelope of an
     # L-Lipschitz function at indices >= L is the function itself, on any grid
-    p = StructureParams.from_constants(1.0, 0.5, 1.0)
+    p = StructureParams(1.0, 0.5, 1.0)
     lin = q.make_driver("linear", p, a=0.8, b=0.5)
     rng = np.random.default_rng(4)
     ys = rng.uniform(-2, 2, 20)
@@ -264,8 +260,8 @@ def test_monotone_in_n_and_kappa(canonical, gamma_model, probes):
 
 def test_antitone_in_m(gamma_quad, gamma_model):
     # a shifted canonical driver has a genuine negative part
-    p = StructureParams.from_constants(1.0, 1.0, 0.0)
-    base = q.make_driver("canonical", StructureParams.from_constants(1.0))
+    p = StructureParams(1.0, 1.0, 0.0)
+    base = q.make_driver("canonical", StructureParams(1.0, 0.0, 0.0))
 
     def f_hat(t, y, z):
         return base.f_hat(t, y, z) - 1.0
@@ -288,7 +284,7 @@ def test_antitone_in_m(gamma_quad, gamma_model):
 def test_y_dependent_nonnegative_driver_is_regularized_jointly(gamma_quad, gamma_model):
     # the separable envelope drops y, so a nonnegative generator that reads y
     # goes to the joint (y, z, v) envelope
-    p = StructureParams.from_constants(1.0)
+    p = StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", p)
 
     def f_hat(t, y, z):
@@ -378,7 +374,7 @@ def test_regularized_driver_weighs_nodes_at_its_time():
     # nodes by their intensity at t, not at time zero
     model = gamma_model(zeta=lambda t, e: np.full_like(e, 1.0 - t / 2.0))
     quad = q.build_quadrature(model, 8.0, 10, cut_levels=[0.25])
-    lin = q.make_driver("linear", StructureParams.from_constants(1.0),
+    lin = q.make_driver("linear", StructureParams(1.0, 0.0, 0.0),
                         a=0.5, b=0.3, c_tilde=0.4)
     idx = quad.restrict_indices(4.0)
     reg = regularize(lin.at_quadrature(quad, model), 2, 2, idx)
@@ -437,7 +433,7 @@ def _envelope_fields(rng, n_nodes):
                                         ("canonical", 2.0), ("canonical", 10.0),
                                         ("zero", 1.0)])
 def test_jump_envelope_matches_dense_scan(gamma_quad, gamma_model, name, delta):
-    drv = q.make_driver(name, StructureParams.from_constants(delta))
+    drv = q.make_driver(name, StructureParams(delta, 0.0, 0.0))
     fields = _envelope_fields(np.random.default_rng(14), gamma_quad.n_nodes)
     wz = gamma_quad.intensity(gamma_model, 0.0)
     for n in (1, 2, 8, 64):
@@ -460,7 +456,7 @@ def test_nonconvex_jump_integrand_is_refused(gamma_quad, gamma_model):
     # a local minimum of the mark objective
     drv = Driver("bumpy", lambda t, y, z: np.zeros(np.shape(y)),
                  lambda t, v: 1.0 - np.cos(np.asarray(v, dtype=float)),
-                 StructureParams.from_constants(1.0), nonnegative=True, lip_y=0.0)
+                 StructureParams(1.0, 0.0, 0.0), nonnegative=True, lip_y=0.0)
     reg = regularize(drv.at_quadrature(gamma_quad, gamma_model), 2, 1)
     assert reg.strategy == "nonnegative"
     u = np.zeros((3, gamma_quad.n_nodes))

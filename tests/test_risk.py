@@ -10,13 +10,15 @@ from qebsdej.oracles import entropic_gaussian_exact, folded_gaussian_moment_exac
 from qebsdej.risk import (apriori_bound_check, entropic,
                           exponential_moment_check, terminal_bound_payoff)
 
+from conftest import forward, solve
+
 
 @pytest.fixture(scope="module")
 def wiener_ensemble():
     quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
     tg = np.linspace(0.0, 1.0, 21)
-    return q.simulate_forward(q.make_model("null"), quad, "brownian", tg,
-                              200000, seed=71)
+    return forward(q.make_model("null"), quad, "brownian", tg,
+                   200000, seed=71)
 
 
 def test_constant_payoff_exact(wiener_ensemble):
@@ -58,8 +60,8 @@ def test_translation_invariance(shift):
     rng = np.random.default_rng(5)
     psi = rng.normal(0.0, 0.4, 50000)
     quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
-    ens = q.simulate_forward(q.make_model("null"), quad, "brownian",
-                             np.linspace(0, 1, 3), 50000, seed=6)
+    ens = forward(q.make_model("null"), quad, "brownian",
+                  np.linspace(0, 1, 3), 50000, seed=6)
     base = entropic(ens, psi, 0)
     shifted = entropic(ens, psi + shift, 0)
     assert shifted.value == pytest.approx(base.value + shift, abs=1e-9)
@@ -91,14 +93,14 @@ def test_overflow_guard(wiener_ensemble):
 # ---------------------------------------------------------------------------
 
 def test_moment_zero_terminal():
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     rows = exponential_moment_check(np.zeros(10000), p, np.linspace(0, 1, 5),
                                     gammas=(1.0, 2.0, 3.0))
     assert all(r.mean == pytest.approx(1.0) and r.stable for r in rows)
 
 
 def test_moment_folded_gaussian(wiener_ensemble):
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     xi = 0.5 * wiener_ensemble.state[:, -1]
     rows = exponential_moment_check(xi, p, wiener_ensemble.time_grid,
                                     gammas=(1.0,))
@@ -111,26 +113,28 @@ def test_moment_folded_gaussian(wiener_ensemble):
 def test_moment_heavy_tail_detected():
     rng = np.random.default_rng(7)
     heavy = 2.0 * rng.standard_t(3, 200000)
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     rows = exponential_moment_check(heavy, p, np.linspace(0, 1, 5),
                                     gammas=(1.0,))
     assert not rows[0].stable
 
 
 def test_moment_positive_gamma_required():
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         exponential_moment_check(np.zeros(100), p, np.linspace(0, 1, 5),
                                  gammas=(0.0,))
 
 
 def test_terminal_bound_payoff_discounting():
-    p = q.StructureParams.from_constants(1.0, 1.0, 1.0)
+    p = q.StructureParams(1.0, 0.5, 1.5)
     tg = np.linspace(0.0, 1.0, 5)
-    val = terminal_bound_payoff(np.array([2.0]), p, tg, 0)
-    # exp(C(0,1)) * 2 + sum exp(C(0, t_j)) * 1 * dt
-    expect = math.e * 2.0 + sum(math.exp(t) * 0.25 for t in tg[:-1])
-    assert val[0] == pytest.approx(expect)
+    for k in (0, 2, 4):
+        val = terminal_bound_payoff(np.array([2.0]), p, tg, k)
+        # exp(c (T - t_k)) * 2 + sum_{j >= k} exp(c (t_j - t_k)) * l * dt
+        expect = (math.exp(1.5 * (1.0 - tg[k])) * 2.0
+                  + sum(math.exp(1.5 * (t - tg[k])) * 0.5 * 0.25 for t in tg[k:-1]))
+        assert val[0] == pytest.approx(expect, rel=1e-14), k
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +142,10 @@ def test_terminal_bound_payoff_discounting():
 # ---------------------------------------------------------------------------
 
 def test_apriori_trivial_zero(small_ensemble, gamma_quad):
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("zero", p)
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, small_ensemble.model),
-                            lambda x: np.zeros_like(x), small_ensemble)
+    sol = solve(drv.at_quadrature(gamma_quad, small_ensemble.model),
+                lambda x: np.zeros_like(x), small_ensemble)
     rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
@@ -150,10 +154,10 @@ def test_apriori_trivial_zero(small_ensemble, gamma_quad):
 
 def test_apriori_linear_driver_strict(small_ensemble, gamma_quad):
     # running cost l = 1 adds a horizon-length term to the bound
-    p = q.StructureParams.from_constants(1.0, 1.0, 0.0)
+    p = q.StructureParams(1.0, 1.0, 0.0)
     drv = q.make_driver("linear", p, b=0.2)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = q.solve_lipschitz(view, lambda x: 0.2 * x, small_ensemble)
+    sol = solve(view, lambda x: 0.2 * x, small_ensemble)
     rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
     assert rep.rhs > abs(rep.lhs) + 0.5  # strict slack from the cost integral
@@ -163,10 +167,10 @@ def test_apriori_canonical_tight(small_ensemble, gamma_quad):
     # canonical generator with l = c = 0 and magnitude terminal: the solve
     # reproduces the upper entropic value, so the bound is an equality up to
     # the scheme and sampling error
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = q.solve_lipschitz(view, lambda x: np.abs(0.25 * x), small_ensemble)
+    sol = solve(view, lambda x: np.abs(0.25 * x), small_ensemble)
     rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
     gap = abs(rep.rhs - rep.lhs)
@@ -176,9 +180,9 @@ def test_apriori_canonical_tight(small_ensemble, gamma_quad):
 def test_apriori_interior_time(small_ensemble, gamma_quad):
     # signed terminal: |Y_t| = |entropic(xi)| sits strictly below the
     # magnitude bound, so the pathwise check has genuine slack
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
+    sol = solve(view, lambda x: 0.25 * x, small_ensemble)
     rep = apriori_bound_check(sol, p, 8)
     assert rep.fraction_ok >= 0.99

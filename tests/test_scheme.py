@@ -5,7 +5,9 @@ import qebsdej as q
 from qebsdej.scheme import (Schedule, UnlinkedComparisonError, default_c_split,
                             driver_l1_gap, ladder_quadrature, monotonicity_check,
                             run_triple_scheme, tau_l_localization)
-from qebsdej.solver import EnsembleMismatchError, simulate_forward, solve_lipschitz
+from qebsdej.solver import EnsembleMismatchError
+
+from conftest import forward, solve
 
 
 def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
@@ -13,9 +15,9 @@ def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
     """The ladder on a fresh ensemble over [0, 1]: the ensemble and the
     scheme result."""
     quad = ladder_quadrature(model, schedule, q_nodes)
-    ens = simulate_forward(model, quad, "brownian_jumps",
-                           np.linspace(0.0, 1.0, k_steps + 1), n_paths, seed,
-                           jump_impact=jump_impact)
+    ens = forward(model, quad, "brownian_jumps",
+                  np.linspace(0.0, 1.0, k_steps + 1), n_paths, seed,
+                  jump_impact=jump_impact)
     return ens, run_triple_scheme(base, terminal_fn, ens, schedule,
                                   basis_degree=3, picard_max=50,
                                   picard_tol=1e-10)
@@ -23,7 +25,7 @@ def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
 
 @pytest.fixture(scope="module")
 def mini_scheme(gamma_model):
-    params = q.StructureParams.from_constants(1.0)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", params)
     schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
     return run_ladder(base, lambda x: np.abs(0.25 * x), gamma_model, schedule,
@@ -51,13 +53,13 @@ def test_schedule_validation():
 def test_degenerate_single_triple_equals_plain_solve(gamma_model):
     # an already-Lipschitz generator on a finite-activity style quadrature:
     # the one-triple ladder reproduces a direct solve on the same ensemble
-    params = q.StructureParams.from_constants(1.0, 1.0, 1.0)
+    params = q.StructureParams(1.0, 1.0, 1.0)
     base = q.make_driver("linear", params, a=0.4, b=0.2)
     schedule = Schedule(((4, 4, 4),))
     ens, result = run_ladder(base, lambda x: x, gamma_model, schedule,
                              seed=55, k_steps=10, n_paths=2000, q_nodes=8)
     view = base.at_quadrature(ens.quad, gamma_model)
-    direct = solve_lipschitz(view, lambda x: x, ens)
+    direct = solve(view, lambda x: x, ens)
     assert result.solutions[0].y0 == pytest.approx(direct.y0, abs=1e-12)
     assert np.allclose(result.solutions[0].y, direct.y, atol=1e-12)
 
@@ -70,7 +72,7 @@ def test_lipschitz_driver_ladder_matches_closed_form(gamma_model):
     # once the indices clear the Lipschitz constant the regularization is
     # exact, so every triple reproduces the same tilted-drift value
     from qebsdej.oracles import girsanov_tilt_exact
-    params = q.StructureParams.from_constants(1.0, 1.0, 0.0)
+    params = q.StructureParams(1.0, 1.0, 0.0)
     base = q.make_driver("linear", params, a=0.0, b=0.3)
     schedule = Schedule(((1, 1, 2), (2, 2, 4), (4, 4, 8)))
     ens, res = run_ladder(base, lambda x: x, gamma_model, schedule, seed=66,
@@ -124,31 +126,31 @@ def test_report_rows_roundtrip(mini_scheme):
 
 def test_unlinked_comparison_refused(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 11)
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sols = []
     for seed in (1, 2):
-        ens = simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
-                               1000, seed=seed)
-        sols.append(solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
-                                    lambda x: x, ens))
+        ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+                      1000, seed=seed)
+        sols.append(solve(drv.at_quadrature(gamma_quad, gamma_model),
+                          lambda x: x, ens))
     with pytest.raises(EnsembleMismatchError):
         monotonicity_check(sols, [dict(lo=0, hi=1, changed=("kappa",))])
 
 
 def test_identical_solves_zero_violations(small_ensemble, gamma_quad):
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = solve_lipschitz(drv.at_quadrature(gamma_quad, small_ensemble.model),
-                          lambda x: x,
-                          small_ensemble)
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(drv.at_quadrature(gamma_quad, small_ensemble.model),
+                lambda x: x,
+                small_ensemble)
     fracs = monotonicity_check([sol, sol], [dict(lo=0, hi=1, changed=())])
     assert fracs == [0.0]
 
 
 def test_mixed_link_without_direction_refused(small_ensemble, gamma_quad):
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = solve_lipschitz(drv.at_quadrature(gamma_quad, small_ensemble.model),
-                          lambda x: x,
-                          small_ensemble)
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(drv.at_quadrature(gamma_quad, small_ensemble.model),
+                lambda x: x,
+                small_ensemble)
     with pytest.raises(UnlinkedComparisonError, match="direction"):
         monotonicity_check([sol, sol], [dict(lo=0, hi=1, changed=("n", "m"))],
                            nonnegative_base=False)
@@ -159,7 +161,7 @@ def test_mixed_link_without_direction_refused(small_ensemble, gamma_quad):
 # ---------------------------------------------------------------------------
 
 def test_tau_never_and_immediate(small_ensemble):
-    params = q.StructureParams.from_constants(1.0)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     xi = 0.25 * small_ensemble.state[:, -1]
     never = tau_l_localization(small_ensemble, params, xi, level=1e12)
     assert np.all(never == small_ensemble.n_steps)
@@ -168,7 +170,7 @@ def test_tau_never_and_immediate(small_ensemble):
 
 
 def test_tau_interior_and_monotone(small_ensemble):
-    params = q.StructureParams.from_constants(1.0)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     xi = 0.25 * small_ensemble.state[:, -1]
     base_level = float(np.exp(np.abs(xi)).mean())
     mid = tau_l_localization(small_ensemble, params, xi, level=2.0 * base_level)
@@ -182,7 +184,7 @@ def test_tau_interior_and_monotone(small_ensemble):
 def test_localized_statistics_approach_full_horizon(mini_scheme):
     ens, result = mini_scheme
     sol, proxy = result.solutions[0], result.solutions[-1]
-    params = q.StructureParams.from_constants(1.0)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     c_split = default_c_split(proxy)
     full = driver_l1_gap(sol, proxy, c_split)
     base_level = float(np.exp(np.abs(proxy.terminal)).mean())
@@ -216,7 +218,7 @@ def test_gap_split_validation(mini_scheme):
 def test_uniform_gap_shrinks_along_ladder(gamma_model):
     # with mark-sized jump impacts the solution's jump loading vanishes at
     # small marks, so consecutive ladder gaps shrink uniformly in time
-    params = q.StructureParams.from_constants(1.0)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", params)
     schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
     _, res = run_ladder(base, lambda x: np.abs(0.4 * x), gamma_model, schedule,

@@ -8,15 +8,18 @@ from qebsdej.semimartingale import (canonical_paths, check_q_structure,
                                     doleans_check, exponential_transform,
                                     garsia_neveu_probe, pairwise_gap,
                                     stability_diagnostics, submartingale_test)
+from qebsdej.levy import EXP_CAP, ExponentOverflowError
 from qebsdej.solver import EnsembleMismatchError, decompose
+
+from conftest import forward, solve
 
 
 @pytest.fixture(scope="module")
 def canonical_solution(small_ensemble, gamma_quad):
-    params = q.StructureParams.from_constants(1.0)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = q.solve_lipschitz(view, lambda x: np.abs(0.25 * x), small_ensemble)
+    sol = solve(view, lambda x: np.abs(0.25 * x), small_ensemble)
     return params, sol, decompose(sol)
 
 
@@ -25,10 +28,10 @@ def canonical_solution(small_ensemble, gamma_quad):
 # ---------------------------------------------------------------------------
 
 def test_corridor_trivial_zero_solution(small_ensemble, gamma_quad):
-    params = q.StructureParams.from_constants(1.0)
+    params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("zero", params)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = q.solve_lipschitz(view, lambda x: np.zeros_like(x), small_ensemble)
+    sol = solve(view, lambda x: np.zeros_like(x), small_ensemble)
     dec = decompose(sol)
     report = check_q_structure(dec, params)
     assert report.violation_fraction == 0.0
@@ -54,10 +57,10 @@ def test_corridor_adversarial_violation(canonical_solution):
 def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
     # the canonical generator (delta/2)|z|^2 + (1/delta) j(delta u) sits on
     # the upper corridor at every delta, not only at delta = 1
-    params = q.StructureParams.from_constants(0.5)
+    params = q.StructureParams(0.5, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = q.solve_lipschitz(view, lambda x: np.abs(0.25 * x), small_ensemble)
+    sol = solve(view, lambda x: np.abs(0.25 * x), small_ensemble)
     dec = decompose(sol)
     report = check_q_structure(dec, params, tol=1e-9)
     assert report.violation_fraction == 0.0
@@ -71,19 +74,19 @@ def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
 def test_transform_identity_cases():
     tg = np.linspace(0.0, 1.0, 21)
     y = np.vstack([np.sin(tg), np.cos(tg)])
-    p0 = q.StructureParams.from_constants(1.0)
+    p0 = q.StructureParams(1.0, 0.0, 0.0)
     assert np.allclose(exponential_transform(y, p0, tg), np.abs(y))
-    p_l = q.StructureParams.from_constants(1.0, 1.0, 0.0)
+    p_l = q.StructureParams(1.0, 1.0, 0.0)
     assert np.allclose(exponential_transform(np.zeros((2, 21)), p_l, tg),
                        tg[None, :])
-    p_c = q.StructureParams.from_constants(1.0, 0.0, 1.0)
+    p_c = q.StructureParams(1.0, 0.0, 1.0)
     assert np.allclose(exponential_transform(np.ones((2, 21)), p_c, tg),
                        np.exp(tg)[None, :])
     assert exponential_transform(y, p_l, tg)[0, 0] == pytest.approx(abs(y[0, 0]))
 
 
 def test_submartingale_deterministic_passes(small_ensemble):
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     y = np.tile(np.linspace(1.0, 2.0, small_ensemble.n_steps + 1),
                 (small_ensemble.n_paths, 1))
     x_bar = exponential_transform(y, p, small_ensemble.time_grid)
@@ -100,7 +103,7 @@ def test_submartingale_canonical_solution_passes(canonical_solution,
 
 
 def test_submartingale_counterexample_fails(small_ensemble):
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     y = np.tile(np.linspace(2.0, 1.0, small_ensemble.n_steps + 1),
                 (small_ensemble.n_paths, 1))
     x_bar = exponential_transform(y, p, small_ensemble.time_grid)
@@ -165,6 +168,15 @@ def test_canonical_direction_validation(two_node_quad):
                         "sideways")
 
 
+@pytest.mark.parametrize("direction, sign", [("upper", 1.0), ("lower", -1.0)])
+def test_canonical_compensator_refuses_overflow(two_node_quad, direction, sign):
+    # exp(u) - u - 1 above the exponent cap raises instead of returning inf
+    u = np.full((2, 2), sign * (EXP_CAP + 1.0))
+    with pytest.raises(ExponentOverflowError):
+        canonical_paths(np.zeros((10, 2)), 0.0, u, [np.zeros((10, 2))] * 2,
+                        two_node_quad.weights, 0.5, direction)
+
+
 # ---------------------------------------------------------------------------
 # stability diagnostics
 # ---------------------------------------------------------------------------
@@ -183,15 +195,15 @@ def test_stability_identical_decompositions(canonical_solution):
 def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
     # deterministic linear generator: the variation part converges first
     # order in the grid, so coarse-vs-fine gaps shrink as the grid refines
-    p = q.StructureParams.from_constants(1.0, 0.5, 1.0)
+    p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
     v_terminal = {}
     for k_steps in (25, 50, 100):
         tg = np.linspace(0.0, 1.0, k_steps + 1)
-        ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
-                                 tg, 500, seed=31)
-        sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
-                                lambda x: np.ones_like(x), ens)
+        ens = forward(gamma_model, gamma_quad, "brownian_jumps",
+                      tg, 500, seed=31)
+        sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
+                    lambda x: np.ones_like(x), ens)
         v_terminal[k_steps] = float(decompose(sol).v[0, -1])
     gap_coarse = abs(v_terminal[25] - v_terminal[50])
     gap_fine = abs(v_terminal[50] - v_terminal[100])
@@ -201,11 +213,11 @@ def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
 def test_stability_requires_shared_ensemble(canonical_solution, small_ensemble,
                                             gamma_model, gamma_quad):
     _, _, dec = canonical_solution
-    other_ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
-                                   small_ensemble.time_grid, 20000, seed=999)
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    other_sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
-                                  lambda x: np.zeros_like(x), other_ens)
+    other_ens = forward(gamma_model, gamma_quad, "brownian_jumps",
+                        small_ensemble.time_grid, 20000, seed=999)
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
+    other_sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
+                      lambda x: np.zeros_like(x), other_ens)
     other_dec = decompose(other_sol)
     with pytest.raises(EnsembleMismatchError):
         stability_diagnostics([dec, other_dec])

@@ -12,6 +12,8 @@ from qebsdej.semimartingale import pairwise_gap
 from qebsdej.solver import (EnsembleMismatchError, FeatureMap,
                             NonContractionError, Regression, same_ensemble)
 
+from conftest import forward, solve
+
 
 @pytest.fixture(scope="module")
 def null_quad():
@@ -21,8 +23,8 @@ def null_quad():
 @pytest.fixture(scope="module")
 def brownian_ensemble(null_quad):
     tg = np.linspace(0.0, 1.0, 26)
-    return q.simulate_forward(q.make_model("null"), null_quad, "brownian", tg,
-                              50000, seed=77)
+    return forward(q.make_model("null"), null_quad, "brownian", tg,
+                   50000, seed=77)
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +34,8 @@ def brownian_ensemble(null_quad):
 def test_brownian_increment_statistics(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 11)
     n = 100000
-    ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg, n,
-                             seed=55)
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg, n,
+                  seed=55)
     dt = ens.dt
     for k in (0, 5, 9):
         inc = ens.dw[:, k, 0]
@@ -43,10 +45,10 @@ def test_brownian_increment_statistics(gamma_model, gamma_quad):
 
 def test_seed_reproducibility(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 6)
-    a = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg, 500,
-                           seed=9)
-    b = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg, 500,
-                           seed=9)
+    a = forward(gamma_model, gamma_quad, "brownian_jumps", tg, 500,
+                seed=9)
+    b = forward(gamma_model, gamma_quad, "brownian_jumps", tg, 500,
+                seed=9)
     assert np.array_equal(a.state, b.state)
     assert np.array_equal(a.dw, b.dw)
     assert np.array_equal(a.jumps.time, b.jumps.time)
@@ -54,15 +56,15 @@ def test_seed_reproducibility(gamma_model, gamma_quad):
 
 def test_deterministic_dynamics(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 9)
-    ens = q.simulate_forward(gamma_model, gamma_quad, "deterministic", tg, 10,
-                             seed=1)
+    ens = forward(gamma_model, gamma_quad, "deterministic", tg, 10,
+                  seed=1)
     assert np.allclose(ens.state, tg[None, :], atol=1e-15)
 
 
 def test_brownian_terminal_variance(null_quad):
     tg = np.linspace(0.0, 1.0, 11)
-    ens = q.simulate_forward(q.make_model("null"), null_quad, "brownian", tg,
-                             100000, seed=2)
+    ens = forward(q.make_model("null"), null_quad, "brownian", tg,
+                  100000, seed=2)
     assert abs(ens.state[:, -1].var() / 1.0 - 1.0) <= 0.05
 
 
@@ -70,25 +72,25 @@ def test_compensated_jump_state_mean(gamma_model):
     quad = q.build_quadrature(gamma_model, 4.0, 10)
     tg = np.linspace(0.0, 1.0, 11)
     n = 100000
-    ens = q.simulate_forward(gamma_model, quad, "jumps_only", tg, n, seed=3)
+    ens = forward(gamma_model, quad, "jumps_only", tg, n, seed=3)
     term = ens.state[:, -1]
     assert abs(term.mean()) <= 4.0 * term.std() / math.sqrt(n)
 
 
 def test_mark_impact_dynamics(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 5)
-    ens = q.simulate_forward(gamma_model, gamma_quad, "jumps_only", tg, 2000,
-                             seed=4, jump_impact="mark")
+    ens = forward(gamma_model, gamma_quad, "jumps_only", tg, 2000,
+                  seed=4, jump_impact="mark")
     assert np.isfinite(ens.state).all()
     with pytest.raises(ValueError, match="jump_impact"):
-        q.simulate_forward(gamma_model, gamma_quad, "jumps_only", tg, 10,
-                           seed=4, jump_impact="levels")
+        forward(gamma_model, gamma_quad, "jumps_only", tg, 10,
+                seed=4, jump_impact="levels")
 
 
 def test_unknown_dynamics_rejected(gamma_model, gamma_quad):
     with pytest.raises(ValueError, match="dynamics"):
-        q.simulate_forward(gamma_model, gamma_quad, "heston",
-                           np.linspace(0, 1, 5), 10, seed=1)
+        forward(gamma_model, gamma_quad, "heston",
+                np.linspace(0, 1, 5), 10, seed=1)
 
 
 def test_feature_map_deterministic_state_reduces_to_intercept():
@@ -136,9 +138,9 @@ def test_regression_rank_deficient_design_gets_minimum_norm_fit():
 # ---------------------------------------------------------------------------
 
 def test_zero_driver_martingale(brownian_ensemble, null_quad):
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
-                            lambda x: x, brownian_ensemble)
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
+                lambda x: x, brownian_ensemble)
     err = np.abs(sol.y - brownian_ensemble.state).mean(axis=0).max()
     assert err <= 0.02
     z_mid = sol.z[:, 12, 0]
@@ -147,33 +149,33 @@ def test_zero_driver_martingale(brownian_ensemble, null_quad):
 
 
 def test_zero_mass_measure_gives_null_jump_loading(brownian_ensemble, null_quad):
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
-                            lambda x: x, brownian_ensemble)
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
+                lambda x: x, brownian_ensemble)
     assert np.all(sol.u_values(10) == 0.0)
 
 
 def test_linear_ode_closed_form(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 101)
-    ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
-                             2000, seed=21)
-    p = q.StructureParams.from_constants(1.0, 0.5, 1.0)
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+                  2000, seed=21)
+    p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
-                            lambda x: np.ones_like(x), ens)
+    sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
+                lambda x: np.ones_like(x), ens)
     assert abs(sol.y0 - math.exp(0.5)) <= 0.01
 
 
 def test_grid_refinement_first_order(gamma_model, gamma_quad):
-    p = q.StructureParams.from_constants(1.0, 0.5, 1.0)
+    p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
     y0 = {}
     for k_steps in (25, 50, 100):
         tg = np.linspace(0.0, 1.0, k_steps + 1)
-        ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
-                                 500, seed=22)
-        y0[k_steps] = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
-                                        lambda x: np.ones_like(x), ens).y0
+        ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+                      500, seed=22)
+        y0[k_steps] = solve(drv.at_quadrature(gamma_quad, gamma_model),
+                            lambda x: np.ones_like(x), ens).y0
     gap_coarse = abs(y0[25] - y0[50])
     gap_fine = abs(y0[50] - y0[100])
     assert gap_coarse >= 1.5 * gap_fine
@@ -182,11 +184,11 @@ def test_grid_refinement_first_order(gamma_model, gamma_quad):
 def test_girsanov_tilt_oracle(gamma_model):
     quad = q.build_quadrature(gamma_model, 4.0, 10)
     tg = np.linspace(0.0, 1.0, 41)
-    ens = q.simulate_forward(gamma_model, quad, "brownian_jumps", tg, 40000,
-                             seed=23)
-    p = q.StructureParams.from_constants(1.0, 1.0, 0.0)
+    ens = forward(gamma_model, quad, "brownian_jumps", tg, 40000,
+                  seed=23)
+    p = q.StructureParams(1.0, 1.0, 0.0)
     drv = q.make_driver("linear", p, b=0.3, c_tilde=0.4)
-    sol = q.solve_lipschitz(drv.at_quadrature(quad, gamma_model), lambda x: x, ens)
+    sol = solve(drv.at_quadrature(quad, gamma_model), lambda x: x, ens)
     oracle = girsanov_tilt_mc(0.3, 0.4, quad.total_mass, 1.0, x0=0.0, impact=1.0,
                               n_samples=400000, seed=24)
     cse = math.hypot(sol.y0_se, oracle.stderr)
@@ -196,29 +198,29 @@ def test_girsanov_tilt_oracle(gamma_model):
 
 
 def test_non_contraction_guard(brownian_ensemble, null_quad):
-    p = q.StructureParams.from_constants(1.0, 0.0, 30.0)
+    p = q.StructureParams(1.0, 0.0, 30.0)
     drv = q.make_driver("linear", p, a=30.0)  # dt = 0.04, dt * 30 > 1
     with pytest.raises(NonContractionError):
-        q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
-                          lambda x: x, brownian_ensemble)
+        solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
+              lambda x: x, brownian_ensemble)
 
 
 def test_picard_non_convergence_raises(brownian_ensemble, null_quad):
-    p = q.StructureParams.from_constants(1.0, 0.0, 0.5)
+    p = q.StructureParams(1.0, 0.0, 0.5)
     drv = q.make_driver("linear", p, a=0.5)
     with pytest.raises(RuntimeError, match="Picard"):
-        q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
-                          lambda x: x, brownian_ensemble, picard_max=1)
+        solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
+              lambda x: x, brownian_ensemble, picard_max=1)
 
 
 def test_two_dimensional_noise(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 21)
-    ens = q.simulate_forward(gamma_model, gamma_quad, "brownian", tg, 20000,
-                             seed=25, d=2)
+    ens = forward(gamma_model, gamma_quad, "brownian", tg, 20000,
+                  seed=25, d=2)
     assert ens.dw.shape == (20000, 20, 2)
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
-                            lambda x: x, ens)
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
+                lambda x: x, ens)
     err = np.abs(sol.y - ens.state).mean(axis=0).max()
     assert err <= 0.03
 
@@ -228,10 +230,10 @@ def test_two_dimensional_noise(gamma_model, gamma_quad):
 # ---------------------------------------------------------------------------
 
 def test_reconstruction_identity(small_ensemble, gamma_quad):
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
+    sol = solve(view, lambda x: 0.25 * x, small_ensemble)
     dec = q.decompose(sol)
     recon = sol.y[:, :1] - dec.v + dec.m_total
     assert np.max(np.abs(sol.y - recon)) <= 1e-10
@@ -243,12 +245,12 @@ def test_solve_weighs_each_step_by_its_own_intensity():
     # its own step when the modulation zeta fades in time
     model = gamma_model(zeta=lambda t, e: np.full_like(e, 1.0 - t / 2.0))
     quad = q.build_quadrature(model, 4.0, 10)
-    ens = q.simulate_forward(model, quad, "brownian_jumps",
-                             np.linspace(0.0, 1.0, 21), 4000, seed=3)
-    p = q.StructureParams.from_constants(1.0)
+    ens = forward(model, quad, "brownian_jumps",
+                  np.linspace(0.0, 1.0, 21), 4000, seed=3)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
-    sol = q.solve_lipschitz(drv.at_quadrature(quad, model),
-                            lambda x: np.abs(0.25 * x), ens)
+    sol = solve(drv.at_quadrature(quad, model),
+                lambda x: np.abs(0.25 * x), ens)
     for k in range(ens.n_steps):
         _, upper = q.structure_bounds(float(ens.time_grid[k]), sol.y[:, k],
                                       sol.z[:, k, :], sol.u_values(k), p,
@@ -257,21 +259,21 @@ def test_solve_weighs_each_step_by_its_own_intensity():
 
 
 def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
-    sol = q.solve_lipschitz(drv.at_quadrature(null_quad, brownian_ensemble.model),
-                            lambda x: x, brownian_ensemble)
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
+                lambda x: x, brownian_ensemble)
     dec = q.decompose(sol)
     assert np.all(dec.v == 0.0)
 
 
 def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 41)
-    ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
-                             5000, seed=26)
-    p = q.StructureParams.from_constants(1.0, 0.5, 1.0)
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+                  5000, seed=26)
+    p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
-    sol = q.solve_lipschitz(drv.at_quadrature(gamma_quad, gamma_model),
-                            lambda x: np.ones_like(x), ens)
+    sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
+                lambda x: np.ones_like(x), ens)
     dec = q.decompose(sol)
     assert np.max(np.abs(dec.m_c)) <= 1e-8
     assert np.max(np.abs(dec.m_d)) <= 1e-8
@@ -280,10 +282,10 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
 
 
 def test_martingale_component_regression(small_ensemble, gamma_quad):
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
+    sol = solve(view, lambda x: 0.25 * x, small_ensemble)
     dec = q.decompose(sol)
     dm = np.diff(dec.m_c + dec.m_d, axis=1)
     stat = martingale_regression_test(dm[:, ::4], small_ensemble)
@@ -291,13 +293,13 @@ def test_martingale_component_regression(small_ensemble, gamma_quad):
 
 
 def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
-    p = q.StructureParams.from_constants(1.0)
+    p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = q.solve_lipschitz(view, lambda x: 0.25 * x, small_ensemble)
-    other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps",
-                               small_ensemble.time_grid, 20000, seed=999)
-    other_sol = q.solve_lipschitz(view, lambda x: 0.25 * x, other)
+    sol = solve(view, lambda x: 0.25 * x, small_ensemble)
+    other = forward(gamma_model, gamma_quad, "brownian_jumps",
+                    small_ensemble.time_grid, 20000, seed=999)
+    other_sol = solve(view, lambda x: 0.25 * x, other)
     assert same_ensemble(sol, q.decompose(sol).solution) is small_ensemble
     with pytest.raises(EnsembleMismatchError):
         same_ensemble(sol, other_sol)
@@ -309,14 +311,14 @@ def test_same_seed_other_inputs_rejected(gamma_model, gamma_quad, change):
     # same seed, paths, steps, dynamics and node count: only the ensemble
     # objects tell the two apart, at every place where two results meet
     tg = np.linspace(0.0, 1.0, 11)
-    ens = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
-                             1000, seed=5)
-    other = q.simulate_forward(gamma_model, gamma_quad, "brownian_jumps", tg,
-                               1000, seed=5, **change)
-    drv = q.make_driver("zero", q.StructureParams.from_constants(1.0))
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+                  1000, seed=5)
+    other = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+                    1000, seed=5, **change)
+    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     view = drv.at_quadrature(gamma_quad, gamma_model)
-    sol = q.solve_lipschitz(view, lambda x: x, ens)
-    other_sol = q.solve_lipschitz(view, lambda x: x, other)
+    sol = solve(view, lambda x: x, ens)
+    other_sol = solve(view, lambda x: x, other)
     with pytest.raises(EnsembleMismatchError):
         monotonicity_check([sol, other_sol], [dict(lo=0, hi=1, changed=())])
     with pytest.raises(EnsembleMismatchError):
