@@ -19,7 +19,8 @@ import numpy as np
 
 from . import oracles
 from .drivers import Driver, StructureParams, make_driver
-from .levy import EXP_CAP, KAPPA_MAX, LevyModel, UnknownPresetError, make_model
+from .levy import (EXP_CAP, KAPPA_MAX, LevyModel, UnknownPresetError, make_model,
+                   truncated_mass_reference)
 from .risk import DIRECTIONS
 from .scheme import Schedule
 from .solver import DYNAMICS, JUMP_IMPACTS
@@ -88,6 +89,19 @@ _step = _accept(lambda value: type(value) is int, "an integer step")
 
 REQUIRED = object()
 
+# Building the quadrature runs two adaptive integrals per cell, about 0.5 ms
+# a cell, and the solve regresses one jump loading per node at every step.
+Q_NODES_MAX = 1000
+# An ensemble holds n_paths x k_steps x d Brownian increments and several
+# n_paths x (k_steps + 1) arrays (state, solution, martingale parts), and each
+# step of the solve holds n_paths x q_nodes arrays (jump counts, loadings and
+# their regression targets).  A solve peaks near 650 MB at 5e6 such cells, so
+# this bound keeps a run within about 2.6 GB.
+PATH_CELLS_MAX = 2e7
+# The jump table keeps four 8-byte columns per jump and the sampler joins its
+# per-step parts, about 64 bytes a jump at the peak: 640 MB at this bound.
+EXPECTED_JUMPS_MAX = 1e7
+
 
 class Setting(NamedTuple):
     """One configuration key.  ``parse`` reads the raw value and raises
@@ -117,7 +131,8 @@ SETTINGS = {
     "quadrature": {
         "kappa": Setting(_number(float, f"a number <= {KAPPA_MAX:g}", KAPPA_MAX), 8.0,
                          least=1.0),
-        "q_nodes": Setting(_int, 12, least=2),
+        "q_nodes": Setting(_number(_integral, f"an integer <= {Q_NODES_MAX:g}", Q_NODES_MAX),
+                           12, least=2),
     },
     "solver": {
         "basis_degree": Setting(_int, 3, least=0),
@@ -263,9 +278,6 @@ class ExperimentConfig:
         return functools.partial(TERMINALS[t["name"]], scale=t["scale"],
                                  shift=t["shift"], value=t["value"])
 
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.grid["t_end"], self.grid["k_steps"] + 1)
-
 
 def validate_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
@@ -318,7 +330,23 @@ def validate_config(data: dict) -> ExperimentConfig:
                           f"[0, {k_steps}] that includes 0")
     _check_build("model", cfg.build_model)
     _check_build("driver", lambda: cfg.build_driver(cfg.build_structure()))
+    _check_size(cfg)
     return cfg
+
+
+def _check_size(cfg: ExperimentConfig) -> None:
+    """Refuse an ensemble too large to allocate; see the bounds above."""
+    ens, grid = cfg.ensemble, cfg.grid
+    cells = ens["n_paths"] * (grid["k_steps"] * ens["d"] + cfg.quadrature["q_nodes"])
+    if cells > PATH_CELLS_MAX:
+        raise ConfigError("ensemble", f"n_paths * (k_steps * d + q_nodes) = {cells:g} "
+                          f"is above {PATH_CELLS_MAX:g}")
+    kappa = (cfg.schedule["triples"].kappa_max if cfg.experiment == "scheme"
+             else cfg.quadrature["kappa"])
+    jumps = ens["n_paths"] * grid["t_end"] * truncated_mass_reference(cfg.build_model(), kappa)
+    if not jumps <= EXPECTED_JUMPS_MAX:
+        raise ConfigError("ensemble", f"n_paths * t_end * jump mass = {jumps:g} expected "
+                          f"jumps is above {EXPECTED_JUMPS_MAX:g}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

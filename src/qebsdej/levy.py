@@ -23,6 +23,10 @@ from scipy import integrate
 EXP_CAP = 700.0
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-11)
+# Smallest mass that an integral split at a model's points resolves; below it
+# the density's values are subnormal, and a Poisson mean this small draws no
+# jump in any ensemble.
+MASS_FLOOR = 1e-300
 
 
 class DivergentMassError(ValueError):
@@ -63,6 +67,9 @@ class LevyModel:
         "positive" or "symmetric".
     infinite_activity : bool
         Whether the density mass diverges near the origin.
+    points : tuple
+        Increasing marks between which the density concentrates its mass;
+        empty when it has no narrow feature.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -70,6 +77,7 @@ class LevyModel:
     c_nu: float
     support: str
     infinite_activity: bool
+    points: tuple = ()
 
     def zeta_at(self, t: float, e) -> np.ndarray:
         z = np.asarray(self.zeta(t, np.asarray(e, dtype=float)), dtype=float)
@@ -79,20 +87,31 @@ class LevyModel:
 
     def moment(self, p: int, a: float, b: float = math.inf) -> float:
         """Adaptive integral of ``e^p ell(e)`` over ``[a, b]`` on one side of
-        the mark space.  An infinite ``b`` is reached by the map ``e = a/s``,
-        which keeps slowly decaying tails accurate."""
+        the mark space.  An infinite ``b`` is reached by the map ``e = c/s``
+        from the last inner edge ``c``, which keeps slowly decaying tails
+        accurate.  The model's ``points`` inside ``(a, b)`` split the range,
+        and each piece is then resolved to relative accuracy down to
+        ``MASS_FLOOR``: a narrow bump in a wide range is otherwise never
+        sampled, and its mass can lie far below the usual absolute tolerance."""
         def f(x):  # x * x rather than pow, which can differ in the last bit
             return math.prod([x] * p) * float(self.density(np.array(x)))
-        if math.isfinite(b):
-            return integrate.quad(f, a, b, **_QUAD_OPTS)[0] if a < b else 0.0
-        if a <= 0:
+        if math.isfinite(b) and a >= b:
+            return 0.0
+        if not math.isfinite(b) and a <= 0:
             raise ValueError("tail integrals need a positive inner edge")
+        opts = dict(_QUAD_OPTS, epsabs=MASS_FLOOR) if self.points else _QUAD_OPTS
+        edges = [a, *(x for x in self.points if a < x < b)]
+        inner = sum(integrate.quad(f, lo, hi, **opts)[0]
+                    for lo, hi in zip(edges, edges[1:]))
+        c = edges[-1]
+        if math.isfinite(b):
+            return inner + integrate.quad(f, c, b, **opts)[0]
         with warnings.catch_warnings():
             # divergent tails make quad complain before the doubling search
             # raises DivergentMassError; the warning adds nothing
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            return integrate.quad(lambda s: f(a / s) * a / (s * s), 0.0, 1.0,
-                                  **_QUAD_OPTS)[0]
+            return inner + integrate.quad(lambda s: f(c / s) * c / (s * s), 0.0, 1.0,
+                                          **opts)[0]
 
     def tail_mass(self, a: float) -> float:
         """One-sided mass of ``{e >= a}``; infinite tails raise."""
@@ -111,6 +130,14 @@ class LevyModel:
 PARAM_MIN, PARAM_MAX = 1e-6, 1e6
 STABLE_ALPHA_MIN = 0.1
 KAPPA_MAX = 1e6
+# exp(-z^2 / 2) underflows to zero beyond |z| = 38.6, so every nonzero value
+# of the normal density lies within NORMAL_REACH scales of loc.
+NORMAL_REACH = 40.0
+# Marks near loc are floats spaced |loc| * 2.2e-16 apart.  Within this many
+# scales of 0 they resolve the normal profile to 2.2e-10 of a scale, and its
+# integrals keep a relative accuracy of about 1e-9; at 3e10 scales the error
+# is 2e-7.
+NORMAL_LOC_SCALES = 1e6
 
 
 def _param(name: str, value, least=-PARAM_MAX, most=PARAM_MAX) -> float:
@@ -164,16 +191,21 @@ def stable_model(theta: float = 1.0, alpha: float = 0.5, c_nu: float = 1.0,
 
 def normal_model(rate: float = 2.0, loc: float = 1.0, scale: float = 0.25,
                  c_nu: float = 1.0, zeta: Callable | None = None) -> LevyModel:
-    """Finite-activity density: ``rate`` times a folded normal mark profile."""
+    """Finite-activity density: ``rate`` times a normal mark profile, on
+    positive marks."""
     rate, loc = _param("rate", rate, 0.0), _param("loc", loc)
     scale = _param("scale", scale, PARAM_MIN)
+    if abs(loc) > NORMAL_LOC_SCALES * scale:
+        raise ValueError(f"normal loc must lie within {NORMAL_LOC_SCALES:g} scales of 0, "
+                         f"got loc={loc:g}, scale={scale:g}")
 
     def density(e):
         e = np.asarray(e, dtype=float)
         z = (e - loc) / scale
         return rate * np.exp(-0.5 * z * z) / (scale * math.sqrt(2.0 * math.pi))
 
-    return LevyModel(density, *_modulation(zeta, c_nu), "positive", False)
+    points = (loc - NORMAL_REACH * scale, loc, loc + NORMAL_REACH * scale)
+    return LevyModel(density, *_modulation(zeta, c_nu), "positive", False, points)
 
 
 def null_model(c_nu: float = 1.0) -> LevyModel:
@@ -355,7 +387,8 @@ def small_jump_residual(model: LevyModel, kappa: float) -> float:
 
 @dataclass
 class JumpTable:
-    """Flat record of simulated jumps, sorted by interval index.
+    """Flat record of simulated jumps in interval order, as
+    :func:`sample_jump_paths` emits them.
 
     Columns: owning path, interval ``(t_k, t_{k+1}]``, jump time, mark index
     into the quadrature nodes.
@@ -370,11 +403,6 @@ class JumpTable:
     n_nodes: int
 
     def __post_init__(self):
-        order = np.argsort(self.interval_index, kind="stable")
-        self.path_index = np.asarray(self.path_index)[order]
-        self.interval_index = np.asarray(self.interval_index)[order]
-        self.time = np.asarray(self.time, dtype=float)[order]
-        self.mark_index = np.asarray(self.mark_index)[order]
         self._offsets = np.searchsorted(self.interval_index,
                                         np.arange(self.n_intervals + 1))
 
@@ -393,36 +421,45 @@ class JumpTable:
         np.add.at(out, (paths, marks), 1.0)
         return out
 
+    def compensated_sum(self, k: int, field, wz: np.ndarray, dt: float) -> np.ndarray:
+        """Compensated jump sum of ``field`` over interval ``k``, per path:
+        ``sum over the path's jumps of field[path, mark] - sum_i wz_i field_i dt``.
+        ``field`` holds one value per node, shape (Q,), or per path and node,
+        shape (n_paths, Q); ``wz`` is the node intensity of the interval."""
+        field = np.asarray(field, dtype=float)
+        paths, marks = self.rows_for_interval(k)
+        out = np.zeros(self.n_paths)
+        np.add.at(out, paths,
+                  np.broadcast_to(field, (self.n_paths, self.n_nodes))[paths, marks])
+        return out - (field * wz).sum(axis=-1) * dt
 
-def sample_jump_paths(model: LevyModel, quad: MarkQuadrature,
-                      time_grid: np.ndarray, n_paths: int, seed: int) -> JumpTable:
-    """Marked-Poisson jump stream on the truncated measure.
 
-    Per interval the jump count is Poisson with mean ``sum_i w_i zeta_i dt``
-    and marks are drawn proportionally to ``w_i zeta_i``.  A single
-    counter-based generator keyed by ``seed`` makes the table reproducible.
+def sample_jump_paths(intensity: np.ndarray, dt: float, n_paths: int,
+                      seed: int) -> JumpTable:
+    """Marked-Poisson jump stream of a per-step node intensity table.
+
+    ``intensity`` has shape (K, Q): row ``k`` holds the node intensities on
+    interval ``k``, of length ``dt``.  Per interval the jump count is Poisson
+    with mean ``intensity[k].sum() * dt`` and marks are drawn proportionally
+    to ``intensity[k]``.  A single counter-based generator keyed by ``seed``
+    makes the table reproducible.
     """
-    time_grid = np.asarray(time_grid, dtype=float)
-    if time_grid.ndim != 1 or time_grid.size < 2 or np.any(np.diff(time_grid) <= 0):
-        raise ValueError("time grid must be strictly increasing with >= 2 points")
     rng = np.random.Generator(np.random.Philox(seed))
-    n_int = time_grid.size - 1
+    n_int, n_nodes = intensity.shape
     paths, intervals, times, marks = [], [], [], []
-    for k in range(n_int):
-        t0, t1 = time_grid[k], time_grid[k + 1]
-        wz = quad.intensity(model, t0)
+    for k, wz in enumerate(intensity):
         lam = float(wz.sum())
         if lam <= 0.0:
             continue
-        counts = rng.poisson(lam * (t1 - t0), size=n_paths)
+        counts = rng.poisson(lam * dt, size=n_paths)
         total = int(counts.sum())
         if total == 0:
             continue
         paths.append(np.repeat(np.arange(n_paths), counts))
         intervals.append(np.full(total, k, dtype=int))
-        times.append(t0 + rng.random(total) * (t1 - t0))
-        marks.append(rng.choice(quad.n_nodes, size=total, p=wz / lam))
-    cat = (lambda parts, dt: np.concatenate(parts) if parts
-           else np.empty(0, dtype=dt))
+        times.append((k + rng.random(total)) * dt)
+        marks.append(rng.choice(n_nodes, size=total, p=wz / lam))
+    cat = (lambda parts, kind: np.concatenate(parts) if parts
+           else np.empty(0, dtype=kind))
     return JumpTable(cat(paths, int), cat(intervals, int), cat(times, float),
-                     cat(marks, int), n_paths, n_int, quad.n_nodes)
+                     cat(marks, int), n_paths, n_int, n_nodes)

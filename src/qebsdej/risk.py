@@ -38,7 +38,7 @@ def heavy_tail(weights: np.ndarray) -> bool:
 
 
 def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
-             direction: str = "upper", basis_degree: int = 3) -> RiskEstimate:
+             direction: str, basis_degree: int) -> RiskEstimate:
     """Entropic value of ``payoff`` conditioned on the time-``t_k`` state.
 
     ``direction='upper'`` returns ``ln E[exp(psi) | F_t]``; ``'lower'``
@@ -109,7 +109,9 @@ def apriori_bound_check(solution: BsdejSolution, params: StructureParams,
     """
     payoff = terminal_bound_payoff(solution.terminal, params,
                                    solution.ensemble.time_grid, k_time)
-    est = entropic(solution.ensemble, payoff, k_time, "upper")
+    # every step of the solve is regressed at one degree
+    est = entropic(solution.ensemble, payoff, k_time, "upper",
+                   solution.feature_maps[0].degree)
     if k_time == 0:
         bound = est.value + 3.0 * math.hypot(est.stderr, solution.regression_se(0))
         lhs = abs(float(solution.y[:, 0].mean()))
@@ -146,8 +148,7 @@ class MomentRow:
 
 
 def exponential_moment_check(xi: np.ndarray, params: StructureParams,
-                             time_grid: np.ndarray,
-                             gammas=(1.0, 2.0)) -> list[MomentRow]:
+                             time_grid: np.ndarray, gammas) -> list[MomentRow]:
     """Sample exponential moments of the discounted terminal bound payoff.
 
     For each ``gamma`` the row reports the full-sample mean and the

@@ -89,9 +89,9 @@ def _build_setting(cfg: ExperimentConfig):
             if cfg.experiment == "scheme"
             else build_quadrature(model, cfg.quadrature["kappa"], q_nodes))
     ens = cfg.ensemble
-    ensemble = simulate_forward(model, quad, ens["dynamics"], cfg.time_grid(),
-                                ens["n_paths"], ens["seed"], x0=ens["x0"],
-                                jump_impact=ens["jump_impact"], d=ens["d"])
+    ensemble = simulate_forward(model, quad, ens["dynamics"], cfg.grid["t_end"],
+                                cfg.grid["k_steps"], ens["n_paths"], ens["seed"],
+                                x0=ens["x0"], jump_impact=ens["jump_impact"], d=ens["d"])
     return structure, ensemble
 
 

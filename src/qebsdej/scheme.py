@@ -178,7 +178,7 @@ def ladder_quadrature(model: LevyModel, schedule: Schedule,
 
 def tau_l_localization(ensemble: PathEnsemble, params: StructureParams,
                        xi: np.ndarray, level: float,
-                       basis_degree: int = 3) -> np.ndarray:
+                       basis_degree: int) -> np.ndarray:
     """First grid index where the regressed conditional expectation of the
     exponential terminal bound exceeds ``level`` (``n_steps`` when never).
 
@@ -267,18 +267,15 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution, c_split: float,
         active = stop > k
         if not active.any():
             break
-        wz = ensemble.node_intensity(k)
-        u_now = sol.u_values(k)
-        size = (np.abs(sol.z[:, k, :]).sum(axis=1)
-                + nu_norm(u_now, wz))
+        u_norm = nu_norm(sol.u_values(k), ensemble.intensity[k])
+        size = np.abs(sol.z[:, k, :]).sum(axis=1) + u_norm
         gap = np.abs(sol.driver_values[:, k] - sol_proxy.driver_values[:, k])
         inside = size <= c_split
         a1 += float((gap * inside * active).sum()) * dt
         a2 += float((gap * (~inside) * active).sum()) * dt
         region_hits += float(((~inside) & active).sum())
         cells += float(active.sum())
-        norm2_sum += ((sol.z[:, k, :] ** 2).sum(axis=1)
-                      + nu_norm(u_now, wz) ** 2) * dt
+        norm2_sum += ((sol.z[:, k, :] ** 2).sum(axis=1) + u_norm ** 2) * dt
     a1 /= n
     a2 /= n
     horizon = float(ensemble.time_grid[-1])
@@ -291,9 +288,8 @@ def default_c_split(sol: BsdejSolution) -> float:
     """Five times the sample 90th percentile of ``|Z| + |U|_nu``."""
     sizes = []
     for k in range(sol.n_steps):
-        u_now = sol.u_values(k)
         sizes.append(np.abs(sol.z[:, k, :]).sum(axis=1)
-                     + nu_norm(u_now, sol.ensemble.node_intensity(k)))
+                     + nu_norm(sol.u_values(k), sol.ensemble.intensity[k]))
     return 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
 
 

@@ -52,7 +52,7 @@ def check_q_structure(dec: Decomposition, params: StructureParams,
         q_lo, q_hi = structure_bounds(float(ensemble.time_grid[k]),
                                       solution.y[:, k], solution.z[:, k, :],
                                       solution.u_values(k), params,
-                                      ensemble.node_intensity(k))
+                                      ensemble.intensity[k])
         lower[:, k] = q_lo * dt
         upper[:, k] = q_hi * dt
     tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
@@ -132,7 +132,7 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
 
 
 def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
-                               basis_degree: int = 3) -> float:
+                               basis_degree: int) -> float:
     """Max studentized feature coefficient when regressing increments on
     time-``t_k`` features; near zero for true martingale increments."""
     worst = 0.0

@@ -43,12 +43,19 @@ MIN_EXPECTED_JUMPS = 20.0    # see solve_lipschitz
 class PathEnsemble:
     """Seeded Monte Carlo paths of the driving noise and forward state.
 
+    The grid is uniform: ``time_grid[k] = k dt`` up to ``t_end``.
+    ``intensity[k]`` is the node intensity ``w_i zeta(t_k, e_i)`` of interval
+    ``k``; the jump stream, the forward compensator, the solve, the
+    decomposition and the audits all read this one table.
+
     The object is its own identity: solutions hold the ensemble they were
     regressed on, and :func:`same_ensemble` refuses to combine results from
     different ensembles, whatever inputs the ensembles share.
     """
 
     time_grid: np.ndarray            # (K+1,)
+    dt: float
+    intensity: np.ndarray            # (K, Q)
     dw: np.ndarray                   # (n_paths, K, d)
     jumps: JumpTable
     state: np.ndarray                # (n_paths, K+1)
@@ -61,25 +68,18 @@ class PathEnsemble:
 
     @property
     def n_steps(self) -> int:
-        return self.time_grid.size - 1
+        return self.intensity.shape[0]
 
     @property
     def d(self) -> int:
         return self.dw.shape[2]
 
-    @property
-    def dt(self) -> float:
-        return float(self.time_grid[1] - self.time_grid[0])
-
-    def node_intensity(self, k: int) -> np.ndarray:
-        """Per-node jump intensity on interval ``k``, read at ``t_k``."""
-        return self.quad.intensity(self.model, float(self.time_grid[k]))
-
 
 def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
-                     time_grid, n_paths: int, seed: int, x0: float,
-                     jump_impact: str, d: int) -> PathEnsemble:
-    """Simulate Brownian increments, the jump stream, and the forward state.
+                     t_end: float, k_steps: int, n_paths: int, seed: int,
+                     x0: float, jump_impact: str, d: int) -> PathEnsemble:
+    """Simulate Brownian increments, the jump stream, and the forward state
+    on ``k_steps`` equal steps of ``[0, t_end]``.
 
     The default state is the Brownian path plus compensated jump impacts.
     Brownian and jump streams use independent child seeds of ``seed`` so the
@@ -90,19 +90,18 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
         raise ValueError(f"unknown dynamics '{dynamics}'; choose from {DYNAMICS}")
     if jump_impact not in JUMP_IMPACTS:
         raise ValueError(f"unknown jump_impact '{jump_impact}'; choose from {JUMP_IMPACTS}")
-    time_grid = np.asarray(time_grid, dtype=float)
-    if time_grid.ndim != 1 or time_grid.size < 2 or np.any(np.diff(time_grid) <= 0):
-        raise ValueError("time grid must be strictly increasing with >= 2 points")
+    if not t_end > 0 or k_steps < 1:
+        raise ValueError("need t_end > 0 and at least one step")
     if n_paths < 1:
         raise ValueError("need at least one path")
-    k_steps = time_grid.size - 1
+    time_grid = np.linspace(0.0, t_end, k_steps + 1)
+    dt = t_end / k_steps
+    intensity = np.stack([quad.intensity(model, float(t)) for t in time_grid[:-1]])
     ss = np.random.SeedSequence(seed)
     child_w, child_j = ss.spawn(2)
     rng_w = np.random.Generator(np.random.Philox(child_w))
-    dts = np.diff(time_grid)
-    dw = rng_w.standard_normal((n_paths, k_steps, d)) * np.sqrt(dts)[None, :, None]
-    jumps = sample_jump_paths(model, quad, time_grid,
-                              n_paths, int(child_j.generate_state(1)[0]))
+    dw = rng_w.standard_normal((n_paths, k_steps, d)) * math.sqrt(dt)
+    jumps = sample_jump_paths(intensity, dt, n_paths, int(child_j.generate_state(1)[0]))
 
     state = np.empty((n_paths, k_steps + 1))
     state[:, 0] = x0
@@ -110,19 +109,13 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
     use_w = dynamics in ("brownian", "brownian_jumps")
     use_j = dynamics in ("brownian_jumps", "jumps_only")
     for k in range(k_steps):
-        inc = np.zeros(n_paths)
-        if dynamics == "deterministic":
-            inc += dts[k]
+        inc = np.full(n_paths, dt if dynamics == "deterministic" else 0.0)
         if use_w:
             inc += dw[:, k, :].sum(axis=1) / math.sqrt(d)
         if use_j:
-            paths, marks = jumps.rows_for_interval(k)
-            if paths.size:
-                np.add.at(inc, paths, impact[marks])
-            wz = quad.intensity(model, float(time_grid[k]))
-            inc -= float((wz * impact).sum()) * dts[k]
+            inc += jumps.compensated_sum(k, impact, intensity[k], dt)
         state[:, k + 1] = state[:, k] + inc
-    return PathEnsemble(time_grid, dw, jumps, state, model, quad)
+    return PathEnsemble(time_grid, dt, intensity, dw, jumps, state, model, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +311,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
         conds[k] = reg.gram_condition
         y_next = y[:, k + 1]
 
-        lam = ensemble.node_intensity(k)
+        lam = ensemble.intensity[k]
         counts = ensemble.jumps.counts_for_interval(k)
         live = lam * dt * n >= MIN_EXPECTED_JUMPS
 
@@ -406,10 +399,7 @@ def decompose(solution: BsdejSolution) -> Decomposition:
 
     dm_d = np.zeros((n, k_steps))
     for k in range(k_steps):
-        u_now = solution.u_values(k)
-        paths, marks = ensemble.jumps.rows_for_interval(k)
-        if paths.size:
-            np.add.at(dm_d[:, k], paths, u_now[paths, marks])
-        dm_d[:, k] -= (u_now * ensemble.node_intensity(k)).sum(axis=1) * dt
+        dm_d[:, k] = ensemble.jumps.compensated_sum(k, solution.u_values(k),
+                                                    ensemble.intensity[k], dt)
     m_d = np.concatenate([np.zeros((n, 1)), np.cumsum(dm_d, axis=1)], axis=1)
     return Decomposition(v, m_total, m_c, m_d, solution)

@@ -9,10 +9,10 @@ def _defaults(section, *keys):
     return {key: SETTINGS[section][key].default for key in keys}
 
 
-def forward(model, quad, dynamics, time_grid, n_paths, seed, **settings):
+def forward(model, quad, dynamics, t_end, k_steps, n_paths, seed, **settings):
     """``simulate_forward`` with ``x0``, ``jump_impact`` and ``d`` at their
     configuration defaults unless ``settings`` sets them."""
-    return q.simulate_forward(model, quad, dynamics, time_grid, n_paths, seed,
+    return q.simulate_forward(model, quad, dynamics, t_end, k_steps, n_paths, seed,
                               **{**_defaults("ensemble", "x0", "jump_impact", "d"),
                                  **settings})
 
@@ -23,6 +23,12 @@ def solve(driver, terminal_fn, ensemble, **settings):
     return q.solve_lipschitz(driver, terminal_fn, ensemble,
                              **{**_defaults("solver", "basis_degree", "picard_max",
                                             "picard_tol"), **settings})
+
+
+def entropic(ensemble, payoff, k_time, direction="upper"):
+    """``entropic`` at the configuration's default basis degree."""
+    return q.entropic(ensemble, payoff, k_time, direction,
+                      **_defaults("solver", "basis_degree"))
 
 
 @pytest.fixture(scope="session")
@@ -49,8 +55,7 @@ def two_node_quad():
 
 @pytest.fixture(scope="session")
 def small_ensemble(gamma_model, gamma_quad):
-    tg = np.linspace(0.0, 1.0, 21)
-    return forward(gamma_model, gamma_quad, "brownian_jumps", tg, 20000, seed=101)
+    return forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 20, 20000, seed=101)
 
 
 def probe_fields(rng, quad, n, spread=1.0):

@@ -50,8 +50,7 @@ def canonical_signed(gamma_setting):
     """Canonical generator, signed Gaussian-tailed terminal, N=1e5, K=50."""
     model, quad = gamma_setting
     t0 = time.time()
-    tg = np.linspace(0.0, 1.0, 51)
-    ens = forward(model, quad, "brownian_jumps", tg, 100000, seed=42)
+    ens = forward(model, quad, "brownian_jumps", 1.0, 50, 100000, seed=42)
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     view = drv.at_quadrature(quad, model)
@@ -65,8 +64,7 @@ def canonical_magnitude(gamma_setting):
     """Same setting with the magnitude terminal (bound-tight case)."""
     model, quad = gamma_setting
     t0 = time.time()
-    tg = np.linspace(0.0, 1.0, 51)
-    ens = forward(model, quad, "brownian_jumps", tg, 100000, seed=43)
+    ens = forward(model, quad, "brownian_jumps", 1.0, 50, 100000, seed=43)
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     view = drv.at_quadrature(quad, model)
@@ -85,7 +83,7 @@ def canonical_ladder(gamma_setting):
     base = q.make_driver("canonical", params)
     schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
     ens = forward(model, ladder_quadrature(model, schedule, 12),
-                  "brownian_jumps", np.linspace(0.0, 1.0, 41), 30000,
+                  "brownian_jumps", 1.0, 40, 30000,
                   seed=2024)
     result = run_triple_scheme(base, lambda x: np.abs(0.25 * x), ens, schedule,
                                basis_degree=3, picard_max=50, picard_tol=1e-10)
@@ -96,8 +94,7 @@ def canonical_ladder(gamma_setting):
 def test_criterion_01_martingale_representation():
     t0 = time.time()
     quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
-    tg = np.linspace(0.0, 1.0, 51)
-    ens = forward(q.make_model("null"), quad, "brownian", tg, 100000,
+    ens = forward(q.make_model("null"), quad, "brownian", 1.0, 50, 100000,
                   seed=7)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(drv.at_quadrature(quad, ens.model), lambda x: x, ens)
@@ -110,8 +107,7 @@ def test_criterion_01_martingale_representation():
 
 def test_criterion_02_linear_driver_closed_form(gamma_setting):
     model, quad = gamma_setting
-    tg = np.linspace(0.0, 1.0, 101)
-    ens = forward(model, quad, "brownian_jumps", tg, 2000, seed=8)
+    ens = forward(model, quad, "brownian_jumps", 1.0, 100, 2000, seed=8)
     params = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", params, a=0.5)
     sol = solve(drv.at_quadrature(quad, model),
@@ -126,12 +122,13 @@ def test_criterion_03_canonical_vs_entropic(canonical_signed):
     xi = sol.terminal
     moments = exponential_moment_check(xi, params, ens.time_grid, (1.0, 2.0))
     assert all(row.stable for row in moments), "terminal moment check failed"
-    oracle = entropic(ens, xi, 0, "upper")
+    degree = sol.feature_maps[0].degree
+    oracle = entropic(ens, xi, 0, "upper", degree)
     gap0 = abs(sol.y0 - oracle.value)
     tol0 = 3.0 * math.hypot(sol.y0_se, oracle.stderr)
     interior_ok, detail = True, []
     for k in (20, 35):
-        est = entropic(ens, xi, k, "upper")
+        est = entropic(ens, xi, k, "upper", degree)
         gap_k = abs(float(np.mean(sol.y[:, k] - est.per_path)))
         tol_k = 5.0 * math.hypot(sol.regression_se(k), est.stderr)
         interior_ok &= gap_k <= tol_k
@@ -145,8 +142,7 @@ def test_criterion_03_canonical_vs_entropic(canonical_signed):
 def test_criterion_04_doleans_means(gamma_setting):
     model, _ = gamma_setting
     quad = q.build_quadrature(model, 4.0, 10)
-    tg = np.linspace(0.0, 1.0, 21)
-    ens = forward(model, quad, "brownian_jumps", tg, 100000, seed=17)
+    ens = forward(model, quad, "brownian_jumps", 1.0, 20, 100000, seed=17)
     k_steps, dt = ens.n_steps, ens.dt
     mc = ens.dw[:, :, 0]
     counts = [ens.jumps.counts_for_interval(k) for k in range(k_steps)]

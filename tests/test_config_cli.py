@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from qebsdej import levy
 from qebsdej.cli import main
 from qebsdej.config import (ORACLES, SETTINGS, TERMINALS, TOP_LEVEL_KEYS,
                             ConfigError, _int, load_config, validate_config)
-from qebsdej.levy import KAPPA_MAX, build_quadrature
+from qebsdej.levy import (KAPPA_MAX, MASS_FLOOR, build_quadrature,
+                          truncated_mass_reference)
 from qebsdej.oracles import girsanov_tilt_exact
 from qebsdej.runner import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK)
 from qebsdej.solver import DYNAMICS, JUMP_IMPACTS
@@ -226,7 +228,7 @@ def test_martingale_check_regresses_at_solver_degree(tmp_path, monkeypatch):
     real_test = runner.martingale_regression_test
     degrees = []
 
-    def spy(increments, ensemble, basis_degree=3):
+    def spy(increments, ensemble, basis_degree):
         degrees.append(basis_degree)
         return real_test(increments, ensemble, basis_degree)
 
@@ -282,8 +284,13 @@ def _ensemble(**fields):
     dict(model={"name": "gamma", "c_nu": 0.5}),
     dict(model={"name": "gamma", "beta": 0}),
     dict(model={"name": "normal", "scale": 0}),
+    dict(model={"name": "normal", "loc": 1e5, "scale": 1e-4}),
     dict(model={"name": "gamma", "theta": "abc"}),
     dict(model={"name": "gamma", "theta": -1}),
+    dict(model={"name": "gamma", "theta": 1e6},
+         ensemble={"n_paths": 100000, "seed": 1, "dynamics": "brownian"}),
+    dict(quadrature={"kappa": 4.0, "q_nodes": 1e9}),
+    dict(grid={"t_end": 1.0, "k_steps": 1e9}),
 ], ids=["n_paths_not_a_number", "misspelled_model_parameter", "zero_delta",
         "risk_without_time_zero", "risk_time_beyond_grid",
         "risk_time_not_a_step", "x0_not_a_number", "d_not_a_number",
@@ -294,7 +301,9 @@ def _ensemble(**fields):
         "unknown_top_level_key", "unknown_ensemble_key", "unknown_solver_key",
         "k_steps_not_integral", "misspelled_driver_parameter", "zeta_from_json",
         "c_nu_below_default_zeta", "gamma_beta_zero", "normal_scale_zero",
-        "theta_not_a_number", "negative_theta"])
+        "normal_profile_finer_than_its_marks",
+        "theta_not_a_number", "negative_theta", "expected_jumps_beyond_memory",
+        "q_nodes_beyond_build_time", "k_steps_beyond_memory"])
 def test_bad_config_exits_2(tmp_path, overrides):
     cfg = write_config(tmp_path, "bad.json", solve_payload(**overrides))
     out = tmp_path / "nothing"
@@ -329,6 +338,35 @@ def test_accepted_model_builds_its_quadrature(model, kappa, q_nodes):
     quad = build_quadrature(cfg.build_model(), cfg.quadrature["kappa"],
                             cfg.quadrature["q_nodes"])
     assert np.all(np.isfinite(quad.weights)) and quad.weights.min() >= 0.0
+
+
+@st.composite
+def normal_sections(draw):
+    """A normal model section and a truncation level anywhere in their
+    accepted ranges; half the draws put the cut inside the profile."""
+    kappa = 10.0 ** draw(st.floats(0.0, 6.0))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    loc = draw(st.one_of(st.floats(-1e6, 1e6),
+                         st.floats(-45.0, 45.0).map(lambda z: 1.0 / kappa - z * scale)))
+    return {"name": "normal", "rate": draw(st.floats(0.0, 1e6)), "loc": loc,
+            "scale": scale}, kappa
+
+
+@settings(max_examples=100, deadline=None)
+@given(setting=normal_sections())
+def test_accepted_normal_model_keeps_its_mass(setting):
+    model, kappa = setting
+    try:
+        cfg = validate_config(solve_payload(
+            model=model, quadrature={"kappa": kappa, "q_nodes": 12}))
+    except ConfigError:
+        return
+    exact = model["rate"] * 0.5 * math.erfc((1.0 / kappa - model["loc"])
+                                            / (model["scale"] * math.sqrt(2.0)))
+    built = cfg.build_model()
+    for mass in (build_quadrature(built, kappa, 12).total_mass,
+                 truncated_mass_reference(built, kappa)):
+        assert abs(mass - exact) <= 1e-8 * exact + MASS_FLOOR
 
 
 def test_config_error_exit_code(tmp_path):

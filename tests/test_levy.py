@@ -209,10 +209,8 @@ def test_residual_null_zero():
 # ---------------------------------------------------------------------------
 
 def test_jump_counts_poisson_mean(two_node_quad):
-    model = q.make_model("null")  # zeta == 1; density unused by the sampler
-    tg = np.array([0.0, 0.5])
     n_paths = 100000
-    table = q.sample_jump_paths(model, two_node_quad, tg, n_paths, seed=4)
+    table = q.sample_jump_paths(two_node_quad.weights[None, :], 0.5, n_paths, seed=4)
     mean_count = table.n_jumps / n_paths
     expect = two_node_quad.total_mass * 0.5
     band = 3.0 * math.sqrt(expect / n_paths)
@@ -220,9 +218,7 @@ def test_jump_counts_poisson_mean(two_node_quad):
 
 
 def test_jump_mark_fractions_multinomial(two_node_quad):
-    model = q.make_model("null")
-    tg = np.array([0.0, 0.5])
-    table = q.sample_jump_paths(model, two_node_quad, tg, 100000, seed=5)
+    table = q.sample_jump_paths(two_node_quad.weights[None, :], 0.5, 100000, seed=5)
     frac1 = float((table.mark_index == 0).mean())
     n_jumps = table.n_jumps
     band = 3.0 * math.sqrt(0.75 * 0.25 / n_jumps)
@@ -230,22 +226,17 @@ def test_jump_mark_fractions_multinomial(two_node_quad):
 
 
 def test_zero_mass_no_jumps():
-    quad = q.build_quadrature(q.make_model("null"), 2.0, 6)
-    table = q.sample_jump_paths(q.make_model("null"), quad,
-                                np.linspace(0, 1, 5), 1000, seed=6)
+    null = q.make_model("null")
+    quad = q.build_quadrature(null, 2.0, 6)
+    table = q.sample_jump_paths(np.tile(quad.intensity(null, 0.0), (4, 1)), 0.25,
+                                1000, seed=6)
     assert table.n_jumps == 0
 
 
 def test_jump_table_reproducible(gamma_model, gamma_quad):
-    tg = np.linspace(0, 1, 9)
-    a = q.sample_jump_paths(gamma_model, gamma_quad, tg, 2000, seed=12)
-    b = q.sample_jump_paths(gamma_model, gamma_quad, tg, 2000, seed=12)
+    intensity = np.tile(gamma_quad.intensity(gamma_model, 0.0), (8, 1))
+    a = q.sample_jump_paths(intensity, 0.125, 2000, seed=12)
+    b = q.sample_jump_paths(intensity, 0.125, 2000, seed=12)
     assert np.array_equal(a.time, b.time)
     assert np.array_equal(a.mark_index, b.mark_index)
     assert np.array_equal(a.path_index, b.path_index)
-
-
-def test_invalid_grid_rejected(gamma_model, gamma_quad):
-    with pytest.raises(ValueError, match="increasing"):
-        q.sample_jump_paths(gamma_model, gamma_quad, np.array([0.0, 0.0, 1.0]),
-                            10, seed=1)

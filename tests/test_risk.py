@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 import qebsdej as q
 from qebsdej.oracles import entropic_gaussian_exact, folded_gaussian_moment_exact
-from qebsdej.risk import (apriori_bound_check, entropic,
-                          exponential_moment_check, terminal_bound_payoff)
+from qebsdej.risk import (apriori_bound_check, exponential_moment_check,
+                          terminal_bound_payoff)
 
-from conftest import forward, solve
+from conftest import entropic, forward, solve
 
 
 @pytest.fixture(scope="module")
 def wiener_ensemble():
     quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
-    tg = np.linspace(0.0, 1.0, 21)
-    return forward(q.make_model("null"), quad, "brownian", tg,
+    return forward(q.make_model("null"), quad, "brownian", 1.0, 20,
                    200000, seed=71)
 
 
@@ -61,7 +60,7 @@ def test_translation_invariance(shift):
     psi = rng.normal(0.0, 0.4, 50000)
     quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
     ens = forward(q.make_model("null"), quad, "brownian",
-                  np.linspace(0, 1, 3), 50000, seed=6)
+                  1.0, 2, 50000, seed=6)
     base = entropic(ens, psi, 0)
     shifted = entropic(ens, psi + shift, 0)
     assert shifted.value == pytest.approx(base.value + shift, abs=1e-9)
@@ -186,3 +185,14 @@ def test_apriori_interior_time(small_ensemble, gamma_quad):
     sol = solve(view, lambda x: 0.25 * x, small_ensemble)
     rep = apriori_bound_check(sol, p, 8)
     assert rep.fraction_ok >= 0.99
+
+
+def test_apriori_interior_regresses_at_the_solve_degree(small_ensemble, gamma_quad):
+    p = q.StructureParams(1.0, 0.0, 0.0)
+    drv = q.make_driver("canonical", p)
+    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
+    sol = solve(view, lambda x: 0.25 * x, small_ensemble, basis_degree=1)
+    payoff = terminal_bound_payoff(sol.terminal, p, small_ensemble.time_grid, 8)
+    rep = apriori_bound_check(sol, p, 8)
+    assert rep.rhs == q.entropic(small_ensemble, payoff, 8, "upper", 1).value
+    assert rep.rhs != q.entropic(small_ensemble, payoff, 8, "upper", 3).value

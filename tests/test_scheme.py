@@ -16,7 +16,7 @@ def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
     scheme result."""
     quad = ladder_quadrature(model, schedule, q_nodes)
     ens = forward(model, quad, "brownian_jumps",
-                  np.linspace(0.0, 1.0, k_steps + 1), n_paths, seed,
+                  1.0, k_steps, n_paths, seed,
                   jump_impact=jump_impact)
     return ens, run_triple_scheme(base, terminal_fn, ens, schedule,
                                   basis_degree=3, picard_max=50,
@@ -125,11 +125,10 @@ def test_report_rows_roundtrip(mini_scheme):
 # ---------------------------------------------------------------------------
 
 def test_unlinked_comparison_refused(gamma_model, gamma_quad):
-    tg = np.linspace(0.0, 1.0, 11)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sols = []
     for seed in (1, 2):
-        ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+        ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10,
                       1000, seed=seed)
         sols.append(solve(drv.at_quadrature(gamma_quad, gamma_model),
                           lambda x: x, ens))
@@ -163,9 +162,11 @@ def test_mixed_link_without_direction_refused(small_ensemble, gamma_quad):
 def test_tau_never_and_immediate(small_ensemble):
     params = q.StructureParams(1.0, 0.0, 0.0)
     xi = 0.25 * small_ensemble.state[:, -1]
-    never = tau_l_localization(small_ensemble, params, xi, level=1e12)
+    never = tau_l_localization(small_ensemble, params, xi, level=1e12,
+                               basis_degree=3)
     assert np.all(never == small_ensemble.n_steps)
-    now = tau_l_localization(small_ensemble, params, xi, level=1.0 + 1e-12)
+    now = tau_l_localization(small_ensemble, params, xi, level=1.0 + 1e-12,
+                             basis_degree=3)
     assert np.all(now == 0)
 
 
@@ -173,11 +174,12 @@ def test_tau_interior_and_monotone(small_ensemble):
     params = q.StructureParams(1.0, 0.0, 0.0)
     xi = 0.25 * small_ensemble.state[:, -1]
     base_level = float(np.exp(np.abs(xi)).mean())
-    mid = tau_l_localization(small_ensemble, params, xi, level=2.0 * base_level)
+    mid = tau_l_localization(small_ensemble, params, xi, level=2.0 * base_level,
+                             basis_degree=3)
     stopped = float((mid < small_ensemble.n_steps).mean())
     assert 0.0 < stopped < 1.0
     higher = tau_l_localization(small_ensemble, params, xi,
-                                level=4.0 * base_level)
+                                level=4.0 * base_level, basis_degree=3)
     assert np.all(higher >= mid)
 
 
@@ -191,7 +193,8 @@ def test_localized_statistics_approach_full_horizon(mini_scheme):
     gaps = []
     for mult in (1.05, 2.0, 1e9):
         stop = tau_l_localization(ens, params, proxy.terminal,
-                                  level=mult * base_level)
+                                  level=mult * base_level,
+                                  basis_degree=proxy.feature_maps[0].degree)
         rep = driver_l1_gap(sol, proxy, c_split, stop_index=stop)
         gaps.append(rep.a1 + rep.a2)
     assert gaps[0] <= gaps[1] <= gaps[2]

@@ -199,9 +199,8 @@ def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
     drv = q.make_driver("linear", p, a=0.5)
     v_terminal = {}
     for k_steps in (25, 50, 100):
-        tg = np.linspace(0.0, 1.0, k_steps + 1)
         ens = forward(gamma_model, gamma_quad, "brownian_jumps",
-                      tg, 500, seed=31)
+                      1.0, k_steps, 500, seed=31)
         sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
                     lambda x: np.ones_like(x), ens)
         v_terminal[k_steps] = float(decompose(sol).v[0, -1])
@@ -214,7 +213,7 @@ def test_stability_requires_shared_ensemble(canonical_solution, small_ensemble,
                                             gamma_model, gamma_quad):
     _, _, dec = canonical_solution
     other_ens = forward(gamma_model, gamma_quad, "brownian_jumps",
-                        small_ensemble.time_grid, 20000, seed=999)
+                        1.0, small_ensemble.n_steps, 20000, seed=999)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     other_sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
                       lambda x: np.zeros_like(x), other_ens)

@@ -22,8 +22,7 @@ def null_quad():
 
 @pytest.fixture(scope="module")
 def brownian_ensemble(null_quad):
-    tg = np.linspace(0.0, 1.0, 26)
-    return forward(q.make_model("null"), null_quad, "brownian", tg,
+    return forward(q.make_model("null"), null_quad, "brownian", 1.0, 25,
                    50000, seed=77)
 
 
@@ -32,9 +31,8 @@ def brownian_ensemble(null_quad):
 # ---------------------------------------------------------------------------
 
 def test_brownian_increment_statistics(gamma_model, gamma_quad):
-    tg = np.linspace(0.0, 1.0, 11)
     n = 100000
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg, n,
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, n,
                   seed=55)
     dt = ens.dt
     for k in (0, 5, 9):
@@ -44,10 +42,9 @@ def test_brownian_increment_statistics(gamma_model, gamma_quad):
 
 
 def test_seed_reproducibility(gamma_model, gamma_quad):
-    tg = np.linspace(0.0, 1.0, 6)
-    a = forward(gamma_model, gamma_quad, "brownian_jumps", tg, 500,
+    a = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 5, 500,
                 seed=9)
-    b = forward(gamma_model, gamma_quad, "brownian_jumps", tg, 500,
+    b = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 5, 500,
                 seed=9)
     assert np.array_equal(a.state, b.state)
     assert np.array_equal(a.dw, b.dw)
@@ -56,41 +53,38 @@ def test_seed_reproducibility(gamma_model, gamma_quad):
 
 def test_deterministic_dynamics(gamma_model, gamma_quad):
     tg = np.linspace(0.0, 1.0, 9)
-    ens = forward(gamma_model, gamma_quad, "deterministic", tg, 10,
+    ens = forward(gamma_model, gamma_quad, "deterministic", 1.0, 8, 10,
                   seed=1)
     assert np.allclose(ens.state, tg[None, :], atol=1e-15)
 
 
 def test_brownian_terminal_variance(null_quad):
-    tg = np.linspace(0.0, 1.0, 11)
-    ens = forward(q.make_model("null"), null_quad, "brownian", tg,
+    ens = forward(q.make_model("null"), null_quad, "brownian", 1.0, 10,
                   100000, seed=2)
     assert abs(ens.state[:, -1].var() / 1.0 - 1.0) <= 0.05
 
 
 def test_compensated_jump_state_mean(gamma_model):
     quad = q.build_quadrature(gamma_model, 4.0, 10)
-    tg = np.linspace(0.0, 1.0, 11)
     n = 100000
-    ens = forward(gamma_model, quad, "jumps_only", tg, n, seed=3)
+    ens = forward(gamma_model, quad, "jumps_only", 1.0, 10, n, seed=3)
     term = ens.state[:, -1]
     assert abs(term.mean()) <= 4.0 * term.std() / math.sqrt(n)
 
 
 def test_mark_impact_dynamics(gamma_model, gamma_quad):
-    tg = np.linspace(0.0, 1.0, 5)
-    ens = forward(gamma_model, gamma_quad, "jumps_only", tg, 2000,
+    ens = forward(gamma_model, gamma_quad, "jumps_only", 1.0, 4, 2000,
                   seed=4, jump_impact="mark")
     assert np.isfinite(ens.state).all()
     with pytest.raises(ValueError, match="jump_impact"):
-        forward(gamma_model, gamma_quad, "jumps_only", tg, 10,
+        forward(gamma_model, gamma_quad, "jumps_only", 1.0, 4, 10,
                 seed=4, jump_impact="levels")
 
 
 def test_unknown_dynamics_rejected(gamma_model, gamma_quad):
     with pytest.raises(ValueError, match="dynamics"):
         forward(gamma_model, gamma_quad, "heston",
-                np.linspace(0, 1, 5), 10, seed=1)
+                1.0, 4, 10, seed=1)
 
 
 def test_feature_map_deterministic_state_reduces_to_intercept():
@@ -156,8 +150,7 @@ def test_zero_mass_measure_gives_null_jump_loading(brownian_ensemble, null_quad)
 
 
 def test_linear_ode_closed_form(gamma_model, gamma_quad):
-    tg = np.linspace(0.0, 1.0, 101)
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 100,
                   2000, seed=21)
     p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
@@ -171,8 +164,7 @@ def test_grid_refinement_first_order(gamma_model, gamma_quad):
     drv = q.make_driver("linear", p, a=0.5)
     y0 = {}
     for k_steps in (25, 50, 100):
-        tg = np.linspace(0.0, 1.0, k_steps + 1)
-        ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+        ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, k_steps,
                       500, seed=22)
         y0[k_steps] = solve(drv.at_quadrature(gamma_quad, gamma_model),
                             lambda x: np.ones_like(x), ens).y0
@@ -183,8 +175,7 @@ def test_grid_refinement_first_order(gamma_model, gamma_quad):
 
 def test_girsanov_tilt_oracle(gamma_model):
     quad = q.build_quadrature(gamma_model, 4.0, 10)
-    tg = np.linspace(0.0, 1.0, 41)
-    ens = forward(gamma_model, quad, "brownian_jumps", tg, 40000,
+    ens = forward(gamma_model, quad, "brownian_jumps", 1.0, 40, 40000,
                   seed=23)
     p = q.StructureParams(1.0, 1.0, 0.0)
     drv = q.make_driver("linear", p, b=0.3, c_tilde=0.4)
@@ -214,8 +205,7 @@ def test_picard_non_convergence_raises(brownian_ensemble, null_quad):
 
 
 def test_two_dimensional_noise(gamma_model, gamma_quad):
-    tg = np.linspace(0.0, 1.0, 21)
-    ens = forward(gamma_model, gamma_quad, "brownian", tg, 20000,
+    ens = forward(gamma_model, gamma_quad, "brownian", 1.0, 20, 20000,
                   seed=25, d=2)
     assert ens.dw.shape == (20000, 20, 2)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
@@ -239,14 +229,19 @@ def test_reconstruction_identity(small_ensemble, gamma_quad):
     assert np.max(np.abs(sol.y - recon)) <= 1e-10
 
 
-def test_solve_weighs_each_step_by_its_own_intensity():
+@pytest.fixture(scope="module")
+def fading_setting():
+    model = gamma_model(zeta=lambda t, e: np.full_like(e, 1.0 - t / 2.0))
+    return model, q.build_quadrature(model, 4.0, 10)
+
+
+def test_solve_weighs_each_step_by_its_own_intensity(fading_setting):
     # with l = c = 0 the canonical generator is the upper corridor edge, so
     # each stored generator value must equal that edge at the intensity of
     # its own step when the modulation zeta fades in time
-    model = gamma_model(zeta=lambda t, e: np.full_like(e, 1.0 - t / 2.0))
-    quad = q.build_quadrature(model, 4.0, 10)
+    model, quad = fading_setting
     ens = forward(model, quad, "brownian_jumps",
-                  np.linspace(0.0, 1.0, 21), 4000, seed=3)
+                  1.0, 20, 4000, seed=3)
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     sol = solve(drv.at_quadrature(quad, model),
@@ -254,8 +249,57 @@ def test_solve_weighs_each_step_by_its_own_intensity():
     for k in range(ens.n_steps):
         _, upper = q.structure_bounds(float(ens.time_grid[k]), sol.y[:, k],
                                       sol.z[:, k, :], sol.u_values(k), p,
-                                      ens.node_intensity(k))
+                                      ens.intensity[k])
         np.testing.assert_allclose(sol.driver_values[:, k], upper, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the jump clock: one step and one intensity table per ensemble
+# ---------------------------------------------------------------------------
+
+def _jump_sum(jumps, k, values):
+    """Per-path sum of ``values[path, mark]`` over the jumps of interval ``k``."""
+    rows = jumps.interval_index == k
+    paths, marks = jumps.path_index[rows], jumps.mark_index[rows]
+    return np.bincount(paths, weights=values[paths, marks], minlength=jumps.n_paths)
+
+
+def test_intensity_table_drives_the_sampler(fading_setting):
+    model, quad = fading_setting
+    n = 20000
+    ens = forward(model, quad, "brownian_jumps", 1.0, 10, n, seed=41)
+    assert ens.intensity.shape == (10, quad.n_nodes)
+    counts = np.bincount(ens.jumps.interval_index, minlength=ens.n_steps)
+    for k in range(ens.n_steps):
+        assert np.array_equal(ens.intensity[k],
+                              quad.intensity(model, float(ens.time_grid[k])))
+        expect = float(ens.intensity[k].sum()) * ens.dt
+        assert abs(counts[k] / n - expect) <= 3.0 * math.sqrt(expect / n)
+
+
+def test_forward_state_is_the_compensated_mark_sum(fading_setting):
+    model, quad = fading_setting
+    ens = forward(model, quad, "jumps_only", 1.0, 10, 5000, seed=42,
+                  jump_impact="mark")
+    marks = np.broadcast_to(quad.nodes, (ens.n_paths, quad.n_nodes))
+    for k in range(ens.n_steps):
+        wz = quad.intensity(model, float(ens.time_grid[k]))
+        expect = _jump_sum(ens.jumps, k, marks) - float((wz * quad.nodes).sum()) * ens.dt
+        np.testing.assert_allclose(np.diff(ens.state, axis=1)[:, k], expect,
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_jump_martingale_is_the_compensated_loading_sum(fading_setting):
+    model, quad = fading_setting
+    ens = forward(model, quad, "brownian_jumps", 1.0, 10, 4000, seed=43)
+    drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(drv.at_quadrature(quad, model), lambda x: np.abs(0.25 * x), ens)
+    dm_d = np.diff(q.decompose(sol).m_d, axis=1)
+    for k in range(ens.n_steps):
+        u = sol.u_values(k)
+        wz = quad.intensity(model, float(ens.time_grid[k]))
+        expect = _jump_sum(ens.jumps, k, u) - (u * wz).sum(axis=1) * ens.dt
+        np.testing.assert_allclose(dm_d[:, k], expect, rtol=0.0, atol=1e-12)
 
 
 def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
@@ -267,8 +311,7 @@ def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
 
 
 def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
-    tg = np.linspace(0.0, 1.0, 41)
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 40,
                   5000, seed=26)
     p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
@@ -288,7 +331,8 @@ def test_martingale_component_regression(small_ensemble, gamma_quad):
     sol = solve(view, lambda x: 0.25 * x, small_ensemble)
     dec = q.decompose(sol)
     dm = np.diff(dec.m_c + dec.m_d, axis=1)
-    stat = martingale_regression_test(dm[:, ::4], small_ensemble)
+    stat = martingale_regression_test(dm[:, ::4], small_ensemble,
+                                      sol.feature_maps[0].degree)
     assert stat <= 4.0
 
 
@@ -298,7 +342,7 @@ def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
     view = drv.at_quadrature(gamma_quad, small_ensemble.model)
     sol = solve(view, lambda x: 0.25 * x, small_ensemble)
     other = forward(gamma_model, gamma_quad, "brownian_jumps",
-                    small_ensemble.time_grid, 20000, seed=999)
+                    1.0, small_ensemble.n_steps, 20000, seed=999)
     other_sol = solve(view, lambda x: 0.25 * x, other)
     assert same_ensemble(sol, q.decompose(sol).solution) is small_ensemble
     with pytest.raises(EnsembleMismatchError):
@@ -310,10 +354,9 @@ def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
 def test_same_seed_other_inputs_rejected(gamma_model, gamma_quad, change):
     # same seed, paths, steps, dynamics and node count: only the ensemble
     # objects tell the two apart, at every place where two results meet
-    tg = np.linspace(0.0, 1.0, 11)
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10,
                   1000, seed=5)
-    other = forward(gamma_model, gamma_quad, "brownian_jumps", tg,
+    other = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10,
                     1000, seed=5, **change)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     view = drv.at_quadrature(gamma_quad, gamma_model)
