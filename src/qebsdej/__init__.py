@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .levy import (DivergentMassError, ExponentOverflowError, LevyModel,
                    MarkQuadrature, build_quadrature, j_functional, make_model,
                    nu_norm, sample_jump_paths, small_jump_residual)
-from .drivers import (Driver, RegularizedDriver, StructureParams, check_a_gamma,
-                      check_structure, inf_convolve, lipschitz_estimate,
+from .drivers import (Driver, DriverView, RegularizedDriver, StructureParams,
+                      check_a_gamma, check_structure, inf_convolve, lipschitz_estimate,
                       make_driver, regularize, structure_bounds, sup_convolve)
 from .solver import (BsdejSolution, Decomposition, NonContractionError,
                      PathEnsemble, decompose, simulate_forward, solve_lipschitz)

@@ -1,8 +1,8 @@
 """Quadratic-exponential generators, structure bounds, and Lipschitz envelopes.
 
-A generator splits as ``f(t, y, z, u) = f_hat(t, y, z) + int g(t, u(e)) nu(de)``
-and is pinned between the exponential-quadratic corridor bounds built from the
-jump penalty :func:`qebsdej.levy.j_functional`.  Regularization replaces each
+A generator splits as ``f = f_hat(y, z) + int g(u(e)) zeta(t, e) nu(de)``, time
+entering through the jump intensity alone, and is pinned between the corridor
+bounds built from the jump penalty :func:`qebsdej.levy.j_functional`.  Regularization replaces each
 signed part of ``f`` with its Lipschitz lower envelope over a finite candidate
 grid, yielding generators that are globally Lipschitz in ``(y, z)``, monotone
 in the regularization indices, and still inside the corridor.
@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .levy import (ExponentOverflowError, LevyModel, MarkQuadrature,
-                   UnknownPresetError, exp_excess, j_functional)
+from .levy import ExponentOverflowError, UnknownPresetError, exp_excess, j_functional
+from .solver import PathEnsemble
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,11 @@ class StructureParams:
 class Driver:
     """Generator with Becherer-type split and structure metadata.
 
-    ``f_hat(t, y, z)`` takes ``y`` of shape (...,) and ``z`` of shape (..., d);
-    ``g(t, v)`` applies pointwise to mark values.  ``nonnegative`` marks
+    ``f_hat(y, z)`` takes ``y`` of shape (...,) and ``z`` of shape (..., d);
+    ``g(v)`` applies pointwise to mark values.  ``nonnegative`` marks
     generators known to satisfy ``f >= 0`` everywhere (their negative part is
     identically zero), which unlocks a fast separable envelope; that envelope
-    also needs ``g(t, .)`` convex, as it is for every preset that sets the
+    also needs ``g`` convex, as it is for every preset that sets the
     flag (``canonical`` and ``zero``), and refuses a ``g`` that is not.  ``lip_y`` is a declared Lipschitz
     constant of ``f`` in ``y``, zero when ``f`` ignores ``y``; ``lip_yz`` is
     one of ``f_hat`` in ``(y, z)`` when finite.
@@ -60,48 +60,45 @@ class Driver:
     def depends_on_y(self) -> bool:
         return self.lip_y > 0
 
-    def jump_part(self, t: float, u, wz: np.ndarray) -> np.ndarray:
-        """``sum_i wz_i g(t, u_i)`` for the node intensity ``wz`` at ``t``."""
-        gv = self.g(t, np.asarray(u, dtype=float))
+    def jump_part(self, u, wz: np.ndarray) -> np.ndarray:
+        """``sum_i wz_i g(u_i)`` for the node intensity ``wz``."""
+        gv = self.g(np.asarray(u, dtype=float))
         if not np.all(np.isfinite(gv)):
             raise ExponentOverflowError("jump integrand overflowed; reduce the field")
         return (gv * wz).sum(axis=-1)
 
-    def evaluate(self, t: float, y, z, u, wz: np.ndarray) -> np.ndarray:
+    def evaluate(self, y, z, u, wz: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if z.ndim == y.ndim:
             z = z[..., None]
-        return self.f_hat(t, y, z) + self.jump_part(t, u, wz)
-
-    def at_quadrature(self, quad: MarkQuadrature, model: LevyModel) -> "DriverView":
-        return DriverView(self, quad, model)
+        return self.f_hat(y, z) + self.jump_part(u, wz)
 
 
 @dataclass
 class DriverView:
-    """A driver bound to a quadrature and the jump measure that weighs its nodes."""
+    """A driver bound to an ensemble; step ``k`` weighs the nodes by the row
+    ``ensemble.intensity[k]`` that drives the jumps and their compensator."""
 
     driver: Driver
-    quad: MarkQuadrature
-    model: LevyModel
+    ensemble: PathEnsemble
 
     @property
     def lip_y(self) -> float:
         return self.driver.lip_y
 
-    def evaluate(self, t: float, y, z, u) -> np.ndarray:
-        return self.driver.evaluate(t, y, z, u, self.quad.intensity(self.model, t))
+    def evaluate(self, k: int, y, z, u) -> np.ndarray:
+        return self.driver.evaluate(y, z, u, self.ensemble.intensity[k])
 
 
 def _canonical(structure: StructureParams) -> Driver:
     """``(delta/2)|z|^2 + (1/delta) * j(delta u)``; nonnegative, no y term."""
     delta = structure.delta
 
-    def f_hat(t, y, z):
+    def f_hat(y, z):
         return 0.5 * delta * (np.asarray(z) ** 2).sum(axis=-1)
 
-    def g(t, v):
+    def g(v):
         return exp_excess(delta * np.asarray(v, dtype=float)) / delta
 
     return Driver("canonical", f_hat, g, structure, nonnegative=True, lip_y=0.0)
@@ -114,10 +111,10 @@ def _linear(structure: StructureParams, a: float = 0.0, b: float = 0.0,
     if abs(c_tilde) >= 1.0:
         raise ValueError("linear jump loading must satisfy |c_tilde| < 1")
 
-    def f_hat(t, y, z):
+    def f_hat(y, z):
         return a * np.asarray(y, dtype=float) + b * np.asarray(z).sum(axis=-1)
 
-    def g(t, v):
+    def g(v):
         return c_tilde * np.asarray(v, dtype=float)
 
     return Driver("linear", f_hat, g, structure, nonnegative=False, lip_y=abs(a),
@@ -129,18 +126,18 @@ def _morlais(structure: StructureParams, beta: float = 0.0) -> Driver:
     beta = float(beta)
     base = _canonical(structure)
 
-    def f_hat(t, y, z):
-        return base.f_hat(t, y, z) - beta * np.abs(np.asarray(y, dtype=float))
+    def f_hat(y, z):
+        return base.f_hat(y, z) - beta * np.abs(np.asarray(y, dtype=float))
 
     return Driver("morlais", f_hat, base.g, structure, nonnegative=False, lip_y=beta)
 
 
 def _zero(structure: StructureParams) -> Driver:
     """The null generator."""
-    def f_hat(t, y, z):
+    def f_hat(y, z):
         return np.zeros(np.broadcast(np.asarray(y), np.asarray(z).sum(axis=-1)).shape)
 
-    def g(t, v):
+    def g(v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
     return Driver("zero", f_hat, g, structure, nonnegative=True, lip_y=0.0,
@@ -163,8 +160,7 @@ def make_driver(name: str, structure: StructureParams, **params) -> Driver:
 # corridor bounds
 # ---------------------------------------------------------------------------
 
-def structure_bounds(t: float, y, z, u, params: StructureParams,
-                     wz: np.ndarray):
+def structure_bounds(y, z, u, params: StructureParams, wz: np.ndarray):
     """Two-sided corridor ``(q_lower, q_upper)`` at a point and intensity ``wz``.
 
     ``q_upper = (1/delta) j(delta u) + (delta/2)|z|^2 + l + c |y|`` and
@@ -195,17 +191,17 @@ class StructureReport:
 def check_structure(view: DriverView, probes: Sequence) -> StructureReport:
     """Probe the corridor membership of a bound driver.
 
-    ``probes`` is a sequence of ``(t, y, z, u_values)`` tuples; each probe
-    weighs the nodes by the intensity at its own ``t``.  A probe fails
-    when ``f`` leaves ``[q_lower - tol, q_upper + tol]`` with
+    ``probes`` is a sequence of ``(k, y, z, u_values)`` tuples; each probe
+    weighs the nodes by the ensemble's intensity at its own step ``k``.  A
+    probe fails when ``f`` leaves ``[q_lower - tol, q_upper + tol]`` with
     ``tol = 1e-9 * (1 + |q_upper|)``.  Violations are data, not errors.
     """
     n_probes = n_violations = 0
-    for t, y, z, u in probes:
+    for k, y, z, u in probes:
         n_probes += 1
-        wz = view.quad.intensity(view.model, t)
-        q_lo, q_hi = structure_bounds(t, y, z, u, view.driver.params, wz)
-        val = float(view.driver.evaluate(t, y, z, u, wz))
+        q_lo, q_hi = structure_bounds(y, z, u, view.driver.params,
+                                      view.ensemble.intensity[k])
+        val = float(view.evaluate(k, y, z, u))
         tol = 1e-9 * (1.0 + abs(float(q_hi)))
         if max(float(q_lo) - val, val - float(q_hi)) > tol:
             n_violations += 1
@@ -320,7 +316,7 @@ class RegularizedDriver:
         joint minimization over a ``(y, z, v)`` product grid (probe scale).
     """
 
-    view: DriverView              # base driver on the master quadrature
+    view: DriverView              # base driver on the master ensemble
     n: float
     m: float
     node_idx: np.ndarray          # truncation subset into the master nodes
@@ -341,10 +337,15 @@ class RegularizedDriver:
     def _lip_needed(self) -> float:
         # mark part measured in the weighted-L2 norm via Cauchy-Schwarz, with
         # the intensity mass on the kept nodes bounded at every t by c_nu
-        mass = self.view.model.c_nu * float(self.view.quad.weights[self.node_idx].sum())
+        ensemble = self.ensemble
+        mass = ensemble.model.c_nu * float(ensemble.quad.weights[self.node_idx].sum())
         g_lip = self.view.driver.g_lip_factor
         u_lip = g_lip * math.sqrt(mass) if math.isfinite(g_lip) else math.inf
         return max(self.view.driver.lip_yz, u_lip)
+
+    @property
+    def ensemble(self) -> PathEnsemble:
+        return self.view.ensemble
 
     @property
     def lip_y(self) -> float:
@@ -356,15 +357,15 @@ class RegularizedDriver:
 
     # -- separable pieces (nonnegative strategy) ---------------------------
 
-    def _fhat_envelope(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        query = self.view.driver.f_hat(t, y, z)
+    def _fhat_envelope(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        query = self.view.driver.f_hat(y, z)
         if z.shape[-1] != 1:
             raise NotRegularizableError("separable envelope needs a scalar noise "
                                         "dimension; use the generic strategy")
-        cv = self.view.driver.f_hat(t, np.zeros_like(YZ_GRID), YZ_GRID[:, None])
+        cv = self.view.driver.f_hat(np.zeros_like(YZ_GRID), YZ_GRID[:, None])
         return np.minimum(_running_min_envelope(cv, YZ_GRID, z[..., 0], self.n), query)
 
-    def _jump_envelope(self, t: float, u_sub: np.ndarray, wz: np.ndarray) -> np.ndarray:
+    def _jump_envelope(self, u_sub: np.ndarray, wz: np.ndarray) -> np.ndarray:
         """Constant-candidate envelope of the mark integral in the nu-norm:
         per row, ``min_v [mass g(v) + n |u - v|_nu]`` over ``V_GRID``, at
         most the value at ``u`` itself.
@@ -375,13 +376,13 @@ class RegularizedDriver:
         the minimum is then read off that index and its two neighbours, 19
         grid probes per row in all.
         """
-        query = (self.view.driver.g(t, u_sub) * wz).sum(axis=-1)
+        query = (self.view.driver.g(u_sub) * wz).sum(axis=-1)
         mass = float(wz.sum())
         if mass <= 0:
             return query
         s1 = (u_sub * wz).sum(axis=-1)
         s2 = (u_sub * u_sub * wz).sum(axis=-1)
-        g_grid = self.view.driver.g(t, V_GRID)
+        g_grid = self.view.driver.g(V_GRID)
         if not _convex_on_grid(g_grid):
             raise NotRegularizableError(f"driver {self.view.driver.name!r} has a jump "
                                         "integrand g that is not convex on V_GRID; the "
@@ -409,25 +410,18 @@ class RegularizedDriver:
 
     # -- generic joint envelope (probe scale) ------------------------------
 
-    def _joint_candidates(self, t: float, mass: float):
-        yzg = YZ_GRID[:: YZ_GRID.size // 25]
-        vg = V_GRID[:: V_GRID.size // 11]
-        yy, zz, vv = np.meshgrid(yzg, yzg, vg, indexing="ij")
-        yy, zz, vv = yy.ravel(), zz.ravel(), vv.ravel()
-        fv = (self.view.driver.f_hat(t, yy, zz[:, None])
-              + self.view.driver.g(t, vv) * mass)
-        return yy, zz, vv, fv
-
-    def _generic_eval(self, t: float, y: np.ndarray, z: np.ndarray,
+    def _generic_eval(self, y: np.ndarray, z: np.ndarray,
                       u_sub: np.ndarray, wz: np.ndarray) -> np.ndarray:
         if z.shape[-1] != 1:
             raise NotRegularizableError("generic envelope supports d = 1 only")
         mass = float(wz.sum())
-        yy, zz, vv, fv = self._joint_candidates(t, mass)
+        yzg, vg = YZ_GRID[:: YZ_GRID.size // 25], V_GRID[:: V_GRID.size // 11]
+        yy, zz, vv = (c.ravel() for c in np.meshgrid(yzg, yzg, vg, indexing="ij"))
+        fv = self.view.driver.f_hat(yy, zz[:, None]) + self.view.driver.g(vv) * mass
         fp_c, fm_c = np.maximum(fv, 0.0), np.maximum(-fv, 0.0)
         s1 = (u_sub * wz).sum(axis=-1)
         s2 = (u_sub * u_sub * wz).sum(axis=-1)
-        fq = self.view.driver.evaluate(t, y, z, u_sub, wz)
+        fq = self.view.driver.evaluate(y, z, u_sub, wz)
         env_p = np.maximum(fq, 0.0)
         env_m = np.maximum(-fq, 0.0)
         zflat = z[..., 0]
@@ -445,8 +439,8 @@ class RegularizedDriver:
 
     # -----------------------------------------------------------------------
 
-    def evaluate(self, t: float, y, z, u) -> np.ndarray:
-        """Regularized generator at ``(t, y, z, u)``; vectorized over rows.
+    def evaluate(self, k: int, y, z, u) -> np.ndarray:
+        """Regularized generator at step ``k``; vectorized over rows.
 
         ``u`` carries values on the master node set and is truncated here.
         """
@@ -455,20 +449,20 @@ class RegularizedDriver:
         if z.ndim <= y.ndim:
             z = np.atleast_1d(z)[..., None] if z.ndim == y.ndim else z.reshape(y.shape + (1,))
         u_sub = np.atleast_2d(np.asarray(u, dtype=float)[..., self.node_idx])
-        wz = self.view.quad.intensity(self.view.model, t)[self.node_idx]
+        wz = self.ensemble.intensity[k][self.node_idx]
         if self.strategy == "lipschitz_exact":
-            return self.view.driver.evaluate(t, y, z, u_sub, wz)
+            return self.view.driver.evaluate(y, z, u_sub, wz)
         if self.strategy == "nonnegative":
-            return self._fhat_envelope(t, y, z) + self._jump_envelope(t, u_sub, wz)
-        return self._generic_eval(t, y, z, u_sub, wz)
+            return self._fhat_envelope(y, z) + self._jump_envelope(u_sub, wz)
+        return self._generic_eval(y, z, u_sub, wz)
 
 
 def regularize(view: DriverView, n: float, m: float,
                node_idx: np.ndarray | None = None) -> RegularizedDriver:
     """Build the Lipschitz approximation of the bound driver ``view`` at
-    indices ``(n, m)`` on its quadrature, truncated to ``node_idx``."""
+    indices ``(n, m)`` on its ensemble's quadrature, truncated to ``node_idx``."""
     if node_idx is None:
-        node_idx = np.arange(view.quad.n_nodes)
+        node_idx = np.arange(view.ensemble.quad.n_nodes)
     return RegularizedDriver(view, float(n), float(m), node_idx)
 
 
@@ -484,18 +478,18 @@ class GammaSlopeReport:
     slopes: np.ndarray
 
 
-def check_a_gamma(driver: Driver, t: float, y: float, z, u, u_bar,
+def check_a_gamma(driver: Driver, y: float, z, u, u_bar,
                   wz: np.ndarray, gamma_cap: float = math.inf) -> GammaSlopeReport:
     """One-sided slope certificate for the jump dependence.
 
     The per-node slope ``(g(u_i) - g(u_bar_i)) / (u_i - u_bar_i)`` is clamped
     to ``(-1 + 1e-9, gamma_cap)`` and must dominate the actual increment:
     ``f(u) - f(u_bar) <= sum_i wz_i slope_i (u_i - u_bar_i) + 1e-9`` for the
-    node intensity ``wz`` at time ``t``.
+    node intensity ``wz``.
     """
     u = np.asarray(u, dtype=float)
     ub = np.asarray(u_bar, dtype=float)
-    gu, gub = driver.g(t, u), driver.g(t, ub)
+    gu, gub = driver.g(u), driver.g(ub)
     lhs = float(((gu - gub) * wz).sum())
     diff = u - ub
     slopes = np.zeros_like(diff)

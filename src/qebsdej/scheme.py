@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drivers import Driver, StructureParams, regularize
+from .drivers import Driver, DriverView, StructureParams, regularize
 from .levy import KAPPA_MAX, LevyModel, MarkQuadrature, build_quadrature, nu_norm
 from .risk import AprioriReport, apriori_bound_check, terminal_bound_payoff
 from .semimartingale import (QStructureReport, SubmartingaleReport,
@@ -323,7 +323,7 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
     its error message rather than aborting the ladder.
     """
     quad = ensemble.quad
-    view = base.at_quadrature(quad, ensemble.model)
+    view = DriverView(base, ensemble)
 
     records: list[TripleRecord] = []
     for (n_idx, m_idx, kappa) in schedule.triples:
@@ -333,7 +333,7 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
         records.append(record)
         try:
             reg = regularize(view, n_idx, m_idx, node_idx)
-            record.dec = decompose(solve_lipschitz(reg, terminal_fn, ensemble, basis_degree,
+            record.dec = decompose(solve_lipschitz(reg, terminal_fn, basis_degree,
                                                    picard_max, picard_tol))
         except Exception as exc:  # a failed triple is data, not a crash
             record.error = f"{type(exc).__name__}: {exc}"

@@ -49,8 +49,7 @@ def check_q_structure(dec: Decomposition, params: StructureParams,
     lower = np.empty_like(dv)
     upper = np.empty_like(dv)
     for k in range(solution.n_steps):
-        q_lo, q_hi = structure_bounds(float(ensemble.time_grid[k]),
-                                      solution.y[:, k], solution.z[:, k, :],
+        q_lo, q_hi = structure_bounds(solution.y[:, k], solution.z[:, k, :],
                                       solution.u_values(k), params,
                                       ensemble.intensity[k])
         lower[:, k] = q_lo * dt
@@ -134,15 +133,15 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
 def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
                                basis_degree: int) -> float:
     """Max studentized feature coefficient when regressing increments on
-    time-``t_k`` features; near zero for true martingale increments."""
+    time-``t_k`` features; near zero for true martingale increments.  The
+    standard errors are heteroscedasticity-robust (HC0): the variance of a
+    martingale increment moves with the state."""
     worst = 0.0
-    n = increments.shape[0]
     for k in range(increments.shape[1]):
         reg = Regression(ensemble.state[:, k], basis_degree)
         coeffs, fitted = reg.fit(increments[:, k])
-        resid = increments[:, k] - fitted
-        sigma2 = float(resid @ resid) / max(n - reg.n_basis, 1)
-        se = np.sqrt(np.clip(sigma2 * reg.gram_inverse_diag, 1e-300, None))
+        variances = reg.robust_variances(increments[:, k] - fitted)
+        se = np.sqrt(np.clip(variances, 1e-300, None))
         worst = max(worst, float(np.max(np.abs(coeffs) / se)))
     return worst
 
@@ -151,19 +150,19 @@ def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
 # canonical exponential semimartingales
 # ---------------------------------------------------------------------------
 
-def canonical_paths(m_c_increments: np.ndarray, bracket_increments: np.ndarray,
-                    u_fields: np.ndarray, jump_counts: Sequence[np.ndarray],
-                    wz: np.ndarray, dt: float, direction: str,
-                    r0: float = 0.0) -> np.ndarray:
+def canonical_paths(ensemble: PathEnsemble, m_c_increments: np.ndarray,
+                    bracket_increments: np.ndarray, u_fields: np.ndarray,
+                    direction: str, r0: float = 0.0) -> np.ndarray:
     """Canonical exponential-quadratic paths driven by given martingale parts.
 
     ``m_c_increments`` has shape (n_paths, K) and ``bracket_increments`` holds
     the matching predictable brackets (``|Z|^2 dt`` per path and step, scalar
     rows broadcast).  ``u_fields`` holds one field per step, shape (K, Q),
-    broadcast over paths; ``jump_counts[k]`` is the dense per-node count
-    matrix of interval ``k``; ``wz`` is the node intensity.  The upper
-    direction subtracts half the bracket and the ``exp(u) - u - 1`` compensator,
-    the lower one adds half the bracket and the ``exp(-u) + u - 1`` compensator.
+    broadcast over paths; its jump sums run over the jumps of ``ensemble``
+    and both compensators weigh the nodes by ``ensemble.intensity[k]``.  The
+    upper direction subtracts half the bracket and the ``exp(u) - u - 1``
+    compensator, the lower one adds half the bracket and the
+    ``exp(-u) + u - 1`` compensator.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
@@ -173,11 +172,10 @@ def canonical_paths(m_c_increments: np.ndarray, bracket_increments: np.ndarray,
                               m_c_increments.shape)
     r = np.empty((n, k_steps + 1))
     r[:, 0] = r0
+    dt = ensemble.dt
     for k in range(k_steps):
-        u_k = u_fields[k]
-        counts = jump_counts[k]
-        jump_sum = counts @ u_k
-        dm = m_c_increments[:, k] + jump_sum - (wz * u_k).sum() * dt
+        u_k, wz = u_fields[k], ensemble.intensity[k]
+        dm = m_c_increments[:, k] + ensemble.jumps.compensated_sum(k, u_k, wz, dt)
         comp = (wz * exp_excess(sign * u_k)).sum()
         r[:, k + 1] = r[:, k] + dm - sign * (0.5 * bracket[:, k] + comp * dt)
     return r

@@ -190,11 +190,11 @@ class Regression:
         coeffs = self._v_scaled @ (self._u.T @ targets)
         return coeffs, self.design @ coeffs
 
-    @property
-    def gram_inverse_diag(self) -> np.ndarray:
-        """Diagonal of the Gram pseudo-inverse: coefficient variances per
-        unit residual variance."""
-        return (self._v_scaled ** 2).sum(axis=1)
+    def robust_variances(self, resid: np.ndarray) -> np.ndarray:
+        """Heteroscedasticity-robust (HC0) coefficient variances of a fit with
+        residuals ``resid``: the diagonal of ``B diag(resid^2) B'`` with
+        ``B = (X'X)^+ X' = V S^-1 U'``, the stored factorization."""
+        return ((self._v_scaled @ (self._u.T * resid)) ** 2).sum(axis=1)
 
     @property
     def leverages(self) -> np.ndarray:
@@ -272,17 +272,19 @@ def same_ensemble(*solutions: BsdejSolution) -> PathEnsemble:
     return ensemble
 
 
-def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
-                    basis_degree: int, picard_max: int, picard_tol: float) -> BsdejSolution:
+def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
+                    picard_max: int, picard_tol: float) -> BsdejSolution:
     """Backward regression solve for a generator with a Lipschitz ``y`` bound.
 
-    ``driver`` is a bound or regularized driver: its ``evaluate(t, y, z,
-    u_values)`` runs over paths and its ``lip_y`` sets the contraction guard.
+    ``driver`` is a bound or regularized driver, solved on its ``ensemble``:
+    its ``evaluate(k, y, z, u_values)`` runs over paths and its ``lip_y``
+    sets the contraction guard.
     Jump loadings are only regressed on nodes expected to see at least
     ``MIN_EXPECTED_JUMPS`` jumps across the ensemble in one step; the loading
     of a statistically dead node is pinned at zero (its intensity-weighted
     contribution to the generator is below the Monte Carlo resolution anyway).
     """
+    ensemble = driver.ensemble
     dt = ensemble.dt
     lip_y = driver.lip_y
     if dt * lip_y >= 1.0:
@@ -306,7 +308,6 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
     u_clip = np.zeros(k_steps)
 
     for k in range(k_steps - 1, -1, -1):
-        t_k = float(ensemble.time_grid[k])
         reg = Regression(ensemble.state[:, k], basis_degree)
         conds[k] = reg.gram_condition
         y_next = y[:, k + 1]
@@ -346,7 +347,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
 
         y_cur = ey.copy()
         for it in range(picard_max):
-            f_now = np.asarray(driver.evaluate(t_k, y_cur, z[:, k, :], u_now),
+            f_now = np.asarray(driver.evaluate(k, y_cur, z[:, k, :], u_now),
                                dtype=float)
             y_prev, y_cur = y_cur, ey + f_now * dt
             picard_counts[k] = it + 1
@@ -354,8 +355,8 @@ def solve_lipschitz(driver, terminal_fn: Callable, ensemble: PathEnsemble,
             if lip_y == 0.0 or float(np.max(np.abs(y_cur - y_prev))) < picard_tol:
                 break
         else:
-            raise RuntimeError(f"Picard iteration did not reach {picard_tol:g} "
-                               f"in {picard_max} steps at t = {t_k:.4g}")
+            raise RuntimeError(f"Picard iteration did not reach {picard_tol:g} in "
+                               f"{picard_max} steps at t = {ensemble.time_grid[k]:.4g}")
         fvals[:, k] = f_now
         y[:, k] = y_cur
 

@@ -17,10 +17,10 @@ def forward(model, quad, dynamics, t_end, k_steps, n_paths, seed, **settings):
                                  **settings})
 
 
-def solve(driver, terminal_fn, ensemble, **settings):
-    """``solve_lipschitz`` with the solver settings at their configuration
-    defaults unless ``settings`` sets them."""
-    return q.solve_lipschitz(driver, terminal_fn, ensemble,
+def solve(driver, terminal_fn, **settings):
+    """``solve_lipschitz`` of a bound driver on its ensemble, with the solver
+    settings at their configuration defaults unless ``settings`` sets them."""
+    return q.solve_lipschitz(driver, terminal_fn,
                              **{**_defaults("solver", "basis_degree", "picard_max",
                                             "picard_tol"), **settings})
 

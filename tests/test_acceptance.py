@@ -53,8 +53,7 @@ def canonical_signed(gamma_setting):
     ens = forward(model, quad, "brownian_jumps", 1.0, 50, 100000, seed=42)
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
-    view = drv.at_quadrature(quad, model)
-    sol = solve(view, lambda x: 0.25 * x, ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: 0.25 * x)
     _record("canonical_signed", time.time() - t0)
     return params, ens, sol
 
@@ -67,8 +66,7 @@ def canonical_magnitude(gamma_setting):
     ens = forward(model, quad, "brownian_jumps", 1.0, 50, 100000, seed=43)
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
-    view = drv.at_quadrature(quad, model)
-    sol = solve(view, lambda x: np.abs(0.25 * x), ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     _record("canonical_magnitude", time.time() - t0)
     return params, ens, sol
 
@@ -97,7 +95,7 @@ def test_criterion_01_martingale_representation():
     ens = forward(q.make_model("null"), quad, "brownian", 1.0, 50, 100000,
                   seed=7)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(drv.at_quadrature(quad, ens.model), lambda x: x, ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: x)
     elapsed = time.time() - t0
     err = float(np.abs(sol.y - ens.state).mean(axis=0).max())
     ok = err <= 0.02 and elapsed <= 60.0
@@ -110,8 +108,7 @@ def test_criterion_02_linear_driver_closed_form(gamma_setting):
     ens = forward(model, quad, "brownian_jumps", 1.0, 100, 2000, seed=8)
     params = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", params, a=0.5)
-    sol = solve(drv.at_quadrature(quad, model),
-                lambda x: np.ones_like(x), ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
     err = abs(sol.y0 - math.exp(0.5))
     _report(2, err <= 0.01, f"|Y0 - e^0.5| = {err:.5f} (tol 0.01)")
 
@@ -143,14 +140,11 @@ def test_criterion_04_doleans_means(gamma_setting):
     model, _ = gamma_setting
     quad = q.build_quadrature(model, 4.0, 10)
     ens = forward(model, quad, "brownian_jumps", 1.0, 20, 100000, seed=17)
-    k_steps, dt = ens.n_steps, ens.dt
     mc = ens.dw[:, :, 0]
-    counts = [ens.jumps.counts_for_interval(k) for k in range(k_steps)]
-    u_fields = np.full((k_steps, quad.n_nodes), 0.3)
+    u_fields = np.full((ens.n_steps, quad.n_nodes), 0.3)
     details, ok = [], True
     for direction in ("upper", "lower"):
-        r = canonical_paths(mc, dt, u_fields, counts, quad.weights, dt,
-                            direction)
+        r = canonical_paths(ens, mc, ens.dt, u_fields, direction)
         mean, se = doleans_check(r, direction)
         ok &= abs(mean - 1.0) <= 3.0 * se
         details.append(f"{direction}: {mean:.4f} +- {se:.4f}")
@@ -210,10 +204,12 @@ def test_criterion_08_regularization_suite(gamma_setting):
     # Lipschitz cap on the regularized generator
     params = q.StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", params)
-    reg5 = regularize(base.at_quadrature(quad, model), 5, 2)
+    view = q.DriverView(base, forward(model, quad, "brownian_jumps", 1.0, 2, 100,
+                                      seed=80))
+    reg5 = regularize(view, 5, 2)
     u0 = np.zeros((1, quad.n_nodes))
     est = lipschitz_estimate(
-        lambda row: float(reg5.evaluate(0.0, np.array([row[0]]),
+        lambda row: float(reg5.evaluate(0, np.array([row[0]]),
                                         np.array([[row[1]]]), u0)[0]),
         [(-8.0, 8.0), (-8.0, 8.0)], 1000, seed=82)
     if est > 5.0 * (1.0 + 1e-6):
@@ -221,32 +217,33 @@ def test_criterion_08_regularization_suite(gamma_setting):
 
     # monotone tables: nondecreasing in n and kappa, nonincreasing in m
     quad_cut = q.build_quadrature(model, 8.0, 10, cut_levels=[0.5, 0.25])
+    ens_cut = forward(model, quad_cut, "brownian_jumps", 1.0, 2, 100, seed=80)
     ys = rng.uniform(-3, 3, 50)
     zs = rng.uniform(-3, 3, (50, 1))
     us = rng.uniform(-1.2, 1.2, (50, quad_cut.n_nodes))
     prev = None
     for n_idx in (1, 2, 4):
-        vals = regularize(base.at_quadrature(quad_cut, model), n_idx,
-                          2).evaluate(0.0, ys, zs, us)
+        vals = regularize(q.DriverView(base, ens_cut), n_idx,
+                          2).evaluate(0, ys, zs, us)
         if prev is not None and np.any(vals < prev - 1e-12):
             failures.append("n table")
         prev = vals
     prev = None
     for kappa in (2.0, 4.0, 8.0):
-        reg = regularize(base.at_quadrature(quad_cut, model), 4, 2,
+        reg = regularize(q.DriverView(base, ens_cut), 4, 2,
                          node_idx=quad_cut.restrict_indices(kappa))
-        vals = reg.evaluate(0.0, ys, zs, us)
+        vals = reg.evaluate(0, ys, zs, us)
         if prev is not None and np.any(vals < prev - 1e-12):
             failures.append("kappa table")
         prev = vals
     shifted = Driver("shifted",
-                     lambda t, y, z: base.f_hat(t, y, z) - 1.0, base.g,
+                     lambda y, z: base.f_hat(y, z) - 1.0, base.g,
                      q.StructureParams(1.0, 1.0, 0.0),
                      nonnegative=False, lip_y=0.0)
     prev = None
     for m_idx in (1, 2, 4, 8):
-        vals = regularize(shifted.at_quadrature(quad_cut, model), 4,
-                          m_idx).evaluate(0.0, ys, zs, us)
+        vals = regularize(q.DriverView(shifted, ens_cut), 4,
+                          m_idx).evaluate(0, ys, zs, us)
         if prev is not None and np.any(vals > prev + 1e-12):
             failures.append("m table")
         prev = vals
@@ -256,11 +253,11 @@ def test_criterion_08_regularization_suite(gamma_setting):
     ys = rng.uniform(-4, 4, n_probe)
     zs = rng.uniform(-4, 4, (n_probe, 1))
     us = rng.uniform(-1.5, 1.5, (n_probe, quad.n_nodes))
-    reg = regularize(base.at_quadrature(quad, model), 4, 4)
-    vals = reg.evaluate(0.0, ys, zs, us)
+    reg = regularize(view, 4, 4)
+    vals = reg.evaluate(0, ys, zs, us)
     violations = 0
     for i in range(n_probe):
-        lo, hi = structure_bounds(0.0, ys[i], zs[i], us[i], params, quad.weights)
+        lo, hi = structure_bounds(ys[i], zs[i], us[i], params, quad.weights)
         tol = 1e-9 * (1.0 + abs(float(hi)))
         if not (float(lo) - tol <= vals[i] <= float(hi) + tol):
             violations += 1

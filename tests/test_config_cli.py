@@ -650,6 +650,13 @@ def test_summary_states_applied_tolerance(tmp_path):
         assert (status == "PASS") == (value < tol), name
     assert all(tol == 0.0 for _, name, _, tol in strict
                if name.endswith("decreasing"))
+    # the Chebyshev region check cannot fail at d = 1, and says so
+    summary = (tmp_path / "tol_out" / "summary.txt").read_text().splitlines()
+    chebyshev = [line for line in summary if line.startswith(("PASS chebyshev_",
+                                                              "FAIL chebyshev_"))]
+    assert len(chebyshev) == 2
+    assert all(line.endswith(" vacuous at d = 1: Markov's inequality on the sample")
+               for line in chebyshev)
 
 
 def test_failed_triple_is_recorded(tmp_path, monkeypatch):

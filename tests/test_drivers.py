@@ -11,7 +11,16 @@ from qebsdej.drivers import (V_GRID, Driver, NotRegularizableError, StructurePar
 from qebsdej.levy import gamma_model
 from qebsdej.oracles import huber_envelope_exact, huber_envelope_grid
 
+from conftest import forward
+
 DENSE = np.linspace(-5.0, 5.0, 10001)
+
+
+def bind(driver, model, quad, k_steps=2):
+    """``driver`` bound to a small ensemble over ``[0, 1]`` on ``quad``, for
+    probes on a quadrature other than the shared one."""
+    return q.DriverView(driver, forward(model, quad, "brownian_jumps", 1.0,
+                                        k_steps, 100, seed=1))
 
 
 def square(r):
@@ -49,14 +58,14 @@ def test_structure_params_validation():
 
 def test_bounds_vanish_at_origin(two_node_quad):
     p = StructureParams(1.0, 0.0, 0.0)
-    lo, hi = structure_bounds(0.0, 0.0, np.array([0.0]), np.zeros(2), p,
+    lo, hi = structure_bounds(0.0, np.array([0.0]), np.zeros(2), p,
                               two_node_quad.weights)
     assert lo == 0.0 and hi == 0.0
 
 
 def test_bounds_direct_evaluation(two_node_quad):
     p = StructureParams(1.0, 0.5, 1.0)
-    lo, hi = structure_bounds(0.0, 1.0, np.array([2.0]), np.zeros(2), p,
+    lo, hi = structure_bounds(1.0, np.array([2.0]), np.zeros(2), p,
                               two_node_quad.weights)
     assert hi == pytest.approx(3.5)
     assert lo == pytest.approx(-3.5)
@@ -64,50 +73,48 @@ def test_bounds_direct_evaluation(two_node_quad):
 
 def test_bounds_constant_field_closed_forms(two_node_quad):
     p = StructureParams(1.0, 0.0, 0.0)
-    lo, hi = structure_bounds(0.0, 0.0, np.array([0.0]), np.ones(2), p,
+    lo, hi = structure_bounds(0.0, np.array([0.0]), np.ones(2), p,
                               two_node_quad.weights)
     assert hi == pytest.approx(2.0 * (math.e - 2.0), rel=1e-12)
     assert lo == pytest.approx(-2.0 / math.e, rel=1e-12)
 
 
-def test_check_structure_canonical_zero_violations(canonical, gamma_quad, probes,
-                                                   gamma_model):
+def test_check_structure_canonical_zero_violations(canonical, probes, small_ensemble):
     ys, zs, us = probes
-    pts = [(0.0, ys[i], zs[i], us[i]) for i in range(ys.size)]
-    view = canonical.at_quadrature(gamma_quad, gamma_model)
+    pts = [(0, ys[i], zs[i], us[i]) for i in range(ys.size)]
+    view = q.DriverView(canonical, small_ensemble)
     report = q.check_structure(view, pts)
     assert report.ok
 
 
-def test_check_structure_constructed_violation(gamma_quad, probes, gamma_model):
+def test_check_structure_constructed_violation(probes, small_ensemble):
     p = StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", p)
 
-    def f_hat(t, y, z):
-        return base.f_hat(t, y, z) + 1.0
+    def f_hat(y, z):
+        return base.f_hat(y, z) + 1.0
 
     shifted = Driver("above", f_hat, base.g, p, nonnegative=True, lip_y=0.0)
     ys, zs, us = probes
-    pts = [(0.0, ys[i], zs[i], us[i]) for i in range(ys.size)]
-    view = shifted.at_quadrature(gamma_quad, gamma_model)
+    pts = [(0, ys[i], zs[i], us[i]) for i in range(ys.size)]
+    view = q.DriverView(shifted, small_ensemble)
     report = q.check_structure(view, pts)
     assert report.n_violations == report.n_probes
 
 
-def test_check_structure_counts_generator_probes(canonical, gamma_quad, probes,
-                                                 gamma_model):
+def test_check_structure_counts_generator_probes(canonical, probes, small_ensemble):
     ys, zs, us = probes
-    pts = ((0.0, ys[i], zs[i], us[i]) for i in range(ys.size))
-    view = canonical.at_quadrature(gamma_quad, gamma_model)
+    pts = ((0, ys[i], zs[i], us[i]) for i in range(ys.size))
+    view = q.DriverView(canonical, small_ensemble)
     assert q.check_structure(view, pts).n_probes == ys.size
 
 
-def test_check_structure_morlais(gamma_quad, probes, gamma_model):
+def test_check_structure_morlais(probes, small_ensemble):
     p = StructureParams(1.0, 0.0, 0.6)
     drv = q.make_driver("morlais", p, beta=0.5)  # beta <= c keeps the corridor
     ys, zs, us = probes
-    pts = [(0.0, ys[i], zs[i], us[i]) for i in range(ys.size)]
-    assert q.check_structure(drv.at_quadrature(gamma_quad, gamma_model), pts).ok
+    pts = [(0, ys[i], zs[i], us[i]) for i in range(ys.size)]
+    assert q.check_structure(q.DriverView(drv, small_ensemble), pts).ok
 
 
 def test_driver_continuity(canonical, gamma_quad):
@@ -117,9 +124,9 @@ def test_driver_continuity(canonical, gamma_quad):
         y = rng.uniform(-2, 2)
         z = rng.uniform(-2, 2, (1,))
         u = rng.uniform(-1, 1, gamma_quad.n_nodes)
-        base = canonical.evaluate(0.0, y, z, u, wz)
+        base = canonical.evaluate(y, z, u, wz)
         for h in (1e-4, 1e-6):
-            bumped = canonical.evaluate(0.0, y + h, z + h, u + h, wz)
+            bumped = canonical.evaluate(y + h, z + h, u + h, wz)
             assert abs(float(bumped - base)) < 50 * h + 1e-12
 
 
@@ -198,27 +205,26 @@ def test_mixed_norm_distance_candidates():
 # regularized drivers
 # ---------------------------------------------------------------------------
 
-def test_nonnegative_base_has_null_negative_part(canonical, gamma_quad, probes,
-                                                 gamma_model):
+def test_nonnegative_base_has_null_negative_part(canonical, probes, small_ensemble):
     ys, zs, us = probes
-    view = canonical.at_quadrature(gamma_quad, gamma_model)
-    vals_m1 = regularize(view, 3, 1).evaluate(0.0, ys, zs, us)
-    vals_m8 = regularize(view, 3, 8).evaluate(0.0, ys, zs, us)
+    view = q.DriverView(canonical, small_ensemble)
+    vals_m1 = regularize(view, 3, 1).evaluate(0, ys, zs, us)
+    vals_m8 = regularize(view, 3, 8).evaluate(0, ys, zs, us)
     assert np.array_equal(vals_m1, vals_m8)  # m is inert when f >= 0
 
 
-def test_linear_driver_reproduced_exactly(gamma_quad, gamma_model):
+def test_linear_driver_reproduced_exactly(gamma_quad, small_ensemble):
     p = StructureParams(1.0, 0.5, 1.0)
     lin = q.make_driver("linear", p, a=1.0)
     rng = np.random.default_rng(3)
     ys = rng.uniform(-3, 3, 30)
-    reg = regularize(lin.at_quadrature(gamma_quad, gamma_model), 1, 1)
+    reg = regularize(q.DriverView(lin, small_ensemble), 1, 1)
     assert reg.strategy == "lipschitz_exact"
-    vals = reg.evaluate(0.0, ys, np.zeros((30, 1)), np.zeros((30, gamma_quad.n_nodes)))
+    vals = reg.evaluate(0, ys, np.zeros((30, 1)), np.zeros((30, gamma_quad.n_nodes)))
     assert np.allclose(vals, ys, atol=1e-14)
 
 
-def test_generic_strategy_exact_for_lipschitz_base(gamma_quad, gamma_model):
+def test_generic_strategy_exact_for_lipschitz_base(gamma_quad, small_ensemble):
     # with the query point in the candidate set, the envelope of an
     # L-Lipschitz function at indices >= L is the function itself, on any grid
     p = StructureParams(1.0, 0.5, 1.0)
@@ -229,42 +235,41 @@ def test_generic_strategy_exact_for_lipschitz_base(gamma_quad, gamma_model):
     us = np.zeros((20, gamma_quad.n_nodes))
     # without a declared (y, z) Lipschitz constant the envelope is generic
     undeclared = dataclasses.replace(lin, lip_yz=math.inf)
-    reg = regularize(undeclared.at_quadrature(gamma_quad, gamma_model), 4, 4)
+    reg = regularize(q.DriverView(undeclared, small_ensemble), 4, 4)
     assert reg.strategy == "generic"
-    direct = lin.f_hat(0.0, ys, zs)
-    assert np.allclose(reg.evaluate(0.0, ys, zs, us), direct, atol=1e-12)
+    direct = lin.f_hat(ys, zs)
+    assert np.allclose(reg.evaluate(0, ys, zs, us), direct, atol=1e-12)
 
 
-def test_monotone_in_n_and_kappa(canonical, gamma_model, probes):
+def test_monotone_in_n_and_kappa(canonical, gamma_model):
     quad = q.build_quadrature(gamma_model, 8.0, 10, cut_levels=[0.5, 0.25])
+    view = bind(canonical, gamma_model, quad)
     rng = np.random.default_rng(6)
     ys = rng.uniform(-3, 3, 50)
     zs = rng.uniform(-3, 3, (50, 1))
     us = rng.uniform(-1.2, 1.2, (50, quad.n_nodes))
     prev = None
     for n in (1, 2, 4):
-        vals = regularize(canonical.at_quadrature(quad, gamma_model), n,
-                          2).evaluate(0.0, ys, zs, us)
+        vals = regularize(view, n, 2).evaluate(0, ys, zs, us)
         if prev is not None:
             assert np.all(vals >= prev - 1e-12)
         prev = vals
     prev = None
     for kappa in (2.0, 4.0, 8.0):
-        reg = regularize(canonical.at_quadrature(quad, gamma_model), 4, 2,
-                         node_idx=quad.restrict_indices(kappa))
-        vals = reg.evaluate(0.0, ys, zs, us)
+        reg = regularize(view, 4, 2, node_idx=quad.restrict_indices(kappa))
+        vals = reg.evaluate(0, ys, zs, us)
         if prev is not None:
             assert np.all(vals >= prev - 1e-12)
         prev = vals
 
 
-def test_antitone_in_m(gamma_quad, gamma_model):
+def test_antitone_in_m(gamma_quad, small_ensemble):
     # a shifted canonical driver has a genuine negative part
     p = StructureParams(1.0, 1.0, 0.0)
     base = q.make_driver("canonical", StructureParams(1.0, 0.0, 0.0))
 
-    def f_hat(t, y, z):
-        return base.f_hat(t, y, z) - 1.0
+    def f_hat(y, z):
+        return base.f_hat(y, z) - 1.0
 
     shifted = Driver("shifted", f_hat, base.g, p, nonnegative=False, lip_y=0.0)
     rng = np.random.default_rng(7)
@@ -273,39 +278,39 @@ def test_antitone_in_m(gamma_quad, gamma_model):
     us = rng.uniform(-1, 1, (50, gamma_quad.n_nodes))
     prev = None
     for m in (1, 2, 4, 8):
-        reg = regularize(shifted.at_quadrature(gamma_quad, gamma_model), 4, m)
+        reg = regularize(q.DriverView(shifted, small_ensemble), 4, m)
         assert reg.strategy == "generic"
-        vals = reg.evaluate(0.0, ys, zs, us)
+        vals = reg.evaluate(0, ys, zs, us)
         if prev is not None:
             assert np.all(vals <= prev + 1e-12)
         prev = vals
 
 
-def test_y_dependent_nonnegative_driver_is_regularized_jointly(gamma_quad, gamma_model):
+def test_y_dependent_nonnegative_driver_is_regularized_jointly(small_ensemble):
     # the separable envelope drops y, so a nonnegative generator that reads y
     # goes to the joint (y, z, v) envelope
     p = StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", p)
 
-    def f_hat(t, y, z):
-        return base.f_hat(t, y, z) + np.abs(np.asarray(y, dtype=float))
+    def f_hat(y, z):
+        return base.f_hat(y, z) + np.abs(np.asarray(y, dtype=float))
 
     drv = Driver("abs_y", f_hat, base.g, p, nonnegative=True, lip_y=1.0)
-    view = drv.at_quadrature(gamma_quad, gamma_model)
+    view = q.DriverView(drv, small_ensemble)
     assert regularize(view, 4, 4).strategy == "generic"
 
 
-def test_sandwich_thousand_probes(canonical, gamma_quad, gamma_model):
+def test_sandwich_thousand_probes(canonical, gamma_quad, small_ensemble):
     rng = np.random.default_rng(8)
     n = 1000
     ys = rng.uniform(-4, 4, n)
     zs = rng.uniform(-4, 4, (n, 1))
     us = rng.uniform(-1.5, 1.5, (n, gamma_quad.n_nodes))
-    reg = regularize(canonical.at_quadrature(gamma_quad, gamma_model), 4, 4)
-    vals = reg.evaluate(0.0, ys, zs, us)
+    reg = regularize(q.DriverView(canonical, small_ensemble), 4, 4)
+    vals = reg.evaluate(0, ys, zs, us)
     violations = 0
     for i in range(n):
-        lo, hi = structure_bounds(0.0, ys[i], zs[i], us[i], canonical.params,
+        lo, hi = structure_bounds(ys[i], zs[i], us[i], canonical.params,
                                   gamma_quad.weights)
         tol = 1e-9 * (1.0 + abs(float(hi)))
         if not (float(lo) - tol <= vals[i] <= float(hi) + tol):
@@ -314,37 +319,37 @@ def test_sandwich_thousand_probes(canonical, gamma_quad, gamma_model):
 
 
 def test_regularized_never_exceeds_positive_part(canonical, gamma_quad, probes,
-                                                 gamma_model):
+                                                 small_ensemble):
     ys, zs, us = probes
-    reg = regularize(canonical.at_quadrature(gamma_quad, gamma_model), 3, 3)
-    vals = reg.evaluate(0.0, ys, zs, us)
-    direct = canonical.evaluate(0.0, ys, zs, us, gamma_quad.weights)
+    reg = regularize(q.DriverView(canonical, small_ensemble), 3, 3)
+    vals = reg.evaluate(0, ys, zs, us)
+    direct = canonical.evaluate(ys, zs, us, gamma_quad.weights)
     assert np.all(vals <= direct + 1e-12)
 
 
-def test_empirical_lipschitz_cap(canonical, gamma_quad, gamma_model):
-    reg = regularize(canonical.at_quadrature(gamma_quad, gamma_model), 5, 2)
+def test_empirical_lipschitz_cap(canonical, gamma_quad, small_ensemble):
+    reg = regularize(q.DriverView(canonical, small_ensemble), 5, 2)
     u0 = np.zeros((1, gamma_quad.n_nodes))
 
     def fyz(row):
-        return float(reg.evaluate(0.0, np.array([row[0]]),
+        return float(reg.evaluate(0, np.array([row[0]]),
                                   np.array([[row[1]]]), u0)[0])
 
     est = lipschitz_estimate(fyz, [(-8.0, 8.0), (-8.0, 8.0)], 1000, seed=9)
     assert est <= 5.0 * (1.0 + 1e-6)
 
 
-def test_mark_part_local_lipschitz_bound(canonical, gamma_quad, gamma_model):
+def test_mark_part_local_lipschitz_bound(canonical, gamma_quad, small_ensemble):
     # |G_n(u) - G_n(u')| <= n (|u| + |u'|) |u - u'| in the nu-norm, for
     # fields within the unit band and n past the local slope of the integrand
     rng = np.random.default_rng(10)
     n_idx = 4
-    reg = regularize(canonical.at_quadrature(gamma_quad, gamma_model), n_idx, 2)
+    reg = regularize(q.DriverView(canonical, small_ensemble), n_idx, 2)
     for _ in range(100):
         u = rng.uniform(-1, 1, (1, gamma_quad.n_nodes))
         ub = rng.uniform(-1, 1, (1, gamma_quad.n_nodes))
-        gu = float(reg._jump_envelope(0.0, u, gamma_quad.weights)[0])
-        gub = float(reg._jump_envelope(0.0, ub, gamma_quad.weights)[0])
+        gu = float(reg._jump_envelope(u, gamma_quad.weights)[0])
+        gub = float(reg._jump_envelope(ub, gamma_quad.weights)[0])
         nu = float(q.nu_norm(u, gamma_quad.weights)[0])
         nub = float(q.nu_norm(ub, gamma_quad.weights)[0])
         ndiff = float(q.nu_norm(u - ub, gamma_quad.weights)[0])
@@ -359,44 +364,46 @@ def test_truncation_convergence(canonical, gamma_model):
     ys = rng.uniform(-2, 2, 50)
     zs = rng.uniform(-2, 2, (50, 1))
     us = rng.uniform(-1, 1, (50, quad.n_nodes))
+    view = bind(canonical, gamma_model, quad)
     vals = {}
     for kappa in (2.0, 8.0, 32.0):
-        reg = regularize(canonical.at_quadrature(quad, gamma_model), 4, 4,
-                         node_idx=quad.restrict_indices(kappa))
-        vals[kappa] = reg.evaluate(0.0, ys, zs, us)
+        reg = regularize(view, 4, 4, node_idx=quad.restrict_indices(kappa))
+        vals[kappa] = reg.evaluate(0, ys, zs, us)
     gap_coarse = np.abs(vals[8.0] - vals[2.0]).max()
     gap_fine = np.abs(vals[32.0] - vals[8.0]).max()
     assert gap_fine < gap_coarse
 
 
 def test_regularized_driver_weighs_nodes_at_its_time():
-    # zeta fades in time: a regularized generator at t > 0 weighs its kept
-    # nodes by their intensity at t, not at time zero
+    # zeta fades in time: a regularized generator at the step with t_k > 0
+    # weighs its kept nodes by their intensity at t_k, not at time zero
     model = gamma_model(zeta=lambda t, e: np.full_like(e, 1.0 - t / 2.0))
     quad = q.build_quadrature(model, 8.0, 10, cut_levels=[0.25])
     lin = q.make_driver("linear", StructureParams(1.0, 0.0, 0.0),
                         a=0.5, b=0.3, c_tilde=0.4)
     idx = quad.restrict_indices(4.0)
-    reg = regularize(lin.at_quadrature(quad, model), 2, 2, idx)
+    view = bind(lin, model, quad, k_steps=4)
+    k = 3
+    assert view.ensemble.time_grid[k] == 0.75
+    reg = regularize(view, 2, 2, idx)
     assert reg.strategy == "lipschitz_exact"
     rng = np.random.default_rng(13)
     ys = rng.uniform(-2, 2, 40)
     zs = rng.uniform(-2, 2, (40, 1))
     us = rng.uniform(-1, 1, (40, quad.n_nodes))
-    t_k = 0.75
-    direct = lin.evaluate(t_k, ys, zs, us[:, idx], quad.intensity(model, t_k)[idx])
-    np.testing.assert_allclose(reg.evaluate(t_k, ys, zs, us), direct, rtol=1e-12)
+    direct = lin.evaluate(ys, zs, us[:, idx], quad.intensity(model, 0.75)[idx])
+    np.testing.assert_allclose(reg.evaluate(k, ys, zs, us), direct, rtol=1e-12)
 
 
-def test_regularize_index_validation(canonical, gamma_quad, gamma_model):
+def test_regularize_index_validation(canonical, small_ensemble):
     with pytest.raises(ValueError):
-        regularize(canonical.at_quadrature(gamma_quad, gamma_model), 0.5, 1)
+        regularize(q.DriverView(canonical, small_ensemble), 0.5, 1)
 
 
-def _dense_scan(reg, t, u_sub, wz):
+def _dense_scan(reg, u_sub, wz):
     """The mark envelope by a scan of all of ``V_GRID``, in blocks of 32:
     the reference that the bisection must reproduce bit for bit."""
-    query = (reg.view.driver.g(t, u_sub) * wz).sum(axis=-1)
+    query = (reg.view.driver.g(u_sub) * wz).sum(axis=-1)
     mass = float(wz.sum())
     if mass <= 0:
         return query
@@ -405,7 +412,7 @@ def _dense_scan(reg, t, u_sub, wz):
     out = np.full(query.shape, np.inf)
     for start in range(0, V_GRID.size, 32):
         v = V_GRID[start:start + 32][:, None]
-        gval = reg.view.driver.g(t, v[:, 0])[:, None] * mass
+        gval = reg.view.driver.g(v[:, 0])[:, None] * mass
         dist = np.sqrt(np.clip(mass * v * v - 2.0 * v * s1[None, :]
                                + s2[None, :], 0.0, None))
         np.minimum(out, (gval + reg.n * dist).min(axis=0), out=out)
@@ -432,36 +439,36 @@ def _envelope_fields(rng, n_nodes):
 @pytest.mark.parametrize("name,delta", [("canonical", 0.5), ("canonical", 1.0),
                                         ("canonical", 2.0), ("canonical", 10.0),
                                         ("zero", 1.0)])
-def test_jump_envelope_matches_dense_scan(gamma_quad, gamma_model, name, delta):
+def test_jump_envelope_matches_dense_scan(gamma_quad, small_ensemble, name, delta):
     drv = q.make_driver(name, StructureParams(delta, 0.0, 0.0))
     fields = _envelope_fields(np.random.default_rng(14), gamma_quad.n_nodes)
-    wz = gamma_quad.intensity(gamma_model, 0.0)
+    wz = small_ensemble.intensity[0]
     for n in (1, 2, 8, 64):
-        reg = regularize(drv.at_quadrature(gamma_quad, gamma_model), n, 1)
+        reg = regularize(q.DriverView(drv, small_ensemble), n, 1)
         assert reg.strategy == "nonnegative"
         for label, u in fields.items():
             for scale in (1e-3, 1.0, 50.0):
-                fast = reg._jump_envelope(0.0, u, scale * wz)
+                fast = reg._jump_envelope(u, scale * wz)
                 np.testing.assert_array_equal(
-                    fast, _dense_scan(reg, 0.0, u, scale * wz),
+                    fast, _dense_scan(reg, u, scale * wz),
                     err_msg=f"{name} delta={delta} n={n} {label} mass x{scale}")
         # no jump mass: the envelope is the query value itself
         u = fields["large_normal"]
-        np.testing.assert_array_equal(reg._jump_envelope(0.0, u, 0.0 * wz),
-                                      drv.jump_part(0.0, u, 0.0 * wz))
+        np.testing.assert_array_equal(reg._jump_envelope(u, 0.0 * wz),
+                                      drv.jump_part(u, 0.0 * wz))
 
 
-def test_nonconvex_jump_integrand_is_refused(gamma_quad, gamma_model):
+def test_nonconvex_jump_integrand_is_refused(gamma_quad, small_ensemble):
     # 1 - cos(v) is nonnegative but not convex, so the bisection could stop at
     # a local minimum of the mark objective
-    drv = Driver("bumpy", lambda t, y, z: np.zeros(np.shape(y)),
-                 lambda t, v: 1.0 - np.cos(np.asarray(v, dtype=float)),
+    drv = Driver("bumpy", lambda y, z: np.zeros(np.shape(y)),
+                 lambda v: 1.0 - np.cos(np.asarray(v, dtype=float)),
                  StructureParams(1.0, 0.0, 0.0), nonnegative=True, lip_y=0.0)
-    reg = regularize(drv.at_quadrature(gamma_quad, gamma_model), 2, 1)
+    reg = regularize(q.DriverView(drv, small_ensemble), 2, 1)
     assert reg.strategy == "nonnegative"
     u = np.zeros((3, gamma_quad.n_nodes))
     with pytest.raises(NotRegularizableError, match="not convex"):
-        reg.evaluate(0.0, np.zeros(3), np.zeros(3), u)
+        reg.evaluate(0, np.zeros(3), np.zeros(3), u)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +477,7 @@ def test_nonconvex_jump_integrand_is_refused(gamma_quad, gamma_model):
 
 def test_a_gamma_equal_fields(canonical, gamma_quad):
     u = np.full(gamma_quad.n_nodes, 0.3)
-    rep = q.check_a_gamma(canonical, 0.0, 0.0, np.array([0.0]), u, u,
+    rep = q.check_a_gamma(canonical, 0.0, np.array([0.0]), u, u,
                           gamma_quad.weights)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.ok
 
@@ -480,7 +487,7 @@ def test_a_gamma_single_node_slope(canonical):
                             np.array([1.0]))
     u = np.array([1.0])
     ub = np.array([0.0])
-    rep = q.check_a_gamma(canonical, 0.0, 0.0, np.array([0.0]), u, ub,
+    rep = q.check_a_gamma(canonical, 0.0, np.array([0.0]), u, ub,
                           quad.weights)
     assert rep.lhs == pytest.approx(math.e - 2.0, rel=1e-12)
     assert rep.rhs == pytest.approx(rep.lhs, rel=1e-12)
@@ -492,7 +499,7 @@ def test_a_gamma_random_pairs(canonical, gamma_quad):
     for _ in range(100):
         u = rng.uniform(-1.5, 1.5, gamma_quad.n_nodes)
         ub = rng.uniform(-1.5, 1.5, gamma_quad.n_nodes)
-        rep = q.check_a_gamma(canonical, 0.0, 0.0, np.array([0.0]), u, ub,
+        rep = q.check_a_gamma(canonical, 0.0, np.array([0.0]), u, ub,
                               gamma_quad.weights)
         assert rep.ok
 

@@ -143,8 +143,7 @@ def test_terminal_bound_payoff_discounting():
 def test_apriori_trivial_zero(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("zero", p)
-    sol = solve(drv.at_quadrature(gamma_quad, small_ensemble.model),
-                lambda x: np.zeros_like(x), small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.zeros_like(x))
     rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
@@ -155,8 +154,7 @@ def test_apriori_linear_driver_strict(small_ensemble, gamma_quad):
     # running cost l = 1 adds a horizon-length term to the bound
     p = q.StructureParams(1.0, 1.0, 0.0)
     drv = q.make_driver("linear", p, b=0.2)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: 0.2 * x, small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.2 * x)
     rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
     assert rep.rhs > abs(rep.lhs) + 0.5  # strict slack from the cost integral
@@ -168,8 +166,7 @@ def test_apriori_canonical_tight(small_ensemble, gamma_quad):
     # the scheme and sampling error
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: np.abs(0.25 * x), small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
     rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
     gap = abs(rep.rhs - rep.lhs)
@@ -181,8 +178,7 @@ def test_apriori_interior_time(small_ensemble, gamma_quad):
     # magnitude bound, so the pathwise check has genuine slack
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: 0.25 * x, small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
     rep = apriori_bound_check(sol, p, 8)
     assert rep.fraction_ok >= 0.99
 
@@ -190,8 +186,7 @@ def test_apriori_interior_time(small_ensemble, gamma_quad):
 def test_apriori_interior_regresses_at_the_solve_degree(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: 0.25 * x, small_ensemble, basis_degree=1)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x, basis_degree=1)
     payoff = terminal_bound_payoff(sol.terminal, p, small_ensemble.time_grid, 8)
     rep = apriori_bound_check(sol, p, 8)
     assert rep.rhs == q.entropic(small_ensemble, payoff, 8, "upper", 1).value

@@ -58,8 +58,7 @@ def test_degenerate_single_triple_equals_plain_solve(gamma_model):
     schedule = Schedule(((4, 4, 4),))
     ens, result = run_ladder(base, lambda x: x, gamma_model, schedule,
                              seed=55, k_steps=10, n_paths=2000, q_nodes=8)
-    view = base.at_quadrature(ens.quad, gamma_model)
-    direct = solve(view, lambda x: x, ens)
+    direct = solve(q.DriverView(base, ens), lambda x: x)
     assert result.solutions[0].y0 == pytest.approx(direct.y0, abs=1e-12)
     assert np.allclose(result.solutions[0].y, direct.y, atol=1e-12)
 
@@ -113,6 +112,25 @@ def test_ladder_chebyshev_region_mass(mini_scheme):
         assert rec.region_fraction <= rec.chebyshev_bound + 0.01
 
 
+def test_the_ensemble_is_the_only_intensity_reader(gamma_model, monkeypatch):
+    # the forward simulation reads zeta once per step; the generators, the
+    # compensators and the audits of every triple read its table
+    calls = []
+    real = q.MarkQuadrature.intensity
+
+    def counted(self, model, t):
+        calls.append(t)
+        return real(self, model, t)
+
+    monkeypatch.setattr(q.MarkQuadrature, "intensity", counted)
+    base = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
+    _, result = run_ladder(base, lambda x: np.abs(0.25 * x), gamma_model, schedule,
+                           seed=7, k_steps=10, n_paths=2000, q_nodes=10)
+    assert not any(rec.error for rec in result.report.records)
+    assert len(calls) == 10
+
+
 def test_report_rows_roundtrip(mini_scheme):
     rows = mini_scheme[1].report.rows()
     assert len(rows) == 3
@@ -130,26 +148,21 @@ def test_unlinked_comparison_refused(gamma_model, gamma_quad):
     for seed in (1, 2):
         ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10,
                       1000, seed=seed)
-        sols.append(solve(drv.at_quadrature(gamma_quad, gamma_model),
-                          lambda x: x, ens))
+        sols.append(solve(q.DriverView(drv, ens), lambda x: x))
     with pytest.raises(EnsembleMismatchError):
         monotonicity_check(sols, [dict(lo=0, hi=1, changed=("kappa",))])
 
 
 def test_identical_solves_zero_violations(small_ensemble, gamma_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(drv.at_quadrature(gamma_quad, small_ensemble.model),
-                lambda x: x,
-                small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: x)
     fracs = monotonicity_check([sol, sol], [dict(lo=0, hi=1, changed=())])
     assert fracs == [0.0]
 
 
 def test_mixed_link_without_direction_refused(small_ensemble, gamma_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(drv.at_quadrature(gamma_quad, small_ensemble.model),
-                lambda x: x,
-                small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: x)
     with pytest.raises(UnlinkedComparisonError, match="direction"):
         monotonicity_check([sol, sol], [dict(lo=0, hi=1, changed=("n", "m"))],
                            nonnegative_base=False)

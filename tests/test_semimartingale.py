@@ -6,8 +6,9 @@ import pytest
 import qebsdej as q
 from qebsdej.semimartingale import (canonical_paths, check_q_structure,
                                     doleans_check, exponential_transform,
-                                    garsia_neveu_probe, pairwise_gap,
-                                    stability_diagnostics, submartingale_test)
+                                    garsia_neveu_probe, martingale_regression_test,
+                                    pairwise_gap, stability_diagnostics,
+                                    submartingale_test)
 from qebsdej.levy import EXP_CAP, ExponentOverflowError
 from qebsdej.solver import EnsembleMismatchError, decompose
 
@@ -18,8 +19,7 @@ from conftest import forward, solve
 def canonical_solution(small_ensemble, gamma_quad):
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: np.abs(0.25 * x), small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
     return params, sol, decompose(sol)
 
 
@@ -30,8 +30,7 @@ def canonical_solution(small_ensemble, gamma_quad):
 def test_corridor_trivial_zero_solution(small_ensemble, gamma_quad):
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("zero", params)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: np.zeros_like(x), small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.zeros_like(x))
     dec = decompose(sol)
     report = check_q_structure(dec, params)
     assert report.violation_fraction == 0.0
@@ -59,8 +58,7 @@ def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
     # the upper corridor at every delta, not only at delta = 1
     params = q.StructureParams(0.5, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: np.abs(0.25 * x), small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
     dec = decompose(sol)
     report = check_q_structure(dec, params, tol=1e-9)
     assert report.violation_fraction == 0.0
@@ -118,26 +116,59 @@ def test_submartingale_index_validation(small_ensemble):
 
 
 # ---------------------------------------------------------------------------
+# martingale regression test
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[11, 12, 13])
+def martingale_increments(request):
+    """Estimated martingale increments ``dM^c + dM^d`` of a 5000-path
+    canonical solve, with their ensemble."""
+    model = q.make_model("gamma", theta=1.0, beta=1.0)
+    quad = q.build_quadrature(model, 8.0, 12)
+    ens = forward(model, quad, "brownian_jumps", 0.7, 30, 5000, seed=request.param)
+    drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    dec = decompose(solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x)))
+    return ens, np.diff(dec.m_c + dec.m_d, axis=1)
+
+
+def test_martingale_coefficients_pass_on_martingale_increments(martingale_increments):
+    # z and u are time-t_k regressions, so these are martingale increments by
+    # construction, but their variance moves with the state: a pooled
+    # residual variance reads 5.2 to 8.2 here
+    ens, increments = martingale_increments
+    assert martingale_regression_test(increments, ens, 3) <= 4.0
+
+
+def test_martingale_coefficients_catch_a_drift(martingale_increments):
+    ens, increments = martingale_increments
+    drifted = increments + np.tanh(ens.state[:, :-1]) * ens.dt
+    assert martingale_regression_test(drifted, ens, 3) > 4.0
+
+
+# ---------------------------------------------------------------------------
 # canonical exponential semimartingales
 # ---------------------------------------------------------------------------
 
-def test_canonical_flat_martingale(two_node_quad):
-    r = canonical_paths(np.zeros((100, 5)), 0.0, np.zeros((5, 2)),
-                        [np.zeros((100, 2))] * 5, two_node_quad.weights, 0.2,
-                        "upper",
-                        r0=1.5)
+@pytest.fixture(scope="module")
+def tiny_ensemble(gamma_model, gamma_quad):
+    return forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 5, 100, seed=61)
+
+
+def test_canonical_flat_martingale(tiny_ensemble):
+    # a null field on a real jump stream: every compensated jump sum and
+    # every compensator vanishes, so the path stays at r0
+    assert tiny_ensemble.jumps.n_jumps > 0
+    r = canonical_paths(tiny_ensemble, np.zeros((100, 5)), 0.0,
+                        np.zeros((5, tiny_ensemble.quad.n_nodes)), "upper", r0=1.5)
     assert np.all(r == 1.5)
     mean, se = doleans_check(r)
     assert mean == 1.0 and se == 0.0
 
 
 def test_canonical_brownian_direction(small_ensemble, gamma_quad):
-    k, n = small_ensemble.n_steps, small_ensemble.n_paths
-    dt = small_ensemble.dt
     mc = small_ensemble.dw[:, :, 0]
-    counts = [small_ensemble.jumps.counts_for_interval(j) for j in range(k)]
-    u0 = np.zeros((k, gamma_quad.n_nodes))
-    r = canonical_paths(mc, dt, u0, counts, gamma_quad.weights, dt, "upper")
+    u0 = np.zeros((small_ensemble.n_steps, gamma_quad.n_nodes))
+    r = canonical_paths(small_ensemble, mc, small_ensemble.dt, u0, "upper")
     # r_T = W_T - T/2 for a unit Brownian loading
     assert np.allclose(r[:, -1], small_ensemble.dw[:, :, 0].sum(axis=1) - 0.5,
                        atol=1e-12)
@@ -146,13 +177,10 @@ def test_canonical_brownian_direction(small_ensemble, gamma_quad):
 
 
 def test_canonical_jump_directions(small_ensemble, gamma_quad):
-    k = small_ensemble.n_steps
-    dt = small_ensemble.dt
     mc = small_ensemble.dw[:, :, 0]
-    counts = [small_ensemble.jumps.counts_for_interval(j) for j in range(k)]
-    u_const = np.full((k, gamma_quad.n_nodes), 0.3)
+    u_const = np.full((small_ensemble.n_steps, gamma_quad.n_nodes), 0.3)
     for direction in ("upper", "lower"):
-        r = canonical_paths(mc, dt, u_const, counts, gamma_quad.weights, dt,
+        r = canonical_paths(small_ensemble, mc, small_ensemble.dt, u_const,
                             direction)
         mean, se = doleans_check(r, direction)
         assert abs(mean - 1.0) <= 3.0 * se, (direction, mean, se)
@@ -161,20 +189,18 @@ def test_canonical_jump_directions(small_ensemble, gamma_quad):
         assert np.all(np.isfinite(np.exp(inc if direction == "upper" else -inc)))
 
 
-def test_canonical_direction_validation(two_node_quad):
+def test_canonical_direction_validation(tiny_ensemble):
     with pytest.raises(ValueError):
-        canonical_paths(np.zeros((10, 2)), 0.0, np.zeros((2, 2)),
-                        [np.zeros((10, 2))] * 2, two_node_quad.weights, 0.5,
-                        "sideways")
+        canonical_paths(tiny_ensemble, np.zeros((100, 5)), 0.0,
+                        np.zeros((5, tiny_ensemble.quad.n_nodes)), "sideways")
 
 
 @pytest.mark.parametrize("direction, sign", [("upper", 1.0), ("lower", -1.0)])
-def test_canonical_compensator_refuses_overflow(two_node_quad, direction, sign):
+def test_canonical_compensator_refuses_overflow(tiny_ensemble, direction, sign):
     # exp(u) - u - 1 above the exponent cap raises instead of returning inf
-    u = np.full((2, 2), sign * (EXP_CAP + 1.0))
+    u = np.full((5, tiny_ensemble.quad.n_nodes), sign * (EXP_CAP + 1.0))
     with pytest.raises(ExponentOverflowError):
-        canonical_paths(np.zeros((10, 2)), 0.0, u, [np.zeros((10, 2))] * 2,
-                        two_node_quad.weights, 0.5, direction)
+        canonical_paths(tiny_ensemble, np.zeros((100, 5)), 0.0, u, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +227,7 @@ def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
     for k_steps in (25, 50, 100):
         ens = forward(gamma_model, gamma_quad, "brownian_jumps",
                       1.0, k_steps, 500, seed=31)
-        sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
-                    lambda x: np.ones_like(x), ens)
+        sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
         v_terminal[k_steps] = float(decompose(sol).v[0, -1])
     gap_coarse = abs(v_terminal[25] - v_terminal[50])
     gap_fine = abs(v_terminal[50] - v_terminal[100])
@@ -215,8 +240,7 @@ def test_stability_requires_shared_ensemble(canonical_solution, small_ensemble,
     other_ens = forward(gamma_model, gamma_quad, "brownian_jumps",
                         1.0, small_ensemble.n_steps, 20000, seed=999)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    other_sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
-                      lambda x: np.zeros_like(x), other_ens)
+    other_sol = solve(q.DriverView(drv, other_ens), lambda x: np.zeros_like(x))
     other_dec = decompose(other_sol)
     with pytest.raises(EnsembleMismatchError):
         stability_diagnostics([dec, other_dec])

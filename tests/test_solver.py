@@ -109,7 +109,10 @@ def test_regression_matches_reference_linear_algebra():
     _assert_rel(coeffs, ref)
     _assert_rel(fitted, x @ ref)
     _assert_rel(reg.gram_condition, np.linalg.cond(gram))
-    _assert_rel(reg.gram_inverse_diag, np.diag(np.linalg.pinv(gram)))
+    resid = targets[:, 0] - fitted[:, 0]
+    bread = np.linalg.pinv(gram) @ x.T
+    _assert_rel(reg.robust_variances(resid),
+                np.diag(bread @ np.diag(resid ** 2) @ bread.T))
     _assert_rel(reg.leverages,
                 np.einsum("ij,jk,ik->i", x, np.linalg.pinv(gram), x))
 
@@ -133,8 +136,7 @@ def test_regression_rank_deficient_design_gets_minimum_norm_fit():
 
 def test_zero_driver_martingale(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
-                lambda x: x, brownian_ensemble)
+    sol = solve(q.DriverView(drv, brownian_ensemble), lambda x: x)
     err = np.abs(sol.y - brownian_ensemble.state).mean(axis=0).max()
     assert err <= 0.02
     z_mid = sol.z[:, 12, 0]
@@ -144,8 +146,7 @@ def test_zero_driver_martingale(brownian_ensemble, null_quad):
 
 def test_zero_mass_measure_gives_null_jump_loading(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
-                lambda x: x, brownian_ensemble)
+    sol = solve(q.DriverView(drv, brownian_ensemble), lambda x: x)
     assert np.all(sol.u_values(10) == 0.0)
 
 
@@ -154,8 +155,7 @@ def test_linear_ode_closed_form(gamma_model, gamma_quad):
                   2000, seed=21)
     p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
-    sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
-                lambda x: np.ones_like(x), ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
     assert abs(sol.y0 - math.exp(0.5)) <= 0.01
 
 
@@ -166,8 +166,7 @@ def test_grid_refinement_first_order(gamma_model, gamma_quad):
     for k_steps in (25, 50, 100):
         ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, k_steps,
                       500, seed=22)
-        y0[k_steps] = solve(drv.at_quadrature(gamma_quad, gamma_model),
-                            lambda x: np.ones_like(x), ens).y0
+        y0[k_steps] = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x)).y0
     gap_coarse = abs(y0[25] - y0[50])
     gap_fine = abs(y0[50] - y0[100])
     assert gap_coarse >= 1.5 * gap_fine
@@ -179,7 +178,7 @@ def test_girsanov_tilt_oracle(gamma_model):
                   seed=23)
     p = q.StructureParams(1.0, 1.0, 0.0)
     drv = q.make_driver("linear", p, b=0.3, c_tilde=0.4)
-    sol = solve(drv.at_quadrature(quad, gamma_model), lambda x: x, ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: x)
     oracle = girsanov_tilt_mc(0.3, 0.4, quad.total_mass, 1.0, x0=0.0, impact=1.0,
                               n_samples=400000, seed=24)
     cse = math.hypot(sol.y0_se, oracle.stderr)
@@ -192,16 +191,14 @@ def test_non_contraction_guard(brownian_ensemble, null_quad):
     p = q.StructureParams(1.0, 0.0, 30.0)
     drv = q.make_driver("linear", p, a=30.0)  # dt = 0.04, dt * 30 > 1
     with pytest.raises(NonContractionError):
-        solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
-              lambda x: x, brownian_ensemble)
+        solve(q.DriverView(drv, brownian_ensemble), lambda x: x)
 
 
 def test_picard_non_convergence_raises(brownian_ensemble, null_quad):
     p = q.StructureParams(1.0, 0.0, 0.5)
     drv = q.make_driver("linear", p, a=0.5)
     with pytest.raises(RuntimeError, match="Picard"):
-        solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
-              lambda x: x, brownian_ensemble, picard_max=1)
+        solve(q.DriverView(drv, brownian_ensemble), lambda x: x, picard_max=1)
 
 
 def test_two_dimensional_noise(gamma_model, gamma_quad):
@@ -209,8 +206,7 @@ def test_two_dimensional_noise(gamma_model, gamma_quad):
                   seed=25, d=2)
     assert ens.dw.shape == (20000, 20, 2)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
-                lambda x: x, ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: x)
     err = np.abs(sol.y - ens.state).mean(axis=0).max()
     assert err <= 0.03
 
@@ -222,8 +218,7 @@ def test_two_dimensional_noise(gamma_model, gamma_quad):
 def test_reconstruction_identity(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: 0.25 * x, small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
     dec = q.decompose(sol)
     recon = sol.y[:, :1] - dec.v + dec.m_total
     assert np.max(np.abs(sol.y - recon)) <= 1e-10
@@ -244,12 +239,10 @@ def test_solve_weighs_each_step_by_its_own_intensity(fading_setting):
                   1.0, 20, 4000, seed=3)
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
-    sol = solve(drv.at_quadrature(quad, model),
-                lambda x: np.abs(0.25 * x), ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     for k in range(ens.n_steps):
-        _, upper = q.structure_bounds(float(ens.time_grid[k]), sol.y[:, k],
-                                      sol.z[:, k, :], sol.u_values(k), p,
-                                      ens.intensity[k])
+        _, upper = q.structure_bounds(sol.y[:, k], sol.z[:, k, :],
+                                      sol.u_values(k), p, ens.intensity[k])
         np.testing.assert_allclose(sol.driver_values[:, k], upper, rtol=1e-12)
 
 
@@ -293,7 +286,7 @@ def test_jump_martingale_is_the_compensated_loading_sum(fading_setting):
     model, quad = fading_setting
     ens = forward(model, quad, "brownian_jumps", 1.0, 10, 4000, seed=43)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(drv.at_quadrature(quad, model), lambda x: np.abs(0.25 * x), ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     dm_d = np.diff(q.decompose(sol).m_d, axis=1)
     for k in range(ens.n_steps):
         u = sol.u_values(k)
@@ -304,8 +297,7 @@ def test_jump_martingale_is_the_compensated_loading_sum(fading_setting):
 
 def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(drv.at_quadrature(null_quad, brownian_ensemble.model),
-                lambda x: x, brownian_ensemble)
+    sol = solve(q.DriverView(drv, brownian_ensemble), lambda x: x)
     dec = q.decompose(sol)
     assert np.all(dec.v == 0.0)
 
@@ -315,8 +307,7 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
                   5000, seed=26)
     p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
-    sol = solve(drv.at_quadrature(gamma_quad, gamma_model),
-                lambda x: np.ones_like(x), ens)
+    sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
     dec = q.decompose(sol)
     assert np.max(np.abs(dec.m_c)) <= 1e-8
     assert np.max(np.abs(dec.m_d)) <= 1e-8
@@ -327,8 +318,7 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
 def test_martingale_component_regression(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: 0.25 * x, small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
     dec = q.decompose(sol)
     dm = np.diff(dec.m_c + dec.m_d, axis=1)
     stat = martingale_regression_test(dm[:, ::4], small_ensemble,
@@ -339,11 +329,10 @@ def test_martingale_component_regression(small_ensemble, gamma_quad):
 def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
-    view = drv.at_quadrature(gamma_quad, small_ensemble.model)
-    sol = solve(view, lambda x: 0.25 * x, small_ensemble)
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
     other = forward(gamma_model, gamma_quad, "brownian_jumps",
                     1.0, small_ensemble.n_steps, 20000, seed=999)
-    other_sol = solve(view, lambda x: 0.25 * x, other)
+    other_sol = solve(q.DriverView(drv, other), lambda x: 0.25 * x)
     assert same_ensemble(sol, q.decompose(sol).solution) is small_ensemble
     with pytest.raises(EnsembleMismatchError):
         same_ensemble(sol, other_sol)
@@ -359,9 +348,8 @@ def test_same_seed_other_inputs_rejected(gamma_model, gamma_quad, change):
     other = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10,
                     1000, seed=5, **change)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    view = drv.at_quadrature(gamma_quad, gamma_model)
-    sol = solve(view, lambda x: x, ens)
-    other_sol = solve(view, lambda x: x, other)
+    sol = solve(q.DriverView(drv, ens), lambda x: x)
+    other_sol = solve(q.DriverView(drv, other), lambda x: x)
     with pytest.raises(EnsembleMismatchError):
         monotonicity_check([sol, other_sol], [dict(lo=0, hi=1, changed=())])
     with pytest.raises(EnsembleMismatchError):
