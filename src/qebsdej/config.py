@@ -93,10 +93,10 @@ REQUIRED = object()
 # a cell, and the solve regresses one jump loading per node at every step.
 Q_NODES_MAX = 1000
 # An ensemble holds n_paths x k_steps x d Brownian increments and several
-# n_paths x (k_steps + 1) arrays (state, solution, martingale parts), and each
-# step of the solve holds n_paths x q_nodes arrays (jump counts, loadings and
-# their regression targets).  A solve peaks near 650 MB at 5e6 such cells, so
-# this bound keeps a run within about 2.6 GB.
+# arrays of about n_paths x k_steps (state, solution, generator values and
+# decomposition increments), and each step of the solve holds n_paths x q_nodes
+# arrays (jump counts, loadings and their regression targets).  A solve run
+# peaks near 535 MB at 5.4e6 such cells, so this bound keeps a run near 2 GB.
 PATH_CELLS_MAX = 2e7
 # The jump table keeps four 8-byte columns per jump and the sampler joins its
 # per-step parts, about 64 bytes a jump at the peak: 640 MB at this bound.

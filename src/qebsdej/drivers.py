@@ -478,8 +478,8 @@ class GammaSlopeReport:
     slopes: np.ndarray
 
 
-def check_a_gamma(driver: Driver, y: float, z, u, u_bar,
-                  wz: np.ndarray, gamma_cap: float = math.inf) -> GammaSlopeReport:
+def check_a_gamma(driver: Driver, u, u_bar, wz: np.ndarray,
+                  gamma_cap: float = math.inf) -> GammaSlopeReport:
     """One-sided slope certificate for the jump dependence.
 
     The per-node slope ``(g(u_i) - g(u_bar_i)) / (u_i - u_bar_i)`` is clamped

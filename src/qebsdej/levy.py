@@ -271,11 +271,6 @@ class MarkQuadrature:
             raise ValueError("cannot restrict to a finer truncation than built")
         return np.nonzero(self.cell_inner >= 1.0 / kappa_sub - 1e-12)[0]
 
-    def restrict(self, kappa_sub: float) -> "MarkQuadrature":
-        idx = self.restrict_indices(kappa_sub)
-        return MarkQuadrature(self.nodes[idx], self.weights[idx], kappa_sub,
-                              self.cell_inner[idx])
-
 
 def nu_norm(u, wz: np.ndarray) -> np.ndarray:
     """Weighted L2 norm ``sqrt(sum_i wz_i u_i^2)``; vectorized over rows."""

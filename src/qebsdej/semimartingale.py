@@ -45,7 +45,7 @@ def check_q_structure(dec: Decomposition, params: StructureParams,
     """
     solution, ensemble = dec.solution, dec.solution.ensemble
     dt = ensemble.dt
-    dv = np.diff(dec.v, axis=1)
+    dv = dec.dv
     lower = np.empty_like(dv)
     upper = np.empty_like(dv)
     for k in range(solution.n_steps):
@@ -218,9 +218,11 @@ def pairwise_gap(dec_a: Decomposition, dec_b: Decomposition) -> tuple[float, flo
     """(H1-style martingale gap, running-max variation gap) between two
     decompositions on a shared ensemble."""
     same_ensemble(dec_a.solution, dec_b.solution)
-    dm = np.diff(dec_a.m_total - dec_b.m_total, axis=1)
+    dm = ((np.diff(dec_a.solution.y, axis=1) + dec_a.dv)
+          - (np.diff(dec_b.solution.y, axis=1) + dec_b.dv))
     h1 = float(np.sqrt((dm ** 2).sum(axis=1)).mean())
-    vstar = float(np.abs(dec_a.v - dec_b.v).max(axis=1).mean())
+    v_gap = np.cumsum(dec_a.dv, axis=1) - np.cumsum(dec_b.dv, axis=1)
+    vstar = float(np.abs(v_gap).max(axis=1).mean())
     return h1, vstar
 
 

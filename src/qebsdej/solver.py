@@ -370,37 +370,29 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
 
 @dataclass
 class Decomposition:
-    """Additive split ``Y_k = Y_0 - V_k + M_k`` of a discrete solution.
-
-    ``m_total`` makes the identity exact by construction; ``m_c`` (Brownian
-    loading sums) and ``m_d`` (compensated jump sums) are its estimated
-    components and differ from ``m_total`` by the regression residual
-    martingale.  ``solution`` is the solve it decomposes.
+    """Additive split ``Y_k = Y_0 - V_k + M_k`` of a discrete solution, held
+    as per-step increments of shape (n_paths, K): ``dv`` (generator times
+    ``dt``), ``dm_c`` (Brownian loading sums) and ``dm_d`` (compensated jump
+    sums).  The martingale increment that makes the identity exact is the
+    residue ``diff(y) + dv``, formed by the readers that need it; it differs
+    from ``dm_c + dm_d`` by the regression residual martingale.  ``solution``
+    is the solve it decomposes.
     """
 
-    v: np.ndarray
-    m_total: np.ndarray
-    m_c: np.ndarray
-    m_d: np.ndarray
+    dv: np.ndarray
+    dm_c: np.ndarray
+    dm_d: np.ndarray
     solution: BsdejSolution
 
 
 def decompose(solution: BsdejSolution) -> Decomposition:
-    """Assemble the finite-variation and martingale components of a solve."""
+    """Assemble the finite-variation and martingale increments of a solve."""
     ensemble = solution.ensemble
-    n, k_steps = solution.n_paths, solution.n_steps
     dt = ensemble.dt
     dv = solution.driver_values * dt
-    v = np.concatenate([np.zeros((n, 1)), np.cumsum(dv, axis=1)], axis=1)
-    dm = np.diff(solution.y, axis=1) + dv
-    m_total = np.concatenate([np.zeros((n, 1)), np.cumsum(dm, axis=1)], axis=1)
-
     dm_c = (solution.z * ensemble.dw).sum(axis=2)
-    m_c = np.concatenate([np.zeros((n, 1)), np.cumsum(dm_c, axis=1)], axis=1)
-
-    dm_d = np.zeros((n, k_steps))
-    for k in range(k_steps):
+    dm_d = np.empty_like(dv)
+    for k in range(solution.n_steps):
         dm_d[:, k] = ensemble.jumps.compensated_sum(k, solution.u_values(k),
                                                     ensemble.intensity[k], dt)
-    m_d = np.concatenate([np.zeros((n, 1)), np.cumsum(dm_d, axis=1)], axis=1)
-    return Decomposition(v, m_total, m_c, m_d, solution)
+    return Decomposition(dv, dm_c, dm_d, solution)

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,8 @@ def test_run_solve_and_artifacts(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "OVERALL PASS" in summary
     assert "PASS terminal_match value=0 tol=0 vacuous: the solve sets y_T = xi" in summary
+    assert re.search(r"^PASS reconstruction_identity value=\S+ tol=1e-10 "
+                     r"vacuous: M is the residue y - y0 \+ V$", summary, re.M)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["package"] == "qebsdej"
     assert "config_sha256" in manifest

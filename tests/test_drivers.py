@@ -477,8 +477,7 @@ def test_nonconvex_jump_integrand_is_refused(gamma_quad, small_ensemble):
 
 def test_a_gamma_equal_fields(canonical, gamma_quad):
     u = np.full(gamma_quad.n_nodes, 0.3)
-    rep = q.check_a_gamma(canonical, 0.0, np.array([0.0]), u, u,
-                          gamma_quad.weights)
+    rep = q.check_a_gamma(canonical, u, u, gamma_quad.weights)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.ok
 
 
@@ -487,8 +486,7 @@ def test_a_gamma_single_node_slope(canonical):
                             np.array([1.0]))
     u = np.array([1.0])
     ub = np.array([0.0])
-    rep = q.check_a_gamma(canonical, 0.0, np.array([0.0]), u, ub,
-                          quad.weights)
+    rep = q.check_a_gamma(canonical, u, ub, quad.weights)
     assert rep.lhs == pytest.approx(math.e - 2.0, rel=1e-12)
     assert rep.rhs == pytest.approx(rep.lhs, rel=1e-12)
     assert -1.0 < rep.slopes[0] and rep.ok
@@ -499,8 +497,7 @@ def test_a_gamma_random_pairs(canonical, gamma_quad):
     for _ in range(100):
         u = rng.uniform(-1.5, 1.5, gamma_quad.n_nodes)
         ub = rng.uniform(-1.5, 1.5, gamma_quad.n_nodes)
-        rep = q.check_a_gamma(canonical, 0.0, np.array([0.0]), u, ub,
-                              gamma_quad.weights)
+        rep = q.check_a_gamma(canonical, u, ub, gamma_quad.weights)
         assert rep.ok
 
 

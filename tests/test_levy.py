@@ -106,9 +106,9 @@ def test_quadrature_preconditions(gamma_model):
 def test_restriction_is_exact_on_aligned_cells(gamma_model):
     quad = q.build_quadrature(gamma_model, 8.0, 12, cut_levels=[0.5, 0.25])
     for kappa in (2.0, 4.0, 8.0):
-        sub = quad.restrict(kappa)
+        mass = float(quad.weights[quad.restrict_indices(kappa)].sum())
         ref = q.levy.truncated_mass_reference(gamma_model, kappa)
-        assert sub.total_mass == pytest.approx(ref, rel=1e-6)
+        assert mass == pytest.approx(ref, rel=1e-6)
     with pytest.raises(ValueError, match="finer"):
         quad.restrict_indices(16.0)
 
@@ -178,7 +178,7 @@ def test_j_monotone_in_truncation(gamma_model):
     vals = []
     for kappa in (2.0, 4.0, 8.0):
         idx = quad.restrict_indices(kappa)
-        vals.append(q.j_functional(u_master[idx], 1.0, quad.restrict(kappa).weights))
+        vals.append(q.j_functional(u_master[idx], 1.0, quad.weights[idx]))
     assert vals[0] <= vals[1] <= vals[2]
 
 

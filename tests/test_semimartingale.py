@@ -47,8 +47,7 @@ def test_corridor_canonical_sits_on_upper_boundary(canonical_solution):
 
 def test_corridor_adversarial_violation(canonical_solution):
     params, _, dec = canonical_solution
-    bumped = q.Decomposition(dec.v + 0.1 * np.arange(dec.v.shape[1])[None, :],
-                             dec.m_total, dec.m_c, dec.m_d, dec.solution)
+    bumped = q.Decomposition(dec.dv + 0.1, dec.dm_c, dec.dm_d, dec.solution)
     report = check_q_structure(bumped, params)
     assert report.violation_fraction == 1.0
 
@@ -128,7 +127,7 @@ def martingale_increments(request):
     ens = forward(model, quad, "brownian_jumps", 0.7, 30, 5000, seed=request.param)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     dec = decompose(solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x)))
-    return ens, np.diff(dec.m_c + dec.m_d, axis=1)
+    return ens, dec.dm_c + dec.dm_d
 
 
 def test_martingale_coefficients_pass_on_martingale_increments(martingale_increments):
@@ -228,7 +227,7 @@ def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
         ens = forward(gamma_model, gamma_quad, "brownian_jumps",
                       1.0, k_steps, 500, seed=31)
         sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
-        v_terminal[k_steps] = float(decompose(sol).v[0, -1])
+        v_terminal[k_steps] = float(decompose(sol).dv[0].sum())
     gap_coarse = abs(v_terminal[25] - v_terminal[50])
     gap_fine = abs(v_terminal[50] - v_terminal[100])
     assert gap_coarse > gap_fine

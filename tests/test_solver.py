@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import qebsdej as q
 from qebsdej.levy import gamma_model
 from qebsdej.oracles import girsanov_tilt_exact, girsanov_tilt_mc
+from qebsdej.runner import _reconstruction_gap
 from qebsdej.semimartingale import martingale_regression_test
 from qebsdej.scheme import driver_l1_gap, monotonicity_check
 from qebsdej.semimartingale import pairwise_gap
@@ -215,13 +217,28 @@ def test_two_dimensional_noise(gamma_model, gamma_quad):
 # decomposition
 # ---------------------------------------------------------------------------
 
+def test_decompose_holds_no_cumulative_copies(gamma_model, gamma_quad):
+    # the three (n, K) increment arrays plus one step's loading temporaries
+    # fit in four such arrays; one cumulative copy of any part does not
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
+    drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec = q.decompose(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.dv.shape == dec.dm_c.shape == dec.dm_d.shape == (2000, 50)
+    assert peak - before <= 4 * dec.dv.nbytes
+
+
 def test_reconstruction_identity(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
-    dec = q.decompose(sol)
-    recon = sol.y[:, :1] - dec.v + dec.m_total
-    assert np.max(np.abs(sol.y - recon)) <= 1e-10
+    assert _reconstruction_gap(q.decompose(sol)) <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +304,7 @@ def test_jump_martingale_is_the_compensated_loading_sum(fading_setting):
     ens = forward(model, quad, "brownian_jumps", 1.0, 10, 4000, seed=43)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
-    dm_d = np.diff(q.decompose(sol).m_d, axis=1)
+    dm_d = q.decompose(sol).dm_d
     for k in range(ens.n_steps):
         u = sol.u_values(k)
         wz = quad.intensity(model, float(ens.time_grid[k]))
@@ -299,7 +316,7 @@ def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, brownian_ensemble), lambda x: x)
     dec = q.decompose(sol)
-    assert np.all(dec.v == 0.0)
+    assert np.all(dec.dv == 0.0)
 
 
 def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
@@ -309,10 +326,10 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
     drv = q.make_driver("linear", p, a=0.5)
     sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
     dec = q.decompose(sol)
-    assert np.max(np.abs(dec.m_c)) <= 1e-8
-    assert np.max(np.abs(dec.m_d)) <= 1e-8
-    assert np.allclose(np.diff(dec.v, axis=1), sol.driver_values * ens.dt,
-                       atol=1e-12)
+    # the summed increment sizes bound every running martingale value
+    assert np.abs(dec.dm_c).sum(axis=1).max() <= 1e-8
+    assert np.abs(dec.dm_d).sum(axis=1).max() <= 1e-8
+    assert np.array_equal(dec.dv, sol.driver_values * ens.dt)
 
 
 def test_martingale_component_regression(small_ensemble, gamma_quad):
@@ -320,7 +337,7 @@ def test_martingale_component_regression(small_ensemble, gamma_quad):
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
     dec = q.decompose(sol)
-    dm = np.diff(dec.m_c + dec.m_d, axis=1)
+    dm = dec.dm_c + dec.dm_d
     stat = martingale_regression_test(dm[:, ::4], small_ensemble,
                                       sol.feature_maps[0].degree)
     assert stat <= 4.0
