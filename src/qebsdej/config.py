@@ -96,7 +96,7 @@ Q_NODES_MAX = 1000
 # arrays of about n_paths x k_steps (state, solution, generator values and
 # decomposition increments), and each step of the solve holds n_paths x q_nodes
 # arrays (jump counts, loadings and their regression targets).  A solve run
-# peaks near 535 MB at 5.4e6 such cells, so this bound keeps a run near 2 GB.
+# peaks near 490 MB at 5.4e6 such cells, so this bound keeps a run near 2 GB.
 PATH_CELLS_MAX = 2e7
 # The jump table keeps four 8-byte columns per jump and the sampler joins its
 # per-step parts, about 64 bytes a jump at the peak: 640 MB at this bound.

@@ -120,10 +120,10 @@ def _solution_rows(solution, max_paths: int):
     n_show = solution.n_paths if max_paths <= 0 else min(solution.n_paths, max_paths)
     rows = []
     for k in range(n_steps + 1):
-        u_now = (solution.u_values(k) if k < n_steps
-                 else np.zeros((solution.n_paths, ensemble.quad.n_nodes)))
+        u_now = (solution.u_values(k, slice(n_show)) if k < n_steps
+                 else np.zeros((n_show, ensemble.quad.n_nodes)))
         t, z_k = float(ensemble.time_grid[k]), solution.z[:n_show, min(k, n_steps - 1), 0]
-        columns = zip(solution.y[:n_show, k].tolist(), z_k.tolist(), u_now[:n_show].tolist())
+        columns = zip(solution.y[:n_show, k].tolist(), z_k.tolist(), u_now.tolist())
         for p, (y, z, u) in enumerate(columns):
             rows.append(dict(path_id=p, t=t, y=y, z=z,
                              **{f"u_node_{i + 1}": v for i, v in enumerate(u)}))
@@ -140,10 +140,17 @@ def _jump_rows(ensemble):
 
 def _reconstruction_gap(dec) -> float:
     """Largest ``|Y - (Y_0 - V + M)|`` with ``M`` the cumulated residue
-    ``diff(y) + dv``: only the rounding of the cumulative sums shows."""
+    ``diff(y) + dv``: only the rounding of the cumulative sums shows.  Built
+    in place, so two (n_paths, K) arrays are live at once."""
     y, dv = dec.solution.y, dec.dv
-    rebuilt = y[:, :1] - np.cumsum(dv, axis=1) + np.cumsum(np.diff(y, axis=1) + dv, axis=1)
-    return float(np.max(np.abs(y[:, 1:] - rebuilt)))
+    m = np.diff(y, axis=1)
+    m += dv
+    np.cumsum(m, axis=1, out=m)
+    rebuilt = np.cumsum(dv, axis=1)
+    np.subtract(y[:, :1], rebuilt, out=rebuilt)
+    rebuilt += m
+    np.subtract(y[:, 1:], rebuilt, out=rebuilt)
+    return float(np.abs(rebuilt, out=rebuilt).max())
 
 
 def run_solve(cfg: ExperimentConfig):

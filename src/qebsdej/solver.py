@@ -150,12 +150,19 @@ class FeatureMap:
         return FeatureMap(degree, center, scale, keep)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        t = (x - self.center) / self.scale
-        t = np.clip(t, -CLIP_SIGMAS, CLIP_SIGMAS)
-        cols = [np.ones_like(t)]
-        for p in range(1, self.degree + 1):
-            cols.append(t ** p)
-        return np.column_stack(cols)[:, self.keep]
+        """The (len(x), n_basis) design, built in one preallocated
+        column-major block: column ``p`` is column ``p - 1`` times the clipped
+        standardized state."""
+        design = np.empty((x.shape[0], self.degree + 1), order="F")
+        design[:, 0] = 1.0
+        if self.degree:
+            t = design[:, 1]
+            np.subtract(x, self.center, out=t)
+            t /= self.scale
+            np.clip(t, -CLIP_SIGMAS, CLIP_SIGMAS, out=t)
+            for p in range(2, self.degree + 1):
+                np.multiply(design[:, p - 1], t, out=design[:, p])
+        return design if self.keep.all() else design[:, self.keep]
 
     @property
     def n_basis(self) -> int:
@@ -242,9 +249,11 @@ class BsdejSolution:
     def y0(self) -> float:
         return float(self.y[:, 0].mean())
 
-    def u_values(self, k: int) -> np.ndarray:
-        """Jump loading field at step ``k``, shape (n_paths, Q)."""
-        design = self.feature_maps[k].matrix(self.ensemble.state[:, k])
+    def u_values(self, k: int, rows=None) -> np.ndarray:
+        """Jump loading field at step ``k``, shape (n_paths, Q), or only on
+        the paths that the index ``rows`` selects."""
+        x = self.ensemble.state[:, k]
+        design = self.feature_maps[k].matrix(x if rows is None else x[rows])
         return np.clip(design @ self.u_coeffs[k], -self.u_clip[k], self.u_clip[k])
 
     def regression_se(self, k: int) -> float:
@@ -322,11 +331,14 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         # unchanged but shrinks the target variance from the scale of Y^2 to
         # the one-step conditional variance
         centered = y_next - ey_raw
-        targets = [centered[:, None] * ensemble.dw[:, k, :] / dt]
-        if live.any():
-            targets.append(centered[:, None]
-                           * (counts[:, live] / (lam[live] * dt) - 1.0))
-        coeffs, fitted = reg.fit(np.column_stack(targets))
+        targets = np.empty((n, d + int(live.sum())), order="F")
+        np.multiply(centered[:, None], ensemble.dw[:, k, :], out=targets[:, :d])
+        targets[:, :d] /= dt
+        jump = targets[:, d:]
+        np.divide(counts[:, live], lam[live] * dt, out=jump)
+        jump -= 1.0
+        jump *= centered[:, None]
+        coeffs, fitted = reg.fit(targets)
 
         # a conditional expectation stays inside its target's range, and a
         # jump loading cannot exceed the oscillation of the next-step value;

@@ -11,7 +11,7 @@ from qebsdej.runner import _reconstruction_gap
 from qebsdej.semimartingale import martingale_regression_test
 from qebsdej.scheme import driver_l1_gap, monotonicity_check
 from qebsdej.semimartingale import pairwise_gap
-from qebsdej.solver import (EnsembleMismatchError, FeatureMap,
+from qebsdej.solver import (CLIP_SIGMAS, EnsembleMismatchError, FeatureMap,
                             NonContractionError, Regression, same_ensemble)
 
 from conftest import forward, solve
@@ -92,7 +92,32 @@ def test_unknown_dynamics_rejected(gamma_model, gamma_quad):
 def test_feature_map_deterministic_state_reduces_to_intercept():
     fmap = FeatureMap.fit(np.full(100, 3.0), 3)
     assert fmap.n_basis == 1
-    assert np.allclose(fmap.matrix(np.full(100, 3.0)), 1.0)
+    design = fmap.matrix(np.full(100, 3.0))
+    assert design.shape == (100, 1) and design.dtype == np.float64
+    assert np.all(design == 1.0)
+
+
+def _power_design(fmap, x):
+    t = np.clip((x - fmap.center) / fmap.scale, -CLIP_SIGMAS, CLIP_SIGMAS)
+    return np.column_stack([np.power(t, p) for p in range(fmap.degree + 1)])
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("tail", ["normal", "clipped"])
+def test_feature_map_matches_power_reference(degree, tail):
+    # repeated multiplication stays within a few ulps of libm's pow, on
+    # states inside the clip and on states that hit both clip edges
+    rng = np.random.default_rng(11 + degree)
+    x = 0.7 + 2.0 * rng.standard_normal(5000)
+    if tail == "clipped":
+        x[:100] = rng.choice([-1.0, 1.0], 100) * rng.uniform(20.0, 60.0, 100)
+    fmap = FeatureMap.fit(x, degree)
+    design, ref = fmap.matrix(x), _power_design(fmap, x)
+    assert design.shape == (5000, degree + 1) and design.dtype == np.float64
+    assert design.flags.f_contiguous
+    assert np.all(np.abs(design - ref) <= 4 * np.spacing(np.abs(ref)))
+    if degree and tail == "clipped":
+        assert np.all(np.isin([-CLIP_SIGMAS, CLIP_SIGMAS], design[:, 1]))
 
 
 def _assert_rel(actual, expected, rtol=1e-12):
@@ -234,6 +259,25 @@ def test_decompose_holds_no_cumulative_copies(gamma_model, gamma_quad):
     assert peak - before <= 4 * dec.dv.nbytes
 
 
+def test_reconstruction_gap_holds_two_arrays(gamma_model, gamma_quad):
+    # the in-place gap keeps two (n, K) arrays live and gives the bits of the
+    # one-expression form, which holds three
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
+    drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    dec = q.decompose(solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gap = _reconstruction_gap(dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.5 * dec.dv.nbytes
+    y, dv = dec.solution.y, dec.dv
+    rebuilt = y[:, :1] - np.cumsum(dv, axis=1) + np.cumsum(np.diff(y, axis=1) + dv, axis=1)
+    assert gap == float(np.max(np.abs(y[:, 1:] - rebuilt)))
+
+
 def test_reconstruction_identity(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
@@ -310,6 +354,20 @@ def test_jump_martingale_is_the_compensated_loading_sum(fading_setting):
         wz = quad.intensity(model, float(ens.time_grid[k]))
         expect = _jump_sum(ens.jumps, k, u) - (u * wz).sum(axis=1) * ens.dt
         np.testing.assert_allclose(dm_d[:, k], expect, rtol=0.0, atol=1e-12)
+
+
+def test_u_values_on_selected_rows_is_the_slice_of_the_full_field(small_ensemble):
+    drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
+    mask = np.zeros(sol.n_paths, dtype=bool)
+    mask[::97] = True
+    for k in (0, 7, sol.n_steps - 1):
+        full = sol.u_values(k)
+        assert np.any(full != 0.0)
+        for rows in (slice(50), slice(1, None, 3), np.arange(5, 900, 31), mask):
+            part = sol.u_values(k, rows)
+            assert part.shape == full[rows].shape
+            assert np.array_equal(part, full[rows])
 
 
 def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
