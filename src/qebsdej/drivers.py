@@ -61,8 +61,12 @@ class Driver:
         return self.lip_y > 0
 
     def jump_part(self, u, wz: np.ndarray) -> np.ndarray:
-        """``sum_i wz_i g(u_i)`` for the node intensity ``wz``."""
-        gv = self.g(np.asarray(u, dtype=float))
+        """``sum_i wz_i g(u_i)`` for the node intensity ``wz``; zero, without
+        evaluating ``g``, when no node carries intensity."""
+        u = np.asarray(u, dtype=float)
+        if not np.any(wz > 0):
+            return np.zeros(u.shape[:-1])
+        gv = self.g(u)
         if not np.all(np.isfinite(gv)):
             raise ExponentOverflowError("jump integrand overflowed; reduce the field")
         return (gv * wz).sum(axis=-1)

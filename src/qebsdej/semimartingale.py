@@ -170,7 +170,7 @@ def canonical_paths(ensemble: PathEnsemble, m_c_increments: np.ndarray,
     n, k_steps = m_c_increments.shape
     bracket = np.broadcast_to(np.asarray(bracket_increments, dtype=float),
                               m_c_increments.shape)
-    r = np.empty((n, k_steps + 1))
+    r = np.empty((n, k_steps + 1), order="F")
     r[:, 0] = r0
     dt = ensemble.dt
     for k in range(k_steps):

@@ -46,7 +46,10 @@ class PathEnsemble:
     The grid is uniform: ``time_grid[k] = k dt`` up to ``t_end``.
     ``intensity[k]`` is the node intensity ``w_i zeta(t_k, e_i)`` of interval
     ``k``; the jump stream, the forward compensator, the solve, the
-    decomposition and the audits all read this one table.
+    decomposition and the audits all read this one table.  ``dw`` and
+    ``state`` are stored step-major (column-major), as are the solution and
+    decomposition fields: every stage works one step's column at a time, and
+    that column is then one contiguous block.
 
     The object is its own identity: solutions hold the ensemble they were
     regressed on, and :func:`same_ensemble` refuses to combine results from
@@ -100,10 +103,13 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
     ss = np.random.SeedSequence(seed)
     child_w, child_j = ss.spawn(2)
     rng_w = np.random.Generator(np.random.Philox(child_w))
-    dw = rng_w.standard_normal((n_paths, k_steps, d)) * math.sqrt(dt)
+    # drawn path-major, which fixes which normal each seed gives each path
+    # and step, and stored step-major
+    dw = np.empty((n_paths, k_steps, d), order="F")
+    np.multiply(rng_w.standard_normal((n_paths, k_steps, d)), math.sqrt(dt), out=dw)
     jumps = sample_jump_paths(intensity, dt, n_paths, int(child_j.generate_state(1)[0]))
 
-    state = np.empty((n_paths, k_steps + 1))
+    state = np.empty((n_paths, k_steps + 1), order="F")
     state[:, 0] = x0
     impact = quad.nodes if jump_impact == "mark" else np.ones(quad.n_nodes)
     use_w = dynamics in ("brownian", "brownian_jumps")
@@ -306,11 +312,11 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
     if xi.shape == ():
         xi = np.full(n, float(xi))
 
-    y = np.empty((n, k_steps + 1))
-    z = np.zeros((n, k_steps, d))
+    y = np.empty((n, k_steps + 1), order="F")
+    z = np.zeros((n, k_steps, d), order="F")
     y[:, -1] = xi
     u_coeffs, fmaps = [None] * k_steps, [None] * k_steps
-    fvals = np.zeros((n, k_steps))
+    fvals = np.zeros((n, k_steps), order="F")
     resid_var = np.zeros(k_steps)
     conds = np.zeros(k_steps)
     picard_counts = np.zeros(k_steps, dtype=int)

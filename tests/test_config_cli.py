@@ -252,6 +252,24 @@ def test_run_is_bit_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("payload", [solve_payload(), scheme_payload()],
+                         ids=["solve", "scheme"])
+def test_run_is_bit_deterministic_across_processes(tmp_path, payload):
+    # the bits are a function of the config and the seed alone, so a fresh
+    # interpreter (as the benchmark's gate runs them) writes the same bytes
+    cfg = write_config(tmp_path, "det.json", payload)
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    assert main(["run", cfg, "--out", str(here)]) == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=str(Path(qebsdej.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qebsdej.cli", "run", cfg,
+                           "--out", str(fresh)], capture_output=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    names = sorted(p.name for p in here.glob("*.csv"))
+    assert names and names == sorted(p.name for p in fresh.glob("*.csv"))
+    for name in names + ["summary.txt"]:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def _risk(times):
     return dict(experiment="risk", risk={"times": times, "gammas": [1.0]})
 

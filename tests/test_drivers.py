@@ -458,6 +458,28 @@ def test_jump_envelope_matches_dense_scan(gamma_quad, small_ensemble, name, delt
                                       drv.jump_part(u, 0.0 * wz))
 
 
+def test_jump_part_without_intensity_skips_the_integrand(gamma_quad):
+    def refuses(v):
+        raise AssertionError("g evaluated without jump intensity")
+
+    drv = Driver("refusing", lambda y, z: np.zeros(np.shape(y)), refuses,
+                 StructureParams(1.0, 0.0, 0.0))
+    u = np.random.default_rng(3).normal(size=(40, gamma_quad.n_nodes))
+    for field in (u, u[0]):
+        out = drv.jump_part(field, np.zeros(gamma_quad.n_nodes))
+        assert out.shape == field.shape[:-1]
+        assert not out.any()
+
+
+def test_jump_part_with_intensity_keeps_its_bits(canonical, gamma_quad):
+    u = np.random.default_rng(4).normal(size=(40, gamma_quad.n_nodes))
+    wz = gamma_quad.weights.copy()
+    wz[1:] = 0.0                 # a single node with intensity still sums
+    for w in (gamma_quad.weights, wz):
+        np.testing.assert_array_equal(canonical.jump_part(u, w),
+                                      (canonical.g(u) * w).sum(axis=-1))
+
+
 def test_nonconvex_jump_integrand_is_refused(gamma_quad, small_ensemble):
     # 1 - cos(v) is nonnegative but not convex, so the bisection could stop at
     # a local minimum of the mark objective

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,9 +9,9 @@ import qebsdej as q
 from qebsdej.levy import gamma_model
 from qebsdej.oracles import girsanov_tilt_exact, girsanov_tilt_mc
 from qebsdej.runner import _reconstruction_gap
-from qebsdej.semimartingale import martingale_regression_test
 from qebsdej.scheme import driver_l1_gap, monotonicity_check
-from qebsdej.semimartingale import pairwise_gap
+from qebsdej.semimartingale import (canonical_paths, check_q_structure,
+                                    martingale_regression_test, pairwise_gap)
 from qebsdej.solver import (CLIP_SIGMAS, EnsembleMismatchError, FeatureMap,
                             NonContractionError, Regression, same_ensemble)
 
@@ -283,6 +284,57 @@ def test_reconstruction_identity(small_ensemble, gamma_quad):
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
     assert _reconstruction_gap(q.decompose(sol)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# storage layout
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def step_major_solve(gamma_model, gamma_quad):
+    # d = 2 so that each Brownian coordinate's step slice is checked, and a
+    # y-dependent driver so that the Picard counts vary
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 6, 3000,
+                  seed=21, d=2)
+    view = q.DriverView(q.make_driver("morlais", q.StructureParams(1.0, 0.0, 0.0),
+                                      beta=0.5), ens)
+    return view, solve(view, lambda x: np.abs(0.25 * x))
+
+
+def test_step_slices_are_contiguous_and_the_stream_is_drawn_path_major(
+        step_major_solve):
+    view, sol = step_major_solve
+    ens, dec = view.ensemble, q.decompose(sol)
+    k_steps, d = ens.n_steps, ens.d
+    slack = check_q_structure(dec, view.driver.params).upper_slack
+    r = canonical_paths(ens, dec.dm_c, 0.0, np.zeros((k_steps, ens.quad.n_nodes)),
+                        "upper")
+    slices = [a[:, k] for a in (ens.state, sol.y, r) for k in range(k_steps + 1)]
+    for k in range(k_steps):
+        slices += [ens.dw[:, k, j] for j in range(d)]
+        slices += [sol.z[:, k, j] for j in range(d)]
+        slices += [a[:, k] for a in (sol.driver_values, dec.dv, dec.dm_c, dec.dm_d,
+                                     slack)]
+    assert all(s.flags.c_contiguous for s in slices)
+    # the Brownian stream is the one a path-major draw gives
+    child_w, _ = np.random.SeedSequence(21).spawn(2)
+    draws = np.random.Generator(np.random.Philox(child_w)).standard_normal(
+        (ens.n_paths, k_steps, d))
+    assert np.array_equal(ens.dw, draws * math.sqrt(ens.dt))
+
+
+def test_path_major_ensemble_solves_to_the_same_fields(step_major_solve):
+    view, sol = step_major_solve
+    ens = view.ensemble
+    path_major = dataclasses.replace(ens, state=np.ascontiguousarray(ens.state),
+                                     dw=np.ascontiguousarray(ens.dw))
+    assert path_major.state.flags.c_contiguous and path_major.dw.flags.c_contiguous
+    other = solve(q.DriverView(view.driver, path_major), lambda x: np.abs(0.25 * x))
+    assert np.array_equal(other.picard_iterations, sol.picard_iterations)
+    assert sol.picard_iterations.max() > 1
+    pairs = [(other.y, sol.y), (other.z, sol.z)] + list(zip(other.u_coeffs, sol.u_coeffs))
+    for a, b in pairs:
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 @pytest.fixture(scope="module")
