@@ -421,9 +421,12 @@ class JumpTable:
         ``sum over the path's jumps of field[path, mark] - sum_i wz_i field_i dt``.
         ``field`` holds one value per node, shape (Q,), or per path and node,
         shape (n_paths, Q); ``wz`` is the node intensity of the interval."""
-        field = np.asarray(field, dtype=float)
         paths, marks = self.rows_for_interval(k)
         out = np.zeros(self.n_paths)
+        if paths.size == 0 and not (wz > 0).any():
+            # no jump and no compensator: the sum is zero whatever the field
+            return out
+        field = np.asarray(field, dtype=float)
         np.add.at(out, paths,
                   np.broadcast_to(field, (self.n_paths, self.n_nodes))[paths, marks])
         return out - (field * wz).sum(axis=-1) * dt

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import StructureParams
-from .solver import BsdejSolution, PathEnsemble, Regression
+from .solver import BsdejSolution, PathEnsemble
 
 # the two entropic values: ln E[exp(psi)] and -ln E[exp(-psi)]
 DIRECTIONS = ("upper", "lower")
@@ -61,7 +61,7 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
         se_mean = float(expo.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return RiskEstimate(sign * math.log(mean), se_mean / mean,
                             None, None, heavy)
-    reg = Regression(ensemble.state[:, k_time], basis_degree)
+    reg = ensemble.regression(k_time, basis_degree)
     _, fitted = reg.fit(expo)
     # a conditional mean stays inside the target's range; clipping keeps the
     # log finite where the polynomial fit undershoots a positive target

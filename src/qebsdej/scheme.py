@@ -24,8 +24,8 @@ from .semimartingale import (QStructureReport, SubmartingaleReport,
                              check_q_structure, exponential_transform,
                              pairwise_gap, stability_diagnostics,
                              submartingale_test)
-from .solver import (BsdejSolution, Decomposition, PathEnsemble, Regression,
-                     decompose, same_ensemble, solve_lipschitz)
+from .solver import (BsdejSolution, Decomposition, PathEnsemble, decompose,
+                     same_ensemble, solve_lipschitz)
 
 
 class UnlinkedComparisonError(ValueError):
@@ -192,7 +192,7 @@ def tau_l_localization(ensemble: PathEnsemble, params: StructureParams,
         if k == 0:
             estimate = np.full(n, float(target.mean()))
         else:
-            _, estimate = Regression(ensemble.state[:, k], basis_degree).fit(target)
+            _, estimate = ensemble.regression(k, basis_degree).fit(target)
         hit = (~done) & (estimate > level)
         stop[hit] = k
         done |= hit

@@ -19,7 +19,7 @@ import numpy as np
 from .drivers import StructureParams, structure_bounds
 from .levy import exp_excess
 from .risk import DIRECTIONS, heavy_tail
-from .solver import Decomposition, PathEnsemble, Regression, same_ensemble
+from .solver import Decomposition, PathEnsemble, same_ensemble
 
 
 @dataclass
@@ -138,7 +138,7 @@ def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
     martingale increment moves with the state."""
     worst = 0.0
     for k in range(increments.shape[1]):
-        reg = Regression(ensemble.state[:, k], basis_degree)
+        reg = ensemble.regression(k, basis_degree)
         coeffs, fitted = reg.fit(increments[:, k])
         variances = reg.robust_variances(increments[:, k] - fitted)
         se = np.sqrt(np.clip(variances, 1e-300, None))

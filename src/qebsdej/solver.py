@@ -17,7 +17,7 @@ is below one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,7 +53,9 @@ class PathEnsemble:
 
     The object is its own identity: solutions hold the ensemble they were
     regressed on, and :func:`same_ensemble` refuses to combine results from
-    different ensembles, whatever inputs the ensembles share.
+    different ensembles, whatever inputs the ensembles share.  It also owns
+    the factor of each step's design, so that every regression on one step's
+    state (see :meth:`regression`) factorizes that design once.
     """
 
     time_grid: np.ndarray            # (K+1,)
@@ -64,6 +66,11 @@ class PathEnsemble:
     state: np.ndarray                # (n_paths, K+1)
     model: LevyModel
     quad: MarkQuadrature
+    # (k, degree) -> Regression.factor, filled on first use; valid because
+    # nothing writes `state` after simulate_forward, and a copy made with
+    # dataclasses.replace starts empty
+    _factors: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def n_paths(self) -> int:
@@ -76,6 +83,15 @@ class PathEnsemble:
     @property
     def d(self) -> int:
         return self.dw.shape[2]
+
+    def regression(self, k: int, degree: int) -> "Regression":
+        """Least squares on the degree-``degree`` features of step ``k``'s
+        state.  The feature map and the factor are computed on the first call
+        for ``(k, degree)`` and reused by every later one, which only rebuilds
+        the design."""
+        reg = Regression(self.state[:, k], degree, self._factors.get((k, degree)))
+        self._factors[k, degree] = reg.factor
+        return reg
 
 
 def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
@@ -178,21 +194,32 @@ class FeatureMap:
 class Regression:
     """Least squares on the features of one time step's state.
 
-    The design is factorized once by a thin SVD and serves every target
-    regressed on that state.  Singular values at or below ``lstsq``'s default
-    cut (``eps * max(n, p) * s_max``) are dropped, so a rank-deficient design
-    gets the minimum-norm fit.
+    The n×p design ``X`` is reduced by a QR factorization to its p×p triangle
+    ``R``, whose SVD ``R = W S V'`` gives the singular values and right
+    singular vectors of ``X``.  Singular values at or below ``lstsq``'s
+    default cut (``eps * max(n, p) * s_max``) are dropped, so a rank-deficient
+    design gets the minimum-norm fit.  Only ``V S^-1`` (p × rank) is kept:
+    the pseudo-inverse is ``X^+ = V S^-2 V' X'``, so every target regressed
+    on the state is fitted from the design and that factor, and no n×p
+    orthogonal factor is formed.
+
+    ``factor`` is the ``(feature_map, V S^-1, gram_condition)`` triple, the
+    ``factor`` attribute of an earlier regression on the same ``x`` and
+    ``degree``; it is reused instead of being computed again.
     """
 
-    def __init__(self, x: np.ndarray, degree: int):
-        self.feature_map = FeatureMap.fit(x, degree)
-        self.design = self.feature_map.matrix(x)
-        u, s, vt = np.linalg.svd(self.design, full_matrices=False)
-        # condition number of the Gram matrix design.T @ design
-        self.gram_condition = float(s[0] / s[-1]) ** 2
-        keep = s > np.finfo(float).eps * max(self.design.shape) * s[0]
-        self._u = u[:, keep]
-        self._v_scaled = vt[keep].T / s[keep]     # V S^-1, shape (p, rank)
+    def __init__(self, x: np.ndarray, degree: int, factor: tuple | None = None):
+        if factor is None:
+            feature_map = FeatureMap.fit(x, degree)
+            self.design = feature_map.matrix(x)
+            _, s, vt = np.linalg.svd(np.linalg.qr(self.design, mode="r"))
+            keep = s > np.finfo(float).eps * max(self.design.shape) * s[0]
+            # V S^-1 and the condition number of the Gram matrix design.T @ design
+            factor = (feature_map, vt[keep].T / s[keep], float(s[0] / s[-1]) ** 2)
+        else:
+            self.design = factor[0].matrix(x)
+        self.factor = factor
+        self.feature_map, self._v_scaled, self.gram_condition = factor
 
     @property
     def n_basis(self) -> int:
@@ -200,19 +227,21 @@ class Regression:
 
     def fit(self, targets: np.ndarray):
         """Coefficients and fitted values for a target vector or matrix."""
-        coeffs = self._v_scaled @ (self._u.T @ targets)
+        v = self._v_scaled
+        coeffs = v @ (v.T @ (self.design.T @ targets))
         return coeffs, self.design @ coeffs
 
     def robust_variances(self, resid: np.ndarray) -> np.ndarray:
         """Heteroscedasticity-robust (HC0) coefficient variances of a fit with
         residuals ``resid``: the diagonal of ``B diag(resid^2) B'`` with
-        ``B = (X'X)^+ X' = V S^-1 U'``, the stored factorization."""
-        return ((self._v_scaled @ (self._u.T * resid)) ** 2).sum(axis=1)
+        ``B = X^+ = V S^-2 V' X'``."""
+        v = self._v_scaled
+        return ((v @ (v.T @ (self.design.T * resid))) ** 2).sum(axis=1)
 
     @property
     def leverages(self) -> np.ndarray:
-        """Diagonal of the hat matrix, one entry per path."""
-        return (self._u ** 2).sum(axis=1)
+        """Diagonal of the hat matrix ``X X^+``, one entry per path."""
+        return ((self.design @ self._v_scaled) ** 2).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +352,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
     u_clip = np.zeros(k_steps)
 
     for k in range(k_steps - 1, -1, -1):
-        reg = Regression(ensemble.state[:, k], basis_degree)
+        reg = ensemble.regression(k, basis_degree)
         conds[k] = reg.gram_condition
         y_next = y[:, k + 1]
 

@@ -58,6 +58,13 @@ def scheme_payload(seed=8):
     return payload
 
 
+def risk_payload():
+    payload = solve_payload(experiment="risk")
+    payload["risk"] = {"times": [0, 4], "gammas": [1.0]}
+    payload["terminal"] = {"name": "linear", "scale": 0.5}
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
@@ -252,8 +259,8 @@ def test_run_is_bit_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("payload", [solve_payload(), scheme_payload()],
-                         ids=["solve", "scheme"])
+@pytest.mark.parametrize("payload", [solve_payload(), scheme_payload(), risk_payload()],
+                         ids=["solve", "scheme", "risk"])
 def test_run_is_bit_deterministic_across_processes(tmp_path, payload):
     # the bits are a function of the config and the seed alone, so a fresh
     # interpreter (as the benchmark's gate runs them) writes the same bytes
@@ -592,10 +599,7 @@ def test_jump_table_export(tmp_path):
 
 
 def test_run_risk_experiment(tmp_path):
-    payload = solve_payload(experiment="risk")
-    payload["risk"] = {"times": [0, 4], "gammas": [1.0]}
-    payload["terminal"] = {"name": "linear", "scale": 0.5}
-    cfg = write_config(tmp_path, "risk.json", payload)
+    cfg = write_config(tmp_path, "risk.json", risk_payload())
     out = tmp_path / "risk_out"
     assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
     table = (out / "risk_table.csv").read_text().splitlines()

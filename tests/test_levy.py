@@ -233,6 +233,34 @@ def test_zero_mass_no_jumps():
     assert table.n_jumps == 0
 
 
+def test_compensated_sum_of_an_empty_interval_is_exact_zero(gamma_model, gamma_quad):
+    wz = gamma_quad.intensity(gamma_model, 0.0)
+    one_node = np.where(np.arange(wz.size) == 0, wz, 0.0)
+    intensity = np.stack([wz, np.zeros_like(wz), one_node, np.zeros_like(wz)])
+    n, dt = 2000, 0.25
+    table = q.sample_jump_paths(intensity, dt, n, seed=13)
+    fields = [np.random.default_rng(14).uniform(-1.0, 1.0, (n, wz.size)),
+              np.linspace(-1.0, 1.0, wz.size)]
+    for k, row in enumerate(intensity):
+        paths, marks = table.rows_for_interval(k)
+        for field in fields:
+            got = table.compensated_sum(k, field, row, dt)
+            if row.any():
+                # intervals with intensity keep the bits of the full formula
+                assert paths.size > 0
+                expect = np.zeros(n)
+                np.add.at(expect, paths,
+                          np.broadcast_to(field, (n, wz.size))[paths, marks])
+                expect = expect - (field * row).sum(axis=-1) * dt
+                assert got.tobytes() == expect.tobytes()
+            else:
+                # +0.0 on every path, and the field is not read: NaN gives zeros
+                assert paths.size == 0
+                nan_field = np.full_like(field, np.nan)
+                for out in (got, table.compensated_sum(k, nan_field, row, dt)):
+                    assert out.tobytes() == np.zeros(n).tobytes()
+
+
 def test_jump_table_reproducible(gamma_model, gamma_quad):
     intensity = np.tile(gamma_quad.intensity(gamma_model, 0.0), (8, 1))
     a = q.sample_jump_paths(intensity, 0.125, 2000, seed=12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qebsdej as q
+from qebsdej import solver
 from qebsdej.scheme import (Schedule, UnlinkedComparisonError, default_c_split,
                             driver_l1_gap, ladder_quadrature, monotonicity_check,
                             run_triple_scheme, tau_l_localization)
@@ -128,6 +129,28 @@ def test_the_ensemble_is_the_only_intensity_reader(gamma_model, monkeypatch):
     _, result = run_ladder(base, lambda x: np.abs(0.25 * x), gamma_model, schedule,
                            seed=7, k_steps=10, n_paths=2000, q_nodes=10)
     assert not any(rec.error for rec in result.report.records)
+    assert len(calls) == 10
+
+
+def test_ladder_factorizes_each_step_design_once(gamma_model, monkeypatch):
+    # the triples and the localization regress on one ensemble at one degree,
+    # so every step's design is factorized by the first triple alone
+    calls = []
+    real = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver.np.linalg, "qr", counted)
+    params = q.StructureParams(1.0, 0.0, 0.0)
+    schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
+    ens, result = run_ladder(q.make_driver("canonical", params),
+                             lambda x: np.abs(0.25 * x), gamma_model, schedule,
+                             seed=7, k_steps=10, n_paths=2000, q_nodes=10)
+    assert not any(rec.error for rec in result.report.records)
+    assert len(calls) == 10
+    tau_l_localization(ens, params, ens.state[:, -1], 2.0, basis_degree=3)
     assert len(calls) == 10
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qebsdej as q
+from qebsdej import solver
 from qebsdej.levy import gamma_model
 from qebsdej.oracles import girsanov_tilt_exact, girsanov_tilt_mc
 from qebsdej.runner import _reconstruction_gap
@@ -126,23 +127,24 @@ def _assert_rel(actual, expected, rtol=1e-12):
                                atol=rtol * np.max(np.abs(expected)))
 
 
-def test_regression_matches_reference_linear_algebra():
+@pytest.mark.parametrize("degree", range(9))
+def test_regression_matches_reference_linear_algebra(degree):
     rng = np.random.default_rng(5)
-    reg = Regression(rng.standard_normal(400), 3)
+    reg = Regression(rng.standard_normal(400), degree)
     x = reg.design
-    gram = x.T @ x
     targets = rng.standard_normal((400, 3))
     coeffs, fitted = reg.fit(targets)
     ref, *_ = np.linalg.lstsq(x, targets, rcond=None)
     _assert_rel(coeffs, ref)
     _assert_rel(fitted, x @ ref)
-    _assert_rel(reg.gram_condition, np.linalg.cond(gram))
+    # the references come from the SVD of the design itself: through the Gram
+    # matrix they would square its condition number (4e3 at degree 8)
+    _assert_rel(reg.gram_condition, np.linalg.cond(x) ** 2)
     resid = targets[:, 0] - fitted[:, 0]
-    bread = np.linalg.pinv(gram) @ x.T
+    bread = np.linalg.pinv(x)
     _assert_rel(reg.robust_variances(resid),
                 np.diag(bread @ np.diag(resid ** 2) @ bread.T))
-    _assert_rel(reg.leverages,
-                np.einsum("ij,jk,ik->i", x, np.linalg.pinv(gram), x))
+    _assert_rel(reg.leverages, np.einsum("ij,ji->i", x, bread))
 
 
 def test_regression_rank_deficient_design_gets_minimum_norm_fit():
@@ -156,6 +158,55 @@ def test_regression_rank_deficient_design_gets_minimum_norm_fit():
     _assert_rel(coeffs, ref)
     _assert_rel(fitted, reg.design @ ref)
     assert np.allclose(fitted[:50], targets[:50].mean(), rtol=0, atol=1e-12)
+
+
+def test_regression_holds_one_transient_copy_of_the_design():
+    # the QR reduction copies the design once; a thin SVD of the design holds
+    # three n×p arrays at once
+    x = np.random.default_rng(3).standard_normal(20000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reg = Regression(x, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reg.design.shape == (20000, 4)
+    assert peak - before - reg.design.nbytes <= 2 * reg.design.nbytes
+
+
+def test_each_step_design_is_factorized_once_per_ensemble(gamma_model, gamma_quad,
+                                                         monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(solver.np.linalg, "qr", counted)
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 8, 3000, seed=12)
+    view = q.DriverView(q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0)),
+                        ens)
+    terminal = lambda x: np.abs(0.25 * x)
+    cold = solve(view, terminal)
+    dec = q.decompose(cold)
+    martingale_regression_test(dec.dm_c + dec.dm_d, ens, cold.feature_maps[0].degree)
+    assert len(calls) == ens.n_steps
+    warm = solve(view, terminal)
+    assert len(calls) == ens.n_steps
+    # another degree has other factors
+    martingale_regression_test(dec.dm_c + dec.dm_d, ens, 1)
+    assert len(calls) == 2 * ens.n_steps
+    # a copy is another ensemble: its memo starts empty
+    copy = solve(q.DriverView(view.driver, dataclasses.replace(ens)), terminal)
+    assert len(calls) == 3 * ens.n_steps
+    for other in (warm, copy):
+        pairs = [(getattr(other, name), getattr(cold, name))
+                 for name in ("y", "z", "driver_values", "resid_var", "cond_numbers",
+                              "picard_iterations", "u_clip")]
+        for a, b in pairs + list(zip(other.u_coeffs, cold.u_coeffs)):
+            assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
