@@ -92,11 +92,14 @@ REQUIRED = object()
 # Building the quadrature runs two adaptive integrals per cell, about 0.5 ms
 # a cell, and the solve regresses one jump loading per node at every step.
 Q_NODES_MAX = 1000
+# Regression.fit's coefficient error grows like cond(design)^2 * eps: against
+# lstsq it reads 1.4e-13 at degree 8 and 5.2e-12 at 9 (400 normal states).
+BASIS_DEGREE_MAX = 8
 # An ensemble holds n_paths x k_steps x d Brownian increments and several
 # arrays of about n_paths x k_steps (state, solution, generator values and
 # decomposition increments), and each step of the solve holds n_paths x q_nodes
 # arrays (jump counts, loadings and their regression targets).  A solve run
-# peaks near 490 MB at 5.4e6 such cells, so this bound keeps a run near 2 GB.
+# peaks near 375 MB at 5.4e6 such cells, so this bound keeps a run near 1.4 GB.
 PATH_CELLS_MAX = 2e7
 # The jump table keeps four 8-byte columns per jump and the sampler joins its
 # per-step parts, about 64 bytes a jump at the peak: 640 MB at this bound.
@@ -135,7 +138,8 @@ SETTINGS = {
                            12, least=2),
     },
     "solver": {
-        "basis_degree": Setting(_int, 3, least=0),
+        "basis_degree": Setting(_number(_integral, f"an integer <= {BASIS_DEGREE_MAX:g}",
+                                        BASIS_DEGREE_MAX), 3, least=0),
         "picard_max": Setting(_int, 50, least=1),
         "picard_tol": Setting(_float, 1e-10, least=0.0, strict=True),
         "export_paths": Setting(_int, 50),

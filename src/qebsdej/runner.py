@@ -97,13 +97,12 @@ def _build_setting(cfg: ExperimentConfig):
 
 
 def _solve(cfg: ExperimentConfig):
-    """Simulate the configured ensemble, solve the BSDE on it with the
-    ``solver`` settings, and decompose the solution."""
+    """Simulate the configured ensemble and solve the BSDE on it with the
+    ``solver`` settings."""
     structure, ensemble = _build_setting(cfg)
     view = DriverView(cfg.build_driver(structure), ensemble)
-    solution = solve_lipschitz(view, cfg.terminal_fn(), cfg.solver["basis_degree"],
-                               cfg.solver["picard_max"], cfg.solver["picard_tol"])
-    return structure, decompose(solution)
+    return structure, solve_lipschitz(view, cfg.terminal_fn(), cfg.solver["basis_degree"],
+                                      cfg.solver["picard_max"], cfg.solver["picard_tol"])
 
 
 def _audit_checks(suffix: str, corridor, apriori, submart) -> list[CheckResult]:
@@ -138,15 +137,16 @@ def _jump_rows(ensemble):
             for p, k, t, m in columns]
 
 
-def _reconstruction_gap(dec) -> float:
+def _reconstruction_gap(solution) -> float:
     """Largest ``|Y - (Y_0 - V + M)|`` with ``M`` the cumulated residue
-    ``diff(y) + dv``: only the rounding of the cumulative sums shows.  Built
-    in place, so two (n_paths, K) arrays are live at once."""
-    y, dv = dec.solution.y, dec.dv
+    ``diff(y) + driver_values * dt``: only the rounding of the cumulative sums
+    shows.  Built in place, so two (n_paths, K) arrays are live at once."""
+    y = solution.y
+    dv = solution.driver_values * solution.ensemble.dt
     m = np.diff(y, axis=1)
     m += dv
     np.cumsum(m, axis=1, out=m)
-    rebuilt = np.cumsum(dv, axis=1)
+    rebuilt = np.cumsum(dv, axis=1, out=dv)
     np.subtract(y[:, :1], rebuilt, out=rebuilt)
     rebuilt += m
     np.subtract(y[:, 1:], rebuilt, out=rebuilt)
@@ -154,15 +154,15 @@ def _reconstruction_gap(dec) -> float:
 
 
 def run_solve(cfg: ExperimentConfig):
-    _, dec = _solve(cfg)
-    solution, ensemble = dec.solution, dec.solution.ensemble
-    recon = _reconstruction_gap(dec)
+    _, solution = _solve(cfg)
+    ensemble = solution.ensemble
+    recon = _reconstruction_gap(solution)
     mismatch = float(np.max(np.abs(solution.y[:, -1] - solution.terminal)))
     checks = [CheckResult("terminal_match", mismatch == 0.0, mismatch, 0.0,
                           "vacuous: the solve sets y_T = xi"),
               CheckResult("reconstruction_identity", recon <= 1e-10, recon, 1e-10,
                           "vacuous: M is the residue y - y0 + V")]
-    mart = martingale_regression_test(dec.dm_c + dec.dm_d, ensemble,
+    mart = martingale_regression_test(decompose(solution).dm, ensemble,
                                       cfg.solver["basis_degree"])
     checks.append(CheckResult("martingale_coefficients", mart <= 4.0, mart, 4.0))
     summary_rows = [dict(y0=solution.y0, y0_se=solution.y0_se,
@@ -210,12 +210,12 @@ def run_scheme(cfg: ExperimentConfig):
 
 
 def run_audit(cfg: ExperimentConfig):
-    structure, dec = _solve(cfg)
-    corridor, apriori, submart = audit_solution(dec, structure)
+    structure, solution = _solve(cfg)
+    corridor, apriori, submart = audit_solution(solution, structure)
     rows = [dict(corridor_violation=corridor.violation_fraction,
                  submartingale_fraction=submart.fraction_below,
                  apriori_lhs=apriori.lhs, apriori_rhs=apriori.rhs,
-                 y0=dec.solution.y0, y0_se=dec.solution.y0_se)]
+                 y0=solution.y0, y0_se=solution.y0_se)]
     return _audit_checks("", corridor, apriori, submart), {"audit_report.csv": rows}
 
 

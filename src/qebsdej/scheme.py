@@ -81,7 +81,8 @@ class Schedule:
 @dataclass
 class TripleRecord:
     """Per-triple ladder diagnostics; one row of the convergence report.
-    ``dec`` is the triple's decomposition, None when the triple failed."""
+    ``dec`` is the triple's decomposition (its solve and martingale
+    increments ``dm``), None when the triple failed."""
 
     n: int
     m: int
@@ -293,7 +294,7 @@ def default_c_split(sol: BsdejSolution) -> float:
     return 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
 
 
-def audit_solution(dec: Decomposition, params: StructureParams
+def audit_solution(sol: BsdejSolution, params: StructureParams
                    ) -> tuple[QStructureReport, AprioriReport, SubmartingaleReport]:
     """Corridor, a-priori bound and submartingale audits of one solve.
 
@@ -301,10 +302,9 @@ def audit_solution(dec: Decomposition, params: StructureParams
     is checked at time zero, and the submartingale test compares a quarter
     and a half of the horizon.
     """
-    sol, ensemble = dec.solution, dec.solution.ensemble
-    k_steps = sol.n_steps
+    ensemble, k_steps = sol.ensemble, sol.n_steps
     tol = np.array([3.0 * sol.regression_se(k) for k in range(k_steps)])
-    corridor = check_q_structure(dec, params, tol=tol[None, :])
+    corridor = check_q_structure(sol, params, tol=tol[None, :])
     apriori = apriori_bound_check(sol, params, 0)
     x_bar = exponential_transform(sol.y, params, ensemble.time_grid)
     submart = submartingale_test(x_bar, ensemble, k_steps // 4, k_steps // 2)
@@ -341,21 +341,21 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
         sol = record.solution
         record.y0, record.y0_se, record.s2_norm = sol.y0, sol.y0_se, sol.s2_norm()
         record.corridor, record.apriori, record.submartingale = audit_solution(
-            record.dec, base.params)
+            sol, base.params)
 
     solved = [r for r in records if r.dec is not None]
     if solved:
-        proxy = solved[-1].dec
-        c_split = default_c_split(proxy.solution)
+        proxy = solved[-1].solution
+        c_split = default_c_split(proxy)
         for rec in solved:
-            gap = driver_l1_gap(rec.solution, proxy.solution, c_split)
+            gap = driver_l1_gap(rec.solution, proxy, c_split)
             rec.a1, rec.a2 = gap.a1, gap.a2
             rec.chebyshev_bound = gap.chebyshev_bound
             rec.region_fraction = gap.region_fraction
         gaps = [r.a1 + r.a2 for r in solved]
-        for rec, stab in zip(solved, stability_diagnostics([r.dec for r in solved])):
+        for rec, stab in zip(solved, stability_diagnostics([r.solution for r in solved])):
             rec.h1_gap_prev, rec.vstar_gap_prev = stab.h1_gap_prev, stab.vstar_gap_prev
-            rec.h1_gap_proxy, rec.vstar_gap_proxy = pairwise_gap(rec.dec, proxy)
+            rec.h1_gap_proxy, rec.vstar_gap_proxy = pairwise_gap(rec.solution, proxy)
         links = [l for l in schedule.links()
                  if records[l["lo"]].dec is not None and records[l["hi"]].dec is not None
                  and link_direction(l["changed"], base.nonnegative) is not None]

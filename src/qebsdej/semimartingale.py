@@ -19,7 +19,7 @@ import numpy as np
 from .drivers import StructureParams, structure_bounds
 from .levy import exp_excess
 from .risk import DIRECTIONS, heavy_tail
-from .solver import Decomposition, PathEnsemble, same_ensemble
+from .solver import BsdejSolution, PathEnsemble, same_ensemble
 
 
 @dataclass
@@ -35,17 +35,17 @@ class QStructureReport:
         return self.violation_fraction < 0.01
 
 
-def check_q_structure(dec: Decomposition, params: StructureParams,
+def check_q_structure(solution: BsdejSolution, params: StructureParams,
                       tol=0.0) -> QStructureReport:
-    """Test every ``dV`` increment against the exponential-quadratic corridor
-    of :func:`qebsdej.drivers.structure_bounds` times ``dt``.
+    """Test every increment ``dV = driver_values * dt`` of a solve against the
+    corridor of :func:`qebsdej.drivers.structure_bounds` times ``dt``.
 
     ``tol`` is an absolute slack (scalar or per-step array), typically a
     multiple of the regression standard error.
     """
-    solution, ensemble = dec.solution, dec.solution.ensemble
+    ensemble = solution.ensemble
     dt = ensemble.dt
-    dv = dec.dv
+    dv = solution.driver_values * dt
     lower = np.empty_like(dv)
     upper = np.empty_like(dv)
     for k in range(solution.n_steps):
@@ -205,23 +205,24 @@ class StabilityRecord:
     vstar_gap_prev: float
 
 
-def stability_diagnostics(decs: Sequence[Decomposition]) -> list[StabilityRecord]:
-    """Pairwise gaps between consecutive decompositions (all on a shared
-    ensemble)."""
-    records = [StabilityRecord(math.nan, math.nan)] if decs else []
-    for prev, dec in zip(decs, decs[1:]):
-        records.append(StabilityRecord(*pairwise_gap(dec, prev)))
+def stability_diagnostics(solutions: Sequence[BsdejSolution]) -> list[StabilityRecord]:
+    """Pairwise gaps between the decompositions of consecutive solves (all on
+    a shared ensemble)."""
+    records = [StabilityRecord(math.nan, math.nan)] if solutions else []
+    for prev, sol in zip(solutions, solutions[1:]):
+        records.append(StabilityRecord(*pairwise_gap(sol, prev)))
     return records
 
 
-def pairwise_gap(dec_a: Decomposition, dec_b: Decomposition) -> tuple[float, float]:
-    """(H1-style martingale gap, running-max variation gap) between two
-    decompositions on a shared ensemble."""
-    same_ensemble(dec_a.solution, dec_b.solution)
-    dm = ((np.diff(dec_a.solution.y, axis=1) + dec_a.dv)
-          - (np.diff(dec_b.solution.y, axis=1) + dec_b.dv))
+def pairwise_gap(sol_a: BsdejSolution, sol_b: BsdejSolution) -> tuple[float, float]:
+    """(H1-style martingale gap, running-max variation gap) between the
+    decompositions of two solves on a shared ensemble; ``dV`` is
+    ``driver_values * dt`` and ``dM`` the residue ``diff(y) + dV``."""
+    dt = same_ensemble(sol_a, sol_b).dt
+    dv_a, dv_b = sol_a.driver_values * dt, sol_b.driver_values * dt
+    dm = (np.diff(sol_a.y, axis=1) + dv_a) - (np.diff(sol_b.y, axis=1) + dv_b)
     h1 = float(np.sqrt((dm ** 2).sum(axis=1)).mean())
-    v_gap = np.cumsum(dec_a.dv, axis=1) - np.cumsum(dec_b.dv, axis=1)
+    v_gap = np.cumsum(dv_a, axis=1) - np.cumsum(dv_b, axis=1)
     vstar = float(np.abs(v_gap).max(axis=1).mean())
     return h1, vstar
 

@@ -417,29 +417,22 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
 
 @dataclass
 class Decomposition:
-    """Additive split ``Y_k = Y_0 - V_k + M_k`` of a discrete solution, held
-    as per-step increments of shape (n_paths, K): ``dv`` (generator times
-    ``dt``), ``dm_c`` (Brownian loading sums) and ``dm_d`` (compensated jump
-    sums).  The martingale increment that makes the identity exact is the
-    residue ``diff(y) + dv``, formed by the readers that need it; it differs
-    from ``dm_c + dm_d`` by the regression residual martingale.  ``solution``
-    is the solve it decomposes.
-    """
+    """Martingale part of the split ``Y_k = Y_0 - V_k + M_k`` of ``solution``,
+    as per-step increments ``dm`` of shape (n_paths, K): the Brownian loading
+    sums ``z . dw`` plus the compensated jump sums of the loadings.  ``dV`` is
+    ``solution.driver_values * dt``; the residue ``diff(y) + dV`` makes the
+    identity exact and differs from ``dm`` by the regression residual
+    martingale."""
 
-    dv: np.ndarray
-    dm_c: np.ndarray
-    dm_d: np.ndarray
+    dm: np.ndarray
     solution: BsdejSolution
 
 
 def decompose(solution: BsdejSolution) -> Decomposition:
-    """Assemble the finite-variation and martingale increments of a solve."""
+    """Assemble the estimated martingale increments of a solve."""
     ensemble = solution.ensemble
-    dt = ensemble.dt
-    dv = solution.driver_values * dt
-    dm_c = (solution.z * ensemble.dw).sum(axis=2)
-    dm_d = np.empty_like(dv)
+    dm = (solution.z * ensemble.dw).sum(axis=2)
     for k in range(solution.n_steps):
-        dm_d[:, k] = ensemble.jumps.compensated_sum(k, solution.u_values(k),
-                                                    ensemble.intensity[k], dt)
-    return Decomposition(dv, dm_c, dm_d, solution)
+        dm[:, k] += ensemble.jumps.compensated_sum(k, solution.u_values(k),
+                                                   ensemble.intensity[k], ensemble.dt)
+    return Decomposition(dm, solution)

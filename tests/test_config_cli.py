@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import json
 import math
@@ -319,6 +320,7 @@ def _ensemble(**fields):
          ensemble={"n_paths": 100000, "seed": 1, "dynamics": "brownian"}),
     dict(quadrature={"kappa": 4.0, "q_nodes": 1e9}),
     dict(grid={"t_end": 1.0, "k_steps": 1e9}),
+    dict(solver={"basis_degree": 9}),
 ], ids=["n_paths_not_a_number", "misspelled_model_parameter", "zero_delta",
         "risk_without_time_zero", "risk_time_beyond_grid",
         "risk_time_not_a_step", "x0_not_a_number", "d_not_a_number",
@@ -331,7 +333,8 @@ def _ensemble(**fields):
         "c_nu_below_default_zeta", "gamma_beta_zero", "normal_scale_zero",
         "normal_profile_finer_than_its_marks",
         "theta_not_a_number", "negative_theta", "expected_jumps_beyond_memory",
-        "q_nodes_beyond_build_time", "k_steps_beyond_memory"])
+        "q_nodes_beyond_build_time", "k_steps_beyond_memory",
+        "basis_degree_beyond_accuracy"])
 def test_bad_config_exits_2(tmp_path, overrides):
     cfg = write_config(tmp_path, "bad.json", solve_payload(**overrides))
     out = tmp_path / "nothing"
@@ -491,15 +494,17 @@ def test_default_doleans_oracle_has_mean_one(tmp_path):
     assert abs(value - 1.0) <= 3.0 * stderr
 
 
-@pytest.mark.parametrize("oracle", [
-    {"name": "girsanov_tilt", "x0": 1e308, "b": 1e308, "n_samples": 50},
-    {"name": "girsanov_tilt", "impact": 1e307, "mass": 30.0, "n_samples": 50},
-    {"name": "huber_envelope", "n": 1e300, "y": 1e300},
+@pytest.mark.parametrize("oracle,warns", [
+    ({"name": "girsanov_tilt", "x0": 1e308, "b": 1e308, "n_samples": 50}, True),
+    ({"name": "girsanov_tilt", "impact": 1e307, "mass": 30.0, "n_samples": 50}, True),
+    ({"name": "huber_envelope", "n": 1e300, "y": 1e300}, False),
 ], ids=["tilt_drift_overflows", "tilt_jumps_overflow", "huber_overflows"])
-def test_overflowing_oracle_fails_its_check(tmp_path, oracle):
+def test_overflowing_oracle_fails_its_check(tmp_path, oracle, warns):
     cfg = write_config(tmp_path, "big.json", {"experiment": "oracle", "oracle": oracle})
     out = tmp_path / "bout"
-    assert main(["oracle", cfg, "--out", str(out)]) == EXIT_CHECK_FAILURE
+    # the tilt oracles overflow in numpy, which warns as it returns inf
+    with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
+        assert main(["oracle", cfg, "--out", str(out)]) == EXIT_CHECK_FAILURE
     assert (out / "summary.txt").read_text().startswith("FAIL estimate_finite")
 
 
@@ -617,6 +622,26 @@ def test_run_audit_experiment(tmp_path):
     out = tmp_path / "audit_out"
     assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
     assert "corridor" in (out / "summary.txt").read_text()
+
+
+def test_audit_run_does_not_decompose(tmp_path, monkeypatch):
+    # the audits read the solve; of the runs on a solve, only the solve
+    # run's martingale check reads martingale increments
+    from qebsdej import runner
+
+    real_decompose = runner.decompose
+    calls = []
+
+    def spy(solution):
+        calls.append(solution)
+        return real_decompose(solution)
+
+    monkeypatch.setattr(runner, "decompose", spy)
+    for experiment, expected_calls in (("audit", 0), ("solve", 1)):
+        cfg = write_config(tmp_path, f"{experiment}.json",
+                           solve_payload(experiment=experiment))
+        assert main(["run", cfg, "--out", str(tmp_path / experiment)]) == EXIT_OK
+        assert len(calls) == expected_calls, experiment
 
 
 def test_run_scheme_experiment(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ def canonical_solution(small_ensemble, gamma_quad):
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
-    return params, sol, decompose(sol)
+    return params, sol
 
 
 # ---------------------------------------------------------------------------
@@ -31,14 +32,13 @@ def test_corridor_trivial_zero_solution(small_ensemble, gamma_quad):
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("zero", params)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.zeros_like(x))
-    dec = decompose(sol)
-    report = check_q_structure(dec, params)
+    report = check_q_structure(sol, params)
     assert report.violation_fraction == 0.0
 
 
 def test_corridor_canonical_sits_on_upper_boundary(canonical_solution):
-    params, _, dec = canonical_solution
-    report = check_q_structure(dec, params, tol=1e-9)
+    params, sol = canonical_solution
+    report = check_q_structure(sol, params, tol=1e-9)
     assert report.violation_fraction == 0.0
     # with l = c = 0 and unit delta the finite-variation increment equals the
     # upper corridor term exactly
@@ -46,8 +46,9 @@ def test_corridor_canonical_sits_on_upper_boundary(canonical_solution):
 
 
 def test_corridor_adversarial_violation(canonical_solution):
-    params, _, dec = canonical_solution
-    bumped = q.Decomposition(dec.dv + 0.1, dec.dm_c, dec.dm_d, dec.solution)
+    params, sol = canonical_solution
+    # dV = driver_values * dt moves up by 0.1 in every cell
+    bumped = dataclasses.replace(sol, driver_values=sol.driver_values + 0.1 / sol.ensemble.dt)
     report = check_q_structure(bumped, params)
     assert report.violation_fraction == 1.0
 
@@ -58,8 +59,7 @@ def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
     params = q.StructureParams(0.5, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
-    dec = decompose(sol)
-    report = check_q_structure(dec, params, tol=1e-9)
+    report = check_q_structure(sol, params, tol=1e-9)
     assert report.violation_fraction == 0.0
     assert np.max(np.abs(report.upper_slack)) <= 1e-9
 
@@ -93,7 +93,7 @@ def test_submartingale_deterministic_passes(small_ensemble):
 
 def test_submartingale_canonical_solution_passes(canonical_solution,
                                                  small_ensemble):
-    params, sol, _ = canonical_solution
+    params, sol = canonical_solution
     x_bar = exponential_transform(sol.y, params, small_ensemble.time_grid)
     rep = submartingale_test(x_bar, small_ensemble, 5, 10)
     assert rep.verdict and not rep.heavy_tail_warning
@@ -120,14 +120,13 @@ def test_submartingale_index_validation(small_ensemble):
 
 @pytest.fixture(scope="module", params=[11, 12, 13])
 def martingale_increments(request):
-    """Estimated martingale increments ``dM^c + dM^d`` of a 5000-path
-    canonical solve, with their ensemble."""
+    """Estimated martingale increments ``dm`` of a 5000-path canonical
+    solve, with their ensemble."""
     model = q.make_model("gamma", theta=1.0, beta=1.0)
     quad = q.build_quadrature(model, 8.0, 12)
     ens = forward(model, quad, "brownian_jumps", 0.7, 30, 5000, seed=request.param)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
-    dec = decompose(solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x)))
-    return ens, dec.dm_c + dec.dm_d
+    return ens, decompose(solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))).dm
 
 
 def test_martingale_coefficients_pass_on_martingale_increments(martingale_increments):
@@ -207,13 +206,13 @@ def test_canonical_compensator_refuses_overflow(tiny_ensemble, direction, sign):
 # ---------------------------------------------------------------------------
 
 def test_stability_identical_decompositions(canonical_solution):
-    _, _, dec = canonical_solution
-    records = stability_diagnostics([dec, dec, dec])
+    _, sol = canonical_solution
+    records = stability_diagnostics([sol, sol, sol])
     assert all(r.h1_gap_prev in (0.0,) or math.isnan(r.h1_gap_prev)
                for r in records)
     assert records[1].h1_gap_prev == 0.0
     assert records[1].vstar_gap_prev == 0.0
-    h1, vstar = pairwise_gap(dec, dec)
+    h1, vstar = pairwise_gap(sol, sol)
     assert h1 == 0.0 and vstar == 0.0
 
 
@@ -227,7 +226,7 @@ def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
         ens = forward(gamma_model, gamma_quad, "brownian_jumps",
                       1.0, k_steps, 500, seed=31)
         sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
-        v_terminal[k_steps] = float(decompose(sol).dv[0].sum())
+        v_terminal[k_steps] = float((sol.driver_values[0] * ens.dt).sum())
     gap_coarse = abs(v_terminal[25] - v_terminal[50])
     gap_fine = abs(v_terminal[50] - v_terminal[100])
     assert gap_coarse > gap_fine
@@ -235,14 +234,13 @@ def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
 
 def test_stability_requires_shared_ensemble(canonical_solution, small_ensemble,
                                             gamma_model, gamma_quad):
-    _, _, dec = canonical_solution
+    _, sol = canonical_solution
     other_ens = forward(gamma_model, gamma_quad, "brownian_jumps",
                         1.0, small_ensemble.n_steps, 20000, seed=999)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     other_sol = solve(q.DriverView(drv, other_ens), lambda x: np.zeros_like(x))
-    other_dec = decompose(other_sol)
     with pytest.raises(EnsembleMismatchError):
-        stability_diagnostics([dec, other_dec])
+        stability_diagnostics([sol, other_sol])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +286,7 @@ def test_transform_exponential_moments_stable(canonical_solution,
                                               small_ensemble):
     # E[exp(p * X_T)] finite for p in {1, 2} on the Gaussian-tail fixture:
     # the sample mean moves by less than 10% between half and full sample
-    params, sol, _ = canonical_solution
+    params, sol = canonical_solution
     x_bar = exponential_transform(sol.y, params, small_ensemble.time_grid)
     terminal = x_bar[:, -1]
     for p in (1.0, 2.0):

@@ -191,12 +191,12 @@ def test_each_step_design_is_factorized_once_per_ensemble(gamma_model, gamma_qua
     terminal = lambda x: np.abs(0.25 * x)
     cold = solve(view, terminal)
     dec = q.decompose(cold)
-    martingale_regression_test(dec.dm_c + dec.dm_d, ens, cold.feature_maps[0].degree)
+    martingale_regression_test(dec.dm, ens, cold.feature_maps[0].degree)
     assert len(calls) == ens.n_steps
     warm = solve(view, terminal)
     assert len(calls) == ens.n_steps
     # another degree has other factors
-    martingale_regression_test(dec.dm_c + dec.dm_d, ens, 1)
+    martingale_regression_test(dec.dm, ens, 1)
     assert len(calls) == 2 * ens.n_steps
     # a copy is another ensemble: its memo starts empty
     copy = solve(q.DriverView(view.driver, dataclasses.replace(ens)), terminal)
@@ -295,8 +295,9 @@ def test_two_dimensional_noise(gamma_model, gamma_quad):
 # ---------------------------------------------------------------------------
 
 def test_decompose_holds_no_cumulative_copies(gamma_model, gamma_quad):
-    # the three (n, K) increment arrays plus one step's loading temporaries
-    # fit in four such arrays; one cumulative copy of any part does not
+    # the one (n, K) increment array, the z * dw product it is summed from
+    # and one step's loading temporaries fit in three such arrays; a second
+    # stored part or one cumulative copy does not
     ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
@@ -307,8 +308,9 @@ def test_decompose_holds_no_cumulative_copies(gamma_model, gamma_quad):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dec.dv.shape == dec.dm_c.shape == dec.dm_d.shape == (2000, 50)
-    assert peak - before <= 4 * dec.dv.nbytes
+    assert [f.name for f in dataclasses.fields(dec)] == ["dm", "solution"]
+    assert dec.dm.shape == (2000, 50)
+    assert peak - before <= 3 * dec.dm.nbytes
 
 
 def test_reconstruction_gap_holds_two_arrays(gamma_model, gamma_quad):
@@ -316,16 +318,16 @@ def test_reconstruction_gap_holds_two_arrays(gamma_model, gamma_quad):
     # one-expression form, which holds three
     ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
-    dec = q.decompose(solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x)))
+    sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        gap = _reconstruction_gap(dec)
+        gap = _reconstruction_gap(sol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before <= 2.5 * dec.dv.nbytes
-    y, dv = dec.solution.y, dec.dv
+    y, dv = sol.y, sol.driver_values * ens.dt
+    assert peak - before <= 2.5 * dv.nbytes
     rebuilt = y[:, :1] - np.cumsum(dv, axis=1) + np.cumsum(np.diff(y, axis=1) + dv, axis=1)
     assert gap == float(np.max(np.abs(y[:, 1:] - rebuilt)))
 
@@ -334,7 +336,7 @@ def test_reconstruction_identity(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
-    assert _reconstruction_gap(q.decompose(sol)) <= 1e-10
+    assert _reconstruction_gap(sol) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +359,14 @@ def test_step_slices_are_contiguous_and_the_stream_is_drawn_path_major(
     view, sol = step_major_solve
     ens, dec = view.ensemble, q.decompose(sol)
     k_steps, d = ens.n_steps, ens.d
-    slack = check_q_structure(dec, view.driver.params).upper_slack
-    r = canonical_paths(ens, dec.dm_c, 0.0, np.zeros((k_steps, ens.quad.n_nodes)),
-                        "upper")
+    slack = check_q_structure(sol, view.driver.params).upper_slack
+    r = canonical_paths(ens, (sol.z * ens.dw).sum(axis=2), 0.0,
+                        np.zeros((k_steps, ens.quad.n_nodes)), "upper")
     slices = [a[:, k] for a in (ens.state, sol.y, r) for k in range(k_steps + 1)]
     for k in range(k_steps):
         slices += [ens.dw[:, k, j] for j in range(d)]
         slices += [sol.z[:, k, j] for j in range(d)]
-        slices += [a[:, k] for a in (sol.driver_values, dec.dv, dec.dm_c, dec.dm_d,
-                                     slack)]
+        slices += [a[:, k] for a in (sol.driver_values, dec.dm, slack)]
     assert all(s.flags.c_contiguous for s in slices)
     # the Brownian stream is the one a path-major draw gives
     child_w, _ = np.random.SeedSequence(21).spawn(2)
@@ -451,12 +452,26 @@ def test_jump_martingale_is_the_compensated_loading_sum(fading_setting):
     ens = forward(model, quad, "brownian_jumps", 1.0, 10, 4000, seed=43)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
-    dm_d = q.decompose(sol).dm_d
+    dm = q.decompose(sol).dm
+    dm_c = (sol.z * ens.dw).sum(axis=2)
     for k in range(ens.n_steps):
         u = sol.u_values(k)
         wz = quad.intensity(model, float(ens.time_grid[k]))
-        expect = _jump_sum(ens.jumps, k, u) - (u * wz).sum(axis=1) * ens.dt
-        np.testing.assert_allclose(dm_d[:, k], expect, rtol=0.0, atol=1e-12)
+        expect = dm_c[:, k] + _jump_sum(ens.jumps, k, u) - (u * wz).sum(axis=1) * ens.dt
+        np.testing.assert_allclose(dm[:, k], expect, rtol=0.0, atol=1e-12)
+
+
+def test_martingale_increment_is_the_loading_sum_plus_the_jump_sum(step_major_solve):
+    # d = 2 and live jump nodes: one array holds the bits of the Brownian
+    # loading sums plus each step's compensated jump sum
+    view, sol = step_major_solve
+    ens = view.ensemble
+    assert ens.d == 2 and any(np.any(c != 0.0) for c in sol.u_coeffs)
+    expect = (sol.z * ens.dw).sum(axis=2)
+    for k in range(ens.n_steps):
+        expect[:, k] = expect[:, k] + ens.jumps.compensated_sum(
+            k, sol.u_values(k), ens.intensity[k], ens.dt)
+    assert np.array_equal(q.decompose(sol).dm, expect)
 
 
 def test_u_values_on_selected_rows_is_the_slice_of_the_full_field(small_ensemble):
@@ -476,8 +491,7 @@ def test_u_values_on_selected_rows_is_the_slice_of_the_full_field(small_ensemble
 def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, brownian_ensemble), lambda x: x)
-    dec = q.decompose(sol)
-    assert np.all(dec.dv == 0.0)
+    assert np.all(sol.driver_values == 0.0)
 
 
 def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
@@ -486,19 +500,19 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
     p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
     sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
-    dec = q.decompose(sol)
     # the summed increment sizes bound every running martingale value
-    assert np.abs(dec.dm_c).sum(axis=1).max() <= 1e-8
-    assert np.abs(dec.dm_d).sum(axis=1).max() <= 1e-8
-    assert np.array_equal(dec.dv, sol.driver_values * ens.dt)
+    dm_c = (sol.z * ens.dw).sum(axis=2)
+    dm_d = np.stack([ens.jumps.compensated_sum(k, sol.u_values(k), ens.intensity[k],
+                                               ens.dt) for k in range(ens.n_steps)], axis=1)
+    assert np.abs(dm_c).sum(axis=1).max() <= 1e-8
+    assert np.abs(dm_d).sum(axis=1).max() <= 1e-8
 
 
 def test_martingale_component_regression(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
-    dec = q.decompose(sol)
-    dm = dec.dm_c + dec.dm_d
+    dm = q.decompose(sol).dm
     stat = martingale_regression_test(dm[:, ::4], small_ensemble,
                                       sol.feature_maps[0].degree)
     assert stat <= 4.0
@@ -531,6 +545,6 @@ def test_same_seed_other_inputs_rejected(gamma_model, gamma_quad, change):
     with pytest.raises(EnsembleMismatchError):
         monotonicity_check([sol, other_sol], [dict(lo=0, hi=1, changed=())])
     with pytest.raises(EnsembleMismatchError):
-        pairwise_gap(q.decompose(sol), q.decompose(other_sol))
+        pairwise_gap(sol, other_sol)
     with pytest.raises(EnsembleMismatchError):
         driver_l1_gap(sol, other_sol, c_split=1.0)
