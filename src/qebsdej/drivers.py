@@ -10,6 +10,7 @@ in the regularization indices, and still inside the corridor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -45,6 +46,12 @@ class Driver:
     flag (``canonical`` and ``zero``), and refuses a ``g`` that is not.  ``lip_y`` is a declared Lipschitz
     constant of ``f`` in ``y``, zero when ``f`` ignores ``y``; ``lip_yz`` is
     one of ``f_hat`` in ``(y, z)`` when finite.
+
+    The declared slopes let that envelope skip the rows where it provably
+    equals the driver: ``g_slope(v)`` is ``g'(v)`` pointwise, and
+    ``z_slope(z)`` is the sup-norm of ``d f_hat / dz`` per row (the dual of
+    the L1 distance the envelope measures ``z`` in).  ``None`` declares no
+    slope, and then the envelope is evaluated on every row.
     """
 
     name: str
@@ -55,6 +62,8 @@ class Driver:
     lip_y: float = math.inf
     lip_yz: float = math.inf
     g_lip_factor: float = math.inf  # sup |g'| over the working mark-value range
+    g_slope: Callable | None = None
+    z_slope: Callable | None = None
 
     @property
     def depends_on_y(self) -> bool:
@@ -105,7 +114,15 @@ def _canonical(structure: StructureParams) -> Driver:
     def g(v):
         return exp_excess(delta * np.asarray(v, dtype=float)) / delta
 
-    return Driver("canonical", f_hat, g, structure, nonnegative=True, lip_y=0.0)
+    def g_slope(v):
+        out = delta * np.asarray(v, dtype=float)
+        return np.expm1(out, out=out)
+
+    def z_slope(z):
+        return delta * np.abs(z).max(axis=-1)
+
+    return Driver("canonical", f_hat, g, structure, nonnegative=True, lip_y=0.0,
+                  g_slope=g_slope, z_slope=z_slope)
 
 
 def _linear(structure: StructureParams, a: float = 0.0, b: float = 0.0,
@@ -144,8 +161,11 @@ def _zero(structure: StructureParams) -> Driver:
     def g(v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
+    def z_slope(z):
+        return np.zeros(np.shape(z)[:-1])
+
     return Driver("zero", f_hat, g, structure, nonnegative=True, lip_y=0.0,
-                  lip_yz=0.0, g_lip_factor=0.0)
+                  lip_yz=0.0, g_lip_factor=0.0, g_slope=g, z_slope=z_slope)
 
 
 _DRIVER_FACTORIES = dict(canonical=_canonical, linear=_linear, morlais=_morlais, zero=_zero)
@@ -312,12 +332,19 @@ class RegularizedDriver:
         envelope separates into a ``z`` part and a constant-field mark part
         (fast, used in solves); ``g`` must be convex, because the mark part
         finds its minimum over ``V_GRID`` by bisection, and an evaluation with
-        jump mass refuses a ``g`` whose grid values are not;
+        jump mass refuses a ``g`` whose grid values are not.  Each part is
+        evaluated only on the rows that its tangent certificate leaves open
+        (see :meth:`_fhat_envelope` and :meth:`_jump_envelope`); a certified
+        row returns the driver's own value, which is what the envelope
+        returns there;
     ``lipschitz_exact``
         the driver is globally Lipschitz with constant at most ``min(n, m)``,
         so both envelopes reproduce the parts exactly;
     ``generic``
         joint minimization over a ``(y, z, v)`` product grid (probe scale).
+
+    ``active[k]`` holds ``(cells, rows)`` of the last evaluation at step
+    ``k``: how many of its rows the envelope moved off the driver's value.
     """
 
     view: DriverView              # base driver on the master ensemble
@@ -325,6 +352,7 @@ class RegularizedDriver:
     m: float
     node_idx: np.ndarray          # truncation subset into the master nodes
     strategy: str = field(init=False)
+    active: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -359,39 +387,89 @@ class RegularizedDriver:
             return self.view.driver.lip_y
         return self.n + self.m
 
+    @property
+    def envelope_active(self) -> float:
+        """Fraction of the cells of the last evaluation at each step where
+        the envelope moved the value off the driver's; NaN before any."""
+        cells = sum(c for c, _ in self.active.values())
+        rows = sum(r for _, r in self.active.values())
+        return cells / rows if rows else math.nan
+
     # -- separable pieces (nonnegative strategy) ---------------------------
 
-    def _fhat_envelope(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        query = self.view.driver.f_hat(y, z)
+    def _fhat_envelope(self, y: np.ndarray, z: np.ndarray):
+        """``(envelope, query)`` of ``f_hat`` in ``z``.
+
+        A row with ``|d f_hat / dz| <= n`` is certified: the tangent of the
+        convex ``f_hat`` there already lies above ``query - n |c - z|``, so the
+        envelope is the query.  The running-minimum transform is taken on the
+        other rows only; it is elementwise in the row, so their values keep
+        the bits of a transform over every row.
+        """
+        driver = self.view.driver
+        query = driver.f_hat(y, z)
         if z.shape[-1] != 1:
             raise NotRegularizableError("separable envelope needs a scalar noise "
                                         "dimension; use the generic strategy")
-        cv = self.view.driver.f_hat(np.zeros_like(YZ_GRID), YZ_GRID[:, None])
-        return np.minimum(_running_min_envelope(cv, YZ_GRID, z[..., 0], self.n), query)
+        open_rows = (np.ones(query.shape, dtype=bool) if driver.z_slope is None
+                     else ~(driver.z_slope(z) <= self.n))
+        out = query.copy()
+        if open_rows.any():
+            cv = driver.f_hat(np.zeros_like(YZ_GRID), YZ_GRID[:, None])
+            out[open_rows] = np.minimum(_running_min_envelope(
+                cv, YZ_GRID, z[..., 0][open_rows], self.n), query[open_rows])
+        return out, query
 
-    def _jump_envelope(self, u_sub: np.ndarray, wz: np.ndarray) -> np.ndarray:
-        """Constant-candidate envelope of the mark integral in the nu-norm:
-        per row, ``min_v [mass g(v) + n |u - v|_nu]`` over ``V_GRID``, at
-        most the value at ``u`` itself.
-
-        With ``g`` convex the objective is convex in ``v``, so on the grid its
-        forward difference is nondecreasing.  A bisection for the first grid
-        index where it turns nonnegative takes ``ceil(log2 161) = 8`` rounds;
-        the minimum is then read off that index and its two neighbours, 19
-        grid probes per row in all.
-        """
-        query = (self.view.driver.g(u_sub) * wz).sum(axis=-1)
-        mass = float(wz.sum())
-        if mass <= 0:
-            return query
-        s1 = (u_sub * wz).sum(axis=-1)
-        s2 = (u_sub * u_sub * wz).sum(axis=-1)
+    @functools.cached_property
+    def _g_grid(self) -> np.ndarray:
+        """``g`` on ``V_GRID``; refuses a ``g`` that is not convex there."""
         g_grid = self.view.driver.g(V_GRID)
         if not _convex_on_grid(g_grid):
             raise NotRegularizableError(f"driver {self.view.driver.name!r} has a jump "
                                         "integrand g that is not convex on V_GRID; the "
                                         "nonnegative strategy's bisection needs it convex")
-        g_mass = g_grid * mass
+        return g_grid
+
+    def _jump_envelope(self, u_sub: np.ndarray, wz: np.ndarray):
+        """``(envelope, query)`` of the mark integral: per row,
+        ``min_v [mass g(v) + n |u - v|_nu]`` over ``V_GRID``, at most the
+        value ``query`` at ``u`` itself.
+
+        A row with ``sum_i wz_i g'(u_i)^2 <= n^2`` is certified: by convexity
+        ``mass g(v) >= query + sum_i wz_i g'(u_i) (v - u_i)``, and by
+        Cauchy-Schwarz in the nu-norm the last sum is at least
+        ``-n |u - v|_nu``, so the envelope is the query.  The other rows are
+        bisected.  With ``g`` convex the objective is convex in ``v``, so on
+        the grid its forward difference is nondecreasing.  A bisection for
+        the first grid index where it turns nonnegative takes
+        ``ceil(log2 161) = 8`` rounds; the minimum is then read off that index
+        and its two neighbours, 19 grid probes per row in all.
+
+        The row sums ``s1``, ``s2`` are taken on the whole field and then
+        subset: the truncated field is column-major, and a row subset of it
+        sums in another order, with other bits.
+        """
+        driver = self.view.driver
+        query = (driver.g(u_sub) * wz).sum(axis=-1)
+        mass = float(wz.sum())
+        if mass <= 0:
+            return query, query
+        g_mass = self._g_grid * mass
+        if driver.g_slope is None:
+            open_rows = np.ones(query.shape, dtype=bool)
+        else:
+            slope = driver.g_slope(u_sub)
+            # a slope whose square overflows leaves its row open
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(slope, slope, out=slope)
+                slope *= wz
+                open_rows = ~(slope.sum(axis=-1) <= self.n ** 2)
+            del slope  # freed before the row sums below
+        out = query.copy()
+        if not open_rows.any():
+            return out, query
+        s1 = (u_sub * wz).sum(axis=-1)[open_rows]
+        s2 = (u_sub * u_sub * wz).sum(axis=-1)[open_rows]
 
         def objective(k: np.ndarray) -> np.ndarray:
             v = V_GRID[k]
@@ -399,8 +477,8 @@ class RegularizedDriver:
                                                         + s2, 0.0, None))
 
         last = V_GRID.size - 1
-        lo = np.zeros(query.shape, dtype=np.intp)
-        hi = np.full(query.shape, last)
+        lo = np.zeros(s1.shape, dtype=np.intp)
+        hi = np.full(s1.shape, last)
         for _ in range(last.bit_length()):
             # a finished row (lo == hi) keeps its index whatever it probes
             mid = (lo + hi) // 2
@@ -410,12 +488,14 @@ class RegularizedDriver:
         best = objective(lo)
         np.minimum(best, objective(np.maximum(lo - 1, 0)), out=best)
         np.minimum(best, objective(np.minimum(lo + 1, last)), out=best)
-        return np.minimum(best, query)
+        out[open_rows] = np.minimum(best, query[open_rows])
+        return out, query
 
     # -- generic joint envelope (probe scale) ------------------------------
 
     def _generic_eval(self, y: np.ndarray, z: np.ndarray,
-                      u_sub: np.ndarray, wz: np.ndarray) -> np.ndarray:
+                      u_sub: np.ndarray, wz: np.ndarray):
+        """``(envelope, query)`` on the joint grid."""
         if z.shape[-1] != 1:
             raise NotRegularizableError("generic envelope supports d = 1 only")
         mass = float(wz.sum())
@@ -439,7 +519,7 @@ class RegularizedDriver:
             dist = d_yz + d_u
             np.minimum(env_p, (fp_c[sl][None, :] + self.n * dist).min(axis=1), out=env_p)
             np.minimum(env_m, (fm_c[sl][None, :] + self.m * dist).min(axis=1), out=env_m)
-        return env_p - env_m
+        return env_p - env_m, fq
 
     # -----------------------------------------------------------------------
 
@@ -447,6 +527,7 @@ class RegularizedDriver:
         """Regularized generator at step ``k``; vectorized over rows.
 
         ``u`` carries values on the master node set and is truncated here.
+        Records ``active[k]``.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         z = np.asarray(z, dtype=float)
@@ -455,10 +536,21 @@ class RegularizedDriver:
         u_sub = np.atleast_2d(np.asarray(u, dtype=float)[..., self.node_idx])
         wz = self.ensemble.intensity[k][self.node_idx]
         if self.strategy == "lipschitz_exact":
-            return self.view.driver.evaluate(y, z, u_sub, wz)
-        if self.strategy == "nonnegative":
-            return self._fhat_envelope(y, z) + self._jump_envelope(u_sub, wz)
-        return self._generic_eval(y, z, u_sub, wz)
+            value = self.view.driver.evaluate(y, z, u_sub, wz)
+            self.active[k] = (0, value.size)
+        elif self.strategy == "nonnegative":
+            f_env, f_query = self._fhat_envelope(y, z)
+            j_env, j_query = self._jump_envelope(u_sub, wz)
+            value = f_env + j_env
+            # a row where neither part moved, certified rows among them,
+            # returns the query exactly
+            rows = (f_env < f_query) | (j_env < j_query)
+            self.active[k] = (int(np.count_nonzero(value[rows] < f_query[rows]
+                                                   + j_query[rows])), value.size)
+        else:
+            value, query = self._generic_eval(y, z, u_sub, wz)
+            self.active[k] = (int(np.count_nonzero(value != query)), value.size)
+        return value
 
 
 def regularize(view: DriverView, n: float, m: float,

@@ -105,9 +105,10 @@ def _solve(cfg: ExperimentConfig):
                                       cfg.solver["picard_max"], cfg.solver["picard_tol"])
 
 
-def _audit_checks(suffix: str, corridor, apriori, submart) -> list[CheckResult]:
+def _audit_checks(suffix: str, corridor, apriori, submart,
+                  corridor_note: str = "") -> list[CheckResult]:
     return [CheckResult(f"corridor{suffix}", corridor.ok,
-                        corridor.violation_fraction, 0.01),
+                        corridor.violation_fraction, 0.01, corridor_note),
             CheckResult(f"apriori{suffix}", apriori.ok, apriori.lhs,
                         apriori.bound),
             CheckResult(f"submartingale{suffix}", submart.verdict,
@@ -201,8 +202,10 @@ def run_scheme(cfg: ExperimentConfig):
             checks.append(CheckResult(f"triple_{tag}", False, math.nan, 0.0,
                                       rec.error))
             continue
+        inactive_note = ("vacuous in n, m: the envelope equals the driver in "
+                         "every cell" if rec.envelope_active == 0.0 else "")
         checks += _audit_checks(f"_{tag}", rec.corridor, rec.apriori,
-                                rec.submartingale)
+                                rec.submartingale, inactive_note)
         cheb_tol = rec.chebyshev_bound + 0.01
         checks.append(CheckResult(f"chebyshev_{tag}", rec.region_fraction <= cheb_tol,
                                   rec.region_fraction, cheb_tol, cheb_note))

@@ -82,7 +82,10 @@ class Schedule:
 class TripleRecord:
     """Per-triple ladder diagnostics; one row of the convergence report.
     ``dec`` is the triple's decomposition (its solve and martingale
-    increments ``dm``), None when the triple failed."""
+    increments ``dm``), None when the triple failed.  ``envelope_active`` is
+    the fraction of the solve's generator values that the ``(n, m)``
+    envelope moved off the driver's (see
+    :attr:`qebsdej.drivers.RegularizedDriver.envelope_active`)."""
 
     n: int
     m: int
@@ -104,6 +107,7 @@ class TripleRecord:
     vstar_gap_proxy: float = math.nan
     s2_norm: float = math.nan
     error: str = ""
+    envelope_active: float = math.nan
 
     @property
     def solution(self) -> BsdejSolution | None:
@@ -123,7 +127,8 @@ class TripleRecord:
             region_fraction=self.region_fraction,
             h1_gap_prev=self.h1_gap_prev, vstar_gap_prev=self.vstar_gap_prev,
             h1_gap_proxy=self.h1_gap_proxy, vstar_gap_proxy=self.vstar_gap_proxy,
-            s2_norm=self.s2_norm, sq_bound=rhs, error=self.error)
+            s2_norm=self.s2_norm, sq_bound=rhs,
+            envelope_active=self.envelope_active, error=self.error)
 
 
 @dataclass
@@ -335,6 +340,7 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
             reg = regularize(view, n_idx, m_idx, node_idx)
             record.dec = decompose(solve_lipschitz(reg, terminal_fn, basis_degree,
                                                    picard_max, picard_tol))
+            record.envelope_active = reg.envelope_active
         except Exception as exc:  # a failed triple is data, not a crash
             record.error = f"{type(exc).__name__}: {exc}"
             continue

@@ -45,19 +45,20 @@ def check_q_structure(solution: BsdejSolution, params: StructureParams,
     """
     ensemble = solution.ensemble
     dt = ensemble.dt
-    dv = solution.driver_values * dt
-    lower = np.empty_like(dv)
-    upper = np.empty_like(dv)
+    upper_slack = np.empty_like(solution.driver_values)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), upper_slack.shape)
+    # one step at a time: only the slack is kept, and the fraction divides
+    # an exact count of violations
+    n_violations = 0
     for k in range(solution.n_steps):
         q_lo, q_hi = structure_bounds(solution.y[:, k], solution.z[:, k, :],
                                       solution.u_values(k), params,
                                       ensemble.intensity[k])
-        lower[:, k] = q_lo * dt
-        upper[:, k] = q_hi * dt
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
-    up_slack = upper - dv
-    violations = (up_slack < -tol) | (dv - lower < -tol)
-    return QStructureReport(up_slack, float(violations.mean()))
+        dv = solution.driver_values[:, k] * dt
+        slack = np.subtract(q_hi * dt, dv, out=upper_slack[:, k])
+        outside = (slack < -tol[:, k]) | (dv - q_lo * dt < -tol[:, k])
+        n_violations += int(np.count_nonzero(outside))
+    return QStructureReport(upper_slack, n_violations / upper_slack.size)
 
 
 def exponential_transform(y: np.ndarray, params: StructureParams,

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import inspect
 import json
 import math
@@ -651,6 +652,31 @@ def test_run_scheme_experiment(tmp_path):
     report = (out / "convergence_report.csv").read_text().splitlines()
     assert len(report) == 3  # header plus one row per triple
     assert report[0].startswith("n,m,kappa,y0")
+
+
+def test_scheme_reports_where_the_envelope_acts(tmp_path):
+    # at terminal scale 0.25 the envelope equals the driver in every cell,
+    # and the summary marks each triple; at scale 1.0 with n = 1 it acts
+    notes = {}
+    for scale, triples in ((0.25, [[2, 2, 2], [4, 4, 4]]), (1.0, [[1, 1, 2], [2, 2, 4]])):
+        payload = scheme_payload()
+        payload["terminal"]["scale"] = scale
+        payload["schedule"]["triples"] = triples
+        out = tmp_path / f"scale_{scale:g}"
+        main(["run", write_config(tmp_path, f"{scale:g}.json", payload),
+              "--out", str(out)])
+        with (out / "convergence_report.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        notes[scale] = ([float(r["envelope_active"]) for r in rows],
+                        [line for line in (out / "summary.txt").read_text().splitlines()
+                         if line.endswith("vacuous in n, m: the envelope equals the "
+                                          "driver in every cell")])
+    active, labelled = notes[0.25]
+    assert active == [0.0, 0.0]
+    assert [line.split()[1] for line in labelled] == ["corridor_2_2_2", "corridor_4_4_4"]
+    active, labelled = notes[1.0]
+    assert all(0.0 < a < 1.0 for a in active)
+    assert labelled == []
 
 
 def _summary_lines(tmp_path, tag, payload):

@@ -348,8 +348,8 @@ def test_mark_part_local_lipschitz_bound(canonical, gamma_quad, small_ensemble):
     for _ in range(100):
         u = rng.uniform(-1, 1, (1, gamma_quad.n_nodes))
         ub = rng.uniform(-1, 1, (1, gamma_quad.n_nodes))
-        gu = float(reg._jump_envelope(u, gamma_quad.weights)[0])
-        gub = float(reg._jump_envelope(ub, gamma_quad.weights)[0])
+        gu = float(reg._jump_envelope(u, gamma_quad.weights)[0][0])
+        gub = float(reg._jump_envelope(ub, gamma_quad.weights)[0][0])
         nu = float(q.nu_norm(u, gamma_quad.weights)[0])
         nub = float(q.nu_norm(ub, gamma_quad.weights)[0])
         ndiff = float(q.nu_norm(u - ub, gamma_quad.weights)[0])
@@ -440,7 +440,10 @@ def _envelope_fields(rng, n_nodes):
                                         ("canonical", 2.0), ("canonical", 10.0),
                                         ("zero", 1.0)])
 def test_jump_envelope_matches_dense_scan(gamma_quad, small_ensemble, name, delta):
-    drv = q.make_driver(name, StructureParams(delta, 0.0, 0.0))
+    # without a declared slope no row is certified, so the bisection runs on
+    # every row; certified rows are checked in test_jump_certificate_is_sound
+    drv = dataclasses.replace(q.make_driver(name, StructureParams(delta, 0.0, 0.0)),
+                              g_slope=None)
     fields = _envelope_fields(np.random.default_rng(14), gamma_quad.n_nodes)
     wz = small_ensemble.intensity[0]
     for n in (1, 2, 8, 64):
@@ -448,13 +451,13 @@ def test_jump_envelope_matches_dense_scan(gamma_quad, small_ensemble, name, delt
         assert reg.strategy == "nonnegative"
         for label, u in fields.items():
             for scale in (1e-3, 1.0, 50.0):
-                fast = reg._jump_envelope(u, scale * wz)
+                fast, _ = reg._jump_envelope(u, scale * wz)
                 np.testing.assert_array_equal(
                     fast, _dense_scan(reg, u, scale * wz),
                     err_msg=f"{name} delta={delta} n={n} {label} mass x{scale}")
         # no jump mass: the envelope is the query value itself
         u = fields["large_normal"]
-        np.testing.assert_array_equal(reg._jump_envelope(u, 0.0 * wz),
+        np.testing.assert_array_equal(reg._jump_envelope(u, 0.0 * wz)[0],
                                       drv.jump_part(u, 0.0 * wz))
 
 
@@ -491,6 +494,134 @@ def test_nonconvex_jump_integrand_is_refused(gamma_quad, small_ensemble):
     u = np.zeros((3, gamma_quad.n_nodes))
     with pytest.raises(NotRegularizableError, match="not convex"):
         reg.evaluate(0, np.zeros(3), np.zeros(3), u)
+
+
+def test_nonconvex_jump_integrand_is_refused_on_certified_rows(gamma_quad,
+                                                              small_ensemble):
+    # a declared slope certifies every row at u = 0, since g'(0) = 0; the
+    # certificate rests on convexity, so the refusal still comes first, and
+    # again on a second evaluation
+    drv = Driver("bumpy", lambda y, z: np.zeros(np.shape(y)),
+                 lambda v: 1.0 - np.cos(np.asarray(v, dtype=float)),
+                 StructureParams(1.0, 0.0, 0.0), nonnegative=True, lip_y=0.0,
+                 g_slope=lambda v: np.sin(np.asarray(v, dtype=float)),
+                 z_slope=lambda z: np.zeros(np.shape(z)[:-1]))
+    reg = regularize(q.DriverView(drv, small_ensemble), 2, 1)
+    assert reg.strategy == "nonnegative"
+    u = np.zeros((3, gamma_quad.n_nodes))
+    for _ in range(2):
+        with pytest.raises(NotRegularizableError, match="not convex"):
+            reg.evaluate(0, np.zeros(3), np.zeros(3), u)
+
+
+@pytest.mark.parametrize("name,delta", [("canonical", 0.5), ("canonical", 1.0),
+                                        ("canonical", 2.0), ("canonical", 10.0),
+                                        ("zero", 1.0)])
+def test_jump_certificate_is_sound(gamma_quad, small_ensemble, name, delta):
+    # wherever sum_i wz_i g'(u_i)^2 <= n^2, the dense scan of the mark
+    # objective finds nothing below the query; the other rows are bisected
+    # and keep the dense scan's bits
+    drv = q.make_driver(name, StructureParams(delta, 0.0, 0.0))
+    fields = _envelope_fields(np.random.default_rng(15), gamma_quad.n_nodes)
+    wz = small_ensemble.intensity[0]
+    certified = bisected = 0
+    for n in (1, 2, 8, 64):
+        reg = regularize(q.DriverView(drv, small_ensemble), n, 1)
+        for label, u in fields.items():
+            for scale in (1e-3, 1.0, 50.0):
+                w = scale * wz
+                msg = f"{name} delta={delta} n={n} {label} mass x{scale}"
+                rows = (drv.g_slope(u) ** 2 * w).sum(axis=-1) <= n ** 2
+                env, query = reg._jump_envelope(u, w)
+                dense = _dense_scan(reg, u, w)
+                np.testing.assert_array_equal(env[rows], query[rows], err_msg=msg)
+                np.testing.assert_array_equal(env[~rows], dense[~rows], err_msg=msg)
+                # a row constant at a grid value ties the objective with the
+                # query at zero distance, and the scan rounds mass * g(v) and
+                # sum_i wz_i g(v) apart: it may land an ulp or two below
+                tie = rows & (np.ptp(u, axis=-1) == 0) & np.isin(u[:, 0], V_GRID)
+                np.testing.assert_array_equal(dense[rows & ~tie], query[rows & ~tie],
+                                              err_msg=msg)
+                np.testing.assert_allclose(dense[tie], query[tie], rtol=5e-16, atol=0,
+                                           err_msg=msg)
+                assert np.all(dense[tie] <= query[tie]), msg
+                certified += int(rows.sum())
+                bisected += int((~rows).sum())
+    assert certified > 0
+    assert bisected > 0 or name == "zero"
+
+
+def test_open_rows_keep_the_bits_of_an_evaluation_on_every_row(canonical, gamma_quad,
+                                                               small_ensemble):
+    # evaluate truncates the field to a column-major copy; on these fields a
+    # row subset of that copy sums to other bits than the same rows of the
+    # whole copy, and the dense scan takes its row sums on the whole copy
+    full = dataclasses.replace(canonical, g_slope=None, z_slope=None)
+    rng = np.random.default_rng(16)
+    rows = 4000
+    y = np.zeros(rows)
+    u = (rng.normal(0.0, 1.0, (rows, gamma_quad.n_nodes))
+         * rng.choice([0.5, 1.5, 3.0], (rows, 1)))
+    for n in (1, 2, 4, 8):
+        reg = regularize(q.DriverView(canonical, small_ensemble), n, 1)
+        ref = regularize(q.DriverView(full, small_ensemble), n, 1)
+        for k in (0, 10):
+            wz = small_ensemble.intensity[k]
+            u_sub = u[..., reg.node_idx]
+            assert u_sub.flags.f_contiguous and not u_sub.flags.c_contiguous
+            open_rows = ~((canonical.g_slope(u_sub) ** 2 * wz).sum(axis=-1) <= n ** 2)
+            assert 0 < open_rows.sum() < rows
+            assert np.any((u_sub[open_rows] * wz).sum(axis=-1)
+                          != (u_sub * wz).sum(axis=-1)[open_rows])
+            # with z = 0 the z part is an exact zero, so the value is the
+            # mark envelope itself
+            out = reg.evaluate(k, y, y, u)
+            np.testing.assert_array_equal(out, _dense_scan(reg, u_sub, wz))
+            np.testing.assert_array_equal(out, ref.evaluate(k, y, y, u))
+            raw = canonical.evaluate(y, y, u_sub, wz)
+            assert 0 < reg.active[k][0] < rows
+            assert reg.active[k] == ref.active[k] == (int((out < raw).sum()), rows)
+    # the z part: rows with delta |z| > n run the transform, the others not
+    z = rng.normal(0.0, 3.0, rows)
+    for n in (1, 2, 4):
+        reg = regularize(q.DriverView(canonical, small_ensemble), n, 1)
+        ref = regularize(q.DriverView(full, small_ensemble), n, 1)
+        np.testing.assert_array_equal(reg.evaluate(0, y, z, u), ref.evaluate(0, y, z, u))
+        assert reg.active[0] == ref.active[0]
+
+
+def test_envelope_active_counts_the_last_evaluation_of_each_step(canonical,
+                                                                  gamma_quad,
+                                                                  small_ensemble):
+    reg = regularize(q.DriverView(canonical, small_ensemble), 1, 1)
+    assert math.isnan(reg.envelope_active)
+    rng = np.random.default_rng(17)
+    u = rng.normal(0.0, 1.5, (50, gamma_quad.n_nodes))
+    z = rng.normal(0.0, 3.0, 50)
+    reg.evaluate(0, np.zeros(50), np.zeros(50), np.zeros_like(u))
+    assert reg.active[0] == (0, 50)
+    assert reg.envelope_active == 0.0
+    out = reg.evaluate(0, np.zeros(50), z, u)
+    # the driver's value on the truncated (column-major) field, as evaluate sees it
+    raw = canonical.evaluate(np.zeros(50), z, u[..., reg.node_idx],
+                             small_ensemble.intensity[0])
+    cells = int((out < raw).sum())
+    assert 0 < cells < 50
+    assert reg.active[0] == (cells, 50)
+    reg.evaluate(1, np.zeros(30), np.zeros(30), np.zeros((30, gamma_quad.n_nodes)))
+    assert reg.envelope_active == cells / 80
+    # the other strategies count the cells whose value differs from the driver's
+    y = rng.normal(0.0, 1.0, 20)
+    for drv, strategy in ((q.make_driver("linear", StructureParams(1.0, 0.0, 0.0), a=0.4),
+                           "lipschitz_exact"),
+                          (q.make_driver("morlais", StructureParams(1.0, 0.0, 0.0), beta=0.5),
+                           "generic")):
+        reg = regularize(q.DriverView(drv, small_ensemble), 2, 2)
+        assert reg.strategy == strategy
+        out = reg.evaluate(0, y, z[:20], u[:20])
+        raw = drv.evaluate(y, z[:20], u[:20, reg.node_idx], small_ensemble.intensity[0])
+        assert reg.active[0] == (int((out != raw).sum()), 20)
+        assert (reg.active[0][0] > 0) == (strategy == "generic")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,52 @@ def test_report_rows_roundtrip(mini_scheme):
     assert len(rows) == 3
     assert rows[0]["kappa"] == 2.0
     assert all(not row["error"] for row in rows)
+
+
+# a ladder like the shipped one (scale 0.25, indices 2, 4, 8) and one at
+# terminal scale 1.0 with small n and m, where the envelope acts
+LADDERS = {"shipped_like": (0.25, ((2, 2, 2), (4, 4, 4), (8, 8, 8))),
+           "scale_one": (1.0, ((1, 1, 2), (2, 2, 4), (4, 4, 8)))}
+
+
+@pytest.fixture(scope="module", params=sorted(LADDERS))
+def certified_and_full(request, gamma_model):
+    """The ladder with the canonical driver, and with the same driver
+    stripped of its declared slopes, so that every row runs the envelope."""
+    scale, triples = LADDERS[request.param]
+    base = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    full = dataclasses.replace(base, g_slope=None, z_slope=None)
+    return request.param, [
+        run_ladder(drv, lambda x: np.abs(scale * x), gamma_model, Schedule(triples),
+                   seed=2024, k_steps=10, n_paths=3000, q_nodes=12)[1].report
+        for drv in (base, full)]
+
+
+def test_certified_ladder_matches_the_envelope_on_every_row(certified_and_full):
+    name, (certified, full) = certified_and_full
+    for rec, ref in zip(certified.records, full.records):
+        assert not rec.error and not ref.error
+        for attr in ("driver_values", "y", "z"):
+            np.testing.assert_array_equal(getattr(rec.solution, attr),
+                                          getattr(ref.solution, attr))
+        assert rec.envelope_active == ref.envelope_active
+    active = [rec.envelope_active for rec in certified.records]
+    if name == "shipped_like":
+        assert active == [0.0, 0.0, 0.0]
+        return
+    assert all(a > 0.0 for a in active)
+    # both certified and open rows occur on every triple of this ladder
+    for rec in certified.records:
+        sol = rec.solution
+        ens = sol.ensemble
+        node_idx = ens.quad.restrict_indices(rec.kappa)
+        certified_rows = 0
+        for k in range(sol.n_steps):
+            u = sol.u_values(k)[:, node_idx]
+            slope = np.expm1(u) ** 2 * ens.intensity[k][node_idx]
+            certified_rows += int(((slope.sum(axis=-1) <= rec.n ** 2)
+                                   & (np.abs(sol.z[:, k, 0]) <= rec.n)).sum())
+        assert 0 < certified_rows < sol.driver_values.size
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,43 @@ def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
     report = check_q_structure(sol, params, tol=1e-9)
     assert report.violation_fraction == 0.0
     assert np.max(np.abs(report.upper_slack)) <= 1e-9
+
+
+def test_corridor_check_holds_one_cell_array(gamma_model, gamma_quad):
+    # the slack is the only (n, K) array kept; the per-step bounds and
+    # violation flags are (n,) or (n, Q)
+    params = q.StructureParams(1.0, 0.0, 0.0)
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=5)
+    sol = solve(q.DriverView(q.make_driver("canonical", params), ens),
+                lambda x: np.abs(0.25 * x))
+    tol = np.array([3.0 * sol.regression_se(k) for k in range(sol.n_steps)])[None, :]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_q_structure(sol, params, tol=tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = sol.driver_values.nbytes
+    assert report.upper_slack.nbytes == cells
+    assert peak - before <= 2.5 * cells
+    # the slack and the fraction keep the bits of the whole-array form, on a
+    # solve whose increments are moved up and down across both edges
+    noise = np.random.default_rng(6).normal(0.0, 0.5, sol.driver_values.shape)
+    sol = dataclasses.replace(sol, driver_values=np.asfortranarray(sol.driver_values
+                                                                   + noise / ens.dt))
+    report = check_q_structure(sol, params, tol=tol)
+    dv = sol.driver_values * ens.dt
+    lower = np.empty_like(dv)
+    upper = np.empty_like(dv)
+    for k in range(sol.n_steps):
+        q_lo, q_hi = q.structure_bounds(sol.y[:, k], sol.z[:, k, :], sol.u_values(k),
+                                        params, ens.intensity[k])
+        lower[:, k], upper[:, k] = q_lo * ens.dt, q_hi * ens.dt
+    np.testing.assert_array_equal(report.upper_slack, upper - dv)
+    outside = (upper - dv < -tol) | (dv - lower < -tol)
+    assert 0.0 < report.violation_fraction < 1.0
+    assert report.violation_fraction == float(outside.mean())
 
 
 # ---------------------------------------------------------------------------
