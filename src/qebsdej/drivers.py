@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  (NumPy loads it lazily otherwise, on the first draw)
 
 from .levy import ExponentOverflowError, UnknownPresetError, exp_excess, j_functional
 from .solver import PathEnsemble

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy import integrate, special
+import numpy.random  # noqa: F401  (NumPy loads it lazily otherwise, on the first draw)
 
 
 @dataclass
@@ -56,6 +56,8 @@ def huber_envelope_grid(n: float, y: float, lo: float = -5.0, hi: float = 5.0,
 def exp1_reference(x: float) -> float:
     """Exponential integral ``int_x^inf exp(-e)/e de`` with adaptive
     integration cross-check."""
+    from scipy import integrate, special  # only this reference needs SciPy
+
     series = float(special.exp1(x))
     quad_val, _ = integrate.quad(lambda e: math.exp(-e) / e, x, np.inf, limit=200)
     if abs(series - quad_val) > 1e-8 * (1.0 + abs(series)):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401  (NumPy loads it lazily otherwise, on the first draw)
 
 from .levy import JumpTable, LevyModel, MarkQuadrature, sample_jump_paths
 

@@ -34,6 +34,11 @@ def write_config(tmp_path: Path, name: str, payload: dict) -> str:
     return str(path)
 
 
+def _package_env():
+    """The environment of a fresh interpreter that imports this package."""
+    return dict(os.environ, PYTHONPATH=str(Path(qebsdej.__file__).parents[1]))
+
+
 def solve_payload(**overrides):
     payload = {
         "experiment": "solve",
@@ -269,7 +274,7 @@ def test_run_is_bit_deterministic_across_processes(tmp_path, payload):
     cfg = write_config(tmp_path, "det.json", payload)
     here, fresh = tmp_path / "here", tmp_path / "fresh"
     assert main(["run", cfg, "--out", str(here)]) == EXIT_OK
-    env = dict(os.environ, PYTHONPATH=str(Path(qebsdej.__file__).parents[1]))
+    env = _package_env()
     proc = subprocess.run([sys.executable, "-m", "qebsdej.cli", "run", cfg,
                            "--out", str(fresh)], capture_output=True, env=env)
     assert proc.returncode == EXIT_OK, proc.stderr
@@ -799,12 +804,40 @@ def test_scheme_honours_brownian_dimension(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    env = dict(os.environ, PYTHONPATH=str(Path(qebsdej.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qebsdej.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+         "import sys, qebsdej.cli; "
+         "print('scipy.stats' in sys.modules, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        capture_output=True, text=True, env=_package_env(), check=True)
+    assert proc.stdout.strip() == "False []"
+
+
+RUN_PATH_PROBE = """
+import json, sys
+from qebsdej.cli import build_parser, main
+build_parser()  # argparse's gettext imports locale with the first parser
+added = {}
+for verb in ("validate", "run"):
+    for name in ("risk", "solve"):
+        before = set(sys.modules)
+        out = ["--out", name + "_out"] if verb == "run" else []
+        assert main([verb, name + ".json", *out]) == 0
+        added[verb + " " + name] = sorted(set(sys.modules) - before)
+print(json.dumps([added, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+"""
+
+
+def test_run_path_loads_no_module(tmp_path):
+    # every module a run needs is imported with the CLI, none of them SciPy,
+    # so no run pays an import inside its timed stages
+    write_config(tmp_path, "risk.json", risk_payload())
+    write_config(tmp_path, "solve.json", solve_payload())
+    proc = subprocess.run([sys.executable, "-c", RUN_PATH_PROBE], cwd=tmp_path,
+                          capture_output=True, text=True, env=_package_env(), check=True)
+    added, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert added == {f"{verb} {name}": [] for verb in ("validate", "run")
+                     for name in ("risk", "solve")}
+    assert scipy_modules == []
 
 
 def test_check_failure_exit_code(tmp_path, monkeypatch):

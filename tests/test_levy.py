@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special  # the independent reference; the package never imports SciPy
 
 import qebsdej as q
 from qebsdej.levy import DivergentMassError, ExponentOverflowError, LevyModel, constant_zeta
@@ -111,6 +112,62 @@ def test_restriction_is_exact_on_aligned_cells(gamma_model):
         assert mass == pytest.approx(ref, rel=1e-6)
     with pytest.raises(ValueError, match="finer"):
         quad.restrict_indices(16.0)
+
+
+def test_null_measure_is_exact_positive_zero():
+    null = q.make_model("null")
+    for p in (0, 1, 2):
+        for a, b in ((0.5, 2.0), (0.0, 1.0), (0.5, math.inf), (3.0, math.inf)):
+            val = null.moment(p, a, b)
+            assert val == 0.0 and not np.signbit(val), (p, a, b)
+    quad = q.build_quadrature(null, 2.0, 4)
+    inner = quad.cell_inner
+    assert np.all(quad.weights == 0.0) and not np.signbit(quad.weights).any()
+    assert np.array_equal(quad.nodes[:-1], 0.5 * (inner[:-1] + inner[1:]))
+    ref = q.levy.truncated_mass_reference(null, 2.0)
+    assert ref == 0.0 and not np.signbit(ref)
+
+
+def quad_moment(model, p, a, b):
+    """QUADPACK's ``int_a^b e^p ell(e) de``, split at the model's points."""
+    edges = [a, *(x for x in model.points if a < x < b), b]
+    return sum(integrate.quad(lambda e: e ** p * float(model.density(np.array(e))),
+                              lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for lo, hi in zip(edges, edges[1:]))
+
+
+# preset, parameters, kappa, and the closed form of the one-sided tail mass
+REFERENCE_CASES = {
+    f"gamma_kappa_{kappa:g}": ("gamma", {"theta": 1.5, "beta": 2.0}, kappa,
+                               lambda c: 1.5 * special.exp1(2.0 * c))
+    for kappa in (1.0, 8.0, 1e6)
+} | {
+    f"stable_alpha_{alpha:g}": ("stable", {"theta": 1.0, "alpha": alpha}, 8.0,
+                                lambda c, alpha=alpha: 0.5 * stable_tail_mass_exact(1.0, alpha, c))
+    for alpha in (0.1, 0.5, 1.9)
+} | {
+    # the cut at 0.25 lies inside the profile around loc 0.3
+    "normal_cut_inside": ("normal", {"rate": 2.0, "loc": 0.3, "scale": 0.05}, 4.0,
+                          lambda c: math.erfc((c - 0.3) / (0.05 * math.sqrt(2.0)))),
+    "null": ("null", {}, 2.0, lambda c: 0.0),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
+def test_cell_moments_match_quadpack(case):
+    name, params, kappa, tail_exact = case
+    model = q.make_model(name, **params)
+    quad = q.build_quadrature(model, kappa, 12)
+    edges = quad.cell_inner[quad.nodes > 0]
+    for a, b in zip(edges, edges[1:]):
+        for p in (0, 1):
+            ref = quad_moment(model, p, a, b)
+            assert abs(model.moment(p, a, b) - ref) <= 1e-10 * abs(ref), (p, a, b)
+    for c in (1.0 / kappa, edges[-1]):
+        ref = tail_exact(c)
+        assert abs(model.tail_mass(c) - ref) <= 1e-10 * ref, c
+    ref = model.n_sides * tail_exact(1.0 / kappa)
+    assert abs(quad.total_mass - ref) <= 1e-10 * ref
 
 
 # ---------------------------------------------------------------------------
