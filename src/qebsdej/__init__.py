@@ -4,17 +4,15 @@ __version__ = "0.1.0"
 
 from .levy import (DivergentMassError, ExponentOverflowError, LevyModel,
                    MarkQuadrature, build_quadrature, j_functional, make_model,
-                   nu_norm, sample_jump_paths, small_jump_residual)
+                   nu_norm, sample_jump_paths)
 from .drivers import (Driver, DriverView, RegularizedDriver, StructureParams,
-                      check_a_gamma, check_structure, inf_convolve, lipschitz_estimate,
-                      make_driver, regularize, structure_bounds, sup_convolve)
+                      make_driver, regularize, structure_bounds)
 from .solver import (BsdejSolution, Decomposition, NonContractionError,
                      PathEnsemble, decompose, simulate_forward, solve_lipschitz)
-from .semimartingale import (canonical_paths, check_q_structure, doleans_check,
-                             exponential_transform, garsia_neveu_probe,
+from .semimartingale import (check_q_structure, exponential_transform,
                              stability_diagnostics, submartingale_test)
 from .risk import apriori_bound_check, entropic, exponential_moment_check
 from .scheme import (Schedule, driver_l1_gap, ladder_quadrature,
-                     monotonicity_check, run_triple_scheme, tau_l_localization)
+                     monotonicity_check, run_triple_scheme)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

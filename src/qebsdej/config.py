@@ -334,6 +334,13 @@ def validate_config(data: dict) -> ExperimentConfig:
                           f"[0, {k_steps}] that includes 0")
     _check_build("model", cfg.build_model)
     _check_build("driver", lambda: cfg.build_driver(cfg.build_structure()))
+    if experiment in ("solve", "audit"):
+        # the solve's implicit step contracts only below 1; a scheme's
+        # triples carry their envelopes' bounds, and a failing one is data
+        dt_lip = cfg.grid["t_end"] / k_steps * cfg.build_driver(cfg.build_structure()).lip_y
+        if dt_lip >= 1.0:
+            raise ConfigError("grid.k_steps", f"dt * Lipschitz(y) of the driver = "
+                              f"{dt_lip:.3g} >= 1; refine the grid")
     _check_size(cfg)
     return cfg
 

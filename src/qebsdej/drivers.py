@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily otherwise, on the first draw)
@@ -203,86 +203,9 @@ def structure_bounds(y, z, u, params: StructureParams, wz: np.ndarray):
     return -(j_dn + zz + base), (j_up + zz + base)
 
 
-@dataclass
-class StructureReport:
-    n_probes: int
-    n_violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.n_violations == 0
-
-
-def check_structure(view: DriverView, probes: Sequence) -> StructureReport:
-    """Probe the corridor membership of a bound driver.
-
-    ``probes`` is a sequence of ``(k, y, z, u_values)`` tuples; each probe
-    weighs the nodes by the ensemble's intensity at its own step ``k``.  A
-    probe fails when ``f`` leaves ``[q_lower - tol, q_upper + tol]`` with
-    ``tol = 1e-9 * (1 + |q_upper|)``.  Violations are data, not errors.
-    """
-    n_probes = n_violations = 0
-    for k, y, z, u in probes:
-        n_probes += 1
-        q_lo, q_hi = structure_bounds(y, z, u, view.driver.params,
-                                      view.ensemble.intensity[k])
-        val = float(view.evaluate(k, y, z, u))
-        tol = 1e-9 * (1.0 + abs(float(q_hi)))
-        if max(float(q_lo) - val, val - float(q_hi)) > tol:
-            n_violations += 1
-    return StructureReport(n_probes, n_violations)
-
-
 # ---------------------------------------------------------------------------
 # envelopes
 # ---------------------------------------------------------------------------
-
-def _coordinate_distance(candidates: np.ndarray, point: np.ndarray,
-                         nu_weights: np.ndarray | None) -> np.ndarray:
-    """Mixed distance: L1 over plain coordinates, weighted-L2 block over the
-    coordinates carrying a positive ``nu_weights`` entry."""
-    diff = candidates - point[None, :]
-    if nu_weights is None:
-        return np.abs(diff).sum(axis=1)
-    nu_weights = np.asarray(nu_weights, dtype=float)
-    l1 = np.abs(diff[:, nu_weights <= 0]).sum(axis=1)
-    wblock = nu_weights[nu_weights > 0]
-    l2 = np.sqrt((diff[:, nu_weights > 0] ** 2 * wblock).sum(axis=1))
-    return l1 + l2
-
-
-def _as_candidate_matrix(candidate_grid) -> np.ndarray:
-    c = np.asarray(candidate_grid, dtype=float)
-    if c.ndim == 1:
-        c = c[:, None]
-    return c
-
-
-def inf_convolve(phi: Callable, n: float, point, candidate_grid,
-                 nu_weights: np.ndarray | None = None) -> float:
-    """Lipschitz lower envelope ``min_c [phi(c) + n * dist(c, point)]``.
-
-    The query point joins the candidate set, so the value never exceeds
-    ``phi(point)``.  Coordinates with a positive ``nu_weights`` entry are
-    measured in the weighted-L2 mark norm, the rest in L1.
-    """
-    cands = _as_candidate_matrix(candidate_grid)
-    if cands.size == 0:
-        raise ValueError("candidate grid is empty")
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    vals = np.asarray([float(phi(c if c.size > 1 else float(c[0]))) for c in cands])
-    dist = _coordinate_distance(cands, pt, nu_weights)
-    grid_min = float(np.min(vals + n * dist))
-    return min(grid_min, float(phi(pt if pt.size > 1 else float(pt[0]))))
-
-
-def sup_convolve(phi: Callable, m: float, point, candidate_grid,
-                 nu_weights: np.ndarray | None = None) -> float:
-    """Upper envelope ``max_c [phi(c) - m * dist(c, point)]``, at least
-    ``phi(point)``.  Mirror of :func:`inf_convolve` with a subtracted
-    penalty (an added penalty inside a supremum would be unbounded)."""
-    return -inf_convolve(lambda c: -phi(c), m, point, candidate_grid, nu_weights)
-
 
 def _running_min_envelope(cand_vals: np.ndarray, cand_coord: np.ndarray,
                           points: np.ndarray, n: float) -> np.ndarray:
@@ -561,58 +484,3 @@ def regularize(view: DriverView, n: float, m: float,
     if node_idx is None:
         node_idx = np.arange(view.ensemble.quad.n_nodes)
     return RegularizedDriver(view, float(n), float(m), node_idx)
-
-
-# ---------------------------------------------------------------------------
-# one-sided jump-slope condition and Lipschitz probing
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GammaSlopeReport:
-    lhs: float
-    rhs: float
-    ok: bool
-    slopes: np.ndarray
-
-
-def check_a_gamma(driver: Driver, u, u_bar, wz: np.ndarray,
-                  gamma_cap: float = math.inf) -> GammaSlopeReport:
-    """One-sided slope certificate for the jump dependence.
-
-    The per-node slope ``(g(u_i) - g(u_bar_i)) / (u_i - u_bar_i)`` is clamped
-    to ``(-1 + 1e-9, gamma_cap)`` and must dominate the actual increment:
-    ``f(u) - f(u_bar) <= sum_i wz_i slope_i (u_i - u_bar_i) + 1e-9`` for the
-    node intensity ``wz``.
-    """
-    u = np.asarray(u, dtype=float)
-    ub = np.asarray(u_bar, dtype=float)
-    gu, gub = driver.g(u), driver.g(ub)
-    lhs = float(((gu - gub) * wz).sum())
-    diff = u - ub
-    slopes = np.zeros_like(diff)
-    nz = np.abs(diff) > 0
-    slopes[nz] = (gu[nz] - gub[nz]) / diff[nz]
-    slopes = np.clip(slopes, -1.0 + 1e-9, gamma_cap)
-    rhs = float((slopes * diff * wz).sum())
-    return GammaSlopeReport(lhs, rhs, lhs <= rhs + 1e-9, slopes)
-
-
-def lipschitz_estimate(func: Callable, region: Sequence[tuple], n_probes: int,
-                       seed: int) -> float:
-    """Empirical Lipschitz constant over random probe pairs in a box.
-
-    ``func`` maps a coordinate vector to a scalar; the constant is the max of
-    ``|f(a) - f(b)| / sum_j |a_j - b_j|`` over ``n_probes`` independent pairs.
-    """
-    if n_probes < 2:
-        raise ValueError("need at least two probes")
-    rng = np.random.default_rng(seed)
-    lo = np.asarray([r[0] for r in region], dtype=float)
-    hi = np.asarray([r[1] for r in region], dtype=float)
-    a = lo + (hi - lo) * rng.random((n_probes, lo.size))
-    b = lo + (hi - lo) * rng.random((n_probes, lo.size))
-    dist = np.abs(a - b).sum(axis=1)
-    keep = dist > 1e-12
-    fa = np.asarray([float(func(row)) for row in a[keep]])
-    fb = np.asarray([float(func(row)) for row in b[keep]])
-    return float(np.max(np.abs(fa - fb) / dist[keep]))

@@ -432,13 +432,6 @@ def truncated_mass_reference(model: LevyModel, kappa: float) -> float:
     return model.n_sides * model.tail_mass(1.0 / kappa)
 
 
-def small_jump_residual(model: LevyModel, kappa: float) -> float:
-    """Second-moment mass of the dropped small jumps, ``int_{|e|<1/kappa} e^2 ell``."""
-    if kappa < 1.0:
-        raise ValueError("truncation level must satisfy kappa >= 1")
-    return model.n_sides * max(model.moment(2, 0.0, 1.0 / kappa), 0.0)
-
-
 @dataclass
 class JumpTable:
     """Flat record of simulated jumps in interval order, as

@@ -1,15 +1,15 @@
-"""Independent brute-force estimators and closed forms used for verification.
+"""The estimators of the ``oracle`` verb, by name in ``config.ORACLES``.
 
-Everything here deliberately avoids the solver machinery: oracles are either
-closed-form expressions or fresh Monte Carlo simulations so they can serve
-as one side of a dual-route check.
+Each returns an :class:`OracleValue`: a fresh Monte Carlo mean with its
+standard error, or a closed form with standard error zero.  None of them
+touches the solver machinery, so each can serve as one side of a
+dual-route check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily otherwise, on the first draw)
@@ -20,17 +20,6 @@ class OracleValue:
     name: str
     value: float
     stderr: float
-
-
-def entropic_gaussian_exact(sigma: float) -> float:
-    """``ln E[exp(X)]`` for ``X ~ N(0, sigma^2)``."""
-    return 0.5 * sigma * sigma
-
-
-def folded_gaussian_moment_exact(sigma: float, gamma: float = 1.0) -> float:
-    """``E[exp(gamma |X|)]`` for ``X ~ N(0, sigma^2)``."""
-    s = gamma * sigma
-    return 2.0 * math.exp(0.5 * s * s) * NormalDist().cdf(s)
 
 
 def huber_envelope_exact(n: float, y: float) -> float:
@@ -44,43 +33,6 @@ def huber_envelope_exact(n: float, y: float) -> float:
 def huber_envelope_value(n: float, y: float) -> OracleValue:
     """:func:`huber_envelope_exact` as an oracle value, without sampling error."""
     return OracleValue("huber_envelope", huber_envelope_exact(n, y), 0.0)
-
-
-def huber_envelope_grid(n: float, y: float, lo: float = -5.0, hi: float = 5.0,
-                        n_points: int = 10001) -> float:
-    """Brute-force grid minimization cross-check of the square's envelope."""
-    grid = np.linspace(lo, hi, n_points)
-    return float(np.min(grid * grid + n * np.abs(grid - y)))
-
-
-def exp1_reference(x: float) -> float:
-    """Exponential integral ``int_x^inf exp(-e)/e de`` with adaptive
-    integration cross-check."""
-    from scipy import integrate, special  # only this reference needs SciPy
-
-    series = float(special.exp1(x))
-    quad_val, _ = integrate.quad(lambda e: math.exp(-e) / e, x, np.inf, limit=200)
-    if abs(series - quad_val) > 1e-8 * (1.0 + abs(series)):
-        raise RuntimeError("exponential-integral references disagree")
-    return series
-
-
-def stable_tail_mass_exact(theta: float, alpha: float, cut: float) -> float:
-    """Two-sided mass of ``theta |e|^(-1-alpha)`` beyond ``|e| >= cut``."""
-    return 2.0 * theta * cut ** (-alpha) / alpha
-
-
-def stable_small_jump_second_moment(theta: float, alpha: float, cut: float) -> float:
-    """``int_{|e| < cut} e^2 theta |e|^(-1-alpha) de`` (both sides)."""
-    return 2.0 * theta * cut ** (2.0 - alpha) / (2.0 - alpha)
-
-
-def girsanov_tilt_exact(b: float, c_tilde: float, mass: float, t_end: float,
-                        x0: float = 0.0, impact: float = 1.0) -> float:
-    """Tilted-measure expectation of the compensated forward state for the
-    linear generator ``b z + c_tilde * int u dnu``: drift ``b`` plus the
-    intensity tilt acting on the compensated jump sum."""
-    return x0 + b * t_end + c_tilde * mass * impact * t_end
 
 
 def girsanov_tilt_mc(b: float, c_tilde: float, mass: float, t_end: float,

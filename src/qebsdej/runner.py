@@ -24,7 +24,7 @@ from .levy import build_quadrature, truncated_mass_reference
 from .risk import DIRECTIONS, entropic, exponential_moment_check
 from .scheme import audit_solution, ladder_quadrature, run_triple_scheme
 from .semimartingale import martingale_regression_test
-from .solver import decompose, simulate_forward, solve_lipschitz
+from .solver import PicardError, decompose, simulate_forward, solve_lipschitz
 
 FLOAT_FMT = "%.17g"
 
@@ -267,9 +267,17 @@ EXIT_CRASH = 70
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> int:
+    """Run ``cfg`` and write its artifacts.  A solve that does not close or
+    a value that overflows is a failed run, like a failed scheme triple: its
+    one check fails with the error, and no table is written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checks, tables = _RUNNERS[cfg.experiment](cfg)
+    try:
+        checks, tables = _RUNNERS[cfg.experiment](cfg)
+    except (PicardError, OverflowError) as exc:
+        checks = [CheckResult(cfg.experiment, False, math.nan, 0.0,
+                              f"{type(exc).__name__}: {exc}")]
+        tables = {}
     for name, rows in tables.items():
         write_csv(out_dir / name, rows)
     all_ok = write_summary(out_dir, checks)

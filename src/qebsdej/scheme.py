@@ -19,7 +19,7 @@ import numpy as np
 
 from .drivers import Driver, DriverView, StructureParams, regularize
 from .levy import KAPPA_MAX, LevyModel, MarkQuadrature, build_quadrature, nu_norm
-from .risk import AprioriReport, apriori_bound_check, terminal_bound_payoff
+from .risk import AprioriReport, apriori_bound_check
 from .semimartingale import (QStructureReport, SubmartingaleReport,
                              check_q_structure, exponential_transform,
                              pairwise_gap, stability_diagnostics,
@@ -182,31 +182,6 @@ def ladder_quadrature(model: LevyModel, schedule: Schedule,
                             cut_levels=[1.0 / k for k in kappas])
 
 
-def tau_l_localization(ensemble: PathEnsemble, params: StructureParams,
-                       xi: np.ndarray, level: float,
-                       basis_degree: int) -> np.ndarray:
-    """First grid index where the regressed conditional expectation of the
-    exponential terminal bound exceeds ``level`` (``n_steps`` when never).
-
-    Nondecreasing in ``level`` pathwise.
-    """
-    target = np.exp(terminal_bound_payoff(xi, params, ensemble.time_grid, 0))
-    n = target.size
-    stop = np.full(n, ensemble.n_steps, dtype=int)
-    done = np.zeros(n, dtype=bool)
-    for k in range(ensemble.n_steps):
-        if k == 0:
-            estimate = np.full(n, float(target.mean()))
-        else:
-            _, estimate = ensemble.regression(k, basis_degree).fit(target)
-        hit = (~done) & (estimate > level)
-        stop[hit] = k
-        done |= hit
-        if done.all():
-            break
-    return stop
-
-
 def monotonicity_check(solutions: Sequence[BsdejSolution],
                        links: Sequence[dict],
                        nonnegative_base: bool = True) -> list[float]:
@@ -248,55 +223,50 @@ class DriverGapReport:
     region_fraction: float
 
 
-def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution, c_split: float,
-                  stop_index: np.ndarray | None = None) -> DriverGapReport:
+def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
+                  c_split: float) -> DriverGapReport:
     """Bounded/unbounded split of the time-integrated generator gap.
 
     ``a1`` integrates ``|f_triple - f_proxy|`` where ``|Z| + |U|_nu`` stays
-    below ``c_split`` (up to the stopping index), ``a2`` on the complement;
-    both use the generator values stored by the solves.  The report also
-    carries the Chebyshev bound ``(2 / c^2) E[|Z|^2 + |U|^2]`` for the
-    unbounded region's mass.
+    below ``c_split``, ``a2`` on the complement; both use the generator
+    values stored by the solves.  The report also carries the Chebyshev
+    bound ``(2 / c^2) E[|Z|^2 + |U|^2]`` for the unbounded region's mass.
     """
     ensemble = same_ensemble(sol, sol_proxy)
     if c_split <= 0:
         raise ValueError("region split must be positive")
     n, k_steps = sol.n_paths, sol.n_steps
     dt = ensemble.dt
-    stop = (np.full(n, k_steps, dtype=int) if stop_index is None
-            else np.asarray(stop_index, dtype=int))
     a1 = a2 = 0.0
     norm2_sum = np.zeros(n)
     region_hits = 0.0
-    cells = 0.0
     for k in range(k_steps):
-        active = stop > k
-        if not active.any():
-            break
         u_norm = nu_norm(sol.u_values(k), ensemble.intensity[k])
         size = np.abs(sol.z[:, k, :]).sum(axis=1) + u_norm
         gap = np.abs(sol.driver_values[:, k] - sol_proxy.driver_values[:, k])
         inside = size <= c_split
-        a1 += float((gap * inside * active).sum()) * dt
-        a2 += float((gap * (~inside) * active).sum()) * dt
-        region_hits += float(((~inside) & active).sum())
-        cells += float(active.sum())
+        a1 += float((gap * inside).sum()) * dt
+        a2 += float((gap * (~inside)).sum()) * dt
+        region_hits += float((~inside).sum())
         norm2_sum += ((sol.z[:, k, :] ** 2).sum(axis=1) + u_norm ** 2) * dt
     a1 /= n
     a2 /= n
     horizon = float(ensemble.time_grid[-1])
     cheb = 2.0 / c_split ** 2 * float(norm2_sum.mean()) / horizon
-    region_fraction = region_hits / max(cells, 1.0)
+    region_fraction = region_hits / max(n * k_steps, 1)
     return DriverGapReport(a1, a2, cheb, region_fraction)
 
 
 def default_c_split(sol: BsdejSolution) -> float:
-    """Five times the sample 90th percentile of ``|Z| + |U|_nu``."""
+    """Five times the sample 90th percentile of ``|Z| + |U|_nu``, or 1 where
+    the square of that underflows to zero (for a solve without martingale
+    part, say), since the Chebyshev bound divides by it."""
     sizes = []
     for k in range(sol.n_steps):
         sizes.append(np.abs(sol.z[:, k, :]).sum(axis=1)
                      + nu_norm(sol.u_values(k), sol.ensemble.intensity[k]))
-    return 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
+    split = 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
+    return split if split ** 2 > 0.0 else 1.0
 
 
 def audit_solution(sol: BsdejSolution, params: StructureParams
@@ -324,8 +294,8 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
 
     The ensemble's quadrature must come from :func:`ladder_quadrature` for
     ``schedule``.  Each triple is regularized, solved with the given solver
-    settings, decomposed, and audited.  A failing triple is recorded with
-    its error message rather than aborting the ladder.
+    settings, decomposed, and audited.  A triple whose solve or audit fails
+    is recorded with its error message rather than aborting the ladder.
     """
     quad = ensemble.quad
     view = DriverView(base, ensemble)
@@ -338,16 +308,16 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
         records.append(record)
         try:
             reg = regularize(view, n_idx, m_idx, node_idx)
-            record.dec = decompose(solve_lipschitz(reg, terminal_fn, basis_degree,
-                                                   picard_max, picard_tol))
-            record.envelope_active = reg.envelope_active
+            dec = decompose(solve_lipschitz(reg, terminal_fn, basis_degree,
+                                            picard_max, picard_tol))
+            audits = audit_solution(dec.solution, base.params)
         except Exception as exc:  # a failed triple is data, not a crash
             record.error = f"{type(exc).__name__}: {exc}"
             continue
-        sol = record.solution
+        record.dec, record.envelope_active = dec, reg.envelope_active
+        sol = dec.solution
         record.y0, record.y0_se, record.s2_norm = sol.y0, sol.y0_se, sol.s2_norm()
-        record.corridor, record.apriori, record.submartingale = audit_solution(
-            sol, base.params)
+        record.corridor, record.apriori, record.submartingale = audits
 
     solved = [r for r in records if r.dec is not None]
     if solved:

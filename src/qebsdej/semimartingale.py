@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .drivers import StructureParams, structure_bounds
-from .levy import exp_excess
-from .risk import DIRECTIONS, heavy_tail
+from .risk import heavy_tail
 from .solver import BsdejSolution, PathEnsemble, same_ensemble
 
 
@@ -148,55 +147,6 @@ def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
 
 
 # ---------------------------------------------------------------------------
-# canonical exponential semimartingales
-# ---------------------------------------------------------------------------
-
-def canonical_paths(ensemble: PathEnsemble, m_c_increments: np.ndarray,
-                    bracket_increments: np.ndarray, u_fields: np.ndarray,
-                    direction: str, r0: float = 0.0) -> np.ndarray:
-    """Canonical exponential-quadratic paths driven by given martingale parts.
-
-    ``m_c_increments`` has shape (n_paths, K) and ``bracket_increments`` holds
-    the matching predictable brackets (``|Z|^2 dt`` per path and step, scalar
-    rows broadcast).  ``u_fields`` holds one field per step, shape (K, Q),
-    broadcast over paths; its jump sums run over the jumps of ``ensemble``
-    and both compensators weigh the nodes by ``ensemble.intensity[k]``.  The
-    upper direction subtracts half the bracket and the ``exp(u) - u - 1``
-    compensator, the lower one adds half the bracket and the
-    ``exp(-u) + u - 1`` compensator.
-    """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
-    sign = 1.0 if direction == "upper" else -1.0
-    n, k_steps = m_c_increments.shape
-    bracket = np.broadcast_to(np.asarray(bracket_increments, dtype=float),
-                              m_c_increments.shape)
-    r = np.empty((n, k_steps + 1), order="F")
-    r[:, 0] = r0
-    dt = ensemble.dt
-    for k in range(k_steps):
-        u_k, wz = u_fields[k], ensemble.intensity[k]
-        dm = m_c_increments[:, k] + ensemble.jumps.compensated_sum(k, u_k, wz, dt)
-        comp = (wz * exp_excess(sign * u_k)).sum()
-        r[:, k + 1] = r[:, k] + dm - sign * (0.5 * bracket[:, k] + comp * dt)
-    return r
-
-
-def doleans_check(r_paths: np.ndarray, direction: str = "upper"):
-    """Sample mean and standard error of the terminal stochastic exponential.
-
-    For the upper direction the statistic is ``exp(r_T - r_0)``; the lower
-    direction exponentiates the negated increment.  Positive local martingales
-    have mean one; the verdict allows three standard errors.
-    """
-    increment = r_paths[:, -1] - r_paths[:, 0]
-    vals = np.exp(increment if direction == "upper" else -increment)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return mean, stderr
-
-
-# ---------------------------------------------------------------------------
 # stability along an approximation ladder
 # ---------------------------------------------------------------------------
 
@@ -218,41 +168,23 @@ def stability_diagnostics(solutions: Sequence[BsdejSolution]) -> list[StabilityR
 def pairwise_gap(sol_a: BsdejSolution, sol_b: BsdejSolution) -> tuple[float, float]:
     """(H1-style martingale gap, running-max variation gap) between the
     decompositions of two solves on a shared ensemble; ``dV`` is
-    ``driver_values * dt`` and ``dM`` the residue ``diff(y) + dV``."""
+    ``driver_values * dt`` and ``dM`` the residue ``diff(y) + dV``.
+
+    One step at a time: per path it keeps the sum of ``dM^2``, the two
+    running sums of ``dV`` and the largest gap between them.  Each is
+    accumulated in step order, as the row sums and cumulative sums of the
+    column-major whole-array form are, so the floats keep its bits.
+    """
     dt = same_ensemble(sol_a, sol_b).dt
-    dv_a, dv_b = sol_a.driver_values * dt, sol_b.driver_values * dt
-    dm = (np.diff(sol_a.y, axis=1) + dv_a) - (np.diff(sol_b.y, axis=1) + dv_b)
-    h1 = float(np.sqrt((dm ** 2).sum(axis=1)).mean())
-    v_gap = np.cumsum(dv_a, axis=1) - np.cumsum(dv_b, axis=1)
-    vstar = float(np.abs(v_gap).max(axis=1).mean())
-    return h1, vstar
-
-
-@dataclass
-class GarsiaNeveuReport:
-    lhs: float
-    lhs_se: float
-    rhs: float
-    rhs_se: float
-    ok: bool
-
-
-def garsia_neveu_probe(a_paths: np.ndarray, u_dom: np.ndarray,
-                       p: float) -> GarsiaNeveuReport:
-    """Moment comparison ``E[A_T^p] <= p^p E[U^p]`` for an increasing process
-    dominated by ``U`` in conditional expectation (fixture guarantees the
-    domination).  Allows three combined standard errors of slack."""
-    if p < 1:
-        raise ValueError("exponent must satisfy p >= 1")
-    a_term = np.asarray(a_paths, dtype=float)
-    if a_term.ndim == 2:
-        if np.any(np.diff(a_term, axis=1) < -1e-12):
-            raise ValueError("process paths must be nondecreasing")
-        a_term = a_term[:, -1]
-    lhs_samples = a_term ** p
-    rhs_samples = (p ** p) * np.asarray(u_dom, dtype=float) ** p
-    lhs, rhs = float(lhs_samples.mean()), float(rhs_samples.mean())
-    lhs_se = float(lhs_samples.std(ddof=1) / math.sqrt(lhs_samples.size))
-    rhs_se = float(rhs_samples.std(ddof=1) / math.sqrt(rhs_samples.size))
-    ok = lhs <= rhs + 3.0 * math.hypot(lhs_se, rhs_se)
-    return GarsiaNeveuReport(lhs, lhs_se, rhs, rhs_se, ok)
+    n = sol_a.n_paths
+    dm2, v_a, v_b, vstar = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    for k in range(sol_a.n_steps):
+        dv_a = sol_a.driver_values[:, k] * dt
+        dv_b = sol_b.driver_values[:, k] * dt
+        dm = ((sol_a.y[:, k + 1] - sol_a.y[:, k]) + dv_a
+              - ((sol_b.y[:, k + 1] - sol_b.y[:, k]) + dv_b))
+        dm2 += dm * dm
+        v_a += dv_a
+        v_b += dv_b
+        np.maximum(vstar, np.abs(v_a - v_b), out=vstar)
+    return float(np.sqrt(dm2).mean()), float(vstar.mean())

@@ -30,6 +30,10 @@ class NonContractionError(RuntimeError):
     """dt times the y-Lipschitz bound reached 1; the implicit step diverges."""
 
 
+class PicardError(RuntimeError):
+    """The implicit step did not reach its tolerance in the allowed iterations."""
+
+
 class EnsembleMismatchError(ValueError):
     """Arrays from different ensembles were combined."""
 
@@ -403,7 +407,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
             if lip_y == 0.0 or float(np.max(np.abs(y_cur - y_prev))) < picard_tol:
                 break
         else:
-            raise RuntimeError(f"Picard iteration did not reach {picard_tol:g} in "
+            raise PicardError(f"Picard iteration did not reach {picard_tol:g} in "
                                f"{picard_max} steps at t = {ensemble.time_grid[k]:.4g}")
         fvals[:, k] = f_now
         y[:, k] = y_cur

@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 
 import qebsdej as q
-from qebsdej.drivers import (Driver, inf_convolve, lipschitz_estimate,
-                             regularize, structure_bounds, sup_convolve)
+from qebsdej.drivers import Driver, regularize, structure_bounds
 from qebsdej.oracles import huber_envelope_exact
 from qebsdej.risk import apriori_bound_check, entropic, exponential_moment_check
 from qebsdej.scheme import Schedule, ladder_quadrature, run_triple_scheme
-from qebsdej.semimartingale import (canonical_paths, doleans_check,
-                                    exponential_transform, garsia_neveu_probe,
-                                    submartingale_test)
+from qebsdej.semimartingale import exponential_transform, submartingale_test
 
 from conftest import forward, solve
+from references import (canonical_paths, doleans_check, garsia_neveu_probe,
+                        inf_convolve, lipschitz_estimate, sup_convolve)
 
 TIMER: dict = {}
 

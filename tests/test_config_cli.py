@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qebsdej
@@ -21,9 +21,10 @@ from qebsdej.config import (ORACLES, SETTINGS, TERMINALS, TOP_LEVEL_KEYS,
                             ConfigError, _int, load_config, validate_config)
 from qebsdej.levy import (KAPPA_MAX, MASS_FLOOR, build_quadrature,
                           truncated_mass_reference)
-from qebsdej.oracles import girsanov_tilt_exact
 from qebsdej.runner import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK)
 from qebsdej.solver import DYNAMICS, JUMP_IMPACTS
+
+from references import girsanov_tilt_exact
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
 
@@ -207,6 +208,78 @@ def invalid_configs(draw):
 def test_validate_verb_refuses_invalid_config(tmp_path_factory, payload):
     path = write_config(tmp_path_factory.mktemp("fuzz"), "cfg.json", payload)
     assert main(["validate", path]) == EXIT_CONFIG_ERROR
+
+
+RUN_MODELS = {
+    "gamma": {"theta": st.floats(0.0, 10.0), "beta": st.floats(0.1, 10.0)},
+    "stable": {"theta": st.floats(0.0, 10.0), "alpha": st.floats(0.1, 1.99)},
+    "normal": {"rate": st.floats(0.0, 10.0), "loc": st.floats(-5.0, 5.0),
+               "scale": st.floats(0.01, 2.0)},
+    "null": {},
+}
+RUN_DRIVERS = {
+    "canonical": {}, "zero": {},
+    "linear": {"a": st.floats(-2.0, 2.0), "b": st.floats(-2.0, 2.0),
+               "c_tilde": st.floats(-0.99, 0.99)},
+    "morlais": {"beta": st.floats(0.0, 2.0)},
+}
+
+
+@st.composite
+def small_run_configs(draw):
+    """A config of any experiment that runs on an ensemble, with each setting
+    drawn across a wide range but the sizes kept small: 100-300 paths, 2-6
+    steps and 2-6 mark nodes."""
+    def section(name, table):
+        return {"name": name, **{key: draw(value) for key, value in table.items()}}
+
+    experiment = draw(st.sampled_from(["solve", "scheme", "audit", "risk"]))
+    k_steps = draw(st.integers(2, 6))
+    payload = {
+        "experiment": experiment,
+        "model": section(*draw(st.sampled_from(sorted(RUN_MODELS.items())))),
+        "driver": section(*draw(st.sampled_from(sorted(RUN_DRIVERS.items())))),
+        "structure": {"delta": draw(st.floats(0.1, 4.0)), "l": draw(st.floats(0.0, 2.0)),
+                      "c": draw(st.floats(0.0, 2.0))},
+        "grid": {"t_end": draw(st.floats(0.05, 2.0)), "k_steps": k_steps},
+        "quadrature": {"kappa": draw(st.floats(1.0, 64.0)), "q_nodes": draw(st.integers(2, 6))},
+        "ensemble": {"n_paths": draw(st.integers(100, 300)), "seed": draw(st.integers(0, 2**31)),
+                     "dynamics": draw(st.sampled_from(DYNAMICS)),
+                     "jump_impact": draw(st.sampled_from(JUMP_IMPACTS)),
+                     "x0": draw(st.floats(-2.0, 2.0)), "d": draw(st.integers(1, 2))},
+        "terminal": {"name": draw(st.sampled_from(sorted(TERMINALS))),
+                     "scale": draw(st.floats(-2.0, 2.0)), "shift": draw(st.floats(-1.0, 1.0)),
+                     "value": draw(st.floats(-2.0, 2.0))},
+        "solver": {"basis_degree": draw(st.integers(0, 8)),
+                   "picard_max": draw(st.integers(1, 50)),
+                   "picard_tol": 10.0 ** draw(st.floats(-12.0, -2.0)),
+                   "export_paths": draw(st.integers(-1, 5)),
+                   "export_jumps": draw(st.booleans())},
+    }
+    if experiment == "scheme":
+        triple, triples = [0, 0, 0], []
+        for _ in range(draw(st.integers(1, 3))):
+            triple = [i + draw(st.integers(1 if not triples else 0, 4)) for i in triple]
+            triples.append(triple)
+        payload["schedule"] = {"triples": triples}
+    if experiment == "risk":
+        payload["risk"] = {"times": [0, *draw(st.lists(st.integers(0, k_steps), max_size=3))],
+                           "gammas": draw(st.lists(st.floats(0.1, 4.0), min_size=1, max_size=3))}
+    return payload
+
+
+@settings(max_examples=30, deadline=None)
+@given(payload=small_run_configs())
+def test_run_verb_never_crashes_on_an_accepted_config(tmp_path_factory, payload):
+    # an accepted config ends in a verdict, 0 or 1, never in a crash (70)
+    try:
+        validate_config(payload)
+    except ConfigError:
+        assume(False)
+    root = tmp_path_factory.mktemp("run")
+    path = write_config(root, "cfg.json", payload)
+    assert main(["--log-level", "ERROR", "run", path, "--out", str(root / "out")]) in (
+        EXIT_OK, EXIT_CHECK_FAILURE)
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
@@ -778,6 +851,56 @@ def test_audit_honours_picard_settings(tmp_path):
         main(["run", cfg, "--out", str(out)])
         reports.append((out / "audit_report.csv").read_text())
     assert reports[0] != reports[1]
+
+
+@pytest.mark.parametrize("experiment", ["solve", "audit"])
+def test_non_contracting_grid_is_a_config_error(experiment):
+    # dt * a = 0.5 * 2 reaches 1, where the implicit step cannot contract
+    payload = solve_payload(experiment=experiment, driver={"name": "linear", "a": 2.0},
+                            grid={"t_end": 1.0, "k_steps": 2})
+    with pytest.raises(ConfigError, match="grid.k_steps"):
+        validate_config(payload)
+    payload["grid"]["k_steps"] = 3
+    validate_config(payload)
+
+
+@pytest.mark.parametrize("experiment", ["solve", "audit"])
+def test_picard_non_convergence_fails_the_run(tmp_path, experiment):
+    payload = solve_payload(experiment=experiment, driver={"name": "linear", "a": 0.5},
+                            solver={"picard_max": 1})
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, "cfg.json", payload),
+                 "--out", str(out)]) == EXIT_CHECK_FAILURE
+    first, overall = (out / "summary.txt").read_text().splitlines()
+    assert first.startswith(f"FAIL {experiment} value=nan tol=0 PicardError: Picard")
+    assert overall == "OVERALL FAIL (0/1 checks)"
+
+
+@pytest.mark.parametrize("experiment", ["audit", "scheme"])
+def test_overflowing_audit_fails_the_run(tmp_path, experiment):
+    # mark-sized impacts of stable jumps give loadings whose exponential
+    # penalty j(delta u) overflows in the corridor audit
+    payload = scheme_payload() if experiment == "scheme" else solve_payload(
+        experiment="audit")
+    payload.update(model={"name": "stable", "theta": 5.0, "alpha": 0.5},
+                   driver={"name": "linear", "c_tilde": 0.5},
+                   grid={"t_end": 1.0, "k_steps": 4},
+                   ensemble={"n_paths": 300, "seed": 1, "dynamics": "jumps_only",
+                             "jump_impact": "mark"})
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, "cfg.json", payload),
+                 "--out", str(out)]) == EXIT_CHECK_FAILURE
+    assert "ExponentOverflowError: exponent" in (out / "summary.txt").read_text()
+
+
+def test_overflowing_entropic_value_fails_the_run(tmp_path):
+    payload = risk_payload()
+    payload["terminal"] = {"name": "linear", "scale": 1000.0}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, "cfg.json", payload),
+                 "--out", str(out)]) == EXIT_CHECK_FAILURE
+    assert (out / "summary.txt").read_text().startswith(
+        "FAIL risk value=nan tol=0 OverflowError: exponential moment overflowed")
 
 
 def _linear_scheme_report(tmp_path, tag, solver=(), d=1):

@@ -6,12 +6,13 @@ import pytest
 
 import qebsdej as q
 from qebsdej.drivers import (V_GRID, Driver, NotRegularizableError, StructureParams,
-                             inf_convolve, lipschitz_estimate, regularize,
-                             structure_bounds, sup_convolve)
+                             regularize, structure_bounds)
 from qebsdej.levy import gamma_model
-from qebsdej.oracles import huber_envelope_exact, huber_envelope_grid
+from qebsdej.oracles import huber_envelope_exact
 
 from conftest import forward
+from references import (check_a_gamma, huber_envelope_grid, inf_convolve,
+                        lipschitz_estimate, sup_convolve)
 
 DENSE = np.linspace(-5.0, 5.0, 10001)
 
@@ -79,12 +80,17 @@ def test_bounds_constant_field_closed_forms(two_node_quad):
     assert lo == pytest.approx(-2.0 / math.e, rel=1e-12)
 
 
+def corridor_excess(view, k, y, z, u):
+    """How far each probe row's value lies outside the corridor at step ``k``,
+    beyond ``1e-9 * (1 + |q_upper|)``; positive outside."""
+    q_lo, q_hi = structure_bounds(y, z, u, view.driver.params, view.ensemble.intensity[k])
+    val = view.evaluate(k, y, z, u)
+    return np.maximum(q_lo - val, val - q_hi) - 1e-9 * (1.0 + np.abs(q_hi))
+
+
 def test_check_structure_canonical_zero_violations(canonical, probes, small_ensemble):
-    ys, zs, us = probes
-    pts = [(0, ys[i], zs[i], us[i]) for i in range(ys.size)]
     view = q.DriverView(canonical, small_ensemble)
-    report = q.check_structure(view, pts)
-    assert report.ok
+    assert np.all(corridor_excess(view, 0, *probes) <= 0.0)
 
 
 def test_check_structure_constructed_violation(probes, small_ensemble):
@@ -95,26 +101,25 @@ def test_check_structure_constructed_violation(probes, small_ensemble):
         return base.f_hat(y, z) + 1.0
 
     shifted = Driver("above", f_hat, base.g, p, nonnegative=True, lip_y=0.0)
-    ys, zs, us = probes
-    pts = [(0, ys[i], zs[i], us[i]) for i in range(ys.size)]
     view = q.DriverView(shifted, small_ensemble)
-    report = q.check_structure(view, pts)
-    assert report.n_violations == report.n_probes
+    assert np.all(corridor_excess(view, 0, *probes) > 0.0)
 
 
 def test_check_structure_counts_generator_probes(canonical, probes, small_ensemble):
+    # one probe row at a time gives the excess of the vectorized evaluation
     ys, zs, us = probes
-    pts = ((0, ys[i], zs[i], us[i]) for i in range(ys.size))
     view = q.DriverView(canonical, small_ensemble)
-    assert q.check_structure(view, pts).n_probes == ys.size
+    rows = [float(corridor_excess(view, 0, ys[i], zs[i], us[i])) for i in range(ys.size)]
+    excess = corridor_excess(view, 0, ys, zs, us)
+    assert excess.shape == (ys.size,)
+    np.testing.assert_allclose(rows, excess, rtol=0.0, atol=1e-12)
 
 
 def test_check_structure_morlais(probes, small_ensemble):
     p = StructureParams(1.0, 0.0, 0.6)
     drv = q.make_driver("morlais", p, beta=0.5)  # beta <= c keeps the corridor
-    ys, zs, us = probes
-    pts = [(0, ys[i], zs[i], us[i]) for i in range(ys.size)]
-    assert q.check_structure(q.DriverView(drv, small_ensemble), pts).ok
+    view = q.DriverView(drv, small_ensemble)
+    assert np.all(corridor_excess(view, 0, *probes) <= 0.0)
 
 
 def test_driver_continuity(canonical, gamma_quad):
@@ -630,7 +635,7 @@ def test_envelope_active_counts_the_last_evaluation_of_each_step(canonical,
 
 def test_a_gamma_equal_fields(canonical, gamma_quad):
     u = np.full(gamma_quad.n_nodes, 0.3)
-    rep = q.check_a_gamma(canonical, u, u, gamma_quad.weights)
+    rep = check_a_gamma(canonical, u, u, gamma_quad.weights)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.ok
 
 
@@ -639,7 +644,7 @@ def test_a_gamma_single_node_slope(canonical):
                             np.array([1.0]))
     u = np.array([1.0])
     ub = np.array([0.0])
-    rep = q.check_a_gamma(canonical, u, ub, quad.weights)
+    rep = check_a_gamma(canonical, u, ub, quad.weights)
     assert rep.lhs == pytest.approx(math.e - 2.0, rel=1e-12)
     assert rep.rhs == pytest.approx(rep.lhs, rel=1e-12)
     assert -1.0 < rep.slopes[0] and rep.ok
@@ -650,7 +655,7 @@ def test_a_gamma_random_pairs(canonical, gamma_quad):
     for _ in range(100):
         u = rng.uniform(-1.5, 1.5, gamma_quad.n_nodes)
         ub = rng.uniform(-1.5, 1.5, gamma_quad.n_nodes)
-        rep = q.check_a_gamma(canonical, u, ub, gamma_quad.weights)
+        rep = check_a_gamma(canonical, u, ub, gamma_quad.weights)
         assert rep.ok
 
 

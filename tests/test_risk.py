@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qebsdej as q
-from qebsdej.oracles import entropic_gaussian_exact, folded_gaussian_moment_exact
 from qebsdej.risk import (apriori_bound_check, exponential_moment_check,
                           terminal_bound_payoff)
 
 from conftest import entropic, forward, solve
+from references import entropic_gaussian_exact, folded_gaussian_moment_exact
 
 
 @pytest.fixture(scope="module")

@@ -7,10 +7,11 @@ import qebsdej as q
 from qebsdej import solver
 from qebsdej.scheme import (Schedule, UnlinkedComparisonError, default_c_split,
                             driver_l1_gap, ladder_quadrature, monotonicity_check,
-                            run_triple_scheme, tau_l_localization)
+                            run_triple_scheme)
 from qebsdej.solver import EnsembleMismatchError
 
 from conftest import forward, solve
+from references import girsanov_tilt_exact
 
 
 def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
@@ -73,7 +74,6 @@ def test_degenerate_single_triple_equals_plain_solve(gamma_model):
 def test_lipschitz_driver_ladder_matches_closed_form(gamma_model):
     # once the indices clear the Lipschitz constant the regularization is
     # exact, so every triple reproduces the same tilted-drift value
-    from qebsdej.oracles import girsanov_tilt_exact
     params = q.StructureParams(1.0, 1.0, 0.0)
     base = q.make_driver("linear", params, a=0.0, b=0.3)
     schedule = Schedule(((1, 1, 2), (2, 2, 4), (4, 4, 8)))
@@ -135,8 +135,8 @@ def test_the_ensemble_is_the_only_intensity_reader(gamma_model, monkeypatch):
 
 
 def test_ladder_factorizes_each_step_design_once(gamma_model, monkeypatch):
-    # the triples and the localization regress on one ensemble at one degree,
-    # so every step's design is factorized by the first triple alone
+    # the triples regress on one ensemble at one degree, so every step's
+    # design is factorized by the first triple alone
     calls = []
     real = np.linalg.qr
 
@@ -145,14 +145,11 @@ def test_ladder_factorizes_each_step_design_once(gamma_model, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver.np.linalg, "qr", counted)
-    params = q.StructureParams(1.0, 0.0, 0.0)
     schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
-    ens, result = run_ladder(q.make_driver("canonical", params),
-                             lambda x: np.abs(0.25 * x), gamma_model, schedule,
-                             seed=7, k_steps=10, n_paths=2000, q_nodes=10)
+    _, result = run_ladder(q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0)),
+                           lambda x: np.abs(0.25 * x), gamma_model, schedule,
+                           seed=7, k_steps=10, n_paths=2000, q_nodes=10)
     assert not any(rec.error for rec in result.report.records)
-    assert len(calls) == 10
-    tau_l_localization(ens, params, ens.state[:, -1], 2.0, basis_degree=3)
     assert len(calls) == 10
 
 
@@ -240,52 +237,6 @@ def test_mixed_link_without_direction_refused(small_ensemble, gamma_quad):
 
 
 # ---------------------------------------------------------------------------
-# localization
-# ---------------------------------------------------------------------------
-
-def test_tau_never_and_immediate(small_ensemble):
-    params = q.StructureParams(1.0, 0.0, 0.0)
-    xi = 0.25 * small_ensemble.state[:, -1]
-    never = tau_l_localization(small_ensemble, params, xi, level=1e12,
-                               basis_degree=3)
-    assert np.all(never == small_ensemble.n_steps)
-    now = tau_l_localization(small_ensemble, params, xi, level=1.0 + 1e-12,
-                             basis_degree=3)
-    assert np.all(now == 0)
-
-
-def test_tau_interior_and_monotone(small_ensemble):
-    params = q.StructureParams(1.0, 0.0, 0.0)
-    xi = 0.25 * small_ensemble.state[:, -1]
-    base_level = float(np.exp(np.abs(xi)).mean())
-    mid = tau_l_localization(small_ensemble, params, xi, level=2.0 * base_level,
-                             basis_degree=3)
-    stopped = float((mid < small_ensemble.n_steps).mean())
-    assert 0.0 < stopped < 1.0
-    higher = tau_l_localization(small_ensemble, params, xi,
-                                level=4.0 * base_level, basis_degree=3)
-    assert np.all(higher >= mid)
-
-
-def test_localized_statistics_approach_full_horizon(mini_scheme):
-    ens, result = mini_scheme
-    sol, proxy = result.solutions[0], result.solutions[-1]
-    params = q.StructureParams(1.0, 0.0, 0.0)
-    c_split = default_c_split(proxy)
-    full = driver_l1_gap(sol, proxy, c_split)
-    base_level = float(np.exp(np.abs(proxy.terminal)).mean())
-    gaps = []
-    for mult in (1.05, 2.0, 1e9):
-        stop = tau_l_localization(ens, params, proxy.terminal,
-                                  level=mult * base_level,
-                                  basis_degree=proxy.feature_maps[0].degree)
-        rep = driver_l1_gap(sol, proxy, c_split, stop_index=stop)
-        gaps.append(rep.a1 + rep.a2)
-    assert gaps[0] <= gaps[1] <= gaps[2]
-    assert gaps[2] == pytest.approx(full.a1 + full.a2, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # generator gap split
 # ---------------------------------------------------------------------------
 
@@ -294,6 +245,18 @@ def test_identical_solutions_zero_gap(mini_scheme):
     proxy = result.solutions[-1]
     rep = driver_l1_gap(proxy, proxy, c_split=5.0)
     assert rep.a1 == 0.0 and rep.a2 == 0.0
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-200])
+def test_default_split_without_martingale_part(gamma_model, gamma_quad, scale):
+    # sizes of zero, or so small that the split's square underflows, leave
+    # no Chebyshev bound at five times their percentile; the split is then 1
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 4, 500, seed=3)
+    sol = solve(q.DriverView(q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0)),
+                             ens), lambda x: scale * x)
+    assert default_c_split(sol) == 1.0
+    rep = driver_l1_gap(sol, sol, default_c_split(sol))
+    assert rep.a1 == rep.a2 == rep.region_fraction == 0.0
 
 
 def test_gap_split_validation(mini_scheme):

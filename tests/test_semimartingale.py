@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 import qebsdej as q
-from qebsdej.semimartingale import (canonical_paths, check_q_structure,
-                                    doleans_check, exponential_transform,
-                                    garsia_neveu_probe, martingale_regression_test,
-                                    pairwise_gap, stability_diagnostics,
-                                    submartingale_test)
+from qebsdej.semimartingale import (check_q_structure, exponential_transform,
+                                    martingale_regression_test, pairwise_gap,
+                                    stability_diagnostics, submartingale_test)
 from qebsdej.levy import EXP_CAP, ExponentOverflowError
 from qebsdej.solver import EnsembleMismatchError, decompose
 
 from conftest import forward, solve
+from references import canonical_paths, doleans_check, garsia_neveu_probe
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +251,35 @@ def test_stability_identical_decompositions(canonical_solution):
     assert records[1].vstar_gap_prev == 0.0
     h1, vstar = pairwise_gap(sol, sol)
     assert h1 == 0.0 and vstar == 0.0
+
+
+def test_pairwise_gap_holds_no_cell_array(gamma_model, gamma_quad):
+    # per-path accumulators only: no (n, K) array of increments or sums
+    params = q.StructureParams(1.0, 0.0, 0.0)
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=5)
+    sol = solve(q.DriverView(q.make_driver("canonical", params), ens),
+                lambda x: np.abs(0.25 * x))
+    rng = np.random.default_rng(6)
+    other = dataclasses.replace(
+        sol, y=np.asfortranarray(sol.y + rng.normal(0.0, 0.1, sol.y.shape)),
+        driver_values=np.asfortranarray(sol.driver_values
+                                         + rng.normal(0.0, 0.5, sol.driver_values.shape)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h1, vstar = pairwise_gap(other, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= sol.driver_values.nbytes
+    # both floats keep the bits of the whole-array form
+    dt = ens.dt
+    dv_a, dv_b = other.driver_values * dt, sol.driver_values * dt
+    dm = (np.diff(other.y, axis=1) + dv_a) - (np.diff(sol.y, axis=1) + dv_b)
+    v_gap = np.cumsum(dv_a, axis=1) - np.cumsum(dv_b, axis=1)
+    assert h1 > 0.0 and vstar > 0.0
+    assert h1 == float(np.sqrt((dm ** 2).sum(axis=1)).mean())
+    assert vstar == float(np.abs(v_gap).max(axis=1).mean())
 
 
 def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):

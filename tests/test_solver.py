@@ -8,15 +8,16 @@ import pytest
 import qebsdej as q
 from qebsdej import solver
 from qebsdej.levy import gamma_model
-from qebsdej.oracles import girsanov_tilt_exact, girsanov_tilt_mc
+from qebsdej.oracles import girsanov_tilt_mc
 from qebsdej.runner import _reconstruction_gap
 from qebsdej.scheme import driver_l1_gap, monotonicity_check
-from qebsdej.semimartingale import (canonical_paths, check_q_structure,
-                                    martingale_regression_test, pairwise_gap)
+from qebsdej.semimartingale import (check_q_structure, martingale_regression_test,
+                                    pairwise_gap)
 from qebsdej.solver import (CLIP_SIGMAS, EnsembleMismatchError, FeatureMap,
                             NonContractionError, Regression, same_ensemble)
 
 from conftest import forward, solve
+from references import canonical_paths, girsanov_tilt_exact
 
 
 @pytest.fixture(scope="module")
