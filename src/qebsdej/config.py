@@ -95,9 +95,9 @@ Q_NODES_MAX = 1000
 # Regression.fit's coefficient error grows like cond(design)^2 * eps: against
 # lstsq it reads 1.4e-13 at degree 8 and 5.2e-12 at 9 (400 normal states).
 BASIS_DEGREE_MAX = 8
-# An ensemble holds n_paths x k_steps x d Brownian increments and several
-# arrays of about n_paths x k_steps (state, solution, generator values and
-# decomposition increments), and each step of the solve holds n_paths x q_nodes
+# An ensemble holds n_paths x k_steps Brownian increments and several more
+# arrays of that size (state, solution, generator values and decomposition
+# increments), and each step of the solve holds n_paths x q_nodes
 # arrays (jump counts, loadings and their regression targets).  A solve run
 # peaks near 375 MB at 5.4e6 such cells, so this bound keeps a run near 1.4 GB.
 PATH_CELLS_MAX = 2e7
@@ -125,7 +125,6 @@ SETTINGS = {
         "dynamics": Setting(_choice(DYNAMICS), "brownian_jumps"),
         "jump_impact": Setting(_choice(JUMP_IMPACTS), "unit"),
         "x0": Setting(_float, 0.0),
-        "d": Setting(_int, 1, least=1),
     },
     "grid": {
         "t_end": Setting(_float, least=0.0, strict=True),
@@ -348,9 +347,9 @@ def validate_config(data: dict) -> ExperimentConfig:
 def _check_size(cfg: ExperimentConfig) -> None:
     """Refuse an ensemble too large to allocate; see the bounds above."""
     ens, grid = cfg.ensemble, cfg.grid
-    cells = ens["n_paths"] * (grid["k_steps"] * ens["d"] + cfg.quadrature["q_nodes"])
+    cells = ens["n_paths"] * (grid["k_steps"] + cfg.quadrature["q_nodes"])
     if cells > PATH_CELLS_MAX:
-        raise ConfigError("ensemble", f"n_paths * (k_steps * d + q_nodes) = {cells:g} "
+        raise ConfigError("ensemble", f"n_paths * (k_steps + q_nodes) = {cells:g} "
                           f"is above {PATH_CELLS_MAX:g}")
     kappa = (cfg.schedule["triples"].kappa_max if cfg.experiment == "scheme"
              else cfg.quadrature["kappa"])

@@ -39,7 +39,7 @@ class StructureParams:
 class Driver:
     """Generator with Becherer-type split and structure metadata.
 
-    ``f_hat(y, z)`` takes ``y`` of shape (...,) and ``z`` of shape (..., d);
+    ``f_hat(y, z)`` takes ``y`` and ``z`` of one shape and applies elementwise;
     ``g(v)`` applies pointwise to mark values.  ``nonnegative`` marks
     generators known to satisfy ``f >= 0`` everywhere (their negative part is
     identically zero), which unlocks a fast separable envelope; that envelope
@@ -50,8 +50,7 @@ class Driver:
 
     The declared slopes let that envelope skip the rows where it provably
     equals the driver: ``g_slope(v)`` is ``g'(v)`` pointwise, and
-    ``z_slope(z)`` is the sup-norm of ``d f_hat / dz`` per row (the dual of
-    the L1 distance the envelope measures ``z`` in).  ``None`` declares no
+    ``z_slope(z)`` is ``|d f_hat / dz|`` pointwise.  ``None`` declares no
     slope, and then the envelope is evaluated on every row.
     """
 
@@ -82,11 +81,8 @@ class Driver:
         return (gv * wz).sum(axis=-1)
 
     def evaluate(self, y, z, u, wz: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if z.ndim == y.ndim:
-            z = z[..., None]
-        return self.f_hat(y, z) + self.jump_part(u, wz)
+        f = self.f_hat(np.asarray(y, dtype=float), np.asarray(z, dtype=float))
+        return f + self.jump_part(u, wz)
 
 
 @dataclass
@@ -110,7 +106,7 @@ def _canonical(structure: StructureParams) -> Driver:
     delta = structure.delta
 
     def f_hat(y, z):
-        return 0.5 * delta * (np.asarray(z) ** 2).sum(axis=-1)
+        return 0.5 * delta * np.asarray(z) ** 2
 
     def g(v):
         return exp_excess(delta * np.asarray(v, dtype=float)) / delta
@@ -120,7 +116,7 @@ def _canonical(structure: StructureParams) -> Driver:
         return np.expm1(out, out=out)
 
     def z_slope(z):
-        return delta * np.abs(z).max(axis=-1)
+        return delta * np.abs(z)
 
     return Driver("canonical", f_hat, g, structure, nonnegative=True, lip_y=0.0,
                   g_slope=g_slope, z_slope=z_slope)
@@ -128,13 +124,13 @@ def _canonical(structure: StructureParams) -> Driver:
 
 def _linear(structure: StructureParams, a: float = 0.0, b: float = 0.0,
             c_tilde: float = 0.0) -> Driver:
-    """``a*y + b.z + c_tilde * int u dnu``; globally Lipschitz."""
+    """``a*y + b*z + c_tilde * int u dnu``; globally Lipschitz."""
     a, b, c_tilde = float(a), float(b), float(c_tilde)
     if abs(c_tilde) >= 1.0:
         raise ValueError("linear jump loading must satisfy |c_tilde| < 1")
 
     def f_hat(y, z):
-        return a * np.asarray(y, dtype=float) + b * np.asarray(z).sum(axis=-1)
+        return a * np.asarray(y, dtype=float) + b * np.asarray(z)
 
     def g(v):
         return c_tilde * np.asarray(v, dtype=float)
@@ -157,16 +153,13 @@ def _morlais(structure: StructureParams, beta: float = 0.0) -> Driver:
 def _zero(structure: StructureParams) -> Driver:
     """The null generator."""
     def f_hat(y, z):
-        return np.zeros(np.broadcast(np.asarray(y), np.asarray(z).sum(axis=-1)).shape)
+        return np.zeros(np.broadcast(np.asarray(y), np.asarray(z)).shape)
 
     def g(v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
-    def z_slope(z):
-        return np.zeros(np.shape(z)[:-1])
-
     return Driver("zero", f_hat, g, structure, nonnegative=True, lip_y=0.0,
-                  lip_yz=0.0, g_lip_factor=0.0, g_slope=g, z_slope=z_slope)
+                  lip_yz=0.0, g_lip_factor=0.0, g_slope=g, z_slope=g)
 
 
 _DRIVER_FACTORIES = dict(canonical=_canonical, linear=_linear, morlais=_morlais, zero=_zero)
@@ -192,11 +185,7 @@ def structure_bounds(y, z, u, params: StructureParams, wz: np.ndarray):
     ``q_lower`` is its mirror with ``j(-delta u)``.
     """
     d = params.delta
-    y = np.asarray(y, dtype=float)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.ndim == y.ndim:
-        z = z[..., None]
-    zz = 0.5 * d * (z ** 2).sum(axis=-1)
+    zz = 0.5 * d * np.asarray(z, dtype=float) ** 2
     base = params.l + params.c * np.abs(y)
     j_up = j_functional(u, d, wz) / d
     j_dn = j_functional(-np.asarray(u, dtype=float), d, wz) / d
@@ -332,16 +321,13 @@ class RegularizedDriver:
         """
         driver = self.view.driver
         query = driver.f_hat(y, z)
-        if z.shape[-1] != 1:
-            raise NotRegularizableError("separable envelope needs a scalar noise "
-                                        "dimension; use the generic strategy")
         open_rows = (np.ones(query.shape, dtype=bool) if driver.z_slope is None
                      else ~(driver.z_slope(z) <= self.n))
         out = query.copy()
         if open_rows.any():
-            cv = driver.f_hat(np.zeros_like(YZ_GRID), YZ_GRID[:, None])
+            cv = driver.f_hat(np.zeros_like(YZ_GRID), YZ_GRID)
             out[open_rows] = np.minimum(_running_min_envelope(
-                cv, YZ_GRID, z[..., 0][open_rows], self.n), query[open_rows])
+                cv, YZ_GRID, z[open_rows], self.n), query[open_rows])
         return out, query
 
     @functools.cached_property
@@ -420,23 +406,20 @@ class RegularizedDriver:
     def _generic_eval(self, y: np.ndarray, z: np.ndarray,
                       u_sub: np.ndarray, wz: np.ndarray):
         """``(envelope, query)`` on the joint grid."""
-        if z.shape[-1] != 1:
-            raise NotRegularizableError("generic envelope supports d = 1 only")
         mass = float(wz.sum())
         yzg, vg = YZ_GRID[:: YZ_GRID.size // 25], V_GRID[:: V_GRID.size // 11]
         yy, zz, vv = (c.ravel() for c in np.meshgrid(yzg, yzg, vg, indexing="ij"))
-        fv = self.view.driver.f_hat(yy, zz[:, None]) + self.view.driver.g(vv) * mass
+        fv = self.view.driver.f_hat(yy, zz) + self.view.driver.g(vv) * mass
         fp_c, fm_c = np.maximum(fv, 0.0), np.maximum(-fv, 0.0)
         s1 = (u_sub * wz).sum(axis=-1)
         s2 = (u_sub * u_sub * wz).sum(axis=-1)
         fq = self.view.driver.evaluate(y, z, u_sub, wz)
         env_p = np.maximum(fq, 0.0)
         env_m = np.maximum(-fq, 0.0)
-        zflat = z[..., 0]
         for start in range(0, fv.size, 512):
             sl = slice(start, start + 512)
             d_yz = (np.abs(yy[sl][None, :] - y[:, None])
-                    + np.abs(zz[sl][None, :] - zflat[:, None]))
+                    + np.abs(zz[sl][None, :] - z[:, None]))
             d_u = np.sqrt(np.clip(mass * vv[sl][None, :] ** 2
                                   - 2.0 * vv[sl][None, :] * s1[:, None]
                                   + s2[:, None], 0.0, None))
@@ -454,9 +437,7 @@ class RegularizedDriver:
         Records ``active[k]``.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        z = np.asarray(z, dtype=float)
-        if z.ndim <= y.ndim:
-            z = np.atleast_1d(z)[..., None] if z.ndim == y.ndim else z.reshape(y.shape + (1,))
+        z = np.atleast_1d(np.asarray(z, dtype=float))
         u_sub = np.atleast_2d(np.asarray(u, dtype=float)[..., self.node_idx])
         wz = self.ensemble.intensity[k][self.node_idx]
         if self.strategy == "lipschitz_exact":

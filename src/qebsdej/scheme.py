@@ -242,13 +242,13 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
     region_hits = 0.0
     for k in range(k_steps):
         u_norm = nu_norm(sol.u_values(k), ensemble.intensity[k])
-        size = np.abs(sol.z[:, k, :]).sum(axis=1) + u_norm
+        size = np.abs(sol.z[:, k]) + u_norm
         gap = np.abs(sol.driver_values[:, k] - sol_proxy.driver_values[:, k])
         inside = size <= c_split
         a1 += float((gap * inside).sum()) * dt
         a2 += float((gap * (~inside)).sum()) * dt
         region_hits += float((~inside).sum())
-        norm2_sum += ((sol.z[:, k, :] ** 2).sum(axis=1) + u_norm ** 2) * dt
+        norm2_sum += (sol.z[:, k] ** 2 + u_norm ** 2) * dt
     a1 /= n
     a2 /= n
     horizon = float(ensemble.time_grid[-1])
@@ -263,7 +263,7 @@ def default_c_split(sol: BsdejSolution) -> float:
     part, say), since the Chebyshev bound divides by it."""
     sizes = []
     for k in range(sol.n_steps):
-        sizes.append(np.abs(sol.z[:, k, :]).sum(axis=1)
+        sizes.append(np.abs(sol.z[:, k])
                      + nu_norm(sol.u_values(k), sol.ensemble.intensity[k]))
     split = 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
     return split if split ** 2 > 0.0 else 1.0

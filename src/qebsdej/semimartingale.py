@@ -50,7 +50,7 @@ def check_q_structure(solution: BsdejSolution, params: StructureParams,
     # an exact count of violations
     n_violations = 0
     for k in range(solution.n_steps):
-        q_lo, q_hi = structure_bounds(solution.y[:, k], solution.z[:, k, :],
+        q_lo, q_hi = structure_bounds(solution.y[:, k], solution.z[:, k],
                                       solution.u_values(k), params,
                                       ensemble.intensity[k])
         dv = solution.driver_values[:, k] * dt

@@ -66,7 +66,7 @@ class PathEnsemble:
     time_grid: np.ndarray            # (K+1,)
     dt: float
     intensity: np.ndarray            # (K, Q)
-    dw: np.ndarray                   # (n_paths, K, d)
+    dw: np.ndarray                   # (n_paths, K)
     jumps: JumpTable
     state: np.ndarray                # (n_paths, K+1)
     model: LevyModel
@@ -85,10 +85,6 @@ class PathEnsemble:
     def n_steps(self) -> int:
         return self.intensity.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.dw.shape[2]
-
     def regression(self, k: int, degree: int) -> "Regression":
         """Least squares on the degree-``degree`` features of step ``k``'s
         state.  The feature map and the factor are computed on the first call
@@ -101,7 +97,7 @@ class PathEnsemble:
 
 def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
                      t_end: float, k_steps: int, n_paths: int, seed: int,
-                     x0: float, jump_impact: str, d: int) -> PathEnsemble:
+                     x0: float, jump_impact: str) -> PathEnsemble:
     """Simulate Brownian increments, the jump stream, and the forward state
     on ``k_steps`` equal steps of ``[0, t_end]``.
 
@@ -126,8 +122,8 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
     rng_w = np.random.Generator(np.random.Philox(child_w))
     # drawn path-major, which fixes which normal each seed gives each path
     # and step, and stored step-major
-    dw = np.empty((n_paths, k_steps, d), order="F")
-    np.multiply(rng_w.standard_normal((n_paths, k_steps, d)), math.sqrt(dt), out=dw)
+    dw = np.empty((n_paths, k_steps), order="F")
+    np.multiply(rng_w.standard_normal((n_paths, k_steps)), math.sqrt(dt), out=dw)
     jumps = sample_jump_paths(intensity, dt, n_paths, int(child_j.generate_state(1)[0]))
 
     state = np.empty((n_paths, k_steps + 1), order="F")
@@ -138,7 +134,7 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
     for k in range(k_steps):
         inc = np.full(n_paths, dt if dynamics == "deterministic" else 0.0)
         if use_w:
-            inc += dw[:, k, :].sum(axis=1) / math.sqrt(d)
+            inc += dw[:, k]
         if use_j:
             inc += jumps.compensated_sum(k, impact, intensity[k], dt)
         state[:, k + 1] = state[:, k] + inc
@@ -258,7 +254,7 @@ class BsdejSolution:
     """Discrete solution fields plus regression diagnostics.
 
     ``y`` has shape (n_paths, K+1) with the terminal column equal to the
-    terminal payoff exactly.  ``z`` has shape (n_paths, K, d).  The jump
+    terminal payoff exactly.  ``z`` has shape (n_paths, K).  The jump
     loadings are stored as regression coefficients per step and node and
     re-evaluated on demand through :meth:`u_values`.  ``driver_values`` are
     the generator values actually used by the backward step, so downstream
@@ -294,7 +290,8 @@ class BsdejSolution:
         the paths that the index ``rows`` selects."""
         x = self.ensemble.state[:, k]
         design = self.feature_maps[k].matrix(x if rows is None else x[rows])
-        return np.clip(design @ self.u_coeffs[k], -self.u_clip[k], self.u_clip[k])
+        u = design @ self.u_coeffs[k]
+        return np.clip(u, -self.u_clip[k], self.u_clip[k], out=u)
 
     def regression_se(self, k: int) -> float:
         """Propagated regression standard error of the time-``t_k`` values:
@@ -339,7 +336,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
     if dt * lip_y >= 1.0:
         raise NonContractionError(
             f"dt * Lipschitz(y) = {dt * lip_y:.3g} >= 1; refine the grid")
-    n, k_steps, d = ensemble.n_paths, ensemble.n_steps, ensemble.d
+    n, k_steps = ensemble.n_paths, ensemble.n_steps
     q_nodes = ensemble.quad.n_nodes
 
     xi = np.asarray(terminal_fn(ensemble.state[:, -1]), dtype=float)
@@ -347,7 +344,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         xi = np.full(n, float(xi))
 
     y = np.empty((n, k_steps + 1), order="F")
-    z = np.zeros((n, k_steps, d), order="F")
+    z = np.zeros((n, k_steps), order="F")
     y[:, -1] = xi
     u_coeffs, fmaps = [None] * k_steps, [None] * k_steps
     fvals = np.zeros((n, k_steps), order="F")
@@ -371,10 +368,10 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         # unchanged but shrinks the target variance from the scale of Y^2 to
         # the one-step conditional variance
         centered = y_next - ey_raw
-        targets = np.empty((n, d + int(live.sum())), order="F")
-        np.multiply(centered[:, None], ensemble.dw[:, k, :], out=targets[:, :d])
-        targets[:, :d] /= dt
-        jump = targets[:, d:]
+        targets = np.empty((n, 1 + int(live.sum())), order="F")
+        np.multiply(centered, ensemble.dw[:, k], out=targets[:, 0])
+        targets[:, 0] /= dt
+        jump = targets[:, 1:]
         np.divide(counts[:, live], lam[live] * dt, out=jump)
         jump -= 1.0
         jump *= centered[:, None]
@@ -387,20 +384,19 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         y_lo, y_hi = float(y_next.min()), float(y_next.max())
         osc = y_hi - y_lo
         ey = np.clip(ey_raw, y_lo, y_hi)
-        z[:, k, :] = fitted[:, :d]
+        z[:, k] = fitted[:, 0]
         u_now = np.zeros((n, q_nodes))
         uc = np.zeros((reg.n_basis, q_nodes))
         if live.any():
-            u_now[:, live] = np.clip(fitted[:, d:], -osc, osc)
-            uc[:, live] = coeffs[:, d:]
+            u_now[:, live] = np.clip(fitted[:, 1:], -osc, osc)
+            uc[:, live] = coeffs[:, 1:]
         u_coeffs[k], fmaps[k] = uc, reg.feature_map
         u_clip[k] = osc
         resid_var[k] = float(np.mean((y_next - ey) ** 2))
 
         y_cur = ey.copy()
         for it in range(picard_max):
-            f_now = np.asarray(driver.evaluate(k, y_cur, z[:, k, :], u_now),
-                               dtype=float)
+            f_now = np.asarray(driver.evaluate(k, y_cur, z[:, k], u_now), dtype=float)
             y_prev, y_cur = y_cur, ey + f_now * dt
             picard_counts[k] = it + 1
             # a generator that ignores y closes the implicit step in one pass
@@ -424,7 +420,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
 class Decomposition:
     """Martingale part of the split ``Y_k = Y_0 - V_k + M_k`` of ``solution``,
     as per-step increments ``dm`` of shape (n_paths, K): the Brownian loading
-    sums ``z . dw`` plus the compensated jump sums of the loadings.  ``dV`` is
+    products ``z dw`` plus the compensated jump sums of the loadings.  ``dV`` is
     ``solution.driver_values * dt``; the residue ``diff(y) + dV`` makes the
     identity exact and differs from ``dm`` by the regression residual
     martingale."""
@@ -436,7 +432,7 @@ class Decomposition:
 def decompose(solution: BsdejSolution) -> Decomposition:
     """Assemble the estimated martingale increments of a solve."""
     ensemble = solution.ensemble
-    dm = (solution.z * ensemble.dw).sum(axis=2)
+    dm = solution.z * ensemble.dw
     for k in range(solution.n_steps):
         dm[:, k] += ensemble.jumps.compensated_sum(k, solution.u_values(k),
                                                    ensemble.intensity[k], ensemble.dt)

@@ -10,10 +10,10 @@ def _defaults(section, *keys):
 
 
 def forward(model, quad, dynamics, t_end, k_steps, n_paths, seed, **settings):
-    """``simulate_forward`` with ``x0``, ``jump_impact`` and ``d`` at their
+    """``simulate_forward`` with ``x0`` and ``jump_impact`` at their
     configuration defaults unless ``settings`` sets them."""
     return q.simulate_forward(model, quad, dynamics, t_end, k_steps, n_paths, seed,
-                              **{**_defaults("ensemble", "x0", "jump_impact", "d"),
+                              **{**_defaults("ensemble", "x0", "jump_impact"),
                                  **settings})
 
 

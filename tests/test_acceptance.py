@@ -139,7 +139,7 @@ def test_criterion_04_doleans_means(gamma_setting):
     model, _ = gamma_setting
     quad = q.build_quadrature(model, 4.0, 10)
     ens = forward(model, quad, "brownian_jumps", 1.0, 20, 100000, seed=17)
-    mc = ens.dw[:, :, 0]
+    mc = ens.dw
     u_fields = np.full((ens.n_steps, quad.n_nodes), 0.3)
     details, ok = [], True
     for direction in ("upper", "lower"):
@@ -209,7 +209,7 @@ def test_criterion_08_regularization_suite(gamma_setting):
     u0 = np.zeros((1, quad.n_nodes))
     est = lipschitz_estimate(
         lambda row: float(reg5.evaluate(0, np.array([row[0]]),
-                                        np.array([[row[1]]]), u0)[0]),
+                                        np.array([row[1]]), u0)[0]),
         [(-8.0, 8.0), (-8.0, 8.0)], 1000, seed=82)
     if est > 5.0 * (1.0 + 1e-6):
         failures.append(f"lipschitz cap {est}")
@@ -218,7 +218,7 @@ def test_criterion_08_regularization_suite(gamma_setting):
     quad_cut = q.build_quadrature(model, 8.0, 10, cut_levels=[0.5, 0.25])
     ens_cut = forward(model, quad_cut, "brownian_jumps", 1.0, 2, 100, seed=80)
     ys = rng.uniform(-3, 3, 50)
-    zs = rng.uniform(-3, 3, (50, 1))
+    zs = rng.uniform(-3, 3, 50)
     us = rng.uniform(-1.2, 1.2, (50, quad_cut.n_nodes))
     prev = None
     for n_idx in (1, 2, 4):
@@ -250,7 +250,7 @@ def test_criterion_08_regularization_suite(gamma_setting):
     # sandwich on one thousand probes
     n_probe = 1000
     ys = rng.uniform(-4, 4, n_probe)
-    zs = rng.uniform(-4, 4, (n_probe, 1))
+    zs = rng.uniform(-4, 4, n_probe)
     us = rng.uniform(-1.5, 1.5, (n_probe, quad.n_nodes))
     reg = regularize(view, 4, 4)
     vals = reg.evaluate(0, ys, zs, us)
@@ -313,7 +313,7 @@ def test_criterion_11_garsia_neveu(canonical_signed):
     _, ens, _ = canonical_signed
     tg = np.linspace(0.0, 1.0, 11)
     w = np.concatenate([np.zeros((ens.n_paths, 1)),
-                        np.cumsum(ens.dw[:, :, 0], axis=1)], axis=1)
+                        np.cumsum(ens.dw, axis=1)], axis=1)
     running_max = np.maximum.accumulate(np.abs(w), axis=1)
     fixtures = [
         ("linear clock", np.tile(tg, (5000, 1)), np.full(5000, 1.0)),

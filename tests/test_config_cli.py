@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qebsdej
@@ -161,6 +161,7 @@ def test_bad_setting_is_refused(section, key, text, offset):
 
 @settings(max_examples=100, deadline=None)
 @given(section=st.sampled_from([None, *SETTINGS]), key=st.text())
+@example(section="ensemble", key="d")  # the Brownian motion is one-dimensional
 def test_extra_key_is_refused(section, key):
     payload = solve_payload()
     target = payload if section is None else payload.setdefault(section, {})
@@ -246,7 +247,7 @@ def small_run_configs(draw):
         "ensemble": {"n_paths": draw(st.integers(100, 300)), "seed": draw(st.integers(0, 2**31)),
                      "dynamics": draw(st.sampled_from(DYNAMICS)),
                      "jump_impact": draw(st.sampled_from(JUMP_IMPACTS)),
-                     "x0": draw(st.floats(-2.0, 2.0)), "d": draw(st.integers(1, 2))},
+                     "x0": draw(st.floats(-2.0, 2.0))},
         "terminal": {"name": draw(st.sampled_from(sorted(TERMINALS))),
                      "scale": draw(st.floats(-2.0, 2.0)), "shift": draw(st.floats(-1.0, 1.0)),
                      "value": draw(st.floats(-2.0, 2.0))},
@@ -374,9 +375,8 @@ def _ensemble(**fields):
     _risk([0, 9]),
     _risk([0, 2.5]),
     _ensemble(x0="abc"),
-    _ensemble(d="two"),
+    _ensemble(d=1),
     _ensemble(jump_impact="size"),
-    _ensemble(d=0),
     dict(quadrature={"kappa": 4.0, "q_nodes": "many"}),
     dict(quadrature={"kappa": 4.0, "q_nodes": 1}),
     dict(solver={"basis_degree": "three"}),
@@ -402,8 +402,8 @@ def _ensemble(**fields):
     dict(solver={"basis_degree": 9}),
 ], ids=["n_paths_not_a_number", "misspelled_model_parameter", "zero_delta",
         "risk_without_time_zero", "risk_time_beyond_grid",
-        "risk_time_not_a_step", "x0_not_a_number", "d_not_a_number",
-        "unknown_jump_impact", "no_brownian_dimension",
+        "risk_time_not_a_step", "x0_not_a_number", "ensemble_d_is_unknown",
+        "unknown_jump_impact",
         "q_nodes_not_a_number", "one_quadrature_cell",
         "basis_degree_not_a_number", "picard_max_not_a_number",
         "export_paths_not_a_number", "gamma_not_a_number",
@@ -804,12 +804,12 @@ def test_summary_states_applied_tolerance(tmp_path):
         assert (status == "PASS") == (value < tol), name
     assert all(tol == 0.0 for _, name, _, tol in strict
                if name.endswith("decreasing"))
-    # the Chebyshev region check cannot fail at d = 1, and says so
+    # the Chebyshev region check cannot fail, and says so
     summary = (tmp_path / "tol_out" / "summary.txt").read_text().splitlines()
     chebyshev = [line for line in summary if line.startswith(("PASS chebyshev_",
                                                               "FAIL chebyshev_"))]
     assert len(chebyshev) == 2
-    assert all(line.endswith(" vacuous at d = 1: Markov's inequality on the sample")
+    assert all(line.endswith(" vacuous: Markov's inequality on the sample")
                for line in chebyshev)
 
 
@@ -903,10 +903,9 @@ def test_overflowing_entropic_value_fails_the_run(tmp_path):
         "FAIL risk value=nan tol=0 OverflowError: exponential moment overflowed")
 
 
-def _linear_scheme_report(tmp_path, tag, solver=(), d=1):
+def _linear_scheme_report(tmp_path, tag, solver=()):
     payload = scheme_payload()
     payload["driver"] = {"name": "linear", "a": 0.5}
-    payload["ensemble"]["d"] = d
     payload["solver"] = dict(solver)
     cfg = write_config(tmp_path, f"{tag}.json", payload)
     out = tmp_path / tag
@@ -918,11 +917,6 @@ def test_scheme_honours_picard_settings(tmp_path):
     reports = [_linear_scheme_report(tmp_path, f"picard{tol}",
                                      solver={"picard_tol": tol})
                for tol in (1e-10, 1.0)]
-    assert reports[0] != reports[1]
-
-
-def test_scheme_honours_brownian_dimension(tmp_path):
-    reports = [_linear_scheme_report(tmp_path, f"d{d}", d=d) for d in (1, 2)]
     assert reports[0] != reports[1]
 
 

@@ -41,7 +41,7 @@ def canonical():
 def probes(gamma_quad):
     rng = np.random.default_rng(31)
     n = 60
-    return (rng.uniform(-3, 3, n), rng.uniform(-3, 3, (n, 1)),
+    return (rng.uniform(-3, 3, n), rng.uniform(-3, 3, n),
             rng.uniform(-1.2, 1.2, (n, gamma_quad.n_nodes)))
 
 
@@ -127,7 +127,7 @@ def test_driver_continuity(canonical, gamma_quad):
     wz = gamma_quad.weights
     for _ in range(100):
         y = rng.uniform(-2, 2)
-        z = rng.uniform(-2, 2, (1,))
+        z = rng.uniform(-2, 2)
         u = rng.uniform(-1, 1, gamma_quad.n_nodes)
         base = canonical.evaluate(y, z, u, wz)
         for h in (1e-4, 1e-6):
@@ -225,7 +225,7 @@ def test_linear_driver_reproduced_exactly(gamma_quad, small_ensemble):
     ys = rng.uniform(-3, 3, 30)
     reg = regularize(q.DriverView(lin, small_ensemble), 1, 1)
     assert reg.strategy == "lipschitz_exact"
-    vals = reg.evaluate(0, ys, np.zeros((30, 1)), np.zeros((30, gamma_quad.n_nodes)))
+    vals = reg.evaluate(0, ys, np.zeros(30), np.zeros((30, gamma_quad.n_nodes)))
     assert np.allclose(vals, ys, atol=1e-14)
 
 
@@ -236,7 +236,7 @@ def test_generic_strategy_exact_for_lipschitz_base(gamma_quad, small_ensemble):
     lin = q.make_driver("linear", p, a=0.8, b=0.5)
     rng = np.random.default_rng(4)
     ys = rng.uniform(-2, 2, 20)
-    zs = rng.uniform(-2, 2, (20, 1))
+    zs = rng.uniform(-2, 2, 20)
     us = np.zeros((20, gamma_quad.n_nodes))
     # without a declared (y, z) Lipschitz constant the envelope is generic
     undeclared = dataclasses.replace(lin, lip_yz=math.inf)
@@ -251,7 +251,7 @@ def test_monotone_in_n_and_kappa(canonical, gamma_model):
     view = bind(canonical, gamma_model, quad)
     rng = np.random.default_rng(6)
     ys = rng.uniform(-3, 3, 50)
-    zs = rng.uniform(-3, 3, (50, 1))
+    zs = rng.uniform(-3, 3, 50)
     us = rng.uniform(-1.2, 1.2, (50, quad.n_nodes))
     prev = None
     for n in (1, 2, 4):
@@ -279,7 +279,7 @@ def test_antitone_in_m(gamma_quad, small_ensemble):
     shifted = Driver("shifted", f_hat, base.g, p, nonnegative=False, lip_y=0.0)
     rng = np.random.default_rng(7)
     ys = rng.uniform(-2, 2, 50)
-    zs = rng.uniform(-2, 2, (50, 1))
+    zs = rng.uniform(-2, 2, 50)
     us = rng.uniform(-1, 1, (50, gamma_quad.n_nodes))
     prev = None
     for m in (1, 2, 4, 8):
@@ -309,7 +309,7 @@ def test_sandwich_thousand_probes(canonical, gamma_quad, small_ensemble):
     rng = np.random.default_rng(8)
     n = 1000
     ys = rng.uniform(-4, 4, n)
-    zs = rng.uniform(-4, 4, (n, 1))
+    zs = rng.uniform(-4, 4, n)
     us = rng.uniform(-1.5, 1.5, (n, gamma_quad.n_nodes))
     reg = regularize(q.DriverView(canonical, small_ensemble), 4, 4)
     vals = reg.evaluate(0, ys, zs, us)
@@ -338,7 +338,7 @@ def test_empirical_lipschitz_cap(canonical, gamma_quad, small_ensemble):
 
     def fyz(row):
         return float(reg.evaluate(0, np.array([row[0]]),
-                                  np.array([[row[1]]]), u0)[0])
+                                  np.array([row[1]]), u0)[0])
 
     est = lipschitz_estimate(fyz, [(-8.0, 8.0), (-8.0, 8.0)], 1000, seed=9)
     assert est <= 5.0 * (1.0 + 1e-6)
@@ -367,7 +367,7 @@ def test_truncation_convergence(canonical, gamma_model):
                               cut_levels=[0.5, 0.25, 0.125, 1 / 16])
     rng = np.random.default_rng(11)
     ys = rng.uniform(-2, 2, 50)
-    zs = rng.uniform(-2, 2, (50, 1))
+    zs = rng.uniform(-2, 2, 50)
     us = rng.uniform(-1, 1, (50, quad.n_nodes))
     view = bind(canonical, gamma_model, quad)
     vals = {}
@@ -394,7 +394,7 @@ def test_regularized_driver_weighs_nodes_at_its_time():
     assert reg.strategy == "lipschitz_exact"
     rng = np.random.default_rng(13)
     ys = rng.uniform(-2, 2, 40)
-    zs = rng.uniform(-2, 2, (40, 1))
+    zs = rng.uniform(-2, 2, 40)
     us = rng.uniform(-1, 1, (40, quad.n_nodes))
     direct = lin.evaluate(ys, zs, us[:, idx], quad.intensity(model, 0.75)[idx])
     np.testing.assert_allclose(reg.evaluate(k, ys, zs, us), direct, rtol=1e-12)
@@ -510,7 +510,7 @@ def test_nonconvex_jump_integrand_is_refused_on_certified_rows(gamma_quad,
                  lambda v: 1.0 - np.cos(np.asarray(v, dtype=float)),
                  StructureParams(1.0, 0.0, 0.0), nonnegative=True, lip_y=0.0,
                  g_slope=lambda v: np.sin(np.asarray(v, dtype=float)),
-                 z_slope=lambda z: np.zeros(np.shape(z)[:-1]))
+                 z_slope=lambda z: np.zeros(np.shape(z)))
     reg = regularize(q.DriverView(drv, small_ensemble), 2, 1)
     assert reg.strategy == "nonnegative"
     u = np.zeros((3, gamma_quad.n_nodes))

@@ -5,6 +5,10 @@ from module-level code (the CLI entry point, preset and runner tables,
 constants) through references by name.  A definition whose only callers are
 tests, or other such definitions, belongs in ``tests/references.py``.
 ``__init__.py`` re-exports names and is not a caller.
+
+Every parameter of a top-level function or of a class method is read by its
+body.  Nested functions such as a driver's ``f_hat(y, z)`` follow an
+interface and are not checked.
 """
 
 import ast
@@ -41,3 +45,24 @@ def test_every_definition_is_reached_from_module_level_code():
         frontier = _names(defs[name][1] for name in new)
     unreached = sorted(f"{defs[name][0]}:{name}" for name in defs.keys() - reached)
     assert not unreached, f"definitions without a caller in the package: {unreached}"
+
+
+def _functions(tree):
+    """Top-level functions and the methods of top-level classes."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        yield from (m for m in members if isinstance(m, ast.FunctionDef))
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in _functions(ast.parse(path.read_text())):
+            args = func.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            named = {sub.id for sub in ast.walk(ast.Module(func.body, []))
+                     if isinstance(sub, ast.Name)}
+            unread += [f"{path.name}:{func.name}({name})" for name in params
+                       if name not in ("self", "cls") and name not in named]
+    assert not unread, f"parameters the body never reads: {unread}"

@@ -202,7 +202,7 @@ def test_certified_ladder_matches_the_envelope_on_every_row(certified_and_full):
             u = sol.u_values(k)[:, node_idx]
             slope = np.expm1(u) ** 2 * ens.intensity[k][node_idx]
             certified_rows += int(((slope.sum(axis=-1) <= rec.n ** 2)
-                                   & (np.abs(sol.z[:, k, 0]) <= rec.n)).sum())
+                                   & (np.abs(sol.z[:, k]) <= rec.n)).sum())
         assert 0 < certified_rows < sol.driver_values.size
 
 

@@ -92,7 +92,7 @@ def test_corridor_check_holds_one_cell_array(gamma_model, gamma_quad):
     lower = np.empty_like(dv)
     upper = np.empty_like(dv)
     for k in range(sol.n_steps):
-        q_lo, q_hi = q.structure_bounds(sol.y[:, k], sol.z[:, k, :], sol.u_values(k),
+        q_lo, q_hi = q.structure_bounds(sol.y[:, k], sol.z[:, k], sol.u_values(k),
                                         params, ens.intensity[k])
         lower[:, k], upper[:, k] = q_lo * ens.dt, q_hi * ens.dt
     np.testing.assert_array_equal(report.upper_slack, upper - dv)
@@ -201,18 +201,18 @@ def test_canonical_flat_martingale(tiny_ensemble):
 
 
 def test_canonical_brownian_direction(small_ensemble, gamma_quad):
-    mc = small_ensemble.dw[:, :, 0]
+    mc = small_ensemble.dw
     u0 = np.zeros((small_ensemble.n_steps, gamma_quad.n_nodes))
     r = canonical_paths(small_ensemble, mc, small_ensemble.dt, u0, "upper")
     # r_T = W_T - T/2 for a unit Brownian loading
-    assert np.allclose(r[:, -1], small_ensemble.dw[:, :, 0].sum(axis=1) - 0.5,
+    assert np.allclose(r[:, -1], small_ensemble.dw.sum(axis=1) - 0.5,
                        atol=1e-12)
     mean, se = doleans_check(r, "upper")
     assert abs(mean - 1.0) <= 3.0 * se
 
 
 def test_canonical_jump_directions(small_ensemble, gamma_quad):
-    mc = small_ensemble.dw[:, :, 0]
+    mc = small_ensemble.dw
     u_const = np.full((small_ensemble.n_steps, gamma_quad.n_nodes), 0.3)
     for direction in ("upper", "lower"):
         r = canonical_paths(small_ensemble, mc, small_ensemble.dt, u_const,
@@ -334,7 +334,7 @@ def test_garsia_neveu_quadratic_clock():
 
 def test_garsia_neveu_running_max_fixture(small_ensemble):
     w = np.concatenate([np.zeros((small_ensemble.n_paths, 1)),
-                        np.cumsum(small_ensemble.dw[:, :, 0], axis=1)], axis=1)
+                        np.cumsum(small_ensemble.dw, axis=1)], axis=1)
     a_paths = np.maximum.accumulate(np.abs(w), axis=1)
     for p in (1.0, 2.0):
         rep = garsia_neveu_probe(a_paths, a_paths[:, -1], p)

@@ -41,7 +41,7 @@ def test_brownian_increment_statistics(gamma_model, gamma_quad):
                   seed=55)
     dt = ens.dt
     for k in (0, 5, 9):
-        inc = ens.dw[:, k, 0]
+        inc = ens.dw[:, k]
         assert abs(inc.mean()) <= 4.0 * math.sqrt(dt / n)
         assert abs(inc.var() / dt - 1.0) <= 0.05
 
@@ -219,7 +219,7 @@ def test_zero_driver_martingale(brownian_ensemble, null_quad):
     sol = solve(q.DriverView(drv, brownian_ensemble), lambda x: x)
     err = np.abs(sol.y - brownian_ensemble.state).mean(axis=0).max()
     assert err <= 0.02
-    z_mid = sol.z[:, 12, 0]
+    z_mid = sol.z[:, 12]
     assert abs(z_mid.mean() - 1.0) <= 0.02
     assert np.array_equal(sol.y[:, -1], brownian_ensemble.state[:, -1])
 
@@ -281,24 +281,13 @@ def test_picard_non_convergence_raises(brownian_ensemble, null_quad):
         solve(q.DriverView(drv, brownian_ensemble), lambda x: x, picard_max=1)
 
 
-def test_two_dimensional_noise(gamma_model, gamma_quad):
-    ens = forward(gamma_model, gamma_quad, "brownian", 1.0, 20, 20000,
-                  seed=25, d=2)
-    assert ens.dw.shape == (20000, 20, 2)
-    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(q.DriverView(drv, ens), lambda x: x)
-    err = np.abs(sol.y - ens.state).mean(axis=0).max()
-    assert err <= 0.03
-
-
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
 
 def test_decompose_holds_no_cumulative_copies(gamma_model, gamma_quad):
-    # the one (n, K) increment array, the z * dw product it is summed from
-    # and one step's loading temporaries fit in three such arrays; a second
-    # stored part or one cumulative copy does not
+    # the one (n, K) increment array and one step's loading temporaries fit
+    # in two such arrays; a second stored part or one cumulative copy does not
     ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
@@ -311,7 +300,7 @@ def test_decompose_holds_no_cumulative_copies(gamma_model, gamma_quad):
         tracemalloc.stop()
     assert [f.name for f in dataclasses.fields(dec)] == ["dm", "solution"]
     assert dec.dm.shape == (2000, 50)
-    assert peak - before <= 3 * dec.dm.nbytes
+    assert peak - before < 2 * dec.dm.nbytes
 
 
 def test_reconstruction_gap_holds_two_arrays(gamma_model, gamma_quad):
@@ -346,10 +335,9 @@ def test_reconstruction_identity(small_ensemble, gamma_quad):
 
 @pytest.fixture(scope="module")
 def step_major_solve(gamma_model, gamma_quad):
-    # d = 2 so that each Brownian coordinate's step slice is checked, and a
-    # y-dependent driver so that the Picard counts vary
+    # live jump nodes, and a y-dependent driver so that the Picard counts vary
     ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 6, 3000,
-                  seed=21, d=2)
+                  seed=21)
     view = q.DriverView(q.make_driver("morlais", q.StructureParams(1.0, 0.0, 0.0),
                                       beta=0.5), ens)
     return view, solve(view, lambda x: np.abs(0.25 * x))
@@ -359,20 +347,18 @@ def test_step_slices_are_contiguous_and_the_stream_is_drawn_path_major(
         step_major_solve):
     view, sol = step_major_solve
     ens, dec = view.ensemble, q.decompose(sol)
-    k_steps, d = ens.n_steps, ens.d
+    k_steps = ens.n_steps
     slack = check_q_structure(sol, view.driver.params).upper_slack
-    r = canonical_paths(ens, (sol.z * ens.dw).sum(axis=2), 0.0,
+    r = canonical_paths(ens, sol.z * ens.dw, 0.0,
                         np.zeros((k_steps, ens.quad.n_nodes)), "upper")
     slices = [a[:, k] for a in (ens.state, sol.y, r) for k in range(k_steps + 1)]
     for k in range(k_steps):
-        slices += [ens.dw[:, k, j] for j in range(d)]
-        slices += [sol.z[:, k, j] for j in range(d)]
-        slices += [a[:, k] for a in (sol.driver_values, dec.dm, slack)]
+        slices += [a[:, k] for a in (ens.dw, sol.z, sol.driver_values, dec.dm, slack)]
     assert all(s.flags.c_contiguous for s in slices)
     # the Brownian stream is the one a path-major draw gives
     child_w, _ = np.random.SeedSequence(21).spawn(2)
     draws = np.random.Generator(np.random.Philox(child_w)).standard_normal(
-        (ens.n_paths, k_steps, d))
+        (ens.n_paths, k_steps))
     assert np.array_equal(ens.dw, draws * math.sqrt(ens.dt))
 
 
@@ -407,7 +393,7 @@ def test_solve_weighs_each_step_by_its_own_intensity(fading_setting):
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     for k in range(ens.n_steps):
-        _, upper = q.structure_bounds(sol.y[:, k], sol.z[:, k, :],
+        _, upper = q.structure_bounds(sol.y[:, k], sol.z[:, k],
                                       sol.u_values(k), p, ens.intensity[k])
         np.testing.assert_allclose(sol.driver_values[:, k], upper, rtol=1e-12)
 
@@ -454,7 +440,7 @@ def test_jump_martingale_is_the_compensated_loading_sum(fading_setting):
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     dm = q.decompose(sol).dm
-    dm_c = (sol.z * ens.dw).sum(axis=2)
+    dm_c = sol.z * ens.dw
     for k in range(ens.n_steps):
         u = sol.u_values(k)
         wz = quad.intensity(model, float(ens.time_grid[k]))
@@ -463,12 +449,12 @@ def test_jump_martingale_is_the_compensated_loading_sum(fading_setting):
 
 
 def test_martingale_increment_is_the_loading_sum_plus_the_jump_sum(step_major_solve):
-    # d = 2 and live jump nodes: one array holds the bits of the Brownian
-    # loading sums plus each step's compensated jump sum
+    # live jump nodes: one array holds the bits of the Brownian loading
+    # products plus each step's compensated jump sum
     view, sol = step_major_solve
     ens = view.ensemble
-    assert ens.d == 2 and any(np.any(c != 0.0) for c in sol.u_coeffs)
-    expect = (sol.z * ens.dw).sum(axis=2)
+    assert any(np.any(c != 0.0) for c in sol.u_coeffs)
+    expect = sol.z * ens.dw
     for k in range(ens.n_steps):
         expect[:, k] = expect[:, k] + ens.jumps.compensated_sum(
             k, sol.u_values(k), ens.intensity[k], ens.dt)
@@ -489,6 +475,24 @@ def test_u_values_on_selected_rows_is_the_slice_of_the_full_field(small_ensemble
             assert np.array_equal(part, full[rows])
 
 
+def test_u_values_holds_one_field_array(small_ensemble):
+    # the clip is taken in place on the product of the design and the
+    # coefficients, so the call holds the design and one (n, Q) field
+    drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
+    k = 7
+    design_bytes = sol.feature_maps[k].matrix(small_ensemble.state[:, k]).nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        u = sol.u_values(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.any(np.abs(u) == sol.u_clip[k])
+    assert peak - before < design_bytes + 1.5 * u.nbytes
+
+
 def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, brownian_ensemble), lambda x: x)
@@ -502,7 +506,7 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
     drv = q.make_driver("linear", p, a=0.5)
     sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
     # the summed increment sizes bound every running martingale value
-    dm_c = (sol.z * ens.dw).sum(axis=2)
+    dm_c = sol.z * ens.dw
     dm_d = np.stack([ens.jumps.compensated_sum(k, sol.u_values(k), ens.intensity[k],
                                                ens.dt) for k in range(ens.n_steps)], axis=1)
     assert np.abs(dm_c).sum(axis=1).max() <= 1e-8
@@ -531,8 +535,7 @@ def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
         same_ensemble(sol, other_sol)
 
 
-@pytest.mark.parametrize("change", [dict(x0=5.0), dict(jump_impact="mark"),
-                                    dict(d=2)])
+@pytest.mark.parametrize("change", [dict(x0=5.0), dict(jump_impact="mark")])
 def test_same_seed_other_inputs_rejected(gamma_model, gamma_quad, change):
     # same seed, paths, steps, dynamics and node count: only the ensemble
     # objects tell the two apart, at every place where two results meet
