@@ -4,9 +4,9 @@ __version__ = "0.1.0"
 
 from .levy import (DivergentMassError, ExponentOverflowError, LevyModel,
                    MarkQuadrature, build_quadrature, j_functional, make_model,
-                   nu_norm, sample_jump_paths)
+                   nu_dot, nu_norm, sample_jump_paths)
 from .drivers import (Driver, DriverView, RegularizedDriver, StructureParams,
-                      make_driver, regularize, structure_bounds)
+                      corridor_edge, make_driver, regularize)
 from .solver import (BsdejSolution, Decomposition, NonContractionError,
                      PathEnsemble, decompose, simulate_forward, solve_lipschitz)
 from .semimartingale import (check_q_structure, exponential_transform,

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily otherwise, on the first draw)
 
-from .levy import ExponentOverflowError, UnknownPresetError, exp_excess, j_functional
+from .levy import (ExponentOverflowError, UnknownPresetError, capped_expm1, exp_excess,
+                   j_functional, nu_dot)
 from .solver import PathEnsemble
 
 
@@ -49,7 +50,8 @@ class Driver:
     one of ``f_hat`` in ``(y, z)`` when finite.
 
     The declared slopes let that envelope skip the rows where it provably
-    equals the driver: ``g_slope(v)`` is ``g'(v)`` pointwise, and
+    equals the driver: ``g_and_slope(v)`` returns the pair ``(g(v), g'(v))``
+    pointwise, as two new arrays, its first with the bits of ``g(v)``; and
     ``z_slope(z)`` is ``|d f_hat / dz|`` pointwise.  ``None`` declares no
     slope, and then the envelope is evaluated on every row.
     """
@@ -62,7 +64,7 @@ class Driver:
     lip_y: float = math.inf
     lip_yz: float = math.inf
     g_lip_factor: float = math.inf  # sup |g'| over the working mark-value range
-    g_slope: Callable | None = None
+    g_and_slope: Callable | None = None
     z_slope: Callable | None = None
 
     @property
@@ -78,7 +80,7 @@ class Driver:
         gv = self.g(u)
         if not np.all(np.isfinite(gv)):
             raise ExponentOverflowError("jump integrand overflowed; reduce the field")
-        return (gv * wz).sum(axis=-1)
+        return nu_dot(gv, wz)
 
     def evaluate(self, y, z, u, wz: np.ndarray) -> np.ndarray:
         f = self.f_hat(np.asarray(y, dtype=float), np.asarray(z, dtype=float))
@@ -111,15 +113,19 @@ def _canonical(structure: StructureParams) -> Driver:
     def g(v):
         return exp_excess(delta * np.asarray(v, dtype=float)) / delta
 
-    def g_slope(v):
-        out = delta * np.asarray(v, dtype=float)
-        return np.expm1(out, out=out)
+    def g_and_slope(v):
+        # one exponential per cell gives both values
+        x = delta * np.asarray(v, dtype=float)
+        slope = capped_expm1(x)
+        g_vals = slope - x
+        g_vals /= delta
+        return g_vals, slope
 
     def z_slope(z):
         return delta * np.abs(z)
 
     return Driver("canonical", f_hat, g, structure, nonnegative=True, lip_y=0.0,
-                  g_slope=g_slope, z_slope=z_slope)
+                  g_and_slope=g_and_slope, z_slope=z_slope)
 
 
 def _linear(structure: StructureParams, a: float = 0.0, b: float = 0.0,
@@ -158,8 +164,11 @@ def _zero(structure: StructureParams) -> Driver:
     def g(v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
+    def g_and_slope(v):
+        return g(v), g(v)
+
     return Driver("zero", f_hat, g, structure, nonnegative=True, lip_y=0.0,
-                  lip_yz=0.0, g_lip_factor=0.0, g_slope=g, z_slope=g)
+                  lip_yz=0.0, g_lip_factor=0.0, g_and_slope=g_and_slope, z_slope=g)
 
 
 _DRIVER_FACTORIES = dict(canonical=_canonical, linear=_linear, morlais=_morlais, zero=_zero)
@@ -178,18 +187,21 @@ def make_driver(name: str, structure: StructureParams, **params) -> Driver:
 # corridor bounds
 # ---------------------------------------------------------------------------
 
-def structure_bounds(y, z, u, params: StructureParams, wz: np.ndarray):
-    """Two-sided corridor ``(q_lower, q_upper)`` at a point and intensity ``wz``.
+def corridor_edge(y, z, u, params: StructureParams, wz: np.ndarray, upper: bool):
+    """One edge of the corridor at a point and intensity ``wz``.
 
-    ``q_upper = (1/delta) j(delta u) + (delta/2)|z|^2 + l + c |y|`` and
-    ``q_lower`` is its mirror with ``j(-delta u)``.
+    The upper edge is ``q_upper = (1/delta) j(delta u) + (delta/2)|z|^2 + l +
+    c |y|``, and the lower edge ``q_lower`` is its mirror with
+    ``j(-delta u)``.  Every term of ``q_upper`` is nonnegative in floating
+    point (``exp_excess >= 0``, ``l, c >= 0``), so ``q_lower <= 0 <=
+    q_upper`` everywhere.
     """
     d = params.delta
+    u = np.asarray(u, dtype=float)
     zz = 0.5 * d * np.asarray(z, dtype=float) ** 2
     base = params.l + params.c * np.abs(y)
-    j_up = j_functional(u, d, wz) / d
-    j_dn = j_functional(-np.asarray(u, dtype=float), d, wz) / d
-    return -(j_dn + zz + base), (j_up + zz + base)
+    edge = j_functional(u if upper else -u, d, wz) / d + zz + base
+    return edge if upper else -edge
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +366,30 @@ class RegularizedDriver:
         the first grid index where it turns nonnegative takes
         ``ceil(log2 161) = 8`` rounds; the minimum is then read off that index
         and its two neighbours, 19 grid probes per row in all.
-
-        The row sums ``s1``, ``s2`` are taken on the whole field and then
-        subset: the truncated field is column-major, and a row subset of it
-        sums in another order, with other bits.
         """
         driver = self.view.driver
-        query = (driver.g(u_sub) * wz).sum(axis=-1)
-        mass = float(wz.sum())
-        if mass <= 0:
-            return query, query
-        g_mass = self._g_grid * mass
-        if driver.g_slope is None:
+        if driver.g_and_slope is None:
+            query = nu_dot(driver.g(u_sub), wz)
             open_rows = np.ones(query.shape, dtype=bool)
         else:
-            slope = driver.g_slope(u_sub)
+            g_vals, slope = driver.g_and_slope(u_sub)
+            query = nu_dot(g_vals, wz)
             # a slope whose square overflows leaves its row open
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(slope, slope, out=slope)
-                slope *= wz
-                open_rows = ~(slope.sum(axis=-1) <= self.n ** 2)
-            del slope  # freed before the row sums below
+                open_rows = ~(nu_dot(slope, wz) <= self.n ** 2)
+            del g_vals, slope  # freed before the row sums below
+        # the nu-sum of the field 1, in the order of the row sums
+        mass = float(nu_dot(np.ones_like(wz), wz))
         out = query.copy()
+        if mass <= 0:
+            return out, query
+        g_mass = self._g_grid * mass
         if not open_rows.any():
             return out, query
-        s1 = (u_sub * wz).sum(axis=-1)[open_rows]
-        s2 = (u_sub * u_sub * wz).sum(axis=-1)[open_rows]
+        u_open = u_sub[open_rows]
+        s1 = nu_dot(u_open, wz)
+        s2 = nu_dot(u_open * u_open, wz)
 
         def objective(k: np.ndarray) -> np.ndarray:
             v = V_GRID[k]
@@ -406,13 +416,13 @@ class RegularizedDriver:
     def _generic_eval(self, y: np.ndarray, z: np.ndarray,
                       u_sub: np.ndarray, wz: np.ndarray):
         """``(envelope, query)`` on the joint grid."""
-        mass = float(wz.sum())
+        mass = float(nu_dot(np.ones_like(wz), wz))
         yzg, vg = YZ_GRID[:: YZ_GRID.size // 25], V_GRID[:: V_GRID.size // 11]
         yy, zz, vv = (c.ravel() for c in np.meshgrid(yzg, yzg, vg, indexing="ij"))
         fv = self.view.driver.f_hat(yy, zz) + self.view.driver.g(vv) * mass
         fp_c, fm_c = np.maximum(fv, 0.0), np.maximum(-fv, 0.0)
-        s1 = (u_sub * wz).sum(axis=-1)
-        s2 = (u_sub * u_sub * wz).sum(axis=-1)
+        s1 = nu_dot(u_sub, wz)
+        s2 = nu_dot(u_sub * u_sub, wz)
         fq = self.view.driver.evaluate(y, z, u_sub, wz)
         env_p = np.maximum(fq, 0.0)
         env_m = np.maximum(-fq, 0.0)

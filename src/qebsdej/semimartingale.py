@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .drivers import StructureParams, structure_bounds
+from .drivers import StructureParams, corridor_edge
 from .risk import heavy_tail
 from .solver import BsdejSolution, PathEnsemble, same_ensemble
 
@@ -37,10 +37,12 @@ class QStructureReport:
 def check_q_structure(solution: BsdejSolution, params: StructureParams,
                       tol=0.0) -> QStructureReport:
     """Test every increment ``dV = driver_values * dt`` of a solve against the
-    corridor of :func:`qebsdej.drivers.structure_bounds` times ``dt``.
+    corridor of :func:`qebsdej.drivers.corridor_edge` times ``dt``.
 
     ``tol`` is an absolute slack (scalar or per-step array), typically a
-    multiple of the regression standard error.
+    multiple of the regression standard error.  The lower edge is taken only
+    on the rows with ``dV < -tol``: ``q_lower <= 0``, so no other row can
+    fall below it.
     """
     ensemble = solution.ensemble
     dt = ensemble.dt
@@ -50,12 +52,16 @@ def check_q_structure(solution: BsdejSolution, params: StructureParams,
     # an exact count of violations
     n_violations = 0
     for k in range(solution.n_steps):
-        q_lo, q_hi = structure_bounds(solution.y[:, k], solution.z[:, k],
-                                      solution.u_values(k), params,
-                                      ensemble.intensity[k])
+        y, z, u = solution.y[:, k], solution.z[:, k], solution.u_values(k)
+        wz, tol_k = ensemble.intensity[k], tol[:, k]
         dv = solution.driver_values[:, k] * dt
+        q_hi = corridor_edge(y, z, u, params, wz, upper=True)
         slack = np.subtract(q_hi * dt, dv, out=upper_slack[:, k])
-        outside = (slack < -tol[:, k]) | (dv - q_lo * dt < -tol[:, k])
+        outside = slack < -tol_k
+        low = np.flatnonzero(dv < -tol_k)
+        if low.size:
+            q_lo = corridor_edge(y[low], z[low], u[low], params, wz, upper=False)
+            outside[low] |= dv[low] - q_lo * dt < -tol_k[low]
         n_violations += int(np.count_nonzero(outside))
     return QStructureReport(upper_slack, n_violations / upper_slack.size)
 

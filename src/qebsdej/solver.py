@@ -192,6 +192,13 @@ class FeatureMap:
         return int(self.keep.sum())
 
 
+def _column_major_product(design: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``design @ coeffs`` written column-major: each target's (or node's)
+    column is one contiguous block."""
+    return np.matmul(design, coeffs,
+                     out=np.empty(design.shape[:1] + coeffs.shape[1:], order="F"))
+
+
 class Regression:
     """Least squares on the features of one time step's state.
 
@@ -227,10 +234,11 @@ class Regression:
         return self.design.shape[1]
 
     def fit(self, targets: np.ndarray):
-        """Coefficients and fitted values for a target vector or matrix."""
+        """Coefficients and fitted values for a target vector or matrix; a
+        matrix of fitted values is column-major."""
         v = self._v_scaled
         coeffs = v @ (v.T @ (self.design.T @ targets))
-        return coeffs, self.design @ coeffs
+        return coeffs, _column_major_product(self.design, coeffs)
 
     def robust_variances(self, resid: np.ndarray) -> np.ndarray:
         """Heteroscedasticity-robust (HC0) coefficient variances of a fit with
@@ -287,10 +295,11 @@ class BsdejSolution:
 
     def u_values(self, k: int, rows=None) -> np.ndarray:
         """Jump loading field at step ``k``, shape (n_paths, Q), or only on
-        the paths that the index ``rows`` selects."""
+        the paths that the index ``rows`` selects; column-major, the layout
+        that :func:`qebsdej.levy.nu_dot` reads fastest."""
         x = self.ensemble.state[:, k]
         design = self.feature_maps[k].matrix(x if rows is None else x[rows])
-        u = design @ self.u_coeffs[k]
+        u = _column_major_product(design, self.u_coeffs[k])
         return np.clip(u, -self.u_clip[k], self.u_clip[k], out=u)
 
     def regression_se(self, k: int) -> float:
@@ -385,11 +394,11 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         osc = y_hi - y_lo
         ey = np.clip(ey_raw, y_lo, y_hi)
         z[:, k] = fitted[:, 0]
-        u_now = np.zeros((n, q_nodes))
+        u_now = np.zeros((n, q_nodes), order="F")
+        for col, node in enumerate(np.flatnonzero(live), start=1):
+            np.clip(fitted[:, col], -osc, osc, out=u_now[:, node])
         uc = np.zeros((reg.n_basis, q_nodes))
-        if live.any():
-            u_now[:, live] = np.clip(fitted[:, 1:], -osc, osc)
-            uc[:, live] = coeffs[:, 1:]
+        uc[:, live] = coeffs[:, 1:]
         u_coeffs[k], fmaps[k] = uc, reg.feature_map
         u_clip[k] = osc
         resid_var[k] = float(np.mean((y_next - ey) ** 2))

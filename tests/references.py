@@ -14,10 +14,50 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from qebsdej.drivers import Driver
+from qebsdej.drivers import Driver, StructureParams, corridor_edge
 from qebsdej.levy import LevyModel, exp_excess
 from qebsdej.risk import DIRECTIONS
-from qebsdej.solver import PathEnsemble
+from qebsdej.semimartingale import QStructureReport
+from qebsdej.solver import BsdejSolution, PathEnsemble
+
+
+# ---------------------------------------------------------------------------
+# nu-weighted row sums and the two-sided corridor
+# ---------------------------------------------------------------------------
+
+def left_to_right_sum(field, wz: np.ndarray) -> np.ndarray:
+    """``sum_i wz_i field_i`` over the last axis, the products added one
+    node at a time from the first node to the last: the order that
+    ``levy.nu_dot`` fixes."""
+    field = np.asarray(field, dtype=float)
+    acc = field[..., 0] * wz[0]
+    for i in range(1, field.shape[-1]):
+        acc = acc + field[..., i] * wz[i]
+    return acc
+
+
+def structure_bounds(y, z, u, params: StructureParams, wz: np.ndarray):
+    """Two-sided corridor ``(q_lower, q_upper)`` at a point and intensity
+    ``wz``: both edges of ``drivers.corridor_edge`` on every row."""
+    return (corridor_edge(y, z, u, params, wz, upper=False),
+            corridor_edge(y, z, u, params, wz, upper=True))
+
+
+def check_q_structure_two_sided(solution: BsdejSolution, params: StructureParams,
+                                tol=0.0) -> QStructureReport:
+    """``semimartingale.check_q_structure`` with both corridor edges taken
+    on every cell, as whole (n_paths, K) arrays."""
+    ensemble = solution.ensemble
+    dt = ensemble.dt
+    dv = solution.driver_values * dt
+    lower, upper = np.empty_like(dv), np.empty_like(dv)
+    for k in range(solution.n_steps):
+        q_lo, q_hi = structure_bounds(solution.y[:, k], solution.z[:, k],
+                                      solution.u_values(k), params, ensemble.intensity[k])
+        lower[:, k], upper[:, k] = q_lo * dt, q_hi * dt
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
+    outside = (upper - dv < -tol) | (dv - lower < -tol)
+    return QStructureReport(upper - dv, float(np.count_nonzero(outside)) / dv.size)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qebsdej as q
-from qebsdej.drivers import Driver, regularize, structure_bounds
+from qebsdej.drivers import Driver, regularize
 from qebsdej.oracles import huber_envelope_exact
 from qebsdej.risk import apriori_bound_check, entropic, exponential_moment_check
 from qebsdej.scheme import Schedule, ladder_quadrature, run_triple_scheme
@@ -22,7 +22,8 @@ from qebsdej.semimartingale import exponential_transform, submartingale_test
 
 from conftest import forward, solve
 from references import (canonical_paths, doleans_check, garsia_neveu_probe,
-                        inf_convolve, lipschitz_estimate, sup_convolve)
+                        inf_convolve, lipschitz_estimate, structure_bounds,
+                        sup_convolve)
 
 TIMER: dict = {}
 

@@ -6,13 +6,14 @@ import pytest
 
 import qebsdej as q
 from qebsdej.drivers import (V_GRID, Driver, NotRegularizableError, StructureParams,
-                             regularize, structure_bounds)
+                             regularize)
 from qebsdej.levy import gamma_model
 from qebsdej.oracles import huber_envelope_exact
 
 from conftest import forward
 from references import (check_a_gamma, huber_envelope_grid, inf_convolve,
-                        lipschitz_estimate, sup_convolve)
+                        left_to_right_sum, lipschitz_estimate, structure_bounds,
+                        sup_convolve)
 
 DENSE = np.linspace(-5.0, 5.0, 10001)
 
@@ -408,12 +409,12 @@ def test_regularize_index_validation(canonical, small_ensemble):
 def _dense_scan(reg, u_sub, wz):
     """The mark envelope by a scan of all of ``V_GRID``, in blocks of 32:
     the reference that the bisection must reproduce bit for bit."""
-    query = (reg.view.driver.g(u_sub) * wz).sum(axis=-1)
-    mass = float(wz.sum())
+    query = left_to_right_sum(reg.view.driver.g(u_sub), wz)
+    mass = float(left_to_right_sum(np.ones_like(wz), wz))
     if mass <= 0:
         return query
-    s1 = (u_sub * wz).sum(axis=-1)
-    s2 = (u_sub * u_sub * wz).sum(axis=-1)
+    s1 = left_to_right_sum(u_sub, wz)
+    s2 = left_to_right_sum(u_sub * u_sub, wz)
     out = np.full(query.shape, np.inf)
     for start in range(0, V_GRID.size, 32):
         v = V_GRID[start:start + 32][:, None]
@@ -448,7 +449,7 @@ def test_jump_envelope_matches_dense_scan(gamma_quad, small_ensemble, name, delt
     # without a declared slope no row is certified, so the bisection runs on
     # every row; certified rows are checked in test_jump_certificate_is_sound
     drv = dataclasses.replace(q.make_driver(name, StructureParams(delta, 0.0, 0.0)),
-                              g_slope=None)
+                              g_and_slope=None)
     fields = _envelope_fields(np.random.default_rng(14), gamma_quad.n_nodes)
     wz = small_ensemble.intensity[0]
     for n in (1, 2, 8, 64):
@@ -485,7 +486,7 @@ def test_jump_part_with_intensity_keeps_its_bits(canonical, gamma_quad):
     wz[1:] = 0.0                 # a single node with intensity still sums
     for w in (gamma_quad.weights, wz):
         np.testing.assert_array_equal(canonical.jump_part(u, w),
-                                      (canonical.g(u) * w).sum(axis=-1))
+                                      left_to_right_sum(canonical.g(u), w))
 
 
 def test_nonconvex_jump_integrand_is_refused(gamma_quad, small_ensemble):
@@ -509,7 +510,8 @@ def test_nonconvex_jump_integrand_is_refused_on_certified_rows(gamma_quad,
     drv = Driver("bumpy", lambda y, z: np.zeros(np.shape(y)),
                  lambda v: 1.0 - np.cos(np.asarray(v, dtype=float)),
                  StructureParams(1.0, 0.0, 0.0), nonnegative=True, lip_y=0.0,
-                 g_slope=lambda v: np.sin(np.asarray(v, dtype=float)),
+                 g_and_slope=lambda v: (1.0 - np.cos(np.asarray(v, dtype=float)),
+                                        np.sin(np.asarray(v, dtype=float))),
                  z_slope=lambda z: np.zeros(np.shape(z)))
     reg = regularize(q.DriverView(drv, small_ensemble), 2, 1)
     assert reg.strategy == "nonnegative"
@@ -536,7 +538,7 @@ def test_jump_certificate_is_sound(gamma_quad, small_ensemble, name, delta):
             for scale in (1e-3, 1.0, 50.0):
                 w = scale * wz
                 msg = f"{name} delta={delta} n={n} {label} mass x{scale}"
-                rows = (drv.g_slope(u) ** 2 * w).sum(axis=-1) <= n ** 2
+                rows = left_to_right_sum(drv.g_and_slope(u)[1] ** 2, w) <= n ** 2
                 env, query = reg._jump_envelope(u, w)
                 dense = _dense_scan(reg, u, w)
                 np.testing.assert_array_equal(env[rows], query[rows], err_msg=msg)
@@ -558,10 +560,11 @@ def test_jump_certificate_is_sound(gamma_quad, small_ensemble, name, delta):
 
 def test_open_rows_keep_the_bits_of_an_evaluation_on_every_row(canonical, gamma_quad,
                                                                small_ensemble):
-    # evaluate truncates the field to a column-major copy; on these fields a
-    # row subset of that copy sums to other bits than the same rows of the
-    # whole copy, and the dense scan takes its row sums on the whole copy
-    full = dataclasses.replace(canonical, g_slope=None, z_slope=None)
+    # evaluate truncates the field to a column-major copy; on these fields
+    # `.sum(axis=-1)` over a row subset of that copy gives other bits than
+    # over the whole copy, so the comparison with the dense scan, whose row
+    # sums are taken on the whole copy, catches a layout-dependent row sum
+    full = dataclasses.replace(canonical, g_and_slope=None, z_slope=None)
     rng = np.random.default_rng(16)
     rows = 4000
     y = np.zeros(rows)
@@ -574,7 +577,8 @@ def test_open_rows_keep_the_bits_of_an_evaluation_on_every_row(canonical, gamma_
             wz = small_ensemble.intensity[k]
             u_sub = u[..., reg.node_idx]
             assert u_sub.flags.f_contiguous and not u_sub.flags.c_contiguous
-            open_rows = ~((canonical.g_slope(u_sub) ** 2 * wz).sum(axis=-1) <= n ** 2)
+            open_rows = ~(left_to_right_sum(canonical.g_and_slope(u_sub)[1] ** 2, wz)
+                          <= n ** 2)
             assert 0 < open_rows.sum() < rows
             assert np.any((u_sub[open_rows] * wz).sum(axis=-1)
                           != (u_sub * wz).sum(axis=-1)[open_rows])

@@ -9,7 +9,7 @@ from scipy import integrate, special  # the independent reference; the package n
 import qebsdej as q
 from qebsdej.levy import DivergentMassError, ExponentOverflowError, LevyModel, constant_zeta
 
-from references import (exp1_reference, small_jump_residual,
+from references import (exp1_reference, left_to_right_sum, small_jump_residual,
                         stable_small_jump_second_moment, stable_tail_mass_exact)
 
 
@@ -197,6 +197,79 @@ def test_j_overflow_guard(two_node_quad):
         q.j_functional(np.ones(2), -1.0, two_node_quad.weights)
 
 
+# ---------------------------------------------------------------------------
+# the nu-weighted row sum
+# ---------------------------------------------------------------------------
+
+def _row_by_row(field, wz):
+    """Row sums by an explicit loop over the rows and, left to right, over
+    the nodes, in Python floats."""
+    out = []
+    for row in field:
+        acc = float(row[0]) * float(wz[0])
+        for value, weight in zip(row[1:], wz[1:]):
+            acc += float(value) * float(weight)
+        out.append(acc)
+    return np.array(out, dtype=float)
+
+
+def _layouts(field):
+    """The field in C order, in F order, as a strided row subset of a larger
+    F-order field, and as a row subset copied out of it."""
+    rows, nodes = field.shape
+    big = np.asfortranarray(np.random.default_rng(0).normal(size=(2 * rows + 1, nodes)))
+    big[1::2] = field
+    picked = np.zeros(2 * rows + 1, dtype=bool)
+    picked[1::2] = True
+    return {"C": np.ascontiguousarray(field), "F": np.asfortranarray(field),
+            "strided_rows": big[1::2], "picked_rows": big[picked]}
+
+
+@st.composite
+def weighted_fields(draw):
+    rows = draw(st.integers(min_value=0, max_value=50))
+    nodes = draw(st.integers(min_value=1, max_value=20))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    field = (rng.uniform(-3.0, 3.0, (rows, nodes))
+             * rng.choice([0.0, 1e-8, 1.0], (rows, nodes), p=[0.1, 0.1, 0.8]))
+    wz = rng.uniform(0.0, 5.0, nodes) * (rng.random(nodes) < 0.8)
+    return field, wz
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=weighted_fields())
+def test_nu_dot_sums_left_to_right_in_every_layout(drawn, small_ensemble):
+    field, wz = drawn
+    expect = _row_by_row(field, wz)
+    for name, layout in _layouts(field).items():
+        assert q.nu_dot(layout, wz).tobytes() == expect.tobytes(), name
+    for r, row in enumerate(field):
+        assert q.nu_dot(row, wz).tobytes() == expect[r].tobytes()
+
+    # every caller keeps its bits across the layouts and on single rows
+    canonical = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    regs = [q.regularize(q.DriverView(canonical, small_ensemble), n, 1) for n in (1, 8)]
+    table = q.sample_jump_paths(wz[None, :], 0.5, field.shape[0], seed=3)
+    callers = {
+        "nu_norm": lambda u: q.nu_norm(u, wz),
+        "j_functional": lambda u: np.asarray(q.j_functional(u, 0.7, wz)),
+        "jump_part": lambda u: canonical.jump_part(u, wz),
+        # (envelope, query) of each row; a 1-d row is taken as one row
+        **{f"jump_envelope_n{reg.n:g}": (lambda u, reg=reg: np.stack(
+            reg._jump_envelope(np.atleast_2d(u), wz))) for reg in regs},
+    }
+    for name, caller in callers.items():
+        whole = caller(field)
+        for label, layout in _layouts(field).items():
+            assert caller(layout).tobytes() == whole.tobytes(), f"{name} {label}"
+        for r, row in enumerate(field):
+            assert caller(row).tobytes() == whole[..., r].tobytes(), f"{name} row {r}"
+    whole = table.compensated_sum(0, field, wz, 0.5)
+    for label, layout in _layouts(field).items():
+        assert table.compensated_sum(0, layout, wz, 0.5).tobytes() == whole.tobytes(), label
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
        st.floats(0.1, 3.0))
@@ -309,7 +382,7 @@ def test_compensated_sum_of_an_empty_interval_is_exact_zero(gamma_model, gamma_q
                 expect = np.zeros(n)
                 np.add.at(expect, paths,
                           np.broadcast_to(field, (n, wz.size))[paths, marks])
-                expect = expect - (field * row).sum(axis=-1) * dt
+                expect = expect - left_to_right_sum(field, row) * dt
                 assert got.tobytes() == expect.tobytes()
             else:
                 # +0.0 on every path, and the field is not read: NaN gives zeros

@@ -66,3 +66,29 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{func.name}({name})" for name in params
                        if name not in ("self", "cls") and name not in named]
     assert not unread, f"parameters the body never reads: {unread}"
+
+
+def _is_last_axis_sum(call: ast.Call) -> bool:
+    """Whether ``call`` is ``<expr>.sum(-1)`` or ``<expr>.sum(axis=-1)``."""
+    if not (isinstance(call.func, ast.Attribute) and call.func.attr == "sum"):
+        return False
+    axes = [*call.args[:1], *(kw.value for kw in call.keywords if kw.arg == "axis")]
+    return any(isinstance(axis, ast.UnaryOp) and isinstance(axis.op, ast.USub)
+               and isinstance(axis.operand, ast.Constant) and axis.operand.value == 1
+               for axis in axes)
+
+
+def test_row_sums_over_the_nodes_go_through_nu_dot():
+    # a row sum over the last axis takes NumPy's layout-dependent order;
+    # levy.nu_dot alone fixes it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {id(sub) for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and (path.name, node.name) == ("levy.py", "nu_dot")
+                  for sub in ast.walk(node)}
+        found += [f"{path.name}:{sub.lineno}" for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Call) and id(sub) not in exempt
+                  and _is_last_axis_sum(sub)]
+    assert not found, f"row sums outside levy.nu_dot: {found}"

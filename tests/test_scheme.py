@@ -172,7 +172,7 @@ def certified_and_full(request, gamma_model):
     stripped of its declared slopes, so that every row runs the envelope."""
     scale, triples = LADDERS[request.param]
     base = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
-    full = dataclasses.replace(base, g_slope=None, z_slope=None)
+    full = dataclasses.replace(base, g_and_slope=None, z_slope=None)
     return request.param, [
         run_ladder(drv, lambda x: np.abs(scale * x), gamma_model, Schedule(triples),
                    seed=2024, k_steps=10, n_paths=3000, q_nodes=12)[1].report

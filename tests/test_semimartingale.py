@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qebsdej as q
+from qebsdej import semimartingale
 from qebsdej.semimartingale import (check_q_structure, exponential_transform,
                                     martingale_regression_test, pairwise_gap,
                                     stability_diagnostics, submartingale_test)
@@ -13,7 +14,8 @@ from qebsdej.levy import EXP_CAP, ExponentOverflowError
 from qebsdej.solver import EnsembleMismatchError, decompose
 
 from conftest import forward, solve
-from references import canonical_paths, doleans_check, garsia_neveu_probe
+from references import (canonical_paths, check_q_structure_two_sided, doleans_check,
+                        garsia_neveu_probe, structure_bounds)
 
 
 @pytest.fixture(scope="module")
@@ -88,17 +90,67 @@ def test_corridor_check_holds_one_cell_array(gamma_model, gamma_quad):
     sol = dataclasses.replace(sol, driver_values=np.asfortranarray(sol.driver_values
                                                                    + noise / ens.dt))
     report = check_q_structure(sol, params, tol=tol)
-    dv = sol.driver_values * ens.dt
-    lower = np.empty_like(dv)
-    upper = np.empty_like(dv)
-    for k in range(sol.n_steps):
-        q_lo, q_hi = q.structure_bounds(sol.y[:, k], sol.z[:, k], sol.u_values(k),
-                                        params, ens.intensity[k])
-        lower[:, k], upper[:, k] = q_lo * ens.dt, q_hi * ens.dt
-    np.testing.assert_array_equal(report.upper_slack, upper - dv)
-    outside = (upper - dv < -tol) | (dv - lower < -tol)
+    ref = check_q_structure_two_sided(sol, params, tol=tol)
+    np.testing.assert_array_equal(report.upper_slack, ref.upper_slack)
     assert 0.0 < report.violation_fraction < 1.0
-    assert report.violation_fraction == float(outside.mean())
+    assert report.violation_fraction == ref.violation_fraction
+
+
+def _lower_edge_rows(monkeypatch):
+    """Count the rows on which ``check_q_structure`` takes the lower edge."""
+    rows = []
+    edge = semimartingale.corridor_edge
+
+    def counting(y, z, u, params, wz, upper):
+        if not upper:
+            rows.append(np.size(y))
+        return edge(y, z, u, params, wz, upper)
+
+    monkeypatch.setattr(semimartingale, "corridor_edge", counting)
+    return rows
+
+
+@pytest.mark.parametrize("name,settings", [("canonical", {}), ("linear", {"a": -0.8}),
+                                           ("morlais", {"beta": 0.5})])
+def test_one_sided_corridor_matches_the_two_sided_reference(gamma_model, gamma_quad,
+                                                             monkeypatch, name, settings):
+    # the lower edge is taken only where dV < -tol; the slack and the
+    # fraction keep the bits of the reference that takes both edges everywhere
+    params = q.StructureParams(1.0, 0.0, 0.0)
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 20, 2000, seed=7)
+    sol = solve(q.DriverView(q.make_driver(name, params, **settings), ens),
+                lambda x: np.abs(0.25 * x) + 0.5)
+    dv = sol.driver_values * ens.dt
+    se_tol = np.array([3.0 * sol.regression_se(k) for k in range(sol.n_steps)])[None, :]
+    for tol in (0.0, se_tol):
+        rows = _lower_edge_rows(monkeypatch)
+        report = check_q_structure(sol, params, tol=tol)
+        ref = check_q_structure_two_sided(sol, params, tol=tol)
+        assert report.upper_slack.tobytes() == ref.upper_slack.tobytes()
+        assert report.violation_fraction == ref.violation_fraction
+        assert sum(rows) == int(np.count_nonzero(dv < -np.broadcast_to(tol, dv.shape)))
+    if name == "canonical":
+        assert np.all(dv >= 0.0) and rows == []
+    else:
+        # the lower edge runs, and cells below it are counted
+        assert sum(rows) > 0 and report.violation_fraction > 0.0
+
+
+def test_lower_edge_counts_exactly_the_rows_shifted_below_it(canonical_solution):
+    # a generator on the lower edge passes; shifted eps below it on a known
+    # set of cells, exactly those cells are counted
+    params, sol = canonical_solution
+    ens = sol.ensemble
+    on_edge = np.empty_like(sol.driver_values)
+    for k in range(sol.n_steps):
+        on_edge[:, k] = structure_bounds(sol.y[:, k], sol.z[:, k], sol.u_values(k),
+                                         params, ens.intensity[k])[0]
+    shifted = np.random.default_rng(8).random(on_edge.shape) < 0.01
+    for eps, expected in ((0.0, 0), (1e-9, int(shifted.sum()))):
+        values = np.asfortranarray(on_edge - eps * shifted)
+        report = check_q_structure(dataclasses.replace(sol, driver_values=values),
+                                   params)
+        assert report.violation_fraction == expected / values.size
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from qebsdej.solver import (CLIP_SIGMAS, EnsembleMismatchError, FeatureMap,
                             NonContractionError, Regression, same_ensemble)
 
 from conftest import forward, solve
-from references import canonical_paths, girsanov_tilt_exact
+from references import canonical_paths, girsanov_tilt_exact, structure_bounds
 
 
 @pytest.fixture(scope="module")
@@ -393,8 +393,8 @@ def test_solve_weighs_each_step_by_its_own_intensity(fading_setting):
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     for k in range(ens.n_steps):
-        _, upper = q.structure_bounds(sol.y[:, k], sol.z[:, k],
-                                      sol.u_values(k), p, ens.intensity[k])
+        _, upper = structure_bounds(sol.y[:, k], sol.z[:, k],
+                                    sol.u_values(k), p, ens.intensity[k])
         np.testing.assert_allclose(sol.driver_values[:, k], upper, rtol=1e-12)
 
 
