@@ -1,7 +1,7 @@
 """Quadratic-exponential generators, structure bounds, and Lipschitz envelopes.
 
-A generator splits as ``f = f_hat(y, z) + int g(u(e)) zeta(t, e) nu(de)``, time
-entering through the jump intensity alone, and is pinned between the corridor
+A generator splits as ``f = f_hat(y, z) + int g(u(e)) nu(de)``, the node
+intensity ``w_i`` weighing the jump part, and is pinned between the corridor
 bounds built from the jump penalty :func:`qebsdej.levy.j_functional`.  Regularization replaces each
 signed part of ``f`` with its Lipschitz lower envelope over a finite candidate
 grid, yielding generators that are globally Lipschitz in ``(y, z)``, monotone
@@ -293,9 +293,8 @@ class RegularizedDriver:
 
     def _lip_needed(self) -> float:
         # mark part measured in the weighted-L2 norm via Cauchy-Schwarz, with
-        # the intensity mass on the kept nodes bounded at every t by c_nu
-        ensemble = self.ensemble
-        mass = ensemble.model.c_nu * float(ensemble.quad.weights[self.node_idx].sum())
+        # the intensity mass on the kept nodes, the same at every t
+        mass = float(self.ensemble.quad.weights[self.node_idx].sum())
         g_lip = self.view.driver.g_lip_factor
         u_lip = g_lip * math.sqrt(mass) if math.isfinite(g_lip) else math.inf
         return max(self.view.driver.lip_yz, u_lip)

@@ -1,11 +1,11 @@
 """Jump-measure models, truncation quadratures, and compound-Poisson sampling.
 
 A jump measure is specified by an intensity density ``ell(e)`` on the mark
-space E = R \\ {0} together with a bounded modulation factor ``zeta(t, e)``:
-the expected number of jumps with marks in ``de`` during ``dt`` is
-``zeta(t, e) * ell(e) de dt``.  Infinite-activity densities blow up near the
-origin; truncating to ``|e| >= 1/kappa`` leaves a finite measure that can be
-simulated as a marked Poisson stream and integrated on a fixed node grid.
+space E = R \\ {0}, constant in time: the expected number of jumps with marks
+in ``de`` during ``dt`` is ``ell(e) de dt``.  Infinite-activity densities blow
+up near the origin; truncating to ``|e| >= 1/kappa`` leaves a finite measure
+that can be simulated as a marked Poisson stream and integrated on a fixed
+node grid.
 """
 
 from __future__ import annotations
@@ -92,49 +92,25 @@ class ExponentOverflowError(OverflowError):
     """An exponential jump functional would overflow the float range."""
 
 
-def constant_zeta(value: float = 1.0) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Time- and mark-independent modulation factor."""
-
-    def zeta(t: float, e: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(e, dtype=float), value)
-
-    return zeta
-
-
 @dataclass(frozen=True)
 class LevyModel:
-    """Intensity density with modulation bound and activity metadata.
+    """Intensity density on one or both sides of the mark space.
 
     Parameters
     ----------
     density : callable
         ``ell(|e|) >= 0`` evaluated on positive marks; symmetric models reuse
         it on the mirrored negative side.
-    zeta : callable
-        ``zeta(t, e)`` in ``[0, c_nu]``.
-    c_nu : float
-        Uniform bound on ``zeta``.
     support : str
         "positive" or "symmetric".
-    infinite_activity : bool
-        Whether the density mass diverges near the origin.
     points : tuple
         Increasing marks between which the density concentrates its mass;
         empty when it has no narrow feature.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
-    zeta: Callable[[float, np.ndarray], np.ndarray]
-    c_nu: float
     support: str
-    infinite_activity: bool
     points: tuple = ()
-
-    def zeta_at(self, t: float, e) -> np.ndarray:
-        z = np.asarray(self.zeta(t, np.asarray(e, dtype=float)), dtype=float)
-        if z.size and (z.min() < -1e-12 or z.max() > self.c_nu + 1e-12):
-            raise ValueError("zeta left the band [0, c_nu]")
-        return z
 
     def moment(self, p: int, a: float, b: float = math.inf) -> float:
         """Integral of ``e^p ell(e)`` over ``[a, b]`` on one side of the mark
@@ -206,18 +182,7 @@ def _param(name: str, value, least=-PARAM_MAX, most=PARAM_MAX) -> float:
     return float(value)
 
 
-def _modulation(zeta: Callable | None, c_nu) -> tuple[Callable, float]:
-    """The modulation factor and its bound.  The default factor is 1
-    everywhere, so it needs ``c_nu >= 1``; a given one must be a function."""
-    if zeta is None:
-        return constant_zeta(), _param("c_nu", c_nu, 1.0)
-    if not callable(zeta):
-        raise TypeError(f"zeta must be a function of (t, e), got {zeta!r}")
-    return zeta, _param("c_nu", c_nu, PARAM_MIN)
-
-
-def gamma_model(theta: float = 1.0, beta: float = 1.0, c_nu: float = 1.0,
-                zeta: Callable | None = None) -> LevyModel:
+def gamma_model(theta: float = 1.0, beta: float = 1.0) -> LevyModel:
     """One-sided gamma-type density ``theta * exp(-beta e) / e`` on ``e > 0``."""
     theta, beta = _param("theta", theta, 0.0), _param("beta", beta, PARAM_MIN)
 
@@ -228,11 +193,10 @@ def gamma_model(theta: float = 1.0, beta: float = 1.0, c_nu: float = 1.0,
         out[pos] = theta * np.exp(-beta * e[pos]) / e[pos]
         return out
 
-    return LevyModel(density, *_modulation(zeta, c_nu), "positive", True)
+    return LevyModel(density, "positive")
 
 
-def stable_model(theta: float = 1.0, alpha: float = 0.5, c_nu: float = 1.0,
-                 zeta: Callable | None = None) -> LevyModel:
+def stable_model(theta: float = 1.0, alpha: float = 0.5) -> LevyModel:
     """Symmetric stable-type density ``theta |e|^(-1-alpha)``."""
     theta = _param("theta", theta, 0.0)
     if not STABLE_ALPHA_MIN <= _param("alpha", alpha) < 2.0:
@@ -245,11 +209,10 @@ def stable_model(theta: float = 1.0, alpha: float = 0.5, c_nu: float = 1.0,
         out[pos] = theta * e[pos] ** (-1.0 - alpha)
         return out
 
-    return LevyModel(density, *_modulation(zeta, c_nu), "symmetric", True)
+    return LevyModel(density, "symmetric")
 
 
-def normal_model(rate: float = 2.0, loc: float = 1.0, scale: float = 0.25,
-                 c_nu: float = 1.0, zeta: Callable | None = None) -> LevyModel:
+def normal_model(rate: float = 2.0, loc: float = 1.0, scale: float = 0.25) -> LevyModel:
     """Finite-activity density: ``rate`` times a normal mark profile, on
     positive marks."""
     rate, loc = _param("rate", rate, 0.0), _param("loc", loc)
@@ -264,16 +227,16 @@ def normal_model(rate: float = 2.0, loc: float = 1.0, scale: float = 0.25,
         return rate * np.exp(-0.5 * z * z) / (scale * math.sqrt(2.0 * math.pi))
 
     points = (loc - NORMAL_REACH * scale, loc, loc + NORMAL_REACH * scale)
-    return LevyModel(density, *_modulation(zeta, c_nu), "positive", False, points)
+    return LevyModel(density, "positive", points)
 
 
-def null_model(c_nu: float = 1.0) -> LevyModel:
+def null_model() -> LevyModel:
     """Zero density; every jump functional vanishes."""
 
     def density(e):
         return np.zeros_like(np.asarray(e, dtype=float))
 
-    return LevyModel(density, *_modulation(None, c_nu), "positive", False)
+    return LevyModel(density, "positive")
 
 
 _MODEL_FACTORIES = {
@@ -319,10 +282,6 @@ class MarkQuadrature:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def intensity(self, model: LevyModel, t: float) -> np.ndarray:
-        """Per-node jump intensity ``w_i zeta(t, e_i)`` at time ``t``."""
-        return self.weights * model.zeta_at(t, self.nodes)
 
     def restrict_indices(self, kappa_sub: float) -> np.ndarray:
         """Indices of nodes whose whole cell lies in ``|e| >= 1/kappa_sub``."""

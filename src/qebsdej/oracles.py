@@ -39,14 +39,21 @@ def girsanov_tilt_mc(b: float, c_tilde: float, mass: float, t_end: float,
                      x0: float, impact: float, n_samples: int, seed: int) -> OracleValue:
     """Fresh simulation under the tilted dynamics: Brownian drift ``b`` and
     jump intensity scaled by ``1 + c_tilde``; the payoff is the terminal
-    state compensated at the original intensity."""
+    state compensated at the original intensity.
+
+    The sample is taken without ``x0``, which shifts the mean and not the
+    spread: the rounding of a large ``x0`` would swamp the deviations from
+    the mean, and their squares could overflow.  The deviations of the
+    Brownian and the jump part are taken apart for the same reason: in their
+    sum, a jump part far above the Brownian one rounds the latter away."""
     rng = np.random.default_rng(seed)
     w_term = rng.normal(b * t_end, math.sqrt(t_end), n_samples)
     n_term = rng.poisson((1.0 + c_tilde) * mass * t_end, n_samples)
-    xi = x0 + w_term + impact * n_term - impact * mass * t_end
+    moves = w_term + impact * (n_term - mass * t_end)
+    deviations = (w_term - w_term.mean()) + impact * (n_term - n_term.mean())
     return OracleValue("girsanov_tilt",
-                       float(xi.mean()),
-                       float(xi.std(ddof=1) / math.sqrt(n_samples)))
+                       x0 + float(moves.mean()),
+                       float(deviations.std(ddof=1) / math.sqrt(n_samples)))
 
 
 def brownian_doleans_mc(t_end: float, n_samples: int, seed: int) -> OracleValue:

@@ -92,8 +92,6 @@ class AprioriReport:
 
     lhs: float
     rhs: float
-    rhs_se: float
-    fraction_ok: float
     ok: bool
     bound: float
 
@@ -115,14 +113,11 @@ def apriori_bound_check(solution: BsdejSolution, params: StructureParams,
     if k_time == 0:
         bound = est.value + 3.0 * math.hypot(est.stderr, solution.regression_se(0))
         lhs = abs(float(solution.y[:, 0].mean()))
-        ok = lhs <= bound
-        return AprioriReport(lhs, est.value, est.stderr,
-                             1.0 if ok else 0.0, ok, bound)
+        return AprioriReport(lhs, est.value, lhs <= bound, bound)
     lhs_paths = np.abs(solution.y[:, k_time])
     slack = 3.0 * np.hypot(est.per_path_se, solution.regression_se(k_time))
     frac = float((lhs_paths <= est.per_path + slack).mean())
-    return AprioriReport(float(lhs_paths.mean()), est.value, est.stderr,
-                         frac, frac >= 0.99, math.nan)
+    return AprioriReport(float(lhs_paths.mean()), est.value, frac >= 0.99, math.nan)
 
 
 @dataclass

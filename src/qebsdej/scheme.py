@@ -136,7 +136,6 @@ class ConvergenceReport:
     records: list[TripleRecord]
     y0_max_drop: float      # largest y0 drop between solved neighbours, in SEs
     comparison_violations: list[float]
-    gaps_to_proxy: list[float]
     gaps_max_rise: float        # largest rise between compared proxy gaps
     stability_max_rise: float   # largest rise of the H1 distance to the proxy
 
@@ -352,8 +351,8 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
         stability_max_rise = _max_rise([r.h1_gap_proxy for r in solved[:-1]
                                         if not math.isnan(r.h1_gap_proxy)])
     else:
-        comparison, gaps = [], []
+        comparison = []
         y0_max_drop = gaps_max_rise = stability_max_rise = math.nan
     report = ConvergenceReport(records, y0_max_drop, comparison,
-                               gaps, gaps_max_rise, stability_max_rise)
+                               gaps_max_rise, stability_max_rise)
     return SchemeResult(report)

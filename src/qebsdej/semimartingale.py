@@ -23,10 +23,8 @@ from .solver import BsdejSolution, PathEnsemble, same_ensemble
 
 @dataclass
 class QStructureReport:
-    """Per-cell slack below the upper corridor edge (positive means strictly
-    inside) and the fraction of cells outside either edge."""
+    """The fraction of cells outside either corridor edge."""
 
-    upper_slack: np.ndarray
     violation_fraction: float
 
     @property
@@ -46,24 +44,21 @@ def check_q_structure(solution: BsdejSolution, params: StructureParams,
     """
     ensemble = solution.ensemble
     dt = ensemble.dt
-    upper_slack = np.empty_like(solution.driver_values)
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), upper_slack.shape)
-    # one step at a time: only the slack is kept, and the fraction divides
-    # an exact count of violations
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), solution.driver_values.shape)
+    # one step at a time, keeping only an exact count of violations
     n_violations = 0
     for k in range(solution.n_steps):
         y, z, u = solution.y[:, k], solution.z[:, k], solution.u_values(k)
         wz, tol_k = ensemble.intensity[k], tol[:, k]
         dv = solution.driver_values[:, k] * dt
         q_hi = corridor_edge(y, z, u, params, wz, upper=True)
-        slack = np.subtract(q_hi * dt, dv, out=upper_slack[:, k])
-        outside = slack < -tol_k
+        outside = q_hi * dt - dv < -tol_k
         low = np.flatnonzero(dv < -tol_k)
         if low.size:
             q_lo = corridor_edge(y[low], z[low], u[low], params, wz, upper=False)
             outside[low] |= dv[low] - q_lo * dt < -tol_k[low]
         n_violations += int(np.count_nonzero(outside))
-    return QStructureReport(upper_slack, n_violations / upper_slack.size)
+    return QStructureReport(n_violations / solution.driver_values.size)
 
 
 def exponential_transform(y: np.ndarray, params: StructureParams,

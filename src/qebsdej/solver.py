@@ -49,12 +49,13 @@ class PathEnsemble:
     """Seeded Monte Carlo paths of the driving noise and forward state.
 
     The grid is uniform: ``time_grid[k] = k dt`` up to ``t_end``.
-    ``intensity[k]`` is the node intensity ``w_i zeta(t_k, e_i)`` of interval
-    ``k``; the jump stream, the forward compensator, the solve, the
-    decomposition and the audits all read this one table.  ``dw`` and
-    ``state`` are stored step-major (column-major), as are the solution and
-    decomposition fields: every stage works one step's column at a time, and
-    that column is then one contiguous block.
+    ``intensity[k]`` is the node intensity of interval ``k``: the quadrature
+    weights ``w_i``, the same on every interval.  The jump stream, the
+    forward compensator, the solve, the decomposition and the audits all read
+    this one table.  ``dw`` and ``state`` are stored step-major
+    (column-major), as are the solution and decomposition fields: every stage
+    works one step's column at a time, and that column is then one contiguous
+    block.
 
     The object is its own identity: solutions hold the ensemble they were
     regressed on, and :func:`same_ensemble` refuses to combine results from
@@ -116,7 +117,7 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
         raise ValueError("need at least one path")
     time_grid = np.linspace(0.0, t_end, k_steps + 1)
     dt = t_end / k_steps
-    intensity = np.stack([quad.intensity(model, float(t)) for t in time_grid[:-1]])
+    intensity = np.tile(quad.weights, (k_steps, 1))
     ss = np.random.SeedSequence(seed)
     child_w, child_j = ss.spawn(2)
     rng_w = np.random.Generator(np.random.Philox(child_w))

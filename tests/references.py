@@ -17,7 +17,6 @@ import numpy as np
 from qebsdej.drivers import Driver, StructureParams, corridor_edge
 from qebsdej.levy import LevyModel, exp_excess
 from qebsdej.risk import DIRECTIONS
-from qebsdej.semimartingale import QStructureReport
 from qebsdej.solver import BsdejSolution, PathEnsemble
 
 
@@ -44,9 +43,11 @@ def structure_bounds(y, z, u, params: StructureParams, wz: np.ndarray):
 
 
 def check_q_structure_two_sided(solution: BsdejSolution, params: StructureParams,
-                                tol=0.0) -> QStructureReport:
+                                tol=0.0) -> tuple[np.ndarray, float]:
     """``semimartingale.check_q_structure`` with both corridor edges taken
-    on every cell, as whole (n_paths, K) arrays."""
+    on every cell, as whole (n_paths, K) arrays: the per-cell slack below
+    the upper edge (positive means strictly inside) and the fraction of
+    cells outside either edge."""
     ensemble = solution.ensemble
     dt = ensemble.dt
     dv = solution.driver_values * dt
@@ -57,7 +58,7 @@ def check_q_structure_two_sided(solution: BsdejSolution, params: StructureParams
         lower[:, k], upper[:, k] = q_lo * dt, q_hi * dt
     tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
     outside = (upper - dv < -tol) | (dv - lower < -tol)
-    return QStructureReport(upper - dv, float(np.count_nonzero(outside)) / dv.size)
+    return upper - dv, float(np.count_nonzero(outside)) / dv.size
 
 
 # ---------------------------------------------------------------------------

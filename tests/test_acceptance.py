@@ -16,7 +16,8 @@ import pytest
 import qebsdej as q
 from qebsdej.drivers import Driver, regularize
 from qebsdej.oracles import huber_envelope_exact
-from qebsdej.risk import apriori_bound_check, entropic, exponential_moment_check
+from qebsdej.risk import (apriori_bound_check, entropic, exponential_moment_check,
+                          terminal_bound_payoff)
 from qebsdej.scheme import Schedule, ladder_quadrature, run_triple_scheme
 from qebsdej.semimartingale import exponential_transform, submartingale_test
 
@@ -172,8 +173,11 @@ def test_criterion_07_apriori_bound(canonical_signed, canonical_magnitude,
     rep_signed = apriori_bound_check(sol_s, params, 0)
     params_m, ens_m, sol_m = canonical_magnitude
     rep_tight = apriori_bound_check(sol_m, params_m, 0)
+    payoff = terminal_bound_payoff(sol_m.terminal, params_m, ens_m.time_grid, 0)
+    rhs = entropic(ens_m, payoff, 0, "upper", sol_m.feature_maps[0].degree)
+    assert rhs.value == rep_tight.rhs
     gap = abs(rep_tight.rhs - rep_tight.lhs)
-    tight_tol = 3.0 * math.hypot(rep_tight.rhs_se, sol_m.y0_se)
+    tight_tol = 3.0 * math.hypot(rhs.stderr, sol_m.y0_se)
     ladder_ok = all(r.apriori.ok for r in canonical_ladder[1].report.records)
     ok = rep_signed.ok and rep_tight.ok and gap <= tight_tol and ladder_ok
     _report(7, ok, f"signed ok={rep_signed.ok}, ladder ok={ladder_ok}, "
@@ -273,7 +277,7 @@ def test_criterion_08_regularization_suite(gamma_setting):
 def test_criterion_09_truncation_convergence(canonical_ladder):
     ens, result = canonical_ladder
     rep = result.report
-    gaps = rep.gaps_to_proxy
+    gaps = [r.a1 + r.a2 for r in rep.records if r.dec is not None]
     stab = [r.h1_gap_proxy for r in rep.records]
     cheb_ok = True
     n_cells = ens.n_paths * ens.n_steps

@@ -389,7 +389,7 @@ def _ensemble(**fields):
     dict(grid={"t_end": 1.0, "k_steps": 2.7}),
     dict(driver={"name": "linear", "aa": 0.5}),
     dict(model={"name": "gamma", "zeta": 0.5}),
-    dict(model={"name": "gamma", "c_nu": 0.5}),
+    dict(model={"name": "gamma", "c_nu": 1}),
     dict(model={"name": "gamma", "beta": 0}),
     dict(model={"name": "normal", "scale": 0}),
     dict(model={"name": "normal", "loc": 1e5, "scale": 1e-4}),
@@ -409,7 +409,7 @@ def _ensemble(**fields):
         "export_paths_not_a_number", "gamma_not_a_number",
         "unknown_top_level_key", "unknown_ensemble_key", "unknown_solver_key",
         "k_steps_not_integral", "misspelled_driver_parameter", "zeta_from_json",
-        "c_nu_below_default_zeta", "gamma_beta_zero", "normal_scale_zero",
+        "c_nu_is_unknown", "gamma_beta_zero", "normal_scale_zero",
         "normal_profile_finer_than_its_marks",
         "theta_not_a_number", "negative_theta", "expected_jumps_beyond_memory",
         "q_nodes_beyond_build_time", "k_steps_beyond_memory",
@@ -430,7 +430,9 @@ def model_sections(draw):
     """A model section with any subset of its factory's parameters set, each
     to a number of any magnitude or sign, or to a value of another type."""
     name = draw(st.sampled_from(sorted(MODEL_KEYS)))
-    keys = draw(st.lists(st.sampled_from(MODEL_KEYS[name]), unique=True))
+    # the null factory takes no parameters, and sampled_from([]) raises
+    keys = draw(st.lists(st.sampled_from(MODEL_KEYS[name]), unique=True)
+                if MODEL_KEYS[name] else st.just([]))
     value = st.one_of(st.floats(-10.0, 10.0), st.floats(), st.integers(-3, 3),
                       st.booleans(), st.none(), st.text(max_size=3))
     return {"name": name, **{key: draw(value) for key in keys}}
@@ -622,6 +624,11 @@ def oracle_configs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(payload=oracle_configs())
+@example(payload={"experiment": "oracle", "oracle": {
+    "name": "girsanov_tilt", "x0": 1.276454349729761e210, "n_samples": 20}})
+@example(payload={"experiment": "oracle", "oracle": {
+    "name": "girsanov_tilt", "mass": 0.0625, "impact": 9.223372036854774e18,
+    "n_samples": 28}})
 def test_oracle_verb_never_crashes(tmp_path_factory, payload):
     # a config the validator accepts runs to a verdict; a sampling oracle that
     # reports a finite estimate gives it a positive standard error, unless its

@@ -380,27 +380,6 @@ def test_truncation_convergence(canonical, gamma_model):
     assert gap_fine < gap_coarse
 
 
-def test_regularized_driver_weighs_nodes_at_its_time():
-    # zeta fades in time: a regularized generator at the step with t_k > 0
-    # weighs its kept nodes by their intensity at t_k, not at time zero
-    model = gamma_model(zeta=lambda t, e: np.full_like(e, 1.0 - t / 2.0))
-    quad = q.build_quadrature(model, 8.0, 10, cut_levels=[0.25])
-    lin = q.make_driver("linear", StructureParams(1.0, 0.0, 0.0),
-                        a=0.5, b=0.3, c_tilde=0.4)
-    idx = quad.restrict_indices(4.0)
-    view = bind(lin, model, quad, k_steps=4)
-    k = 3
-    assert view.ensemble.time_grid[k] == 0.75
-    reg = regularize(view, 2, 2, idx)
-    assert reg.strategy == "lipschitz_exact"
-    rng = np.random.default_rng(13)
-    ys = rng.uniform(-2, 2, 40)
-    zs = rng.uniform(-2, 2, 40)
-    us = rng.uniform(-1, 1, (40, quad.n_nodes))
-    direct = lin.evaluate(ys, zs, us[:, idx], quad.intensity(model, 0.75)[idx])
-    np.testing.assert_allclose(reg.evaluate(k, ys, zs, us), direct, rtol=1e-12)
-
-
 def test_regularize_index_validation(canonical, small_ensemble):
     with pytest.raises(ValueError):
         regularize(q.DriverView(canonical, small_ensemble), 0.5, 1)

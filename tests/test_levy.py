@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special  # the independent reference; the package never imports SciPy
 
 import qebsdej as q
-from qebsdej.levy import DivergentMassError, ExponentOverflowError, LevyModel, constant_zeta
+from qebsdej.levy import DivergentMassError, ExponentOverflowError, LevyModel
 
 from references import (exp1_reference, left_to_right_sum, small_jump_residual,
                         stable_small_jump_second_moment, stable_tail_mass_exact)
@@ -30,18 +30,6 @@ def test_infinite_activity_divergence(gamma_model, stable_model):
         masses = [model.moment(0, eps, 1.0) for eps in (1e-2, 1e-4, 1e-6)]
         assert masses[0] < masses[1] < masses[2]
         assert masses[2] > 2.0 * masses[0]
-
-
-def test_finite_activity_presets():
-    assert not q.make_model("normal").infinite_activity
-    assert not q.make_model("null").infinite_activity
-
-
-def test_zeta_band_guard(gamma_model):
-    bad = LevyModel(gamma_model.density, lambda t, e: 2.0 * np.ones_like(e),
-                    1.0, "positive", True)
-    with pytest.raises(ValueError, match="band"):
-        bad.zeta_at(0.0, np.array([1.0, 2.0]))
 
 
 def test_unknown_preset_rejected():
@@ -93,7 +81,7 @@ def test_divergent_tail_raises():
         out[e > 0] = 1.0 / e[e > 0]
         return out
 
-    bad = LevyModel(density, constant_zeta(), 1.0, "positive", True)
+    bad = LevyModel(density, "positive")
     with pytest.raises(DivergentMassError):
         q.build_quadrature(bad, 2.0, 8)
 
@@ -359,13 +347,12 @@ def test_jump_mark_fractions_multinomial(two_node_quad):
 def test_zero_mass_no_jumps():
     null = q.make_model("null")
     quad = q.build_quadrature(null, 2.0, 6)
-    table = q.sample_jump_paths(np.tile(quad.intensity(null, 0.0), (4, 1)), 0.25,
-                                1000, seed=6)
+    table = q.sample_jump_paths(np.tile(quad.weights, (4, 1)), 0.25, 1000, seed=6)
     assert table.n_jumps == 0
 
 
-def test_compensated_sum_of_an_empty_interval_is_exact_zero(gamma_model, gamma_quad):
-    wz = gamma_quad.intensity(gamma_model, 0.0)
+def test_compensated_sum_of_an_empty_interval_is_exact_zero(gamma_quad):
+    wz = gamma_quad.weights
     one_node = np.where(np.arange(wz.size) == 0, wz, 0.0)
     intensity = np.stack([wz, np.zeros_like(wz), one_node, np.zeros_like(wz)])
     n, dt = 2000, 0.25
@@ -392,8 +379,8 @@ def test_compensated_sum_of_an_empty_interval_is_exact_zero(gamma_model, gamma_q
                     assert out.tobytes() == np.zeros(n).tobytes()
 
 
-def test_jump_table_reproducible(gamma_model, gamma_quad):
-    intensity = np.tile(gamma_quad.intensity(gamma_model, 0.0), (8, 1))
+def test_jump_table_reproducible(gamma_quad):
+    intensity = np.tile(gamma_quad.weights, (8, 1))
     a = q.sample_jump_paths(intensity, 0.125, 2000, seed=12)
     b = q.sample_jump_paths(intensity, 0.125, 2000, seed=12)
     assert np.array_equal(a.time, b.time)

@@ -9,6 +9,9 @@ tests, or other such definitions, belongs in ``tests/references.py``.
 Every parameter of a top-level function or of a class method is read by its
 body.  Nested functions such as a driver's ``f_hat(y, z)`` follow an
 interface and are not checked.
+
+Every annotated field of a class is loaded as an attribute somewhere in the
+package, matched by name: a field that only tests read is not stored.
 """
 
 import ast
@@ -66,6 +69,20 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{func.name}({name})" for name in params
                        if name not in ("self", "cls") and name not in named]
     assert not unread, f"parameters the body never reads: {unread}"
+
+
+def test_every_field_is_read():
+    fields, loaded = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fields += [(path.name, node.name, item.target.id)
+                   for node in tree.body if isinstance(node, ast.ClassDef)
+                   for item in node.body
+                   if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        loaded |= {sub.attr for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    unread = [f"{module}:{cls}.{name}" for module, cls, name in fields if name not in loaded]
+    assert not unread, f"fields no package code reads: {unread}"
 
 
 def _is_last_axis_sum(call: ast.Call) -> bool:

@@ -169,8 +169,11 @@ def test_apriori_canonical_tight(small_ensemble, gamma_quad):
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
     rep = apriori_bound_check(sol, p, 0)
     assert rep.ok
+    payoff = terminal_bound_payoff(sol.terminal, p, small_ensemble.time_grid, 0)
+    est = q.entropic(small_ensemble, payoff, 0, "upper", sol.feature_maps[0].degree)
+    assert est.value == rep.rhs
     gap = abs(rep.rhs - rep.lhs)
-    assert gap <= 3.0 * math.hypot(rep.rhs_se, sol.y0_se)
+    assert gap <= 3.0 * math.hypot(est.stderr, sol.y0_se)
 
 
 def test_apriori_interior_time(small_ensemble, gamma_quad):
@@ -179,8 +182,7 @@ def test_apriori_interior_time(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
-    rep = apriori_bound_check(sol, p, 8)
-    assert rep.fraction_ok >= 0.99
+    assert apriori_bound_check(sol, p, 8).ok
 
 
 def test_apriori_interior_regresses_at_the_solve_degree(small_ensemble, gamma_quad):

@@ -7,12 +7,10 @@ import pytest
 
 import qebsdej as q
 from qebsdej import solver
-from qebsdej.levy import gamma_model
 from qebsdej.oracles import girsanov_tilt_mc
 from qebsdej.runner import _reconstruction_gap
 from qebsdej.scheme import driver_l1_gap, monotonicity_check
-from qebsdej.semimartingale import (check_q_structure, martingale_regression_test,
-                                    pairwise_gap)
+from qebsdej.semimartingale import martingale_regression_test, pairwise_gap
 from qebsdej.solver import (CLIP_SIGMAS, EnsembleMismatchError, FeatureMap,
                             NonContractionError, Regression, same_ensemble)
 
@@ -267,6 +265,17 @@ def test_girsanov_tilt_oracle(gamma_model):
         girsanov_tilt_exact(0.3, 0.4, quad.total_mass, 1.0), abs=3 * oracle.stderr)
 
 
+def test_girsanov_tilt_spread_does_not_see_x0():
+    # x0 shifts the tilted terminal and not its spread: at |x0| ~ 1e210 the
+    # squared deviations of a sample that held x0 would overflow
+    x0 = 1.276454349729761e210
+    far = girsanov_tilt_mc(0.0, 0.0, 1.0, 1.0, x0=x0, impact=1.0, n_samples=20, seed=3)
+    near = girsanov_tilt_mc(0.0, 0.0, 1.0, 1.0, x0=0.0, impact=1.0, n_samples=20, seed=3)
+    assert 0.0 < far.stderr < math.inf
+    assert far.stderr == near.stderr
+    assert far.value == x0 + near.value
+
+
 def test_non_contraction_guard(brownian_ensemble, null_quad):
     p = q.StructureParams(1.0, 0.0, 30.0)
     drv = q.make_driver("linear", p, a=30.0)  # dt = 0.04, dt * 30 > 1
@@ -348,12 +357,11 @@ def test_step_slices_are_contiguous_and_the_stream_is_drawn_path_major(
     view, sol = step_major_solve
     ens, dec = view.ensemble, q.decompose(sol)
     k_steps = ens.n_steps
-    slack = check_q_structure(sol, view.driver.params).upper_slack
     r = canonical_paths(ens, sol.z * ens.dw, 0.0,
                         np.zeros((k_steps, ens.quad.n_nodes)), "upper")
     slices = [a[:, k] for a in (ens.state, sol.y, r) for k in range(k_steps + 1)]
     for k in range(k_steps):
-        slices += [a[:, k] for a in (ens.dw, sol.z, sol.driver_values, dec.dm, slack)]
+        slices += [a[:, k] for a in (ens.dw, sol.z, sol.driver_values, dec.dm)]
     assert all(s.flags.c_contiguous for s in slices)
     # the Brownian stream is the one a path-major draw gives
     child_w, _ = np.random.SeedSequence(21).spawn(2)
@@ -376,19 +384,11 @@ def test_path_major_ensemble_solves_to_the_same_fields(step_major_solve):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
-@pytest.fixture(scope="module")
-def fading_setting():
-    model = gamma_model(zeta=lambda t, e: np.full_like(e, 1.0 - t / 2.0))
-    return model, q.build_quadrature(model, 4.0, 10)
-
-
-def test_solve_weighs_each_step_by_its_own_intensity(fading_setting):
+def test_solve_weighs_each_step_by_its_own_intensity(gamma_model, gamma_quad):
     # with l = c = 0 the canonical generator is the upper corridor edge, so
-    # each stored generator value must equal that edge at the intensity of
-    # its own step when the modulation zeta fades in time
-    model, quad = fading_setting
-    ens = forward(model, quad, "brownian_jumps",
-                  1.0, 20, 4000, seed=3)
+    # each stored generator value lies on that edge at the ensemble's
+    # intensity of its step
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 20, 4000, seed=3)
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
@@ -409,42 +409,38 @@ def _jump_sum(jumps, k, values):
     return np.bincount(paths, weights=values[paths, marks], minlength=jumps.n_paths)
 
 
-def test_intensity_table_drives_the_sampler(fading_setting):
-    model, quad = fading_setting
+def test_intensity_table_drives_the_sampler(gamma_model, gamma_quad):
     n = 20000
-    ens = forward(model, quad, "brownian_jumps", 1.0, 10, n, seed=41)
-    assert ens.intensity.shape == (10, quad.n_nodes)
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, n, seed=41)
+    assert ens.intensity.shape == (10, gamma_quad.n_nodes)
     counts = np.bincount(ens.jumps.interval_index, minlength=ens.n_steps)
     for k in range(ens.n_steps):
-        assert np.array_equal(ens.intensity[k],
-                              quad.intensity(model, float(ens.time_grid[k])))
+        assert np.array_equal(ens.intensity[k], gamma_quad.weights)
         expect = float(ens.intensity[k].sum()) * ens.dt
         assert abs(counts[k] / n - expect) <= 3.0 * math.sqrt(expect / n)
 
 
-def test_forward_state_is_the_compensated_mark_sum(fading_setting):
-    model, quad = fading_setting
-    ens = forward(model, quad, "jumps_only", 1.0, 10, 5000, seed=42,
+def test_forward_state_is_the_compensated_mark_sum(gamma_model, gamma_quad):
+    ens = forward(gamma_model, gamma_quad, "jumps_only", 1.0, 10, 5000, seed=42,
                   jump_impact="mark")
-    marks = np.broadcast_to(quad.nodes, (ens.n_paths, quad.n_nodes))
+    marks = np.broadcast_to(gamma_quad.nodes, (ens.n_paths, gamma_quad.n_nodes))
+    compensator = float((gamma_quad.weights * gamma_quad.nodes).sum()) * ens.dt
     for k in range(ens.n_steps):
-        wz = quad.intensity(model, float(ens.time_grid[k]))
-        expect = _jump_sum(ens.jumps, k, marks) - float((wz * quad.nodes).sum()) * ens.dt
+        expect = _jump_sum(ens.jumps, k, marks) - compensator
         np.testing.assert_allclose(np.diff(ens.state, axis=1)[:, k], expect,
                                    rtol=0.0, atol=1e-12)
 
 
-def test_jump_martingale_is_the_compensated_loading_sum(fading_setting):
-    model, quad = fading_setting
-    ens = forward(model, quad, "brownian_jumps", 1.0, 10, 4000, seed=43)
+def test_jump_martingale_is_the_compensated_loading_sum(gamma_model, gamma_quad):
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, 4000, seed=43)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     dm = q.decompose(sol).dm
     dm_c = sol.z * ens.dw
     for k in range(ens.n_steps):
         u = sol.u_values(k)
-        wz = quad.intensity(model, float(ens.time_grid[k]))
-        expect = dm_c[:, k] + _jump_sum(ens.jumps, k, u) - (u * wz).sum(axis=1) * ens.dt
+        expect = (dm_c[:, k] + _jump_sum(ens.jumps, k, u)
+                  - (u * gamma_quad.weights).sum(axis=1) * ens.dt)
         np.testing.assert_allclose(dm[:, k], expect, rtol=0.0, atol=1e-12)
 
 
