@@ -98,7 +98,7 @@ BASIS_DEGREE_MAX = 8
 # An ensemble holds n_paths x k_steps Brownian increments and several more
 # arrays of that size (state, solution, generator values and decomposition
 # increments), and each step of the solve holds n_paths x q_nodes
-# arrays (jump counts, loadings and their regression targets).  A solve run
+# arrays (loadings and their regression targets).  A solve run
 # peaks near 375 MB at 5.4e6 such cells, so this bound keeps a run near 1.4 GB.
 PATH_CELLS_MAX = 2e7
 # The jump table keeps four 8-byte columns per jump and the sampler joins its
@@ -201,10 +201,10 @@ LOG_SPREAD = {
     "compound_poisson_doleans": lambda p: (p["mass"] * p["t_end"] * math.expm1(p["u"])
                                           * math.expm1(p["u"])),
 }
-# a Doleans sample expecting fewer jumps than this, but some, mostly sees
-# none, so its samples are all equal and its standard error reads 0; one
-# expecting none has the exact mean 1 at standard error 0
-DOLEANS_JUMPS_MIN = 20.0
+# a jump oracle's sample expecting fewer jumps than this, but some, mostly
+# sees none, so its jump part reads 0 and its standard error misses it (a
+# Doleans sample's reads 0); one expecting none has its exact law
+ORACLE_JUMPS_MIN = 20.0
 
 TOP_LEVEL_KEYS = ("experiment", "model", "driver", "oracle", *SETTINGS)
 
@@ -308,8 +308,9 @@ def validate_config(data: dict) -> ExperimentConfig:
                               f"got {name!r}")
         p = cfg.oracle = dict(name=name, **_read_section("oracle", ORACLES[name][1], params))
         # the jump oracles draw Poisson counts of mean (1 + c_tilde) mass t_end
-        if "mass" in p and ((1.0 + p.get("c_tilde", 0.0)) * p["mass"] * p["t_end"]
-                            > POISSON_MEAN_MAX):
+        jump_mean = ((1.0 + p.get("c_tilde", 0.0)) * p["mass"] * p["t_end"]
+                     if "mass" in p else 0.0)
+        if jump_mean > POISSON_MEAN_MAX:
             raise ConfigError("oracle.mass", f"Poisson mean above {POISSON_MEAN_MAX:g}")
         if name in LOG_SPREAD:
             spread, most = LOG_SPREAD[name](p), math.log(p["n_samples"])
@@ -317,10 +318,10 @@ def validate_config(data: dict) -> ExperimentConfig:
                 raise ConfigError("oracle", "the sample cannot resolve the mean: log(1 + "
                                   f"relative variance) = {spread:g} is above "
                                   f"ln(n_samples) = {most:g}")
-        if (name == "compound_poisson_doleans"
-                and 0.0 < p["mass"] * p["t_end"] * p["n_samples"] < DOLEANS_JUMPS_MIN):
+        if 0.0 < jump_mean * p.get("n_samples", 0) < ORACLE_JUMPS_MIN:
             raise ConfigError("oracle", "the sample cannot resolve the mean: it expects "
-                              f"mass * t_end * n_samples < {DOLEANS_JUMPS_MIN:g} jumps")
+                              f"{jump_mean * p['n_samples']:g} jumps, fewer than "
+                              f"{ORACLE_JUMPS_MIN:g}")
         return cfg
     for name, table in SETTINGS.items():
         setattr(cfg, name, _read_section(name, table, data.get(name, {})))

@@ -114,12 +114,14 @@ def _canonical(structure: StructureParams) -> Driver:
         return exp_excess(delta * np.asarray(v, dtype=float)) / delta
 
     def g_and_slope(v):
-        # one exponential per cell gives both values
-        x = delta * np.asarray(v, dtype=float)
+        # one exponential per cell gives both values, and g overwrites the
+        # exponent's buffer (an array even for a 0-d v)
+        v = np.asarray(v, dtype=float)
+        x = np.multiply(delta, v, out=np.empty(v.shape))
         slope = capped_expm1(x)
-        g_vals = slope - x
-        g_vals /= delta
-        return g_vals, slope
+        np.subtract(slope, x, out=x)
+        x /= delta
+        return x, slope
 
     def z_slope(z):
         return delta * np.abs(z)

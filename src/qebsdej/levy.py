@@ -443,12 +443,14 @@ class JumpTable:
         sl = slice(self._offsets[k], self._offsets[k + 1])
         return self.path_index[sl], self.mark_index[sl]
 
-    def counts_for_interval(self, k: int) -> np.ndarray:
-        """Dense per-node jump counts over interval ``k``, shape (n_paths, Q)."""
-        out = np.zeros((self.n_paths, self.n_nodes))
+    def cells_for_interval(self, k: int):
+        """The distinct (path, node) cells that see a jump over interval
+        ``k``, with their jump counts: three arrays ``(paths, nodes,
+        counts)``, ordered by path and then node.  Every other cell of the
+        interval has count 0."""
         paths, marks = self.rows_for_interval(k)
-        np.add.at(out, (paths, marks), 1.0)
-        return out
+        cells, counts = np.unique(paths * self.n_nodes + marks, return_counts=True)
+        return cells // self.n_nodes, cells % self.n_nodes, counts
 
     def compensated_sum(self, k: int, field, wz: np.ndarray, dt: float) -> np.ndarray:
         """Compensated jump sum of ``field`` over interval ``k``, per path:

@@ -45,15 +45,21 @@ def girsanov_tilt_mc(b: float, c_tilde: float, mass: float, t_end: float,
     spread: the rounding of a large ``x0`` would swamp the deviations from
     the mean, and their squares could overflow.  The deviations of the
     Brownian and the jump part are taken apart for the same reason: in their
-    sum, a jump part far above the Brownian one rounds the latter away."""
+    sum, a jump part far above the Brownian one rounds the latter away.  The
+    deviations are divided by a power of two at or above their largest
+    magnitude before the sample SD squares them, and the SE is multiplied
+    back: scaling by a power of two is exact, so the SE has the bits of the
+    unscaled one wherever that one does not overflow."""
     rng = np.random.default_rng(seed)
     w_term = rng.normal(b * t_end, math.sqrt(t_end), n_samples)
     n_term = rng.poisson((1.0 + c_tilde) * mass * t_end, n_samples)
     moves = w_term + impact * (n_term - mass * t_end)
     deviations = (w_term - w_term.mean()) + impact * (n_term - n_term.mean())
+    _, exponent = math.frexp(float(np.abs(deviations).max()))
+    scaled_se = np.ldexp(deviations, -exponent).std(ddof=1) / math.sqrt(n_samples)
     return OracleValue("girsanov_tilt",
                        x0 + float(moves.mean()),
-                       float(deviations.std(ddof=1) / math.sqrt(n_samples)))
+                       float(np.ldexp(scaled_se, exponent)))
 
 
 def brownian_doleans_mc(t_end: float, n_samples: int, seed: int) -> OracleValue:

@@ -141,17 +141,21 @@ def _jump_rows(ensemble):
 def _reconstruction_gap(solution) -> float:
     """Largest ``|Y - (Y_0 - V + M)|`` with ``M`` the cumulated residue
     ``diff(y) + driver_values * dt``: only the rounding of the cumulative sums
-    shows.  Built in place, so two (n_paths, K) arrays are live at once."""
-    y = solution.y
-    dv = solution.driver_values * solution.ensemble.dt
-    m = np.diff(y, axis=1)
-    m += dv
-    np.cumsum(m, axis=1, out=m)
-    rebuilt = np.cumsum(dv, axis=1, out=dv)
-    np.subtract(y[:, :1], rebuilt, out=rebuilt)
-    rebuilt += m
-    np.subtract(y[:, 1:], rebuilt, out=rebuilt)
-    return float(np.abs(rebuilt, out=rebuilt).max())
+    shows.  One step at a time: per path it keeps the running sums ``M`` and
+    ``V``, accumulated in step order as the whole-array cumulative sums are,
+    so the gap keeps their bits."""
+    y, dt = solution.y, solution.ensemble.dt
+    n = solution.n_paths
+    m, v, gap = np.zeros(n), np.zeros(n), 0.0
+    for k in range(solution.n_steps):
+        dv = solution.driver_values[:, k] * dt
+        m += (y[:, k + 1] - y[:, k]) + dv
+        v += dv
+        rebuilt = y[:, 0] - v
+        rebuilt += m
+        np.subtract(y[:, k + 1], rebuilt, out=rebuilt)
+        gap = np.maximum(gap, np.abs(rebuilt, out=rebuilt).max())
+    return float(gap)
 
 
 def run_solve(cfg: ExperimentConfig):

@@ -259,12 +259,15 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
 def default_c_split(sol: BsdejSolution) -> float:
     """Five times the sample 90th percentile of ``|Z| + |U|_nu``, or 1 where
     the square of that underflows to zero (for a solve without martingale
-    part, say), since the Chebyshev bound divides by it."""
-    sizes = []
+    part, say), since the Chebyshev bound divides by it.  The sizes of all
+    steps fill one buffer, which the percentile then partitions in place."""
+    n = sol.n_paths
+    sizes = np.empty(n * sol.n_steps)
     for k in range(sol.n_steps):
-        sizes.append(np.abs(sol.z[:, k])
-                     + nu_norm(sol.u_values(k), sol.ensemble.intensity[k]))
-    split = 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
+        size = sizes[k * n:(k + 1) * n]
+        np.abs(sol.z[:, k], out=size)
+        size += nu_norm(sol.u_values(k), sol.ensemble.intensity[k])
+    split = 5.0 * float(np.percentile(sizes, 90.0, overwrite_input=True))
     return split if split ** 2 > 0.0 else 1.0
 
 

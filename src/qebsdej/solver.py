@@ -316,8 +316,12 @@ class BsdejSolution:
         return self.regression_se(0)
 
     def s2_norm(self) -> float:
-        """Monte Carlo estimate of ``E[sup_t |Y_t|^2]``."""
-        return float((np.abs(self.y).max(axis=1) ** 2).mean())
+        """Monte Carlo estimate of ``E[sup_t |Y_t|^2]``, from a running
+        per-path maximum of ``|y|`` taken one step at a time."""
+        top = np.abs(self.y[:, 0])
+        for k in range(1, self.n_steps + 1):
+            np.maximum(top, np.abs(self.y[:, k]), out=top)
+        return float((top ** 2).mean())
 
 
 def same_ensemble(*solutions: BsdejSolution) -> PathEnsemble:
@@ -326,6 +330,21 @@ def same_ensemble(*solutions: BsdejSolution) -> PathEnsemble:
     if any(s.ensemble is not ensemble for s in solutions):
         raise EnsembleMismatchError("solutions were computed on different ensembles")
     return ensemble
+
+
+def _jump_targets(jumps: JumpTable, k: int, lam_dt: np.ndarray, live: np.ndarray,
+                  centered: np.ndarray, out: np.ndarray) -> None:
+    """Write the jump-loading targets of interval ``k`` into ``out``, one
+    column per live node: ``(c / (lam_i dt) - 1) * centered`` on a path with
+    ``c`` jumps at node ``i``.  A cell without a jump holds exactly
+    ``-centered``, so every cell gets that first and only the cells with a
+    jump (see :meth:`JumpTable.cells_for_interval`) are written again."""
+    np.negative(centered[:, None], out=out)
+    paths, nodes, counts = jumps.cells_for_interval(k)
+    hit = live[nodes]
+    paths, nodes = paths[hit], nodes[hit]
+    column = np.cumsum(live) - 1
+    out[paths, column[nodes]] = (counts[hit] / lam_dt[nodes] - 1.0) * centered[paths]
 
 
 def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
@@ -368,9 +387,8 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         conds[k] = reg.gram_condition
         y_next = y[:, k + 1]
 
-        lam = ensemble.intensity[k]
-        counts = ensemble.jumps.counts_for_interval(k)
-        live = lam * dt * n >= MIN_EXPECTED_JUMPS
+        lam_dt = ensemble.intensity[k] * dt
+        live = lam_dt * n >= MIN_EXPECTED_JUMPS
 
         _, ey_raw = reg.fit(y_next)
         # center the covariation targets with the fitted conditional mean: a
@@ -381,10 +399,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         targets = np.empty((n, 1 + int(live.sum())), order="F")
         np.multiply(centered, ensemble.dw[:, k], out=targets[:, 0])
         targets[:, 0] /= dt
-        jump = targets[:, 1:]
-        np.divide(counts[:, live], lam[live] * dt, out=jump)
-        jump -= 1.0
-        jump *= centered[:, None]
+        _jump_targets(ensemble.jumps, k, lam_dt, live, centered, out=targets[:, 1:])
         coeffs, fitted = reg.fit(targets)
 
         # a conditional expectation stays inside its target's range, and a

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,18 @@ def entropic(ensemble, payoff, k_time, direction="upper"):
                       **_defaults("solver", "basis_degree"))
 
 
+def traced_peak(func, *args):
+    """``func(*args)`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - before
+
+
 @pytest.fixture(scope="session")
 def gamma_model():
     return q.make_model("gamma", theta=1.0, beta=1.0)
@@ -60,3 +75,19 @@ def small_ensemble(gamma_model, gamma_quad):
 
 def probe_fields(rng, quad, n, spread=1.0):
     return rng.uniform(-spread, spread, (n, quad.n_nodes))
+
+
+@pytest.fixture(scope="session")
+def perturbed_solution(gamma_model, gamma_quad):
+    """A 2000 x 50 canonical solve whose ``y``, ``z`` and driver values are
+    scaled and jittered, so that sums round and sizes differ on every path."""
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
+    drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
+    sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
+    rng = np.random.default_rng(9)
+
+    def jitter(a, scale):
+        return np.asfortranarray(scale * a + rng.normal(size=a.shape))
+
+    return dataclasses.replace(sol, y=jitter(sol.y, 1e3), z=jitter(sol.z, 1.0),
+                               driver_values=jitter(sol.driver_values, 1.0))

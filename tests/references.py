@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from qebsdej.drivers import Driver, StructureParams, corridor_edge
-from qebsdej.levy import LevyModel, exp_excess
+from qebsdej.levy import JumpTable, LevyModel, exp_excess, nu_norm
 from qebsdej.risk import DIRECTIONS
 from qebsdej.solver import BsdejSolution, PathEnsemble
 
@@ -59,6 +59,48 @@ def check_q_structure_two_sided(solution: BsdejSolution, params: StructureParams
     tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
     outside = (upper - dv < -tol) | (dv - lower < -tol)
     return upper - dv, float(np.count_nonzero(outside)) / dv.size
+
+
+# ---------------------------------------------------------------------------
+# whole-array forms of the run path's streamed and sparse computations
+# ---------------------------------------------------------------------------
+
+def interval_counts(jumps: JumpTable, k: int) -> np.ndarray:
+    """Dense per-node jump counts over interval ``k``, shape (n_paths, Q)."""
+    out = np.zeros((jumps.n_paths, jumps.n_nodes))
+    paths, marks = jumps.rows_for_interval(k)
+    np.add.at(out, (paths, marks), 1.0)
+    return out
+
+
+def dense_jump_targets(jumps: JumpTable, k: int, lam_dt: np.ndarray, live: np.ndarray,
+                       centered: np.ndarray, out: np.ndarray) -> None:
+    """``solver._jump_targets`` from the dense counts: every live column is
+    ``(counts / (lam_i dt) - 1) * centered``, in whole-array passes."""
+    np.divide(interval_counts(jumps, k)[:, live], lam_dt[live], out=out)
+    out -= 1.0
+    out *= centered[:, None]
+
+
+def reconstruction_gap_whole_array(solution: BsdejSolution) -> float:
+    """``runner._reconstruction_gap`` from (n_paths, K) cumulative sums."""
+    y, dv = solution.y, solution.driver_values * solution.ensemble.dt
+    rebuilt = y[:, :1] - np.cumsum(dv, axis=1) + np.cumsum(np.diff(y, axis=1) + dv, axis=1)
+    return float(np.max(np.abs(y[:, 1:] - rebuilt)))
+
+
+def s2_norm_whole_array(solution: BsdejSolution) -> float:
+    """``BsdejSolution.s2_norm`` from the whole ``|y|`` array."""
+    return float((np.abs(solution.y).max(axis=1) ** 2).mean())
+
+
+def c_split_concatenated(solution: BsdejSolution) -> float:
+    """``scheme.default_c_split`` from the concatenated per-step sizes."""
+    sizes = [np.abs(solution.z[:, k])
+             + nu_norm(solution.u_values(k), solution.ensemble.intensity[k])
+             for k in range(solution.n_steps)]
+    split = 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
+    return split if split ** 2 > 0.0 else 1.0
 
 
 # ---------------------------------------------------------------------------

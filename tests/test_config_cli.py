@@ -525,13 +525,15 @@ def test_unknown_oracle_rejected(tmp_path):
     {"name": "brownian_doleans", "t_end": 2000.0},
     {"name": "entropic_gaussian", "sigma": 40.0},
     {"name": "compound_poisson_doleans", "mass": 10.0, "u": 0.2, "n_samples": 2},
+    {"name": "girsanov_tilt", "mass": 0.0625, "impact": 9.223372036854774e18,
+     "n_samples": 28},
 ], ids=["n_not_a_number", "unknown_parameter", "n_samples_not_integral",
         "unknown_direction", "negative_seed", "exponent_overflows",
         "tilt_poisson_mean_too_large", "doleans_poisson_mean_too_large",
         "doleans_sample_underflows", "doleans_relative_se_above_one",
         "doleans_large_jump_exponent", "doleans_too_few_jumps",
         "brownian_doleans_underflows", "entropic_gaussian_overflows",
-        "sample_too_small_for_a_standard_error"])
+        "sample_too_small_for_a_standard_error", "tilt_too_few_jumps"])
 def test_bad_oracle_parameter_exits_2(tmp_path, oracle):
     cfg = write_config(tmp_path, "bad_oracle.json",
                        {"experiment": "oracle", "oracle": oracle})
@@ -629,6 +631,8 @@ def oracle_configs(draw):
 @example(payload={"experiment": "oracle", "oracle": {
     "name": "girsanov_tilt", "mass": 0.0625, "impact": 9.223372036854774e18,
     "n_samples": 28}})
+@example(payload={"experiment": "oracle", "oracle": {
+    "name": "girsanov_tilt", "impact": 2.9980769960612384e+153, "n_samples": 20}})
 def test_oracle_verb_never_crashes(tmp_path_factory, payload):
     # a config the validator accepts runs to a verdict; a sampling oracle that
     # reports a finite estimate gives it a positive standard error, unless its

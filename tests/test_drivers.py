@@ -10,7 +10,7 @@ from qebsdej.drivers import (V_GRID, Driver, NotRegularizableError, StructurePar
 from qebsdej.levy import gamma_model
 from qebsdej.oracles import huber_envelope_exact
 
-from conftest import forward
+from conftest import forward, traced_peak
 from references import (check_a_gamma, huber_envelope_grid, inf_convolve,
                         left_to_right_sum, lipschitz_estimate, structure_bounds,
                         sup_convolve)
@@ -466,6 +466,20 @@ def test_jump_part_with_intensity_keeps_its_bits(canonical, gamma_quad):
     for w in (gamma_quad.weights, wz):
         np.testing.assert_array_equal(canonical.jump_part(u, w),
                                       left_to_right_sum(canonical.g(u), w))
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0])
+def test_canonical_g_and_slope_writes_g_into_the_exponent_buffer(gamma_quad, delta):
+    # two (n, Q) arrays, no third for g, and the bits of g and expm1; a 0-d
+    # value works too
+    drv = q.make_driver("canonical", StructureParams(delta, 0.0, 0.0))
+    u = np.asfortranarray(np.random.default_rng(5).normal(size=(4000, gamma_quad.n_nodes)))
+    (g_vals, slope), peak = traced_peak(drv.g_and_slope, u)
+    assert peak < 2.5 * u.nbytes
+    assert g_vals.tobytes() == drv.g(u).tobytes()
+    assert slope.tobytes() == np.expm1(delta * u).tobytes()
+    g0, slope0 = drv.g_and_slope(0.3)
+    assert (float(g0), float(slope0)) == (float(drv.g(0.3)), math.expm1(delta * 0.3))
 
 
 def test_nonconvex_jump_integrand_is_refused(gamma_quad, small_ensemble):

@@ -9,8 +9,9 @@ from scipy import integrate, special  # the independent reference; the package n
 import qebsdej as q
 from qebsdej.levy import DivergentMassError, ExponentOverflowError, LevyModel
 
-from references import (exp1_reference, left_to_right_sum, small_jump_residual,
-                        stable_small_jump_second_moment, stable_tail_mass_exact)
+from references import (exp1_reference, interval_counts, left_to_right_sum,
+                        small_jump_residual, stable_small_jump_second_moment,
+                        stable_tail_mass_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +343,27 @@ def test_jump_mark_fractions_multinomial(two_node_quad):
     n_jumps = table.n_jumps
     band = 3.0 * math.sqrt(0.75 * 0.25 / n_jumps)
     assert abs(frac1 - 0.75) <= band
+
+
+def test_jump_cells_match_the_dense_counts():
+    # node 1 carries no intensity, node 0 enough that many paths see two or
+    # more of its jumps in one interval; interval 2 has no intensity at all
+    wz = np.array([3.0, 0.0, 0.5, 0.02])
+    intensity = np.stack([wz, 2.0 * wz, np.zeros_like(wz)])
+    table = q.sample_jump_paths(intensity, 0.5, 3000, seed=17)
+    for k in range(3):
+        paths, nodes, counts = table.cells_for_interval(k)
+        dense = interval_counts(table, k)
+        got = np.zeros_like(dense)
+        got[paths, nodes] = counts
+        assert got.tobytes() == dense.tobytes()
+        # one entry per distinct cell, each with at least one jump
+        assert np.unique(paths * wz.size + nodes).size == paths.size
+        assert np.all(counts >= 1)
+        if k < 2:
+            assert counts.max() >= 2 and not dense[:, 1].any()
+        else:
+            assert paths.size == 0
 
 
 def test_zero_mass_no_jumps():

@@ -10,8 +10,8 @@ from qebsdej.scheme import (Schedule, UnlinkedComparisonError, default_c_split,
                             run_triple_scheme)
 from qebsdej.solver import EnsembleMismatchError
 
-from conftest import forward, solve
-from references import girsanov_tilt_exact
+from conftest import forward, solve, traced_peak
+from references import c_split_concatenated, girsanov_tilt_exact
 
 
 def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
@@ -238,6 +238,16 @@ def test_default_split_without_martingale_part(gamma_model, gamma_quad, scale):
     assert default_c_split(sol) == 1.0
     rep = driver_l1_gap(sol, sol, default_c_split(sol))
     assert rep.a1 == rep.a2 == rep.region_fraction == 0.0
+
+
+def test_default_split_fills_one_buffer(perturbed_solution):
+    # one n K buffer, partitioned in place, and the bits of the percentile of
+    # the concatenated sizes
+    sol = perturbed_solution
+    np.percentile(np.zeros(2), 90.0)  # the first call imports numpy.ma, about 1.2 MB
+    split, peak = traced_peak(default_c_split, sol)
+    assert peak < 2 * sol.z.nbytes
+    assert split == c_split_concatenated(sol)
 
 
 def test_gap_split_validation(mini_scheme):

@@ -14,8 +14,10 @@ from qebsdej.semimartingale import martingale_regression_test, pairwise_gap
 from qebsdej.solver import (CLIP_SIGMAS, EnsembleMismatchError, FeatureMap,
                             NonContractionError, Regression, same_ensemble)
 
-from conftest import forward, solve
-from references import canonical_paths, girsanov_tilt_exact, structure_bounds
+from conftest import forward, solve, traced_peak
+from references import (canonical_paths, dense_jump_targets, girsanov_tilt_exact,
+                        reconstruction_gap_whole_array, s2_norm_whole_array,
+                        structure_bounds)
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +278,51 @@ def test_girsanov_tilt_spread_does_not_see_x0():
     assert far.value == x0 + near.value
 
 
+def _tilt_draws(b, c_tilde, mass, t_end, n_samples, seed):
+    """The Brownian and Poisson terminals ``girsanov_tilt_mc`` draws."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(b * t_end, math.sqrt(t_end), n_samples),
+            rng.poisson((1.0 + c_tilde) * mass * t_end, n_samples))
+
+
+def test_girsanov_tilt_se_keeps_its_bits_at_any_scale():
+    # the power-of-two scaling is exact: wherever the unscaled squares do not
+    # overflow, the SE has the bits of the plain sample SD
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        impact, seed = 10.0 ** rng.uniform(-100.0, 100.0), int(rng.integers(2**31))
+        n = int(rng.integers(20, 60))
+        w, cnt = _tilt_draws(0.0, 0.0, 1.0, 1.0, n, seed)
+        dev = (w - w.mean()) + impact * (cnt - cnt.mean())
+        plain = float(dev.std(ddof=1) / math.sqrt(n))
+        got = girsanov_tilt_mc(0.0, 0.0, 1.0, 1.0, x0=0.0, impact=impact,
+                               n_samples=n, seed=seed).stderr
+        assert got == plain, (impact, seed, n)
+
+
+def test_girsanov_tilt_se_of_a_large_spread_is_finite():
+    # at |impact| ~ 3e153 the squared deviations overflow; the SE of the
+    # counts times the impact is representable and is what the oracle reports
+    impact = 2.9980769960612384e+153
+    est = girsanov_tilt_mc(0.0, 0.0, 1.0, 1.0, x0=0.0, impact=impact, n_samples=20, seed=0)
+    _, cnt = _tilt_draws(0.0, 0.0, 1.0, 1.0, 20, 0)
+    assert math.isfinite(est.value)
+    assert est.stderr == pytest.approx(impact * cnt.std(ddof=1) / math.sqrt(20), rel=1e-12)
+    assert 6e152 < est.stderr < 8e152
+
+
+def test_girsanov_tilt_se_keeps_the_brownian_part_without_jumps():
+    # at 1.75 expected jumps this seed draws none; the jump part of every
+    # deviation is then zero and the SE is the Brownian part's, which a sum
+    # with the jump part before the deviations would round away
+    mass, impact = 0.0625, 9.223372036854774e18
+    w, cnt = _tilt_draws(0.0, 0.0, mass, 1.0, 28, 0)
+    assert not cnt.any()
+    est = girsanov_tilt_mc(0.0, 0.0, mass, 1.0, x0=0.0, impact=impact, n_samples=28, seed=0)
+    assert est.stderr == float(w.std(ddof=1) / math.sqrt(28))
+    assert 0.1 < est.stderr < 0.3
+
+
 def test_non_contraction_guard(brownian_ensemble, null_quad):
     p = q.StructureParams(1.0, 0.0, 30.0)
     drv = q.make_driver("linear", p, a=30.0)  # dt = 0.04, dt * 30 > 1
@@ -312,23 +359,42 @@ def test_decompose_holds_no_cumulative_copies(gamma_model, gamma_quad):
     assert peak - before < 2 * dec.dm.nbytes
 
 
-def test_reconstruction_gap_holds_two_arrays(gamma_model, gamma_quad):
-    # the in-place gap keeps two (n, K) arrays live and gives the bits of the
-    # one-expression form, which holds three
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
-    drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        gap = _reconstruction_gap(sol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    y, dv = sol.y, sol.driver_values * ens.dt
-    assert peak - before <= 2.5 * dv.nbytes
-    rebuilt = y[:, :1] - np.cumsum(dv, axis=1) + np.cumsum(np.diff(y, axis=1) + dv, axis=1)
-    assert gap == float(np.max(np.abs(y[:, 1:] - rebuilt)))
+def test_reconstruction_gap_streams_by_step(perturbed_solution):
+    # per-path running sums: no (n, K) array, and the bits of the whole-array
+    # cumulative sums
+    sol = perturbed_solution
+    gap, peak = traced_peak(_reconstruction_gap, sol)
+    assert peak < sol.driver_values.nbytes
+    assert gap > 0.0
+    assert gap == reconstruction_gap_whole_array(sol)
+
+
+def test_s2_norm_streams_by_step(perturbed_solution):
+    sol = perturbed_solution
+    s2, peak = traced_peak(sol.s2_norm)
+    assert peak < 4 * sol.y[:, 0].nbytes
+    assert s2 == s2_norm_whole_array(sol)
+
+
+def test_solve_on_sparse_jump_targets_keeps_the_bits_of_dense_ones(gamma_model, gamma_quad,
+                                                                   monkeypatch):
+    # at 2000 paths the first four nodes are live and the rest dead, and in
+    # every interval some path sees two jumps at one live node
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, 2000, seed=31)
+    live = ens.intensity[0] * ens.dt * ens.n_paths >= solver.MIN_EXPECTED_JUMPS
+    assert live.any() and not live.all()
+    for k in range(ens.n_steps):
+        _, nodes, counts = ens.jumps.cells_for_interval(k)
+        assert (live[nodes] & (counts >= 2)).any()
+    drv = q.DriverView(q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0)), ens)
+    sparse = solve(drv, lambda x: np.abs(0.25 * x))
+    monkeypatch.setattr(solver, "_jump_targets", dense_jump_targets)
+    dense = solve(drv, lambda x: np.abs(0.25 * x))
+    for name in ("y", "z", "driver_values"):
+        assert getattr(sparse, name).tobytes() == getattr(dense, name).tobytes(), name
+    for k in range(ens.n_steps):
+        assert sparse.u_coeffs[k].tobytes() == dense.u_coeffs[k].tobytes()
+        assert sparse.u_coeffs[k][:, live].any()
 
 
 def test_reconstruction_identity(small_ensemble, gamma_quad):
