@@ -115,9 +115,9 @@ def _canonical(structure: StructureParams) -> Driver:
 
     def g_and_slope(v):
         # one exponential per cell gives both values, and g overwrites the
-        # exponent's buffer (an array even for a 0-d v)
+        # exponent's buffer (an array even for a 0-d v, in the layout of v)
         v = np.asarray(v, dtype=float)
-        x = np.multiply(delta, v, out=np.empty(v.shape))
+        x = np.multiply(delta, v, out=np.empty_like(v))
         slope = capped_expm1(x)
         np.subtract(slope, x, out=x)
         x /= delta
@@ -388,7 +388,7 @@ class RegularizedDriver:
         g_mass = self._g_grid * mass
         if not open_rows.any():
             return out, query
-        u_open = u_sub[open_rows]
+        u_open = np.asfortranarray(u_sub[open_rows])
         s1 = nu_dot(u_open, wz)
         s2 = nu_dot(u_open * u_open, wz)
 

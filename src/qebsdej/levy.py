@@ -296,9 +296,15 @@ def nu_dot(field, wz: np.ndarray) -> np.ndarray:
     The products are accumulated left to right over the nodes, one column
     at a time, without BLAS: a row gets the same bits in any memory layout,
     in any row subset and at any thread count.  The kernel reads whole
-    columns, so it is fastest on column-major fields.
+    columns, so it is fastest on column-major fields.  A field without
+    nodes sums to +0.0 on every row; one whose node count is not that of
+    ``wz`` is refused.
     """
     field = np.asarray(field, dtype=float)
+    if field.shape[-1] != len(wz):
+        raise ValueError(f"a field on {field.shape[-1]} nodes against {len(wz)} intensities")
+    if field.shape[-1] == 0:
+        return np.zeros(field.shape[:-1])
     out = field[..., 0] * wz[0]
     for i in range(1, field.shape[-1]):
         out += field[..., i] * wz[i]
@@ -452,19 +458,29 @@ class JumpTable:
         cells, counts = np.unique(paths * self.n_nodes + marks, return_counts=True)
         return cells // self.n_nodes, cells % self.n_nodes, counts
 
-    def compensated_sum(self, k: int, field, wz: np.ndarray, dt: float) -> np.ndarray:
+    def compensated_sum(self, k: int, field, wz: np.ndarray, dt: float,
+                        nodes: np.ndarray | None = None) -> np.ndarray:
         """Compensated jump sum of ``field`` over interval ``k``, per path:
         ``sum over the path's jumps of field[path, mark] - sum_i wz_i field_i dt``.
-        ``field`` holds one value per node, shape (Q,), or per path and node,
-        shape (n_paths, Q); ``wz`` is the node intensity of the interval."""
+
+        The last axis of ``field`` holds, in order, the L nodes that the
+        (Q,) mask ``nodes`` selects (every node when None): one value per
+        node, shape (L,), or per path and node, shape (n_paths, L).  ``wz``
+        is the intensity of those nodes on the interval.  A jump at any other
+        node adds nothing, as a field of exact zeros there would."""
         paths, marks = self.rows_for_interval(k)
         out = np.zeros(self.n_paths)
         if paths.size == 0 and not (wz > 0).any():
             # no jump and no compensator: the sum is zero whatever the field
             return out
         field = np.asarray(field, dtype=float)
+        column = np.full(self.n_nodes, -1)
+        column[slice(None) if nodes is None else nodes] = np.arange(field.shape[-1])
+        cols = column[marks]
+        hit = cols >= 0
+        paths, cols = paths[hit], cols[hit]
         np.add.at(out, paths,
-                  np.broadcast_to(field, (self.n_paths, self.n_nodes))[paths, marks])
+                  np.broadcast_to(field, (self.n_paths, field.shape[-1]))[paths, cols])
         return out - nu_dot(field, wz) * dt
 
 

@@ -120,8 +120,11 @@ def _solution_rows(solution, max_paths: int):
     n_show = solution.n_paths if max_paths <= 0 else min(solution.n_paths, max_paths)
     rows = []
     for k in range(n_steps + 1):
-        u_now = (solution.u_values(k, slice(n_show)) if k < n_steps
-                 else np.zeros((n_show, ensemble.quad.n_nodes)))
+        # the loading of a dead node, and every loading at the terminal
+        # time, is exported as 0
+        u_now = np.zeros((n_show, ensemble.quad.n_nodes))
+        if k < n_steps:
+            u_now[:, ensemble.live] = solution.u_values(k, slice(n_show))
         t, z_k = float(ensemble.time_grid[k]), solution.z[:n_show, min(k, n_steps - 1)]
         columns = zip(solution.y[:n_show, k].tolist(), z_k.tolist(), u_now.tolist())
         for p, (y, z, u) in enumerate(columns):
@@ -272,12 +275,14 @@ EXIT_CRASH = 70
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> int:
     """Run ``cfg`` and write its artifacts.  A solve that does not close or
     a value that overflows is a failed run, like a failed scheme triple: its
-    one check fails with the error, and no table is written."""
+    one check fails with the error, and no table is written.  Where Python
+    runs with warnings as errors, NumPy raises its overflow and invalid-value
+    warnings instead of returning inf or NaN; they fail the run the same way."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         checks, tables = _RUNNERS[cfg.experiment](cfg)
-    except (PicardError, OverflowError) as exc:
+    except (PicardError, OverflowError, RuntimeWarning) as exc:
         checks = [CheckResult(cfg.experiment, False, math.nan, 0.0,
                               f"{type(exc).__name__}: {exc}")]
         tables = {}

@@ -239,8 +239,9 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
     a1 = a2 = 0.0
     norm2_sum = np.zeros(n)
     region_hits = 0.0
+    live_wz = ensemble.live_intensity
     for k in range(k_steps):
-        u_norm = nu_norm(sol.u_values(k), ensemble.intensity[k])
+        u_norm = nu_norm(sol.u_values(k), live_wz[k])
         size = np.abs(sol.z[:, k]) + u_norm
         gap = np.abs(sol.driver_values[:, k] - sol_proxy.driver_values[:, k])
         inside = size <= c_split
@@ -261,12 +262,12 @@ def default_c_split(sol: BsdejSolution) -> float:
     the square of that underflows to zero (for a solve without martingale
     part, say), since the Chebyshev bound divides by it.  The sizes of all
     steps fill one buffer, which the percentile then partitions in place."""
-    n = sol.n_paths
+    n, live_wz = sol.n_paths, sol.ensemble.live_intensity
     sizes = np.empty(n * sol.n_steps)
     for k in range(sol.n_steps):
         size = sizes[k * n:(k + 1) * n]
         np.abs(sol.z[:, k], out=size)
-        size += nu_norm(sol.u_values(k), sol.ensemble.intensity[k])
+        size += nu_norm(sol.u_values(k), live_wz[k])
     split = 5.0 * float(np.percentile(sizes, 90.0, overwrite_input=True))
     return split if split ** 2 > 0.0 else 1.0
 

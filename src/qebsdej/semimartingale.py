@@ -40,22 +40,25 @@ def check_q_structure(solution: BsdejSolution, params: StructureParams,
     ``tol`` is an absolute slack (scalar or per-step array), typically a
     multiple of the regression standard error.  The lower edge is taken only
     on the rows with ``dV < -tol``: ``q_lower <= 0``, so no other row can
-    fall below it.
+    fall below it.  The jump penalty sums over the live nodes, since the
+    loading is zero on the others.
     """
     ensemble = solution.ensemble
     dt = ensemble.dt
+    live_wz = ensemble.live_intensity
     tol = np.broadcast_to(np.asarray(tol, dtype=float), solution.driver_values.shape)
     # one step at a time, keeping only an exact count of violations
     n_violations = 0
     for k in range(solution.n_steps):
         y, z, u = solution.y[:, k], solution.z[:, k], solution.u_values(k)
-        wz, tol_k = ensemble.intensity[k], tol[:, k]
+        wz, tol_k = live_wz[k], tol[:, k]
         dv = solution.driver_values[:, k] * dt
         q_hi = corridor_edge(y, z, u, params, wz, upper=True)
         outside = q_hi * dt - dv < -tol_k
         low = np.flatnonzero(dv < -tol_k)
         if low.size:
-            q_lo = corridor_edge(y[low], z[low], u[low], params, wz, upper=False)
+            q_lo = corridor_edge(y[low], z[low], np.asfortranarray(u[low]), params, wz,
+                                 upper=False)
             outside[low] |= dv[low] - q_lo * dt < -tol_k[low]
         n_violations += int(np.count_nonzero(outside))
     return QStructureReport(n_violations / solution.driver_values.size)

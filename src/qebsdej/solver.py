@@ -16,6 +16,7 @@ is below one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -41,7 +42,7 @@ class EnsembleMismatchError(ValueError):
 DYNAMICS = ("brownian", "brownian_jumps", "jumps_only", "deterministic")
 JUMP_IMPACTS = ("unit", "mark")
 CLIP_SIGMAS = 4.0            # see FeatureMap
-MIN_EXPECTED_JUMPS = 20.0    # see solve_lipschitz
+MIN_EXPECTED_JUMPS = 20.0    # see PathEnsemble.live
 
 
 @dataclass
@@ -52,7 +53,9 @@ class PathEnsemble:
     ``intensity[k]`` is the node intensity of interval ``k``: the quadrature
     weights ``w_i``, the same on every interval.  The jump stream, the
     forward compensator, the solve, the decomposition and the audits all read
-    this one table.  ``dw`` and ``state`` are stored step-major
+    this one table.  Since it is the same on every interval, so is the set of
+    :attr:`live` nodes, the only ones on which a solve regresses a jump
+    loading.  ``dw`` and ``state`` are stored step-major
     (column-major), as are the solution and decomposition fields: every stage
     works one step's column at a time, and that column is then one contiguous
     block.
@@ -85,6 +88,20 @@ class PathEnsemble:
     @property
     def n_steps(self) -> int:
         return self.intensity.shape[0]
+
+    @property
+    def live(self) -> np.ndarray:
+        """Mask of the live nodes, shape (Q,): those expected to see at least
+        ``MIN_EXPECTED_JUMPS`` jumps across the ensemble in one step.  A dead
+        node's loading is pinned at zero (its intensity-weighted contribution
+        is below the Monte Carlo resolution), so solutions store the loading
+        on the live nodes only."""
+        return self.intensity[0] * self.dt * self.n_paths >= MIN_EXPECTED_JUMPS
+
+    @property
+    def live_intensity(self) -> np.ndarray:
+        """``intensity`` on the live nodes, shape (K, L)."""
+        return self.intensity[:, self.live]
 
     def regression(self, k: int, degree: int) -> "Regression":
         """Least squares on the degree-``degree`` features of step ``k``'s
@@ -264,10 +281,12 @@ class BsdejSolution:
 
     ``y`` has shape (n_paths, K+1) with the terminal column equal to the
     terminal payoff exactly.  ``z`` has shape (n_paths, K).  The jump
-    loadings are stored as regression coefficients per step and node and
-    re-evaluated on demand through :meth:`u_values`.  ``driver_values`` are
-    the generator values actually used by the backward step, so downstream
-    decompositions reproduce the recursion identically on ``ensemble``.
+    loadings are stored as regression coefficients per step on the ensemble's
+    L live nodes, ``u_coeffs[k]`` of shape (n_basis, L), and re-evaluated on
+    demand through :meth:`u_values`; the loading of a dead node is zero.
+    ``driver_values`` are the generator values actually used by the backward
+    step, so downstream decompositions reproduce the recursion identically on
+    ``ensemble``.
     """
 
     y: np.ndarray
@@ -295,20 +314,24 @@ class BsdejSolution:
         return float(self.y[:, 0].mean())
 
     def u_values(self, k: int, rows=None) -> np.ndarray:
-        """Jump loading field at step ``k``, shape (n_paths, Q), or only on
-        the paths that the index ``rows`` selects; column-major, the layout
-        that :func:`qebsdej.levy.nu_dot` reads fastest."""
+        """Jump loading field at step ``k`` on the live nodes, shape
+        (n_paths, L), or only on the paths that the index ``rows`` selects;
+        column-major, the layout that :func:`qebsdej.levy.nu_dot` reads
+        fastest."""
         x = self.ensemble.state[:, k]
         design = self.feature_maps[k].matrix(x if rows is None else x[rows])
         u = _column_major_product(design, self.u_coeffs[k])
         return np.clip(u, -self.u_clip[k], self.u_clip[k], out=u)
 
+    @functools.cached_property
+    def _max_basis(self) -> int:
+        return max(fm.n_basis for fm in self.feature_maps)
+
     def regression_se(self, k: int) -> float:
         """Propagated regression standard error of the time-``t_k`` values:
         per-step projection noise ``resid_var * n_basis / n_paths`` summed
-        over the remaining steps."""
-        nb = max(fm.n_basis for fm in self.feature_maps)
-        var = float(self.resid_var[k:].sum()) * nb / self.n_paths
+        over the remaining steps, with the largest basis of any step."""
+        var = float(self.resid_var[k:].sum()) * self._max_basis / self.n_paths
         return math.sqrt(max(var, 0.0))
 
     @property
@@ -354,10 +377,9 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
     ``driver`` is a bound or regularized driver, solved on its ``ensemble``:
     its ``evaluate(k, y, z, u_values)`` runs over paths and its ``lip_y``
     sets the contraction guard.
-    Jump loadings are only regressed on nodes expected to see at least
-    ``MIN_EXPECTED_JUMPS`` jumps across the ensemble in one step; the loading
-    of a statistically dead node is pinned at zero (its intensity-weighted
-    contribution to the generator is below the Monte Carlo resolution anyway).
+    Jump loadings are only regressed on the ensemble's live nodes (see
+    :attr:`PathEnsemble.live`); the generator reads them on every node, with
+    the loading of a dead node pinned at zero.
     """
     ensemble = driver.ensemble
     dt = ensemble.dt
@@ -381,6 +403,8 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
     conds = np.zeros(k_steps)
     picard_counts = np.zeros(k_steps, dtype=int)
     u_clip = np.zeros(k_steps)
+    live = ensemble.live
+    live_nodes = np.flatnonzero(live)
 
     for k in range(k_steps - 1, -1, -1):
         reg = ensemble.regression(k, basis_degree)
@@ -388,15 +412,13 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         y_next = y[:, k + 1]
 
         lam_dt = ensemble.intensity[k] * dt
-        live = lam_dt * n >= MIN_EXPECTED_JUMPS
-
         _, ey_raw = reg.fit(y_next)
         # center the covariation targets with the fitted conditional mean: a
         # time-t_k measurable control variate that leaves the estimands
         # unchanged but shrinks the target variance from the scale of Y^2 to
         # the one-step conditional variance
         centered = y_next - ey_raw
-        targets = np.empty((n, 1 + int(live.sum())), order="F")
+        targets = np.empty((n, 1 + live_nodes.size), order="F")
         np.multiply(centered, ensemble.dw[:, k], out=targets[:, 0])
         targets[:, 0] /= dt
         _jump_targets(ensemble.jumps, k, lam_dt, live, centered, out=targets[:, 1:])
@@ -411,11 +433,9 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         ey = np.clip(ey_raw, y_lo, y_hi)
         z[:, k] = fitted[:, 0]
         u_now = np.zeros((n, q_nodes), order="F")
-        for col, node in enumerate(np.flatnonzero(live), start=1):
+        for col, node in enumerate(live_nodes, start=1):
             np.clip(fitted[:, col], -osc, osc, out=u_now[:, node])
-        uc = np.zeros((reg.n_basis, q_nodes))
-        uc[:, live] = coeffs[:, 1:]
-        u_coeffs[k], fmaps[k] = uc, reg.feature_map
+        u_coeffs[k], fmaps[k] = coeffs[:, 1:].copy(), reg.feature_map
         u_clip[k] = osc
         resid_var[k] = float(np.mean((y_next - ey) ** 2))
 
@@ -457,8 +477,9 @@ class Decomposition:
 def decompose(solution: BsdejSolution) -> Decomposition:
     """Assemble the estimated martingale increments of a solve."""
     ensemble = solution.ensemble
+    live, wz = ensemble.live, ensemble.live_intensity
     dm = solution.z * ensemble.dw
     for k in range(solution.n_steps):
-        dm[:, k] += ensemble.jumps.compensated_sum(k, solution.u_values(k),
-                                                   ensemble.intensity[k], ensemble.dt)
+        dm[:, k] += ensemble.jumps.compensated_sum(k, solution.u_values(k), wz[k],
+                                                   ensemble.dt, nodes=live)
     return Decomposition(dm, solution)

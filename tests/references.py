@@ -45,16 +45,18 @@ def structure_bounds(y, z, u, params: StructureParams, wz: np.ndarray):
 def check_q_structure_two_sided(solution: BsdejSolution, params: StructureParams,
                                 tol=0.0) -> tuple[np.ndarray, float]:
     """``semimartingale.check_q_structure`` with both corridor edges taken
-    on every cell, as whole (n_paths, K) arrays: the per-cell slack below
-    the upper edge (positive means strictly inside) and the fraction of
-    cells outside either edge."""
+    on every cell, as whole (n_paths, K) arrays, and the jump penalty summed
+    over every master node (see :func:`padded_u_values`): the per-cell slack
+    below the upper edge (positive means strictly inside) and the fraction
+    of cells outside either edge."""
     ensemble = solution.ensemble
     dt = ensemble.dt
     dv = solution.driver_values * dt
     lower, upper = np.empty_like(dv), np.empty_like(dv)
     for k in range(solution.n_steps):
         q_lo, q_hi = structure_bounds(solution.y[:, k], solution.z[:, k],
-                                      solution.u_values(k), params, ensemble.intensity[k])
+                                      padded_u_values(solution, k), params,
+                                      ensemble.intensity[k])
         lower[:, k], upper[:, k] = q_lo * dt, q_hi * dt
     tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
     outside = (upper - dv < -tol) | (dv - lower < -tol)
@@ -62,8 +64,24 @@ def check_q_structure_two_sided(solution: BsdejSolution, params: StructureParams
 
 
 # ---------------------------------------------------------------------------
-# whole-array forms of the run path's streamed and sparse computations
+# whole-array, full-width forms of the run path's streamed and sparse
+# computations
 # ---------------------------------------------------------------------------
+
+def padded_u_values(solution: BsdejSolution, k: int, rows=None) -> np.ndarray:
+    """``BsdejSolution.u_values`` on every master node, shape (n_paths, Q):
+    the live nodes' loading coefficients padded with a zero column per dead
+    node, then one column-major product with the design and one clip, as a
+    solution that stored the loading on every node evaluated it.  A dead
+    column is exactly +0.0, since the design's intercept column is 1."""
+    live = solution.ensemble.live
+    coeffs = np.zeros((solution.u_coeffs[k].shape[0], live.size))
+    coeffs[:, live] = solution.u_coeffs[k]
+    x = solution.ensemble.state[:, k]
+    design = solution.feature_maps[k].matrix(x if rows is None else x[rows])
+    u = np.matmul(design, coeffs, out=np.empty((design.shape[0], live.size), order="F"))
+    return np.clip(u, -solution.u_clip[k], solution.u_clip[k], out=u)
+
 
 def interval_counts(jumps: JumpTable, k: int) -> np.ndarray:
     """Dense per-node jump counts over interval ``k``, shape (n_paths, Q)."""
@@ -95,9 +113,10 @@ def s2_norm_whole_array(solution: BsdejSolution) -> float:
 
 
 def c_split_concatenated(solution: BsdejSolution) -> float:
-    """``scheme.default_c_split`` from the concatenated per-step sizes."""
+    """``scheme.default_c_split`` from the concatenated per-step sizes, with
+    the loading's norm taken over every master node."""
     sizes = [np.abs(solution.z[:, k])
-             + nu_norm(solution.u_values(k), solution.ensemble.intensity[k])
+             + nu_norm(padded_u_values(solution, k), solution.ensemble.intensity[k])
              for k in range(solution.n_steps)]
     split = 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
     return split if split ** 2 > 0.0 else 1.0

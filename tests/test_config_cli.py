@@ -633,6 +633,10 @@ def oracle_configs(draw):
     "n_samples": 28}})
 @example(payload={"experiment": "oracle", "oracle": {
     "name": "girsanov_tilt", "impact": 2.9980769960612384e+153, "n_samples": 20}})
+@example(payload={"experiment": "oracle", "oracle": {
+    "name": "girsanov_tilt", "impact": 5.992310449541053e+307, "n_samples": 20}})
+@example(payload={"experiment": "oracle", "oracle": {
+    "name": "girsanov_tilt", "impact": 8.98846567431158e+307, "n_samples": 20}})
 def test_oracle_verb_never_crashes(tmp_path_factory, payload):
     # a config the validator accepts runs to a verdict; a sampling oracle that
     # reports a finite estimate gives it a positive standard error, unless its

@@ -478,6 +478,8 @@ def test_canonical_g_and_slope_writes_g_into_the_exponent_buffer(gamma_quad, del
     assert peak < 2.5 * u.nbytes
     assert g_vals.tobytes() == drv.g(u).tobytes()
     assert slope.tobytes() == np.expm1(delta * u).tobytes()
+    # a column-major field gives column-major values, the layout nu_dot reads
+    assert g_vals.flags.f_contiguous and slope.flags.f_contiguous
     g0, slope0 = drv.g_and_slope(0.3)
     assert (float(g0), float(slope0)) == (float(drv.g(0.3)), math.expm1(delta * 0.3))
 

@@ -401,6 +401,34 @@ def test_compensated_sum_of_an_empty_interval_is_exact_zero(gamma_quad):
                     assert out.tobytes() == np.zeros(n).tobytes()
 
 
+def test_compensated_sum_on_a_node_subset_is_the_zero_padded_sum(gamma_quad):
+    # a field on the nodes that a mask selects gives the bits of the field
+    # padded with +0.0 on the other nodes: jumps there add nothing
+    wz, n, dt = gamma_quad.weights, 1500, 0.25
+    table = q.sample_jump_paths(np.tile(wz, (3, 1)), dt, n, seed=15)
+    rng = np.random.default_rng(16)
+    masks = [np.arange(wz.size) % 3 != 1, np.zeros(wz.size, dtype=bool),
+             np.ones(wz.size, dtype=bool)]
+    for nodes in masks:
+        field = np.asfortranarray(rng.uniform(-1.0, 1.0, (n, int(nodes.sum()))))
+        padded = np.zeros((n, wz.size), order="F")
+        padded[:, nodes] = field
+        for k in range(3):
+            _, marks = table.rows_for_interval(k)
+            assert nodes[marks].any() or not nodes.any()
+            got = table.compensated_sum(k, field, wz[nodes], dt, nodes=nodes)
+            assert got.tobytes() == table.compensated_sum(k, padded, wz, dt).tobytes()
+
+
+def test_nu_dot_over_no_node_is_positive_zero_of_the_row_shape():
+    for shape in ((0,), (7, 0), (3, 4, 0)):
+        out = q.nu_dot(np.empty(shape), np.empty(0))
+        assert np.shape(out) == shape[:-1]
+        assert not np.any(out) and not np.signbit(out).any()
+    with pytest.raises(ValueError, match="4 nodes against 5"):
+        q.nu_dot(np.ones((3, 4)), np.ones(5))
+
+
 def test_jump_table_reproducible(gamma_quad):
     intensity = np.tile(gamma_quad.weights, (8, 1))
     a = q.sample_jump_paths(intensity, 0.125, 2000, seed=12)

@@ -1,17 +1,19 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 import qebsdej as q
-from qebsdej import solver
+from qebsdej import levy, solver
 from qebsdej.scheme import (Schedule, UnlinkedComparisonError, default_c_split,
                             driver_l1_gap, ladder_quadrature, monotonicity_check,
                             run_triple_scheme)
-from qebsdej.solver import EnsembleMismatchError
+from qebsdej.semimartingale import check_q_structure
+from qebsdej.solver import BsdejSolution, EnsembleMismatchError, PathEnsemble
 
 from conftest import forward, solve, traced_peak
-from references import c_split_concatenated, girsanov_tilt_exact
+from references import c_split_concatenated, girsanov_tilt_exact, padded_u_values
 
 
 def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
@@ -177,14 +179,88 @@ def test_certified_ladder_matches_the_envelope_on_every_row(certified_and_full):
     for rec in certified.records:
         sol = rec.solution
         ens = sol.ensemble
-        node_idx = ens.quad.restrict_indices(rec.kappa)
+        # the triple's nodes among the live ones: a dead node's loading is
+        # zero and adds nothing to the slope sum
+        kept = np.isin(np.flatnonzero(ens.live), ens.quad.restrict_indices(rec.kappa))
         certified_rows = 0
         for k in range(sol.n_steps):
-            u = sol.u_values(k)[:, node_idx]
-            slope = np.expm1(u) ** 2 * ens.intensity[k][node_idx]
+            u = sol.u_values(k)[:, kept]
+            slope = np.expm1(u) ** 2 * ens.live_intensity[k][kept]
             certified_rows += int(((slope.sum(axis=-1) <= rec.n ** 2)
                                    & (np.abs(sol.z[:, k]) <= rec.n)).sum())
         assert 0 < certified_rows < sol.driver_values.size
+
+
+def test_every_field_summed_over_the_nodes_is_column_major(gamma_model, monkeypatch):
+    # nu_dot reads one node's column at a time, which is one contiguous block
+    # only in a column-major field.  The scale-one ladder opens envelope
+    # rows, so the bisection's row subset is summed too, and a linear driver
+    # that changes sign makes the corridor audit take its lower edge on a
+    # row subset
+    real, seen = levy.nu_dot, []
+
+    def recording(field, wz):
+        field = np.asarray(field)
+        if field.ndim == 2:
+            seen.append((sys._getframe(1).f_code.co_name, field.shape[0],
+                         field.flags.f_contiguous))
+        return real(field, wz)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qebsdej")]:
+        if getattr(module, "nu_dot", None) is real:
+            monkeypatch.setattr(module, "nu_dot", recording)
+    params = q.StructureParams(1.0, 0.0, 0.0)
+    scale, triples = LADDERS["scale_one"]
+    ens, result = run_ladder(q.make_driver("canonical", params),
+                             lambda x: np.abs(scale * x), gamma_model, Schedule(triples),
+                             seed=5, k_steps=6, n_paths=2000, q_nodes=12)
+    assert all(rec.envelope_active > 0.0 for rec in result.report.records)
+    linear = solve(q.DriverView(q.make_driver("linear", params, a=-0.8), ens),
+                   lambda x: 0.25 * x)
+    check_q_structure(linear, params)
+    assert {"_jump_envelope", "j_functional", "nu_norm"} <= {name for name, _, _ in seen}
+    assert any(name == "j_functional" and rows < ens.n_paths for name, rows, _ in seen)
+    assert [name for name, _, column_major in seen if not column_major] == []
+
+
+# ---------------------------------------------------------------------------
+# the loading on the live nodes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_paths", [2000, 150])
+def test_live_width_fields_keep_the_bits_of_zero_padded_ones(gamma_model, gamma_quad,
+                                                            n_paths, monkeypatch):
+    # a solution stores its loading on the live nodes only; each reader of
+    # it gives the bits that the zero-padded field on every node gives, at
+    # 2000 paths (live and dead nodes) and at 150 (no live node at all)
+    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, n_paths, seed=17)
+    live = ens.live
+    assert live.any() == (n_paths == 2000) and not live.all()
+    params = q.StructureParams(1.0, 0.0, 0.0)
+    view = q.DriverView(q.make_driver("canonical", params), ens)
+    sol, proxy = (solve(q.regularize(view, n, n), lambda x: np.abs(x)) for n in (1, 4))
+    tol = np.array([3.0 * sol.regression_se(k) for k in range(sol.n_steps)])
+
+    def readers():
+        gap = driver_l1_gap(sol, proxy, 0.5)
+        return (check_q_structure(sol, params, tol).violation_fraction,
+                gap.a1, gap.a2, gap.chebyshev_bound, gap.region_fraction,
+                default_c_split(sol))
+
+    dm, live_width = q.decompose(sol).dm, readers()
+    padded_dm = sol.z * ens.dw
+    for s in (sol, proxy):
+        for k in range(ens.n_steps):
+            padded = padded_u_values(s, k)
+            assert not padded[:, ~live].any() and not np.signbit(padded[:, ~live]).any()
+            assert s.u_values(k).tobytes() == np.asfortranarray(padded[:, live]).tobytes()
+    for k in range(ens.n_steps):
+        padded_dm[:, k] += ens.jumps.compensated_sum(k, padded_u_values(sol, k),
+                                                     ens.intensity[k], ens.dt)
+    assert dm.tobytes() == padded_dm.tobytes()
+    monkeypatch.setattr(BsdejSolution, "u_values", padded_u_values)
+    monkeypatch.setattr(PathEnsemble, "live_intensity", property(lambda e: e.intensity))
+    assert np.array(readers()).tobytes() == np.array(live_width).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -381,7 +381,7 @@ def test_solve_on_sparse_jump_targets_keeps_the_bits_of_dense_ones(gamma_model, 
     # at 2000 paths the first four nodes are live and the rest dead, and in
     # every interval some path sees two jumps at one live node
     ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, 2000, seed=31)
-    live = ens.intensity[0] * ens.dt * ens.n_paths >= solver.MIN_EXPECTED_JUMPS
+    live = ens.live
     assert live.any() and not live.all()
     for k in range(ens.n_steps):
         _, nodes, counts = ens.jumps.cells_for_interval(k)
@@ -394,7 +394,8 @@ def test_solve_on_sparse_jump_targets_keeps_the_bits_of_dense_ones(gamma_model, 
         assert getattr(sparse, name).tobytes() == getattr(dense, name).tobytes(), name
     for k in range(ens.n_steps):
         assert sparse.u_coeffs[k].tobytes() == dense.u_coeffs[k].tobytes()
-        assert sparse.u_coeffs[k][:, live].any()
+        assert sparse.u_coeffs[k].shape[1] == live.sum()
+        assert sparse.u_coeffs[k].any(axis=0).all()
 
 
 def test_reconstruction_identity(small_ensemble, gamma_quad):
@@ -460,7 +461,7 @@ def test_solve_weighs_each_step_by_its_own_intensity(gamma_model, gamma_quad):
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     for k in range(ens.n_steps):
         _, upper = structure_bounds(sol.y[:, k], sol.z[:, k],
-                                    sol.u_values(k), p, ens.intensity[k])
+                                    sol.u_values(k), p, ens.live_intensity[k])
         np.testing.assert_allclose(sol.driver_values[:, k], upper, rtol=1e-12)
 
 
@@ -468,11 +469,15 @@ def test_solve_weighs_each_step_by_its_own_intensity(gamma_model, gamma_quad):
 # the jump clock: one step and one intensity table per ensemble
 # ---------------------------------------------------------------------------
 
-def _jump_sum(jumps, k, values):
-    """Per-path sum of ``values[path, mark]`` over the jumps of interval ``k``."""
-    rows = jumps.interval_index == k
-    paths, marks = jumps.path_index[rows], jumps.mark_index[rows]
-    return np.bincount(paths, weights=values[paths, marks], minlength=jumps.n_paths)
+def _jump_sum(jumps, k, values, nodes=None):
+    """Per-path sum of ``values[path, column]`` over the jumps of interval
+    ``k``, where a jump's column is the place of its mark among the nodes
+    that the mask ``nodes`` selects (every node when None); a jump at any
+    other node adds nothing."""
+    nodes = np.ones(jumps.n_nodes, dtype=bool) if nodes is None else nodes
+    rows = (jumps.interval_index == k) & nodes[jumps.mark_index]
+    paths, cols = jumps.path_index[rows], (np.cumsum(nodes) - 1)[jumps.mark_index[rows]]
+    return np.bincount(paths, weights=values[paths, cols], minlength=jumps.n_paths)
 
 
 def test_intensity_table_drives_the_sampler(gamma_model, gamma_quad):
@@ -503,10 +508,13 @@ def test_jump_martingale_is_the_compensated_loading_sum(gamma_model, gamma_quad)
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     dm = q.decompose(sol).dm
     dm_c = sol.z * ens.dw
+    # the loading lives on the live nodes; a jump at a dead node adds nothing
+    live = ens.live
+    assert live.any() and not live.all()
     for k in range(ens.n_steps):
         u = sol.u_values(k)
-        expect = (dm_c[:, k] + _jump_sum(ens.jumps, k, u)
-                  - (u * gamma_quad.weights).sum(axis=1) * ens.dt)
+        expect = (dm_c[:, k] + _jump_sum(ens.jumps, k, u, live)
+                  - (u * gamma_quad.weights[live]).sum(axis=1) * ens.dt)
         np.testing.assert_allclose(dm[:, k], expect, rtol=0.0, atol=1e-12)
 
 
@@ -519,7 +527,7 @@ def test_martingale_increment_is_the_loading_sum_plus_the_jump_sum(step_major_so
     expect = sol.z * ens.dw
     for k in range(ens.n_steps):
         expect[:, k] = expect[:, k] + ens.jumps.compensated_sum(
-            k, sol.u_values(k), ens.intensity[k], ens.dt)
+            k, sol.u_values(k), ens.live_intensity[k], ens.dt, nodes=ens.live)
     assert np.array_equal(q.decompose(sol).dm, expect)
 
 
@@ -539,7 +547,7 @@ def test_u_values_on_selected_rows_is_the_slice_of_the_full_field(small_ensemble
 
 def test_u_values_holds_one_field_array(small_ensemble):
     # the clip is taken in place on the product of the design and the
-    # coefficients, so the call holds the design and one (n, Q) field
+    # coefficients, so the call holds the design and one (n, L) field
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
     k = 7
@@ -569,8 +577,10 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
     sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
     # the summed increment sizes bound every running martingale value
     dm_c = sol.z * ens.dw
-    dm_d = np.stack([ens.jumps.compensated_sum(k, sol.u_values(k), ens.intensity[k],
-                                               ens.dt) for k in range(ens.n_steps)], axis=1)
+    dm_d = np.stack([ens.jumps.compensated_sum(k, sol.u_values(k), ens.live_intensity[k],
+                                               ens.dt, nodes=ens.live)
+                     for k in range(ens.n_steps)], axis=1)
+    assert ens.live.any()
     assert np.abs(dm_c).sum(axis=1).max() <= 1e-8
     assert np.abs(dm_d).sum(axis=1).max() <= 1e-8
 
