@@ -89,8 +89,8 @@ class Driver:
 
 @dataclass
 class DriverView:
-    """A driver bound to an ensemble; step ``k`` weighs the nodes by the row
-    ``ensemble.intensity[k]`` that drives the jumps and their compensator."""
+    """A driver bound to an ensemble: a step of its grid, and no other, weighs
+    the nodes by the ``ensemble.quad.weights`` that drive the jumps."""
 
     driver: Driver
     ensemble: PathEnsemble
@@ -100,7 +100,8 @@ class DriverView:
         return self.driver.lip_y
 
     def evaluate(self, k: int, y, z, u) -> np.ndarray:
-        return self.driver.evaluate(y, z, u, self.ensemble.intensity[k])
+        self.ensemble.check_step(k)
+        return self.driver.evaluate(y, z, u, self.ensemble.quad.weights)
 
 
 def _canonical(structure: StructureParams) -> Driver:
@@ -295,7 +296,7 @@ class RegularizedDriver:
 
     def _lip_needed(self) -> float:
         # mark part measured in the weighted-L2 norm via Cauchy-Schwarz, with
-        # the intensity mass on the kept nodes, the same at every t
+        # the intensity mass on the kept nodes
         mass = float(self.ensemble.quad.weights[self.node_idx].sum())
         g_lip = self.view.driver.g_lip_factor
         u_lip = g_lip * math.sqrt(mass) if math.isfinite(g_lip) else math.inf
@@ -445,12 +446,13 @@ class RegularizedDriver:
         """Regularized generator at step ``k``; vectorized over rows.
 
         ``u`` carries values on the master node set and is truncated here.
-        Records ``active[k]``.
+        Records ``active[k]``; a step outside the ensemble's grid is refused.
         """
+        self.ensemble.check_step(k)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
         u_sub = np.atleast_2d(np.asarray(u, dtype=float)[..., self.node_idx])
-        wz = self.ensemble.intensity[k][self.node_idx]
+        wz = self.ensemble.quad.weights[self.node_idx]
         if self.strategy == "lipschitz_exact":
             value = self.view.driver.evaluate(y, z, u_sub, wz)
             self.active[k] = (0, value.size)

@@ -466,8 +466,8 @@ class JumpTable:
         The last axis of ``field`` holds, in order, the L nodes that the
         (Q,) mask ``nodes`` selects (every node when None): one value per
         node, shape (L,), or per path and node, shape (n_paths, L).  ``wz``
-        is the intensity of those nodes on the interval.  A jump at any other
-        node adds nothing, as a field of exact zeros there would."""
+        is the intensity of those nodes.  A jump at any other node adds
+        nothing, as a field of exact zeros there would."""
         paths, marks = self.rows_for_interval(k)
         out = np.zeros(self.n_paths)
         if paths.size == 0 and not (wz > 0).any():
@@ -484,23 +484,20 @@ class JumpTable:
         return out - nu_dot(field, wz) * dt
 
 
-def sample_jump_paths(intensity: np.ndarray, dt: float, n_paths: int,
+def sample_jump_paths(wz: np.ndarray, n_intervals: int, dt: float, n_paths: int,
                       seed: int) -> JumpTable:
-    """Marked-Poisson jump stream of a per-step node intensity table.
+    """Marked-Poisson jump stream of the node intensity ``wz``, shape (Q,),
+    on ``n_intervals`` intervals of length ``dt``.
 
-    ``intensity`` has shape (K, Q): row ``k`` holds the node intensities on
-    interval ``k``, of length ``dt``.  Per interval the jump count is Poisson
-    with mean ``intensity[k].sum() * dt`` and marks are drawn proportionally
-    to ``intensity[k]``.  A single counter-based generator keyed by ``seed``
-    makes the table reproducible.
+    Per path and interval the jump count is Poisson with mean
+    ``wz.sum() * dt`` and marks are drawn proportionally to ``wz``.  A single
+    counter-based generator keyed by ``seed`` makes the table reproducible.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    n_int, n_nodes = intensity.shape
+    lam = float(wz.sum())
     paths, intervals, times, marks = [], [], [], []
-    for k, wz in enumerate(intensity):
-        lam = float(wz.sum())
-        if lam <= 0.0:
-            continue
+    # a stream without mass draws nothing on any interval
+    for k in range(n_intervals if lam > 0.0 else 0):
         counts = rng.poisson(lam * dt, size=n_paths)
         total = int(counts.sum())
         if total == 0:
@@ -508,8 +505,8 @@ def sample_jump_paths(intensity: np.ndarray, dt: float, n_paths: int,
         paths.append(np.repeat(np.arange(n_paths), counts))
         intervals.append(np.full(total, k, dtype=int))
         times.append((k + rng.random(total)) * dt)
-        marks.append(rng.choice(n_nodes, size=total, p=wz / lam))
+        marks.append(rng.choice(wz.size, size=total, p=wz / lam))
     cat = (lambda parts, kind: np.concatenate(parts) if parts
            else np.empty(0, dtype=kind))
     return JumpTable(cat(paths, int), cat(intervals, int), cat(times, float),
-                     cat(marks, int), n_paths, n_int, n_nodes)
+                     cat(marks, int), n_paths, n_intervals, wz.size)

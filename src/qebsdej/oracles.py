@@ -46,20 +46,20 @@ def girsanov_tilt_mc(b: float, c_tilde: float, mass: float, t_end: float,
     the mean, and their squares could overflow.  The deviations of the
     Brownian and the jump part are taken apart for the same reason: in their
     sum, a jump part far above the Brownian one rounds the latter away.  The
-    deviations are divided by a power of two at or above their largest
-    magnitude before the sample SD squares them, and the SE is multiplied
-    back: scaling by a power of two is exact, so the SE has the bits of the
-    unscaled one wherever that one does not overflow."""
+    moves and the deviations are each divided by a power of two at or above
+    their largest magnitude before they are summed or squared, and the mean
+    and the SE are multiplied back: scaling by a power of two is exact, so
+    both have the bits of the unscaled ones wherever those do not overflow."""
     rng = np.random.default_rng(seed)
     w_term = rng.normal(b * t_end, math.sqrt(t_end), n_samples)
     n_term = rng.poisson((1.0 + c_tilde) * mass * t_end, n_samples)
     moves = w_term + impact * (n_term - mass * t_end)
     deviations = (w_term - w_term.mean()) + impact * (n_term - n_term.mean())
-    _, exponent = math.frexp(float(np.abs(deviations).max()))
-    scaled_se = np.ldexp(deviations, -exponent).std(ddof=1) / math.sqrt(n_samples)
-    return OracleValue("girsanov_tilt",
-                       x0 + float(moves.mean()),
-                       float(np.ldexp(scaled_se, exponent)))
+    _, m_exp = math.frexp(float(np.abs(moves).max()))
+    _, d_exp = math.frexp(float(np.abs(deviations).max()))
+    mean = np.ldexp(np.ldexp(moves, -m_exp).mean(), m_exp)
+    se = np.ldexp(np.ldexp(deviations, -d_exp).std(ddof=1) / math.sqrt(n_samples), d_exp)
+    return OracleValue("girsanov_tilt", x0 + float(mean), float(se))
 
 
 def brownian_doleans_mc(t_end: float, n_samples: int, seed: int) -> OracleValue:

@@ -235,13 +235,12 @@ def driver_l1_gap(sol: BsdejSolution, sol_proxy: BsdejSolution,
     if c_split <= 0:
         raise ValueError("region split must be positive")
     n, k_steps = sol.n_paths, sol.n_steps
-    dt = ensemble.dt
+    dt, live_wz = ensemble.dt, ensemble.live_intensity
     a1 = a2 = 0.0
     norm2_sum = np.zeros(n)
     region_hits = 0.0
-    live_wz = ensemble.live_intensity
     for k in range(k_steps):
-        u_norm = nu_norm(sol.u_values(k), live_wz[k])
+        u_norm = nu_norm(sol.u_values(k), live_wz)
         size = np.abs(sol.z[:, k]) + u_norm
         gap = np.abs(sol.driver_values[:, k] - sol_proxy.driver_values[:, k])
         inside = size <= c_split
@@ -267,7 +266,7 @@ def default_c_split(sol: BsdejSolution) -> float:
     for k in range(sol.n_steps):
         size = sizes[k * n:(k + 1) * n]
         np.abs(sol.z[:, k], out=size)
-        size += nu_norm(sol.u_values(k), live_wz[k])
+        size += nu_norm(sol.u_values(k), live_wz)
     split = 5.0 * float(np.percentile(sizes, 90.0, overwrite_input=True))
     return split if split ** 2 > 0.0 else 1.0
 

@@ -44,14 +44,13 @@ def check_q_structure(solution: BsdejSolution, params: StructureParams,
     loading is zero on the others.
     """
     ensemble = solution.ensemble
-    dt = ensemble.dt
-    live_wz = ensemble.live_intensity
+    dt, wz = ensemble.dt, ensemble.live_intensity
     tol = np.broadcast_to(np.asarray(tol, dtype=float), solution.driver_values.shape)
     # one step at a time, keeping only an exact count of violations
     n_violations = 0
     for k in range(solution.n_steps):
         y, z, u = solution.y[:, k], solution.z[:, k], solution.u_values(k)
-        wz, tol_k = live_wz[k], tol[:, k]
+        tol_k = tol[:, k]
         dv = solution.driver_values[:, k] * dt
         q_hi = corridor_edge(y, z, u, params, wz, upper=True)
         outside = q_hi * dt - dv < -tol_k

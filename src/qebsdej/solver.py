@@ -49,16 +49,12 @@ MIN_EXPECTED_JUMPS = 20.0    # see PathEnsemble.live
 class PathEnsemble:
     """Seeded Monte Carlo paths of the driving noise and forward state.
 
-    The grid is uniform: ``time_grid[k] = k dt`` up to ``t_end``.
-    ``intensity[k]`` is the node intensity of interval ``k``: the quadrature
-    weights ``w_i``, the same on every interval.  The jump stream, the
-    forward compensator, the solve, the decomposition and the audits all read
-    this one table.  Since it is the same on every interval, so is the set of
-    :attr:`live` nodes, the only ones on which a solve regresses a jump
-    loading.  ``dw`` and ``state`` are stored step-major
-    (column-major), as are the solution and decomposition fields: every stage
-    works one step's column at a time, and that column is then one contiguous
-    block.
+    The grid is uniform: ``time_grid[k] = k dt`` up to ``t_end``.  The jump
+    measure is time-homogeneous: every step weighs the nodes by the node
+    intensity ``quad.weights``, so the :attr:`live` nodes, the only ones on
+    which a solve regresses a jump loading, are the same on every step.
+    ``dw`` and ``state`` are stored step-major (column-major), as are the
+    solution and decomposition fields, so one step's column is one block.
 
     The object is its own identity: solutions hold the ensemble they were
     regressed on, and :func:`same_ensemble` refuses to combine results from
@@ -69,7 +65,6 @@ class PathEnsemble:
 
     time_grid: np.ndarray            # (K+1,)
     dt: float
-    intensity: np.ndarray            # (K, Q)
     dw: np.ndarray                   # (n_paths, K)
     jumps: JumpTable
     state: np.ndarray                # (n_paths, K+1)
@@ -87,7 +82,7 @@ class PathEnsemble:
 
     @property
     def n_steps(self) -> int:
-        return self.intensity.shape[0]
+        return self.dw.shape[1]
 
     @property
     def live(self) -> np.ndarray:
@@ -96,12 +91,17 @@ class PathEnsemble:
         node's loading is pinned at zero (its intensity-weighted contribution
         is below the Monte Carlo resolution), so solutions store the loading
         on the live nodes only."""
-        return self.intensity[0] * self.dt * self.n_paths >= MIN_EXPECTED_JUMPS
+        return self.quad.weights * self.dt * self.n_paths >= MIN_EXPECTED_JUMPS
 
     @property
     def live_intensity(self) -> np.ndarray:
-        """``intensity`` on the live nodes, shape (K, L)."""
-        return self.intensity[:, self.live]
+        """The node intensity on the live nodes, shape (L,)."""
+        return self.quad.weights[self.live]
+
+    def check_step(self, k: int) -> None:
+        """Refuse a step outside ``range(n_steps)``, a negative one included."""
+        if not 0 <= k < self.n_steps:
+            raise IndexError(f"step {k} is outside range({self.n_steps})")
 
     def regression(self, k: int, degree: int) -> "Regression":
         """Least squares on the degree-``degree`` features of step ``k``'s
@@ -134,7 +134,6 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
         raise ValueError("need at least one path")
     time_grid = np.linspace(0.0, t_end, k_steps + 1)
     dt = t_end / k_steps
-    intensity = np.tile(quad.weights, (k_steps, 1))
     ss = np.random.SeedSequence(seed)
     child_w, child_j = ss.spawn(2)
     rng_w = np.random.Generator(np.random.Philox(child_w))
@@ -142,7 +141,8 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
     # and step, and stored step-major
     dw = np.empty((n_paths, k_steps), order="F")
     np.multiply(rng_w.standard_normal((n_paths, k_steps)), math.sqrt(dt), out=dw)
-    jumps = sample_jump_paths(intensity, dt, n_paths, int(child_j.generate_state(1)[0]))
+    jumps = sample_jump_paths(quad.weights, k_steps, dt, n_paths,
+                              int(child_j.generate_state(1)[0]))
 
     state = np.empty((n_paths, k_steps + 1), order="F")
     state[:, 0] = x0
@@ -154,9 +154,9 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
         if use_w:
             inc += dw[:, k]
         if use_j:
-            inc += jumps.compensated_sum(k, impact, intensity[k], dt)
+            inc += jumps.compensated_sum(k, impact, quad.weights, dt)
         state[:, k + 1] = state[:, k] + inc
-    return PathEnsemble(time_grid, dt, intensity, dw, jumps, state, model, quad)
+    return PathEnsemble(time_grid, dt, dw, jumps, state, model, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +405,13 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
     u_clip = np.zeros(k_steps)
     live = ensemble.live
     live_nodes = np.flatnonzero(live)
+    lam_dt = ensemble.quad.weights * dt
 
     for k in range(k_steps - 1, -1, -1):
         reg = ensemble.regression(k, basis_degree)
         conds[k] = reg.gram_condition
         y_next = y[:, k + 1]
 
-        lam_dt = ensemble.intensity[k] * dt
         _, ey_raw = reg.fit(y_next)
         # center the covariation targets with the fitted conditional mean: a
         # time-t_k measurable control variate that leaves the estimands
@@ -480,6 +480,6 @@ def decompose(solution: BsdejSolution) -> Decomposition:
     live, wz = ensemble.live, ensemble.live_intensity
     dm = solution.z * ensemble.dw
     for k in range(solution.n_steps):
-        dm[:, k] += ensemble.jumps.compensated_sum(k, solution.u_values(k), wz[k],
+        dm[:, k] += ensemble.jumps.compensated_sum(k, solution.u_values(k), wz,
                                                    ensemble.dt, nodes=live)
     return Decomposition(dm, solution)

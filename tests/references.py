@@ -56,7 +56,7 @@ def check_q_structure_two_sided(solution: BsdejSolution, params: StructureParams
     for k in range(solution.n_steps):
         q_lo, q_hi = structure_bounds(solution.y[:, k], solution.z[:, k],
                                       padded_u_values(solution, k), params,
-                                      ensemble.intensity[k])
+                                      ensemble.quad.weights)
         lower[:, k], upper[:, k] = q_lo * dt, q_hi * dt
     tol = np.broadcast_to(np.asarray(tol, dtype=float), dv.shape)
     outside = (upper - dv < -tol) | (dv - lower < -tol)
@@ -91,6 +91,30 @@ def interval_counts(jumps: JumpTable, k: int) -> np.ndarray:
     return out
 
 
+def table_jump_paths(intensity: np.ndarray, dt: float, n_paths: int,
+                     seed: int) -> JumpTable:
+    """``levy.sample_jump_paths`` of a per-interval intensity table, shape
+    (K, Q): interval ``k`` draws its Poisson counts, jump times and marks
+    from row ``k``, and an interval whose row has no mass draws nothing."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    paths, intervals = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    times, marks = [np.empty(0)], [np.empty(0, dtype=int)]
+    for k, wz in enumerate(intensity):
+        lam = float(wz.sum())
+        if lam <= 0.0:
+            continue
+        counts = rng.poisson(lam * dt, size=n_paths)
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        paths.append(np.repeat(np.arange(n_paths), counts))
+        intervals.append(np.full(total, k))
+        times.append((k + rng.random(total)) * dt)
+        marks.append(rng.choice(wz.size, size=total, p=wz / lam))
+    return JumpTable(*map(np.concatenate, (paths, intervals, times, marks)),
+                     n_paths, *intensity.shape)
+
+
 def dense_jump_targets(jumps: JumpTable, k: int, lam_dt: np.ndarray, live: np.ndarray,
                        centered: np.ndarray, out: np.ndarray) -> None:
     """``solver._jump_targets`` from the dense counts: every live column is
@@ -116,7 +140,7 @@ def c_split_concatenated(solution: BsdejSolution) -> float:
     """``scheme.default_c_split`` from the concatenated per-step sizes, with
     the loading's norm taken over every master node."""
     sizes = [np.abs(solution.z[:, k])
-             + nu_norm(padded_u_values(solution, k), solution.ensemble.intensity[k])
+             + nu_norm(padded_u_values(solution, k), solution.ensemble.quad.weights)
              for k in range(solution.n_steps)]
     split = 5.0 * float(np.percentile(np.concatenate(sizes), 90.0))
     return split if split ** 2 > 0.0 else 1.0
@@ -238,7 +262,7 @@ def canonical_paths(ensemble: PathEnsemble, m_c_increments: np.ndarray,
     the matching predictable brackets (``|Z|^2 dt`` per path and step, scalar
     rows broadcast).  ``u_fields`` holds one field per step, shape (K, Q),
     broadcast over paths; its jump sums run over the jumps of ``ensemble``
-    and both compensators weigh the nodes by ``ensemble.intensity[k]``.  The
+    and both compensators weigh the nodes by ``ensemble.quad.weights``.  The
     upper direction subtracts half the bracket and the ``exp(u) - u - 1``
     compensator, the lower one adds half the bracket and the
     ``exp(-u) + u - 1`` compensator.
@@ -251,9 +275,9 @@ def canonical_paths(ensemble: PathEnsemble, m_c_increments: np.ndarray,
                               m_c_increments.shape)
     r = np.empty((n, k_steps + 1), order="F")
     r[:, 0] = r0
-    dt = ensemble.dt
+    dt, wz = ensemble.dt, ensemble.quad.weights
     for k in range(k_steps):
-        u_k, wz = u_fields[k], ensemble.intensity[k]
+        u_k = u_fields[k]
         dm = m_c_increments[:, k] + ensemble.jumps.compensated_sum(k, u_k, wz, dt)
         comp = (wz * exp_excess(sign * u_k)).sum()
         r[:, k + 1] = r[:, k] + dm - sign * (0.5 * bracket[:, k] + comp * dt)

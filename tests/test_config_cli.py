@@ -579,7 +579,9 @@ def test_default_doleans_oracle_has_mean_one(tmp_path):
 
 @pytest.mark.parametrize("oracle,warns", [
     ({"name": "girsanov_tilt", "x0": 1e308, "b": 1e308, "n_samples": 50}, True),
-    ({"name": "girsanov_tilt", "impact": 1e307, "mass": 30.0, "n_samples": 50}, True),
+    # at 1e308 a single move overflows; at 1e307 only their sum would, and
+    # the scaled mean is finite there
+    ({"name": "girsanov_tilt", "impact": 1e308, "mass": 30.0, "n_samples": 50}, True),
     ({"name": "huber_envelope", "n": 1e300, "y": 1e300}, False),
 ], ids=["tilt_drift_overflows", "tilt_jumps_overflow", "huber_overflows"])
 def test_overflowing_oracle_fails_its_check(tmp_path, oracle, warns):
@@ -589,6 +591,16 @@ def test_overflowing_oracle_fails_its_check(tmp_path, oracle, warns):
     with pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext():
         assert main(["oracle", cfg, "--out", str(out)]) == EXIT_CHECK_FAILURE
     assert (out / "summary.txt").read_text().startswith("FAIL estimate_finite")
+
+
+def test_tilt_oracle_whose_moves_sum_past_the_range_is_finite(tmp_path):
+    # every move is finite, but their plain sum overflows before it is divided
+    cfg = write_config(tmp_path, "big.json", {"experiment": "oracle", "oracle": {
+        "name": "girsanov_tilt", "impact": 5.992310449541053e+307, "n_samples": 20}})
+    out = tmp_path / "bout"
+    assert main(["oracle", cfg, "--out", str(out)]) == EXIT_OK
+    value, stderr = _oracle_row(out)
+    assert math.isfinite(value) and math.isfinite(stderr)
 
 
 # the expectation each Monte Carlo oracle (one that takes n_samples) estimates

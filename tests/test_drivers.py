@@ -84,7 +84,7 @@ def test_bounds_constant_field_closed_forms(two_node_quad):
 def corridor_excess(view, k, y, z, u):
     """How far each probe row's value lies outside the corridor at step ``k``,
     beyond ``1e-9 * (1 + |q_upper|)``; positive outside."""
-    q_lo, q_hi = structure_bounds(y, z, u, view.driver.params, view.ensemble.intensity[k])
+    q_lo, q_hi = structure_bounds(y, z, u, view.driver.params, view.ensemble.quad.weights)
     val = view.evaluate(k, y, z, u)
     return np.maximum(q_lo - val, val - q_hi) - 1e-9 * (1.0 + np.abs(q_hi))
 
@@ -430,7 +430,7 @@ def test_jump_envelope_matches_dense_scan(gamma_quad, small_ensemble, name, delt
     drv = dataclasses.replace(q.make_driver(name, StructureParams(delta, 0.0, 0.0)),
                               g_and_slope=None)
     fields = _envelope_fields(np.random.default_rng(14), gamma_quad.n_nodes)
-    wz = small_ensemble.intensity[0]
+    wz = small_ensemble.quad.weights
     for n in (1, 2, 8, 64):
         reg = regularize(q.DriverView(drv, small_ensemble), n, 1)
         assert reg.strategy == "nonnegative"
@@ -525,7 +525,7 @@ def test_jump_certificate_is_sound(gamma_quad, small_ensemble, name, delta):
     # and keep the dense scan's bits
     drv = q.make_driver(name, StructureParams(delta, 0.0, 0.0))
     fields = _envelope_fields(np.random.default_rng(15), gamma_quad.n_nodes)
-    wz = small_ensemble.intensity[0]
+    wz = small_ensemble.quad.weights
     certified = bisected = 0
     for n in (1, 2, 8, 64):
         reg = regularize(q.DriverView(drv, small_ensemble), n, 1)
@@ -561,7 +561,7 @@ def test_open_rows_keep_the_bits_of_an_evaluation_on_every_row(canonical, gamma_
     # sums are taken on the whole copy, catches a layout-dependent row sum
     full = dataclasses.replace(canonical, g_and_slope=None, z_slope=None)
     rng = np.random.default_rng(16)
-    rows = 4000
+    rows, wz = 4000, small_ensemble.quad.weights
     y = np.zeros(rows)
     u = (rng.normal(0.0, 1.0, (rows, gamma_quad.n_nodes))
          * rng.choice([0.5, 1.5, 3.0], (rows, 1)))
@@ -569,7 +569,6 @@ def test_open_rows_keep_the_bits_of_an_evaluation_on_every_row(canonical, gamma_
         reg = regularize(q.DriverView(canonical, small_ensemble), n, 1)
         ref = regularize(q.DriverView(full, small_ensemble), n, 1)
         for k in (0, 10):
-            wz = small_ensemble.intensity[k]
             u_sub = u[..., reg.node_idx]
             assert u_sub.flags.f_contiguous and not u_sub.flags.c_contiguous
             open_rows = ~(left_to_right_sum(canonical.g_and_slope(u_sub)[1] ** 2, wz)
@@ -608,7 +607,7 @@ def test_envelope_active_counts_the_last_evaluation_of_each_step(canonical,
     out = reg.evaluate(0, np.zeros(50), z, u)
     # the driver's value on the truncated (column-major) field, as evaluate sees it
     raw = canonical.evaluate(np.zeros(50), z, u[..., reg.node_idx],
-                             small_ensemble.intensity[0])
+                             small_ensemble.quad.weights)
     cells = int((out < raw).sum())
     assert 0 < cells < 50
     assert reg.active[0] == (cells, 50)
@@ -623,9 +622,35 @@ def test_envelope_active_counts_the_last_evaluation_of_each_step(canonical,
         reg = regularize(q.DriverView(drv, small_ensemble), 2, 2)
         assert reg.strategy == strategy
         out = reg.evaluate(0, y, z[:20], u[:20])
-        raw = drv.evaluate(y, z[:20], u[:20, reg.node_idx], small_ensemble.intensity[0])
+        raw = drv.evaluate(y, z[:20], u[:20, reg.node_idx], small_ensemble.quad.weights)
         assert reg.active[0] == (int((out != raw).sum()), 20)
         assert (reg.active[0][0] > 0) == (strategy == "generic")
+
+
+def test_a_step_past_the_grid_is_refused(canonical, gamma_quad, small_ensemble):
+    view = q.DriverView(canonical, small_ensemble)
+    y, u = np.zeros(5), np.zeros((5, gamma_quad.n_nodes))
+    for driver in (view, regularize(view, 2, 2)):
+        for k in (small_ensemble.n_steps, small_ensemble.n_steps + 3):
+            with pytest.raises(IndexError):
+                driver.evaluate(k, y, y, u)
+
+
+def test_a_negative_step_is_refused_and_not_counted(canonical, gamma_quad,
+                                                    small_ensemble):
+    # a negative step is not counted from the end: the envelope would record
+    # it beside step K - 1 and count that step twice
+    view = q.DriverView(canonical, small_ensemble)
+    reg = regularize(view, 2, 2)
+    last = small_ensemble.n_steps - 1
+    y, u = np.zeros(5), np.full((5, gamma_quad.n_nodes), 0.5)
+    reg.evaluate(last, y, y, u)
+    active = dict(reg.active)
+    for driver in (view, reg):
+        for k in (-1, -small_ensemble.n_steps):
+            with pytest.raises(IndexError, match=f"step {k} is outside"):
+                driver.evaluate(k, y, y, u)
+    assert reg.active == active and list(active) == [last]
 
 
 # ---------------------------------------------------------------------------

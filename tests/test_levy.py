@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from qebsdej.levy import DivergentMassError, ExponentOverflowError, LevyModel
 
 from references import (exp1_reference, interval_counts, left_to_right_sum,
                         small_jump_residual, stable_small_jump_second_moment,
-                        stable_tail_mass_exact)
+                        stable_tail_mass_exact, table_jump_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,7 @@ def test_nu_dot_sums_left_to_right_in_every_layout(drawn, small_ensemble):
     # every caller keeps its bits across the layouts and on single rows
     canonical = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     regs = [q.regularize(q.DriverView(canonical, small_ensemble), n, 1) for n in (1, 8)]
-    table = q.sample_jump_paths(wz[None, :], 0.5, field.shape[0], seed=3)
+    table = q.sample_jump_paths(wz, 1, 0.5, field.shape[0], seed=3)
     callers = {
         "nu_norm": lambda u: q.nu_norm(u, wz),
         "j_functional": lambda u: np.asarray(q.j_functional(u, 0.7, wz)),
@@ -330,7 +331,7 @@ def test_residual_null_zero():
 
 def test_jump_counts_poisson_mean(two_node_quad):
     n_paths = 100000
-    table = q.sample_jump_paths(two_node_quad.weights[None, :], 0.5, n_paths, seed=4)
+    table = q.sample_jump_paths(two_node_quad.weights, 1, 0.5, n_paths, seed=4)
     mean_count = table.n_jumps / n_paths
     expect = two_node_quad.total_mass * 0.5
     band = 3.0 * math.sqrt(expect / n_paths)
@@ -338,7 +339,7 @@ def test_jump_counts_poisson_mean(two_node_quad):
 
 
 def test_jump_mark_fractions_multinomial(two_node_quad):
-    table = q.sample_jump_paths(two_node_quad.weights[None, :], 0.5, 100000, seed=5)
+    table = q.sample_jump_paths(two_node_quad.weights, 1, 0.5, 100000, seed=5)
     frac1 = float((table.mark_index == 0).mean())
     n_jumps = table.n_jumps
     band = 3.0 * math.sqrt(0.75 * 0.25 / n_jumps)
@@ -347,41 +348,42 @@ def test_jump_mark_fractions_multinomial(two_node_quad):
 
 def test_jump_cells_match_the_dense_counts():
     # node 1 carries no intensity, node 0 enough that many paths see two or
-    # more of its jumps in one interval; interval 2 has no intensity at all
+    # more of its jumps in one interval; the last stream has no intensity
     wz = np.array([3.0, 0.0, 0.5, 0.02])
-    intensity = np.stack([wz, 2.0 * wz, np.zeros_like(wz)])
-    table = q.sample_jump_paths(intensity, 0.5, 3000, seed=17)
-    for k in range(3):
-        paths, nodes, counts = table.cells_for_interval(k)
-        dense = interval_counts(table, k)
-        got = np.zeros_like(dense)
-        got[paths, nodes] = counts
-        assert got.tobytes() == dense.tobytes()
-        # one entry per distinct cell, each with at least one jump
-        assert np.unique(paths * wz.size + nodes).size == paths.size
-        assert np.all(counts >= 1)
-        if k < 2:
-            assert counts.max() >= 2 and not dense[:, 1].any()
-        else:
-            assert paths.size == 0
+    tables = [q.sample_jump_paths(scale * wz, 2, 0.5, 3000, seed=seed)
+              for scale, seed in ((1.0, 17), (2.0, 18), (0.0, 19))]
+    for table in tables:
+        for k in range(2):
+            paths, nodes, counts = table.cells_for_interval(k)
+            dense = interval_counts(table, k)
+            got = np.zeros_like(dense)
+            got[paths, nodes] = counts
+            assert got.tobytes() == dense.tobytes()
+            # one entry per distinct cell, each with at least one jump
+            assert np.unique(paths * wz.size + nodes).size == paths.size
+            assert np.all(counts >= 1)
+            if table is not tables[-1]:
+                assert counts.max() >= 2 and not dense[:, 1].any()
+            else:
+                assert paths.size == 0
 
 
 def test_zero_mass_no_jumps():
     null = q.make_model("null")
     quad = q.build_quadrature(null, 2.0, 6)
-    table = q.sample_jump_paths(np.tile(quad.weights, (4, 1)), 0.25, 1000, seed=6)
+    table = q.sample_jump_paths(quad.weights, 4, 0.25, 1000, seed=6)
     assert table.n_jumps == 0
 
 
 def test_compensated_sum_of_an_empty_interval_is_exact_zero(gamma_quad):
     wz = gamma_quad.weights
     one_node = np.where(np.arange(wz.size) == 0, wz, 0.0)
-    intensity = np.stack([wz, np.zeros_like(wz), one_node, np.zeros_like(wz)])
     n, dt = 2000, 0.25
-    table = q.sample_jump_paths(intensity, dt, n, seed=13)
+    streams = [(row, q.sample_jump_paths(row, 2, dt, n, seed=seed)) for row, seed
+               in ((wz, 13), (np.zeros_like(wz), 14), (one_node, 15))]
     fields = [np.random.default_rng(14).uniform(-1.0, 1.0, (n, wz.size)),
               np.linspace(-1.0, 1.0, wz.size)]
-    for k, row in enumerate(intensity):
+    for (row, table), k in itertools.product(streams, range(2)):
         paths, marks = table.rows_for_interval(k)
         for field in fields:
             got = table.compensated_sum(k, field, row, dt)
@@ -405,7 +407,7 @@ def test_compensated_sum_on_a_node_subset_is_the_zero_padded_sum(gamma_quad):
     # a field on the nodes that a mask selects gives the bits of the field
     # padded with +0.0 on the other nodes: jumps there add nothing
     wz, n, dt = gamma_quad.weights, 1500, 0.25
-    table = q.sample_jump_paths(np.tile(wz, (3, 1)), dt, n, seed=15)
+    table = q.sample_jump_paths(wz, 3, dt, n, seed=15)
     rng = np.random.default_rng(16)
     masks = [np.arange(wz.size) % 3 != 1, np.zeros(wz.size, dtype=bool),
              np.ones(wz.size, dtype=bool)]
@@ -429,10 +431,21 @@ def test_nu_dot_over_no_node_is_positive_zero_of_the_row_shape():
         q.nu_dot(np.ones((3, 4)), np.ones(5))
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k_steps=st.integers(1, 6))
+def test_one_intensity_draws_the_table_of_its_repeated_rows(gamma_quad, seed, k_steps):
+    # the (Q,) intensity draws, at every seed, the variates that the same row
+    # repeated on every interval of a (K, Q) table draws, in the same order
+    got = q.sample_jump_paths(gamma_quad.weights, k_steps, 0.25, 300, seed)
+    expect = table_jump_paths(np.tile(gamma_quad.weights, (k_steps, 1)), 0.25, 300, seed)
+    assert got.n_jumps > 0 and got.n_intervals == expect.n_intervals == k_steps
+    for name in ("path_index", "interval_index", "time", "mark_index"):
+        assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+
+
 def test_jump_table_reproducible(gamma_quad):
-    intensity = np.tile(gamma_quad.weights, (8, 1))
-    a = q.sample_jump_paths(intensity, 0.125, 2000, seed=12)
-    b = q.sample_jump_paths(intensity, 0.125, 2000, seed=12)
+    a = q.sample_jump_paths(gamma_quad.weights, 8, 0.125, 2000, seed=12)
+    b = q.sample_jump_paths(gamma_quad.weights, 8, 0.125, 2000, seed=12)
     assert np.array_equal(a.time, b.time)
     assert np.array_equal(a.mark_index, b.mark_index)
     assert np.array_equal(a.path_index, b.path_index)

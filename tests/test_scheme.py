@@ -185,7 +185,7 @@ def test_certified_ladder_matches_the_envelope_on_every_row(certified_and_full):
         certified_rows = 0
         for k in range(sol.n_steps):
             u = sol.u_values(k)[:, kept]
-            slope = np.expm1(u) ** 2 * ens.live_intensity[k][kept]
+            slope = np.expm1(u) ** 2 * ens.live_intensity[kept]
             certified_rows += int(((slope.sum(axis=-1) <= rec.n ** 2)
                                    & (np.abs(sol.z[:, k]) <= rec.n)).sum())
         assert 0 < certified_rows < sol.driver_values.size
@@ -256,10 +256,10 @@ def test_live_width_fields_keep_the_bits_of_zero_padded_ones(gamma_model, gamma_
             assert s.u_values(k).tobytes() == np.asfortranarray(padded[:, live]).tobytes()
     for k in range(ens.n_steps):
         padded_dm[:, k] += ens.jumps.compensated_sum(k, padded_u_values(sol, k),
-                                                     ens.intensity[k], ens.dt)
+                                                     ens.quad.weights, ens.dt)
     assert dm.tobytes() == padded_dm.tobytes()
     monkeypatch.setattr(BsdejSolution, "u_values", padded_u_values)
-    monkeypatch.setattr(PathEnsemble, "live_intensity", property(lambda e: e.intensity))
+    monkeypatch.setattr(PathEnsemble, "live_intensity", property(lambda e: e.quad.weights))
     assert np.array(readers()).tobytes() == np.array(live_width).tobytes()
 
 

@@ -142,7 +142,7 @@ def test_lower_edge_counts_exactly_the_rows_shifted_below_it(canonical_solution)
     on_edge = np.empty_like(sol.driver_values)
     for k in range(sol.n_steps):
         on_edge[:, k] = structure_bounds(sol.y[:, k], sol.z[:, k], sol.u_values(k),
-                                         params, ens.live_intensity[k])[0]
+                                         params, ens.live_intensity)[0]
     shifted = np.random.default_rng(8).random(on_edge.shape) < 0.01
     for eps, expected in ((0.0, 0), (1e-9, int(shifted.sum()))):
         values = np.asfortranarray(on_edge - eps * shifted)

@@ -300,6 +300,20 @@ def test_girsanov_tilt_se_keeps_its_bits_at_any_scale():
         assert got == plain, (impact, seed, n)
 
 
+def test_girsanov_tilt_mean_keeps_its_bits_at_any_scale():
+    # the mean is taken at a power-of-two scale too, which is exact: wherever
+    # the plain sum does not overflow, the estimate has the bits of its mean
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        impact, seed = 10.0 ** rng.uniform(-100.0, 100.0), int(rng.integers(2**31))
+        n = int(rng.integers(20, 60))
+        w, cnt = _tilt_draws(0.0, 0.0, 1.0, 1.0, n, seed)
+        plain = float((w + impact * (cnt - 1.0)).mean())
+        got = girsanov_tilt_mc(0.0, 0.0, 1.0, 1.0, x0=0.0, impact=impact,
+                               n_samples=n, seed=seed).value
+        assert got == plain, (impact, seed, n)
+
+
 def test_girsanov_tilt_se_of_a_large_spread_is_finite():
     # at |impact| ~ 3e153 the squared deviations overflow; the SE of the
     # counts times the impact is representable and is what the oracle reports
@@ -451,22 +465,22 @@ def test_path_major_ensemble_solves_to_the_same_fields(step_major_solve):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
-def test_solve_weighs_each_step_by_its_own_intensity(gamma_model, gamma_quad):
+def test_solve_weighs_every_step_by_the_quadrature_weights(gamma_model, gamma_quad):
     # with l = c = 0 the canonical generator is the upper corridor edge, so
-    # each stored generator value lies on that edge at the ensemble's
-    # intensity of its step
+    # each stored generator value lies on that edge at the quadrature
+    # weights of the live nodes
     ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 20, 4000, seed=3)
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     for k in range(ens.n_steps):
         _, upper = structure_bounds(sol.y[:, k], sol.z[:, k],
-                                    sol.u_values(k), p, ens.live_intensity[k])
+                                    sol.u_values(k), p, gamma_quad.weights[ens.live])
         np.testing.assert_allclose(sol.driver_values[:, k], upper, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# the jump clock: one step and one intensity table per ensemble
+# the jump clock: one step and one node intensity per ensemble
 # ---------------------------------------------------------------------------
 
 def _jump_sum(jumps, k, values, nodes=None):
@@ -480,14 +494,13 @@ def _jump_sum(jumps, k, values, nodes=None):
     return np.bincount(paths, weights=values[paths, cols], minlength=jumps.n_paths)
 
 
-def test_intensity_table_drives_the_sampler(gamma_model, gamma_quad):
+def test_quadrature_weights_drive_the_sampler(gamma_model, gamma_quad):
     n = 20000
     ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, n, seed=41)
-    assert ens.intensity.shape == (10, gamma_quad.n_nodes)
+    assert ens.jumps.n_intervals == ens.n_steps == 10
     counts = np.bincount(ens.jumps.interval_index, minlength=ens.n_steps)
+    expect = float(gamma_quad.weights.sum()) * ens.dt
     for k in range(ens.n_steps):
-        assert np.array_equal(ens.intensity[k], gamma_quad.weights)
-        expect = float(ens.intensity[k].sum()) * ens.dt
         assert abs(counts[k] / n - expect) <= 3.0 * math.sqrt(expect / n)
 
 
@@ -527,7 +540,7 @@ def test_martingale_increment_is_the_loading_sum_plus_the_jump_sum(step_major_so
     expect = sol.z * ens.dw
     for k in range(ens.n_steps):
         expect[:, k] = expect[:, k] + ens.jumps.compensated_sum(
-            k, sol.u_values(k), ens.live_intensity[k], ens.dt, nodes=ens.live)
+            k, sol.u_values(k), ens.live_intensity, ens.dt, nodes=ens.live)
     assert np.array_equal(q.decompose(sol).dm, expect)
 
 
@@ -577,7 +590,7 @@ def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
     sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
     # the summed increment sizes bound every running martingale value
     dm_c = sol.z * ens.dw
-    dm_d = np.stack([ens.jumps.compensated_sum(k, sol.u_values(k), ens.live_intensity[k],
+    dm_d = np.stack([ens.jumps.compensated_sum(k, sol.u_values(k), ens.live_intensity,
                                                ens.dt, nodes=ens.live)
                      for k in range(ens.n_steps)], axis=1)
     assert ens.live.any()
