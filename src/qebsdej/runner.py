@@ -2,8 +2,9 @@
 
 Each experiment returns its checks and its tables by file name.  The runner
 writes them as CSV artifacts (17 significant digits, bit-identical across
-identical runs), a JSON manifest echoing the configuration with its hash and
-the package version, and a plain-text pass/fail summary of every check.
+identical runs), a JSON manifest echoing the configuration with its hash, the
+package version and the NumPy and BLAS versions, and a plain-text pass/fail
+summary of every check.
 """
 
 from __future__ import annotations
@@ -55,12 +56,21 @@ def write_csv(path: Path, rows: list[dict]) -> None:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
+def _blas() -> dict:
+    """Name and version of the BLAS NumPy was built with: the last bits of
+    every factorization, hence of the numeric artifacts, depend on it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return dict(name=blas.get("name"), version=blas.get("version"))
+
+
 def write_manifest(out_dir: Path, cfg: ExperimentConfig, artifacts: list[str]) -> None:
     blob = json.dumps(cfg.raw, sort_keys=True).encode()
     manifest = dict(config=cfg.raw,
                     config_sha256=hashlib.sha256(blob).hexdigest(),
                     package="qebsdej",
                     version=__version__,
+                    numpy=np.__version__,
+                    blas=_blas(),
                     artifacts=sorted(artifacts))
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True) + "\n")

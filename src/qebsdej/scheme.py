@@ -333,7 +333,10 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
         gaps = [r.a1 + r.a2 for r in solved]
         for rec, stab in zip(solved, stability_diagnostics([r.solution for r in solved])):
             rec.h1_gap_prev, rec.vstar_gap_prev = stab.h1_gap_prev, stab.vstar_gap_prev
-            rec.h1_gap_proxy, rec.vstar_gap_proxy = pairwise_gap(rec.solution, proxy)
+            # the proxy's distance to itself is exactly zero
+            rec.h1_gap_proxy, rec.vstar_gap_proxy = (
+                pairwise_gap(rec.solution, proxy) if rec.solution is not proxy
+                else (0.0, 0.0))
         links = [l for l in schedule.links()
                  if records[l["lo"]].dec is not None and records[l["hi"]].dec is not None
                  and link_direction(l["changed"], base.nonnegative) is not None]

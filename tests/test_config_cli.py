@@ -309,6 +309,10 @@ def test_run_solve_and_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["package"] == "qebsdej"
     assert "config_sha256" in manifest
+    # the artifacts' last bits depend on the BLAS
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["numpy"] == np.__version__
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert (out / "solution_summary.csv").exists()
     assert (out / "solution_paths.csv").exists()
 

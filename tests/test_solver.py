@@ -11,7 +11,7 @@ from qebsdej.oracles import girsanov_tilt_mc
 from qebsdej.runner import _reconstruction_gap
 from qebsdej.scheme import driver_l1_gap, monotonicity_check
 from qebsdej.semimartingale import martingale_regression_test, pairwise_gap
-from qebsdej.solver import (CLIP_SIGMAS, EnsembleMismatchError, FeatureMap,
+from qebsdej.solver import (CLIP_SIGMAS, QR_ROWS, EnsembleMismatchError, FeatureMap,
                             NonContractionError, Regression, same_ensemble)
 
 from conftest import forward, solve, traced_peak
@@ -130,62 +130,75 @@ def _assert_rel(actual, expected, rtol=1e-12):
 
 @pytest.mark.parametrize("degree", range(9))
 def test_regression_matches_reference_linear_algebra(degree):
+    # the second size spans four row blocks, the last of them with fewer
+    # rows than columns
     rng = np.random.default_rng(5)
-    reg = Regression(rng.standard_normal(400), degree)
-    x = reg.design
-    targets = rng.standard_normal((400, 3))
-    coeffs, fitted = reg.fit(targets)
-    ref, *_ = np.linalg.lstsq(x, targets, rcond=None)
-    _assert_rel(coeffs, ref)
-    _assert_rel(fitted, x @ ref)
-    # the references come from the SVD of the design itself: through the Gram
-    # matrix they would square its condition number (4e3 at degree 8)
-    _assert_rel(reg.gram_condition, np.linalg.cond(x) ** 2)
-    resid = targets[:, 0] - fitted[:, 0]
-    bread = np.linalg.pinv(x)
-    _assert_rel(reg.robust_variances(resid),
-                np.diag(bread @ np.diag(resid ** 2) @ bread.T))
-    _assert_rel(reg.leverages, np.einsum("ij,ji->i", x, bread))
+    for n in (400, 3 * QR_ROWS + 2):
+        reg = Regression(rng.standard_normal(n), degree)
+        x = reg.design
+        targets = rng.standard_normal((n, 3))
+        coeffs, fitted = reg.fit(targets)
+        ref, *_ = np.linalg.lstsq(x, targets, rcond=None)
+        _assert_rel(coeffs, ref)
+        _assert_rel(fitted, x @ ref)
+        # the references come from the SVD of the design itself: through the
+        # Gram matrix they would square its condition number (4e3 at degree 8)
+        _assert_rel(reg.gram_condition, np.linalg.cond(x) ** 2)
+        resid = targets[:, 0] - fitted[:, 0]
+        bread = np.linalg.pinv(x)
+        # the diagonal of bread @ diag(resid^2) @ bread.T
+        _assert_rel(reg.robust_variances(resid), (bread ** 2) @ (resid ** 2))
+        _assert_rel(reg.leverages, np.einsum("ij,ji->i", x, bread))
 
 
 def test_regression_rank_deficient_design_gets_minimum_norm_fit():
-    # two distinct states: the cubic design has rank 2
-    reg = Regression(np.repeat([0.0, 1.0], 50), 3)
-    assert reg.n_basis == 4
-    assert np.linalg.matrix_rank(reg.design) == 2
-    targets = np.random.default_rng(6).standard_normal(100)
-    coeffs, fitted = reg.fit(targets)
-    ref, *_ = np.linalg.lstsq(reg.design, targets, rcond=None)
-    _assert_rel(coeffs, ref)
-    _assert_rel(fitted, reg.design @ ref)
-    assert np.allclose(fitted[:50], targets[:50].mean(), rtol=0, atol=1e-12)
+    # two distinct states: the cubic design has rank 2; at the second size
+    # its rows span four row blocks, the first of rank 1 and the last of
+    # two rows
+    for half in (50, 3 * QR_ROWS // 2 + 1):
+        reg = Regression(np.repeat([0.0, 1.0], half), 3)
+        assert reg.n_basis == 4
+        assert np.linalg.matrix_rank(reg.design) == 2
+        targets = np.random.default_rng(6).standard_normal(2 * half)
+        coeffs, fitted = reg.fit(targets)
+        ref, *_ = np.linalg.lstsq(reg.design, targets, rcond=None)
+        _assert_rel(coeffs, ref)
+        _assert_rel(fitted, reg.design @ ref)
+        assert np.allclose(fitted[:half], targets[:half].mean(), rtol=0, atol=1e-12)
 
 
 def test_regression_holds_one_transient_copy_of_the_design():
-    # the QR reduction copies the design once; a thin SVD of the design holds
-    # three n×p arrays at once
-    x = np.random.default_rng(3).standard_normal(20000)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        reg = Regression(x, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert reg.design.shape == (20000, 4)
-    assert peak - before - reg.design.nbytes <= 2 * reg.design.nbytes
+    # the factor, the robust variances and the leverages each hold one copy
+    # of a row block of the design (or its product with the p×p factor) at a
+    # time; a QR of the whole design copies all n×p of it, and the variances
+    # on the whole design form (p × n) temporaries
+    n = 8 * QR_ROWS
+    rng = np.random.default_rng(3)
+    x, resid = rng.standard_normal(n), rng.standard_normal(n)
+    for degree in (3, 8):
+        reg, held = traced_peak(Regression, x, degree)
+        assert reg.design.shape == (n, degree + 1)
+        # one block of p columns, plus a block's squared residuals and the
+        # small arrays
+        limit = (reg.n_basis + 2) * QR_ROWS * reg.design.itemsize
+        assert held - reg.design.nbytes < limit
+        _, held = traced_peak(reg.robust_variances, resid)
+        assert held < limit
+        lev, held = traced_peak(lambda: reg.leverages)
+        assert held - lev.nbytes < limit
 
 
 def test_each_step_design_is_factorized_once_per_ensemble(gamma_model, gamma_quad,
                                                          monkeypatch):
+    # every factor takes one SVD, however many row blocks its QR reduces
     calls = []
-    qr = np.linalg.qr
+    svd = np.linalg.svd
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return qr(*args, **kwargs)
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(solver.np.linalg, "qr", counted)
+    monkeypatch.setattr(solver.np.linalg, "svd", counted)
     ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 8, 3000, seed=12)
     view = q.DriverView(q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0)),
                         ens)
