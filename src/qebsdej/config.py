@@ -90,16 +90,17 @@ _step = _accept(lambda value: type(value) is int, "an integer step")
 REQUIRED = object()
 
 # Building the quadrature runs two adaptive integrals per cell, about 0.5 ms
-# a cell, and the solve regresses one jump loading per node at every step.
+# a cell, and the solve regresses one jump loading per live node at every step.
 Q_NODES_MAX = 1000
 # Regression.fit's coefficient error grows like cond(design)^2 * eps: against
 # lstsq it reads 1.4e-13 at degree 8 and 5.2e-12 at 9 (400 normal states).
 BASIS_DEGREE_MAX = 8
 # An ensemble holds n_paths x k_steps Brownian increments and several more
 # arrays of that size (state, solution, generator values and decomposition
-# increments), and each step of the solve holds n_paths x q_nodes
-# arrays (loadings and their regression targets).  A solve run
-# peaks near 375 MB at 5.4e6 such cells, so this bound keeps a run near 1.4 GB.
+# increments), and each step of the solve holds arrays of n_paths x the
+# quadrature's nodes (loadings and their regression targets).  The shipped
+# solve, 1e5 x (50 + 5) = 5.5e6 such cells, peaks at 280 MB (37 MB of it the
+# imports), so this bound keeps a run near 0.9 GB.
 PATH_CELLS_MAX = 2e7
 # The jump table keeps four 8-byte columns per jump and the sampler joins its
 # per-step parts, about 64 bytes a jump at the peak: 640 MB at this bound.
@@ -346,15 +347,20 @@ def validate_config(data: dict) -> ExperimentConfig:
 
 
 def _check_size(cfg: ExperimentConfig) -> None:
-    """Refuse an ensemble too large to allocate; see the bounds above."""
+    """Refuse an ensemble too large to allocate; see the bounds above.  The
+    quadrature has ``q_nodes + 1`` nodes on each side of the mark space, the
+    tail node among them, and a ladder's has one more for each scheduled cut
+    ``1/kappa`` above its inner edge."""
     ens, grid = cfg.ensemble, cfg.grid
-    cells = ens["n_paths"] * (grid["k_steps"] + cfg.quadrature["q_nodes"])
+    model = cfg.build_model()
+    kappas = ({t[2] for t in cfg.schedule["triples"].triples} if cfg.experiment == "scheme"
+              else {cfg.quadrature["kappa"]})
+    nodes = model.n_sides * (cfg.quadrature["q_nodes"] + len(kappas))
+    cells = ens["n_paths"] * (grid["k_steps"] + nodes)
     if cells > PATH_CELLS_MAX:
-        raise ConfigError("ensemble", f"n_paths * (k_steps + q_nodes) = {cells:g} "
-                          f"is above {PATH_CELLS_MAX:g}")
-    kappa = (cfg.schedule["triples"].kappa_max if cfg.experiment == "scheme"
-             else cfg.quadrature["kappa"])
-    jumps = ens["n_paths"] * grid["t_end"] * truncated_mass_reference(cfg.build_model(), kappa)
+        raise ConfigError("ensemble", f"n_paths * (k_steps + {nodes} quadrature nodes) "
+                          f"= {cells:g} is above {PATH_CELLS_MAX:g}")
+    jumps = ens["n_paths"] * grid["t_end"] * truncated_mass_reference(model, max(kappas))
     if not jumps <= EXPECTED_JUMPS_MAX:
         raise ConfigError("ensemble", f"n_paths * t_end * jump mass = {jumps:g} expected "
                           f"jumps is above {EXPECTED_JUMPS_MAX:g}")

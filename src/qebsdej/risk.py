@@ -25,9 +25,7 @@ DIRECTIONS = ("upper", "lower")
 class RiskEstimate:
     value: float
     stderr: float
-    per_path: np.ndarray | None = None
-    per_path_se: np.ndarray | None = None
-    heavy_tail_warning: bool = False
+    heavy_tail_warning: bool
 
 
 def heavy_tail(weights: np.ndarray) -> bool:
@@ -43,8 +41,8 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
 
     ``direction='upper'`` returns ``ln E[exp(psi) | F_t]``; ``'lower'``
     returns ``-ln E[exp(-psi) | F_t]``.  At ``k_time == 0`` the value is the
-    scalar log sample mean; later times return per-path regression values
-    with the cross-sectional mean reported as ``value``.
+    scalar log sample mean; at later times it is the cross-sectional mean of
+    the per-path regression values.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
@@ -59,36 +57,33 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
     if k_time == 0:
         mean = float(expo.mean())
         se_mean = float(expo.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return RiskEstimate(sign * math.log(mean), se_mean / mean,
-                            None, None, heavy)
+        return RiskEstimate(sign * math.log(mean), se_mean / mean, heavy)
     reg = ensemble.regression(k_time, basis_degree)
     _, fitted = reg.fit(expo)
     # a conditional mean stays inside the target's range; clipping keeps the
     # log finite where the polynomial fit undershoots a positive target
     pred = np.clip(fitted, float(expo.min()), float(expo.max()))
-    per_path = sign * np.log(pred)
+    path_values = sign * np.log(pred)
     resid = expo - fitted
     sigma2 = float(resid @ resid) / max(n - reg.n_basis, 1)
-    per_path_se = np.sqrt(np.clip(sigma2 * reg.leverages, 0.0, None)) / pred
     se = math.sqrt(sigma2 * reg.n_basis / n) / float(pred.mean())
-    return RiskEstimate(float(per_path.mean()), se, per_path, per_path_se, heavy)
+    return RiskEstimate(float(path_values.mean()), se, heavy)
 
 
 def terminal_bound_payoff(xi: np.ndarray, params: StructureParams,
-                          time_grid: np.ndarray, k_time: int) -> np.ndarray:
-    """Discounted terminal magnitude plus running cost integral from ``t_k``:
-    ``exp(c (T - t_k)) |xi| + sum_{j >= k} exp(c (t_j - t_k)) l dt_j``."""
-    times = np.asarray(time_grid, dtype=float)[k_time:]
-    c_dt = params.c * times - params.c * times[0]
-    run = float((np.exp(c_dt[:-1]) * params.l * np.diff(times)).sum())
-    return math.exp(c_dt[-1]) * np.abs(np.asarray(xi, dtype=float)) + run
+                          time_grid: np.ndarray) -> np.ndarray:
+    """Discounted terminal magnitude plus running cost integral over a grid
+    that starts at zero: ``exp(c T) |xi| + sum_j exp(c t_j) l dt_j``."""
+    times = np.asarray(time_grid, dtype=float)
+    c_t = params.c * times
+    run = float((np.exp(c_t[:-1]) * params.l * np.diff(times)).sum())
+    return math.exp(c_t[-1]) * np.abs(np.asarray(xi, dtype=float)) + run
 
 
 @dataclass
 class AprioriReport:
-    """``bound`` is the applied upper bound on ``lhs`` at time zero: ``rhs``
-    plus the slack.  It is nan at interior times, where the verdict is the
-    fraction of paths within their own bound."""
+    """``bound`` is the applied upper bound on ``lhs``: ``rhs`` plus the
+    slack."""
 
     lhs: float
     rhs: float
@@ -96,28 +91,19 @@ class AprioriReport:
     bound: float
 
 
-def apriori_bound_check(solution: BsdejSolution, params: StructureParams,
-                        k_time: int = 0) -> AprioriReport:
-    """Check ``|Y_t| <= entropic upper value of the discounted terminal
-    magnitude plus running costs``.
-
-    At interior times the bound must hold on at least 99% of paths with a
-    three-standard-error slack at the regression level; at time zero the
-    scalar comparison uses the combined standard error of both sides.
+def apriori_bound_check(solution: BsdejSolution, params: StructureParams
+                        ) -> AprioriReport:
+    """Check ``|Y_0| <= entropic upper value of the discounted terminal
+    magnitude plus running costs``, with a slack of three combined standard
+    errors of both sides.
     """
     payoff = terminal_bound_payoff(solution.terminal, params,
-                                   solution.ensemble.time_grid, k_time)
-    # every step of the solve is regressed at one degree
-    est = entropic(solution.ensemble, payoff, k_time, "upper",
+                                   solution.ensemble.time_grid)
+    est = entropic(solution.ensemble, payoff, 0, "upper",
                    solution.feature_maps[0].degree)
-    if k_time == 0:
-        bound = est.value + 3.0 * math.hypot(est.stderr, solution.regression_se(0))
-        lhs = abs(float(solution.y[:, 0].mean()))
-        return AprioriReport(lhs, est.value, lhs <= bound, bound)
-    lhs_paths = np.abs(solution.y[:, k_time])
-    slack = 3.0 * np.hypot(est.per_path_se, solution.regression_se(k_time))
-    frac = float((lhs_paths <= est.per_path + slack).mean())
-    return AprioriReport(float(lhs_paths.mean()), est.value, frac >= 0.99, math.nan)
+    bound = est.value + 3.0 * math.hypot(est.stderr, solution.y0_se)
+    lhs = abs(solution.y0)
+    return AprioriReport(lhs, est.value, lhs <= bound, bound)
 
 
 @dataclass
@@ -149,7 +135,7 @@ def exponential_moment_check(xi: np.ndarray, params: StructureParams,
     For each ``gamma`` the row reports the full-sample mean and the
     half-sample mean; heavy-tailed terminals fail the row's stability flag.
     """
-    payoff = terminal_bound_payoff(xi, params, np.asarray(time_grid), 0)
+    payoff = terminal_bound_payoff(xi, params, time_grid)
     rows = []
     for gamma in gammas:
         if gamma <= 0:

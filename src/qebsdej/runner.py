@@ -209,7 +209,7 @@ def run_scheme(cfg: ExperimentConfig):
                           rep.gaps_max_rise, 0.0),
               CheckResult("stability_decreasing", rep.stability_decreasing,
                           rep.stability_max_rise, 0.0)]
-    for i, frac in enumerate(rep.comparison_violations):
+    for i, frac in rep.comparison_violations.items():
         checks.append(CheckResult(f"comparison_link_{i}", frac < 0.01, frac, 0.01))
     for rec in rep.records:
         tag = f"{rec.n}_{rec.m}_{int(rec.kappa)}"

@@ -28,10 +28,6 @@ from .solver import (BsdejSolution, Decomposition, PathEnsemble, decompose,
                      same_ensemble, solve_lipschitz)
 
 
-class UnlinkedComparisonError(ValueError):
-    """A link whose index moves leave the comparison without a direction."""
-
-
 def link_direction(changed, nonnegative_base: bool) -> int | None:
     """Predicted ordering sign of a schedule link, or None when mixed index
     moves leave the comparison undirected (possible only for generators with
@@ -67,14 +63,17 @@ class Schedule:
     def kappa_max(self) -> float:
         return float(max(t[2] for t in self.triples))
 
-    def links(self) -> list[dict]:
-        """Adjacent comparability links: which indices changed between rows."""
+    def links(self, nonnegative_base: bool) -> list[dict]:
+        """Adjacent comparability links: link ``lo`` joins triples ``lo`` and
+        ``hi = lo + 1`` and carries the ``direction`` that
+        :func:`link_direction` gives the indices changed between them."""
         out = []
         for i in range(len(self.triples) - 1):
             a, b = self.triples[i], self.triples[i + 1]
             changed = tuple(name for name, x, y in
                             zip(("n", "m", "kappa"), a, b) if x != y)
-            out.append(dict(lo=i, hi=i + 1, changed=changed))
+            out.append(dict(lo=i, hi=i + 1,
+                            direction=link_direction(changed, nonnegative_base)))
         return out
 
 
@@ -135,7 +134,7 @@ class TripleRecord:
 class ConvergenceReport:
     records: list[TripleRecord]
     y0_max_drop: float      # largest y0 drop between solved neighbours, in SEs
-    comparison_violations: list[float]
+    comparison_violations: dict[int, float]     # by schedule link index
     gaps_max_rise: float        # largest rise between compared proxy gaps
     stability_max_rise: float   # largest rise of the H1 distance to the proxy
 
@@ -159,11 +158,6 @@ class ConvergenceReport:
 class SchemeResult:
     report: ConvergenceReport
 
-    @property
-    def solutions(self) -> list[BsdejSolution | None]:
-        """Each triple's solve, None where the triple failed."""
-        return [r.solution for r in self.report.records]
-
 
 def _max_rise(values) -> float:
     """Largest increase between consecutive values; -inf without a pair."""
@@ -182,35 +176,27 @@ def ladder_quadrature(model: LevyModel, schedule: Schedule,
 
 
 def monotonicity_check(solutions: Sequence[BsdejSolution],
-                       links: Sequence[dict],
-                       nonnegative_base: bool = True) -> list[float]:
+                       links: Sequence[dict]) -> dict[int, float]:
     """Fraction of (path, time) cells violating the comparison ordering on
-    each link, beyond three combined regression standard errors.
-
-    Links whose solves do not share an ensemble are refused.  For links where
-    several indices move at once the ordering is defined when either only one
-    index changed or the base generator is nonnegative (the ``m`` index is
-    then inert); mixed links without a defined direction raise.
+    each link, beyond three combined regression standard errors, keyed by the
+    link's schedule index ``lo``.  Each link carries its ``direction`` (see
+    :meth:`Schedule.links`); links whose solves do not share an ensemble are
+    refused.
     """
-    out = []
+    out = {}
     for link in links:
         lo, hi = solutions[link["lo"]], solutions[link["hi"]]
         same_ensemble(lo, hi)
-        direction = link_direction(link["changed"], nonnegative_base)
-        if direction is None:
-            raise UnlinkedComparisonError(
-                "no defined comparison direction for changed indices "
-                f"{set(link['changed'])}")
         k_steps = lo.n_steps
         viol = 0
         total = 0
         for k in range(k_steps + 1):
             se = 3.0 * math.hypot(lo.regression_se(min(k, k_steps - 1)),
                                   hi.regression_se(min(k, k_steps - 1)))
-            gap = (hi.y[:, k] - lo.y[:, k]) * direction
+            gap = (hi.y[:, k] - lo.y[:, k]) * link["direction"]
             viol += int((gap < -se).sum())
             total += gap.size
-        out.append(viol / total)
+        out[link["lo"]] = viol / total
     return out
 
 
@@ -282,7 +268,7 @@ def audit_solution(sol: BsdejSolution, params: StructureParams
     ensemble, k_steps = sol.ensemble, sol.n_steps
     tol = np.array([3.0 * sol.regression_se(k) for k in range(k_steps)])
     corridor = check_q_structure(sol, params, tol=tol[None, :])
-    apriori = apriori_bound_check(sol, params, 0)
+    apriori = apriori_bound_check(sol, params)
     x_bar = exponential_transform(sol.y, params, ensemble.time_grid)
     submart = submartingale_test(x_bar, ensemble, k_steps // 4, k_steps // 2)
     return corridor, apriori, submart
@@ -337,11 +323,12 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
             rec.h1_gap_proxy, rec.vstar_gap_proxy = (
                 pairwise_gap(rec.solution, proxy) if rec.solution is not proxy
                 else (0.0, 0.0))
-        links = [l for l in schedule.links()
-                 if records[l["lo"]].dec is not None and records[l["hi"]].dec is not None
-                 and link_direction(l["changed"], base.nonnegative) is not None]
-        comparison = monotonicity_check([r.solution for r in records], links,
-                                        nonnegative_base=base.nonnegative) if links else []
+        # a link whose mixed index moves leave the ordering undirected (see
+        # link_direction), or with a failed end, is not compared
+        links = [l for l in schedule.links(base.nonnegative)
+                 if l["direction"] is not None
+                 and records[l["lo"]].dec is not None and records[l["hi"]].dec is not None]
+        comparison = monotonicity_check([r.solution for r in records], links)
         y0s = np.array([r.y0 for r in solved])
         ses = np.array([r.y0_se for r in solved])
         # an exact tie is a drop of zero standard errors, even at zero SE
@@ -357,7 +344,7 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
         stability_max_rise = _max_rise([r.h1_gap_proxy for r in solved[:-1]
                                         if not math.isnan(r.h1_gap_proxy)])
     else:
-        comparison = []
+        comparison = {}
         y0_max_drop = gaps_max_rise = stability_max_rise = math.nan
     report = ConvergenceReport(records, y0_max_drop, comparison,
                                gaps_max_rise, stability_max_rise)

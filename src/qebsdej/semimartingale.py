@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .drivers import StructureParams, corridor_edge
-from .risk import heavy_tail
 from .solver import BsdejSolution, PathEnsemble, same_ensemble
 
 
@@ -80,7 +79,6 @@ def exponential_transform(y: np.ndarray, params: StructureParams,
 class SubmartingaleReport:
     fraction_below: float
     verdict: bool
-    heavy_tail_warning: bool
 
 
 def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
@@ -99,14 +97,12 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
     per-bin threshold carries the Bonferroni share of the family error, so a
     boundary-exact martingale does not flicker through multiple
     comparisons).  The verdict passes when fewer than 1% of paths are
-    flagged.  A heavy-tail warning fires when the top 0.1% of paths carry
-    most of the sample mean (the exponential moment is then untrustworthy).
+    flagged.
     """
     if not 0 <= k_sigma < k_tau <= ensemble.n_steps:
         raise ValueError("need grid indices with sigma < tau")
-    level_tau = np.exp(x_bar[:, k_tau])
-    n = level_tau.size
-    increment = level_tau - np.exp(x_bar[:, k_sigma])
+    increment = np.exp(x_bar[:, k_tau]) - np.exp(x_bar[:, k_sigma])
+    n = increment.size
     state = ensemble.state[:, k_sigma]
     # keep bins large enough for their means to be near-Gaussian
     n_bins = max(2, min(20, n // 1500))
@@ -130,7 +126,7 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
         if mean < -z_bin * se:
             flagged += count
     frac = flagged / n
-    return SubmartingaleReport(frac, frac < 0.01, heavy_tail(level_tau))
+    return SubmartingaleReport(frac, frac < 0.01)
 
 
 def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,

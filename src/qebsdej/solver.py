@@ -6,8 +6,8 @@ state.  Each step regresses, against the time-``t_k`` features,
 
 * the next value itself (drift target),
 * the next value times the scaled Brownian increment (diffusion loading), and
-* the next value times each node's centered jump count, normalized by the
-  node intensity (jump loading, one regression target per quadrature node),
+* the next value times each live node's centered jump count, normalized by
+  the node intensity (jump loading, one regression target per live node),
 
 then closes the step implicitly in ``y`` by Picard iteration.  The step is a
 contraction whenever ``dt`` times the ``y``-Lipschitz bound of the generator
@@ -230,8 +230,8 @@ class Regression:
     on the state is fitted from the design and that factor, and no n×p
     orthogonal factor is formed.
 
-    The QR reduction, :meth:`robust_variances` and :attr:`leverages` run over
-    row blocks of ``QR_ROWS`` rows, so none of them copies the whole design:
+    The QR reduction and :meth:`robust_variances` run over row blocks of
+    ``QR_ROWS`` rows, so neither of them copies the whole design:
     at 100k paths the two n×p copies a whole-design QR makes were handed
     back to the OS and faulted in again on every step.  The reduction is a
     TSQR: each block's triangle, stacked, is reduced by one more QR, which is
@@ -270,14 +270,6 @@ class Regression:
             rows = slice(start, start + QR_ROWS)
             yield rows, self.design[rows]
 
-    def _block_products(self, factor: np.ndarray):
-        """``(rows, design[rows] @ factor)`` for each row block.  Every
-        product is written into one buffer, so no two are held at once: the
-        next block overwrites the last one's product."""
-        buf = np.empty((min(self.design.shape[0], QR_ROWS), factor.shape[1]))
-        for rows, block in self._blocks():
-            yield rows, np.matmul(block, factor, out=buf[:block.shape[0]])
-
     def fit(self, targets: np.ndarray):
         """Coefficients and fitted values for a target vector or matrix; a
         matrix of fitted values is column-major."""
@@ -289,22 +281,16 @@ class Regression:
         """Heteroscedasticity-robust (HC0) coefficient variances of a fit with
         residuals ``resid``: the diagonal of ``B diag(resid^2) B'`` with
         ``B = X^+ = A X'`` and ``A = V S^-2 V'``, that is ``(resid^2) @ (X A)^2``,
-        accumulated over row blocks so that no (p × n) array is formed."""
+        accumulated over row blocks so that no (p × n) array is formed.  Every
+        block's ``X A`` is written into one buffer, so no two are held at once."""
+        a = self._v_scaled @ self._v_scaled.T
+        buf = np.empty((min(self.design.shape[0], QR_ROWS), self.n_basis))
         variances = np.zeros(self.n_basis)
-        for rows, xa in self._block_products(self._v_scaled @ self._v_scaled.T):
+        for rows, block in self._blocks():
+            xa = np.matmul(block, a, out=buf[:block.shape[0]])
             xa *= xa
             variances += np.square(resid[rows]) @ xa
         return variances
-
-    @property
-    def leverages(self) -> np.ndarray:
-        """Diagonal of the hat matrix ``X X^+``, one entry per path: the row
-        sums of ``(X V S^-1)^2``, written one row block at a time."""
-        out = np.empty(self.design.shape[0])
-        for rows, xv in self._block_products(self._v_scaled):
-            xv *= xv
-            xv.sum(axis=1, out=out[rows])
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +413,6 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
     q_nodes = ensemble.quad.n_nodes
 
     xi = np.asarray(terminal_fn(ensemble.state[:, -1]), dtype=float)
-    if xi.shape == ():
-        xi = np.full(n, float(xi))
-
     y = np.empty((n, k_steps + 1), order="F")
     z = np.zeros((n, k_steps), order="F")
     y[:, -1] = xi

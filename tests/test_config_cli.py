@@ -297,6 +297,18 @@ def test_validate_verb(tmp_path):
     assert main(["validate", cfg]) == EXIT_OK
 
 
+def test_validate_counts_every_node_of_a_symmetric_quadrature(tmp_path):
+    # 1000 cells and the tail node on each side: 2002 nodes, so the fields
+    # hold 19000 * (2 + 2002) = 3.8e7 cells, above the 2e7 bound
+    payload = solve_payload(model={"name": "stable", "theta": 1.0, "alpha": 0.5},
+                            quadrature={"kappa": 8.0, "q_nodes": 1000},
+                            grid={"t_end": 1.0, "k_steps": 2})
+    payload["ensemble"]["n_paths"] = 19000
+    with pytest.raises(ConfigError, match="2002 quadrature nodes"):
+        validate_config(payload)
+    assert main(["validate", write_config(tmp_path, "wide.json", payload)]) == EXIT_CONFIG_ERROR
+
+
 def test_run_solve_and_artifacts(tmp_path):
     cfg = write_config(tmp_path, "run.json", solve_payload())
     out = tmp_path / "out"
@@ -869,6 +881,24 @@ def test_failed_triple_is_recorded(tmp_path, monkeypatch):
     header, *rows = (out / "convergence_report.csv").read_text().splitlines()
     errors = [row.split(",")[-1] for row in rows]
     assert errors == ["FloatingPointError: injected", "", ""]
+    # the link from 4_4_4 to 8_8_8 keeps its schedule index
+    assert "comparison_link_1 " in summary
+    assert "comparison_link_0" not in summary
+
+
+def test_undirected_link_prints_no_comparison_line(tmp_path):
+    # on a signed base the m index is not inert, so the first link, which
+    # moves n and m together, has no direction; the second moves kappa only
+    payload = scheme_payload()
+    payload["driver"] = {"name": "linear", "a": 0.5, "b": 0.2}
+    payload["schedule"] = {"triples": [[2, 2, 2], [4, 4, 2], [4, 4, 4]]}
+    cfg = write_config(tmp_path, "signed.json", payload)
+    out = tmp_path / "signed_out"
+    assert main(["run", cfg, "--out", str(out)]) in (EXIT_OK, EXIT_CHECK_FAILURE)
+    summary = (out / "summary.txt").read_text()
+    assert "triple_" not in summary
+    assert "comparison_link_0" not in summary
+    assert re.search(r"^(PASS|FAIL) comparison_link_1 ", summary, re.M)
 
 
 def test_audit_honours_picard_settings(tmp_path):

@@ -6,9 +6,8 @@ import pytest
 
 import qebsdej as q
 from qebsdej import levy, solver
-from qebsdej.scheme import (Schedule, UnlinkedComparisonError, default_c_split,
-                            driver_l1_gap, ladder_quadrature, monotonicity_check,
-                            run_triple_scheme)
+from qebsdej.scheme import (Schedule, default_c_split, driver_l1_gap,
+                            ladder_quadrature, monotonicity_check, run_triple_scheme)
 from qebsdej.semimartingale import check_q_structure
 from qebsdej.solver import BsdejSolution, EnsembleMismatchError, PathEnsemble
 
@@ -27,6 +26,11 @@ def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
     return ens, run_triple_scheme(base, terminal_fn, ens, schedule,
                                   basis_degree=3, picard_max=50,
                                   picard_tol=1e-10)
+
+
+def solutions(result):
+    """Each triple's solve, None where the triple failed."""
+    return [r.solution for r in result.report.records]
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +54,11 @@ def test_schedule_validation():
     with pytest.raises(ValueError, match="three indices"):
         Schedule(((2, 2), (2, 2)))
     sched = Schedule(((1, 1, 2), (2, 1, 2), (2, 2, 4)))
-    links = sched.links()
-    assert links[0]["changed"] == ("n",)
-    assert links[1]["changed"] == ("m", "kappa")
+    assert [(l["lo"], l["hi"]) for l in sched.links(True)] == [(0, 1), (1, 2)]
+    assert [l["direction"] for l in sched.links(True)] == [+1, +1]
+    # on a signed base the m index is not inert: moving it with kappa leaves
+    # the second link without a direction
+    assert [l["direction"] for l in sched.links(False)] == [+1, None]
     assert sched.kappa_max == 4.0
 
 
@@ -65,8 +71,8 @@ def test_degenerate_single_triple_equals_plain_solve(gamma_model):
     ens, result = run_ladder(base, lambda x: x, gamma_model, schedule,
                              seed=55, k_steps=10, n_paths=2000, q_nodes=8)
     direct = solve(q.DriverView(base, ens), lambda x: x)
-    assert result.solutions[0].y0 == pytest.approx(direct.y0, abs=1e-12)
-    assert np.allclose(result.solutions[0].y, direct.y, atol=1e-12)
+    assert solutions(result)[0].y0 == pytest.approx(direct.y0, abs=1e-12)
+    assert np.allclose(solutions(result)[0].y, direct.y, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +87,11 @@ def test_lipschitz_driver_ladder_matches_closed_form(gamma_model):
     schedule = Schedule(((1, 1, 2), (2, 2, 4), (4, 4, 8)))
     ens, res = run_ladder(base, lambda x: x, gamma_model, schedule, seed=66,
                           k_steps=20, n_paths=20000, q_nodes=8)
-    y0s = [s.y0 for s in res.solutions]
+    y0s = [s.y0 for s in solutions(res)]
     assert y0s[0] == pytest.approx(y0s[1], abs=1e-12)
     assert y0s[1] == pytest.approx(y0s[2], abs=1e-12)
     exact = girsanov_tilt_exact(0.3, 0.0, ens.quad.total_mass, 1.0)
-    assert abs(y0s[0] - exact) <= 3.0 * res.solutions[0].y0_se
+    assert abs(y0s[0] - exact) <= 3.0 * solutions(res)[0].y0_se
 
 
 def test_ladder_monotone_and_clean(mini_scheme):
@@ -93,7 +99,8 @@ def test_ladder_monotone_and_clean(mini_scheme):
     y0s = [r.y0 for r in rep.records]
     assert y0s[0] < y0s[1] < y0s[2]
     assert rep.monotone_y0
-    assert all(frac < 0.01 for frac in rep.comparison_violations)
+    assert list(rep.comparison_violations) == [0, 1]
+    assert all(frac < 0.01 for frac in rep.comparison_violations.values())
     assert all(r.corridor.violation_fraction < 0.01 for r in rep.records)
     assert all(r.apriori.ok for r in rep.records)
     assert all(r.submartingale.verdict for r in rep.records)
@@ -276,22 +283,14 @@ def test_unlinked_comparison_refused(gamma_model, gamma_quad):
                       1000, seed=seed)
         sols.append(solve(q.DriverView(drv, ens), lambda x: x))
     with pytest.raises(EnsembleMismatchError):
-        monotonicity_check(sols, [dict(lo=0, hi=1, changed=("kappa",))])
+        monotonicity_check(sols, [dict(lo=0, hi=1, direction=+1)])
 
 
 def test_identical_solves_zero_violations(small_ensemble, gamma_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: x)
-    fracs = monotonicity_check([sol, sol], [dict(lo=0, hi=1, changed=())])
-    assert fracs == [0.0]
-
-
-def test_mixed_link_without_direction_refused(small_ensemble, gamma_quad):
-    drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
-    sol = solve(q.DriverView(drv, small_ensemble), lambda x: x)
-    with pytest.raises(UnlinkedComparisonError, match="direction"):
-        monotonicity_check([sol, sol], [dict(lo=0, hi=1, changed=("n", "m"))],
-                           nonnegative_base=False)
+    fracs = monotonicity_check([sol, sol], [dict(lo=0, hi=1, direction=+1)])
+    assert fracs == {0: 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +299,7 @@ def test_mixed_link_without_direction_refused(small_ensemble, gamma_quad):
 
 def test_identical_solutions_zero_gap(mini_scheme):
     _, result = mini_scheme
-    proxy = result.solutions[-1]
+    proxy = solutions(result)[-1]
     rep = driver_l1_gap(proxy, proxy, c_split=5.0)
     assert rep.a1 == 0.0 and rep.a2 == 0.0
 
@@ -330,7 +329,7 @@ def test_default_split_fills_one_buffer(perturbed_solution):
 def test_gap_split_validation(mini_scheme):
     _, result = mini_scheme
     with pytest.raises(ValueError, match="positive"):
-        driver_l1_gap(result.solutions[0], result.solutions[-1], c_split=0.0)
+        driver_l1_gap(solutions(result)[0], solutions(result)[-1], c_split=0.0)
 
 
 def test_uniform_gap_shrinks_along_ladder(gamma_model):
@@ -342,7 +341,7 @@ def test_uniform_gap_shrinks_along_ladder(gamma_model):
     _, res = run_ladder(base, lambda x: np.abs(0.4 * x), gamma_model, schedule,
                         seed=99, k_steps=20, n_paths=6000, q_nodes=10,
                         jump_impact="mark")
-    sols = res.solutions
+    sols = solutions(res)
     gaps = []
     for a, b in zip(sols, sols[1:]):
         gaps.append(float(np.abs(b.y - a.y).mean(axis=0).max()))
