@@ -3,9 +3,11 @@
 A generator splits as ``f = f_hat(y, z) + int g(u(e)) nu(de)``, the node
 intensity ``w_i`` weighing the jump part, and is pinned between the corridor
 bounds built from the jump penalty :func:`qebsdej.levy.j_functional`.  Regularization replaces each
-signed part of ``f`` with its Lipschitz lower envelope over a finite candidate
-grid, yielding generators that are globally Lipschitz in ``(y, z)``, monotone
-in the regularization indices, and still inside the corridor.
+signed part of ``f`` with its Lipschitz lower envelope (Lepeltier & San Martín
+1997): in ``z`` in the driver's closed form, in the marks over the grid
+``V_GRID``, and jointly over coarse grids in the generic strategy.  The results
+are globally Lipschitz in ``(y, z)``, monotone in the regularization indices,
+and still inside the corridor.
 """
 
 from __future__ import annotations
@@ -49,11 +51,12 @@ class Driver:
     constant of ``f`` in ``y``, zero when ``f`` ignores ``y``; ``lip_yz`` is
     one of ``f_hat`` in ``(y, z)`` when finite.
 
-    The declared slopes let that envelope skip the rows where it provably
-    equals the driver: ``g_and_slope(v)`` returns the pair ``(g(v), g'(v))``
-    pointwise, as two new arrays, its first with the bits of ``g(v)``; and
-    ``z_slope(z)`` is ``|d f_hat / dz|`` pointwise.  ``None`` declares no
-    slope, and then the envelope is evaluated on every row.
+    ``z_envelope(z, n)`` is the exact ``n``-Lipschitz lower envelope of
+    ``f_hat`` in ``z``, with the bits of ``f_hat`` where the two agree; a
+    driver without one takes no fast envelope.  ``g_and_slope(v)`` returns
+    ``(g(v), g'(v))`` pointwise, as two new arrays, the first with the bits
+    of ``g(v)``; the slope lets the mark envelope skip the rows where it
+    provably equals the driver, and ``None`` leaves every row open.
     """
 
     name: str
@@ -65,7 +68,7 @@ class Driver:
     lip_yz: float = math.inf
     g_lip_factor: float = math.inf  # sup |g'| over the working mark-value range
     g_and_slope: Callable | None = None
-    z_slope: Callable | None = None
+    z_envelope: Callable | None = None
 
     @property
     def depends_on_y(self) -> bool:
@@ -124,11 +127,14 @@ def _canonical(structure: StructureParams) -> Driver:
         x /= delta
         return x, slope
 
-    def z_slope(z):
-        return delta * np.abs(z)
+    def z_envelope(z, n):
+        # Huber: f_hat while its slope delta |z| is at most n, then the tangent
+        quad = f_hat(0.0, z)
+        return np.where(delta * np.abs(z) <= n, quad,
+                        np.minimum(n * np.abs(z) - n * n / (2.0 * delta), quad))
 
     return Driver("canonical", f_hat, g, structure, nonnegative=True, lip_y=0.0,
-                  g_and_slope=g_and_slope, z_slope=z_slope)
+                  g_and_slope=g_and_slope, z_envelope=z_envelope)
 
 
 def _linear(structure: StructureParams, a: float = 0.0, b: float = 0.0,
@@ -170,8 +176,9 @@ def _zero(structure: StructureParams) -> Driver:
     def g_and_slope(v):
         return g(v), g(v)
 
-    return Driver("zero", f_hat, g, structure, nonnegative=True, lip_y=0.0,
-                  lip_yz=0.0, g_lip_factor=0.0, g_and_slope=g_and_slope, z_slope=g)
+    return Driver("zero", f_hat, g, structure, nonnegative=True, lip_y=0.0, lip_yz=0.0,
+                  g_lip_factor=0.0, g_and_slope=g_and_slope,
+                  z_envelope=lambda z, n: g(z))
 
 
 _DRIVER_FACTORIES = dict(canonical=_canonical, linear=_linear, morlais=_morlais, zero=_zero)
@@ -211,25 +218,8 @@ def corridor_edge(y, z, u, params: StructureParams, wz: np.ndarray, upper: bool)
 # envelopes
 # ---------------------------------------------------------------------------
 
-def _running_min_envelope(cand_vals: np.ndarray, cand_coord: np.ndarray,
-                          points: np.ndarray, n: float) -> np.ndarray:
-    """Exact 1-d envelope ``min_g [val_g + n |coord_g - x|]`` on a sorted
-    candidate grid, via the two-sided running-minimum distance transform."""
-    left_key = np.minimum.accumulate(cand_vals - n * cand_coord)
-    right_key = np.minimum.accumulate((cand_vals + n * cand_coord)[::-1])[::-1]
-    idx = np.searchsorted(cand_coord, points, side="right")
-    out = np.full(points.shape, np.inf)
-    has_left = idx > 0
-    out[has_left] = left_key[idx[has_left] - 1] + n * points[has_left]
-    has_right = idx < cand_coord.size
-    np.minimum(out, np.where(has_right,
-                             right_key[np.minimum(idx, cand_coord.size - 1)]
-                             - n * points, np.inf), out=out)
-    return out
-
-
-# candidate grids of the regularized evaluation: y and z values, and the
-# constant mark values v
+# candidate grids of the regularized evaluation: y and z values (generic
+# strategy only), and the constant mark values v
 YZ_GRID = np.linspace(-10.0, 10.0, 2001)
 V_GRID = np.linspace(-4.0, 4.0, 161)
 
@@ -256,15 +246,15 @@ class RegularizedDriver:
     probe.  Three evaluation strategies are selected at build time:
 
     ``nonnegative``
-        the negative part is identically zero, ``f_hat`` ignores ``y``, and the
-        envelope separates into a ``z`` part and a constant-field mark part
-        (fast, used in solves); ``g`` must be convex, because the mark part
-        finds its minimum over ``V_GRID`` by bisection, and an evaluation with
-        jump mass refuses a ``g`` whose grid values are not.  Each part is
-        evaluated only on the rows that its tangent certificate leaves open
-        (see :meth:`_fhat_envelope` and :meth:`_jump_envelope`); a certified
-        row returns the driver's own value, which is what the envelope
-        returns there;
+        the negative part is identically zero, ``f_hat`` ignores ``y``, the
+        driver declares ``z_envelope``, and the envelope separates into that
+        ``z`` part and a constant-field mark part (fast, used in solves);
+        ``g`` must be convex, because the mark part finds its minimum over
+        ``V_GRID`` by bisection, and an evaluation with jump mass refuses a
+        ``g`` whose grid values are not.  The mark part is evaluated only on
+        the rows that its tangent certificate leaves open (see
+        :meth:`_jump_envelope`); a certified row returns the driver's own
+        value, which is what the envelope returns there;
     ``lipschitz_exact``
         the driver is globally Lipschitz with constant at most ``min(n, m)``,
         so both envelopes reproduce the parts exactly;
@@ -286,9 +276,10 @@ class RegularizedDriver:
         if self.n < 1 or self.m < 1:
             raise ValueError("regularization indices must be >= 1")
         self.node_idx = np.asarray(self.node_idx, dtype=int)
-        if self.view.driver.nonnegative and not self.view.driver.depends_on_y:
+        driver = self.view.driver
+        if driver.nonnegative and not driver.depends_on_y and driver.z_envelope is not None:
             self.strategy = "nonnegative"
-        elif (math.isfinite(self.view.driver.lip_yz)
+        elif (math.isfinite(driver.lip_yz)
               and min(self.n, self.m) >= self._lip_needed()):
             self.strategy = "lipschitz_exact"
         else:
@@ -323,26 +314,6 @@ class RegularizedDriver:
         return cells / rows if rows else math.nan
 
     # -- separable pieces (nonnegative strategy) ---------------------------
-
-    def _fhat_envelope(self, y: np.ndarray, z: np.ndarray):
-        """``(envelope, query)`` of ``f_hat`` in ``z``.
-
-        A row with ``|d f_hat / dz| <= n`` is certified: the tangent of the
-        convex ``f_hat`` there already lies above ``query - n |c - z|``, so the
-        envelope is the query.  The running-minimum transform is taken on the
-        other rows only; it is elementwise in the row, so their values keep
-        the bits of a transform over every row.
-        """
-        driver = self.view.driver
-        query = driver.f_hat(y, z)
-        open_rows = (np.ones(query.shape, dtype=bool) if driver.z_slope is None
-                     else ~(driver.z_slope(z) <= self.n))
-        out = query.copy()
-        if open_rows.any():
-            cv = driver.f_hat(np.zeros_like(YZ_GRID), YZ_GRID)
-            out[open_rows] = np.minimum(_running_min_envelope(
-                cv, YZ_GRID, z[open_rows], self.n), query[open_rows])
-        return out, query
 
     @functools.cached_property
     def _g_grid(self) -> np.ndarray:
@@ -457,7 +428,8 @@ class RegularizedDriver:
             value = self.view.driver.evaluate(y, z, u_sub, wz)
             self.active[k] = (0, value.size)
         elif self.strategy == "nonnegative":
-            f_env, f_query = self._fhat_envelope(y, z)
+            f_query = self.view.driver.f_hat(y, z)
+            f_env = self.view.driver.z_envelope(z, self.n)
             j_env, j_query = self._jump_envelope(u_sub, wz)
             value = f_env + j_env
             # a row where neither part moved, certified rows among them,

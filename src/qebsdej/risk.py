@@ -65,7 +65,8 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
     pred = np.clip(fitted, float(expo.min()), float(expo.max()))
     path_values = sign * np.log(pred)
     resid = expo - fitted
-    sigma2 = float(resid @ resid) / max(n - reg.n_basis, 1)
+    # a NumPy sum of squares, not a BLAS dot, whose order depends on the thread count
+    sigma2 = float(np.square(resid, out=resid).sum()) / max(n - reg.n_basis, 1)
     se = math.sqrt(sigma2 * reg.n_basis / n) / float(pred.mean())
     return RiskEstimate(float(path_values.mean()), se, heavy)
 

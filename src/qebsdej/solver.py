@@ -272,9 +272,12 @@ class Regression:
 
     def fit(self, targets: np.ndarray):
         """Coefficients and fitted values for a target vector or matrix; a
-        matrix of fitted values is column-major."""
+        matrix of fitted values is column-major.  ``design.T @ targets`` is
+        summed over the row blocks in block order, so its bits do not depend
+        on the BLAS thread count."""
         v = self._v_scaled
-        coeffs = v @ (v.T @ (self.design.T @ targets))
+        moments = sum(block.T @ targets[rows] for rows, block in self._blocks())
+        coeffs = v @ (v.T @ moments)
         return coeffs, _column_major_product(self.design, coeffs)
 
     def robust_variances(self, resid: np.ndarray) -> np.ndarray:

@@ -374,6 +374,25 @@ def test_run_is_bit_deterministic_across_processes(tmp_path, payload):
         assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("name", ["solve_martingale", "risk_gaussian"])
+def test_shipped_run_is_bit_identical_at_one_and_two_blas_threads(tmp_path, name):
+    # every reduction over paths runs in an order of its own (blocks of
+    # QR_ROWS rows, or a NumPy sum), not in one the BLAS picks per thread count
+    config = next(str(path) for path in CONFIGS if path.stem == name)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(_package_env(), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "qebsdej.cli", "run", config,
+                               "--out", str(out)], capture_output=True, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "summary.txt" in names and names == sorted(p.name for p in outs[1].iterdir())
+    for artifact in names:
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
+
+
 def _risk(times):
     return dict(experiment="risk", risk={"times": times, "gammas": [1.0]})
 

@@ -486,10 +486,12 @@ def test_canonical_g_and_slope_writes_g_into_the_exponent_buffer(gamma_quad, del
 
 def test_nonconvex_jump_integrand_is_refused(gamma_quad, small_ensemble):
     # 1 - cos(v) is nonnegative but not convex, so the bisection could stop at
-    # a local minimum of the mark objective
+    # a local minimum of the mark objective; the declared z envelope keeps
+    # the driver on the nonnegative strategy
     drv = Driver("bumpy", lambda y, z: np.zeros(np.shape(y)),
                  lambda v: 1.0 - np.cos(np.asarray(v, dtype=float)),
-                 StructureParams(1.0, 0.0, 0.0), nonnegative=True, lip_y=0.0)
+                 StructureParams(1.0, 0.0, 0.0), nonnegative=True, lip_y=0.0,
+                 z_envelope=lambda z, n: np.zeros(np.shape(z)))
     reg = regularize(q.DriverView(drv, small_ensemble), 2, 1)
     assert reg.strategy == "nonnegative"
     u = np.zeros((3, gamma_quad.n_nodes))
@@ -507,7 +509,7 @@ def test_nonconvex_jump_integrand_is_refused_on_certified_rows(gamma_quad,
                  StructureParams(1.0, 0.0, 0.0), nonnegative=True, lip_y=0.0,
                  g_and_slope=lambda v: (1.0 - np.cos(np.asarray(v, dtype=float)),
                                         np.sin(np.asarray(v, dtype=float))),
-                 z_slope=lambda z: np.zeros(np.shape(z)))
+                 z_envelope=lambda z, n: np.zeros(np.shape(z)))
     reg = regularize(q.DriverView(drv, small_ensemble), 2, 1)
     assert reg.strategy == "nonnegative"
     u = np.zeros((3, gamma_quad.n_nodes))
@@ -559,7 +561,7 @@ def test_open_rows_keep_the_bits_of_an_evaluation_on_every_row(canonical, gamma_
     # `.sum(axis=-1)` over a row subset of that copy gives other bits than
     # over the whole copy, so the comparison with the dense scan, whose row
     # sums are taken on the whole copy, catches a layout-dependent row sum
-    full = dataclasses.replace(canonical, g_and_slope=None, z_slope=None)
+    full = dataclasses.replace(canonical, g_and_slope=None)
     rng = np.random.default_rng(16)
     rows, wz = 4000, small_ensemble.quad.weights
     y = np.zeros(rows)
@@ -584,13 +586,83 @@ def test_open_rows_keep_the_bits_of_an_evaluation_on_every_row(canonical, gamma_
             raw = canonical.evaluate(y, y, u_sub, wz)
             assert 0 < reg.active[k][0] < rows
             assert reg.active[k] == ref.active[k] == (int((out < raw).sum()), rows)
-    # the z part: rows with delta |z| > n run the transform, the others not
+    # with z in play the value is the z envelope plus the mark envelope
     z = rng.normal(0.0, 3.0, rows)
     for n in (1, 2, 4):
         reg = regularize(q.DriverView(canonical, small_ensemble), n, 1)
         ref = regularize(q.DriverView(full, small_ensemble), n, 1)
-        np.testing.assert_array_equal(reg.evaluate(0, y, z, u), ref.evaluate(0, y, z, u))
+        out = reg.evaluate(0, y, z, u)
+        np.testing.assert_array_equal(out, ref.evaluate(0, y, z, u))
+        np.testing.assert_array_equal(out, canonical.z_envelope(z, n)
+                                      + _dense_scan(reg, u[..., reg.node_idx], wz))
         assert reg.active[0] == ref.active[0]
+
+
+ENVELOPE_INDICES = [(delta, n) for delta in (0.5, 1.0, 2.0) for n in (1, 2, 8, 16, 64)]
+
+
+def _z_envelope_at_zero_field(delta, n, z, ensemble):
+    """The regularized canonical generator at ``u = 0``, where the mark part
+    is zero, so that the value is the envelope in ``z`` alone."""
+    drv = q.make_driver("canonical", StructureParams(delta, 0.0, 0.0))
+    reg = regularize(q.DriverView(drv, ensemble), n, 1)
+    assert reg.strategy == "nonnegative"
+    out = reg.evaluate(0, np.zeros(z.size), z, np.zeros((z.size, ensemble.quad.n_nodes)))
+    return drv, reg, out
+
+
+@pytest.mark.parametrize("delta,n", ENVELOPE_INDICES)
+def test_z_envelope_is_n_lipschitz_at_every_index(small_ensemble, delta, n):
+    # past the reach of any finite z grid too: the envelope's slope in z is
+    # at most n on |z| <= 4 n / delta, up to rounding
+    z = np.linspace(-4.0 * n / delta, 4.0 * n / delta, 40001)
+    _, _, out = _z_envelope_at_zero_field(delta, n, z, small_ensemble)
+    slope = np.abs(np.diff(out)) / np.diff(z)
+    assert slope.max() <= n * (1.0 + 1e-9), f"slope {slope.max()} > n = {n}"
+    # and it reaches n: the quadratic is cut, not merely flattened
+    assert slope.max() >= n * (1.0 - 1e-3)
+
+
+@pytest.mark.parametrize("delta,n", ENVELOPE_INDICES)
+def test_z_envelope_matches_a_dense_inf_convolution(small_ensemble, delta, n):
+    # the grid probe lies above the exact envelope by at most n h on a grid
+    # of spacing h that covers every minimizer
+    reach = 4.0 * n / delta
+    grid = np.linspace(-reach, reach, 1201)
+    h = grid[1] - grid[0]
+    z = np.random.default_rng(40).uniform(-reach, reach, 25)
+    drv, _, out = _z_envelope_at_zero_field(delta, n, z, small_ensemble)
+    probe = np.array([inf_convolve(lambda c: float(drv.f_hat(0.0, c)), n, zi, grid)
+                      for zi in z])
+    scale = 4.0 * n * reach
+    assert np.all(out <= probe + 1e-12 * scale)
+    assert np.all(probe - out <= n * h)
+
+
+@pytest.mark.parametrize("delta,n", ENVELOPE_INDICES)
+def test_z_envelope_keeps_the_bits_of_f_hat_within_the_slope(small_ensemble, delta, n):
+    z = np.random.default_rng(41).normal(0.0, 2.0 * n / delta, 5000)
+    drv, reg, out = _z_envelope_at_zero_field(delta, n, z, small_ensemble)
+    inside = delta * np.abs(z) <= n
+    assert 0 < inside.sum() < z.size
+    query = drv.f_hat(0.0, z)
+    assert out[inside].tobytes() == query[inside].tobytes()
+    assert drv.z_envelope(z, n).tobytes() == out.tobytes()
+    # outside, the tangent of slope n, strictly below the quadratic; the
+    # active count is exactly the rows the envelope moved
+    huber = n * np.abs(z) - n * n / (2.0 * delta)
+    np.testing.assert_allclose(out[~inside], huber[~inside], rtol=1e-14)
+    assert np.all(out[~inside] < query[~inside])
+    assert reg.active[0] == (int((~inside).sum()), z.size)
+
+
+def test_a_nonnegative_driver_without_a_z_envelope_takes_another_strategy(canonical,
+                                                                          small_ensemble):
+    bare = dataclasses.replace(canonical, z_envelope=None)
+    assert regularize(q.DriverView(bare, small_ensemble), 2, 2).strategy == "generic"
+    zero = q.make_driver("zero", StructureParams(1.0, 0.0, 0.0))
+    bare = dataclasses.replace(zero, z_envelope=None)
+    assert regularize(q.DriverView(bare, small_ensemble), 2, 2).strategy == "lipschitz_exact"
 
 
 def test_envelope_active_counts_the_last_evaluation_of_each_step(canonical,
