@@ -61,9 +61,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         return run_experiment(cfg, args.out)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG_ERROR
     except Exception:
         log.error("experiment crashed:\n%s", traceback.format_exc())
         return EXIT_CRASH

@@ -359,13 +359,10 @@ def _side_edges(model: LevyModel, lo: float, q_nodes: int,
             raise DivergentMassError("tail mass does not decay; cannot truncate")
     edges = np.geomspace(lo, hi, q_nodes + 1)
     cuts = [c for c in cut_levels if lo + 1e-12 < c < hi - 1e-12]
-    if cuts:
-        edges = np.unique(np.concatenate([edges, np.asarray(cuts, dtype=float)]))
-        # snap near-duplicates of the forced cuts onto the exact cut value
-        for c in cuts:
-            edges = edges[np.abs(edges - c) > 1e-9 * max(c, 1.0)]
-        edges = np.sort(np.concatenate([edges, np.asarray(cuts, dtype=float)]))
-    return edges
+    # snap near-duplicates of the forced cuts onto the exact cut value
+    for c in cuts:
+        edges = edges[np.abs(edges - c) > 1e-9 * max(c, 1.0)]
+    return np.sort(np.concatenate([edges, np.asarray(cuts, dtype=float)]))
 
 
 def _side_cells(model: LevyModel, edges: np.ndarray):

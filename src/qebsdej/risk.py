@@ -98,7 +98,7 @@ def apriori_bound_check(solution: BsdejSolution, params: StructureParams
     magnitude plus running costs``, with a slack of three combined standard
     errors of both sides.
     """
-    payoff = terminal_bound_payoff(solution.terminal, params,
+    payoff = terminal_bound_payoff(solution.y[:, -1], params,
                                    solution.ensemble.time_grid)
     est = entropic(solution.ensemble, payoff, 0, "upper",
                    solution.feature_maps[0].degree)

@@ -317,8 +317,8 @@ def run_triple_scheme(base: Driver, terminal_fn: Callable,
             rec.chebyshev_bound = gap.chebyshev_bound
             rec.region_fraction = gap.region_fraction
         gaps = [r.a1 + r.a2 for r in solved]
-        for rec, stab in zip(solved, stability_diagnostics([r.solution for r in solved])):
-            rec.h1_gap_prev, rec.vstar_gap_prev = stab.h1_gap_prev, stab.vstar_gap_prev
+        for rec, prev in zip(solved, stability_diagnostics([r.solution for r in solved])):
+            rec.h1_gap_prev, rec.vstar_gap_prev = prev
             # the proxy's distance to itself is exactly zero
             rec.h1_gap_proxy, rec.vstar_gap_proxy = (
                 pairwise_gap(rec.solution, proxy) if rec.solution is not proxy

@@ -96,8 +96,9 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
     three-standard-error criterion made simultaneous across bins (the
     per-bin threshold carries the Bonferroni share of the family error, so a
     boundary-exact martingale does not flicker through multiple
-    comparisons).  The verdict passes when fewer than 1% of paths are
-    flagged.
+    comparisons).  A state that is the same on every path (``min == max``,
+    exactly, at any level) is one bin.  The verdict passes when fewer than
+    1% of paths are flagged.
     """
     if not 0 <= k_sigma < k_tau <= ensemble.n_steps:
         raise ValueError("need grid indices with sigma < tau")
@@ -106,7 +107,7 @@ def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
     state = ensemble.state[:, k_sigma]
     # keep bins large enough for their means to be near-Gaussian
     n_bins = max(2, min(20, n // 1500))
-    if float(state.std()) <= 1e-12:
+    if state.min() == state.max():
         bin_ids = np.zeros(n, dtype=int)
         n_bins = 1
     else:
@@ -149,19 +150,12 @@ def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,
 # stability along an approximation ladder
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StabilityRecord:
-    h1_gap_prev: float      # vs previous decomposition, nan for the first
-    vstar_gap_prev: float
-
-
-def stability_diagnostics(solutions: Sequence[BsdejSolution]) -> list[StabilityRecord]:
-    """Pairwise gaps between the decompositions of consecutive solves (all on
-    a shared ensemble)."""
-    records = [StabilityRecord(math.nan, math.nan)] if solutions else []
-    for prev, sol in zip(solutions, solutions[1:]):
-        records.append(StabilityRecord(*pairwise_gap(sol, prev)))
-    return records
+def stability_diagnostics(solutions: Sequence[BsdejSolution]
+                          ) -> list[tuple[float, float]]:
+    """The :func:`pairwise_gap` ``(h1, vstar)`` of each solve against the one
+    before it (all on a shared ensemble); NaNs for the first solve."""
+    pairs = [(math.nan, math.nan)] if solutions else []
+    return pairs + [pairwise_gap(sol, prev) for prev, sol in zip(solutions, solutions[1:])]
 
 
 def pairwise_gap(sol_a: BsdejSolution, sol_b: BsdejSolution) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily otherwise, on the first draw)
 
-from .levy import JumpTable, LevyModel, MarkQuadrature, sample_jump_paths
+from .levy import JumpTable, MarkQuadrature, sample_jump_paths
 
 
 class NonContractionError(RuntimeError):
@@ -56,6 +56,7 @@ class PathEnsemble:
     which a solve regresses a jump loading, are the same on every step.
     ``dw`` and ``state`` are stored step-major (column-major), as are the
     solution and decomposition fields, so one step's column is one block.
+    It keeps the quadrature that drew the jumps, not the Lévy model behind it.
 
     The object is its own identity: solutions hold the ensemble they were
     regressed on, and :func:`same_ensemble` refuses to combine results from
@@ -69,7 +70,6 @@ class PathEnsemble:
     dw: np.ndarray                   # (n_paths, K)
     jumps: JumpTable
     state: np.ndarray                # (n_paths, K+1)
-    model: LevyModel
     quad: MarkQuadrature
     # (k, degree) -> Regression.factor, filled on first use; valid because
     # nothing writes `state` after simulate_forward, and a copy made with
@@ -114,11 +114,12 @@ class PathEnsemble:
         return reg
 
 
-def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
-                     t_end: float, k_steps: int, n_paths: int, seed: int,
-                     x0: float, jump_impact: str) -> PathEnsemble:
+def simulate_forward(quad: MarkQuadrature, dynamics: str, t_end: float,
+                     k_steps: int, n_paths: int, seed: int, x0: float,
+                     jump_impact: str) -> PathEnsemble:
     """Simulate Brownian increments, the jump stream, and the forward state
-    on ``k_steps`` equal steps of ``[0, t_end]``.
+    on ``k_steps`` equal steps of ``[0, t_end]``, from the deterministic
+    start ``x0``, with the jumps drawn at the node intensity of ``quad``.
 
     The default state is the Brownian path plus compensated jump impacts.
     Brownian and jump streams use independent child seeds of ``seed`` so the
@@ -157,7 +158,7 @@ def simulate_forward(model: LevyModel, quad: MarkQuadrature, dynamics: str,
         if use_j:
             inc += jumps.compensated_sum(k, impact, quad.weights, dt)
         state[:, k + 1] = state[:, k] + inc
-    return PathEnsemble(time_grid, dt, dw, jumps, state, model, quad)
+    return PathEnsemble(time_grid, dt, dw, jumps, state, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -172,24 +173,21 @@ class FeatureMap:
     deviations before powers are taken, so the fitted conditional
     expectations extrapolate flat instead of polynomially in the far tails
     (cubic tails otherwise feed the exponential nonlinearities and blow the
-    backward recursion up).  Columns with no cross-path variation
-    (deterministic state) are dropped; the intercept always stays.
+    backward recursion up).  A state that is the same on every path, such as
+    the deterministic start ``x0``, gets the degree-0 basis, the intercept
+    alone: :meth:`fit` decides that exactly, by ``min == max``, so the rule
+    holds at any ``x0``.  ``degree`` is the degree of the step's basis.
     """
 
     degree: int
     center: float
     scale: float
-    keep: np.ndarray
 
     @staticmethod
     def fit(x: np.ndarray, degree: int) -> "FeatureMap":
-        center = float(x.mean())
-        spread = float(x.std())
-        scale = spread if spread > 1e-12 else 1.0
-        keep = np.ones(degree + 1, dtype=bool)
-        if spread <= 1e-12:
-            keep[1:] = False
-        return FeatureMap(degree, center, scale, keep)
+        if x.min() == x.max():
+            return FeatureMap(0, float(x[0]), 1.0)
+        return FeatureMap(degree, float(x.mean()), float(x.std()))
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         """The (len(x), n_basis) design, built in one preallocated
@@ -204,11 +202,11 @@ class FeatureMap:
             np.clip(t, -CLIP_SIGMAS, CLIP_SIGMAS, out=t)
             for p in range(2, self.degree + 1):
                 np.multiply(design[:, p - 1], t, out=design[:, p])
-        return design if self.keep.all() else design[:, self.keep]
+        return design
 
     @property
     def n_basis(self) -> int:
-        return int(self.keep.sum())
+        return self.degree + 1
 
 
 def _column_major_product(design: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -304,11 +302,12 @@ class Regression:
 class BsdejSolution:
     """Discrete solution fields plus regression diagnostics.
 
-    ``y`` has shape (n_paths, K+1) with the terminal column equal to the
-    terminal payoff exactly.  ``z`` has shape (n_paths, K).  The jump
-    loadings are stored as regression coefficients per step on the ensemble's
-    L live nodes, ``u_coeffs[k]`` of shape (n_basis, L), and re-evaluated on
-    demand through :meth:`u_values`; the loading of a dead node is zero.
+    ``y`` has shape (n_paths, K+1); its terminal column is the terminal
+    payoff ``xi`` exactly, and the solution stores ``xi`` nowhere else.
+    ``z`` has shape (n_paths, K).  The jump loadings are stored as regression
+    coefficients per step on the ensemble's L live nodes, ``u_coeffs[k]`` of
+    shape (n_basis, L), and re-evaluated on demand through :meth:`u_values`;
+    the loading of a dead node is zero.
     ``driver_values`` are the generator values actually used by the backward
     step, so downstream decompositions reproduce the recursion identically on
     ``ensemble``.
@@ -318,7 +317,6 @@ class BsdejSolution:
     z: np.ndarray
     u_coeffs: list
     feature_maps: list
-    terminal: np.ndarray
     driver_values: np.ndarray
     resid_var: np.ndarray
     cond_numbers: np.ndarray
@@ -415,10 +413,9 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
     n, k_steps = ensemble.n_paths, ensemble.n_steps
     q_nodes = ensemble.quad.n_nodes
 
-    xi = np.asarray(terminal_fn(ensemble.state[:, -1]), dtype=float)
     y = np.empty((n, k_steps + 1), order="F")
     z = np.zeros((n, k_steps), order="F")
-    y[:, -1] = xi
+    y[:, -1] = terminal_fn(ensemble.state[:, -1])
     u_coeffs, fmaps = [None] * k_steps, [None] * k_steps
     fvals = np.zeros((n, k_steps), order="F")
     resid_var = np.zeros(k_steps)
@@ -475,7 +472,7 @@ def solve_lipschitz(driver, terminal_fn: Callable, basis_degree: int,
         fvals[:, k] = f_now
         y[:, k] = y_cur
 
-    return BsdejSolution(y, z, u_coeffs, fmaps, xi, fvals, resid_var, conds,
+    return BsdejSolution(y, z, u_coeffs, fmaps, fvals, resid_var, conds,
                          ensemble, picard_counts, u_clip)
 
 

@@ -12,10 +12,14 @@ def _defaults(section, *keys):
     return {key: SETTINGS[section][key].default for key in keys}
 
 
-def forward(model, quad, dynamics, t_end, k_steps, n_paths, seed, **settings):
+# the basis degree that `solve` and `entropic` use unless told otherwise
+BASIS_DEGREE = SETTINGS["solver"]["basis_degree"].default
+
+
+def forward(quad, dynamics, t_end, k_steps, n_paths, seed, **settings):
     """``simulate_forward`` with ``x0`` and ``jump_impact`` at their
     configuration defaults unless ``settings`` sets them."""
-    return q.simulate_forward(model, quad, dynamics, t_end, k_steps, n_paths, seed,
+    return q.simulate_forward(quad, dynamics, t_end, k_steps, n_paths, seed,
                               **{**_defaults("ensemble", "x0", "jump_impact"),
                                  **settings})
 
@@ -69,8 +73,8 @@ def two_node_quad():
 
 
 @pytest.fixture(scope="session")
-def small_ensemble(gamma_model, gamma_quad):
-    return forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 20, 20000, seed=101)
+def small_ensemble(gamma_quad):
+    return forward(gamma_quad, "brownian_jumps", 1.0, 20, 20000, seed=101)
 
 
 def probe_fields(rng, quad, n, spread=1.0):
@@ -78,10 +82,10 @@ def probe_fields(rng, quad, n, spread=1.0):
 
 
 @pytest.fixture(scope="session")
-def perturbed_solution(gamma_model, gamma_quad):
+def perturbed_solution(gamma_quad):
     """A 2000 x 50 canonical solve whose ``y``, ``z`` and driver values are
     scaled and jittered, so that sums round and sizes differ on every path."""
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     rng = np.random.default_rng(9)

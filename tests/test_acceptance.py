@@ -21,7 +21,7 @@ from qebsdej.risk import (apriori_bound_check, entropic, exponential_moment_chec
 from qebsdej.scheme import Schedule, ladder_quadrature, run_triple_scheme
 from qebsdej.semimartingale import exponential_transform, submartingale_test
 
-from conftest import forward, solve
+from conftest import BASIS_DEGREE, forward, solve
 from references import (canonical_paths, doleans_check, garsia_neveu_probe,
                         inf_convolve, lipschitz_estimate, structure_bounds,
                         sup_convolve)
@@ -49,9 +49,9 @@ def gamma_setting():
 @pytest.fixture(scope="module")
 def canonical_signed(gamma_setting):
     """Canonical generator, signed Gaussian-tailed terminal, N=1e5, K=50."""
-    model, quad = gamma_setting
+    _, quad = gamma_setting
     t0 = time.time()
-    ens = forward(model, quad, "brownian_jumps", 1.0, 50, 100000, seed=42)
+    ens = forward(quad, "brownian_jumps", 1.0, 50, 100000, seed=42)
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     sol = solve(q.DriverView(drv, ens), lambda x: 0.25 * x)
@@ -62,9 +62,9 @@ def canonical_signed(gamma_setting):
 @pytest.fixture(scope="module")
 def canonical_magnitude(gamma_setting):
     """Same setting with the magnitude terminal (bound-tight case)."""
-    model, quad = gamma_setting
+    _, quad = gamma_setting
     t0 = time.time()
-    ens = forward(model, quad, "brownian_jumps", 1.0, 50, 100000, seed=43)
+    ens = forward(quad, "brownian_jumps", 1.0, 50, 100000, seed=43)
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
@@ -81,7 +81,7 @@ def canonical_ladder(gamma_setting):
     params = q.StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", params)
     schedule = Schedule(((2, 2, 2), (4, 4, 4), (8, 8, 8)))
-    ens = forward(model, ladder_quadrature(model, schedule, 12),
+    ens = forward(ladder_quadrature(model, schedule, 12),
                   "brownian_jumps", 1.0, 40, 30000,
                   seed=2024)
     result = run_triple_scheme(base, lambda x: np.abs(0.25 * x), ens, schedule,
@@ -93,7 +93,7 @@ def canonical_ladder(gamma_setting):
 def test_criterion_01_martingale_representation():
     t0 = time.time()
     quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
-    ens = forward(q.make_model("null"), quad, "brownian", 1.0, 50, 100000,
+    ens = forward(quad, "brownian", 1.0, 50, 100000,
                   seed=7)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: x)
@@ -105,8 +105,8 @@ def test_criterion_01_martingale_representation():
 
 
 def test_criterion_02_linear_driver_closed_form(gamma_setting):
-    model, quad = gamma_setting
-    ens = forward(model, quad, "brownian_jumps", 1.0, 100, 2000, seed=8)
+    _, quad = gamma_setting
+    ens = forward(quad, "brownian_jumps", 1.0, 100, 2000, seed=8)
     params = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", params, a=0.5)
     sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
@@ -117,16 +117,15 @@ def test_criterion_02_linear_driver_closed_form(gamma_setting):
 def test_criterion_03_canonical_vs_entropic(canonical_signed):
     params, ens, sol = canonical_signed
     t0 = time.time()
-    xi = sol.terminal
+    xi = sol.y[:, -1]
     moments = exponential_moment_check(xi, params, ens.time_grid, (1.0, 2.0))
     assert all(row.stable for row in moments), "terminal moment check failed"
-    degree = sol.feature_maps[0].degree
-    oracle = entropic(ens, xi, 0, "upper", degree)
+    oracle = entropic(ens, xi, 0, "upper", BASIS_DEGREE)
     gap0 = abs(sol.y0 - oracle.value)
     tol0 = 3.0 * math.hypot(sol.y0_se, oracle.stderr)
     interior_ok, detail = True, []
     for k in (20, 35):
-        est = entropic(ens, xi, k, "upper", degree)
+        est = entropic(ens, xi, k, "upper", BASIS_DEGREE)
         gap_k = abs(float(np.mean(sol.y[:, k])) - est.value)
         tol_k = 5.0 * math.hypot(sol.regression_se(k), est.stderr)
         interior_ok &= gap_k <= tol_k
@@ -140,7 +139,7 @@ def test_criterion_03_canonical_vs_entropic(canonical_signed):
 def test_criterion_04_doleans_means(gamma_setting):
     model, _ = gamma_setting
     quad = q.build_quadrature(model, 4.0, 10)
-    ens = forward(model, quad, "brownian_jumps", 1.0, 20, 100000, seed=17)
+    ens = forward(quad, "brownian_jumps", 1.0, 20, 100000, seed=17)
     mc = ens.dw
     u_fields = np.full((ens.n_steps, quad.n_nodes), 0.3)
     details, ok = [], True
@@ -174,7 +173,7 @@ def test_criterion_07_apriori_bound(canonical_signed, canonical_magnitude,
     rep_signed = apriori_bound_check(sol_s, params)
     params_m, ens_m, sol_m = canonical_magnitude
     rep_tight = apriori_bound_check(sol_m, params_m)
-    payoff = terminal_bound_payoff(sol_m.terminal, params_m, ens_m.time_grid)
+    payoff = terminal_bound_payoff(sol_m.y[:, -1], params_m, ens_m.time_grid)
     rhs = entropic(ens_m, payoff, 0, "upper", sol_m.feature_maps[0].degree)
     assert rhs.value == rep_tight.rhs
     gap = abs(rep_tight.rhs - rep_tight.lhs)
@@ -209,7 +208,7 @@ def test_criterion_08_regularization_suite(gamma_setting):
     # Lipschitz cap on the regularized generator
     params = q.StructureParams(1.0, 0.0, 0.0)
     base = q.make_driver("canonical", params)
-    view = q.DriverView(base, forward(model, quad, "brownian_jumps", 1.0, 2, 100,
+    view = q.DriverView(base, forward(quad, "brownian_jumps", 1.0, 2, 100,
                                       seed=80))
     reg5 = regularize(view, 5, 2)
     u0 = np.zeros((1, quad.n_nodes))
@@ -222,7 +221,7 @@ def test_criterion_08_regularization_suite(gamma_setting):
 
     # monotone tables: nondecreasing in n and kappa, nonincreasing in m
     quad_cut = q.build_quadrature(model, 8.0, 10, cut_levels=[0.5, 0.25])
-    ens_cut = forward(model, quad_cut, "brownian_jumps", 1.0, 2, 100, seed=80)
+    ens_cut = forward(quad_cut, "brownian_jumps", 1.0, 2, 100, seed=80)
     ys = rng.uniform(-3, 3, 50)
     zs = rng.uniform(-3, 3, 50)
     us = rng.uniform(-1.2, 1.2, (50, quad_cut.n_nodes))

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import inspect
 import json
+import logging
 import math
 import os
 import re
@@ -15,13 +16,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qebsdej
-from qebsdej import levy
+from qebsdej import levy, runner
 from qebsdej.cli import main
 from qebsdej.config import (ORACLES, SETTINGS, TERMINALS, TOP_LEVEL_KEYS,
                             ConfigError, _int, load_config, validate_config)
 from qebsdej.levy import (KAPPA_MAX, MASS_FLOOR, build_quadrature,
                           truncated_mass_reference)
-from qebsdej.runner import (EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK)
+from qebsdej.runner import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_CRASH, EXIT_OK
 from qebsdej.solver import DYNAMICS, JUMP_IMPACTS
 
 from references import girsanov_tilt_exact
@@ -297,6 +298,18 @@ def test_validate_verb(tmp_path):
     assert main(["validate", cfg]) == EXIT_OK
 
 
+@pytest.mark.parametrize("payload,message", [
+    ([solve_payload()], "top level must be a JSON object"),
+    ({"model": {"name": "null"}}, "missing required field"),
+    (solve_payload(grid=[1.0, 8]), "expected an object"),
+], ids=["top_level_list", "no_experiment", "section_not_an_object"])
+def test_validate_refuses_a_malformed_document(tmp_path, payload, message):
+    with pytest.raises(ConfigError, match=message):
+        validate_config(payload)
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert main(["validate", cfg]) == EXIT_CONFIG_ERROR
+
+
 def test_validate_counts_every_node_of_a_symmetric_quadrature(tmp_path):
     # 1000 cells and the tail node on each side: 2002 nodes, so the fields
     # hold 19000 * (2 + 2002) = 3.8e7 cells, above the 2e7 bound
@@ -329,9 +342,25 @@ def test_run_solve_and_artifacts(tmp_path):
     assert (out / "solution_paths.csv").exists()
 
 
-def test_martingale_check_regresses_at_solver_degree(tmp_path, monkeypatch):
-    from qebsdej import runner
+def test_solve_far_from_zero_is_the_solve_at_zero_shifted(tmp_path):
+    # the state at time 0 is x0 on every path; at 100000.1 its sample spread
+    # is 1.5e-11, yet its basis is the intercept alone, as at 0
+    summaries = []
+    for x0 in (0.0, 100000.1):
+        payload = solve_payload(model={"name": "null"}, grid={"t_end": 1.0, "k_steps": 5},
+                                solver={"basis_degree": 3})
+        payload["ensemble"].update(seed=7, x0=x0)
+        out = tmp_path / f"x0_{x0:g}"
+        assert main(["run", write_config(tmp_path, "shift.json", payload),
+                     "--out", str(out)]) == EXIT_OK
+        with (out / "solution_summary.csv").open() as fh:
+            summaries.append({k: float(v) for k, v in next(csv.DictReader(fh)).items()})
+    at_zero, shifted = summaries
+    assert shifted["max_condition"] == pytest.approx(at_zero["max_condition"], rel=1e-6)
+    assert abs((shifted["y0"] - 100000.1) - at_zero["y0"]) <= 1e-8
 
+
+def test_martingale_check_regresses_at_solver_degree(tmp_path, monkeypatch):
     real_test = runner.martingale_regression_test
     degrees = []
 
@@ -423,6 +452,7 @@ def _ensemble(**fields):
     dict(solver={"picard_tolerance": 1e-8}),
     dict(grid={"t_end": 1.0, "k_steps": 2.7}),
     dict(driver={"name": "linear", "aa": 0.5}),
+    dict(driver={"name": "linear", "c_tilde": 1.0}),
     dict(model={"name": "gamma", "zeta": 0.5}),
     dict(model={"name": "gamma", "c_nu": 1}),
     dict(model={"name": "gamma", "beta": 0}),
@@ -443,7 +473,8 @@ def _ensemble(**fields):
         "basis_degree_not_a_number", "picard_max_not_a_number",
         "export_paths_not_a_number", "gamma_not_a_number",
         "unknown_top_level_key", "unknown_ensemble_key", "unknown_solver_key",
-        "k_steps_not_integral", "misspelled_driver_parameter", "zeta_from_json",
+        "k_steps_not_integral", "misspelled_driver_parameter",
+        "linear_jump_loading_not_contracting", "zeta_from_json",
         "c_nu_is_unknown", "gamma_beta_zero", "normal_scale_zero",
         "normal_profile_finer_than_its_marks",
         "theta_not_a_number", "negative_theta", "expected_jumps_beyond_memory",
@@ -523,6 +554,17 @@ def test_config_error_exit_code(tmp_path):
     out = tmp_path / "nothing"
     assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert not out.exists()  # no artifacts on config failure
+
+
+def test_unexpected_error_is_a_crash(tmp_path, monkeypatch, caplog):
+    def broken(cfg):
+        raise KeyError("a table nobody wrote")
+
+    monkeypatch.setitem(runner._RUNNERS, "solve", broken)
+    cfg = write_config(tmp_path, "ok.json", solve_payload())
+    with caplog.at_level(logging.ERROR, logger="qebsdej"):
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == EXIT_CRASH
+    assert "experiment crashed" in caplog.text and "a table nobody wrote" in caplog.text
 
 
 def test_oracle_verb(tmp_path):

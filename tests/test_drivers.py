@@ -18,10 +18,10 @@ from references import (check_a_gamma, huber_envelope_grid, inf_convolve,
 DENSE = np.linspace(-5.0, 5.0, 10001)
 
 
-def bind(driver, model, quad, k_steps=2):
+def bind(driver, quad, k_steps=2):
     """``driver`` bound to a small ensemble over ``[0, 1]`` on ``quad``, for
     probes on a quadrature other than the shared one."""
-    return q.DriverView(driver, forward(model, quad, "brownian_jumps", 1.0,
+    return q.DriverView(driver, forward(quad, "brownian_jumps", 1.0,
                                         k_steps, 100, seed=1))
 
 
@@ -249,7 +249,7 @@ def test_generic_strategy_exact_for_lipschitz_base(gamma_quad, small_ensemble):
 
 def test_monotone_in_n_and_kappa(canonical, gamma_model):
     quad = q.build_quadrature(gamma_model, 8.0, 10, cut_levels=[0.5, 0.25])
-    view = bind(canonical, gamma_model, quad)
+    view = bind(canonical, quad)
     rng = np.random.default_rng(6)
     ys = rng.uniform(-3, 3, 50)
     zs = rng.uniform(-3, 3, 50)
@@ -370,7 +370,7 @@ def test_truncation_convergence(canonical, gamma_model):
     ys = rng.uniform(-2, 2, 50)
     zs = rng.uniform(-2, 2, 50)
     us = rng.uniform(-1, 1, (50, quad.n_nodes))
-    view = bind(canonical, gamma_model, quad)
+    view = bind(canonical, quad)
     vals = {}
     for kappa in (2.0, 8.0, 32.0):
         reg = regularize(view, 4, 4, node_idx=quad.restrict_indices(kappa))

@@ -16,7 +16,7 @@ from references import entropic_gaussian_exact, folded_gaussian_moment_exact
 @pytest.fixture(scope="module")
 def wiener_ensemble():
     quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
-    return forward(q.make_model("null"), quad, "brownian", 1.0, 20,
+    return forward(quad, "brownian", 1.0, 20,
                    200000, seed=71)
 
 
@@ -58,7 +58,7 @@ def test_translation_invariance(shift):
     rng = np.random.default_rng(5)
     psi = rng.normal(0.0, 0.4, 50000)
     quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
-    ens = forward(q.make_model("null"), quad, "brownian",
+    ens = forward(quad, "brownian",
                   1.0, 2, 50000, seed=6)
     base = entropic(ens, psi, 0)
     shifted = entropic(ens, psi + shift, 0)
@@ -166,7 +166,7 @@ def test_apriori_canonical_tight(small_ensemble, gamma_quad):
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
     rep = apriori_bound_check(sol, p)
     assert rep.ok
-    payoff = terminal_bound_payoff(sol.terminal, p, small_ensemble.time_grid)
+    payoff = terminal_bound_payoff(sol.y[:, -1], p, small_ensemble.time_grid)
     est = q.entropic(small_ensemble, payoff, 0, "upper", sol.feature_maps[0].degree)
     assert est.value == rep.rhs
     gap = abs(rep.rhs - rep.lhs)

@@ -20,7 +20,7 @@ def run_ladder(base, terminal_fn, model, schedule, seed, k_steps, n_paths,
     """The ladder on a fresh ensemble over [0, 1]: the ensemble and the
     scheme result."""
     quad = ladder_quadrature(model, schedule, q_nodes)
-    ens = forward(model, quad, "brownian_jumps",
+    ens = forward(quad, "brownian_jumps",
                   1.0, k_steps, n_paths, seed,
                   jump_impact=jump_impact)
     return ens, run_triple_scheme(base, terminal_fn, ens, schedule,
@@ -60,6 +60,11 @@ def test_schedule_validation():
     # the second link without a direction
     assert [l["direction"] for l in sched.links(False)] == [+1, None]
     assert sched.kappa_max == 4.0
+    # on either base, a link that moves m alone is directed -1 and a link
+    # that moves no index +1
+    repeated = Schedule(((2, 2, 2), (2, 2, 2), (2, 4, 2)))
+    for nonnegative_base in (True, False):
+        assert [l["direction"] for l in repeated.links(nonnegative_base)] == [+1, -1]
 
 
 def test_degenerate_single_triple_equals_plain_solve(gamma_model):
@@ -237,12 +242,12 @@ def test_every_field_summed_over_the_nodes_is_column_major(gamma_model, monkeypa
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n_paths", [2000, 150])
-def test_live_width_fields_keep_the_bits_of_zero_padded_ones(gamma_model, gamma_quad,
+def test_live_width_fields_keep_the_bits_of_zero_padded_ones(gamma_quad,
                                                             n_paths, monkeypatch):
     # a solution stores its loading on the live nodes only; each reader of
     # it gives the bits that the zero-padded field on every node gives, at
     # 2000 paths (live and dead nodes) and at 150 (no live node at all)
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, n_paths, seed=17)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 10, n_paths, seed=17)
     live = ens.live
     assert live.any() == (n_paths == 2000) and not live.all()
     params = q.StructureParams(1.0, 0.0, 0.0)
@@ -276,11 +281,11 @@ def test_live_width_fields_keep_the_bits_of_zero_padded_ones(gamma_model, gamma_
 # comparison links
 # ---------------------------------------------------------------------------
 
-def test_unlinked_comparison_refused(gamma_model, gamma_quad):
+def test_unlinked_comparison_refused(gamma_quad):
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sols = []
     for seed in (1, 2):
-        ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10,
+        ens = forward(gamma_quad, "brownian_jumps", 1.0, 10,
                       1000, seed=seed)
         sols.append(solve(q.DriverView(drv, ens), lambda x: x))
     with pytest.raises(EnsembleMismatchError):
@@ -306,10 +311,10 @@ def test_identical_solutions_zero_gap(mini_scheme):
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-200])
-def test_default_split_without_martingale_part(gamma_model, gamma_quad, scale):
+def test_default_split_without_martingale_part(gamma_quad, scale):
     # sizes of zero, or so small that the split's square underflows, leave
     # no Chebyshev bound at five times their percentile; the split is then 1
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 4, 500, seed=3)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 4, 500, seed=3)
     sol = solve(q.DriverView(q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0)),
                              ens), lambda x: scale * x)
     assert default_c_split(sol) == 1.0

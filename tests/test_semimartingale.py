@@ -68,11 +68,11 @@ def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
     assert np.max(np.abs(slack)) <= 1e-9
 
 
-def test_corridor_check_holds_one_cell_array(gamma_model, gamma_quad):
+def test_corridor_check_holds_one_cell_array(gamma_quad):
     # no (n, K) array is kept: the per-step bounds and violation flags are
     # (n,) or (n, Q), and only a count of violations outlives a step
     params = q.StructureParams(1.0, 0.0, 0.0)
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=5)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=5)
     sol = solve(q.DriverView(q.make_driver("canonical", params), ens),
                 lambda x: np.abs(0.25 * x))
     tol = np.array([3.0 * sol.regression_se(k) for k in range(sol.n_steps)])[None, :]
@@ -111,12 +111,12 @@ def _lower_edge_rows(monkeypatch):
 
 @pytest.mark.parametrize("name,settings", [("canonical", {}), ("linear", {"a": -0.8}),
                                            ("morlais", {"beta": 0.5})])
-def test_one_sided_corridor_matches_the_two_sided_reference(gamma_model, gamma_quad,
+def test_one_sided_corridor_matches_the_two_sided_reference(gamma_quad,
                                                              monkeypatch, name, settings):
     # the lower edge is taken only where dV < -tol; the fraction keeps the
     # bits of the reference that takes both edges everywhere
     params = q.StructureParams(1.0, 0.0, 0.0)
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 20, 2000, seed=7)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 20, 2000, seed=7)
     sol = solve(q.DriverView(q.make_driver(name, params, **settings), ens),
                 lambda x: np.abs(0.25 * x) + 0.5)
     dv = sol.driver_values * ens.dt
@@ -196,6 +196,38 @@ def test_submartingale_counterexample_fails(small_ensemble):
     assert rep.fraction_below == 1.0
 
 
+def _falling_increments(n, shift_se, seed):
+    """``x_bar`` on two steps whose increment ``exp(x_1) - exp(x_0)`` has
+    sample mean ``shift_se`` of its standard errors."""
+    d = np.random.default_rng(seed).uniform(-0.5, 0.5, n)
+    d -= d.mean()
+    d += shift_se * d.std(ddof=1) / math.sqrt(n)
+    return np.column_stack([np.zeros(n), np.log1p(d)])
+
+
+@pytest.mark.parametrize("x0", [0.0, 100000.1])
+def test_submartingale_constant_state_is_one_bin_at_any_level(gamma_quad, x0):
+    # the state at time 0 is x0 on every path, whose sample spread is 1.5e-11
+    # at 100000.1: it is one bin, whose 3-SE test flags a mean 3.5 SEs below
+    # 0, not 20 bins at the Bonferroni share of the error, which would not
+    ens = forward(gamma_quad, "brownian", 1.0, 1, 30000, seed=71, x0=x0)
+    rep = submartingale_test(_falling_increments(30000, -3.5, seed=72), ens, 0, 1)
+    assert rep.fraction_below == 1.0 and not rep.verdict
+
+
+def test_submartingale_skips_the_empty_bins_of_tied_edges(gamma_quad):
+    # a state with two values puts all 19 quantile edges on ties: two bins
+    # hold the paths, and the 18 empty ones are skipped
+    n = 30000
+    ens = forward(gamma_quad, "brownian", 1.0, 1, n, seed=73)
+    tied = np.asfortranarray(np.column_stack([np.repeat([0.0, 1.0], n // 2),
+                                              ens.state[:, 1]]))
+    x_bar = np.concatenate([_falling_increments(n // 2, -50.0, seed=74),
+                            _falling_increments(n // 2, 0.0, seed=75)])
+    rep = submartingale_test(x_bar, dataclasses.replace(ens, state=tied), 0, 1)
+    assert rep.fraction_below == 0.5
+
+
 def test_submartingale_index_validation(small_ensemble):
     with pytest.raises(ValueError):
         submartingale_test(np.zeros((10, 21)), small_ensemble, 10, 5)
@@ -211,7 +243,7 @@ def martingale_increments(request):
     solve, with their ensemble."""
     model = q.make_model("gamma", theta=1.0, beta=1.0)
     quad = q.build_quadrature(model, 8.0, 12)
-    ens = forward(model, quad, "brownian_jumps", 0.7, 30, 5000, seed=request.param)
+    ens = forward(quad, "brownian_jumps", 0.7, 30, 5000, seed=request.param)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     return ens, decompose(solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))).dm
 
@@ -235,8 +267,8 @@ def test_martingale_coefficients_catch_a_drift(martingale_increments):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def tiny_ensemble(gamma_model, gamma_quad):
-    return forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 5, 100, seed=61)
+def tiny_ensemble(gamma_quad):
+    return forward(gamma_quad, "brownian_jumps", 1.0, 5, 100, seed=61)
 
 
 def test_canonical_flat_martingale(tiny_ensemble):
@@ -294,19 +326,17 @@ def test_canonical_compensator_refuses_overflow(tiny_ensemble, direction, sign):
 
 def test_stability_identical_decompositions(canonical_solution):
     _, sol = canonical_solution
-    records = stability_diagnostics([sol, sol, sol])
-    assert all(r.h1_gap_prev in (0.0,) or math.isnan(r.h1_gap_prev)
-               for r in records)
-    assert records[1].h1_gap_prev == 0.0
-    assert records[1].vstar_gap_prev == 0.0
+    pairs = stability_diagnostics([sol, sol, sol])
+    assert all(math.isnan(gap) for gap in pairs[0])
+    assert pairs[1:] == [(0.0, 0.0), (0.0, 0.0)]
     h1, vstar = pairwise_gap(sol, sol)
     assert h1 == 0.0 and vstar == 0.0
 
 
-def test_pairwise_gap_holds_no_cell_array(gamma_model, gamma_quad):
+def test_pairwise_gap_holds_no_cell_array(gamma_quad):
     # per-path accumulators only: no (n, K) array of increments or sums
     params = q.StructureParams(1.0, 0.0, 0.0)
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=5)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=5)
     sol = solve(q.DriverView(q.make_driver("canonical", params), ens),
                 lambda x: np.abs(0.25 * x))
     rng = np.random.default_rng(6)
@@ -332,14 +362,14 @@ def test_pairwise_gap_holds_no_cell_array(gamma_model, gamma_quad):
     assert vstar == float(np.abs(v_gap).max(axis=1).mean())
 
 
-def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
+def test_stability_refinement_gap_shrinks(gamma_quad):
     # deterministic linear generator: the variation part converges first
     # order in the grid, so coarse-vs-fine gaps shrink as the grid refines
     p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
     v_terminal = {}
     for k_steps in (25, 50, 100):
-        ens = forward(gamma_model, gamma_quad, "brownian_jumps",
+        ens = forward(gamma_quad, "brownian_jumps",
                       1.0, k_steps, 500, seed=31)
         sol = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x))
         v_terminal[k_steps] = float((sol.driver_values[0] * ens.dt).sum())
@@ -349,9 +379,9 @@ def test_stability_refinement_gap_shrinks(gamma_model, gamma_quad):
 
 
 def test_stability_requires_shared_ensemble(canonical_solution, small_ensemble,
-                                            gamma_model, gamma_quad):
+                                            gamma_quad):
     _, sol = canonical_solution
-    other_ens = forward(gamma_model, gamma_quad, "brownian_jumps",
+    other_ens = forward(gamma_quad, "brownian_jumps",
                         1.0, small_ensemble.n_steps, 20000, seed=999)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     other_sol = solve(q.DriverView(drv, other_ens), lambda x: np.zeros_like(x))

@@ -14,7 +14,7 @@ from qebsdej.semimartingale import martingale_regression_test, pairwise_gap
 from qebsdej.solver import (CLIP_SIGMAS, QR_ROWS, EnsembleMismatchError, FeatureMap,
                             NonContractionError, Regression, same_ensemble)
 
-from conftest import forward, solve, traced_peak
+from conftest import BASIS_DEGREE, forward, solve, traced_peak
 from references import (canonical_paths, dense_jump_targets, girsanov_tilt_exact,
                         reconstruction_gap_whole_array, s2_norm_whole_array,
                         structure_bounds)
@@ -27,7 +27,7 @@ def null_quad():
 
 @pytest.fixture(scope="module")
 def brownian_ensemble(null_quad):
-    return forward(q.make_model("null"), null_quad, "brownian", 1.0, 25,
+    return forward(null_quad, "brownian", 1.0, 25,
                    50000, seed=77)
 
 
@@ -35,9 +35,9 @@ def brownian_ensemble(null_quad):
 # forward simulation
 # ---------------------------------------------------------------------------
 
-def test_brownian_increment_statistics(gamma_model, gamma_quad):
+def test_brownian_increment_statistics(gamma_quad):
     n = 100000
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, n,
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 10, n,
                   seed=55)
     dt = ens.dt
     for k in (0, 5, 9):
@@ -46,25 +46,25 @@ def test_brownian_increment_statistics(gamma_model, gamma_quad):
         assert abs(inc.var() / dt - 1.0) <= 0.05
 
 
-def test_seed_reproducibility(gamma_model, gamma_quad):
-    a = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 5, 500,
+def test_seed_reproducibility(gamma_quad):
+    a = forward(gamma_quad, "brownian_jumps", 1.0, 5, 500,
                 seed=9)
-    b = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 5, 500,
+    b = forward(gamma_quad, "brownian_jumps", 1.0, 5, 500,
                 seed=9)
     assert np.array_equal(a.state, b.state)
     assert np.array_equal(a.dw, b.dw)
     assert np.array_equal(a.jumps.time, b.jumps.time)
 
 
-def test_deterministic_dynamics(gamma_model, gamma_quad):
+def test_deterministic_dynamics(gamma_quad):
     tg = np.linspace(0.0, 1.0, 9)
-    ens = forward(gamma_model, gamma_quad, "deterministic", 1.0, 8, 10,
+    ens = forward(gamma_quad, "deterministic", 1.0, 8, 10,
                   seed=1)
     assert np.allclose(ens.state, tg[None, :], atol=1e-15)
 
 
 def test_brownian_terminal_variance(null_quad):
-    ens = forward(q.make_model("null"), null_quad, "brownian", 1.0, 10,
+    ens = forward(null_quad, "brownian", 1.0, 10,
                   100000, seed=2)
     assert abs(ens.state[:, -1].var() / 1.0 - 1.0) <= 0.05
 
@@ -72,30 +72,33 @@ def test_brownian_terminal_variance(null_quad):
 def test_compensated_jump_state_mean(gamma_model):
     quad = q.build_quadrature(gamma_model, 4.0, 10)
     n = 100000
-    ens = forward(gamma_model, quad, "jumps_only", 1.0, 10, n, seed=3)
+    ens = forward(quad, "jumps_only", 1.0, 10, n, seed=3)
     term = ens.state[:, -1]
     assert abs(term.mean()) <= 4.0 * term.std() / math.sqrt(n)
 
 
-def test_mark_impact_dynamics(gamma_model, gamma_quad):
-    ens = forward(gamma_model, gamma_quad, "jumps_only", 1.0, 4, 2000,
+def test_mark_impact_dynamics(gamma_quad):
+    ens = forward(gamma_quad, "jumps_only", 1.0, 4, 2000,
                   seed=4, jump_impact="mark")
     assert np.isfinite(ens.state).all()
     with pytest.raises(ValueError, match="jump_impact"):
-        forward(gamma_model, gamma_quad, "jumps_only", 1.0, 4, 10,
+        forward(gamma_quad, "jumps_only", 1.0, 4, 10,
                 seed=4, jump_impact="levels")
 
 
-def test_unknown_dynamics_rejected(gamma_model, gamma_quad):
+def test_unknown_dynamics_rejected(gamma_quad):
     with pytest.raises(ValueError, match="dynamics"):
-        forward(gamma_model, gamma_quad, "heston",
+        forward(gamma_quad, "heston",
                 1.0, 4, 10, seed=1)
 
 
-def test_feature_map_deterministic_state_reduces_to_intercept():
-    fmap = FeatureMap.fit(np.full(100, 3.0), 3)
-    assert fmap.n_basis == 1
-    design = fmap.matrix(np.full(100, 3.0))
+@pytest.mark.parametrize("level", [3.0, 100000.1, 3e6 + 0.3])
+def test_feature_map_deterministic_state_reduces_to_intercept(level):
+    # the test is exact: far from 0 the sample spread of 100 equal values
+    # is rounding, 2.9e-11 at 100000.1 and 9.3e-10 at 3e6 + 0.3
+    fmap = FeatureMap.fit(np.full(100, level), 3)
+    assert fmap.degree == 0 and fmap.n_basis == 1
+    design = fmap.matrix(np.full(100, level))
     assert design.shape == (100, 1) and design.dtype == np.float64
     assert np.all(design == 1.0)
 
@@ -185,7 +188,7 @@ def test_regression_holds_one_transient_copy_of_the_design():
         assert held < limit
 
 
-def test_each_step_design_is_factorized_once_per_ensemble(gamma_model, gamma_quad,
+def test_each_step_design_is_factorized_once_per_ensemble(gamma_quad,
                                                          monkeypatch):
     # every factor takes one SVD, however many row blocks its QR reduces
     calls = []
@@ -196,13 +199,13 @@ def test_each_step_design_is_factorized_once_per_ensemble(gamma_model, gamma_qua
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(solver.np.linalg, "svd", counted)
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 8, 3000, seed=12)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 8, 3000, seed=12)
     view = q.DriverView(q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0)),
                         ens)
     terminal = lambda x: np.abs(0.25 * x)
     cold = solve(view, terminal)
     dec = q.decompose(cold)
-    martingale_regression_test(dec.dm, ens, cold.feature_maps[0].degree)
+    martingale_regression_test(dec.dm, ens, BASIS_DEGREE)
     assert len(calls) == ens.n_steps
     warm = solve(view, terminal)
     assert len(calls) == ens.n_steps
@@ -240,8 +243,8 @@ def test_zero_mass_measure_gives_null_jump_loading(brownian_ensemble, null_quad)
     assert np.all(sol.u_values(10) == 0.0)
 
 
-def test_linear_ode_closed_form(gamma_model, gamma_quad):
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 100,
+def test_linear_ode_closed_form(gamma_quad):
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 100,
                   2000, seed=21)
     p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
@@ -249,12 +252,12 @@ def test_linear_ode_closed_form(gamma_model, gamma_quad):
     assert abs(sol.y0 - math.exp(0.5)) <= 0.01
 
 
-def test_grid_refinement_first_order(gamma_model, gamma_quad):
+def test_grid_refinement_first_order(gamma_quad):
     p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
     y0 = {}
     for k_steps in (25, 50, 100):
-        ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, k_steps,
+        ens = forward(gamma_quad, "brownian_jumps", 1.0, k_steps,
                       500, seed=22)
         y0[k_steps] = solve(q.DriverView(drv, ens), lambda x: np.ones_like(x)).y0
     gap_coarse = abs(y0[25] - y0[50])
@@ -264,7 +267,7 @@ def test_grid_refinement_first_order(gamma_model, gamma_quad):
 
 def test_girsanov_tilt_oracle(gamma_model):
     quad = q.build_quadrature(gamma_model, 4.0, 10)
-    ens = forward(gamma_model, quad, "brownian_jumps", 1.0, 40, 40000,
+    ens = forward(quad, "brownian_jumps", 1.0, 40, 40000,
                   seed=23)
     p = q.StructureParams(1.0, 1.0, 0.0)
     drv = q.make_driver("linear", p, b=0.3, c_tilde=0.4)
@@ -365,10 +368,10 @@ def test_picard_non_convergence_raises(brownian_ensemble, null_quad):
 # decomposition
 # ---------------------------------------------------------------------------
 
-def test_decompose_holds_no_cumulative_copies(gamma_model, gamma_quad):
+def test_decompose_holds_no_cumulative_copies(gamma_quad):
     # the one (n, K) increment array and one step's loading temporaries fit
     # in two such arrays; a second stored part or one cumulative copy does not
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 50, 2000, seed=8)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     tracemalloc.start()
@@ -400,11 +403,11 @@ def test_s2_norm_streams_by_step(perturbed_solution):
     assert s2 == s2_norm_whole_array(sol)
 
 
-def test_solve_on_sparse_jump_targets_keeps_the_bits_of_dense_ones(gamma_model, gamma_quad,
+def test_solve_on_sparse_jump_targets_keeps_the_bits_of_dense_ones(gamma_quad,
                                                                    monkeypatch):
     # at 2000 paths the first four nodes are live and the rest dead, and in
     # every interval some path sees two jumps at one live node
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, 2000, seed=31)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 10, 2000, seed=31)
     live = ens.live
     assert live.any() and not live.all()
     for k in range(ens.n_steps):
@@ -434,9 +437,9 @@ def test_reconstruction_identity(small_ensemble, gamma_quad):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def step_major_solve(gamma_model, gamma_quad):
+def step_major_solve(gamma_quad):
     # live jump nodes, and a y-dependent driver so that the Picard counts vary
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 6, 3000,
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 6, 3000,
                   seed=21)
     view = q.DriverView(q.make_driver("morlais", q.StructureParams(1.0, 0.0, 0.0),
                                       beta=0.5), ens)
@@ -475,11 +478,11 @@ def test_path_major_ensemble_solves_to_the_same_fields(step_major_solve):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
-def test_solve_weighs_every_step_by_the_quadrature_weights(gamma_model, gamma_quad):
+def test_solve_weighs_every_step_by_the_quadrature_weights(gamma_quad):
     # with l = c = 0 the canonical generator is the upper corridor edge, so
     # each stored generator value lies on that edge at the quadrature
     # weights of the live nodes
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 20, 4000, seed=3)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 20, 4000, seed=3)
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
@@ -504,9 +507,9 @@ def _jump_sum(jumps, k, values, nodes=None):
     return np.bincount(paths, weights=values[paths, cols], minlength=jumps.n_paths)
 
 
-def test_quadrature_weights_drive_the_sampler(gamma_model, gamma_quad):
+def test_quadrature_weights_drive_the_sampler(gamma_quad):
     n = 20000
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, n, seed=41)
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 10, n, seed=41)
     assert ens.jumps.n_intervals == ens.n_steps == 10
     counts = np.bincount(ens.jumps.interval_index, minlength=ens.n_steps)
     expect = float(gamma_quad.weights.sum()) * ens.dt
@@ -514,8 +517,8 @@ def test_quadrature_weights_drive_the_sampler(gamma_model, gamma_quad):
         assert abs(counts[k] / n - expect) <= 3.0 * math.sqrt(expect / n)
 
 
-def test_forward_state_is_the_compensated_mark_sum(gamma_model, gamma_quad):
-    ens = forward(gamma_model, gamma_quad, "jumps_only", 1.0, 10, 5000, seed=42,
+def test_forward_state_is_the_compensated_mark_sum(gamma_quad):
+    ens = forward(gamma_quad, "jumps_only", 1.0, 10, 5000, seed=42,
                   jump_impact="mark")
     marks = np.broadcast_to(gamma_quad.nodes, (ens.n_paths, gamma_quad.n_nodes))
     compensator = float((gamma_quad.weights * gamma_quad.nodes).sum()) * ens.dt
@@ -525,8 +528,8 @@ def test_forward_state_is_the_compensated_mark_sum(gamma_model, gamma_quad):
                                    rtol=0.0, atol=1e-12)
 
 
-def test_jump_martingale_is_the_compensated_loading_sum(gamma_model, gamma_quad):
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10, 4000, seed=43)
+def test_jump_martingale_is_the_compensated_loading_sum(gamma_quad):
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 10, 4000, seed=43)
     drv = q.make_driver("canonical", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: np.abs(0.25 * x))
     dm = q.decompose(sol).dm
@@ -592,8 +595,8 @@ def test_zero_driver_zero_variation(brownian_ensemble, null_quad):
     assert np.all(sol.driver_values == 0.0)
 
 
-def test_deterministic_solution_has_flat_martingales(gamma_model, gamma_quad):
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 40,
+def test_deterministic_solution_has_flat_martingales(gamma_quad):
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 40,
                   5000, seed=26)
     p = q.StructureParams(1.0, 0.5, 1.0)
     drv = q.make_driver("linear", p, a=0.5)
@@ -613,16 +616,15 @@ def test_martingale_component_regression(small_ensemble, gamma_quad):
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
     dm = q.decompose(sol).dm
-    stat = martingale_regression_test(dm[:, ::4], small_ensemble,
-                                      sol.feature_maps[0].degree)
+    stat = martingale_regression_test(dm[:, ::4], small_ensemble, BASIS_DEGREE)
     assert stat <= 4.0
 
 
-def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
+def test_mismatched_ensemble_rejected(small_ensemble, gamma_quad):
     p = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("canonical", p)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: 0.25 * x)
-    other = forward(gamma_model, gamma_quad, "brownian_jumps",
+    other = forward(gamma_quad, "brownian_jumps",
                     1.0, small_ensemble.n_steps, 20000, seed=999)
     other_sol = solve(q.DriverView(drv, other), lambda x: 0.25 * x)
     assert same_ensemble(sol, q.decompose(sol).solution) is small_ensemble
@@ -631,12 +633,12 @@ def test_mismatched_ensemble_rejected(small_ensemble, gamma_model, gamma_quad):
 
 
 @pytest.mark.parametrize("change", [dict(x0=5.0), dict(jump_impact="mark")])
-def test_same_seed_other_inputs_rejected(gamma_model, gamma_quad, change):
+def test_same_seed_other_inputs_rejected(gamma_quad, change):
     # same seed, paths, steps, dynamics and node count: only the ensemble
     # objects tell the two apart, at every place where two results meet
-    ens = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10,
+    ens = forward(gamma_quad, "brownian_jumps", 1.0, 10,
                   1000, seed=5)
-    other = forward(gamma_model, gamma_quad, "brownian_jumps", 1.0, 10,
+    other = forward(gamma_quad, "brownian_jumps", 1.0, 10,
                     1000, seed=5, **change)
     drv = q.make_driver("zero", q.StructureParams(1.0, 0.0, 0.0))
     sol = solve(q.DriverView(drv, ens), lambda x: x)
