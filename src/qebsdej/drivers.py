@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import numpy.random  # noqa: F401  (NumPy loads it lazily otherwise, on the first draw)
 
-from .levy import (ExponentOverflowError, UnknownPresetError, capped_expm1, exp_excess,
+from .levy import (ExponentOverflowError, UnknownPresetError, capped_exponent, exp_excess,
                    j_functional, nu_dot)
 from .solver import PathEnsemble
 
@@ -122,7 +122,7 @@ def _canonical(structure: StructureParams) -> Driver:
         # exponent's buffer (an array even for a 0-d v, in the layout of v)
         v = np.asarray(v, dtype=float)
         x = np.multiply(delta, v, out=np.empty_like(v))
-        slope = capped_expm1(x)
+        slope = np.expm1(capped_exponent(x))
         np.subtract(slope, x, out=x)
         x /= delta
         return x, slope

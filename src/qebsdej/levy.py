@@ -317,19 +317,20 @@ def nu_norm(u, wz: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(nu_dot(vals * vals, wz), 0.0, None))
 
 
-def capped_expm1(x) -> np.ndarray:
-    """``exp(x) - 1`` elementwise; raises :class:`ExponentOverflowError`
-    above ``EXP_CAP`` instead of returning inf."""
+def capped_exponent(x) -> np.ndarray:
+    """``x`` as a float array, to be exponentiated; raises
+    :class:`ExponentOverflowError` above ``EXP_CAP`` instead of letting the
+    exponential return inf."""
     x = np.asarray(x, dtype=float)
     if x.size and x.max() > EXP_CAP:
         raise ExponentOverflowError(f"exponent {x.max():.3g} exceeds cap {EXP_CAP:g}")
-    return np.expm1(x)
+    return x
 
 
 def exp_excess(x) -> np.ndarray:
-    """The jump integrand ``exp(x) - x - 1``, elementwise, capped as in
-    :func:`capped_expm1`."""
-    out = capped_expm1(x)
+    """The jump integrand ``exp(x) - x - 1``, elementwise, with its exponent
+    capped by :func:`capped_exponent`."""
+    out = np.expm1(capped_exponent(x))
     out -= x
     return out
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import StructureParams
+from .semimartingale import exponential_transform
 from .solver import BsdejSolution, PathEnsemble
 
 # the two entropic values: ln E[exp(psi)] and -ln E[exp(-psi)]
@@ -71,16 +72,6 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
     return RiskEstimate(float(path_values.mean()), se, heavy)
 
 
-def terminal_bound_payoff(xi: np.ndarray, params: StructureParams,
-                          time_grid: np.ndarray) -> np.ndarray:
-    """Discounted terminal magnitude plus running cost integral over a grid
-    that starts at zero: ``exp(c T) |xi| + sum_j exp(c t_j) l dt_j``."""
-    times = np.asarray(time_grid, dtype=float)
-    c_t = params.c * times
-    run = float((np.exp(c_t[:-1]) * params.l * np.diff(times)).sum())
-    return math.exp(c_t[-1]) * np.abs(np.asarray(xi, dtype=float)) + run
-
-
 @dataclass
 class AprioriReport:
     """``bound`` is the applied upper bound on ``lhs``: ``rhs`` plus the
@@ -94,17 +85,19 @@ class AprioriReport:
 
 def apriori_bound_check(solution: BsdejSolution, params: StructureParams
                         ) -> AprioriReport:
-    """Check ``|Y_0| <= entropic upper value of the discounted terminal
-    magnitude plus running costs``, with a slack of three combined standard
-    errors of both sides.
+    """Check the a-priori bound ``|Y_0| <= (1/delta) ln E exp(delta X_T)``, with
+    ``X`` the :func:`qebsdej.semimartingale.exponential_transform`, allowing
+    three combined standard errors of both sides (that of the entropic value
+    divided by ``delta``).
     """
-    payoff = terminal_bound_payoff(solution.y[:, -1], params,
-                                   solution.ensemble.time_grid)
-    est = entropic(solution.ensemble, payoff, 0, "upper",
-                   solution.feature_maps[0].degree)
-    bound = est.value + 3.0 * math.hypot(est.stderr, solution.y0_se)
+    delta = params.delta
+    payoff = delta * exponential_transform(solution.y[:, -1], params,
+                                           solution.ensemble.time_grid, solution.n_steps)
+    est = entropic(solution.ensemble, payoff, 0, "upper", solution.feature_maps[0].degree)
+    rhs = est.value / delta
+    bound = rhs + 3.0 * math.hypot(est.stderr / delta, solution.y0_se)
     lhs = abs(solution.y0)
-    return AprioriReport(lhs, est.value, lhs <= bound, bound)
+    return AprioriReport(lhs, rhs, lhs <= bound, bound)
 
 
 @dataclass
@@ -131,12 +124,13 @@ class MomentRow:
 
 def exponential_moment_check(xi: np.ndarray, params: StructureParams,
                              time_grid: np.ndarray, gammas) -> list[MomentRow]:
-    """Sample exponential moments of the discounted terminal bound payoff.
+    """Sample exponential moments of the terminal
+    :func:`qebsdej.semimartingale.exponential_transform` of ``xi``.
 
     For each ``gamma`` the row reports the full-sample mean and the
     half-sample mean; heavy-tailed terminals fail the row's stability flag.
     """
-    payoff = terminal_bound_payoff(xi, params, time_grid)
+    payoff = exponential_transform(xi, params, time_grid, len(time_grid) - 1)
     rows = []
     for gamma in gammas:
         if gamma <= 0:

@@ -24,7 +24,7 @@ from .drivers import DriverView
 from .levy import build_quadrature, truncated_mass_reference
 from .risk import DIRECTIONS, entropic, exponential_moment_check
 from .scheme import audit_solution, ladder_quadrature, run_triple_scheme
-from .semimartingale import martingale_regression_test
+from .semimartingale import FRACTION_TOL, martingale_regression_test
 from .solver import PicardError, decompose, simulate_forward, solve_lipschitz
 
 FLOAT_FMT = "%.17g"
@@ -115,14 +115,22 @@ def _solve(cfg: ExperimentConfig):
                                       cfg.solver["picard_max"], cfg.solver["picard_tol"])
 
 
-def _audit_checks(suffix: str, corridor, apriori, submart,
+def _below(name: str, value: float, tol: float, detail: str = "") -> CheckResult:
+    """The check that ``value`` stays strictly below ``tol``."""
+    return CheckResult(name, value < tol, value, tol, detail)
+
+
+def _at_most(name: str, value: float, tol: float, detail: str = "") -> CheckResult:
+    """The check that ``value`` does not exceed ``tol``."""
+    return CheckResult(name, value <= tol, value, tol, detail)
+
+
+def _audit_checks(suffix: str, corridor: float, apriori, submart: float,
                   corridor_note: str = "") -> list[CheckResult]:
-    return [CheckResult(f"corridor{suffix}", corridor.ok,
-                        corridor.violation_fraction, 0.01, corridor_note),
+    return [_below(f"corridor{suffix}", corridor, FRACTION_TOL, corridor_note),
             CheckResult(f"apriori{suffix}", apriori.ok, apriori.lhs,
                         apriori.bound),
-            CheckResult(f"submartingale{suffix}", submart.verdict,
-                        submart.fraction_below, 0.01)]
+            _below(f"submartingale{suffix}", submart, FRACTION_TOL)]
 
 
 def _solution_rows(solution, max_paths: int):
@@ -177,13 +185,12 @@ def run_solve(cfg: ExperimentConfig):
     recon = _reconstruction_gap(solution)
     xi = cfg.terminal_fn()(ensemble.state[:, -1])
     mismatch = float(np.max(np.abs(solution.y[:, -1] - xi)))
-    checks = [CheckResult("terminal_match", mismatch == 0.0, mismatch, 0.0,
-                          "vacuous: the solve sets y_T = xi"),
-              CheckResult("reconstruction_identity", recon <= 1e-10, recon, 1e-10,
-                          "vacuous: M is the residue y - y0 + V")]
+    checks = [_at_most("terminal_match", mismatch, 0.0, "vacuous: the solve sets y_T = xi"),
+              _at_most("reconstruction_identity", recon, 1e-10,
+                       "vacuous: M is the residue y - y0 + V")]
     mart = martingale_regression_test(decompose(solution).dm, ensemble,
                                       cfg.solver["basis_degree"])
-    checks.append(CheckResult("martingale_coefficients", mart <= 4.0, mart, 4.0))
+    checks.append(_at_most("martingale_coefficients", mart, 4.0))
     summary_rows = [dict(y0=solution.y0, y0_se=solution.y0_se,
                          s2_norm=solution.s2_norm(),
                          max_condition=float(solution.cond_numbers.max()),
@@ -205,13 +212,11 @@ def run_scheme(cfg: ExperimentConfig):
         cfg.schedule["triples"], cfg.solver["basis_degree"],
         cfg.solver["picard_max"], cfg.solver["picard_tol"])
     rep = result.report
-    checks = [CheckResult("y0_monotone", rep.monotone_y0, rep.y0_max_drop, 3.0),
-              CheckResult("gaps_decreasing", rep.gaps_decreasing,
-                          rep.gaps_max_rise, 0.0),
-              CheckResult("stability_decreasing", rep.stability_decreasing,
-                          rep.stability_max_rise, 0.0)]
-    for i, frac in rep.comparison_violations.items():
-        checks.append(CheckResult(f"comparison_link_{i}", frac < 0.01, frac, 0.01))
+    checks = [_at_most("y0_monotone", rep.y0_max_drop, 3.0),
+              _below("gaps_decreasing", rep.gaps_max_rise, 0.0),
+              _below("stability_decreasing", rep.stability_max_rise, 0.0)]
+    checks += [_below(f"comparison_link_{i}", frac, FRACTION_TOL)
+               for i, frac in rep.comparison_violations.items()]
     for rec in rep.records:
         tag = f"{rec.n}_{rec.m}_{int(rec.kappa)}"
         if rec.error:
@@ -222,18 +227,16 @@ def run_scheme(cfg: ExperimentConfig):
                          "every cell" if rec.envelope_active == 0.0 else "")
         checks += _audit_checks(f"_{tag}", rec.corridor, rec.apriori,
                                 rec.submartingale, inactive_note)
-        cheb_tol = rec.chebyshev_bound + 0.01
-        checks.append(CheckResult(f"chebyshev_{tag}", rec.region_fraction <= cheb_tol,
-                                  rec.region_fraction, cheb_tol,
-                                  "vacuous: Markov's inequality on the sample"))
+        checks.append(_at_most(f"chebyshev_{tag}", rec.region_fraction,
+                               rec.chebyshev_bound + 0.01,
+                               "vacuous: Markov's inequality on the sample"))
     return checks, {"convergence_report.csv": rep.rows()}
 
 
 def run_audit(cfg: ExperimentConfig):
     structure, solution = _solve(cfg)
     corridor, apriori, submart = audit_solution(solution, structure)
-    rows = [dict(corridor_violation=corridor.violation_fraction,
-                 submartingale_fraction=submart.fraction_below,
+    rows = [dict(corridor_violation=corridor, submartingale_fraction=submart,
                  apriori_lhs=apriori.lhs, apriori_rhs=apriori.rhs,
                  y0=solution.y0, y0_se=solution.y0_se)]
     return _audit_checks("", corridor, apriori, submart), {"audit_report.csv": rows}
@@ -257,8 +260,7 @@ def run_risk(cfg: ExperimentConfig):
     upper, lower = (next(r for r in rows if r["direction"] == d and r["t"] == 0.0)
                     for d in DIRECTIONS)
     ceiling = upper["value"] + 3.0 * math.hypot(upper["stderr"], lower["stderr"])
-    checks.append(CheckResult("jensen_order", lower["value"] <= ceiling,
-                              lower["value"], ceiling))
+    checks.append(_at_most("jensen_order", lower["value"], ceiling))
     return checks, {"risk_table.csv": rows,
                     "moment_table.csv": [{**asdict(r), "stable": int(r.stable)}
                                          for r in moment_rows]}

@@ -20,10 +20,8 @@ import numpy as np
 from .drivers import Driver, DriverView, StructureParams, regularize
 from .levy import KAPPA_MAX, LevyModel, MarkQuadrature, build_quadrature, nu_norm
 from .risk import AprioriReport, apriori_bound_check
-from .semimartingale import (QStructureReport, SubmartingaleReport,
-                             check_q_structure, exponential_transform,
-                             pairwise_gap, stability_diagnostics,
-                             submartingale_test)
+from .semimartingale import (FRACTION_TOL, check_q_structure, pairwise_gap,
+                             stability_diagnostics, submartingale_test)
 from .solver import (BsdejSolution, Decomposition, PathEnsemble, decompose,
                      same_ensemble, solve_lipschitz)
 
@@ -81,9 +79,10 @@ class Schedule:
 class TripleRecord:
     """Per-triple ladder diagnostics; one row of the convergence report.
     ``dec`` is the triple's decomposition (its solve and martingale
-    increments ``dm``), None when the triple failed.  ``envelope_active`` is
-    the fraction of the solve's generator values that the ``(n, m)``
-    envelope moved off the driver's (see
+    increments ``dm``), None when the triple failed.  ``corridor`` and
+    ``submartingale`` are the fractions that :func:`audit_solution` flags.
+    ``envelope_active`` is the fraction of the solve's generator values that
+    the ``(n, m)`` envelope moved off the driver's (see
     :attr:`qebsdej.drivers.RegularizedDriver.envelope_active`)."""
 
     n: int
@@ -93,9 +92,9 @@ class TripleRecord:
     y0_se: float
     jump_mass: float
     dec: Decomposition | None = None
-    corridor: QStructureReport | None = None
+    corridor: float = math.nan
     apriori: AprioriReport | None = None
-    submartingale: SubmartingaleReport | None = None
+    submartingale: float = math.nan
     a1: float = math.nan
     a2: float = math.nan
     chebyshev_bound: float = math.nan
@@ -113,20 +112,19 @@ class TripleRecord:
         return None if self.dec is None else self.dec.solution
 
     def row(self) -> dict:
-        rhs = self.apriori.rhs if self.apriori else math.nan
         return dict(
             n=self.n, m=self.m, kappa=self.kappa, y0=self.y0, y0_se=self.y0_se,
             jump_mass=self.jump_mass,
-            corridor_violation=self.corridor.violation_fraction if self.corridor else math.nan,
+            corridor_violation=self.corridor,
             apriori_lhs=self.apriori.lhs if self.apriori else math.nan,
-            apriori_rhs=rhs,
+            apriori_rhs=self.apriori.rhs if self.apriori else math.nan,
             apriori_ok=int(self.apriori.ok) if self.apriori else 0,
-            submartingale_ok=int(self.submartingale.verdict) if self.submartingale else 0,
+            submartingale_ok=int(self.submartingale < FRACTION_TOL),
             a1=self.a1, a2=self.a2, chebyshev_bound=self.chebyshev_bound,
             region_fraction=self.region_fraction,
             h1_gap_prev=self.h1_gap_prev, vstar_gap_prev=self.vstar_gap_prev,
             h1_gap_proxy=self.h1_gap_proxy, vstar_gap_proxy=self.vstar_gap_proxy,
-            s2_norm=self.s2_norm, sq_bound=rhs,
+            s2_norm=self.s2_norm,
             envelope_active=self.envelope_active, error=self.error)
 
 
@@ -137,18 +135,6 @@ class ConvergenceReport:
     comparison_violations: dict[int, float]     # by schedule link index
     gaps_max_rise: float        # largest rise between compared proxy gaps
     stability_max_rise: float   # largest rise of the H1 distance to the proxy
-
-    @property
-    def monotone_y0(self) -> bool:
-        return self.y0_max_drop <= 3.0
-
-    @property
-    def gaps_decreasing(self) -> bool:
-        return self.gaps_max_rise < 0.0
-
-    @property
-    def stability_decreasing(self) -> bool:
-        return self.stability_max_rise < 0.0
 
     def rows(self) -> list[dict]:
         return [r.row() for r in self.records]
@@ -258,20 +244,20 @@ def default_c_split(sol: BsdejSolution) -> float:
 
 
 def audit_solution(sol: BsdejSolution, params: StructureParams
-                   ) -> tuple[QStructureReport, AprioriReport, SubmartingaleReport]:
-    """Corridor, a-priori bound and submartingale audits of one solve.
+                   ) -> tuple[float, AprioriReport, float]:
+    """Corridor, a-priori bound and submartingale audits of one solve: the
+    corridor's flagged fraction, the bound's report and the submartingale
+    test's flagged fraction.
 
     The corridor allows three regression standard errors per step, the bound
     is checked at time zero, and the submartingale test compares a quarter
     and a half of the horizon.
     """
-    ensemble, k_steps = sol.ensemble, sol.n_steps
+    k_steps = sol.n_steps
     tol = np.array([3.0 * sol.regression_se(k) for k in range(k_steps)])
-    corridor = check_q_structure(sol, params, tol=tol[None, :])
-    apriori = apriori_bound_check(sol, params)
-    x_bar = exponential_transform(sol.y, params, ensemble.time_grid)
-    submart = submartingale_test(x_bar, ensemble, k_steps // 4, k_steps // 2)
-    return corridor, apriori, submart
+    return (check_q_structure(sol, params, tol=tol[None, :]),
+            apriori_bound_check(sol, params),
+            submartingale_test(sol.y, params, sol.ensemble, k_steps // 4, k_steps // 2))
 
 
 def run_triple_scheme(base: Driver, terminal_fn: Callable,

@@ -10,31 +10,23 @@ approximated by ``|Z|^2 dt`` and jump brackets by compensator sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
 from .drivers import StructureParams, corridor_edge
+from .levy import capped_exponent
 from .solver import BsdejSolution, PathEnsemble, same_ensemble
 
-
-@dataclass
-class QStructureReport:
-    """The fraction of cells outside either corridor edge."""
-
-    violation_fraction: float
-
-    @property
-    def ok(self) -> bool:
-        return self.violation_fraction < 0.01
+# an audit that flags cells or paths passes while their fraction stays below this
+FRACTION_TOL = 0.01
 
 
 def check_q_structure(solution: BsdejSolution, params: StructureParams,
-                      tol=0.0) -> QStructureReport:
-    """Test every increment ``dV = driver_values * dt`` of a solve against the
-    corridor of :func:`qebsdej.drivers.corridor_edge` times ``dt``.
+                      tol=0.0) -> float:
+    """The fraction of the increments ``dV = driver_values * dt`` of a solve
+    outside the corridor of :func:`qebsdej.drivers.corridor_edge` times ``dt``.
 
     ``tol`` is an absolute slack (scalar or per-step array), typically a
     multiple of the regression standard error.  The lower edge is taken only
@@ -59,75 +51,69 @@ def check_q_structure(solution: BsdejSolution, params: StructureParams,
                                  upper=False)
             outside[low] |= dv[low] - q_lo * dt < -tol_k[low]
         n_violations += int(np.count_nonzero(outside))
-    return QStructureReport(n_violations / solution.driver_values.size)
+    return n_violations / solution.driver_values.size
 
 
-def exponential_transform(y: np.ndarray, params: StructureParams,
-                          time_grid: np.ndarray) -> np.ndarray:
-    """Discounted-absolute-value transform with left-endpoint running cost.
-
-    ``X_k = exp(c t_k) |Y_k| + sum_{j<k} exp(c t_j) l dt_j``.
-    """
+def exponential_transform(y_k: np.ndarray, params: StructureParams,
+                          time_grid: np.ndarray, k: int) -> np.ndarray:
+    """The transform ``X_k = exp(c t_k) |Y_k| + sum_{j<k} exp(c t_j) l dt_j``
+    of the step-``k`` values ``y_k``, whose ``exp(delta X)`` is a
+    submartingale for a generator in the corridor.  The running cost is
+    summed in step order."""
     time_grid = np.asarray(time_grid, dtype=float)
-    y = np.atleast_2d(np.asarray(y, dtype=float))
     expc = np.exp(params.c * time_grid)
-    running = np.concatenate([[0.0], np.cumsum(expc[:-1] * params.l * np.diff(time_grid))])
-    return expc[None, :] * np.abs(y) + running[None, :]
+    costs = np.concatenate([[0.0], expc[:k] * params.l * np.diff(time_grid[:k + 1])])
+    return expc[k] * np.abs(y_k) + np.cumsum(costs)[-1]
 
 
-@dataclass
-class SubmartingaleReport:
-    fraction_below: float
-    verdict: bool
+def submartingale_test(y: np.ndarray, params: StructureParams, ensemble: PathEnsemble,
+                       k_sigma: int, k_tau: int) -> float:
+    """Conditional-mean test that ``exp(delta X)``, with ``X`` the
+    :func:`exponential_transform` of the values ``y``, does not decrease in
+    expectation from step ``k_sigma`` to ``k_tau``; returns the fraction of
+    paths flagged.
 
-
-def submartingale_test(x_bar: np.ndarray, ensemble: PathEnsemble, k_sigma: int,
-                       k_tau: int) -> SubmartingaleReport:
-    """Conditional-mean test that ``exp(X)`` does not decrease in expectation.
-
-    The conditional expectation of the increment ``exp(X_tau) - exp(X_sigma)``
-    given the time-``sigma`` state is estimated by a piecewise-constant
-    regression on equal-count state bins; a bin whose mean
-    increment is significantly negative flags all its paths.  Smooth-basis
-    fits are avoided on purpose: a polynomial fitted through the kinked
-    increment profile of a magnitude transform oscillates below zero where
-    the true conditional mean is merely small, producing spurious violations
-    that the sign-robust binned estimator does not.  Significance is a
-    three-standard-error criterion made simultaneous across bins (the
-    per-bin threshold carries the Bonferroni share of the family error, so a
-    boundary-exact martingale does not flicker through multiple
-    comparisons).  A state that is the same on every path (``min == max``,
-    exactly, at any level) is one bin.  The verdict passes when fewer than
-    1% of paths are flagged.
+    The conditional expectation of the increment given the time-``sigma``
+    state is estimated by a piecewise-constant regression on equal-count
+    state bins; a bin whose mean increment is significantly negative flags
+    all its paths.  Smooth-basis fits are avoided on purpose: a polynomial
+    fitted through the kinked increment profile of a magnitude transform
+    oscillates below zero where the true conditional mean is merely small,
+    producing spurious violations that the sign-robust binned estimator does
+    not.  Significance is a three-standard-error criterion made simultaneous
+    across the bins that hold paths (the per-bin threshold carries their
+    Bonferroni share of the family error, so a boundary-exact martingale does
+    not flicker through multiple comparisons).  Ties in the state leave
+    quantile bins empty; a state that is the same on every path fills bin 0
+    alone.  An exponent above ``EXP_CAP`` is refused with
+    :class:`qebsdej.levy.ExponentOverflowError`, since no bin would flag the
+    increments of an overflow.
     """
     if not 0 <= k_sigma < k_tau <= ensemble.n_steps:
         raise ValueError("need grid indices with sigma < tau")
-    increment = np.exp(x_bar[:, k_tau]) - np.exp(x_bar[:, k_sigma])
+    expo_sigma, expo_tau = (
+        capped_exponent(params.delta * exponential_transform(y[:, k], params,
+                                                             ensemble.time_grid, k))
+        for k in (k_sigma, k_tau))
+    increment = np.exp(expo_tau) - np.exp(expo_sigma)
+    # a power of two scales every bin's mean and SE exactly, so no verdict
+    # moves, and keeps the bins' sums and squares finite up to the cap
+    increment = np.ldexp(increment, -np.frexp(np.abs(increment).max())[1])
     n = increment.size
     state = ensemble.state[:, k_sigma]
     # keep bins large enough for their means to be near-Gaussian
     n_bins = max(2, min(20, n // 1500))
-    if state.min() == state.max():
-        bin_ids = np.zeros(n, dtype=int)
-        n_bins = 1
-    else:
-        edges = np.quantile(state, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
-        bin_ids = np.searchsorted(edges, state)
-    family_alpha = NormalDist().cdf(-3.0)
-    z_bin = -NormalDist().inv_cdf(family_alpha / n_bins)
+    edges = np.quantile(state, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+    bin_ids = np.searchsorted(edges, state)
+    occupied = np.flatnonzero(np.bincount(bin_ids))
+    z_bin = -NormalDist().inv_cdf(NormalDist().cdf(-3.0) / occupied.size)
     flagged = 0
-    for b in range(n_bins):
-        members = bin_ids == b
-        count = int(members.sum())
-        if count == 0:
-            continue
-        vals = increment[members]
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        if mean < -z_bin * se:
-            flagged += count
-    frac = flagged / n
-    return SubmartingaleReport(frac, frac < 0.01)
+    for b in occupied:
+        vals = increment[bin_ids == b]
+        se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+        if float(vals.mean()) < -z_bin * se:
+            flagged += vals.size
+    return flagged / n
 
 
 def martingale_regression_test(increments: np.ndarray, ensemble: PathEnsemble,

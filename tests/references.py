@@ -136,6 +136,18 @@ def s2_norm_whole_array(solution: BsdejSolution) -> float:
     return float((np.abs(solution.y).max(axis=1) ** 2).mean())
 
 
+def exponential_transform_whole_array(y: np.ndarray, params: StructureParams,
+                                      time_grid: np.ndarray) -> np.ndarray:
+    """``semimartingale.exponential_transform`` at every step at once:
+    column ``k`` is ``exp(c t_k) |Y_k|`` plus the cumulative sum of the
+    left-endpoint running costs."""
+    time_grid = np.asarray(time_grid, dtype=float)
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    expc = np.exp(params.c * time_grid)
+    running = np.concatenate([[0.0], np.cumsum(expc[:-1] * params.l * np.diff(time_grid))])
+    return expc[None, :] * np.abs(y) + running[None, :]
+
+
 def c_split_concatenated(solution: BsdejSolution) -> float:
     """``scheme.default_c_split`` from the concatenated per-step sizes, with
     the loading's norm taken over every master node."""

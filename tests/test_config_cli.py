@@ -807,6 +807,33 @@ def test_run_audit_experiment(tmp_path):
     assert "corridor" in (out / "summary.txt").read_text()
 
 
+def _audit_row(tmp_path, delta, scale):
+    """The ``audit_report.csv`` row of a canonical audit at ``delta`` with
+    terminal ``|scale * x|``."""
+    payload = solve_payload(experiment="audit", driver={"name": "canonical"},
+                            structure={"delta": delta}, grid={"t_end": 1.0, "k_steps": 10},
+                            quadrature={"kappa": 8.0, "q_nodes": 12},
+                            terminal={"name": "abs_linear", "scale": scale})
+    payload["ensemble"].update(n_paths=4000, dynamics="brownian_jumps")
+    tag = f"audit_{delta:g}_{scale:g}"
+    cfg = write_config(tmp_path, f"{tag}.json", payload)
+    main(["run", cfg, "--out", str(tmp_path / tag)])
+    with (tmp_path / tag / "audit_report.csv").open() as fh:
+        return {key: float(value) for key, value in next(csv.DictReader(fh)).items()}
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0])
+def test_audit_scales_with_delta(tmp_path, delta):
+    # delta Y[delta, xi] = Y[1, delta xi] holds to the bit for the canonical
+    # driver at a power-of-two delta; the bound (1/delta) ln E exp(delta X_T)
+    # and the test of exp(delta X) scale with it
+    scaled, unit = _audit_row(tmp_path, delta, 0.25), _audit_row(tmp_path, 1.0, 0.25 * delta)
+    assert delta * scaled["apriori_lhs"] == unit["apriori_lhs"]
+    assert delta * scaled["apriori_rhs"] == unit["apriori_rhs"]
+    assert scaled["submartingale_fraction"] == unit["submartingale_fraction"]
+    assert scaled["corridor_violation"] == unit["corridor_violation"]
+
+
 def test_audit_run_does_not_decompose(tmp_path, monkeypatch):
     # the audits read the solve; of the runs on a solve, only the solve
     # run's martingale check reads martingale increments

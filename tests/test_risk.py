@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qebsdej as q
-from qebsdej.risk import (apriori_bound_check, exponential_moment_check,
-                          terminal_bound_payoff)
+from qebsdej.risk import apriori_bound_check, exponential_moment_check
+from qebsdej.semimartingale import exponential_transform
 
 from conftest import entropic, forward, solve
 from references import entropic_gaussian_exact, folded_gaussian_moment_exact
@@ -127,7 +127,7 @@ def test_moment_positive_gamma_required():
 def test_terminal_bound_payoff_discounting():
     p = q.StructureParams(1.0, 0.5, 1.5)
     tg = np.linspace(0.0, 1.0, 5)
-    val = terminal_bound_payoff(np.array([2.0]), p, tg)
+    val = exponential_transform(np.array([2.0]), p, tg, 4)
     # exp(c T) * 2 + sum_j exp(c t_j) * l * dt
     expect = math.exp(1.5) * 2.0 + sum(math.exp(1.5 * t) * 0.5 * 0.25 for t in tg[:-1])
     assert val[0] == pytest.approx(expect, rel=1e-14)
@@ -166,7 +166,7 @@ def test_apriori_canonical_tight(small_ensemble, gamma_quad):
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
     rep = apriori_bound_check(sol, p)
     assert rep.ok
-    payoff = terminal_bound_payoff(sol.y[:, -1], p, small_ensemble.time_grid)
+    payoff = exponential_transform(sol.y[:, -1], p, small_ensemble.time_grid, sol.n_steps)
     est = q.entropic(small_ensemble, payoff, 0, "upper", sol.feature_maps[0].degree)
     assert est.value == rep.rhs
     gap = abs(rep.rhs - rep.lhs)

@@ -103,20 +103,20 @@ def test_ladder_monotone_and_clean(mini_scheme):
     rep = mini_scheme[1].report
     y0s = [r.y0 for r in rep.records]
     assert y0s[0] < y0s[1] < y0s[2]
-    assert rep.monotone_y0
+    assert rep.y0_max_drop <= 3.0
     assert list(rep.comparison_violations) == [0, 1]
     assert all(frac < 0.01 for frac in rep.comparison_violations.values())
-    assert all(r.corridor.violation_fraction < 0.01 for r in rep.records)
+    assert all(r.corridor < 0.01 for r in rep.records)
     assert all(r.apriori.ok for r in rep.records)
-    assert all(r.submartingale.verdict for r in rep.records)
+    assert all(r.submartingale < 0.01 for r in rep.records)
 
 
 def test_ladder_gaps_decrease(mini_scheme):
     rep = mini_scheme[1].report
     gaps = [r.a1 + r.a2 for r in rep.records if r.dec is not None]
     assert gaps[0] > gaps[1] > gaps[2] == 0.0
-    assert rep.gaps_decreasing
-    assert rep.stability_decreasing
+    assert rep.gaps_max_rise < 0.0
+    assert rep.stability_max_rise < 0.0
     proxies = [r.h1_gap_proxy for r in rep.records]
     assert proxies[0] > proxies[1] > proxies[2] == 0.0
     # the summary prints the largest rise between the compared values
@@ -257,7 +257,7 @@ def test_live_width_fields_keep_the_bits_of_zero_padded_ones(gamma_quad,
 
     def readers():
         gap = driver_l1_gap(sol, proxy, 0.5)
-        return (check_q_structure(sol, params, tol).violation_fraction,
+        return (check_q_structure(sol, params, tol),
                 gap.a1, gap.a2, gap.chebyshev_bound, gap.region_fraction,
                 default_c_split(sol))
 

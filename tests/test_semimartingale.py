@@ -7,15 +7,17 @@ import pytest
 
 import qebsdej as q
 from qebsdej import semimartingale
-from qebsdej.semimartingale import (check_q_structure, exponential_transform,
-                                    martingale_regression_test, pairwise_gap,
-                                    stability_diagnostics, submartingale_test)
+from qebsdej.semimartingale import (FRACTION_TOL, check_q_structure,
+                                    exponential_transform, martingale_regression_test,
+                                    pairwise_gap, stability_diagnostics,
+                                    submartingale_test)
 from qebsdej.levy import EXP_CAP, ExponentOverflowError
 from qebsdej.solver import EnsembleMismatchError, decompose
 
 from conftest import forward, solve
 from references import (canonical_paths, check_q_structure_two_sided, doleans_check,
-                        garsia_neveu_probe, structure_bounds)
+                        exponential_transform_whole_array, garsia_neveu_probe,
+                        structure_bounds)
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +36,14 @@ def test_corridor_trivial_zero_solution(small_ensemble, gamma_quad):
     params = q.StructureParams(1.0, 0.0, 0.0)
     drv = q.make_driver("zero", params)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.zeros_like(x))
-    report = check_q_structure(sol, params)
-    assert report.violation_fraction == 0.0
+    fraction = check_q_structure(sol, params)
+    assert fraction == 0.0
 
 
 def test_corridor_canonical_sits_on_upper_boundary(canonical_solution):
     params, sol = canonical_solution
-    report = check_q_structure(sol, params, tol=1e-9)
-    assert report.violation_fraction == 0.0
+    fraction = check_q_structure(sol, params, tol=1e-9)
+    assert fraction == 0.0
     # with l = c = 0 and unit delta the finite-variation increment equals the
     # upper corridor term exactly
     slack, _ = check_q_structure_two_sided(sol, params, tol=1e-9)
@@ -52,8 +54,8 @@ def test_corridor_adversarial_violation(canonical_solution):
     params, sol = canonical_solution
     # dV = driver_values * dt moves up by 0.1 in every cell
     bumped = dataclasses.replace(sol, driver_values=sol.driver_values + 0.1 / sol.ensemble.dt)
-    report = check_q_structure(bumped, params)
-    assert report.violation_fraction == 1.0
+    fraction = check_q_structure(bumped, params)
+    assert fraction == 1.0
 
 
 def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
@@ -62,8 +64,8 @@ def test_corridor_is_delta_divided(small_ensemble, gamma_quad):
     params = q.StructureParams(0.5, 0.0, 0.0)
     drv = q.make_driver("canonical", params)
     sol = solve(q.DriverView(drv, small_ensemble), lambda x: np.abs(0.25 * x))
-    report = check_q_structure(sol, params, tol=1e-9)
-    assert report.violation_fraction == 0.0
+    fraction = check_q_structure(sol, params, tol=1e-9)
+    assert fraction == 0.0
     slack, _ = check_q_structure_two_sided(sol, params, tol=1e-9)
     assert np.max(np.abs(slack)) <= 1e-9
 
@@ -79,7 +81,7 @@ def test_corridor_check_holds_one_cell_array(gamma_quad):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        report = check_q_structure(sol, params, tol=tol)
+        fraction = check_q_structure(sol, params, tol=tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -89,10 +91,10 @@ def test_corridor_check_holds_one_cell_array(gamma_quad):
     noise = np.random.default_rng(6).normal(0.0, 0.5, sol.driver_values.shape)
     sol = dataclasses.replace(sol, driver_values=np.asfortranarray(sol.driver_values
                                                                    + noise / ens.dt))
-    report = check_q_structure(sol, params, tol=tol)
+    fraction = check_q_structure(sol, params, tol=tol)
     _, ref_fraction = check_q_structure_two_sided(sol, params, tol=tol)
-    assert 0.0 < report.violation_fraction < 1.0
-    assert report.violation_fraction == ref_fraction
+    assert 0.0 < fraction < 1.0
+    assert fraction == ref_fraction
 
 
 def _lower_edge_rows(monkeypatch):
@@ -123,15 +125,15 @@ def test_one_sided_corridor_matches_the_two_sided_reference(gamma_quad,
     se_tol = np.array([3.0 * sol.regression_se(k) for k in range(sol.n_steps)])[None, :]
     for tol in (0.0, se_tol):
         rows = _lower_edge_rows(monkeypatch)
-        report = check_q_structure(sol, params, tol=tol)
+        fraction = check_q_structure(sol, params, tol=tol)
         _, ref_fraction = check_q_structure_two_sided(sol, params, tol=tol)
-        assert report.violation_fraction == ref_fraction
+        assert fraction == ref_fraction
         assert sum(rows) == int(np.count_nonzero(dv < -np.broadcast_to(tol, dv.shape)))
     if name == "canonical":
         assert np.all(dv >= 0.0) and rows == []
     else:
         # the lower edge runs, and cells below it are counted
-        assert sum(rows) > 0 and report.violation_fraction > 0.0
+        assert sum(rows) > 0 and fraction > 0.0
 
 
 def test_lower_edge_counts_exactly_the_rows_shifted_below_it(canonical_solution):
@@ -146,91 +148,123 @@ def test_lower_edge_counts_exactly_the_rows_shifted_below_it(canonical_solution)
     shifted = np.random.default_rng(8).random(on_edge.shape) < 0.01
     for eps, expected in ((0.0, 0), (1e-9, int(shifted.sum()))):
         values = np.asfortranarray(on_edge - eps * shifted)
-        report = check_q_structure(dataclasses.replace(sol, driver_values=values),
+        fraction = check_q_structure(dataclasses.replace(sol, driver_values=values),
                                    params)
-        assert report.violation_fraction == expected / values.size
+        assert fraction == expected / values.size
 
 
 # ---------------------------------------------------------------------------
 # exponential transform and submartingale test
 # ---------------------------------------------------------------------------
 
+P1 = q.StructureParams(1.0, 0.0, 0.0)
+
+
 def test_transform_identity_cases():
     tg = np.linspace(0.0, 1.0, 21)
     y = np.vstack([np.sin(tg), np.cos(tg)])
-    p0 = q.StructureParams(1.0, 0.0, 0.0)
-    assert np.allclose(exponential_transform(y, p0, tg), np.abs(y))
     p_l = q.StructureParams(1.0, 1.0, 0.0)
-    assert np.allclose(exponential_transform(np.zeros((2, 21)), p_l, tg),
-                       tg[None, :])
     p_c = q.StructureParams(1.0, 0.0, 1.0)
-    assert np.allclose(exponential_transform(np.ones((2, 21)), p_c, tg),
-                       np.exp(tg)[None, :])
-    assert exponential_transform(y, p_l, tg)[0, 0] == pytest.approx(abs(y[0, 0]))
+    for k in (0, 7, 20):
+        assert np.array_equal(exponential_transform(y[:, k], P1, tg, k), np.abs(y[:, k]))
+        assert np.allclose(exponential_transform(np.zeros(2), p_l, tg, k), tg[k])
+        assert np.allclose(exponential_transform(np.ones(2), p_c, tg, k), np.exp(tg[k]))
+    assert exponential_transform(y[:, 0], p_l, tg, 0)[0] == abs(y[0, 0])
+
+
+@pytest.mark.parametrize("k_steps", [2, 7, 80])
+def test_transform_keeps_the_bits_of_the_whole_array_form(k_steps):
+    # at c, l > 0 the running cost rounds as it is summed; each step's
+    # transform keeps the bits of its column of the whole-array cumulative sum
+    tg = np.linspace(0.0, 1.3, k_steps + 1)
+    y = np.random.default_rng(k_steps).normal(size=(50, k_steps + 1))
+    params = q.StructureParams(2.0, 0.7, 1.3)
+    whole = exponential_transform_whole_array(y, params, tg)
+    for k in range(k_steps + 1):
+        assert (exponential_transform(y[:, k], params, tg, k).tobytes()
+                == whole[:, k].tobytes()), k
 
 
 def test_submartingale_deterministic_passes(small_ensemble):
-    p = q.StructureParams(1.0, 0.0, 0.0)
     y = np.tile(np.linspace(1.0, 2.0, small_ensemble.n_steps + 1),
                 (small_ensemble.n_paths, 1))
-    x_bar = exponential_transform(y, p, small_ensemble.time_grid)
-    rep = submartingale_test(x_bar, small_ensemble, 5, 10)
-    assert rep.verdict
+    assert submartingale_test(y, P1, small_ensemble, 5, 10) < FRACTION_TOL
 
 
 def test_submartingale_canonical_solution_passes(canonical_solution,
                                                  small_ensemble):
     params, sol = canonical_solution
-    x_bar = exponential_transform(sol.y, params, small_ensemble.time_grid)
-    rep = submartingale_test(x_bar, small_ensemble, 5, 10)
-    assert rep.verdict
+    assert submartingale_test(sol.y, params, small_ensemble, 5, 10) < FRACTION_TOL
 
 
 def test_submartingale_counterexample_fails(small_ensemble):
-    p = q.StructureParams(1.0, 0.0, 0.0)
     y = np.tile(np.linspace(2.0, 1.0, small_ensemble.n_steps + 1),
                 (small_ensemble.n_paths, 1))
-    x_bar = exponential_transform(y, p, small_ensemble.time_grid)
-    rep = submartingale_test(x_bar, small_ensemble, 5, 10)
-    assert not rep.verdict
-    assert rep.fraction_below == 1.0
+    assert submartingale_test(y, P1, small_ensemble, 5, 10) == 1.0
 
 
-def _falling_increments(n, shift_se, seed):
-    """``x_bar`` on two steps whose increment ``exp(x_1) - exp(x_0)`` has
+def _falling_values(n, shift_se, seed):
+    """``y`` on two steps whose increment ``exp(|y_1|) - exp(|y_0|)`` has
     sample mean ``shift_se`` of its standard errors."""
     d = np.random.default_rng(seed).uniform(-0.5, 0.5, n)
     d -= d.mean()
     d += shift_se * d.std(ddof=1) / math.sqrt(n)
-    return np.column_stack([np.zeros(n), np.log1p(d)])
+    return np.column_stack([np.full(n, math.log(2.0)), np.log(2.0 + d)])
 
 
 @pytest.mark.parametrize("x0", [0.0, 100000.1])
 def test_submartingale_constant_state_is_one_bin_at_any_level(gamma_quad, x0):
     # the state at time 0 is x0 on every path, whose sample spread is 1.5e-11
-    # at 100000.1: it is one bin, whose 3-SE test flags a mean 3.5 SEs below
-    # 0, not 20 bins at the Bonferroni share of the error, which would not
+    # at 100000.1: every quantile edge is x0, so the paths fill bin 0 alone,
+    # whose 3-SE test flags a mean 3.5 SEs below 0
     ens = forward(gamma_quad, "brownian", 1.0, 1, 30000, seed=71, x0=x0)
-    rep = submartingale_test(_falling_increments(30000, -3.5, seed=72), ens, 0, 1)
-    assert rep.fraction_below == 1.0 and not rep.verdict
+    assert submartingale_test(_falling_values(30000, -3.5, seed=72), P1, ens, 0, 1) == 1.0
+
+
+def _two_valued(gamma_quad, shift_se):
+    """The submartingale fraction on a state with two values, 15,000 paths
+    each, whose first half of increments has mean ``shift_se`` of its SEs."""
+    n = 30000
+    ens = forward(gamma_quad, "brownian", 1.0, 1, n, seed=73)
+    tied = np.asfortranarray(np.column_stack([np.repeat([0.0, 1.0], n // 2),
+                                              ens.state[:, 1]]))
+    y = np.concatenate([_falling_values(n // 2, shift_se, seed=74),
+                        _falling_values(n // 2, 0.0, seed=75)])
+    return submartingale_test(y, P1, dataclasses.replace(ens, state=tied), 0, 1)
 
 
 def test_submartingale_skips_the_empty_bins_of_tied_edges(gamma_quad):
     # a state with two values puts all 19 quantile edges on ties: two bins
     # hold the paths, and the 18 empty ones are skipped
-    n = 30000
-    ens = forward(gamma_quad, "brownian", 1.0, 1, n, seed=73)
-    tied = np.asfortranarray(np.column_stack([np.repeat([0.0, 1.0], n // 2),
-                                              ens.state[:, 1]]))
-    x_bar = np.concatenate([_falling_increments(n // 2, -50.0, seed=74),
-                            _falling_increments(n // 2, 0.0, seed=75)])
-    rep = submartingale_test(x_bar, dataclasses.replace(ens, state=tied), 0, 1)
-    assert rep.fraction_below == 0.5
+    assert _two_valued(gamma_quad, -50.0) == 0.5
+
+
+def test_submartingale_shares_the_family_error_over_the_occupied_bins(gamma_quad):
+    # the two occupied bins share the 3-SE family error (z = 3.21), so a bin
+    # 3.5 SEs below 0 is flagged; a share over all 20 bins (z = 3.82) is not
+    assert _two_valued(gamma_quad, -3.5) == 0.5
+
+
+def test_submartingale_refuses_an_overflowing_exponent(gamma_quad):
+    # X falling from 800 to 700 on every path overflows exp to inf, whose
+    # increments no bin flags; it is refused, at delta = 2 from half of it
+    ens = forward(gamma_quad, "brownian", 1.0, 1, 3000, seed=76)
+    y = np.column_stack([np.full(3000, 800.0), np.full(3000, 700.0)])
+    for params, values in ((P1, y), (q.StructureParams(2.0, 0.0, 0.0), y / 2)):
+        with pytest.raises(ExponentOverflowError, match="exceeds cap"):
+            submartingale_test(values, params, ens, 0, 1)
+    # the same fall from 10 to 9 is flagged on every path, and so is one
+    # just below the cap, whose bins' sums and squares of increments exceed
+    # the float range unscaled
+    spread = np.random.default_rng(77).uniform(0.0, 1.0, (3000, 1))
+    for start in (10.0, EXP_CAP - 1.0):
+        y = np.column_stack([np.full(3000, start), np.full(3000, start - 1.0)]) + spread
+        assert submartingale_test(y, P1, ens, 0, 1) == 1.0, start
 
 
 def test_submartingale_index_validation(small_ensemble):
     with pytest.raises(ValueError):
-        submartingale_test(np.zeros((10, 21)), small_ensemble, 10, 5)
+        submartingale_test(np.zeros((10, 21)), P1, small_ensemble, 10, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +467,8 @@ def test_transform_exponential_moments_stable(canonical_solution,
     # E[exp(p * X_T)] finite for p in {1, 2} on the Gaussian-tail fixture:
     # the sample mean moves by less than 10% between half and full sample
     params, sol = canonical_solution
-    x_bar = exponential_transform(sol.y, params, small_ensemble.time_grid)
-    terminal = x_bar[:, -1]
+    terminal = exponential_transform(sol.y[:, -1], params, small_ensemble.time_grid,
+                                     sol.n_steps)
     for p in (1.0, 2.0):
         vals = np.exp(p * terminal)
         full = float(vals.mean())
