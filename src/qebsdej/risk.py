@@ -49,27 +49,31 @@ def entropic(ensemble: PathEnsemble, payoff: np.ndarray, k_time: int,
         raise ValueError(f"direction must be one of {DIRECTIONS}")
     psi = np.asarray(payoff, dtype=float)
     sign = 1.0 if direction == "upper" else -1.0
+    # sums of finite exponentials overflow too (squares above exponent 355): refused last
     with np.errstate(over="ignore"):
         expo = np.exp(sign * psi)
-    if not np.all(np.isfinite(expo)):
+        if not np.all(np.isfinite(expo)):
+            raise OverflowError("exponential moment overflowed; payoff too heavy")
+        heavy = heavy_tail(expo)
+        n = expo.size
+        if k_time == 0:
+            mean = float(expo.mean())
+            se = float(expo.std(ddof=1) / math.sqrt(n)) / mean if n > 1 else 0.0
+            value = sign * math.log(mean)
+        else:
+            reg = ensemble.regression(k_time, basis_degree)
+            _, fitted = reg.fit(expo)
+            # a conditional mean stays inside the target's range; clipping keeps
+            # the log finite where the polynomial fit undershoots a positive target
+            pred = np.clip(fitted, float(expo.min()), float(expo.max()))
+            value = float((sign * np.log(pred)).mean())
+            resid = expo - fitted
+            # a NumPy sum of squares, not a BLAS dot, whose order moves with threads
+            sigma2 = float(np.square(resid, out=resid).sum()) / max(n - reg.n_basis, 1)
+            se = math.sqrt(sigma2 * reg.n_basis / n) / float(pred.mean())
+    if not (math.isfinite(value) and math.isfinite(se)):
         raise OverflowError("exponential moment overflowed; payoff too heavy")
-    heavy = heavy_tail(expo)
-    n = expo.size
-    if k_time == 0:
-        mean = float(expo.mean())
-        se_mean = float(expo.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return RiskEstimate(sign * math.log(mean), se_mean / mean, heavy)
-    reg = ensemble.regression(k_time, basis_degree)
-    _, fitted = reg.fit(expo)
-    # a conditional mean stays inside the target's range; clipping keeps the
-    # log finite where the polynomial fit undershoots a positive target
-    pred = np.clip(fitted, float(expo.min()), float(expo.max()))
-    path_values = sign * np.log(pred)
-    resid = expo - fitted
-    # a NumPy sum of squares, not a BLAS dot, whose order depends on the thread count
-    sigma2 = float(np.square(resid, out=resid).sum()) / max(n - reg.n_basis, 1)
-    se = math.sqrt(sigma2 * reg.n_basis / n) / float(pred.mean())
-    return RiskEstimate(float(path_values.mean()), se, heavy)
+    return RiskEstimate(value, se, heavy)
 
 
 @dataclass

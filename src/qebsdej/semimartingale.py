@@ -96,9 +96,6 @@ def submartingale_test(y: np.ndarray, params: StructureParams, ensemble: PathEns
                                                              ensemble.time_grid, k))
         for k in (k_sigma, k_tau))
     increment = np.exp(expo_tau) - np.exp(expo_sigma)
-    # a power of two scales every bin's mean and SE exactly, so no verdict
-    # moves, and keeps the bins' sums and squares finite up to the cap
-    increment = np.ldexp(increment, -np.frexp(np.abs(increment).max())[1])
     n = increment.size
     state = ensemble.state[:, k_sigma]
     # keep bins large enough for their means to be near-Gaussian
@@ -110,6 +107,8 @@ def submartingale_test(y: np.ndarray, params: StructureParams, ensemble: PathEns
     flagged = 0
     for b in occupied:
         vals = increment[bin_ids == b]
+        # a power of two scales the bin's mean and SE exactly and keeps its sums finite
+        vals = np.ldexp(vals, -np.frexp(np.abs(vals).max())[1])
         se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
         if float(vals.mean()) < -z_bin * se:
             flagged += vals.size

@@ -86,6 +86,15 @@ def test_overflow_guard(wiener_ensemble):
         entropic(wiener_ensemble, huge, 0)
 
 
+@pytest.mark.parametrize("k_time", [0, 10])
+def test_overflowing_sums_are_refused(wiener_ensemble, k_time):
+    # exponentials of 0 and 400 are finite, but their squared deviations
+    # from the mean are not: an infinite SE would bound nothing
+    payoff = np.where(wiener_ensemble.state[:, -1] > 0.0, 400.0, 0.0)
+    with pytest.raises(OverflowError):
+        entropic(wiener_ensemble, payoff, k_time)
+
+
 # ---------------------------------------------------------------------------
 # exponential moment table
 # ---------------------------------------------------------------------------
@@ -155,6 +164,31 @@ def test_apriori_linear_driver_strict(small_ensemble, gamma_quad):
     rep = apriori_bound_check(sol, p)
     assert rep.ok
     assert rep.rhs > abs(rep.lhs) + 0.5  # strict slack from the cost integral
+
+
+def test_apriori_refuses_an_infinite_bound(gamma_quad):
+    # X_T is 0 or 400 (exponent between 355 and EXP_CAP): the entropic SE
+    # overflows, and the check raises instead of passing with an infinite slack
+    ens = forward(gamma_quad, "brownian", 1.0, 2, 2000, seed=79)
+    p = q.StructureParams(1.0, 0.0, 0.0)
+    sol = solve(q.DriverView(q.make_driver("zero", p), ens),
+                lambda x: np.where(x > 0.0, 400.0, 0.0))
+    with pytest.raises(OverflowError):
+        apriori_bound_check(sol, p)
+
+
+def test_apriori_equality_fails_by_rounding_below_delta_one():
+    # a known defect, pinned so that it stays visible: a constant terminal
+    # makes the bound an equality whose SEs are of rounding size, and at
+    # delta = 0.1 the rounding of ln mean exp(delta X_T), divided by delta,
+    # puts the rhs further below |Y_0| = 1 than the slack reaches
+    quad = q.build_quadrature(q.make_model("null"), 2.0, 4)
+    p = q.StructureParams(0.1, 0.0, 0.0)
+    ens = forward(quad, "brownian", 1.0, 2, 100, seed=7)
+    sol = solve(q.DriverView(q.make_driver("zero", p), ens), np.ones_like)
+    rep = apriori_bound_check(sol, p)
+    assert rep.lhs == 1.0 and rep.rhs == pytest.approx(1.0, abs=1e-14)
+    assert rep.rhs < rep.bound < rep.lhs and not rep.ok
 
 
 def test_apriori_canonical_tight(small_ensemble, gamma_quad):

@@ -221,16 +221,22 @@ def test_submartingale_constant_state_is_one_bin_at_any_level(gamma_quad, x0):
     assert submartingale_test(_falling_values(30000, -3.5, seed=72), P1, ens, 0, 1) == 1.0
 
 
-def _two_valued(gamma_quad, shift_se):
-    """The submartingale fraction on a state with two values, 15,000 paths
-    each, whose first half of increments has mean ``shift_se`` of its SEs."""
-    n = 30000
+def _on_two_values(gamma_quad, y):
+    """The submartingale fraction of ``y`` on a state with two values, the
+    first half of the paths at the lower one."""
+    n = y.shape[0]
     ens = forward(gamma_quad, "brownian", 1.0, 1, n, seed=73)
     tied = np.asfortranarray(np.column_stack([np.repeat([0.0, 1.0], n // 2),
                                               ens.state[:, 1]]))
-    y = np.concatenate([_falling_values(n // 2, shift_se, seed=74),
-                        _falling_values(n // 2, 0.0, seed=75)])
     return submartingale_test(y, P1, dataclasses.replace(ens, state=tied), 0, 1)
+
+
+def _two_valued(gamma_quad, shift_se):
+    """The submartingale fraction on a state with two values, 15,000 paths
+    each, whose first half of increments has mean ``shift_se`` of its SEs."""
+    y = np.concatenate([_falling_values(15000, shift_se, seed=74),
+                        _falling_values(15000, 0.0, seed=75)])
+    return _on_two_values(gamma_quad, y)
 
 
 def test_submartingale_skips_the_empty_bins_of_tied_edges(gamma_quad):
@@ -260,6 +266,16 @@ def test_submartingale_refuses_an_overflowing_exponent(gamma_quad):
     for start in (10.0, EXP_CAP - 1.0):
         y = np.column_stack([np.full(3000, start), np.full(3000, start - 1.0)]) + spread
         assert submartingale_test(y, P1, ens, 0, 1) == 1.0, start
+
+
+def test_submartingale_scales_each_bin_apart(gamma_quad):
+    # increments near exp(400) in the upper bin leave the lower bin's, a
+    # martingale 0.5 SEs below 0, at their own scale: scaled by the upper
+    # bin's power of two, their squared deviations fell under the smallest
+    # float, the SE read 0 and the lower bin was flagged
+    rising = np.column_stack([np.full(1500, 400.0), np.full(1500, 400.5)])
+    y = np.concatenate([_falling_values(1500, -0.5, seed=78), rising])
+    assert _on_two_values(gamma_quad, y) == 0.0
 
 
 def test_submartingale_index_validation(small_ensemble):
